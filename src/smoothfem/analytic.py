@@ -71,12 +71,34 @@ def _eigenfunction_scale(alpha: float, lam: float, mode: str) -> float:
     return float(mag / ref)
 
 
+def _search_residual(lam, alpha: float, mode: str):
+    """Residual whose sign changes the eigenvalue search brackets.
+
+    Mode II always has the spurious root lambda = 1 (a rigid rotation).  Near
+    tan(alpha) = alpha the genuine root shares a grid interval with it and
+    the two sign changes cancel, so the mode-II residual is divided by
+    (lambda - 1); at lambda = 1 itself the quotient takes its limit, the
+    derivative alpha cos(alpha) - sin(alpha).  The division flips the sign
+    of every value below 1 alike, so brackets and bisection steps away from
+    lambda = 1 are unchanged.
+    """
+    res = characteristic_residual(lam, alpha, mode)
+    if mode != MODE_II:
+        return res
+    d = np.asarray(lam, dtype=float) - 1.0
+    at_one = d == 0.0
+    return np.where(
+        at_one, alpha * np.cos(alpha) - np.sin(alpha), res / np.where(at_one, 1.0, d)
+    )
+
+
 def solve_singularity_eigenvalue(alpha: float, mode: str) -> float:
     """Smallest positive root of the characteristic equation for the mode.
 
     Brackets sign changes of the residual on a 400-interval grid over
     (0.1, 1.999) and bisects each to 1e-14, skipping spurious roots whose
-    stress eigenfunction vanishes identically.
+    stress eigenfunction vanishes identically.  The mode-II search runs on
+    the deflated residual (see _search_residual).
 
     Raises:
         AnalyticError: alpha outside (pi, 2 pi], unknown mode, or no root.
@@ -89,7 +111,7 @@ def solve_singularity_eigenvalue(alpha: float, mode: str) -> float:
         )
 
     grid = np.linspace(0.1, 1.999, 401)
-    res = characteristic_residual(grid, alpha, mode)
+    res = _search_residual(grid, alpha, mode)
     for i in range(len(grid) - 1):
         lo, hi = grid[i], grid[i + 1]
         flo, fhi = res[i], res[i + 1]
@@ -100,7 +122,7 @@ def solve_singularity_eigenvalue(alpha: float, mode: str) -> float:
         else:
             for _ in range(60):  # bisection: interval ~4.7e-3 -> < 1e-14
                 mid = 0.5 * (lo + hi)
-                fmid = characteristic_residual(mid, alpha, mode)
+                fmid = _search_residual(mid, alpha, mode)
                 if flo * fmid <= 0.0:
                     hi = mid
                 else:

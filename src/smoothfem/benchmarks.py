@@ -7,6 +7,7 @@ solve, recover, compare against ``exact_stress``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,8 +118,9 @@ class LShapeBenchmark:
         # notch-frame x-axis
         return NotchFrame(vertex=self.singular_vertex, bisector_angle=0.75 * np.pi)
 
-    @property
+    @functools.cached_property
     def singular_field(self) -> SingularField:
+        """The corner eigenfield, solved once per instance and then reused."""
         solution = make_singular_solution(
             self.opening_angle, self.material, self.K_I, self.K_II
         )

@@ -7,7 +7,9 @@ Verbs:
     export-mesh  write a benchmark mesh in the plain-text format
 
 Exit codes: 0 success, 1 bad configuration or usage, 2 runtime failure
-(solve/recovery/mesh).
+(one of the package's own errors: solve, recovery, mesh, GSIF, analytic,
+bilinear-map or error computation).  Any other exception propagates with its
+traceback.
 """
 
 from __future__ import annotations
@@ -17,20 +19,40 @@ import logging
 import os
 import sys
 
+from .analytic import AnalyticError
 from .benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
+from .error import ErrorComputationError
+from .gsif import GsifError
 from .harness import (
     PRESETS,
     ConfigError,
     StudyConfig,
+    make_benchmark,
     parse_config,
+    resolve_variant,
     run_case,
     run_convergence_study,
     run_preset,
     emit_report,
 )
 from .mesh import MeshError, save_mesh
+from .quadmap import QuadMapError
+from .recovery import RecoveryError
+from .solver import SolveError
 
 log = logging.getLogger(__name__)
+
+# the package's own runtime failures; anything else is a programming error
+# and keeps its traceback
+RUNTIME_ERRORS = (
+    SolveError,
+    RecoveryError,
+    MeshError,
+    GsifError,
+    AnalyticError,
+    QuadMapError,
+    ErrorComputationError,
+)
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -77,9 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _print_case(config: StudyConfig, case) -> None:
     r = case.report
+    variant = resolve_variant(config.variant, make_benchmark(config))
     print(
         f"{config.benchmark} level {case.level} "
-        f"({config.formulation_obj().label()}, {config.variant}): "
+        f"({config.formulation_obj().label()}, {variant}): "
         f"dof={r.dof} exact={r.exact:.6g} estimated={r.estimated:.6g} "
         f"theta={r.theta:.4f} mD={r.m_abs_D:.4f} sigmaD={r.sigma_D:.4f}"
     )
@@ -155,7 +178,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # solver/recovery/mesh failures
+    except RUNTIME_ERRORS as exc:
         log.debug("traceback", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return 2

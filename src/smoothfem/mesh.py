@@ -72,12 +72,17 @@ class SmoothingCell:
     parent_rect: tuple[float, float, float, float]
 
 
-def quad_area(corners: np.ndarray) -> float:
-    """Shoelace area of a straight-sided quadrilateral (positive for CCW)."""
-    x, y = corners[:, 0], corners[:, 1]
-    return 0.5 * float(
-        np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))
-    )
+def quad_area(corners: np.ndarray):
+    """Shoelace area of straight-sided quadrilateral(s) (positive for CCW).
+
+    corners (..., 4, 2) -> areas (...); a single (4, 2) quad gives a float.
+    """
+    x, y = corners[..., None, :, 0], corners[..., None, :, 1]
+    # batched matmul reproduces the 4-term dot products bit for bit
+    xy = np.matmul(x, np.roll(y, -1, axis=-1).swapaxes(-1, -2))
+    yx = np.matmul(y, np.roll(x, -1, axis=-1).swapaxes(-1, -2))
+    area = 0.5 * (xy - yx)[..., 0, 0]
+    return float(area) if area.ndim == 0 else area
 
 
 class Mesh:
@@ -110,13 +115,14 @@ class Mesh:
 
         # element orientation / degeneracy: bilinear Jacobian positive at all
         # four corners
-        for e in range(len(elements)):
-            dets = corner_jacobians(self.element_corners(e))
-            if np.any(dets <= 0.0):
-                raise MeshError(
-                    f"element {e} is inverted or degenerate "
-                    f"(corner Jacobians {dets})"
-                )
+        dets = corner_jacobians(coords[elements])
+        bad = np.nonzero(np.any(dets <= 0.0, axis=-1))[0]
+        if len(bad):
+            e = bad[0]
+            raise MeshError(
+                f"element {e} is inverted or degenerate "
+                f"(corner Jacobians {dets[e]})"
+            )
 
         # node -> elements adjacency
         patches: list[list[int]] = [[] for _ in range(len(coords))]
@@ -233,48 +239,85 @@ def subcell_parent_rects(nc: int) -> list[tuple[float, float, float, float]]:
     return rects
 
 
-def subcell_index_at(nc: int, xi: float, eta: float) -> int:
-    """Index of the subcell whose parent rectangle contains (xi, eta)."""
+def subcell_index_at(nc: int, xi, eta) -> np.ndarray:
+    """Index of the subcell whose parent rectangle contains (xi, eta); broadcasts."""
     n_xi, n_eta = subcell_grid(nc)
-    i = min(int((xi + 1.0) / 2.0 * n_xi), n_xi - 1)
-    j = min(int((eta + 1.0) / 2.0 * n_eta), n_eta - 1)
+    i = np.minimum(((np.asarray(xi) + 1.0) * 0.5 * n_xi).astype(int), n_xi - 1)
+    j = np.minimum(((np.asarray(eta) + 1.0) * 0.5 * n_eta).astype(int), n_eta - 1)
     return j * n_xi + i
 
 
-def subdivide_element(mesh: Mesh, element_id: int, nc: int) -> list[SmoothingCell]:
-    """Partition an element into nc straight-sided smoothing cells.
+@dataclass(frozen=True)
+class SubcellGeometry:
+    """The smoothing cells of a set of elements, as read-only arrays.
+
+    Row i describes element ``element_ids[i]``; each element has nc cells in
+    the row-major order of subcell_parent_rects, each cell four CCW edges.
+    Shapes: corners, edge_midpoints, edge_normals (n, nc, 4, 2); areas
+    (n, nc); edge_lengths (n, nc, 4).
+    """
+
+    nc: int
+    element_ids: np.ndarray
+    corners: np.ndarray
+    areas: np.ndarray
+    edge_midpoints: np.ndarray
+    edge_normals: np.ndarray
+    edge_lengths: np.ndarray
+
+    def cells(self, i: int) -> list[SmoothingCell]:
+        """Row i as SmoothingCell objects (built on request)."""
+        return [
+            SmoothingCell(
+                element_id=int(self.element_ids[i]),
+                cell_index=c,
+                corners=self.corners[i, c],
+                area=float(self.areas[i, c]),
+                edge_midpoints=self.edge_midpoints[i, c],
+                edge_normals=self.edge_normals[i, c],
+                edge_lengths=self.edge_lengths[i, c],
+                parent_rect=rect,
+            )
+            for c, rect in enumerate(subcell_parent_rects(self.nc))
+        ]
+
+
+def subcell_geometry(mesh: Mesh, nc: int, element_ids=None) -> SubcellGeometry:
+    """Partition elements (default: all) into nc straight-sided smoothing cells.
 
     Subdivision happens in the parent domain and is pushed through the
     bilinear map; because the parent rectangles are axis-aligned, their
     images have straight edges and the mapped corners describe them exactly.
     """
-    corners = mesh.element_corners(element_id)
-    cells = []
-    for idx, (x0, x1, e0, e1) in enumerate(subcell_parent_rects(nc)):
-        pc = np.array([[x0, e0], [x1, e0], [x1, e1], [x0, e1]])
-        phys = map_point(corners, pc[:, 0], pc[:, 1])
-        area = quad_area(phys)
-        if area <= 0.0:
-            raise MeshError(
-                f"non-positive smoothing-cell area in element {element_id}"
-            )
-        nxt = np.roll(phys, -1, axis=0)
-        tang = nxt - phys
-        lengths = np.linalg.norm(tang, axis=1)
-        normals = np.stack([tang[:, 1], -tang[:, 0]], axis=-1) / lengths[:, None]
-        cells.append(
-            SmoothingCell(
-                element_id=element_id,
-                cell_index=idx,
-                corners=phys,
-                area=area,
-                edge_midpoints=0.5 * (phys + nxt),
-                edge_normals=normals,
-                edge_lengths=lengths,
-                parent_rect=(x0, x1, e0, e1),
-            )
+    if element_ids is None:
+        element_ids = np.arange(mesh.n_elements)
+    element_ids = np.asarray(element_ids, dtype=int)
+    x0, x1, e0, e1 = np.array(subcell_parent_rects(nc)).T
+    pc = np.stack(
+        [np.stack(v, axis=-1) for v in ((x0, e0), (x1, e0), (x1, e1), (x0, e1))],
+        axis=1,
+    )  # (nc, 4, 2) parent corners of every cell
+    corners = mesh.coords[mesh.elements[element_ids]]  # (n, 4, 2)
+    phys = map_point(corners[:, None], pc[..., 0], pc[..., 1])  # (n, nc, 4, 2)
+    areas = quad_area(phys)
+    bad = np.nonzero(areas <= 0.0)[0]
+    if len(bad):
+        raise MeshError(
+            f"non-positive smoothing-cell area in element {element_ids[bad[0]]}"
         )
-    return cells
+    nxt = np.roll(phys, -1, axis=-2)
+    tang = nxt - phys
+    lengths = np.linalg.norm(tang, axis=-1)
+    normals = np.stack([tang[..., 1], -tang[..., 0]], axis=-1) / lengths[..., None]
+    arrays = (element_ids, phys, areas, 0.5 * (phys + nxt), normals, lengths)
+    for a in arrays:
+        a.setflags(write=False)
+    return SubcellGeometry(nc, *arrays)
+
+
+def subdivide_element(mesh: Mesh, element_id: int, nc: int) -> list[SmoothingCell]:
+    """The nc smoothing cells of one element (see subcell_geometry)."""
+    return subcell_geometry(mesh, nc, [element_id]).cells(0)
 
 
 # ---------------------------------------------------------------------------

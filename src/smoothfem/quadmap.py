@@ -7,6 +7,8 @@ the physical corner coordinates in the same order.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 PARENT_CORNERS = np.array(
@@ -53,10 +55,18 @@ def map_point(corners: np.ndarray, xi, eta) -> np.ndarray:
 
 
 def jacobian(corners: np.ndarray, xi, eta) -> np.ndarray:
-    """Jacobian dx/d(xi, eta) of the bilinear map; returns (..., 2, 2)."""
-    G = shape_gradients(xi, eta)  # (..., 4, 2)
+    """Jacobian dx/d(xi, eta) of the bilinear map; returns (..., 2, 2).
+
+    ``corners`` is one (4, 2) quad or a stack (..., 4, 2) broadcasting
+    against the parent points.
+    """
+    return jacobian_from_gradients(shape_gradients(xi, eta), corners)
+
+
+def jacobian_from_gradients(G: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Jacobian from parent shape gradients G (..., 4, 2); returns (..., 2, 2)."""
     # J[i, j] = sum_I corners[I, i] * G[I, j]
-    return np.einsum("...ij,ik->...kj", G, corners)
+    return np.einsum("...ij,...ik->...kj", G, corners)
 
 
 def jacobian_det(corners: np.ndarray, xi, eta) -> np.ndarray:
@@ -65,61 +75,97 @@ def jacobian_det(corners: np.ndarray, xi, eta) -> np.ndarray:
 
 
 def corner_jacobians(corners: np.ndarray) -> np.ndarray:
-    """Jacobian determinants at the 4 parent corners (positivity check)."""
+    """Jacobian determinants at the 4 parent corners (positivity check).
+
+    corners (..., 4, 2) -> (..., 4).
+    """
     xi, eta = PARENT_CORNERS[:, 0], PARENT_CORNERS[:, 1]
-    return jacobian_det(corners, xi, eta)
+    return jacobian_det(np.asarray(corners)[..., None, :, :], xi, eta)
 
 
 def invert_map(
     corners: np.ndarray,
-    point: np.ndarray,
+    points: np.ndarray,
     tol: float = 1e-12,
     maxiter: int = 20,
 ) -> np.ndarray:
-    """Parent coordinates of a physical point by Newton iteration.
+    """Parent coordinates of physical points by batched Newton iteration.
 
-    Converges on parent-increment norm < tol (well inside machine precision
-    for the mildly distorted quads used here; quadratic convergence means
-    2-4 iterations in practice).
+    ``corners`` (P, 4, 2) and ``points`` (P, 2) give one quad per point and
+    return (P, 2); a single (4, 2) quad with a (2,) point is a batch of one
+    and returns (2,).  Every point follows the scalar Newton sequence and
+    leaves the active set at the iteration where its parent increment norm
+    drops below tol (well inside machine precision for the mildly distorted
+    quads used here; quadratic convergence means 2-4 iterations in
+    practice), so its result does not depend on the rest of the batch.
 
     Raises:
-        QuadMapError: no convergence within maxiter iterations.
+        QuadMapError: singular Jacobian, or no convergence within maxiter
+            iterations; the message names the offending point.
     """
-    point = np.asarray(point, dtype=float)
-    xi = np.zeros(2)
+    points = np.asarray(points, dtype=float)
+    C = np.asarray(corners, dtype=float).reshape(-1, 4, 2)
+    X = points.reshape(-1, 2)
+    out = np.zeros_like(X)
+    active = np.arange(len(X))
+    xi = np.zeros_like(X)
     for _ in range(maxiter):
-        res = map_point(corners, xi[0], xi[1]) - point
-        J = jacobian(corners, xi[0], xi[1])
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        if abs(det) < 1e-30:
-            raise QuadMapError("singular Jacobian during bilinear-map inversion")
-        step = (
-            np.array(
-                [
-                    J[1, 1] * res[0] - J[0, 1] * res[1],
-                    -J[1, 0] * res[0] + J[0, 0] * res[1],
-                ]
+        if not len(active):
+            break
+        Ca = C[active]
+        N = shape_functions(xi[:, 0], xi[:, 1])
+        res = np.matmul(N[:, None, :], Ca)[:, 0] - X[active]
+        J = jacobian(Ca, xi[:, 0], xi[:, 1])
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        singular = np.abs(det) < 1e-30
+        if np.any(singular):
+            bad = X[active[np.argmax(singular)]]
+            raise QuadMapError(
+                f"singular Jacobian during bilinear-map inversion for point {bad}"
             )
-            / det
+        step = (
+            np.stack(
+                [
+                    J[:, 1, 1] * res[:, 0] - J[:, 0, 1] * res[:, 1],
+                    -J[:, 1, 0] * res[:, 0] + J[:, 0, 0] * res[:, 1],
+                ],
+                axis=-1,
+            )
+            / det[:, None]
         )
         xi = xi - step
-        if np.hypot(step[0], step[1]) < tol:
-            return xi
-    raise QuadMapError(
-        f"bilinear-map inversion did not converge in {maxiter} iterations "
-        f"for point {point}"
-    )
+        done = np.hypot(step[:, 0], step[:, 1]) < tol
+        out[active[done]] = xi[done]
+        active = active[~done]
+        xi = xi[~done]
+    if len(active):
+        raise QuadMapError(
+            f"bilinear-map inversion did not converge in {maxiter} iterations "
+            f"for point {X[active[0]]}"
+        )
+    return out.reshape(points.shape)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
 def gauss_points_1d(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre nodes and weights on [-1, 1] (cached, read-only)."""
+    return _read_only(*np.polynomial.legendre.leggauss(order))
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_points_2d(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss rule on the parent square: (n^2, 2) points, (n^2,) weights."""
+    """Tensor Gauss rule on the parent square: (n^2, 2) points, (n^2,) weights.
+
+    Cached per order; the returned arrays are read-only.
+    """
     x, w = gauss_points_1d(order)
     XI, ETA = np.meshgrid(x, x, indexing="ij")
     WX, WY = np.meshgrid(w, w, indexing="ij")
     pts = np.stack([XI.ravel(), ETA.ravel()], axis=-1)
-    return pts, (WX * WY).ravel()
+    return _read_only(pts, (WX * WY).ravel())

@@ -107,51 +107,41 @@ class PatchFit:
 
 
 def _sampling_arrays(solution: DiscreteSolution):
-    """Positions, stresses, weights and the element slice map of all samples.
+    """Positions, stresses and weights of all samples, plus samples per element.
 
     SFEM: the constant stress of each smoothing cell is mapped to the cell's
     own 2x2 Gauss positions (weights = Gauss weight x cell Jacobian); FEM:
     the element's 2x2 Gauss points carry the pointwise compatible stress.
+    Samples are element-major: element e owns rows e*k ... (e+1)*k - 1.
     """
-    mesh = solution.mesh
     gp, gw = gauss_points_2d(2)
-    pos, stress, weight = [], [], []
-    slices = []
-    start = 0
-    for e in range(mesh.n_elements):
-        if solution.formulation.kind == SFEM:
-            for c, cell in enumerate(solution.subcells(e)):
-                pts = map_point(cell.corners, gp[:, 0], gp[:, 1])
-                det = jacobian_det(cell.corners, gp[:, 0], gp[:, 1])
-                pos.append(pts)
-                stress.append(np.broadcast_to(solution.cell_stress[e, c], (4, 3)))
-                weight.append(gw * det)
-            n_new = 4 * len(solution.subcells(e))
-        else:
-            corners = mesh.element_corners(e)
-            pts = map_point(corners, gp[:, 0], gp[:, 1])
-            pos.append(pts)
-            stress.append(solution.cell_stress[e])
-            weight.append(solution._fem_detw[e])
-            n_new = len(pts)
-        slices.append(slice(start, start + n_new))
-        start += n_new
+    if solution.formulation.kind == SFEM:
+        corners = solution.operators.cells.corners  # (n_e, nc, 4, 2)
+        pos = map_point(corners, gp[:, 0], gp[:, 1])
+        det = jacobian_det(corners[..., None, :, :], gp[:, 0], gp[:, 1])
+        stress = np.broadcast_to(solution.cell_stress[:, :, None], det.shape + (3,))
+        weight = gw * det
+    else:
+        mesh = solution.mesh
+        pos = map_point(mesh.coords[mesh.elements], gp[:, 0], gp[:, 1])
+        stress = solution.cell_stress
+        weight = solution.operators.detw
+    k = int(np.prod(weight.shape[1:]))
     return (
-        np.concatenate(pos),
-        np.concatenate(stress).astype(float),
-        np.concatenate(weight),
-        slices,
+        pos.reshape(-1, 2),
+        stress.reshape(-1, 3).astype(float),
+        weight.reshape(-1),
+        k,
     )
 
 
 def collect_sampling_points(solution: DiscreteSolution) -> list[SamplingPoint]:
     """The raw-stress sampling set, as declared objects (tests, inspection)."""
-    pos, stress, weight, slices = _sampling_arrays(solution)
-    out = []
-    for e, sl in enumerate(slices):
-        for i in range(sl.start, sl.stop):
-            out.append(SamplingPoint(e, pos[i].copy(), stress[i].copy(), float(weight[i])))
-    return out
+    pos, stress, weight, k = _sampling_arrays(solution)
+    return [
+        SamplingPoint(i // k, pos[i].copy(), stress[i].copy(), float(weight[i]))
+        for i in range(len(pos))
+    ]
 
 
 def singular_stress_estimate(
@@ -549,7 +539,7 @@ def build_recovered_field(
             singular_field, solution, config.gsif_mode, bcs=bcs
         )
 
-    positions, stresses, weights, slices = _sampling_arrays(solution)
+    positions, stresses, weights, per_element = _sampling_arrays(solution)
 
     split_flags = np.zeros(mesh.n_nodes, dtype=bool)
     smooth = stresses
@@ -587,7 +577,7 @@ def build_recovered_field(
     fits: list[PatchFit] = []
     for node in range(mesh.n_nodes):
         patch = mesh.node_patch(node)
-        idx = np.concatenate([np.arange(slices[e].start, slices[e].stop) for e in patch])
+        idx = (np.asarray(patch)[:, None] * per_element + np.arange(per_element)).ravel()
         pos = positions[idx]
         sig = (smooth if split_flags[node] else stresses)[idx]
         w = weights[idx]

@@ -9,6 +9,17 @@ Two formulations share all plumbing:
   boundary average (one Gauss point per edge, which is exact for the bilinear
   trace on straight edges), and the stiffness is the area-weighted sum of the
   constant-strain subcell contributions.
+
+Element operators are built for the whole mesh at once: the subcell geometry
+(mesh.subcell_geometry), one batched Newton inversion per (subcell, edge)
+slot over all elements for the smoothed B, one batched kernel for the
+compatible B at any set of parent points, and stiffnesses, stresses, energy
+and the sparse scatter as array operations.  The single-element helpers
+(smoothed_strain_matrix, element_stiffness, fem_strain_matrix) are batches of
+one through the same kernels.  Every kernel reproduces the per-element
+arithmetic bit for bit, so an element's operators do not depend on the batch
+it was computed in (see the note above the kernels for the numpy forms this
+requires).
 """
 
 from __future__ import annotations
@@ -25,15 +36,15 @@ from .mesh import (
     NEUMANN,
     Mesh,
     SmoothingCell,
-    subcell_grid,
+    SubcellGeometry,
+    subcell_geometry,
     subcell_index_at,
-    subdivide_element,
 )
 from .quadmap import (
     gauss_points_1d,
     gauss_points_2d,
     invert_map,
-    jacobian,
+    jacobian_from_gradients,
     shape_functions,
     shape_gradients,
 )
@@ -95,47 +106,137 @@ class BoundaryConditions:
 
 
 # ---------------------------------------------------------------------------
-# element-level operators
+# strain-operator kernels
 # ---------------------------------------------------------------------------
+#
+# Every kernel works on whole batches (all elements of a mesh, or all points
+# of one element); the single-element helpers below are batches of one.  The
+# numpy forms are chosen so each entry is computed exactly as by the scalar
+# per-element formulas: batched matmul wherever those used a small matrix
+# product (it issues the same per-item BLAS calls), and the einsum of
+# quadmap.jacobian_from_gradients for Jacobians (a matmul there rounds
+# differently).  Results therefore do not depend on how the mesh is batched.
 
 
-def fem_strain_matrix(corners: np.ndarray, xi: float, eta: float) -> tuple[np.ndarray, float]:
-    """Compatible B (3x8) and Jacobian determinant at a parent point."""
-    G = shape_gradients(xi, eta)  # (4, 2)
-    J = jacobian(corners, xi, eta)
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    if det <= 0.0:
+def strain_matrix(corners: np.ndarray, xi, eta) -> tuple[np.ndarray, np.ndarray]:
+    """Compatible B and Jacobian determinant at parent points.
+
+    corners (P, 4, 2) is the quad owning each point, xi/eta (P,) the parent
+    coordinates; returns B (P, 3, 8) and det (P,).
+    """
+    G = shape_gradients(xi, eta)  # (P, 4, 2)
+    J = jacobian_from_gradients(G, corners)
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    if np.any(det <= 0.0):
         raise SolveError("non-positive Jacobian inside element")
-    invJ = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / det
-    dN = G @ invJ  # (4, 2) physical gradients: dN/dx_i = dN/dxi_j (J^-1)_ji
-    B = np.zeros((3, 8))
-    B[0, 0::2] = dN[:, 0]
-    B[1, 1::2] = dN[:, 1]
-    B[2, 0::2] = dN[:, 1]
-    B[2, 1::2] = dN[:, 0]
-    return B, float(det)
+    invJ = (
+        np.stack(
+            [
+                np.stack([J[:, 1, 1], -J[:, 0, 1]], axis=-1),
+                np.stack([-J[:, 1, 0], J[:, 0, 0]], axis=-1),
+            ],
+            axis=-2,
+        )
+        / det[:, None, None]
+    )
+    dN = np.matmul(G, invJ)  # physical gradients: dN/dx_i = dN/dxi_j (J^-1)_ji
+    B = np.zeros((len(det), 3, 8))
+    B[:, 0, 0::2] = dN[..., 0]
+    B[:, 1, 1::2] = dN[..., 1]
+    B[:, 2, 0::2] = dN[..., 1]
+    B[:, 2, 1::2] = dN[..., 0]
+    return B, det
 
 
-def smoothed_strain_matrix(corners: np.ndarray, cell: SmoothingCell) -> np.ndarray:
-    """Constant smoothed B (3x8) of a subcell via boundary integration.
+def smoothed_strain_matrices(corners: np.ndarray, cells: SubcellGeometry) -> np.ndarray:
+    """Constant smoothed B (n, nc, 3, 8) of every subcell by boundary integration.
 
     B~_I = (1/A_C) sum_edges N_I(midpoint) [n-structure] l_edge, with the
     shape functions evaluated by Newton inversion of the element's bilinear
-    map at the physical edge midpoints.
+    map (corners (n, 4, 2)) at the physical edge midpoints.  Edges are
+    accumulated cell by cell in CCW order, one Newton batch of n midpoints
+    each.
     """
-    B = np.zeros((3, 8))
-    for mid, normal, length in zip(
-        cell.edge_midpoints, cell.edge_normals, cell.edge_lengths
-    ):
-        xi = invert_map(corners, mid)
-        N = shape_functions(xi[0], xi[1])  # (4,)
-        nx, ny = normal
-        w = length * N
-        B[0, 0::2] += nx * w
-        B[1, 1::2] += ny * w
-        B[2, 0::2] += ny * w
-        B[2, 1::2] += nx * w
-    return B / cell.area
+    n, nc = cells.areas.shape
+    B = np.zeros((n, nc, 3, 8))
+    for c in range(nc):
+        for k in range(4):
+            xi = invert_map(corners, cells.edge_midpoints[:, c, k])
+            N = shape_functions(xi[:, 0], xi[:, 1])  # (n, 4)
+            nx = cells.edge_normals[:, c, k, 0, None]
+            ny = cells.edge_normals[:, c, k, 1, None]
+            w = cells.edge_lengths[:, c, k, None] * N
+            B[:, c, 0, 0::2] += nx * w
+            B[:, c, 1, 1::2] += ny * w
+            B[:, c, 2, 0::2] += ny * w
+            B[:, c, 2, 1::2] += nx * w
+    return B / cells.areas[:, :, None, None]
+
+
+def _stiffness(B: np.ndarray, D: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+    """Element stiffnesses sum_s B_s^T D B_s f1_s f2_s ... ; B (n, n_s, 3, 8).
+
+    The factors (n, n_s) multiply in turn, as in B.T @ D @ B * det * w.
+    """
+    K = np.zeros((len(B), 8, 8))
+    for s in range(B.shape[1]):
+        Bs = B[:, s]
+        Ks = np.matmul(np.matmul(Bs.swapaxes(-1, -2), D), Bs)
+        for f in factors:
+            Ks = Ks * f[:, s, None, None]
+        K += Ks
+    # B^T D B is symmetric only up to round-off in floating point; force it
+    # exactly so the assembled global matrix carries no skew part at all
+    return 0.5 * (K + K.swapaxes(-1, -2))
+
+
+def _batch_operators(
+    corners: np.ndarray,
+    D: np.ndarray,
+    formulation: Formulation,
+    cells: SubcellGeometry | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Strain operators, stiffnesses and FEM quadrature factors of n elements.
+
+    corners (n, 4, 2); SFEM needs the elements' cells.  Returns B
+    (n, n_s, 3, 8), K (n, 8, 8) and, for FEM, Jacobian times Gauss weight
+    (n, 4) at the 2x2 Gauss points (None for SFEM).
+    """
+    if formulation.kind == SFEM:
+        if cells is None:
+            raise SolveError("SFEM stiffness needs the element's smoothing cells")
+        B = smoothed_strain_matrices(corners, cells)
+        return B, _stiffness(B, D, cells.areas), None
+    pts, w = gauss_points_2d(2)
+    n, n_g = len(corners), len(pts)
+    B, det = strain_matrix(
+        np.repeat(corners, n_g, axis=0), np.tile(pts[:, 0], n), np.tile(pts[:, 1], n)
+    )
+    B, det = B.reshape(n, n_g, 3, 8), det.reshape(n, n_g)
+    w = np.broadcast_to(w, det.shape)
+    return B, _stiffness(B, D, det, w), det * w
+
+
+def fem_strain_matrix(corners: np.ndarray, xi: float, eta: float) -> tuple[np.ndarray, float]:
+    """Compatible B (3x8) and Jacobian determinant at one parent point."""
+    B, det = strain_matrix(np.asarray(corners, float)[None], np.array([xi]), np.array([eta]))
+    return B[0], float(det[0])
+
+
+def _cell_arrays(cells: list[SmoothingCell]) -> SubcellGeometry:
+    """One element's SmoothingCell list as a one-row SubcellGeometry."""
+    def stack(name):
+        return np.array([[getattr(c, name) for c in cells]])
+
+    return SubcellGeometry(
+        len(cells), np.array([cells[0].element_id]), stack("corners"), stack("area"),
+        stack("edge_midpoints"), stack("edge_normals"), stack("edge_lengths"),
+    )
+
+
+def smoothed_strain_matrix(corners: np.ndarray, cell: SmoothingCell) -> np.ndarray:
+    """Constant smoothed B (3x8) of one subcell (see smoothed_strain_matrices)."""
+    return smoothed_strain_matrices(np.asarray(corners, float)[None], _cell_arrays([cell]))[0, 0]
 
 
 def element_stiffness(
@@ -149,28 +250,16 @@ def element_stiffness(
     SFEM: K = sum_C B~_C^T D B~_C A_C over the element's smoothing cells
     (pass them in to reuse geometry).  FEM: 2x2 Gauss quadrature of B^T D B.
     """
-    K = np.zeros((8, 8))
-    if formulation.kind == FEM:
-        pts, wts = gauss_points_2d(2)
-        for (xi, eta), w in zip(pts, wts):
-            B, det = fem_strain_matrix(corners, xi, eta)
-            K += B.T @ D @ B * det * w
-    else:
-        if cells is None:
-            raise SolveError("SFEM stiffness needs the element's smoothing cells")
-        for cell in cells:
-            B = smoothed_strain_matrix(corners, cell)
-            K += B.T @ D @ B * cell.area
-    # B^T D B is symmetric only up to round-off in floating point; force it
-    # exactly so the assembled global matrix carries no skew part at all
-    return 0.5 * (K + K.T)
+    geometry = _cell_arrays(cells) if cells is not None else None
+    _, K, _ = _batch_operators(np.asarray(corners, float)[None], D, formulation, geometry)
+    return K[0]
 
 
-def element_dofs(mesh: Mesh, element_id: int) -> np.ndarray:
-    conn = mesh.elements[element_id]
-    dofs = np.empty(8, dtype=int)
-    dofs[0::2] = 2 * conn
-    dofs[1::2] = 2 * conn + 1
+def _dof_map(conn: np.ndarray) -> np.ndarray:
+    """Interleaved dofs (..., 8) of element connectivity (..., 4)."""
+    dofs = np.empty(conn.shape[:-1] + (8,), dtype=int)
+    dofs[..., 0::2] = 2 * conn
+    dofs[..., 1::2] = 2 * conn + 1
     return dofs
 
 
@@ -179,69 +268,52 @@ def element_dofs(mesh: Mesh, element_id: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _element_operators(mesh: Mesh, material: Material, formulation: Formulation):
-    """Per-element stiffnesses plus cached strain operators.
+@dataclass(frozen=True)
+class ElementOperators:
+    """Whole-mesh element operators; every array is read-only.
 
-    Returns (K_elems, cells_per_elem, B_cells, fem_B, fem_detw):
-      SFEM: cells_per_elem[e] is the subcell list, B_cells[e] the (nc, 3, 8)
-      smoothed operators; FEM: fem_B[e] is (4, 3, 8) at 2x2 Gauss points with
-      fem_detw[e] the Jacobian-times-weight factors.
+    K: (n_e, 8, 8) element stiffnesses; dofs: (n_e, 8) global dof map;
+    B: (n_e, n_s, 3, 8) strain operators at the element's n_s stress points
+    (SFEM: the nc smoothing cells, FEM: the 2x2 Gauss points).
+    SFEM only: cells, the subcell geometry.  FEM only: detw (n_e, 4),
+    Jacobian times Gauss weight at the Gauss points.
     """
-    D = elasticity_matrix(material)
-    n_e = mesh.n_elements
-    K_elems = np.zeros((n_e, 8, 8))
-    cells_per_elem: list[list[SmoothingCell] | None] = [None] * n_e
-    B_cells = None
-    fem_B = None
-    fem_detw = None
-    if formulation.kind == SFEM:
-        nc = formulation.nc
-        B_cells = np.zeros((n_e, nc, 3, 8))
-        for e in range(n_e):
-            corners = mesh.element_corners(e)
-            cells = subdivide_element(mesh, e, nc)
-            cells_per_elem[e] = cells
-            Ke = np.zeros((8, 8))
-            for c, cell in enumerate(cells):
-                B = smoothed_strain_matrix(corners, cell)
-                B_cells[e, c] = B
-                Ke += B.T @ D @ B * cell.area
-            K_elems[e] = 0.5 * (Ke + Ke.T)
-    else:
-        pts, wts = gauss_points_2d(2)
-        fem_B = np.zeros((n_e, len(pts), 3, 8))
-        fem_detw = np.zeros((n_e, len(pts)))
-        for e in range(n_e):
-            corners = mesh.element_corners(e)
-            Ke = np.zeros((8, 8))
-            for g, ((xi, eta), w) in enumerate(zip(pts, wts)):
-                B, det = fem_strain_matrix(corners, xi, eta)
-                fem_B[e, g] = B
-                fem_detw[e, g] = det * w
-                Ke += B.T @ D @ B * det * w
-            K_elems[e] = 0.5 * (Ke + Ke.T)
-    return K_elems, cells_per_elem, B_cells, fem_B, fem_detw
+
+    K: np.ndarray
+    dofs: np.ndarray
+    B: np.ndarray
+    cells: SubcellGeometry | None = None
+    detw: np.ndarray | None = None
+
+
+def _element_operators(
+    mesh: Mesh, material: Material, formulation: Formulation
+) -> ElementOperators:
+    """Element stiffnesses plus cached strain operators for the whole mesh."""
+    cells = subcell_geometry(mesh, formulation.nc) if formulation.kind == SFEM else None
+    B, K, detw = _batch_operators(
+        mesh.coords[mesh.elements], elasticity_matrix(material), formulation, cells
+    )
+    dofs = _dof_map(mesh.elements)
+    for a in (K, dofs, B, detw):
+        if a is not None:
+            a.setflags(write=False)
+    return ElementOperators(K, dofs, B, cells, detw)
 
 
 def assemble_stiffness(
     mesh: Mesh, material: Material, formulation: Formulation
 ) -> sp.csr_matrix:
     """Global stiffness (no boundary conditions applied)."""
-    K_elems, *_ = _element_operators(mesh, material, formulation)
-    return _scatter(mesh, K_elems)
+    return _scatter(mesh, _element_operators(mesh, material, formulation))
 
 
-def _scatter(mesh: Mesh, K_elems: np.ndarray) -> sp.csr_matrix:
+def _scatter(mesh: Mesh, operators: ElementOperators) -> sp.csr_matrix:
     n_dof = 2 * mesh.n_nodes
-    n_e = mesh.n_elements
-    rows = np.empty(64 * n_e, dtype=int)
-    cols = np.empty(64 * n_e, dtype=int)
-    vals = np.empty(64 * n_e)
-    for e in range(n_e):
-        dofs = element_dofs(mesh, e)
-        rows[64 * e : 64 * (e + 1)] = np.repeat(dofs, 8)
-        cols[64 * e : 64 * (e + 1)] = np.tile(dofs, 8)
-        vals[64 * e : 64 * (e + 1)] = K_elems[e].ravel()
+    dofs = operators.dofs
+    rows = np.repeat(dofs, 8, axis=1).ravel()
+    cols = np.tile(dofs, (1, 8)).ravel()
+    vals = operators.K.ravel()
     return sp.coo_matrix((vals, (rows, cols)), shape=(n_dof, n_dof)).tocsr()
 
 
@@ -348,9 +420,9 @@ def _diagnose_rigid_modes(mesh: Mesh, K: sp.csr_matrix, free: np.ndarray) -> lis
 class DiscreteSolution:
     """A solved (or interpolated) discrete displacement field with stresses.
 
-    Carries the mesh, nodal vector U, the formulation's cached strain
+    Carries the mesh, nodal vector U, the formulation's cached element
     operators, and per-cell (SFEM) or per-Gauss-point (FEM) raw stresses.
-    Immutable by convention after construction.
+    Immutable: U, cell_stress and the operator arrays are read-only.
     """
 
     def __init__(
@@ -359,7 +431,7 @@ class DiscreteSolution:
         material: Material,
         formulation: Formulation,
         U: np.ndarray,
-        operators=None,
+        operators: ElementOperators | None = None,
         residual_rel: float = 0.0,
         fixed_dofs: dict[int, float] | None = None,
     ):
@@ -374,31 +446,21 @@ class DiscreteSolution:
 
         if operators is None:
             operators = _element_operators(mesh, material, formulation)
-        (self._K_elems, self._cells, self._B_cells, self._fem_B, self._fem_detw) = operators
-
-        n_e = mesh.n_elements
-        if formulation.kind == SFEM:
-            nc = formulation.nc
-            self.cell_stress = np.zeros((n_e, nc, 3))
-            for e in range(n_e):
-                q = self.U[element_dofs(mesh, e)]
-                self.cell_stress[e] = (self._B_cells[e] @ q) @ self.D.T
-        else:
-            n_g = self._fem_B.shape[1]
-            self.cell_stress = np.zeros((n_e, n_g, 3))
-            for e in range(n_e):
-                q = self.U[element_dofs(mesh, e)]
-                self.cell_stress[e] = (self._fem_B[e] @ q) @ self.D.T
+        self.operators = operators
+        # (n_e, n_s, 3): sigma = D (B q) at every subcell / Gauss point
+        strain = np.matmul(operators.B, self.U[operators.dofs][:, None, :, None])[..., 0]
+        self.cell_stress = np.matmul(strain, self.D.T)
+        self.cell_stress.setflags(write=False)
 
     # -- geometry / caches --------------------------------------------------
 
     def subcells(self, element_id: int) -> list[SmoothingCell]:
         if self.formulation.kind != SFEM:
             raise SolveError("subcells are only defined for SFEM solutions")
-        return self._cells[element_id]
+        return self.operators.cells.cells(element_id)
 
     def element_displacement(self, element_id: int) -> np.ndarray:
-        return self.U[element_dofs(self.mesh, element_id)]
+        return self.U[self.operators.dofs[element_id]]
 
     # -- field evaluation ---------------------------------------------------
 
@@ -411,36 +473,27 @@ class DiscreteSolution:
     def stress_at_parent(self, element_id: int, xi: float, eta: float) -> np.ndarray:
         """Raw stress at a parent point: the owning subcell's constant for
         SFEM, the compatible pointwise stress for FEM."""
-        if self.formulation.kind == SFEM:
-            c = subcell_index_at(self.formulation.nc, xi, eta)
-            return self.cell_stress[element_id, c]
-        corners = self.mesh.element_corners(element_id)
-        B, _ = fem_strain_matrix(corners, xi, eta)
-        return self.D @ (B @ self.element_displacement(element_id))
+        return self.stress_at_parents(element_id, np.array([[xi, eta]]))[0]
 
     def stress_at_parents(self, element_id: int, pts: np.ndarray) -> np.ndarray:
         """Raw stress at many parent points at once; pts (n, 2) -> (n, 3)."""
         pts = np.asarray(pts, dtype=float)
         if self.formulation.kind == SFEM:
-            n_xi, n_eta = subcell_grid(self.formulation.nc)
-            i = np.minimum(((pts[:, 0] + 1.0) * 0.5 * n_xi).astype(int), n_xi - 1)
-            j = np.minimum(((pts[:, 1] + 1.0) * 0.5 * n_eta).astype(int), n_eta - 1)
-            return self.cell_stress[element_id][j * n_xi + i]
+            c = subcell_index_at(self.formulation.nc, pts[:, 0], pts[:, 1])
+            return self.cell_stress[element_id][c]
         corners = self.mesh.element_corners(element_id)
-        q = self.element_displacement(element_id)
-        out = np.empty((len(pts), 3))
-        for k, (xi, eta) in enumerate(pts):
-            B, _ = fem_strain_matrix(corners, xi, eta)
-            out[k] = self.D @ (B @ q)
-        return out
+        B, _ = strain_matrix(
+            np.broadcast_to(corners, (len(pts), 4, 2)), pts[:, 0], pts[:, 1]
+        )
+        strain = np.matmul(B, self.element_displacement(element_id))
+        return np.matmul(self.D, strain[..., None])[..., 0]
 
     def energy(self) -> float:
         """U^T K U via the cached element stiffnesses."""
-        total = 0.0
-        for e in range(self.mesh.n_elements):
-            q = self.element_displacement(e)
-            total += q @ self._K_elems[e] @ q
-        return float(total)
+        q = self.U[self.operators.dofs]
+        per_element = np.matmul(np.matmul(q[:, None, :], self.operators.K), q[:, :, None])
+        # running sum in element order, as a plain accumulation loop would
+        return float(np.cumsum(per_element[:, 0, 0])[-1]) if len(q) else 0.0
 
 
 def raw_stress(solution: DiscreteSolution, element_id: int, cell: int) -> np.ndarray:
@@ -462,7 +515,7 @@ def assemble_and_solve(
     constrained system is singular.
     """
     operators = _element_operators(mesh, material, formulation)
-    K = _scatter(mesh, operators[0])
+    K = _scatter(mesh, operators)
     f = _neumann_vector(mesh, loads)
 
     fixed = _dirichlet_values(mesh, loads)

@@ -34,7 +34,7 @@ sigma_theta = P (1 + b^2/r^2) / (c^2 - 1)
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -91,6 +91,7 @@ def test_crack_limit_is_one_half():
 
 
 @given(alpha=st.floats(np.pi + 0.05, 2.0 * np.pi))
+@example(4.4921875)  # mode II root within 1e-3 of the spurious lambda = 1
 @settings(max_examples=40, deadline=None)
 def test_eigenvalue_residual_and_range(alpha):
     for mode in (MODE_I, MODE_II):

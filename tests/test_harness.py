@@ -320,6 +320,32 @@ def test_cli_reports_runtime_failures(tmp_path, capsys, monkeypatch):
     assert "singular" in capsys.readouterr().err
 
 
+def test_cli_prints_the_variant_that_ran(tmp_path, capsys):
+    # the cylinder has no singular field, so SPR-CX runs as SPR-C
+    cfg = write_config(
+        tmp_path,
+        "[problem]\nname = cylinder\n"
+        "[discretization]\nnc = 2\nlevels = 1\n"
+        "[recovery]\nvariant = SPR-CX\n",
+    )
+    assert main(["run", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "(sfem2, SPR-C):" in out
+    assert "SPR-CX" not in out
+
+
+def test_cli_programming_errors_keep_their_traceback(tmp_path, monkeypatch):
+    import smoothfem.cli as cli_mod
+
+    def broken(config, level):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli_mod, "run_case", broken)
+    cfg = write_config(tmp_path, "[problem]\nname = cylinder\n")
+    with pytest.raises(TypeError):
+        main(["run", "--config", cfg])
+
+
 def test_cli_study_writes_reports(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -83,3 +83,19 @@ def test_gauss_rules_integrate_polynomials_exactly():
     assert_allclose(wts2.sum(), 4.0, atol=1e-14)
     val = np.sum(wts2 * pts2[:, 0] ** 2 * pts2[:, 1] ** 2)
     assert_allclose(val, 4.0 / 9.0, atol=1e-14)
+
+
+def test_invert_map_batch_names_the_failing_point():
+    degenerate = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    corners = np.stack([DISTORTED, degenerate])
+    points = np.array([[0.5, 0.5], [0.25, 7.0]])
+    with pytest.raises(QuadMapError, match=r"\[0\.25 7\.  *\]"):
+        invert_map(corners, points)
+
+
+def test_gauss_rules_are_cached_and_read_only():
+    assert gauss_points_1d(3)[0] is gauss_points_1d(3)[0]
+    assert gauss_points_2d(3)[1] is gauss_points_2d(3)[1]
+    for a in (*gauss_points_1d(3), *gauss_points_2d(3)):
+        with pytest.raises(ValueError):
+            a[0] = 0.0

@@ -416,11 +416,18 @@ def test_polynomial_reproduction_zeroes_the_estimate():
 
 
 def exactify_stresses(solution, exact_stress):
-    """Overwrite every cell stress with the exact field at its centroid."""
+    """Replace every cell stress with the exact field at its centroid.
+
+    The solution's own stress array is read-only, so the exact values go
+    into a fresh array that takes its place.
+    """
+    stress = solution.cell_stress.copy()
     for e in range(solution.mesh.n_elements):
         cells = solution.subcells(e)
         centroids = np.array([c.corners.mean(axis=0) for c in cells])
-        solution.cell_stress[e] = exact_stress(centroids)
+        stress[e] = exact_stress(centroids)
+    stress.setflags(write=False)
+    solution.cell_stress = stress
     return solution
 
 

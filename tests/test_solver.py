@@ -13,21 +13,40 @@ from numpy.testing import assert_allclose
 
 import smoothfem.mesh as mesh_mod
 from conftest import single_element_mesh
-from smoothfem.benchmarks import CylinderBenchmark, PatchBenchmark
+from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import Material, PLANE_STRAIN, elasticity_matrix
-from smoothfem.mesh import BoundaryEdge, Mesh, NEUMANN, build_square_mesh, subdivide_element
+from smoothfem.mesh import (
+    BoundaryEdge,
+    Mesh,
+    NEUMANN,
+    build_square_mesh,
+    subcell_geometry,
+    subdivide_element,
+)
+from smoothfem.quadmap import (
+    gauss_points_2d,
+    invert_map,
+    jacobian,
+    map_point,
+    shape_functions,
+    shape_gradients,
+)
 from smoothfem.solver import (
     BoundaryConditions,
     DiscreteSolution,
     Formulation,
     SolveError,
+    _element_operators,
     _neumann_vector,
     assemble_and_solve,
     assemble_stiffness,
     element_stiffness,
+    fem_strain_matrix,
     interpolate_solution,
     raw_stress,
+    smoothed_strain_matrices,
     smoothed_strain_matrix,
+    strain_matrix,
 )
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -356,3 +375,193 @@ def test_solution_vector_is_read_only(solve_cached):
     _, _, sol = solve_cached("cylinder", 1, "sfem", 4)
     with pytest.raises(ValueError):
         sol.U[0] = 1.0
+
+
+def test_solution_stresses_and_operators_are_read_only():
+    mesh = build_square_mesh(2, distortion=0.2, seed=3)
+    for form in (Formulation("sfem", 4), Formulation("fem")):
+        sol = interpolate_solution(mesh, MAT, form, lambda p: 0.01 * p)
+        ops = sol.operators
+        arrays = [sol.cell_stress, ops.K, ops.B, ops.dofs]
+        if form.kind == "sfem":
+            cells = ops.cells
+            arrays += [
+                cells.element_ids, cells.corners, cells.areas,
+                cells.edge_midpoints, cells.edge_normals, cells.edge_lengths,
+                sol.subcells(0)[0].edge_lengths,
+            ]
+        else:
+            arrays.append(ops.detw)
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1
+
+
+# ---------------------------------------------------------------------------
+# batch invariance: a kernel's output for an element does not depend on the
+# batch it is computed in
+# ---------------------------------------------------------------------------
+
+BATCH_MESHES = {"lshape": LShapeBenchmark().mesh(1), "cylinder": CylinderBenchmark().mesh(2)}
+
+
+# Scalar per-element / per-point reference formulas: the batched kernels
+# must reproduce them bit for bit.
+
+
+def _reference_inverse(corners, point):
+    xi = np.zeros(2)
+    for _ in range(20):
+        res = map_point(corners, xi[0], xi[1]) - point
+        J = jacobian(corners, xi[0], xi[1])
+        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+        step = np.array(
+            [J[1, 1] * res[0] - J[0, 1] * res[1], -J[1, 0] * res[0] + J[0, 0] * res[1]]
+        ) / det
+        xi = xi - step
+        if np.hypot(step[0], step[1]) < 1e-12:
+            return xi
+    raise AssertionError("reference Newton did not converge")
+
+
+def _reference_cells(corners, rects):
+    out = []
+    for x0, x1, e0, e1 in rects:
+        pc = np.array([[x0, e0], [x1, e0], [x1, e1], [x0, e1]])
+        phys = map_point(corners, pc[:, 0], pc[:, 1])
+        x, y = phys[:, 0], phys[:, 1]
+        area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+        nxt = np.roll(phys, -1, axis=0)
+        tang = nxt - phys
+        lengths = np.linalg.norm(tang, axis=1)
+        normals = np.stack([tang[:, 1], -tang[:, 0]], axis=-1) / lengths[:, None]
+        out.append((area, 0.5 * (phys + nxt), normals, lengths))
+    return out
+
+
+def _reference_smoothed_B(corners, mids, normals, lengths, area):
+    B = np.zeros((3, 8))
+    for mid, (nx, ny), length in zip(mids, normals, lengths):
+        xi = _reference_inverse(corners, mid)
+        w = length * shape_functions(xi[0], xi[1])
+        B[0, 0::2] += nx * w
+        B[1, 1::2] += ny * w
+        B[2, 0::2] += ny * w
+        B[2, 1::2] += nx * w
+    return B / area
+
+
+def _reference_fem_B(corners, xi, eta):
+    G = shape_gradients(xi, eta)
+    J = jacobian(corners, xi, eta)
+    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+    invJ = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / det
+    dN = G @ invJ
+    B = np.zeros((3, 8))
+    B[0, 0::2] = dN[:, 0]
+    B[1, 1::2] = dN[:, 1]
+    B[2, 0::2] = dN[:, 1]
+    B[2, 1::2] = dN[:, 0]
+    return B, float(det)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_MESHES))
+@pytest.mark.parametrize("kind,nc", [("sfem", 2), ("sfem", 8), ("fem", 4)])
+def test_kernels_match_the_scalar_reference_bit_for_bit(name, kind, nc):
+    mesh = BATCH_MESHES[name]
+    full = _element_operators(mesh, MAT, Formulation(kind, nc))
+    pts, wts = gauss_points_2d(2)
+    for e in np.random.default_rng(7).permutation(mesh.n_elements)[:12]:
+        corners = mesh.element_corners(e)
+        Ke = np.zeros((8, 8))
+        if kind == "sfem":
+            cells = _reference_cells(corners, mesh_mod.subcell_parent_rects(nc))
+            for c, (area, mids, normals, lengths) in enumerate(cells):
+                assert area == full.cells.areas[e, c]
+                assert np.array_equal(mids, full.cells.edge_midpoints[e, c])
+                assert np.array_equal(normals, full.cells.edge_normals[e, c])
+                assert np.array_equal(lengths, full.cells.edge_lengths[e, c])
+                B = _reference_smoothed_B(corners, mids, normals, lengths, area)
+                assert np.array_equal(B, full.B[e, c])
+                Ke += B.T @ D @ B * area
+        else:
+            for g, ((xi, eta), w) in enumerate(zip(pts, wts)):
+                B, det = _reference_fem_B(corners, xi, eta)
+                assert np.array_equal(B, full.B[e, g])
+                assert det * w == full.detw[e, g]
+                Ke += B.T @ D @ B * det * w
+        assert np.array_equal(0.5 * (Ke + Ke.T), full.K[e])
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_MESHES))
+@pytest.mark.parametrize(
+    "kind,nc", [("sfem", 1), ("sfem", 2), ("sfem", 4), ("sfem", 8), ("fem", 4)]
+)
+def test_kernels_are_batch_invariant(name, kind, nc):
+    mesh = BATCH_MESHES[name]
+    full = _element_operators(mesh, MAT, Formulation(kind, nc))
+    rng = np.random.default_rng(nc + 10 * len(name))
+    subset = rng.permutation(mesh.n_elements)[: mesh.n_elements // 3]
+    corners = mesh.coords[mesh.elements[subset]]
+    if kind == "sfem":
+        cells = subcell_geometry(mesh, nc, subset)
+        for field in ("corners", "areas", "edge_midpoints", "edge_normals", "edge_lengths"):
+            assert np.array_equal(getattr(cells, field), getattr(full.cells, field)[subset])
+        assert np.array_equal(smoothed_strain_matrices(corners, cells), full.B[subset])
+    else:
+        pts, _ = gauss_points_2d(2)
+        n_g = len(pts)
+        B, det = strain_matrix(
+            np.repeat(corners, n_g, axis=0),
+            np.tile(pts[:, 0], len(subset)),
+            np.tile(pts[:, 1], len(subset)),
+        )
+        assert np.array_equal(B.reshape(-1, n_g, 3, 8), full.B[subset])
+        _, w = gauss_points_2d(2)
+        assert np.array_equal(det.reshape(-1, n_g) * w, full.detw[subset])
+    # batches of one: the single-element helpers
+    for e in subset[:8]:
+        c = mesh.element_corners(e)
+        if kind == "sfem":
+            cell_list = subdivide_element(mesh, e, nc)
+            K = element_stiffness(c, D, Formulation(kind, nc), cell_list)
+            for k, cell in enumerate(cell_list):
+                assert np.array_equal(smoothed_strain_matrix(c, cell), full.B[e, k])
+        else:
+            K = element_stiffness(c, D, Formulation(kind))
+            for g, (xi, eta) in enumerate(pts):
+                assert np.array_equal(fem_strain_matrix(c, xi, eta)[0], full.B[e, g])
+        assert np.array_equal(K, full.K[e])
+
+
+def test_fem_point_stresses_are_batch_invariant():
+    mesh = BATCH_MESHES["cylinder"]
+    bm = CylinderBenchmark()
+    sol = interpolate_solution(mesh, bm.material, Formulation("fem"), bm.exact_displacement)
+    pts, _ = gauss_points_2d(4)
+    rng = np.random.default_rng(5)
+    for e in rng.permutation(mesh.n_elements)[:10]:
+        batch = sol.stress_at_parents(e, pts)
+        order = rng.permutation(len(pts))
+        assert np.array_equal(sol.stress_at_parents(e, pts[order]), batch[order])
+        q = sol.element_displacement(e)
+        for k in order[:3]:
+            assert np.array_equal(sol.stress_at_parent(e, *pts[k]), batch[k])
+            B, _ = _reference_fem_B(mesh.element_corners(e), *pts[k])
+            assert np.array_equal(sol.D @ (B @ q), batch[k])
+
+
+def test_single_point_inversion_matches_the_batch():
+    mesh = BATCH_MESHES["lshape"]
+    rng = np.random.default_rng(8)
+    elems = rng.integers(0, mesh.n_elements, size=200)
+    corners = mesh.coords[mesh.elements[elems]]
+    parent = rng.uniform(-1.0, 1.0, size=(200, 2))
+    points = np.array([map_point(c, x, y) for c, (x, y) in zip(corners, parent)])
+    batch = invert_map(corners, points)
+    assert batch.shape == (200, 2)
+    assert_allclose(batch, parent, atol=1e-10)
+    for p in rng.permutation(200)[:25]:
+        single = invert_map(corners[p], points[p])
+        assert single.shape == (2,)
+        assert np.array_equal(single, batch[p])
