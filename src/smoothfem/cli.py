@@ -20,7 +20,6 @@ import os
 import sys
 
 from .analytic import AnalyticError
-from .benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
 from .error import ErrorComputationError
 from .gsif import GsifError
 from .harness import (
@@ -29,7 +28,6 @@ from .harness import (
     StudyConfig,
     make_benchmark,
     parse_config,
-    resolve_variant,
     run_case,
     run_convergence_study,
     run_preset,
@@ -99,10 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _print_case(config: StudyConfig, case) -> None:
     r = case.report
-    variant = resolve_variant(config.variant, make_benchmark(config))
     print(
         f"{config.benchmark} level {case.level} "
-        f"({config.formulation_obj().label()}, {variant}): "
+        f"({config.formulation_obj().label()}, {case.variant}): "
         f"dof={r.dof} exact={r.exact:.6g} estimated={r.estimated:.6g} "
         f"theta={r.theta:.4f} mD={r.m_abs_D:.4f} sigmaD={r.sigma_D:.4f}"
     )
@@ -141,13 +138,9 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_export_mesh(args) -> int:
-    benchmarks = {
-        "cylinder": CylinderBenchmark(),
-        "lshape": LShapeBenchmark(grading=args.grading),
-        "patch": PatchBenchmark(),
-    }
+    benchmark = make_benchmark(StudyConfig(benchmark=args.benchmark, grading=args.grading))
     try:
-        mesh = benchmarks[args.benchmark].mesh(args.level)
+        mesh = benchmark.mesh(args.level)
     except MeshError as exc:
         raise ConfigError(str(exc)) from exc
     out_dir = os.path.dirname(args.out)

@@ -47,7 +47,6 @@ __all__ = [
     "GsifEstimate",
     "contour_pairing",
     "calibration_constant",
-    "extract_gsif",
     "extract_gsifs",
 ]
 
@@ -343,14 +342,3 @@ def extract_gsifs(
         plateau=plateau,
         ring_elements=n_ring,
     )
-
-
-def extract_gsif(
-    solution: DiscreteSolution,
-    singular_field: SingularField,
-    bcs: BoundaryConditions,
-    mode: str,
-    plateau: PlateauFunction | None = None,
-) -> float:
-    """Single-mode convenience wrapper around extract_gsifs."""
-    return extract_gsifs(solution, singular_field, bcs, plateau).gsif(mode)

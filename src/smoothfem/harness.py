@@ -20,29 +20,37 @@ import configparser
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
 from .error import ConvergenceSeries, ErrorReport, RateResult, compute_error_report, convergence_rate
 from .recovery import RecoveryConfig, RecoveryError, build_recovered_field
-from .solver import Formulation, assemble_and_solve
+from .solver import Formulation, SolveError, assemble_and_solve
 
 log = logging.getLogger(__name__)
 
 BENCHMARKS = ("cylinder", "lshape", "patch")
 
+# (INI section, key) -> StudyConfig field
+_KEY_TO_FIELD = {
+    ("problem", "name"): "benchmark",
+    ("problem", "grading"): "grading",
+    ("discretization", "formulation"): "formulation",
+    ("discretization", "nc"): "nc",
+    ("discretization", "levels"): "levels",
+    ("recovery", "variant"): "variant",
+    ("recovery", "interior_degree"): "interior_degree",
+    ("recovery", "boundary_degree"): "boundary_degree",
+    ("recovery", "splitting_radius"): "splitting_radius",
+    ("recovery", "gsif_mode"): "gsif_mode",
+}
+
+# section -> its keys, in table order
 _SCHEMA = {
-    "problem": ("name", "grading"),
-    "discretization": ("formulation", "nc", "levels"),
-    "recovery": (
-        "variant",
-        "interior_degree",
-        "boundary_degree",
-        "splitting_radius",
-        "gsif_mode",
-    ),
+    section: tuple(k for s, k in _KEY_TO_FIELD if s == section)
+    for section, _ in _KEY_TO_FIELD
 }
 
 
@@ -97,7 +105,7 @@ class StudyConfig:
     def formulation_obj(self) -> Formulation:
         try:
             return Formulation(self.formulation, self.nc)
-        except Exception as exc:
+        except SolveError as exc:
             raise ConfigError(str(exc)) from exc
 
     def recovery_config(self, variant: str | None = None) -> RecoveryConfig:
@@ -108,20 +116,6 @@ class StudyConfig:
             splitting_radius=self.splitting_radius,
             gsif_mode=self.gsif_mode,
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "benchmark": self.benchmark,
-            "grading": self.grading,
-            "formulation": self.formulation,
-            "nc": self.nc,
-            "levels": list(self.levels),
-            "variant": self.variant,
-            "interior_degree": self.interior_degree,
-            "boundary_degree": self.boundary_degree,
-            "splitting_radius": self.splitting_radius,
-            "gsif_mode": self.gsif_mode,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -156,20 +150,6 @@ def _coerce(section: str, key: str, raw: str):
         return raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-
-
-_KEY_TO_FIELD = {
-    ("problem", "name"): "benchmark",
-    ("problem", "grading"): "grading",
-    ("discretization", "formulation"): "formulation",
-    ("discretization", "nc"): "nc",
-    ("discretization", "levels"): "levels",
-    ("recovery", "variant"): "variant",
-    ("recovery", "interior_degree"): "interior_degree",
-    ("recovery", "boundary_degree"): "boundary_degree",
-    ("recovery", "splitting_radius"): "splitting_radius",
-    ("recovery", "gsif_mode"): "gsif_mode",
-}
 
 
 def config_from_parser(parser: configparser.ConfigParser) -> StudyConfig:
@@ -248,6 +228,8 @@ def resolve_variant(variant: str, benchmark) -> str:
 class CaseResult:
     level: int
     report: ErrorReport
+    # the recovery variant that ran (see resolve_variant); not reported
+    variant: str
     # intensity factors the recovery actually used (splitting variants only):
     # the configured ones under gsif_mode="exact", the extracted estimates
     # otherwise; None when no singular field entered the recovery.
@@ -298,7 +280,7 @@ def run_case(config: StudyConfig, level: int) -> CaseResult:
         benchmark.name, level, config.formulation_obj().label(), variant,
         report.dof, report.theta,
     )
-    return CaseResult(level=level, report=report, K_I=K_I, K_II=K_II)
+    return CaseResult(level=level, report=report, variant=variant, K_I=K_I, K_II=K_II)
 
 
 def run_convergence_study(config: StudyConfig) -> StudyResult:
@@ -395,7 +377,7 @@ def study_json(study: StudyResult) -> str:
             }
         )
     doc = {
-        "config": study.config.as_dict(),
+        "config": asdict(study.config),
         "cases": cases,
         "rates": {name: _rate_dict(rate) for name, rate in study.rates.items()},
     }

@@ -8,7 +8,7 @@ its local nodes k and (k+1) % 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,18 +20,6 @@ DIRICHLET = "dirichlet"
 
 class MeshError(ValueError):
     """Invalid mesh construction input or inconsistent mesh data."""
-
-
-@dataclass(frozen=True)
-class Node:
-    id: int
-    position: np.ndarray
-
-
-@dataclass(frozen=True)
-class QuadElement:
-    id: int
-    node_ids: tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -51,25 +39,6 @@ class BoundaryEdge:
     @property
     def tag(self) -> str:
         return f"{self.kind}:{self.name}"
-
-
-@dataclass(frozen=True)
-class SmoothingCell:
-    """A straight-sided quadrilateral subcell of an element.
-
-    Edges are stored as midpoints, outward unit normals and lengths, ordered
-    counter-clockwise; ``parent_rect`` is (xi0, xi1, eta0, eta1) in the
-    element's parent domain.
-    """
-
-    element_id: int
-    cell_index: int
-    corners: np.ndarray  # (4, 2) physical, CCW
-    area: float
-    edge_midpoints: np.ndarray  # (4, 2)
-    edge_normals: np.ndarray  # (4, 2) outward unit
-    edge_lengths: np.ndarray  # (4,)
-    parent_rect: tuple[float, float, float, float]
 
 
 def quad_area(corners: np.ndarray):
@@ -131,7 +100,7 @@ class Mesh:
                 patches[n].append(e)
         self._patches = tuple(tuple(p) for p in patches)
 
-        self._check_boundary_cover()
+        self._check_boundary()
 
     # -- basic queries ------------------------------------------------------
 
@@ -143,22 +112,9 @@ class Mesh:
     def n_elements(self) -> int:
         return len(self.elements)
 
-    def node(self, node_id: int) -> Node:
-        if not (0 <= node_id < self.n_nodes):
-            raise MeshError(f"unknown node id {node_id}")
-        return Node(node_id, self.coords[node_id])
-
-    def element(self, element_id: int) -> QuadElement:
-        if not (0 <= element_id < self.n_elements):
-            raise MeshError(f"unknown element id {element_id}")
-        return QuadElement(element_id, tuple(int(n) for n in self.elements[element_id]))
-
     def element_corners(self, element_id: int) -> np.ndarray:
         """(4, 2) physical corner coordinates of an element."""
         return self.coords[self.elements[element_id]]
-
-    def element_area(self, element_id: int) -> float:
-        return quad_area(self.element_corners(element_id))
 
     def edge_nodes(self, element_id: int, local_edge: int) -> tuple[int, int]:
         conn = self.elements[element_id]
@@ -180,18 +136,10 @@ class Mesh:
 
     # -- topology checks ----------------------------------------------------
 
-    def _topological_boundary(self) -> set[tuple[int, int]]:
-        """(element, local_edge) pairs whose undirected edge is used once."""
-        count: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for e in range(self.n_elements):
-            for k in range(4):
-                a, b = self.edge_nodes(e, k)
-                key = (min(a, b), max(a, b))
-                count.setdefault(key, []).append((e, k))
-        return {owners[0] for owners in count.values() if len(owners) == 1}
-
-    def _check_boundary_cover(self) -> None:
-        topo = self._topological_boundary()
+    def _check_boundary(self) -> None:
+        """The tags cover the topological boundary exactly, each once, with a
+        known kind and its element's own node order."""
+        topo = _topological_boundary(self.elements)
         tagged = {(be.element_id, be.local_edge) for be in self.boundary}
         if len(tagged) != len(self.boundary):
             raise MeshError("duplicate boundary edge tags")
@@ -202,14 +150,31 @@ class Mesh:
                 f"boundary tags do not cover the boundary exactly "
                 f"(missing {sorted(missing)[:5]}, extra {sorted(extra)[:5]})"
             )
+        # an unknown kind or a reversed node pair would silently drop the
+        # edge's load or flip its outward normal
+        for be in self.boundary:
+            where = f"boundary edge {be.local_edge} of element {be.element_id} ({be.tag})"
+            if be.kind not in (NEUMANN, DIRICHLET):
+                raise MeshError(
+                    f"{where} has unknown kind {be.kind!r} "
+                    f"(use {NEUMANN!r} or {DIRICHLET!r})"
+                )
+            nodes = self.edge_nodes(be.element_id, be.local_edge)
+            if tuple(be.node_ids) != nodes:
+                raise MeshError(
+                    f"{where} lists nodes {tuple(be.node_ids)}, "
+                    f"but the element's edge joins {nodes}"
+                )
 
-    def boundary_by_name(self, name: str) -> list[BoundaryEdge]:
-        return [be for be in self.boundary if be.name == name]
 
-
-def node_patch(mesh: Mesh, node_id: int) -> tuple[int, ...]:
-    """Free-function form of Mesh.node_patch."""
-    return mesh.node_patch(node_id)
+def _topological_boundary(elements: np.ndarray) -> set[tuple[int, int]]:
+    """(element, local_edge) pairs whose undirected edge only one element uses."""
+    owners: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for e, conn in enumerate(np.asarray(elements).tolist()):
+        for k in range(4):
+            a, b = conn[k], conn[(k + 1) % 4]
+            owners.setdefault((min(a, b), max(a, b)), []).append((e, k))
+    return {pairs[0] for pairs in owners.values() if len(pairs) == 1}
 
 
 # ---------------------------------------------------------------------------
@@ -251,35 +216,17 @@ def subcell_index_at(nc: int, xi, eta) -> np.ndarray:
 class SubcellGeometry:
     """The smoothing cells of a set of elements, as read-only arrays.
 
-    Row i describes element ``element_ids[i]``; each element has nc cells in
+    Row i describes the i-th requested element; each element has nc cells in
     the row-major order of subcell_parent_rects, each cell four CCW edges.
     Shapes: corners, edge_midpoints, edge_normals (n, nc, 4, 2); areas
     (n, nc); edge_lengths (n, nc, 4).
     """
 
-    nc: int
-    element_ids: np.ndarray
     corners: np.ndarray
     areas: np.ndarray
     edge_midpoints: np.ndarray
     edge_normals: np.ndarray
     edge_lengths: np.ndarray
-
-    def cells(self, i: int) -> list[SmoothingCell]:
-        """Row i as SmoothingCell objects (built on request)."""
-        return [
-            SmoothingCell(
-                element_id=int(self.element_ids[i]),
-                cell_index=c,
-                corners=self.corners[i, c],
-                area=float(self.areas[i, c]),
-                edge_midpoints=self.edge_midpoints[i, c],
-                edge_normals=self.edge_normals[i, c],
-                edge_lengths=self.edge_lengths[i, c],
-                parent_rect=rect,
-            )
-            for c, rect in enumerate(subcell_parent_rects(self.nc))
-        ]
 
 
 def subcell_geometry(mesh: Mesh, nc: int, element_ids=None) -> SubcellGeometry:
@@ -309,15 +256,10 @@ def subcell_geometry(mesh: Mesh, nc: int, element_ids=None) -> SubcellGeometry:
     tang = nxt - phys
     lengths = np.linalg.norm(tang, axis=-1)
     normals = np.stack([tang[..., 1], -tang[..., 0]], axis=-1) / lengths[..., None]
-    arrays = (element_ids, phys, areas, 0.5 * (phys + nxt), normals, lengths)
+    arrays = (phys, areas, 0.5 * (phys + nxt), normals, lengths)
     for a in arrays:
         a.setflags(write=False)
-    return SubcellGeometry(nc, *arrays)
-
-
-def subdivide_element(mesh: Mesh, element_id: int, nc: int) -> list[SmoothingCell]:
-    """The nc smoothing cells of one element (see subcell_geometry)."""
-    return subcell_geometry(mesh, nc, [element_id]).cells(0)
+    return SubcellGeometry(*arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +269,12 @@ def subdivide_element(mesh: Mesh, element_id: int, nc: int) -> list[SmoothingCel
 
 def _tag_boundary(coords, elements, classify) -> list[BoundaryEdge]:
     """Tag every topological boundary edge via ``classify(p0, p1) -> (kind, name)``."""
-    probe = Mesh.__new__(Mesh)  # topology only; bypass full validation
-    probe.coords = np.asarray(coords, float)
-    probe.elements = np.asarray(elements, int)
+    coords = np.asarray(coords, float)
+    elements = np.asarray(elements, int)
     out = []
-    for e, k in sorted(probe._topological_boundary()):
-        a, b = probe.edge_nodes(e, k)
-        kind, name = classify(probe.coords[a], probe.coords[b])
+    for e, k in sorted(_topological_boundary(elements)):
+        a, b = int(elements[e, k]), int(elements[e, (k + 1) % 4])
+        kind, name = classify(coords[a], coords[b])
         out.append(BoundaryEdge(e, k, (a, b), kind, name))
     return out
 

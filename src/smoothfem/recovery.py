@@ -75,14 +75,6 @@ class RecoveryConfig:
 
 
 @dataclass(frozen=True)
-class SamplingPoint:
-    element_id: int
-    position: np.ndarray
-    stress: np.ndarray
-    weight: float
-
-
-@dataclass(frozen=True)
 class PatchFit:
     """Polynomial stress expansion of one node's patch.
 
@@ -133,15 +125,6 @@ def _sampling_arrays(solution: DiscreteSolution):
         weight.reshape(-1),
         k,
     )
-
-
-def collect_sampling_points(solution: DiscreteSolution) -> list[SamplingPoint]:
-    """The raw-stress sampling set, as declared objects (tests, inspection)."""
-    pos, stress, weight, k = _sampling_arrays(solution)
-    return [
-        SamplingPoint(i // k, pos[i].copy(), stress[i].copy(), float(weight[i]))
-        for i in range(len(pos))
-    ]
 
 
 def singular_stress_estimate(
@@ -507,13 +490,6 @@ class RecoveredStressField:
                 f"point {point} lies outside element {element_id}"
             )
         return self.evaluate_at_parent(element_id, xi[0], xi[1])[()]
-
-
-def recovered_stress_at(
-    field: RecoveredStressField, element_id: int, point
-) -> np.ndarray:
-    """Free-function form of RecoveredStressField.evaluate."""
-    return field.evaluate(element_id, point)
 
 
 def build_recovered_field(

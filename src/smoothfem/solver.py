@@ -14,12 +14,11 @@ Element operators are built for the whole mesh at once: the subcell geometry
 (mesh.subcell_geometry), one batched Newton inversion per (subcell, edge)
 slot over all elements for the smoothed B, one batched kernel for the
 compatible B at any set of parent points, and stiffnesses, stresses, energy
-and the sparse scatter as array operations.  The single-element helpers
-(smoothed_strain_matrix, element_stiffness, fem_strain_matrix) are batches of
-one through the same kernels.  Every kernel reproduces the per-element
-arithmetic bit for bit, so an element's operators do not depend on the batch
-it was computed in (see the note above the kernels for the numpy forms this
-requires).
+and the sparse scatter as array operations.  Every kernel reproduces the
+per-element arithmetic bit for bit, so an element's operators do not depend
+on the batch it was computed in; a one-element mesh gives the same numbers as
+that element's row of the whole mesh (see the note above the kernels for the
+numpy forms this requires).
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .mesh import (
     DIRICHLET,
     NEUMANN,
     Mesh,
-    SmoothingCell,
     SubcellGeometry,
     subcell_geometry,
     subcell_index_at,
@@ -110,8 +108,7 @@ class BoundaryConditions:
 # ---------------------------------------------------------------------------
 #
 # Every kernel works on whole batches (all elements of a mesh, or all points
-# of one element); the single-element helpers below are batches of one.  The
-# numpy forms are chosen so each entry is computed exactly as by the scalar
+# of one element).  The numpy forms are chosen so each entry is computed exactly as by the scalar
 # per-element formulas: batched matmul wherever those used a small matrix
 # product (it issues the same per-item BLAS calls), and the einsum of
 # quadmap.jacobian_from_gradients for Jacobians (a matmul there rounds
@@ -190,71 +187,6 @@ def _stiffness(B: np.ndarray, D: np.ndarray, *factors: np.ndarray) -> np.ndarray
     return 0.5 * (K + K.swapaxes(-1, -2))
 
 
-def _batch_operators(
-    corners: np.ndarray,
-    D: np.ndarray,
-    formulation: Formulation,
-    cells: SubcellGeometry | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Strain operators, stiffnesses and FEM quadrature factors of n elements.
-
-    corners (n, 4, 2); SFEM needs the elements' cells.  Returns B
-    (n, n_s, 3, 8), K (n, 8, 8) and, for FEM, Jacobian times Gauss weight
-    (n, 4) at the 2x2 Gauss points (None for SFEM).
-    """
-    if formulation.kind == SFEM:
-        if cells is None:
-            raise SolveError("SFEM stiffness needs the element's smoothing cells")
-        B = smoothed_strain_matrices(corners, cells)
-        return B, _stiffness(B, D, cells.areas), None
-    pts, w = gauss_points_2d(2)
-    n, n_g = len(corners), len(pts)
-    B, det = strain_matrix(
-        np.repeat(corners, n_g, axis=0), np.tile(pts[:, 0], n), np.tile(pts[:, 1], n)
-    )
-    B, det = B.reshape(n, n_g, 3, 8), det.reshape(n, n_g)
-    w = np.broadcast_to(w, det.shape)
-    return B, _stiffness(B, D, det, w), det * w
-
-
-def fem_strain_matrix(corners: np.ndarray, xi: float, eta: float) -> tuple[np.ndarray, float]:
-    """Compatible B (3x8) and Jacobian determinant at one parent point."""
-    B, det = strain_matrix(np.asarray(corners, float)[None], np.array([xi]), np.array([eta]))
-    return B[0], float(det[0])
-
-
-def _cell_arrays(cells: list[SmoothingCell]) -> SubcellGeometry:
-    """One element's SmoothingCell list as a one-row SubcellGeometry."""
-    def stack(name):
-        return np.array([[getattr(c, name) for c in cells]])
-
-    return SubcellGeometry(
-        len(cells), np.array([cells[0].element_id]), stack("corners"), stack("area"),
-        stack("edge_midpoints"), stack("edge_normals"), stack("edge_lengths"),
-    )
-
-
-def smoothed_strain_matrix(corners: np.ndarray, cell: SmoothingCell) -> np.ndarray:
-    """Constant smoothed B (3x8) of one subcell (see smoothed_strain_matrices)."""
-    return smoothed_strain_matrices(np.asarray(corners, float)[None], _cell_arrays([cell]))[0, 0]
-
-
-def element_stiffness(
-    corners: np.ndarray,
-    D: np.ndarray,
-    formulation: Formulation,
-    cells: list[SmoothingCell] | None = None,
-) -> np.ndarray:
-    """8x8 element stiffness for either formulation.
-
-    SFEM: K = sum_C B~_C^T D B~_C A_C over the element's smoothing cells
-    (pass them in to reuse geometry).  FEM: 2x2 Gauss quadrature of B^T D B.
-    """
-    geometry = _cell_arrays(cells) if cells is not None else None
-    _, K, _ = _batch_operators(np.asarray(corners, float)[None], D, formulation, geometry)
-    return K[0]
-
-
 def _dof_map(conn: np.ndarray) -> np.ndarray:
     """Interleaved dofs (..., 8) of element connectivity (..., 4)."""
     dofs = np.empty(conn.shape[:-1] + (8,), dtype=int)
@@ -289,11 +221,28 @@ class ElementOperators:
 def _element_operators(
     mesh: Mesh, material: Material, formulation: Formulation
 ) -> ElementOperators:
-    """Element stiffnesses plus cached strain operators for the whole mesh."""
-    cells = subcell_geometry(mesh, formulation.nc) if formulation.kind == SFEM else None
-    B, K, detw = _batch_operators(
-        mesh.coords[mesh.elements], elasticity_matrix(material), formulation, cells
-    )
+    """Element stiffnesses plus cached strain operators for the whole mesh.
+
+    SFEM: K = sum_C B~_C^T D B~_C A_C over each element's smoothing cells.
+    FEM: 2x2 Gauss quadrature of B^T D B.
+    """
+    corners = mesh.coords[mesh.elements]
+    D = elasticity_matrix(material)
+    cells = detw = None
+    if formulation.kind == SFEM:
+        cells = subcell_geometry(mesh, formulation.nc)
+        B = smoothed_strain_matrices(corners, cells)
+        K = _stiffness(B, D, cells.areas)
+    else:
+        pts, w = gauss_points_2d(2)
+        n, n_g = len(corners), len(pts)
+        B, det = strain_matrix(
+            np.repeat(corners, n_g, axis=0), np.tile(pts[:, 0], n), np.tile(pts[:, 1], n)
+        )
+        B, det = B.reshape(n, n_g, 3, 8), det.reshape(n, n_g)
+        w = np.broadcast_to(w, det.shape)
+        K = _stiffness(B, D, det, w)
+        detw = det * w
     dofs = _dof_map(mesh.elements)
     for a in (K, dofs, B, detw):
         if a is not None:
@@ -452,17 +401,10 @@ class DiscreteSolution:
         self.cell_stress = np.matmul(strain, self.D.T)
         self.cell_stress.setflags(write=False)
 
-    # -- geometry / caches --------------------------------------------------
-
-    def subcells(self, element_id: int) -> list[SmoothingCell]:
-        if self.formulation.kind != SFEM:
-            raise SolveError("subcells are only defined for SFEM solutions")
-        return self.operators.cells.cells(element_id)
+    # -- field evaluation ---------------------------------------------------
 
     def element_displacement(self, element_id: int) -> np.ndarray:
         return self.U[self.operators.dofs[element_id]]
-
-    # -- field evaluation ---------------------------------------------------
 
     def displacement_at_parent(self, element_id: int, xi, eta) -> np.ndarray:
         """FE displacement at parent point(s) of an element; (..., 2)."""
@@ -470,13 +412,9 @@ class DiscreteSolution:
         q = self.element_displacement(element_id).reshape(4, 2)
         return N @ q
 
-    def stress_at_parent(self, element_id: int, xi: float, eta: float) -> np.ndarray:
-        """Raw stress at a parent point: the owning subcell's constant for
-        SFEM, the compatible pointwise stress for FEM."""
-        return self.stress_at_parents(element_id, np.array([[xi, eta]]))[0]
-
     def stress_at_parents(self, element_id: int, pts: np.ndarray) -> np.ndarray:
-        """Raw stress at many parent points at once; pts (n, 2) -> (n, 3)."""
+        """Raw stress at parent points, pts (n, 2) -> (n, 3): the owning
+        subcell's constant for SFEM, the compatible pointwise stress for FEM."""
         pts = np.asarray(pts, dtype=float)
         if self.formulation.kind == SFEM:
             c = subcell_index_at(self.formulation.nc, pts[:, 0], pts[:, 1])
@@ -494,11 +432,6 @@ class DiscreteSolution:
         per_element = np.matmul(np.matmul(q[:, None, :], self.operators.K), q[:, :, None])
         # running sum in element order, as a plain accumulation loop would
         return float(np.cumsum(per_element[:, 0, 0])[-1]) if len(q) else 0.0
-
-
-def raw_stress(solution: DiscreteSolution, element_id: int, cell: int) -> np.ndarray:
-    """Constant stress of a smoothing cell (SFEM) / Gauss-point stress (FEM)."""
-    return solution.cell_stress[element_id, cell].copy()
 
 
 def assemble_and_solve(

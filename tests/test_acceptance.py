@@ -15,18 +15,22 @@ import numpy as np
 
 from smoothfem.analytic import MODE_I, MODE_II, q_constant, solve_singularity_eigenvalue
 from smoothfem.benchmarks import PatchBenchmark
-from smoothfem.elasticity import elasticity_matrix
 from smoothfem.error import estimated_error_norm, local_deviation
 from smoothfem.gsif import PlateauFunction, extract_gsifs
 from smoothfem.harness import PRESETS, run_preset
-from smoothfem.mesh import build_square_mesh, quad_area, subdivide_element
+from smoothfem.mesh import build_square_mesh, quad_area, subcell_geometry
 from smoothfem.recovery import (
     VARIANTS,
     RecoveryConfig,
     build_recovered_field,
     edge_normal,
 )
-from smoothfem.solver import Formulation, assemble_and_solve, element_stiffness, interpolate_solution
+from smoothfem.solver import (
+    Formulation,
+    _element_operators,
+    assemble_and_solve,
+    interpolate_solution,
+)
 
 ALPHA = 1.5 * np.pi
 
@@ -243,24 +247,19 @@ def test_criterion_8_invariants_and_determinism(tmp_path, solve_cached, cylinder
         m = single_element_mesh(corners)
         exact = quad_area(corners)
         for nc in (1, 2, 4, 8):
-            cells = subdivide_element(m, 0, nc)
-            area_dev = max(area_dev, abs(sum(c.area for c in cells) - exact) / exact)
-            for cell in cells:
-                cl = (cell.edge_lengths[:, None] * cell.edge_normals).sum(axis=0)
-                closure_dev = max(closure_dev, np.abs(cl).max())
+            cells = subcell_geometry(m, nc)
+            area_dev = max(area_dev, abs(cells.areas[0].sum() - exact) / exact)
+            cl = (cells.edge_lengths[..., None] * cells.edge_normals).sum(axis=-2)
+            closure_dev = max(closure_dev, np.abs(cl).max())
     checks.append(("area partition", area_dev <= 1e-12))
     checks.append(("boundary closure", closure_dev <= 1e-12))
 
     # stiffness symmetry and rigid-body kernel
     corners = unit + rng.uniform(-0.2, 0.2, size=(4, 2))
     m = single_element_mesh(corners)
-    D = elasticity_matrix(cylinder_bm.material)
     sym_ok = kernel_ok = True
-    for form, cells in (
-        (Formulation("fem"), None),
-        (Formulation("sfem", 4), subdivide_element(m, 0, 4)),
-    ):
-        K = element_stiffness(corners, D, form, cells)
+    for form in (Formulation("fem"), Formulation("sfem", 4)):
+        K = _element_operators(m, cylinder_bm.material, form).K[0]
         sym_ok &= np.array_equal(K, K.T)
         w = np.linalg.eigvalsh(K)
         kernel_ok &= int(np.sum(w < 1e-12 * w.max())) == 3

@@ -20,7 +20,6 @@ from smoothfem.gsif import (
     PlateauFunction,
     calibration_constant,
     contour_pairing,
-    extract_gsif,
     extract_gsifs,
 )
 from smoothfem.solver import Formulation, interpolate_solution
@@ -230,8 +229,6 @@ def test_solved_sequence_converges_to_unit_gsif(solve_cached):
 def test_single_mode_wrapper(solve_cached):
     mesh, bcs, sol = solve_cached("lshape", 1, "sfem", 4)
     full = extract_gsifs(sol, BM.singular_field, bcs)
-    assert extract_gsif(sol, BM.singular_field, bcs, MODE_I) == full.K_I
-    assert extract_gsif(sol, BM.singular_field, bcs, MODE_II) == full.K_II
     assert full.gsif(MODE_I) == full.K_I
     assert full.gsif(MODE_II) == full.K_II
 

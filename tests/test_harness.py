@@ -1,6 +1,7 @@
 """Study harness: INI configs, deterministic reports, presets, CLI."""
 
 import json
+import dataclasses
 
 import numpy as np
 import pytest
@@ -85,9 +86,7 @@ def test_invalid_configs_raise(kwargs):
 
 def test_as_dict_round_trips():
     cfg = StudyConfig(**GOLDEN_KWARGS)
-    d = cfg.as_dict()
-    d["levels"] = tuple(d["levels"])
-    assert StudyConfig(**d) == cfg
+    assert StudyConfig(**dataclasses.asdict(cfg)) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +214,7 @@ def test_empty_study_is_header_only():
 def test_json_structure_and_config_round_trip(study_cached):
     study = study_cached(**GOLDEN_KWARGS)
     doc = json.loads(study_json(study))
-    assert doc["config"] == study.config.as_dict()
+    assert doc["config"] == {**dataclasses.asdict(study.config), "levels": list(study.config.levels)}
     d = dict(doc["config"])
     d["levels"] = tuple(d["levels"])
     assert StudyConfig(**d) == study.config
@@ -320,18 +319,31 @@ def test_cli_reports_runtime_failures(tmp_path, capsys, monkeypatch):
     assert "singular" in capsys.readouterr().err
 
 
-def test_cli_prints_the_variant_that_ran(tmp_path, capsys):
+def test_cli_prints_the_variant_that_ran(tmp_path, capsys, monkeypatch):
+    import smoothfem.cli as cli_mod
+
     # the cylinder has no singular field, so SPR-CX runs as SPR-C
-    cfg = write_config(
-        tmp_path,
+    text = (
         "[problem]\nname = cylinder\n"
         "[discretization]\nnc = 2\nlevels = 1\n"
-        "[recovery]\nvariant = SPR-CX\n",
+        "[recovery]\nvariant = SPR-CX\n"
+    )
+    cfg = write_config(tmp_path, text)
+    case = run_case(parse_config_text(text), 1)
+    assert case.variant == "SPR-C"
+    assert run_case(StudyConfig(benchmark="lshape", levels=(0,)), 0).variant == "SPR-CX"
+    for verb in ("run", "study"):
+        assert main([verb, "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "(sfem2, SPR-C):" in out
+        assert "SPR-CX" not in out
+
+    # the CLI prints the variant the case carries; it does not resolve again
+    monkeypatch.setattr(
+        cli_mod, "run_case", lambda config, level: dataclasses.replace(case, variant="SPR")
     )
     assert main(["run", "--config", cfg]) == 0
-    out = capsys.readouterr().out
-    assert "(sfem2, SPR-C):" in out
-    assert "SPR-CX" not in out
+    assert "(sfem2, SPR):" in capsys.readouterr().out
 
 
 def test_cli_programming_errors_keep_their_traceback(tmp_path, monkeypatch):

@@ -6,16 +6,18 @@ from numpy.testing import assert_allclose
 
 from conftest import single_element_mesh
 from smoothfem.mesh import (
+    DIRICHLET,
+    NEUMANN,
+    BoundaryEdge,
     Mesh,
     MeshError,
     build_cylinder_mesh,
     build_lshape_mesh,
     build_square_mesh,
     load_mesh,
-    node_patch,
     quad_area,
     save_mesh,
-    subdivide_element,
+    subcell_geometry,
 )
 
 GOLDEN_MESH = "tests/golden/square_n2.mesh"
@@ -112,22 +114,22 @@ def test_node_patch_counts():
     m = build_square_mesh(4, 0.0)
     interior = m.find_node((0.5, 0.5))
     corner = m.find_node((0.0, 0.0))
-    assert len(node_patch(m, interior)) == 4
-    assert len(node_patch(m, corner)) == 1
+    assert len(m.node_patch(interior)) == 4
+    assert len(m.node_patch(corner)) == 1
 
     lshape = build_lshape_mesh(1, 1.0)
     reentrant = lshape.find_node((0.0, 0.0))
-    assert len(node_patch(lshape, reentrant)) == 3
+    assert len(lshape.node_patch(reentrant)) == 3
 
 
 def test_patch_symmetry():
     m = build_square_mesh(3, 0.2, seed=1)
     for node in range(m.n_nodes):
-        for e in node_patch(m, node):
+        for e in m.node_patch(node):
             assert node in m.elements[e]
     for e in range(m.n_elements):
         for node in m.elements[e]:
-            assert e in node_patch(m, int(node))
+            assert e in m.node_patch(int(node))
 
 
 def test_missing_node_lookup_raises():
@@ -145,17 +147,17 @@ UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 def test_unit_square_single_cell():
     m = single_element_mesh(UNIT)
-    (cell,) = subdivide_element(m, 0, 1)
-    assert_allclose(cell.area, 1.0, rtol=1e-14)
-    normals = sorted(map(tuple, np.round(cell.edge_normals, 12)))
+    cells = subcell_geometry(m, 1)
+    assert_allclose(cells.areas[0, 0], 1.0, rtol=1e-14)
+    normals = sorted(map(tuple, np.round(cells.edge_normals[0, 0], 12)))
     assert normals == [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
 
 
 def test_unit_square_quarters():
     m = single_element_mesh(UNIT)
-    cells = subdivide_element(m, 0, 4)
-    assert len(cells) == 4
-    assert_allclose([c.area for c in cells], 0.25, rtol=1e-14)
+    cells = subcell_geometry(m, 4)
+    assert cells.areas.shape == (1, 4)
+    assert_allclose(cells.areas[0], 0.25, rtol=1e-14)
 
 
 def test_subdivision_partitions_area():
@@ -165,8 +167,7 @@ def test_subdivision_partitions_area():
         m = single_element_mesh(corners)
         exact = quad_area(corners)
         for nc in (1, 2, 4, 8):
-            cells = subdivide_element(m, 0, nc)
-            total = sum(c.area for c in cells)
+            total = subcell_geometry(m, nc).areas[0].sum()
             assert abs(total - exact) <= 1e-12 * exact
 
 
@@ -176,15 +177,15 @@ def test_cell_boundaries_close():
     corners = UNIT + rng.uniform(-0.2, 0.2, size=(4, 2))
     m = single_element_mesh(corners)
     for nc in (1, 2, 4, 8):
-        for cell in subdivide_element(m, 0, nc):
-            closure = (cell.edge_lengths[:, None] * cell.edge_normals).sum(axis=0)
-            assert np.abs(closure).max() < 1e-12
+        cells = subcell_geometry(m, nc)
+        closure = (cells.edge_lengths[..., None] * cells.edge_normals).sum(axis=-2)
+        assert np.abs(closure).max() < 1e-12
 
 
 def test_unsupported_subcell_count():
     m = single_element_mesh(UNIT)
     with pytest.raises(MeshError):
-        subdivide_element(m, 0, 3)
+        subcell_geometry(m, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +200,28 @@ def test_mesh_rejects_inverted_element():
 
 
 def test_mesh_requires_complete_boundary_cover():
-    from smoothfem.mesh import NEUMANN, BoundaryEdge
-
     partial = [BoundaryEdge(0, 0, (0, 1), NEUMANN, "free")]
     with pytest.raises(MeshError):
         Mesh(UNIT, np.array([[0, 1, 2, 3]]), partial)
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        # a misspelt kind: neither the load vector nor the constraints see it
+        (BoundaryEdge(0, 1, (1, 2), "nuemann", "a"), "unknown kind 'nuemann'"),
+        # node ids of another edge, and the edge's own nodes reversed
+        (BoundaryEdge(0, 0, (2, 3), NEUMANN, "a"), r"lists nodes \(2, 3\)"),
+        (BoundaryEdge(0, 0, (1, 0), DIRICHLET, "a"), r"lists nodes \(1, 0\)"),
+    ],
+    ids=["misspelt-kind", "other-edge", "reversed"],
+)
+def test_mesh_rejects_inconsistent_boundary_tags(bad, match):
+    boundary = [BoundaryEdge(0, k, (k, (k + 1) % 4), NEUMANN, "a") for k in range(4)]
+    boundary[bad.local_edge] = bad
+    with pytest.raises(MeshError, match=match) as err:
+        Mesh(UNIT, np.array([[0, 1, 2, 3]]), boundary)
+    assert f"edge {bad.local_edge} of element 0" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +237,16 @@ def test_save_load_round_trip(tmp_path):
     assert_allclose(back.coords, m.coords, rtol=0, atol=0)  # %.17g is exact
     assert np.array_equal(back.elements, m.elements)
     assert [be.tag for be in back.boundary] == [be.tag for be in m.boundary]
+
+
+def test_load_mesh_rejects_mistyped_kind(tmp_path):
+    path = tmp_path / "square.mesh"
+    save_mesh(build_square_mesh(2), path)
+    text = path.read_text(encoding="ascii")
+    assert "dirichlet:exact" in text
+    path.write_text(text.replace("dirichlet:exact", "dirichelt:exact", 1), encoding="ascii")
+    with pytest.raises(MeshError, match="unknown kind 'dirichelt'"):
+        load_mesh(path)
 
 
 def test_golden_mesh_file(tmp_path):

@@ -20,13 +20,12 @@ from smoothfem.error import element_error_squares, estimated_error_norm
 from smoothfem.recovery import (
     RecoveryConfig,
     RecoveryError,
+    _sampling_arrays,
     build_recovered_field,
-    collect_sampling_points,
     collocation_points,
     constraint_rows,
     edge_normal,
     fit_patch,
-    recovered_stress_at,
     singular_stress_estimate,
     smooth_part,
 )
@@ -51,31 +50,30 @@ def linear_solution(kind="sfem", nc=4, coeffs=(0.1, 0.02, 0.035, -0.04, 0.012, -
 def test_sampling_layout_single_cell():
     m = single_element_mesh(UNIT)
     sol = interpolate_solution(m, MAT, Formulation("sfem", 1), lambda p: 0.01 * p)
-    pts = collect_sampling_points(sol)
-    assert len(pts) == 4
+    pos, _, _, _ = _sampling_arrays(sol)
+    assert len(pos) == 4
     g = 0.5 + np.array([-1.0, 1.0]) / (2.0 * np.sqrt(3.0))
     expected = sorted((x, y) for x in g for y in g)
-    got = sorted(map(tuple, np.round([p.position for p in pts], 12)))
+    got = sorted(map(tuple, np.round(pos, 12)))
     assert_allclose(got, expected, atol=1e-12)
 
 
 def test_sampling_layout_two_cells():
     m = single_element_mesh(UNIT)
     sol = interpolate_solution(m, MAT, Formulation("sfem", 2), lambda p: 0.01 * p)
-    assert len(collect_sampling_points(sol)) == 8  # 2x2 per half
+    assert len(_sampling_arrays(sol)[0]) == 8  # 2x2 per half
 
 
 def test_sampling_fem_gauss_points():
     bm, mesh, sol = linear_solution(kind="fem")
-    pts = collect_sampling_points(sol)
-    assert len(pts) == 4 * mesh.n_elements
+    pos, _, _, _ = _sampling_arrays(sol)
+    assert len(pos) == 4 * mesh.n_elements
 
 
 def test_constant_stress_gives_identical_samples():
     # pure shear-free uniform strain: all sampling stresses equal
     bm, mesh, sol = linear_solution()
-    pts = collect_sampling_points(sol)
-    stresses = np.array([p.stress for p in pts])
+    _, stresses, _, _ = _sampling_arrays(sol)
     assert np.abs(stresses - stresses[0]).max() < 1e-12
 
 
@@ -326,7 +324,6 @@ def test_identical_constant_fits_blend_to_constant():
     field = RecoveredStressField(mesh, fits)
     probe = mesh.element_corners(2).mean(axis=0)
     assert_allclose(field.evaluate(2, probe), c, rtol=1e-14)
-    assert_allclose(recovered_stress_at(field, 2, probe), c, rtol=1e-14)
 
 
 def test_vertex_value_is_nodal_polynomial(solve_cached):
@@ -422,10 +419,8 @@ def exactify_stresses(solution, exact_stress):
     into a fresh array that takes its place.
     """
     stress = solution.cell_stress.copy()
-    for e in range(solution.mesh.n_elements):
-        cells = solution.subcells(e)
-        centroids = np.array([c.corners.mean(axis=0) for c in cells])
-        stress[e] = exact_stress(centroids)
+    for e, corners in enumerate(solution.operators.cells.corners):
+        stress[e] = exact_stress(corners.mean(axis=1))
     stress.setflags(write=False)
     solution.cell_stress = stress
     return solution

@@ -21,7 +21,6 @@ from smoothfem.mesh import (
     NEUMANN,
     build_square_mesh,
     subcell_geometry,
-    subdivide_element,
 )
 from smoothfem.quadmap import (
     gauss_points_2d,
@@ -40,12 +39,8 @@ from smoothfem.solver import (
     _neumann_vector,
     assemble_and_solve,
     assemble_stiffness,
-    element_stiffness,
-    fem_strain_matrix,
     interpolate_solution,
-    raw_stress,
     smoothed_strain_matrices,
-    smoothed_strain_matrix,
     strain_matrix,
 )
 
@@ -67,6 +62,18 @@ def zero_mode_count(K: np.ndarray) -> int:
     return int(np.sum(np.abs(w) < 1e-12 * np.abs(w).max()))
 
 
+def smoothed_B(corners, nc) -> np.ndarray:
+    """Smoothed B (nc, 3, 8) of the subcells of a one-element mesh."""
+    m = single_element_mesh(corners)
+    return smoothed_strain_matrices(m.coords[m.elements], subcell_geometry(m, nc))[0]
+
+
+def element_K(corners, kind, nc=4) -> np.ndarray:
+    """8x8 stiffness of a one-element mesh."""
+    ops = _element_operators(single_element_mesh(corners), MAT, Formulation(kind, nc))
+    return ops.K[0]
+
+
 # ---------------------------------------------------------------------------
 # smoothed strain-displacement operator
 # ---------------------------------------------------------------------------
@@ -76,9 +83,7 @@ def test_smoothed_operator_unit_square_analytic_value():
     # single-cell smoothing of the unit square: the operator equals the
     # element average of the compatible gradient; for node 0 at the origin,
     # grad N = (-(1-y), -(1-x)) averages to (-1/2, -1/2)
-    m = single_element_mesh(UNIT)
-    (cell,) = subdivide_element(m, 0, 1)
-    B = smoothed_strain_matrix(UNIT, cell)
+    (B,) = smoothed_B(UNIT, 1)
     assert B.shape == (3, 8)
     node0 = B[:, 0:2]
     assert_allclose(node0, [[-0.5, 0.0], [0.0, -0.5], [-0.5, -0.5]], atol=1e-14)
@@ -87,21 +92,15 @@ def test_smoothed_operator_unit_square_analytic_value():
 def test_smoothed_operator_rows_sum_to_zero():
     # translations produce zero smoothed strain: the four per-node blocks
     # cancel exactly
-    m = single_element_mesh(DISTORTED)
     for nc in (1, 2, 4, 8):
-        for cell in subdivide_element(m, 0, nc):
-            B = smoothed_strain_matrix(DISTORTED, cell)
+        for B in smoothed_B(DISTORTED, nc):
             block_sum = B[:, 0::2].sum(axis=1), B[:, 1::2].sum(axis=1)
             assert np.abs(np.concatenate(block_sum)).max() < 1e-12
 
 
 def test_smoothed_operator_scales_inversely_with_size():
-    m1 = single_element_mesh(DISTORTED)
-    m2 = single_element_mesh(2.0 * DISTORTED)
-    (c1,) = subdivide_element(m1, 0, 1)
-    (c2,) = subdivide_element(m2, 0, 1)
-    B1 = smoothed_strain_matrix(DISTORTED, c1)
-    B2 = smoothed_strain_matrix(2.0 * DISTORTED, c2)
+    (B1,) = smoothed_B(DISTORTED, 1)
+    (B2,) = smoothed_B(2.0 * DISTORTED, 1)
     assert_allclose(B2, 0.5 * B1, rtol=1e-12)
 
 
@@ -111,14 +110,11 @@ def test_smoothed_operator_scales_inversely_with_size():
 
 
 def test_element_stiffness_symmetry_and_kernel():
-    m = single_element_mesh(DISTORTED)
     cases = [("fem", None, 3)]
     for nc in (2, 4, 8):
         cases.append(("sfem", nc, 3))
     for kind, nc, expected_zero in cases:
-        form = Formulation(kind, nc or 4)
-        cells = subdivide_element(m, 0, nc) if kind == "sfem" else None
-        K = element_stiffness(DISTORTED, D, form, cells)
+        K = element_K(DISTORTED, kind, nc or 4)
         assert_allclose(K, K.T, atol=0.0)  # symmetrized exactly
         w = np.linalg.eigvalsh(K)
         assert w.min() > -1e-12 * w.max()  # positive semidefinite
@@ -127,20 +123,13 @@ def test_element_stiffness_symmetry_and_kernel():
 
 def test_single_cell_smoothing_has_spurious_modes():
     # nc=1 cannot see the two hourglass patterns: 2 extra zero modes
-    m = single_element_mesh(DISTORTED)
-    cells = subdivide_element(m, 0, 1)
-    K = element_stiffness(DISTORTED, D, Formulation("sfem", 1), cells)
+    K = element_K(DISTORTED, "sfem", 1)
     assert zero_mode_count(K) == 5
 
 
 def test_rigid_rotation_is_zero_energy():
-    m = single_element_mesh(DISTORTED)
-    cells = subdivide_element(m, 0, 4)
-    for form, cc in (
-        (Formulation("sfem", 4), cells),
-        (Formulation("fem"), None),
-    ):
-        K = element_stiffness(DISTORTED, D, form, cc)
+    for kind in ("sfem", "fem"):
+        K = element_K(DISTORTED, kind, 4)
         u_rot = np.stack([-DISTORTED[:, 1], DISTORTED[:, 0]], axis=-1).ravel()
         assert np.abs(K @ u_rot).max() < 1e-10 * np.abs(K).max()
 
@@ -150,12 +139,11 @@ def test_many_subcells_approach_fem_stiffness(monkeypatch):
     # integration; entrywise agreement within 1% on a distorted quad
     monkeypatch.setitem(mesh_mod._SUBCELL_GRID, 64, (8, 8))
     m = single_element_mesh(DISTORTED)
-    cells = subdivide_element(m, 0, 64)
+    cells = subcell_geometry(m, 64)
     K_smooth = np.zeros((8, 8))
-    for cell in cells:
-        B = smoothed_strain_matrix(DISTORTED, cell)
-        K_smooth += B.T @ D @ B * cell.area
-    K_fem = element_stiffness(DISTORTED, D, Formulation("fem"))
+    for B, area in zip(smoothed_strain_matrices(DISTORTED[None], cells)[0], cells.areas[0]):
+        K_smooth += B.T @ D @ B * area
+    K_fem = element_K(DISTORTED, "fem")
     assert np.abs(K_smooth - K_fem).max() < 0.01 * np.abs(K_fem).max()
 
 
@@ -164,8 +152,6 @@ def test_formulation_validation():
         Formulation("xfem")
     with pytest.raises(SolveError):
         Formulation("sfem", 3)
-    with pytest.raises(SolveError):
-        element_stiffness(UNIT, D, Formulation("sfem", 4), cells=None)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +211,6 @@ def test_patch_test_reproduces_linear_field(patch_bm, kind, nc):
 
     sigma = patch_bm.exact_stress(np.zeros((1, 2)))[0]
     assert np.abs(sol.cell_stress - sigma).max() < 1e-10
-    # spot-check the accessor form too
-    assert_allclose(raw_stress(sol, 0, 0), sigma, atol=1e-10)
 
 
 def test_fem_and_sfem_agree_on_rectangles_under_constant_strain():
@@ -283,8 +267,8 @@ def test_inner_wall_radial_stress_regression(solve_cached, cylinder_bm):
             if be.name != "pressure":
                 continue
             e = be.element_id
-            for c, cell in enumerate(sol.subcells(e)):
-                centroid = cell.corners.mean(axis=0)
+            for c, corners in enumerate(sol.operators.cells.corners[e]):
+                centroid = corners.mean(axis=0)
                 r = np.linalg.norm(centroid)
                 n = centroid / r
                 s = sol.cell_stress[e, c]
@@ -386,9 +370,8 @@ def test_solution_stresses_and_operators_are_read_only():
         if form.kind == "sfem":
             cells = ops.cells
             arrays += [
-                cells.element_ids, cells.corners, cells.areas,
+                cells.corners, cells.areas,
                 cells.edge_midpoints, cells.edge_normals, cells.edge_lengths,
-                sol.subcells(0)[0].edge_lengths,
             ]
         else:
             arrays.append(ops.detw)
@@ -519,19 +502,16 @@ def test_kernels_are_batch_invariant(name, kind, nc):
         assert np.array_equal(B.reshape(-1, n_g, 3, 8), full.B[subset])
         _, w = gauss_points_2d(2)
         assert np.array_equal(det.reshape(-1, n_g) * w, full.detw[subset])
-    # batches of one: the single-element helpers
+    # batches of one: one-element meshes, and single points for FEM B
     for e in subset[:8]:
         c = mesh.element_corners(e)
-        if kind == "sfem":
-            cell_list = subdivide_element(mesh, e, nc)
-            K = element_stiffness(c, D, Formulation(kind, nc), cell_list)
-            for k, cell in enumerate(cell_list):
-                assert np.array_equal(smoothed_strain_matrix(c, cell), full.B[e, k])
-        else:
-            K = element_stiffness(c, D, Formulation(kind))
+        one = _element_operators(single_element_mesh(c), MAT, Formulation(kind, nc))
+        assert np.array_equal(one.B[0], full.B[e])
+        assert np.array_equal(one.K[0], full.K[e])
+        if kind == "fem":
             for g, (xi, eta) in enumerate(pts):
-                assert np.array_equal(fem_strain_matrix(c, xi, eta)[0], full.B[e, g])
-        assert np.array_equal(K, full.K[e])
+                B, _ = strain_matrix(c[None], np.array([xi]), np.array([eta]))
+                assert np.array_equal(B[0], full.B[e, g])
 
 
 def test_fem_point_stresses_are_batch_invariant():
@@ -546,7 +526,6 @@ def test_fem_point_stresses_are_batch_invariant():
         assert np.array_equal(sol.stress_at_parents(e, pts[order]), batch[order])
         q = sol.element_displacement(e)
         for k in order[:3]:
-            assert np.array_equal(sol.stress_at_parent(e, *pts[k]), batch[k])
             B, _ = _reference_fem_B(mesh.element_corners(e), *pts[k])
             assert np.array_equal(sol.D @ (B @ q), batch[k])
 
