@@ -5,6 +5,13 @@ All norms are energy norms of stress differences,
 with a 4x4 Gauss rule (16x16 on elements touching a singular vertex, where
 the exact integrand is steep but integrable).  Global norms are the exact
 sums of the element squares by construction — the same quadrature.
+
+The quadrature runs in one batch per rule order.  A batch's points,
+Jacobian determinants and stress fields are (n, q, ...) arrays from
+whole-mesh calls (stress_at_parents, evaluate_at_parents, one exact_stress
+call), and each element's square is reduced with the einsum and sum a
+single element would use, so it is bit-identical to integrating that
+element alone.
 """
 
 from __future__ import annotations
@@ -90,10 +97,12 @@ def local_deviation(theta_e: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _element_quadrature(solution: DiscreteSolution, e: int, order: int):
+def _element_quadrature(solution: DiscreteSolution, element_ids: np.ndarray, order: int):
+    """Gauss points (q, 2), weights x Jacobian (n, q) and physical points
+    (n, q, 2) of an order x order rule on each of the elements."""
     pts, w = gauss_points_2d(order)
-    corners = solution.mesh.element_corners(e)
-    det = jacobian_det(corners, pts[:, 0], pts[:, 1])
+    corners = solution.mesh.coords[solution.mesh.elements[element_ids]]
+    det = jacobian_det(corners[:, None], pts[:, 0], pts[:, 1])
     phys = map_point(corners, pts[:, 0], pts[:, 1])
     return pts, w * det, phys
 
@@ -101,16 +110,16 @@ def _element_quadrature(solution: DiscreteSolution, e: int, order: int):
 def _singular_elements(solution: DiscreteSolution, singular_point) -> np.ndarray:
     """Mask of elements with a corner at the singular vertex."""
     mesh = solution.mesh
-    mask = np.zeros(mesh.n_elements, dtype=bool)
     if singular_point is None:
-        return mask
+        return np.zeros(mesh.n_elements, dtype=bool)
     sp = np.asarray(singular_point, float)
     on_vertex = np.linalg.norm(mesh.coords - sp, axis=1) < 1e-12
-    hit_nodes = np.nonzero(on_vertex)[0]
-    for n in hit_nodes:
-        for e in mesh.node_patch(int(n)):
-            mask[e] = True
-    return mask
+    return on_vertex[mesh.elements].any(axis=1)
+
+
+def _energy_squares(d: np.ndarray, Dinv: np.ndarray, wdet: np.ndarray) -> np.ndarray:
+    """Per-element sum over points of w det d^T D^-1 d; d (n, q, 3) -> (n,)."""
+    return np.sum(wdet * np.einsum("eki,ij,ekj->ek", d, Dinv, d), axis=-1)
 
 
 def element_error_squares(
@@ -123,7 +132,8 @@ def element_error_squares(
 
     estimated: ||sigma* - sigma_h||, exact: ||sigma_ex - sigma_h||,
     recovered: ||sigma* - sigma_ex||.  Entries stay zero when the
-    corresponding field is not supplied.
+    corresponding field is not supplied.  Elements are integrated in one
+    batch per rule order.
     """
     mesh = solution.mesh
     Dinv = compliance_matrix(solution.material)
@@ -131,25 +141,25 @@ def element_error_squares(
     est2 = np.zeros(mesh.n_elements)
     ex2 = np.zeros(mesh.n_elements)
     rec2 = np.zeros(mesh.n_elements)
-    for e in range(mesh.n_elements):
-        order = 16 if singular[e] else 4
-        pts, wdet, phys = _element_quadrature(solution, e, order)
-        sh = solution.stress_at_parents(e, pts)
-        s_star = (
-            recovered_field.evaluate_at_parent(e, pts[:, 0], pts[:, 1])
-            if recovered_field is not None
-            else None
-        )
-        s_ex = np.asarray(exact_stress(phys), float) if exact_stress is not None else None
-        if s_star is not None:
-            d = s_star - sh
-            est2[e] = np.sum(wdet * np.einsum("ki,ij,kj->k", d, Dinv, d))
-        if s_ex is not None:
-            d = s_ex - sh
-            ex2[e] = np.sum(wdet * np.einsum("ki,ij,kj->k", d, Dinv, d))
+    for ids, order in ((np.nonzero(~singular)[0], 4), (np.nonzero(singular)[0], 16)):
+        if not len(ids):
+            continue
+        pts, wdet, phys = _element_quadrature(solution, ids, order)
+        # the fields are built one at a time and the points dropped once the
+        # exact stress has used them, which keeps the peak memory low
+        s_star = s_ex = None
+        if recovered_field is not None:
+            s_star = recovered_field.evaluate_at_parents(ids, pts)
+        if exact_stress is not None:
+            s_ex = np.asarray(exact_stress(phys), float)
+        del phys
         if s_star is not None and s_ex is not None:
-            d = s_star - s_ex
-            rec2[e] = np.sum(wdet * np.einsum("ki,ij,kj->k", d, Dinv, d))
+            rec2[ids] = _energy_squares(s_star - s_ex, Dinv, wdet)
+        sh = solution.stress_at_parents(ids, pts)
+        if s_star is not None:
+            est2[ids] = _energy_squares(s_star - sh, Dinv, wdet)
+        if s_ex is not None:
+            ex2[ids] = _energy_squares(s_ex - sh, Dinv, wdet)
     return est2, ex2, rec2
 
 

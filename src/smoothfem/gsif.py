@@ -218,40 +218,43 @@ class GsifEstimate:
     plateau: PlateauFunction
     ring_elements: int = 0  # elements with quadrature points on the ramp
 
-    def gsif(self, mode: str) -> float:
-        return self.K_I if mode == MODE_I else self.K_II
-
 
 def _domain_term(
     solution: DiscreteSolution, dual: ExtractionDual, plateau: PlateauFunction, order: int
 ) -> tuple[float, int]:
+    """-int grad(q) . F dOmega and the number of ring elements.
+
+    All elements' points are mapped at once; the dual and the FE fields are
+    evaluated only on the ring (elements with a point on the ramp), since the
+    dual has no value at the vertex.  The per-element sums are added in
+    element order.
+    """
     mesh = solution.mesh
     pts, w = gauss_points_2d(order)
-    total = 0.0
-    n_ring = 0
-    for e in range(mesh.n_elements):
-        corners = mesh.element_corners(e)
-        phys = map_point(corners, pts[:, 0], pts[:, 1])
-        gq = plateau.gradient(phys)
-        if not np.any(gq):
-            continue  # entirely on the plateau or outside the support
-        n_ring += 1
-        det = jacobian_det(corners, pts[:, 0], pts[:, 1])
-        u_h = solution.displacement_at_parent(e, pts[:, 0], pts[:, 1])
-        s_h = solution.stress_at_parents(e, pts)
-        v = dual.displacement(phys)
-        tau = dual.stress(phys)
-        F = np.stack(
-            [
-                tau[:, 0] * u_h[:, 0] + tau[:, 2] * u_h[:, 1]
-                - (s_h[:, 0] * v[:, 0] + s_h[:, 2] * v[:, 1]),
-                tau[:, 2] * u_h[:, 0] + tau[:, 1] * u_h[:, 1]
-                - (s_h[:, 2] * v[:, 0] + s_h[:, 1] * v[:, 1]),
-            ],
-            axis=-1,
-        )
-        total += float(np.sum(w * det * np.einsum("ki,ki->k", gq, F)))
-    return -total, n_ring
+    corners = mesh.coords[mesh.elements]
+    phys = map_point(corners, pts[:, 0], pts[:, 1])  # (n_e, q, 2)
+    gq = plateau.gradient(phys)
+    ring = np.nonzero(gq.any(axis=(1, 2)))[0]
+    if not len(ring):
+        return 0.0, 0
+    gq, phys = gq[ring], phys[ring]
+    det = jacobian_det(corners[ring][:, None], pts[:, 0], pts[:, 1])
+    u_h = solution.displacement_at_parents(ring, pts)
+    s_h = solution.stress_at_parents(ring, pts)
+    v = dual.displacement(phys)
+    tau = dual.stress(phys)
+    F = np.stack(
+        [
+            tau[..., 0] * u_h[..., 0] + tau[..., 2] * u_h[..., 1]
+            - (s_h[..., 0] * v[..., 0] + s_h[..., 2] * v[..., 1]),
+            tau[..., 2] * u_h[..., 0] + tau[..., 1] * u_h[..., 1]
+            - (s_h[..., 2] * v[..., 0] + s_h[..., 1] * v[..., 1]),
+        ],
+        axis=-1,
+    )
+    per_element = np.sum(w * det * np.einsum("eki,eki->ek", gq, F), axis=-1)
+    # running sum in element order, as a plain accumulation loop would
+    return -float(np.cumsum(per_element)[-1]), len(ring)
 
 
 def _boundary_term(
@@ -284,7 +287,7 @@ def _boundary_term(
             pc0 = PARENT_CORNERS[be.local_edge]
             pc1 = PARENT_CORNERS[(be.local_edge + 1) % 4]
             par = np.outer(0.5 * (1.0 - gp), pc0) + np.outer(0.5 * (1.0 + gp), pc1)
-            t = _traction(solution.stress_at_parents(be.element_id, par), normal)
+            t = _traction(solution.stress_at_parents([be.element_id], par)[0], normal)
         tau_n = _traction(dual.stress(x), normal)
         v = dual.displacement(x)
         integrand = np.einsum("ki,ki->k", tau_n, u_h) - np.einsum("ki,ki->k", t, v)

@@ -214,9 +214,10 @@ def subcell_index_at(nc: int, xi, eta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubcellGeometry:
-    """The smoothing cells of a set of elements, as read-only arrays.
+    """The smoothing cells of a batch of elements, as read-only arrays.
 
-    Row i describes the i-th requested element; each element has nc cells in
+    Row i describes the batch's i-th element (element i of the mesh, as
+    subcell_geometry builds it); each element has nc cells in
     the row-major order of subcell_parent_rects, each cell four CCW edges.
     Shapes: corners, edge_midpoints, edge_normals (n, nc, 4, 2); areas
     (n, nc); edge_lengths (n, nc, 4).
@@ -229,28 +230,25 @@ class SubcellGeometry:
     edge_lengths: np.ndarray
 
 
-def subcell_geometry(mesh: Mesh, nc: int, element_ids=None) -> SubcellGeometry:
-    """Partition elements (default: all) into nc straight-sided smoothing cells.
+def subcell_geometry(mesh: Mesh, nc: int) -> SubcellGeometry:
+    """Partition every element into nc straight-sided smoothing cells.
 
     Subdivision happens in the parent domain and is pushed through the
     bilinear map; because the parent rectangles are axis-aligned, their
     images have straight edges and the mapped corners describe them exactly.
     """
-    if element_ids is None:
-        element_ids = np.arange(mesh.n_elements)
-    element_ids = np.asarray(element_ids, dtype=int)
     x0, x1, e0, e1 = np.array(subcell_parent_rects(nc)).T
     pc = np.stack(
         [np.stack(v, axis=-1) for v in ((x0, e0), (x1, e0), (x1, e1), (x0, e1))],
         axis=1,
     )  # (nc, 4, 2) parent corners of every cell
-    corners = mesh.coords[mesh.elements[element_ids]]  # (n, 4, 2)
+    corners = mesh.coords[mesh.elements]  # (n, 4, 2)
     phys = map_point(corners[:, None], pc[..., 0], pc[..., 1])  # (n, nc, 4, 2)
     areas = quad_area(phys)
     bad = np.nonzero(areas <= 0.0)[0]
     if len(bad):
         raise MeshError(
-            f"non-positive smoothing-cell area in element {element_ids[bad[0]]}"
+            f"non-positive smoothing-cell area in element {bad[0]}"
         )
     nxt = np.roll(phys, -1, axis=-2)
     tang = nxt - phys

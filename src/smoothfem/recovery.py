@@ -180,11 +180,21 @@ _MONOMIALS = {
 }
 
 
-def _basis(points: np.ndarray, center: np.ndarray, scale: float, degree: int) -> np.ndarray:
-    """Monomial rows p(x^) at physical points; (n, m)."""
-    xh = (points[..., 0] - center[0]) / scale
-    yh = (points[..., 1] - center[1]) / scale
-    return np.stack([xh**i * yh**j for i, j in _MONOMIALS[degree]], axis=-1)
+def _basis(points: np.ndarray, center: np.ndarray, scale, degree: int) -> np.ndarray:
+    """Monomial rows p(x^) at physical points (..., 2); (..., m).
+
+    center (..., 2) and scale broadcast against the points' leading axes, so
+    one call covers the patches of a whole batch of elements.
+    """
+    xh = points[..., 0] - center[..., 0]
+    xh /= scale
+    yh = points[..., 1] - center[..., 1]
+    yh /= scale
+    mono = _MONOMIALS[degree]
+    P = np.empty(xh.shape + (len(mono),))
+    for c, (i, j) in enumerate(mono):
+        np.multiply(xh**i, yh**j, out=P[..., c])
+    return P
 
 
 def _derivative_matrix(degree: int, axis: int) -> np.ndarray:
@@ -459,27 +469,56 @@ class RecoveredStressField:
             np.zeros(mesh.n_nodes, dtype=bool) if split_flags is None else split_flags
         )
         self.config = config
+        # the fits as arrays: one coefficient array (n_nodes, 3, m) per degree,
+        # its rows zero for the nodes fitted with the other degree
+        self._centers = np.array([f.center for f in fits])
+        self._scales = np.array([f.scale for f in fits])
+        self._degrees = np.array([f.degree for f in fits])
+        self._coeffs = {}
+        for degree in np.unique(self._degrees):
+            coeffs = np.zeros((len(fits), 3, len(_MONOMIALS[degree])))
+            coeffs[self._degrees == degree] = [f.coeffs for f in fits if f.degree == degree]
+            self._coeffs[int(degree)] = coeffs
 
-    def evaluate_at_parent(self, element_id: int, xi, eta) -> np.ndarray:
-        """sigma* at parent point(s) of an element; (..., 3)."""
-        N = shape_functions(xi, eta)  # (..., 4)
-        corners = self.mesh.element_corners(element_id)
-        pts = N @ corners
-        flat = pts.reshape(-1, 2)
-        Nf = N.reshape(-1, 4)
-        out = np.zeros((len(flat), 3))
-        conn = self.mesh.elements[element_id]
-        any_split = self.singular_field is not None and np.any(
-            self.split_flags[conn]
-        )
-        if any_split:
-            sing = self.singular_field.stress(flat)
-        for k, node in enumerate(conn):
-            vals = self.fits[node](flat)
-            if any_split and self.split_flags[node]:
-                vals = vals + sing
-            out += Nf[:, k, None] * vals
-        return out.reshape(np.shape(N)[:-1] + (3,))
+    def evaluate_at_parents(self, element_ids, pts: np.ndarray) -> np.ndarray:
+        """sigma* at parent points of elements; ids (n,), pts (q, 2) -> (n, q, 3).
+
+        The blend accumulates over local corners k = 0..3 in turn; each
+        corner's patch polynomials are one batched (q, m) @ (m, 3) matmul
+        per degree, and the singular field is evaluated once, on the
+        elements that touch a split node.
+        """
+        ids = np.asarray(element_ids, dtype=int)
+        pts = np.asarray(pts, dtype=float)
+        conn = self.mesh.elements[ids]
+        N = shape_functions(pts[:, 0], pts[:, 1])  # (q, 4)
+        phys = N @ self.mesh.coords[conn]  # (n, q, 2)
+        split = self.split_flags[conn] & (self.singular_field is not None)
+        touched = np.nonzero(split.any(axis=1))[0]
+        if len(touched):
+            sing = self.singular_field.stress(phys[touched])
+        out = np.zeros(phys.shape[:-1] + (3,))
+        vals = np.empty_like(out)
+        for k in range(4):
+            self._patch_values(conn[:, k], phys, vals)
+            if len(touched):
+                hit = split[touched, k]
+                vals[touched[hit]] += sing[hit]
+            vals *= N[:, k, None]
+            out += vals
+        return out
+
+    def _patch_values(self, nodes: np.ndarray, phys: np.ndarray, out: np.ndarray) -> None:
+        """Patch polynomial of nodes[i] at phys[i] (n, q, 2), written to out (n, q, 3)."""
+        for degree, coeffs in self._coeffs.items():
+            sel = self._degrees[nodes] == degree
+            if sel.all():  # the usual case: no gathered copies
+                P = _basis(phys, self._centers[nodes, None], self._scales[nodes, None], degree)
+                np.matmul(P, coeffs[nodes].swapaxes(-1, -2), out=out)
+            elif sel.any():
+                group = nodes[sel]
+                P = _basis(phys[sel], self._centers[group, None], self._scales[group, None], degree)
+                out[sel] = np.matmul(P, coeffs[group].swapaxes(-1, -2))
 
     def evaluate(self, element_id: int, point) -> np.ndarray:
         """sigma* at a physical point inside the given element."""
@@ -489,7 +528,7 @@ class RecoveredStressField:
             raise RecoveryError(
                 f"point {point} lies outside element {element_id}"
             )
-        return self.evaluate_at_parent(element_id, xi[0], xi[1])[()]
+        return self.evaluate_at_parents([element_id], xi[None])[0, 0]
 
 
 def build_recovered_field(

@@ -403,28 +403,32 @@ class DiscreteSolution:
 
     # -- field evaluation ---------------------------------------------------
 
-    def element_displacement(self, element_id: int) -> np.ndarray:
-        return self.U[self.operators.dofs[element_id]]
+    def displacement_at_parents(self, element_ids, pts: np.ndarray) -> np.ndarray:
+        """FE displacement at parent points pts (q, 2) of elements (n,); (n, q, 2)."""
+        pts = np.asarray(pts, dtype=float)
+        q = self.U[self.operators.dofs[np.asarray(element_ids, dtype=int)]]
+        N = shape_functions(pts[:, 0], pts[:, 1])  # (q, 4)
+        return np.matmul(N, q.reshape(-1, 4, 2))
 
-    def displacement_at_parent(self, element_id: int, xi, eta) -> np.ndarray:
-        """FE displacement at parent point(s) of an element; (..., 2)."""
-        N = shape_functions(xi, eta)  # (..., 4)
-        q = self.element_displacement(element_id).reshape(4, 2)
-        return N @ q
+    def stress_at_parents(self, element_ids, pts: np.ndarray) -> np.ndarray:
+        """Raw stress at parent points pts (q, 2) of elements (n,); (n, q, 3).
 
-    def stress_at_parents(self, element_id: int, pts: np.ndarray) -> np.ndarray:
-        """Raw stress at parent points, pts (n, 2) -> (n, 3): the owning
-        subcell's constant for SFEM, the compatible pointwise stress for FEM."""
+        SFEM: the owning subcell's constant; FEM: the compatible pointwise
+        stress, computed one point at a time over all n elements so that B
+        stays (n, 3, 8).
+        """
+        ids = np.asarray(element_ids, dtype=int)
         pts = np.asarray(pts, dtype=float)
         if self.formulation.kind == SFEM:
             c = subcell_index_at(self.formulation.nc, pts[:, 0], pts[:, 1])
-            return self.cell_stress[element_id][c]
-        corners = self.mesh.element_corners(element_id)
-        B, _ = strain_matrix(
-            np.broadcast_to(corners, (len(pts), 4, 2)), pts[:, 0], pts[:, 1]
-        )
-        strain = np.matmul(B, self.element_displacement(element_id))
-        return np.matmul(self.D, strain[..., None])[..., 0]
+            return self.cell_stress[ids[:, None], c]
+        corners = self.mesh.coords[self.mesh.elements[ids]]
+        u = self.U[self.operators.dofs[ids]][..., None]  # (n, 8, 1)
+        out = np.empty((len(ids), len(pts), 3))
+        for k, (xi, eta) in enumerate(pts):
+            B, _ = strain_matrix(corners, np.full(len(ids), xi), np.full(len(ids), eta))
+            out[:, k] = np.matmul(self.D, np.matmul(B, u))[..., 0]
+        return out
 
     def energy(self) -> float:
         """U^T K U via the cached element stiffnesses."""

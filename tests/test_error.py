@@ -27,6 +27,7 @@ from smoothfem.error import (
     exact_error_norm,
     local_deviation,
 )
+from smoothfem.quadmap import gauss_points_2d, jacobian_det, map_point
 from smoothfem.recovery import RecoveryConfig, build_recovered_field
 from smoothfem.solver import Formulation, assemble_and_solve, interpolate_solution
 
@@ -40,8 +41,8 @@ class ConstantField:
     def __init__(self, stress):
         self.stress = np.asarray(stress, float)
 
-    def evaluate_at_parent(self, e, xi, eta):
-        return np.broadcast_to(self.stress, np.shape(xi) + (3,)).copy()
+    def evaluate_at_parents(self, ids, pts):
+        return np.broadcast_to(self.stress, (len(ids), len(pts), 3)).copy()
 
 
 class EchoField:
@@ -50,9 +51,8 @@ class EchoField:
     def __init__(self, solution):
         self.solution = solution
 
-    def evaluate_at_parent(self, e, xi, eta):
-        pts = np.stack([np.atleast_1d(xi), np.atleast_1d(eta)], axis=-1)
-        return self.solution.stress_at_parents(e, pts)
+    def evaluate_at_parents(self, ids, pts):
+        return self.solution.stress_at_parents(ids, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def test_quadrature_is_converged_for_smooth_fields():
     sol = assemble_and_solve(mesh, cb.material, Formulation("fem"), bcs)
     base = exact_error_norm(sol, cb.exact_stress)
     orig = error_mod._element_quadrature
-    error_mod._element_quadrature = lambda s, e, order: orig(s, e, 2 * order)
+    error_mod._element_quadrature = lambda s, ids, order: orig(s, ids, 2 * order)
     try:
         doubled = exact_error_norm(sol, cb.exact_stress)
     finally:
@@ -142,9 +142,10 @@ def test_singular_elements_get_the_fine_rule(solve_cached, lshape_bm, monkeypatc
     seen = {}
     orig = error_mod._element_quadrature
 
-    def spy(solution, e, order):
-        seen[e] = order
-        return orig(solution, e, order)
+    def spy(solution, ids, order):
+        for e in ids:
+            seen[e] = order
+        return orig(solution, ids, order)
 
     monkeypatch.setattr(error_mod, "_element_quadrature", spy)
     element_error_squares(
@@ -154,8 +155,53 @@ def test_singular_elements_get_the_fine_rule(solve_cached, lshape_bm, monkeypatc
     vertex = mesh.find_node(lshape_bm.singular_vertex)
     vertex_elems = set(mesh.node_patch(vertex))
     assert vertex_elems  # sanity
+    assert sorted(seen) == list(range(mesh.n_elements))
     for e, order in seen.items():
         assert order == (16 if e in vertex_elems else 4)
+
+
+def _per_element_squares(sol, field, exact_stress, singular_point):
+    """Reference for element_error_squares: one element at a time."""
+    mesh = sol.mesh
+    Dinv = compliance_matrix(sol.material)
+    out = np.zeros((3, mesh.n_elements))
+    for e in range(mesh.n_elements):
+        corners = mesh.element_corners(e)
+        at_vertex = singular_point is not None and np.any(
+            np.linalg.norm(corners - singular_point, axis=1) < 1e-12
+        )
+        pts, w = gauss_points_2d(16 if at_vertex else 4)
+        wdet = w * jacobian_det(corners, pts[:, 0], pts[:, 1])
+        sh = sol.stress_at_parents([e], pts)[0]
+        s_star = field.evaluate_at_parents([e], pts)[0]
+        s_ex = exact_stress(map_point(corners, pts[:, 0], pts[:, 1]))
+        for i, d in enumerate((s_star - sh, s_ex - sh, s_star - s_ex)):
+            out[i, e] = np.sum(wdet * np.einsum("ki,ij,kj->k", d, Dinv, d))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,level,kind,variant",
+    [("cylinder", 2, "fem", "SPR-C"), ("lshape", 1, "sfem", "SPR-CX")],
+)
+def test_grouped_quadrature_matches_the_per_element_loop_bit_for_bit(
+    solve_cached, name, level, kind, variant
+):
+    mesh, bcs, sol = solve_cached(name, level, kind, 4)
+    bm = {"cylinder": CylinderBenchmark(), "lshape": LShapeBenchmark()}[name]
+    field = build_recovered_field(
+        sol, RecoveryConfig(variant=variant), singular_field=bm.singular_field,
+        tractions=bcs.tractions,
+    )
+    vertex = bm.singular_vertex
+    squares = element_error_squares(sol, field, bm.exact_stress, singular_point=vertex)
+    reference = _per_element_squares(sol, field, bm.exact_stress, vertex)
+    for got, want in zip(squares, reference):
+        assert np.array_equal(got, want)
+    if vertex is not None:
+        # both rule groups and split patches are exercised
+        assert 0 < error_mod._singular_elements(sol, vertex).sum() < mesh.n_elements
+        assert field.split_flags.any() and not field.split_flags.all()
 
 
 # ---------------------------------------------------------------------------

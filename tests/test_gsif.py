@@ -18,10 +18,13 @@ from smoothfem.benchmarks import LShapeBenchmark
 from smoothfem.gsif import (
     GsifError,
     PlateauFunction,
+    _domain_term,
+    _dual_for,
     calibration_constant,
     contour_pairing,
     extract_gsifs,
 )
+from smoothfem.quadmap import gauss_points_2d, jacobian_det, map_point
 from smoothfem.solver import Formulation, interpolate_solution
 
 BM = LShapeBenchmark()
@@ -229,8 +232,49 @@ def test_solved_sequence_converges_to_unit_gsif(solve_cached):
 def test_single_mode_wrapper(solve_cached):
     mesh, bcs, sol = solve_cached("lshape", 1, "sfem", 4)
     full = extract_gsifs(sol, BM.singular_field, bcs)
-    assert full.gsif(MODE_I) == full.K_I
-    assert full.gsif(MODE_II) == full.K_II
+    # each mode's factor is its own functional over its own calibration
+    assert full.K_I == (full.domain_terms[0] + full.boundary_terms[0]) / full.C_I
+    assert full.K_II == (full.domain_terms[1] + full.boundary_terms[1]) / full.C_II
+
+
+def _per_element_domain_term(sol, dual, plateau, order):
+    """Reference for _domain_term: one element at a time, summed in order."""
+    pts, w = gauss_points_2d(order)
+    total, n_ring = 0.0, 0
+    for e in range(sol.mesh.n_elements):
+        corners = sol.mesh.element_corners(e)
+        phys = map_point(corners, pts[:, 0], pts[:, 1])
+        gq = plateau.gradient(phys)
+        if not np.any(gq):
+            continue
+        n_ring += 1
+        det = jacobian_det(corners, pts[:, 0], pts[:, 1])
+        u_h = sol.displacement_at_parents([e], pts)[0]
+        s_h = sol.stress_at_parents([e], pts)[0]
+        v, tau = dual.displacement(phys), dual.stress(phys)
+        F = np.stack(
+            [
+                tau[:, 0] * u_h[:, 0] + tau[:, 2] * u_h[:, 1]
+                - (s_h[:, 0] * v[:, 0] + s_h[:, 2] * v[:, 1]),
+                tau[:, 2] * u_h[:, 0] + tau[:, 1] * u_h[:, 1]
+                - (s_h[:, 2] * v[:, 0] + s_h[:, 1] * v[:, 1]),
+            ],
+            axis=-1,
+        )
+        total += float(np.sum(w * det * np.einsum("ki,ki->k", gq, F)))
+    return -total, n_ring
+
+
+@pytest.mark.parametrize("kind", ["sfem", "fem"])
+@pytest.mark.parametrize("mode", [MODE_I, MODE_II])
+def test_domain_term_matches_the_per_element_loop_bit_for_bit(solve_cached, kind, mode):
+    mesh, bcs, sol = solve_cached("lshape", 1, kind, 4)
+    field = BM.singular_field
+    dual = _dual_for(field.solution, field.frame, mode)
+    plateau = PlateauFunction(center=field.frame.vertex)
+    got = _domain_term(sol, dual, plateau, 6)
+    assert got == _per_element_domain_term(sol, dual, plateau, 6)
+    assert 0 < got[1] < mesh.n_elements  # elements both on and off the ring
 
 
 def test_empty_ring_raises(solve_cached):

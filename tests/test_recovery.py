@@ -29,6 +29,7 @@ from smoothfem.recovery import (
     singular_stress_estimate,
     smooth_part,
 )
+from smoothfem.quadmap import gauss_points_2d, shape_functions
 from smoothfem.solver import Formulation, interpolate_solution
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -334,8 +335,45 @@ def test_vertex_value_is_nodal_polynomial(solve_cached):
     e = 5
     for k, node in enumerate(mesh.elements[e]):
         xi, eta = [(-1, -1), (1, -1), (1, 1), (-1, 1)][k]
-        blended = field.evaluate_at_parent(e, float(xi), float(eta))
+        blended = field.evaluate_at_parents([e], np.array([[xi, eta]], float))[0, 0]
         assert_allclose(blended, field.fits[node](mesh.coords[node]), atol=1e-12)
+
+
+def _per_element_blend(field, e, pts):
+    """Reference for evaluate_at_parents: one element, node by node."""
+    N = shape_functions(pts[:, 0], pts[:, 1])
+    x = N @ field.mesh.element_corners(e)
+    conn = field.mesh.elements[e]
+    any_split = field.singular_field is not None and field.split_flags[conn].any()
+    out = np.zeros((len(pts), 3))
+    for k, node in enumerate(conn):
+        vals = field.fits[node](x)
+        if any_split and field.split_flags[node]:
+            vals = vals + field.singular_field.stress(x)
+        out += N[:, k, None] * vals
+    return out
+
+
+@pytest.mark.parametrize("interior_degree", [1, 2])
+def test_blend_matches_the_per_element_loop_and_any_subset(solve_cached, lshape_bm, interior_degree):
+    # split patches, elements touching them and (degree 1 inside) both
+    # degree groups in one batch
+    mesh, bcs, sol = solve_cached("lshape", 1, "sfem", 4)
+    field = build_recovered_field(
+        sol, RecoveryConfig(variant="SPR-CX", interior_degree=interior_degree),
+        singular_field=lshape_bm.singular_field, tractions=bcs.tractions,
+    )
+    assert field.split_flags.any() and not field.split_flags.all()
+    rng = np.random.default_rng(14)
+    pts = np.vstack([gauss_points_2d(4)[0], rng.uniform(-1.0, 1.0, size=(5, 2))])
+    full = field.evaluate_at_parents(np.arange(mesh.n_elements), pts)
+    subset = rng.permutation(mesh.n_elements)[: mesh.n_elements // 3]
+    assert np.array_equal(field.evaluate_at_parents(subset, pts), full[subset])
+    assert np.array_equal(field.evaluate_at_parents(subset[::-1], pts), full[subset[::-1]])
+    for e in subset[:6]:
+        assert np.array_equal(field.evaluate_at_parents([e], pts)[0], full[e])
+    for e in range(mesh.n_elements):
+        assert np.array_equal(full[e], _per_element_blend(field, e, pts))
 
 
 def test_recovered_field_continuity_across_edges(solve_cached):

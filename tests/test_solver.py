@@ -7,6 +7,8 @@ smoothed stiffness with the standard FEM one, and the strain energy of the
 cylinder against a closed-form oracle integral.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,6 +21,7 @@ from smoothfem.mesh import (
     BoundaryEdge,
     Mesh,
     NEUMANN,
+    SubcellGeometry,
     build_square_mesh,
     subcell_geometry,
 )
@@ -487,7 +490,8 @@ def test_kernels_are_batch_invariant(name, kind, nc):
     subset = rng.permutation(mesh.n_elements)[: mesh.n_elements // 3]
     corners = mesh.coords[mesh.elements[subset]]
     if kind == "sfem":
-        cells = subcell_geometry(mesh, nc, subset)
+        geometry = subcell_geometry(mesh, nc)
+        cells = SubcellGeometry(*(getattr(geometry, f.name)[subset] for f in fields(geometry)))
         for field in ("corners", "areas", "edge_midpoints", "edge_normals", "edge_lengths"):
             assert np.array_equal(getattr(cells, field), getattr(full.cells, field)[subset])
         assert np.array_equal(smoothed_strain_matrices(corners, cells), full.B[subset])
@@ -521,13 +525,27 @@ def test_fem_point_stresses_are_batch_invariant():
     pts, _ = gauss_points_2d(4)
     rng = np.random.default_rng(5)
     for e in rng.permutation(mesh.n_elements)[:10]:
-        batch = sol.stress_at_parents(e, pts)
+        batch = sol.stress_at_parents([e], pts)[0]
         order = rng.permutation(len(pts))
-        assert np.array_equal(sol.stress_at_parents(e, pts[order]), batch[order])
-        q = sol.element_displacement(e)
+        assert np.array_equal(sol.stress_at_parents([e], pts[order])[0], batch[order])
+        q = sol.U[sol.operators.dofs[e]]
         for k in order[:3]:
             B, _ = _reference_fem_B(mesh.element_corners(e), *pts[k])
             assert np.array_equal(sol.D @ (B @ q), batch[k])
+
+
+@pytest.mark.parametrize("kind", ["sfem", "fem"])
+def test_point_fields_are_invariant_under_element_subsets(solve_cached, kind):
+    mesh, bcs, sol = solve_cached("lshape", 1, kind, 4)
+    rng = np.random.default_rng(13)
+    pts = np.vstack([gauss_points_2d(4)[0], rng.uniform(-1.0, 1.0, size=(5, 2))])
+    subset = rng.permutation(mesh.n_elements)[: mesh.n_elements // 3]
+    for method in (sol.stress_at_parents, sol.displacement_at_parents):
+        full = method(np.arange(mesh.n_elements), pts)
+        assert np.array_equal(method(subset, pts), full[subset])
+        assert np.array_equal(method(subset[::-1], pts), full[subset[::-1]])
+        for e in subset[:6]:
+            assert np.array_equal(method([e], pts)[0], full[e])
 
 
 def test_single_point_inversion_matches_the_batch():
