@@ -175,7 +175,7 @@ def contour_pairing(
     lam_d = solution.lambda_I if dual_mode == MODE_I else solution.lambda_II
     Q_d = q_constant(solution.alpha, -lam_d, dual_mode)
 
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_points_1d(n)
     half = 0.5 * solution.alpha
     phi = half * x
     w = half * w

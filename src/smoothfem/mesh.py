@@ -55,7 +55,12 @@ def quad_area(corners: np.ndarray):
 
 
 class Mesh:
-    """Immutable quadrilateral mesh with tagged boundary."""
+    """Immutable quadrilateral mesh with tagged boundary.
+
+    ``patch_elements`` and ``patch_offsets`` hold the node -> elements map in
+    compressed rows: node n's patch is
+    ``patch_elements[patch_offsets[n]:patch_offsets[n + 1]]``, ascending.
+    """
 
     def __init__(
         self,
@@ -93,12 +98,15 @@ class Mesh:
                 f"(corner Jacobians {dets[e]})"
             )
 
-        # node -> elements adjacency
-        patches: list[list[int]] = [[] for _ in range(len(coords))]
-        for e, conn in enumerate(elements):
-            for n in conn:
-                patches[n].append(e)
-        self._patches = tuple(tuple(p) for p in patches)
+        # node -> elements adjacency in compressed rows (see the docstring)
+        flat = elements.ravel()
+        patch_elements = np.argsort(flat, kind="stable") // 4
+        patch_offsets = np.zeros(len(coords) + 1, dtype=int)
+        np.cumsum(np.bincount(flat, minlength=len(coords)), out=patch_offsets[1:])
+        for a in (patch_elements, patch_offsets):
+            a.setflags(write=False)
+        self.patch_elements = patch_elements
+        self.patch_offsets = patch_offsets
 
         self._check_boundary()
 
@@ -124,7 +132,8 @@ class Mesh:
         """Element ids whose connectivity contains the node."""
         if not (0 <= node_id < self.n_nodes):
             raise MeshError(f"unknown node id {node_id}")
-        return self._patches[node_id]
+        lo, hi = self.patch_offsets[node_id], self.patch_offsets[node_id + 1]
+        return tuple(self.patch_elements[lo:hi].tolist())
 
     def find_node(self, position, tol: float = 1e-9) -> int:
         """Id of the node nearest ``position``; errors if farther than tol."""
@@ -169,12 +178,14 @@ class Mesh:
 
 def _topological_boundary(elements: np.ndarray) -> set[tuple[int, int]]:
     """(element, local_edge) pairs whose undirected edge only one element uses."""
-    owners: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for e, conn in enumerate(np.asarray(elements).tolist()):
-        for k in range(4):
-            a, b = conn[k], conn[(k + 1) % 4]
-            owners.setdefault((min(a, b), max(a, b)), []).append((e, k))
-    return {pairs[0] for pairs in owners.values() if len(pairs) == 1}
+    elements = np.asarray(elements, dtype=int).reshape(-1, 4)
+    # row 4e + k is local edge k of element e, its node ids sorted
+    edges = np.sort(np.stack([elements, np.roll(elements, -1, axis=1)], axis=-1), axis=-1)
+    _, first, count = np.unique(
+        edges.reshape(-1, 2), axis=0, return_index=True, return_counts=True
+    )
+    lone = first[count == 1]
+    return set(zip((lone // 4).tolist(), (lone % 4).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,20 @@ patch in a node-centered, scaled coordinate frame.  Variants:
 
 The blended field sigma*(x) = sum_I N_I(x) sigma*_I(x) is continuous across
 element edges by the partition of unity of the Q4 shape functions.
+
+Fitting is batched.  Nodes are grouped by (patch element count, degree,
+collocation row count), and each group is fitted in chunks of ``CHUNK``
+patches; a chunk gathers its samples, basis, constraints and KKT systems
+as stacked arrays.  The equilibrium and compatibility rows depend only on
+the degree and are shared by every patch (only their right-hand side
+scales per patch); traction collocation rows are built per node, for the
+nodes on Neumann edges alone.  The batched kernels repeat the per-patch
+arithmetic bit for bit: dots and norms are ``np.matmul`` of (B, 1, n) by
+(B, n, 1) (plus ``np.sqrt``), ``M`` and ``b`` are batched matmuls, the
+conditioning check is a stacked ``np.linalg.svd`` and the solve a stacked
+``np.linalg.solve``; a row that one patch drops is masked out with
+``np.where``, never multiplied by zero.  A patch whose degree-2 system is
+singular logs one "falling back" warning and is refitted at degree 1.
 """
 
 from __future__ import annotations
@@ -37,8 +51,26 @@ log = logging.getLogger(__name__)
 VARIANTS = ("SPR", "SPR-C", "SPR-X", "SPR-CX")
 
 
+# patches per fitting batch: enough to amortize the batched kernels' call
+# overhead, few enough that a chunk's gathered samples and KKT stack stay
+# small next to the whole-mesh arrays
+CHUNK = 64
+
+
 class RecoveryError(RuntimeError):
     """Patch fitting failed (singular constrained system, bad config...)."""
+
+
+class PatchFailure(RecoveryError):
+    """Patches of a batch whose fit failed.
+
+    ``failures`` maps each failing node id to its reason, in node order; the
+    message is the reason of the lowest node id.
+    """
+
+    def __init__(self, failures: dict[int, str]):
+        self.failures = dict(sorted(failures.items()))
+        super().__init__(next(iter(self.failures.values())))
 
 
 @dataclass(frozen=True)
@@ -87,10 +119,6 @@ class PatchFit:
     center: np.ndarray
     scale: float
     coeffs: np.ndarray
-
-    def __call__(self, points) -> np.ndarray:
-        P = _basis(np.asarray(points, float), self.center, self.scale, self.degree)
-        return P @ self.coeffs.T
 
 
 # ---------------------------------------------------------------------------
@@ -265,37 +293,13 @@ def collocation_points(node_pos: np.ndarray, edges: list, degree: int) -> list:
     return out
 
 
-def constraint_rows(
-    *,
-    degree: int,
-    center: np.ndarray,
-    scale: float,
-    compliance: np.ndarray,
-    collocation: list,
-    singular_field: SingularField | None = None,
-    split: bool = False,
-    body_force: tuple[float, float] = (0.0, 0.0),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear constraints (C, d) with C a = d for a constrained patch fit.
+def _equilibrium_rows(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Internal equilibrium div sigma* + b = 0 as coefficient rows.
 
-    Rows, in deterministic order:
-
-    1. internal equilibrium div sigma* + b = 0, imposed identically in the
-       polynomial coefficients (one scalar row per monomial of degree-1,
-       per equilibrium equation);
-    2. traction collocation sigma*(x_c) . n = t(x_c) over the
-       ``collocation`` list of (point, outward unit normal, traction_fn)
-       (see collocation_points); for split patches the singular traction
-       moves to the right-hand side;
-    3. the compatibility equation (nontrivial for degree 2 only).
-
-    Traction functions map (positions (n, 2), unit normal (2,)) to
-    tractions (n, 2).
+    One scalar row per monomial of degree-1, first for the x equation, then
+    for the y equation; shape (2 m', 3m).  The second array (m',) selects the
+    constant monomial, the only one the body force enters.
     """
-    m = len(_MONOMIALS[degree])
-    rows, rhs = [], []
-
-    # -- internal equilibrium (coefficient matching) ------------------------
     Dx = _derivative_matrix(degree, 0)
     Dy = _derivative_matrix(degree, 1)
     zero = np.zeros_like(Dx)
@@ -303,12 +307,46 @@ def constraint_rows(
     ey = np.hstack([zero, Dy, Dx])  # d(syy)/dy + d(sxy)/dx
     const = np.zeros(Dx.shape[0])
     const[0] = 1.0
-    for block, b in ((ex, body_force[0]), (ey, body_force[1])):
-        for k in range(block.shape[0]):
-            rows.append(block[k])
-            rhs.append(-b * scale * const[k])
+    return np.vstack([ex, ey]), const
 
-    # -- traction collocation ------------------------------------------------
+
+def _compatibility_rows(degree: int, compliance: np.ndarray) -> np.ndarray:
+    """The compatibility equation as a coefficient row; (1, 3m) for degree 2,
+    (0, 3m) for degree 1, where it holds identically."""
+    m = len(_MONOMIALS[degree])
+    if degree < 2:
+        return np.zeros((0, 3 * m))
+    mono = _MONOMIALS[2]
+    i_xx, i_xy, i_yy = mono.index((2, 0)), mono.index((1, 1)), mono.index((0, 2))
+    row = np.zeros(3 * m)
+    C = compliance
+    for j in range(3):  # stress component index within (sxx, syy, sxy)
+        row[j * m + i_yy] += 2.0 * C[0, j]  # d2(eps_xx)/dy2
+        row[j * m + i_xx] += 2.0 * C[1, j]  # d2(eps_yy)/dx2
+        row[j * m + i_xy] -= C[2, j]  # d2(gamma_xy)/dxdy
+    return row[None]
+
+
+def collocation_rows(
+    *,
+    degree: int,
+    center: np.ndarray,
+    scale: float,
+    collocation: list,
+    singular_field: SingularField | None = None,
+    split: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Traction collocation rows of one patch: sigma*(x_c) . n = t(x_c).
+
+    ``collocation`` is a list of (point, outward unit normal, traction_fn)
+    (see collocation_points); two rows (x then y traction) per point,
+    shape (2c, 3m) and (2c,).  For split patches the singular traction moves
+    to the right-hand side, and a point at the notch vertex, where that
+    traction has no value, is skipped.  Traction functions map (positions
+    (n, 2), unit normal (2,)) to tractions (n, 2).
+    """
+    m = len(_MONOMIALS[degree])
+    rows, rhs = [], []
     for x, n, traction in collocation:
         x = np.asarray(x, float)
         if split and singular_field is not None:
@@ -324,62 +362,118 @@ def constraint_rows(
         rhs.append(t[0])
         rows.append(np.concatenate([z, n[1] * p, n[0] * p]))
         rhs.append(t[1])
-
-    # -- compatibility (degree 2) -------------------------------------------
-    if degree >= 2:
-        mono = _MONOMIALS[2]
-        i_xx, i_xy, i_yy = mono.index((2, 0)), mono.index((1, 1)), mono.index((0, 2))
-        row = np.zeros(3 * m)
-        C = compliance
-        for j in range(3):  # stress component index within (sxx, syy, sxy)
-            row[j * m + i_yy] += 2.0 * C[0, j]  # d2(eps_xx)/dy2
-            row[j * m + i_xx] += 2.0 * C[1, j]  # d2(eps_yy)/dx2
-            row[j * m + i_xy] -= C[2, j]  # d2(gamma_xy)/dxdy
-        rows.append(row)
-        rhs.append(0.0)
-
     if not rows:
         return np.zeros((0, 3 * m)), np.zeros(0)
     return np.array(rows), np.array(rhs)
 
 
-def _orthonormalize_constraints(
-    C: np.ndarray, d: np.ndarray, node_id: int
+def constraint_rows(
+    *,
+    degree: int,
+    scale: np.ndarray,
+    compliance: np.ndarray,
+    collocation: tuple[np.ndarray, np.ndarray] | None = None,
+    body_force: tuple[float, float] = (0.0, 0.0),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Drop dependent rows (relative pivot < 1e-10) via Gram-Schmidt.
+    """Linear constraints C a = d of a batch of B patch fits.
 
-    Raises RecoveryError for inconsistent dependent rows (same left-hand
-    side, conflicting right-hand side) — that signals bad input data.
+    C is (B, k, 3m) and d (B, k); rows, in deterministic order:
+
+    1. internal equilibrium div sigma* + b = 0, imposed identically in the
+       polynomial coefficients (one scalar row per monomial of degree-1,
+       per equilibrium equation); the body force enters the right-hand
+       side scaled by each patch's ``scale`` (B,);
+    2. traction collocation, ``collocation`` = (rows (B, c, 3m), rhs (B, c))
+       stacked from collocation_rows, the same c for every patch;
+    3. the compatibility equation (nontrivial for degree 2 only).
+
+    Without collocation the rows are the same for every patch, and C is a
+    read-only broadcast view of one (k, 3m) array.
     """
-    kept_C: list[np.ndarray] = []
-    kept_d: list[float] = []
-    for row, val in zip(C, d):
-        norm0 = np.linalg.norm(row)
-        if norm0 == 0.0:
-            if abs(val) > 1e-9:
-                raise RecoveryError(
-                    f"inconsistent constraint (0 = {val:.3e}) in patch {node_id}"
-                )
-            continue
-        v = row / norm0
-        w = val / norm0
-        for u, e in zip(kept_C, kept_d):
-            proj = v @ u
-            v = v - proj * u
-            w = w - proj * e
-        nv = np.linalg.norm(v)
-        if nv < 1e-10:
-            if abs(w) > 1e-8:
-                raise RecoveryError(
-                    f"inconsistent dependent constraint in patch {node_id} "
-                    f"(residual {w:.3e})"
-                )
-            continue
-        kept_C.append(v / nv)
-        kept_d.append(w / nv)
-    if not kept_C:
-        return np.zeros((0, C.shape[1])), np.zeros(0)
-    return np.array(kept_C), np.array(kept_d)
+    scale = np.asarray(scale, dtype=float)
+    B = len(scale)
+    eq, const = _equilibrium_rows(degree)
+    compat = _compatibility_rows(degree, compliance)
+    d_eq = np.concatenate(
+        [(-b * scale)[:, None] * const for b in body_force], axis=1
+    )
+    d_compat = np.zeros((B, len(compat)))
+    if collocation is None:
+        shared = np.vstack([eq, compat])
+        C = np.broadcast_to(shared, (B,) + shared.shape)
+        return C, np.concatenate([d_eq, d_compat], axis=1)
+    R, r = collocation
+    C = np.concatenate(
+        [np.broadcast_to(eq, (B,) + eq.shape), R, np.broadcast_to(compat, (B,) + compat.shape)],
+        axis=1,
+    )
+    return C, np.concatenate([d_eq, r, d_compat], axis=1)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (B, n) stacks, equal to ndarray.dot per row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _orthonormalize_constraints(
+    C: np.ndarray, d: np.ndarray, node_ids
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drop dependent rows (relative pivot < 1e-10) via Gram-Schmidt, per patch.
+
+    C (B, k, n) and d (B, k) hold the constraints of B patches (C may be a
+    broadcast view).  Returns (Q, e, rank): patch i keeps its rank[i]
+    orthonormalized rows as Q[i, :rank[i]] with right-hand sides
+    e[i, :rank[i]]; the rows past its rank are zero.  Rows go one at a time
+    over the whole batch, and a row that a patch drops leaves that patch's
+    state untouched (np.where), so every patch sees the same arithmetic as
+    alone.
+
+    Raises PatchFailure for inconsistent rows — a zero row with a nonzero
+    right-hand side, or a dependent row whose right-hand side conflicts —
+    which signal bad input data; it names every such patch.
+    """
+    C = np.asarray(C, dtype=float)
+    d = np.asarray(d, dtype=float)
+    node_ids = np.asarray(node_ids)
+    B, k, n = C.shape
+    Q = np.zeros((B, k, n))
+    e = np.zeros((B, k))
+    rank = np.zeros(B, dtype=int)
+    failures: dict[int, str] = {}
+    for i in range(k):
+        row, val = C[:, i], d[:, i]
+        norm0 = np.sqrt(_dot(row, row))
+        zero = norm0 == 0.0
+        for b in np.nonzero(zero & (np.abs(val) > 1e-9))[0]:
+            node = int(node_ids[b])
+            failures.setdefault(
+                node, f"inconsistent constraint (0 = {val[b]:.3e}) in patch {node}"
+            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = row / norm0[:, None]
+            w = val / norm0
+        for j in range(rank.max()):
+            u = Q[:, j]
+            proj = _dot(v, u)
+            kept = rank > j
+            v = np.where(kept[:, None], v - proj[:, None] * u, v)
+            w = np.where(kept, w - proj * e[:, j], w)
+        nv = np.sqrt(_dot(v, v))
+        dependent = ~zero & (nv < 1e-10)
+        for b in np.nonzero(dependent & (np.abs(w) > 1e-8))[0]:
+            node = int(node_ids[b])
+            failures.setdefault(
+                node,
+                f"inconsistent dependent constraint in patch {node} "
+                f"(residual {w[b]:.3e})",
+            )
+        keep = np.nonzero(~zero & ~dependent)[0]
+        Q[keep, rank[keep]] = v[keep] / nv[keep, None]
+        e[keep, rank[keep]] = w[keep] / nv[keep]
+        rank[keep] += 1
+    if failures:
+        raise PatchFailure(failures)
+    return Q, e, rank
 
 
 # ---------------------------------------------------------------------------
@@ -388,55 +482,62 @@ def _orthonormalize_constraints(
 
 
 def fit_patch(
-    node_id: int,
+    node_ids,
     positions: np.ndarray,
     stresses: np.ndarray,
     weights: np.ndarray,
     degree: int,
     constraints: tuple[np.ndarray, np.ndarray] | None = None,
     center: np.ndarray | None = None,
-    scale: float | None = None,
-) -> PatchFit:
-    """Weighted least-squares fit of the patch samples, KKT-constrained.
+    scale: np.ndarray | None = None,
+) -> list[PatchFit]:
+    """Weighted least-squares fits of a batch of patches, KKT-constrained.
 
-    Minimizes sum_s w_s |p(x_s) a_j - sigma_j(x_s)|^2 per component subject
-    to the (cross-component) constraint rows.  Raises RecoveryError when the
-    KKT system is singular.
+    Patch i minimizes sum_s w_is |p(x_is) a_j - sigma_ij(x_is)|^2 per
+    component subject to its (cross-component) constraint rows.  Shapes:
+    positions (B, n, 2), stresses (B, n, 3), weights (B, n), center (B, 2),
+    scale (B,); constraints (C (B, k, 3m), d (B, k)) with the same k for
+    every patch, as _orthonormalize_constraints keeps them.  center
+    defaults to the sample mean and scale to the largest sample offset.
+    Raises PatchFailure naming every patch whose KKT system is singular.
     """
+    node_ids = np.asarray(node_ids)
     if center is None:
-        center = positions.mean(axis=0)
-    if scale is None or scale == 0.0:
-        scale = max(np.abs(positions - center).max(), 1e-30)
+        center = positions.mean(axis=-2)
+    if scale is None:
+        scale = np.maximum(np.abs(positions - center[:, None]).max(axis=(-2, -1)), 1e-30)
+    B = len(positions)
     m = len(_MONOMIALS[degree])
-    P = _basis(positions, center, scale, degree)
-    wtot = weights.sum()
-    M = (P * weights[:, None]).T @ P / wtot
-    b = (P * weights[:, None]).T @ stresses / wtot  # (m, 3)
+    P = _basis(positions, center[:, None], scale[:, None], degree)  # (B, n, m)
+    wtot = weights.sum(axis=-1)[:, None, None]
+    PwT = (P * weights[..., None]).swapaxes(-1, -2)
+    M = np.matmul(PwT, P) / wtot
+    b = np.matmul(PwT, stresses) / wtot  # (B, m, 3)
 
-    A = np.zeros((3 * m, 3 * m))
-    rb = np.zeros(3 * m)
+    k = 0 if constraints is None else constraints[0].shape[1]
+    KKT = np.zeros((B, 3 * m + k, 3 * m + k))
+    rhs = np.zeros((B, 3 * m + k))
     for j in range(3):
-        A[j * m : (j + 1) * m, j * m : (j + 1) * m] = M
-        rb[j * m : (j + 1) * m] = b[:, j]
-
-    if constraints is not None and len(constraints[0]):
+        KKT[:, j * m : (j + 1) * m, j * m : (j + 1) * m] = M
+        rhs[:, j * m : (j + 1) * m] = b[..., j]
+    if k:
         C, d = constraints
-        k = len(C)
-        KKT = np.zeros((3 * m + k, 3 * m + k))
-        KKT[: 3 * m, : 3 * m] = A
-        KKT[: 3 * m, 3 * m :] = C.T
-        KKT[3 * m :, : 3 * m] = C
-        full_rhs = np.concatenate([rb, d])
-    else:
-        KKT = A
-        full_rhs = rb
+        KKT[:, : 3 * m, 3 * m :] = C.swapaxes(-1, -2)
+        KKT[:, 3 * m :, : 3 * m] = C
+        rhs[:, 3 * m :] = d
 
     sv = np.linalg.svd(KKT, compute_uv=False)
-    if sv[-1] < 1e-12 * sv[0]:
-        raise RecoveryError(f"singular patch system at node {node_id}")
-    sol = np.linalg.solve(KKT, full_rhs)
-    coeffs = sol[: 3 * m].reshape(3, m)
-    return PatchFit(node_id, degree, np.asarray(center, float), float(scale), coeffs)
+    singular = sv[:, -1] < 1e-12 * sv[:, 0]
+    if singular.any():
+        raise PatchFailure(
+            {int(n): f"singular patch system at node {n}" for n in node_ids[singular]}
+        )
+    sol = np.linalg.solve(KKT, rhs[..., None])[..., 0]
+    coeffs = sol[:, : 3 * m].reshape(B, 3, m)
+    return [
+        PatchFit(n, degree, c, s, a)
+        for n, c, s, a in zip(node_ids.tolist(), center, scale.tolist(), coeffs)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +645,8 @@ def build_recovered_field(
     ``tractions`` (boundary name -> callable) is required for the constrained
     variants whenever the mesh has Neumann edges; ``singular_field`` is
     required for the splitting variants; ``bcs`` only when
-    gsif_mode="extracted".
+    gsif_mode="extracted".  A failed fit raises PatchFailure naming the
+    lowest failing node.
     """
     mesh = solution.mesh
     if config.with_splitting:
@@ -584,60 +686,189 @@ def build_recovered_field(
                     (pa, pb, tractions[be.name])
                 )
 
-    compliance = compliance_matrix(solution.material)
-    boundary_nodes = set()
-    for be in mesh.boundary:
-        boundary_nodes.update(be.node_ids)
-
-    fits: list[PatchFit] = []
-    for node in range(mesh.n_nodes):
-        patch = mesh.node_patch(node)
-        idx = (np.asarray(patch)[:, None] * per_element + np.arange(per_element)).ravel()
-        pos = positions[idx]
-        sig = (smooth if split_flags[node] else stresses)[idx]
-        w = weights[idx]
-        center = mesh.coords[node]
-        scale = max(np.abs(pos - center).max(), 1e-30)
-
-        degree = (
-            config.boundary_degree if node in boundary_nodes else config.interior_degree
+    sizes = np.diff(mesh.patch_offsets)
+    if len(sizes) and sizes.min() == 0:
+        raise RecoveryError(
+            f"node {int(np.argmin(sizes))} belongs to no element, so it has no patch"
         )
-        edges = neumann_by_node.get(node, []) if config.with_constraints else []
-        while True:
-            constraints = None
-            if config.with_constraints:
-                C, d = constraint_rows(
-                    degree=degree,
-                    center=center,
-                    scale=scale,
-                    compliance=compliance,
-                    collocation=collocation_points(center, edges, degree),
-                    singular_field=singular_field,
-                    split=bool(split_flags[node]),
-                    body_force=body_force,
-                )
-                constraints = _orthonormalize_constraints(C, d, node)
-            try:
-                fit = fit_patch(
-                    node, pos, sig, w, degree,
-                    constraints=constraints, center=center, scale=scale,
-                )
-                break
-            except RecoveryError:
-                if degree > 1:
-                    log.warning(
-                        "patch %d: singular degree-%d system, falling back to "
-                        "degree 1", node, degree,
-                    )
-                    degree = 1
-                    continue
-                raise
-        fits.append(fit)
+    on_boundary = np.zeros(mesh.n_nodes, dtype=bool)
+    if mesh.boundary:
+        on_boundary[np.array([be.node_ids for be in mesh.boundary])] = True
+    degrees = np.where(on_boundary, config.boundary_degree, config.interior_degree)
+
+    fitter = _PatchFitter(
+        mesh, positions, stresses, smooth, weights, per_element, split_flags,
+        constrained=config.with_constraints,
+        neumann_by_node=neumann_by_node,
+        compliance=compliance_matrix(solution.material),
+        body_force=body_force,
+        singular_field=singular_field,
+    )
+    fallen: list[int] = []
+    for degree in np.unique(degrees).tolist():
+        singular = fitter.fit(np.nonzero(degrees == degree)[0], degree)
+        if degree > 1:
+            fallen.extend(singular)
+        else:
+            fitter.failures.update(singular)
+    if fallen:
+        fallen.sort()
+        fitter.failures.update(fitter.fit(np.array(fallen), 1))
+    # warn as a node-by-node pass would have: in node order, and only up to
+    # the lowest failing node, where that pass would have stopped
+    first_failure = min(fitter.failures, default=mesh.n_nodes)
+    for node in fallen:
+        if node <= first_failure:
+            log.warning(
+                "patch %d: singular degree-%d system, falling back to degree 1",
+                node, degrees[node],
+            )
+    if fitter.failures:
+        raise PatchFailure(fitter.failures)
 
     return RecoveredStressField(
         mesh,
-        fits,
+        fitter.fits,
         singular_field=singular_field if config.with_splitting else None,
         split_flags=split_flags,
         config=config,
     )
+
+
+class _PatchFitter:
+    """Fits the patches of one recovery, a chunk of CHUNK patches at a time.
+
+    Finished fits collect in ``fits`` (by node id) and inconsistent
+    constraints in ``failures`` (node id -> reason).
+    """
+
+    def __init__(self, mesh, positions, stresses, smooth, weights, per_element, split,
+                 *, constrained, neumann_by_node, compliance, body_force, singular_field):
+        self.mesh = mesh
+        self.positions = positions
+        self.stresses = stresses
+        self.smooth = smooth
+        self.weights = weights
+        self.per_element = per_element
+        self.split = split
+        self.scales = _patch_scales(mesh, positions, per_element)
+        self.constrained = constrained
+        self.neumann_by_node = neumann_by_node
+        self.compliance = compliance
+        self.body_force = body_force
+        self.singular_field = singular_field
+        self.fits: list[PatchFit | None] = [None] * mesh.n_nodes
+        self.failures: dict[int, str] = {}
+
+    def fit(self, nodes: np.ndarray, degree: int) -> dict[int, str]:
+        """Fit the nodes' patches at one degree; returns the singular ones.
+
+        Nodes are grouped by patch size and collocation row count, so each
+        chunk stacks arrays of one shape.
+        """
+        sizes = np.diff(self.mesh.patch_offsets)[nodes]
+        collocation = self._collocation(nodes, degree) if self.constrained else {}
+        rows_of = np.zeros(self.mesh.n_nodes, dtype=int)
+        rows_of[list(collocation)] = [len(rhs) for _, rhs in collocation.values()]
+        n_rows = rows_of[nodes]
+        singular: dict[int, str] = {}
+        for size, rows in np.unique(np.stack([sizes, n_rows], axis=1), axis=0).tolist():
+            group = nodes[(sizes == size) & (n_rows == rows)]
+            for start in range(0, len(group), CHUNK):
+                chunk = group[start : start + CHUNK]
+                coll = None
+                if rows:
+                    coll = tuple(
+                        np.stack(a) for a in zip(*(collocation[n] for n in chunk.tolist()))
+                    )
+                self._fit_chunk(chunk, size, degree, coll, singular)
+        return singular
+
+    def _collocation(self, nodes: np.ndarray, degree: int) -> dict:
+        """Collocation (rows, rhs) of the given nodes that lie on Neumann edges."""
+        coords = self.mesh.coords
+        out = {}
+        for node in nodes[np.isin(nodes, list(self.neumann_by_node))].tolist():
+            center = coords[node]
+            out[node] = collocation_rows(
+                degree=degree,
+                center=center,
+                scale=self.scales[node],
+                collocation=collocation_points(center, self.neumann_by_node[node], degree),
+                singular_field=self.singular_field,
+                split=bool(self.split[node]),
+            )
+        return out
+
+    def _gather(self, chunk: np.ndarray, size: int):
+        """(positions, stresses, weights) of patches of ``size`` elements each.
+
+        Shapes (B, n, 2), (B, n, 3), (B, n) with n = size * per_element; split
+        patches read the smooth part of the stresses.
+        """
+        mesh, k = self.mesh, self.per_element
+        elems = mesh.patch_elements[mesh.patch_offsets[chunk][:, None] + np.arange(size)]
+        idx = (elems[:, :, None] * k + np.arange(k)).reshape(len(chunk), -1)
+        sig = self.stresses[idx]
+        split = self.split[chunk]
+        if split.any():
+            sig[split] = self.smooth[idx[split]]
+        return self.positions[idx], sig, self.weights[idx]
+
+    def _fit_chunk(self, chunk, size, degree, collocation, singular) -> None:
+        """Fit one chunk; patches with inconsistent rows are left out."""
+        pos, sig, w = self._gather(chunk, size)
+        center = self.mesh.coords[chunk]
+        scale = self.scales[chunk]
+        Q = e = None
+        rank = np.zeros(len(chunk), dtype=int)
+        if self.constrained:
+            C, d = constraint_rows(
+                degree=degree, scale=scale, compliance=self.compliance,
+                collocation=collocation, body_force=self.body_force,
+            )
+            try:
+                Q, e, rank = _orthonormalize_constraints(C, d, chunk)
+            except PatchFailure as exc:
+                self.failures.update(exc.failures)
+                keep = ~np.isin(chunk, list(exc.failures))
+                if keep.any():
+                    self._fit_chunk(
+                        chunk[keep], size, degree,
+                        None if collocation is None else tuple(a[keep] for a in collocation),
+                        singular,
+                    )
+                return
+        # the kept rank decides the KKT size, so each rank is one stack
+        for r in np.unique(rank).tolist():
+            sel = np.nonzero(rank == r)[0]
+            while len(sel):
+                try:
+                    batch = fit_patch(
+                        chunk[sel], pos[sel], sig[sel], w[sel], degree,
+                        constraints=(Q[sel, :r], e[sel, :r]) if r else None,
+                        center=center[sel], scale=scale[sel],
+                    )
+                except PatchFailure as exc:  # refit the others without them
+                    singular.update(exc.failures)
+                    sel = sel[~np.isin(chunk[sel], list(exc.failures))]
+                    continue
+                for fit in batch:
+                    self.fits[fit.node_id] = fit
+                break
+
+
+def _patch_scales(mesh: Mesh, positions: np.ndarray, per_element: int) -> np.ndarray:
+    """Per node, the largest |x - x_I| component over its patch's samples.
+
+    Each element's samples are measured from each of its corners at once and
+    the maximum is taken per node, which is exact in any order; at least
+    1e-30, so a scaled frame always exists.
+    """
+    pos = positions.reshape(mesh.n_elements, per_element, 2)
+    scale = np.zeros(mesh.n_nodes)
+    for k in range(4):
+        corner = mesh.elements[:, k]
+        reach = np.abs(pos - mesh.coords[corner][:, None, :]).max(axis=(1, 2))
+        np.maximum.at(scale, corner, reach)
+    return np.maximum(scale, 1e-30)

@@ -22,6 +22,7 @@ from smoothfem.mesh import build_square_mesh, quad_area, subcell_geometry
 from smoothfem.recovery import (
     VARIANTS,
     RecoveryConfig,
+    _basis,
     build_recovered_field,
     edge_normal,
 )
@@ -33,6 +34,11 @@ from smoothfem.solver import (
 )
 
 ALPHA = 1.5 * np.pi
+
+
+def patch_values(fit, points):
+    """A patch polynomial at physical points (..., 2); (..., 3)."""
+    return _basis(np.asarray(points, float), fit.center, fit.scale, fit.degree) @ fit.coeffs.T
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -292,8 +298,8 @@ def test_criterion_8_invariants_and_determinism(tmp_path, solve_cached, cylinder
     for node in range(mesh.n_nodes):
         fit = field.fits[node]
         x0 = mesh.coords[node]
-        sx = (fit(x0 + [h, 0.0]) - fit(x0 - [h, 0.0])) / (2 * h)
-        sy = (fit(x0 + [0.0, h]) - fit(x0 - [0.0, h])) / (2 * h)
+        sx = (patch_values(fit, x0 + [h, 0.0]) - patch_values(fit, x0 - [h, 0.0])) / (2 * h)
+        sy = (patch_values(fit, x0 + [0.0, h]) - patch_values(fit, x0 - [0.0, h])) / (2 * h)
         div = np.array([sx[0] + sy[2], sx[2] + sy[1]])
         scale = max(np.abs(fit.coeffs).max() / fit.scale, 1e-30)
         resid = max(resid, np.abs(div).max() / scale)

@@ -17,6 +17,7 @@ from smoothfem.mesh import (
     load_mesh,
     quad_area,
     save_mesh,
+    _topological_boundary,
     subcell_geometry,
 )
 
@@ -130,6 +131,36 @@ def test_patch_symmetry():
     for e in range(m.n_elements):
         for node in m.elements[e]:
             assert e in m.node_patch(int(node))
+
+
+def reference_patches_and_boundary(elements):
+    """Node patches and lone (element, local_edge) pairs by a dict walk."""
+    patches, owners = {}, {}
+    for e, conn in enumerate(np.asarray(elements).tolist()):
+        for k in range(4):
+            patches.setdefault(conn[k], []).append(e)
+            a, b = conn[k], conn[(k + 1) % 4]
+            owners.setdefault((min(a, b), max(a, b)), []).append((e, k))
+    return patches, {pairs[0] for pairs in owners.values() if len(pairs) == 1}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_square_mesh(3, 0.2, seed=1),
+    lambda: build_cylinder_mesh(1.0, 2.0, 2),
+    lambda: build_lshape_mesh(1, 2.0),
+    lambda: single_element_mesh([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+])
+def test_patches_and_boundary_match_the_dict_walk(make):
+    m = make()
+    patches, lone = reference_patches_and_boundary(m.elements)
+    assert _topological_boundary(m.elements) == lone
+    assert {(be.element_id, be.local_edge) for be in m.boundary} == lone
+    for node in range(m.n_nodes):
+        assert m.node_patch(node) == tuple(patches[node])
+    # reversed element order: the same edges, owned by renumbered elements
+    rev = m.elements[::-1]
+    n = len(rev)
+    assert _topological_boundary(rev) == {(n - 1 - e, k) for e, k in lone}
 
 
 def test_missing_node_lookup_raises():

@@ -18,8 +18,11 @@ from smoothfem.benchmarks import LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import Material, PLANE_STRAIN, compliance_matrix
 from smoothfem.error import element_error_squares, estimated_error_norm
 from smoothfem.recovery import (
+    PatchFailure,
     RecoveryConfig,
     RecoveryError,
+    _basis,
+    _orthonormalize_constraints,
     _sampling_arrays,
     build_recovered_field,
     collocation_points,
@@ -34,6 +37,28 @@ from smoothfem.solver import Formulation, interpolate_solution
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 MAT = Material(100.0, 0.3, PLANE_STRAIN)
+
+
+def patch_values(fit, points):
+    """A patch polynomial at physical points (..., 2); (..., 3)."""
+    return _basis(np.asarray(points, float), fit.center, fit.scale, fit.degree) @ fit.coeffs.T
+
+
+def fit_one(node_id, positions, stresses, weights, degree, constraints=None,
+            center=None, scale=None):
+    """fit_patch on a batch of one patch."""
+    return fit_patch(
+        [node_id], positions[None], stresses[None], weights[None], degree,
+        constraints=None if constraints is None else tuple(a[None] for a in constraints),
+        center=None if center is None else np.asarray(center, float)[None],
+        scale=None if scale is None else np.array([scale], float),
+    )[0]
+
+
+def shared_constraints(degree, compliance):
+    """The constraint rows of one patch without collocation, at scale 1."""
+    C, d = constraint_rows(degree=degree, scale=np.ones(1), compliance=compliance)
+    return C[0], d[0]
 
 
 def linear_solution(kind="sfem", nc=4, coeffs=(0.1, 0.02, 0.035, -0.04, 0.012, -0.009)):
@@ -199,18 +224,14 @@ def test_collocation_corner_same_vs_different_tractions():
 
 def test_constraint_row_counts():
     Dinv = compliance_matrix(MAT)
-    C1, d1 = constraint_rows(
-        degree=1, center=np.zeros(2), scale=1.0, compliance=Dinv, collocation=[]
-    )
+    C1, d1 = shared_constraints(1, Dinv)
     # linear stresses: div sigma is constant, one scalar row per equation,
     # touching only the four gradient coefficients
     assert C1.shape == (2, 9)
     assert np.count_nonzero(np.any(C1 != 0.0, axis=0)) == 4
     assert_allclose(d1, 0.0, atol=0)
 
-    C2, _ = constraint_rows(
-        degree=2, center=np.zeros(2), scale=1.0, compliance=Dinv, collocation=[]
-    )
+    C2, _ = shared_constraints(2, Dinv)
     # quadratic stresses: div sigma is linear (3 rows per equation) plus one
     # compatibility row
     assert C2.shape == (7, 18)
@@ -224,7 +245,7 @@ def test_interior_spr_patch_has_no_constraints(solve_cached):
     field = build_recovered_field(sol, cfg)
     exact = bm.exact_stress(mesh.coords)
     for node in range(mesh.n_nodes):
-        assert_allclose(field.fits[node](mesh.coords[node]), exact[node], atol=1e-9)
+        assert_allclose(patch_values(field.fits[node], mesh.coords[node]), exact[node], atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +263,8 @@ def linear_stress_samples(n=12, seed=0):
 
 def test_fit_reproduces_linear_field():
     pos, stresses = linear_stress_samples()
-    fit = fit_patch(0, pos, stresses, np.ones(len(pos)), degree=1)
-    assert np.abs(fit(pos) - stresses).max() < 1e-10
+    fit = fit_one(0, pos, stresses, np.ones(len(pos)), degree=1)
+    assert np.abs(patch_values(fit, pos) - stresses).max() < 1e-10
 
 
 def test_fit_with_consistent_constraints_unchanged():
@@ -254,15 +275,13 @@ def test_fit_with_consistent_constraints_unchanged():
     stresses = np.stack([pos[:, 1], pos[:, 0], np.zeros(len(pos))], axis=-1)
     Dinv = compliance_matrix(MAT)
     center, scale = np.zeros(2), 1.0
-    C, d = constraint_rows(
-        degree=1, center=center, scale=scale, compliance=Dinv, collocation=[]
-    )
-    free = fit_patch(0, pos, stresses, np.ones(10), 1, center=center, scale=scale)
-    tied = fit_patch(
+    C, d = shared_constraints(1, Dinv)
+    free = fit_one(0, pos, stresses, np.ones(10), 1, center=center, scale=scale)
+    tied = fit_one(
         0, pos, stresses, np.ones(10), 1, constraints=(C, d), center=center, scale=scale
     )
     assert_allclose(tied.coeffs, free.coeffs, atol=1e-10)
-    assert np.abs(tied(pos) - stresses).max() < 1e-10
+    assert np.abs(patch_values(tied, pos) - stresses).max() < 1e-10
 
 
 def test_fit_matches_dense_kkt_oracle():
@@ -273,10 +292,8 @@ def test_fit_matches_dense_kkt_oracle():
     stresses = rng.normal(size=(15, 3))
     weights = rng.uniform(0.5, 2.0, size=15)
     Dinv = compliance_matrix(MAT)
-    C, d = constraint_rows(
-        degree=2, center=np.zeros(2), scale=1.0, compliance=Dinv, collocation=[]
-    )
-    fit = fit_patch(
+    C, d = shared_constraints(2, Dinv)
+    fit = fit_one(
         3, pos, stresses, weights, 2, constraints=(C, d),
         center=np.zeros(2), scale=1.0,
     )
@@ -304,7 +321,7 @@ def test_fit_matches_dense_kkt_oracle():
 def test_singular_fit_raises():
     pos = np.zeros((6, 2))  # all samples at one point
     with pytest.raises(RecoveryError, match="singular"):
-        fit_patch(0, pos, np.zeros((6, 3)), np.ones(6), 2)
+        fit_one(0, pos, np.zeros((6, 3)), np.ones(6), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +353,7 @@ def test_vertex_value_is_nodal_polynomial(solve_cached):
     for k, node in enumerate(mesh.elements[e]):
         xi, eta = [(-1, -1), (1, -1), (1, 1), (-1, 1)][k]
         blended = field.evaluate_at_parents([e], np.array([[xi, eta]], float))[0, 0]
-        assert_allclose(blended, field.fits[node](mesh.coords[node]), atol=1e-12)
+        assert_allclose(blended, patch_values(field.fits[node], mesh.coords[node]), atol=1e-12)
 
 
 def _per_element_blend(field, e, pts):
@@ -347,7 +364,7 @@ def _per_element_blend(field, e, pts):
     any_split = field.singular_field is not None and field.split_flags[conn].any()
     out = np.zeros((len(pts), 3))
     for k, node in enumerate(conn):
-        vals = field.fits[node](x)
+        vals = patch_values(field.fits[node], x)
         if any_split and field.split_flags[node]:
             vals = vals + field.singular_field.stress(x)
         out += N[:, k, None] * vals
@@ -432,8 +449,8 @@ def test_constrained_fits_satisfy_equilibrium_inside_patch(solve_cached):
     for node in rng.choice(mesh.n_nodes, size=8, replace=False):
         fit = field.fits[int(node)]
         x0 = mesh.coords[int(node)] + rng.uniform(-0.1, 0.1, size=2)
-        sx = (fit(x0 + [h, 0]) - fit(x0 - [h, 0])) / (2 * h)
-        sy = (fit(x0 + [0, h]) - fit(x0 - [0, h])) / (2 * h)
+        sx = (patch_values(fit, x0 + [h, 0]) - patch_values(fit, x0 - [h, 0])) / (2 * h)
+        sy = (patch_values(fit, x0 + [0, h]) - patch_values(fit, x0 - [0, h])) / (2 * h)
         div = np.array([sx[0] + sy[2], sx[2] + sy[1]])
         scale = max(np.abs(fit.coeffs).max() / fit.scale, 1e-30)
         assert np.abs(div).max() < 1e-9 * scale
@@ -515,6 +532,9 @@ def test_degree_fallback_on_starved_corner_patch(caplog):
         field = build_recovered_field(sol, RecoveryConfig(variant="SPR"))
     assert all(fit.degree == 1 for fit in field.fits)
     assert any("falling back" in r.message for r in caplog.records)
+    # one warning per fallen-back patch, in node order
+    fallen = [r.args[0] for r in caplog.records if "falling back" in r.getMessage()]
+    assert fallen == [fit.node_id for fit in field.fits] == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -537,3 +557,238 @@ def test_splitting_requires_singular_field():
     bm, mesh, sol = linear_solution()
     with pytest.raises(RecoveryError, match="singular field"):
         build_recovered_field(sol, RecoveryConfig(variant="SPR-X"))
+
+
+# ---------------------------------------------------------------------------
+# the batched fits against the per-node loop
+# ---------------------------------------------------------------------------
+
+
+def reference_constraint_rows(degree, center, scale, compliance, collocation,
+                              singular_field, split, body_force):
+    """One patch's constraint rows, built row by row as the per-node loop did."""
+    from smoothfem.recovery import _MONOMIALS, _derivative_matrix
+
+    m = len(_MONOMIALS[degree])
+    rows, rhs = [], []
+    Dx, Dy = _derivative_matrix(degree, 0), _derivative_matrix(degree, 1)
+    zero = np.zeros_like(Dx)
+    const = np.zeros(Dx.shape[0])
+    const[0] = 1.0
+    for block, b in ((np.hstack([Dx, zero, Dy]), body_force[0]),
+                     (np.hstack([zero, Dy, Dx]), body_force[1])):
+        for k in range(block.shape[0]):
+            rows.append(block[k])
+            rhs.append(-b * scale * const[k])
+    for x, n, traction in collocation:
+        x = np.asarray(x, float)
+        if split and singular_field is not None:
+            r = np.hypot(*(x - np.asarray(singular_field.frame.vertex)))
+            if r < 1e-14 * (1.0 + scale):
+                continue
+        t = np.asarray(traction(x[None, :], n), dtype=float).reshape(2)
+        if split and singular_field is not None:
+            t = t - singular_field.traction(x[None, :], n).reshape(2)
+        p = _basis(x[None, :], center, scale, degree)[0]
+        z = np.zeros(m)
+        rows.append(np.concatenate([n[0] * p, z, n[1] * p]))
+        rhs.append(t[0])
+        rows.append(np.concatenate([z, n[1] * p, n[0] * p]))
+        rhs.append(t[1])
+    if degree >= 2:
+        mono = _MONOMIALS[2]
+        i_xx, i_xy, i_yy = mono.index((2, 0)), mono.index((1, 1)), mono.index((0, 2))
+        row = np.zeros(3 * m)
+        for j in range(3):
+            row[j * m + i_yy] += 2.0 * compliance[0, j]
+            row[j * m + i_xx] += 2.0 * compliance[1, j]
+            row[j * m + i_xy] -= compliance[2, j]
+        rows.append(row)
+        rhs.append(0.0)
+    return np.array(rows), np.array(rhs)
+
+
+def reference_orthonormalize(C, d, node):
+    """Scalar Gram-Schmidt over one patch's rows."""
+    kept_C, kept_d = [], []
+    for row, val in zip(C, d):
+        norm0 = np.linalg.norm(row)
+        if norm0 == 0.0:
+            if abs(val) > 1e-9:
+                raise RecoveryError(f"inconsistent constraint (0 = {val:.3e}) in patch {node}")
+            continue
+        v, w = row / norm0, val / norm0
+        for u, e in zip(kept_C, kept_d):
+            proj = v @ u
+            v = v - proj * u
+            w = w - proj * e
+        nv = np.linalg.norm(v)
+        if nv < 1e-10:
+            if abs(w) > 1e-8:
+                raise RecoveryError(f"inconsistent dependent constraint in patch {node}")
+            continue
+        kept_C.append(v / nv)
+        kept_d.append(w / nv)
+    if not kept_C:
+        return np.zeros((0, C.shape[1])), np.zeros(0)
+    return np.array(kept_C), np.array(kept_d)
+
+
+def reference_fit(node, pos, sig, w, degree, constraints, center, scale):
+    """One patch's KKT fit with the full SVD conditioning check; None if singular."""
+    P = _basis(pos, center, scale, degree)
+    m = P.shape[1]
+    wtot = w.sum()
+    M = (P * w[:, None]).T @ P / wtot
+    b = (P * w[:, None]).T @ sig / wtot
+    A = np.zeros((3 * m, 3 * m))
+    rb = np.zeros(3 * m)
+    for j in range(3):
+        A[j * m:(j + 1) * m, j * m:(j + 1) * m] = M
+        rb[j * m:(j + 1) * m] = b[:, j]
+    if constraints is not None and len(constraints[0]):
+        C, d = constraints
+        k = len(C)
+        KKT = np.zeros((3 * m + k, 3 * m + k))
+        KKT[:3 * m, :3 * m] = A
+        KKT[:3 * m, 3 * m:] = C.T
+        KKT[3 * m:, :3 * m] = C
+        rhs = np.concatenate([rb, d])
+    else:
+        KKT, rhs = A, rb
+    sv = np.linalg.svd(KKT, compute_uv=False)
+    if sv[-1] < 1e-12 * sv[0]:
+        return None
+    return np.linalg.solve(KKT, rhs)[:3 * m].reshape(3, m)
+
+
+def reference_fits(sol, config, singular_field, tractions, bcs):
+    """(degree, center, scale, coeffs) of every node, one node at a time."""
+    mesh = sol.mesh
+    if config.with_splitting:
+        singular_field = singular_stress_estimate(singular_field, sol, config.gsif_mode, bcs=bcs)
+    positions, stresses, weights, k = _sampling_arrays(sol)
+    split = np.zeros(mesh.n_nodes, dtype=bool)
+    smooth = stresses
+    if config.with_splitting:
+        smooth = smooth_part(positions, stresses, singular_field)
+        split = np.linalg.norm(mesh.coords - np.asarray(singular_field.frame.vertex), axis=1) \
+            < config.splitting_radius
+    edges = {}
+    for be in mesh.boundary:
+        if be.kind == "neumann" and config.with_constraints:
+            pa, pb = mesh.coords[be.node_ids[0]], mesh.coords[be.node_ids[1]]
+            for n in be.node_ids:
+                edges.setdefault(n, []).append((pa, pb, tractions[be.name]))
+    boundary_nodes = {n for be in mesh.boundary for n in be.node_ids}
+    compliance = compliance_matrix(sol.material)
+    out = []
+    for node in range(mesh.n_nodes):
+        patch = np.asarray(mesh.node_patch(node))
+        idx = (patch[:, None] * k + np.arange(k)).ravel()
+        pos, w = positions[idx], weights[idx]
+        sig = (smooth if split[node] else stresses)[idx]
+        center = mesh.coords[node]
+        scale = max(np.abs(pos - center).max(), 1e-30)
+        degree = config.boundary_degree if node in boundary_nodes else config.interior_degree
+        while True:
+            constraints = None
+            if config.with_constraints:
+                C, d = reference_constraint_rows(
+                    degree, center, scale, compliance,
+                    collocation_points(center, edges.get(node, []), degree),
+                    singular_field, bool(split[node]), (0.0, 0.0),
+                )
+                constraints = reference_orthonormalize(C, d, node)
+            coeffs = reference_fit(node, pos, sig, w, degree, constraints, center, scale)
+            if coeffs is not None:
+                break
+            assert degree > 1, f"node {node} singular at degree 1"
+            degree = 1
+        out.append((degree, center, scale, coeffs))
+    return out
+
+
+RECOVERY_CASES = [
+    (name, level, kind, nc, RecoveryConfig(variant=variant))
+    for name, level, kind, nc in (
+        ("cylinder", 2, "fem", 4), ("cylinder", 2, "sfem", 4), ("lshape", 1, "sfem", 4)
+    )
+    for variant in ("SPR", "SPR-C", "SPR-X", "SPR-CX")
+    if name == "lshape" or "X" not in variant
+] + [
+    ("lshape", 1, "sfem", 4, RecoveryConfig(variant="SPR-CX", interior_degree=1)),
+    ("lshape", 1, "sfem", 4, RecoveryConfig(variant="SPR-C", interior_degree=1)),
+    ("lshape", 1, "sfem", 4, RecoveryConfig(variant="SPR-CX", gsif_mode="extracted")),
+    ("lshape", 1, "fem", 4, RecoveryConfig(variant="SPR-CX")),
+]
+
+
+@pytest.mark.parametrize(
+    "name, level, kind, nc, config", RECOVERY_CASES,
+    ids=[f"{c[0]}{c[1]}-{c[2]}-{c[4].variant}-d{c[4].interior_degree}-{c[4].gsif_mode}"
+         for c in RECOVERY_CASES],
+)
+def test_batched_fits_match_the_per_node_loop_bit_for_bit(
+    solve_cached, cylinder_bm, lshape_bm, name, level, kind, nc, config
+):
+    # the splitting variants on the cylinder have no notch to split at; every
+    # other combination runs, including degree-1 interiors (two degree groups)
+    # and the cylinder's starved corner patches, which fall back to degree 1
+    bm = {"cylinder": cylinder_bm, "lshape": lshape_bm}[name]
+    mesh, bcs, sol = solve_cached(name, level, kind, nc)
+    field = build_recovered_field(
+        sol, config, singular_field=bm.singular_field, tractions=bcs.tractions, bcs=bcs
+    )
+    want = reference_fits(sol, config, bm.singular_field, bcs.tractions, bcs)
+    assert len(field.fits) == mesh.n_nodes
+    for node, (fit, (degree, center, scale, coeffs)) in enumerate(zip(field.fits, want)):
+        assert fit.node_id == node
+        assert fit.degree == degree
+        assert np.array_equal(fit.center, center)
+        assert fit.scale == scale
+        assert np.array_equal(fit.coeffs, coeffs), node
+
+
+def test_orthonormalize_masks_each_patch_separately():
+    # three patches in one batch: one keeps every row, one has a dependent
+    # row (dropped), one a zero row (dropped); each must equal its own
+    # scalar Gram-Schmidt bit for bit
+    rng = np.random.default_rng(21)
+    C = rng.normal(size=(3, 4, 9))
+    d = rng.normal(size=(3, 4))
+    C[1, 2] = 2.0 * C[1, 0] - C[1, 1]
+    d[1, 2] = 2.0 * d[1, 0] - d[1, 1]
+    C[2, 1] = 0.0
+    d[2, 1] = 0.0
+    Q, e, rank = _orthonormalize_constraints(C, d, [5, 6, 7])
+    assert rank.tolist() == [4, 3, 3]
+    for i in range(3):
+        Qi, ei = reference_orthonormalize(C[i], d[i], i)
+        assert np.array_equal(Q[i, : rank[i]], Qi)
+        assert np.array_equal(e[i, : rank[i]], ei)
+        assert not Q[i, rank[i]:].any() and not e[i, rank[i]:].any()
+
+
+def test_inconsistent_collocation_row_names_its_node(solve_cached, monkeypatch):
+    # a second traction value at a node's first collocation point repeats
+    # that point's rows with a conflicting right-hand side; the recovery
+    # must refuse and name the lowest such node
+    import smoothfem.recovery as recovery
+
+    mesh, bcs, sol = solve_cached("lshape", 1, "sfem", 4)
+    bad = {int(mesh.find_node((-1.0, 0.0))), int(mesh.find_node((0.0, 1.0)))}
+    original = recovery.collocation_points
+
+    def with_conflict(node_pos, edges, degree):
+        points = original(node_pos, edges, degree)
+        if mesh.find_node(node_pos) in bad:
+            x, n, fn = points[0]
+            points.append((x, n, lambda p, nrm, fn=fn: fn(p, nrm) + 1.0))
+        return points
+
+    monkeypatch.setattr(recovery, "collocation_points", with_conflict)
+    with pytest.raises(RecoveryError, match=rf"inconsistent dependent constraint in patch {min(bad)} ") as exc:
+        build_recovered_field(sol, RecoveryConfig(variant="SPR-C"), tractions=bcs.tractions)
+    assert isinstance(exc.value, PatchFailure)
+    assert set(exc.value.failures) == bad
