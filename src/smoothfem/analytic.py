@@ -395,6 +395,14 @@ class NotchFrame:
         )
 
 
+def stress_traction(stress3: np.ndarray, normal) -> np.ndarray:
+    """sigma . n for stress 3-vectors (..., 3); the normal (..., 2) broadcasts."""
+    normal = np.asarray(normal, dtype=float)
+    nx, ny = normal[..., 0], normal[..., 1]
+    sxx, syy, sxy = stress3[..., 0], stress3[..., 1], stress3[..., 2]
+    return np.stack([sxx * nx + sxy * ny, sxy * nx + syy * ny], axis=-1)
+
+
 @dataclass(frozen=True)
 class SingularField:
     """A SingularSolution placed in global coordinates via a NotchFrame."""
@@ -413,13 +421,9 @@ class SingularField:
         return self.frame.stress_to_global(williams_stress(self.solution, r, phi))
 
     def traction(self, points, normal) -> np.ndarray:
-        """sigma . n with a fixed unit normal; points (..., 2) -> (..., 2)."""
-        s = self.stress(points)
-        nx, ny = normal
-        return np.stack(
-            [s[..., 0] * nx + s[..., 2] * ny, s[..., 2] * nx + s[..., 1] * ny],
-            axis=-1,
-        )
+        """sigma . n; points (..., 2) and a unit normal that broadcasts
+        against them, (2,) or (..., 2) -> (..., 2)."""
+        return stress_traction(self.stress(points), normal)
 
     def with_gsifs(self, K_I: float, K_II: float) -> "SingularField":
         return SingularField(self.solution.with_gsifs(K_I, K_II), self.frame)
@@ -517,13 +521,3 @@ def cylinder_stress(problem: CylinderProblem, x, y) -> tuple[np.ndarray, np.ndar
     sz = 2.0 * problem.material.nu * problem.P / (c2 - 1.0)
     return np.stack([sxx, syy, sxy], axis=-1), np.broadcast_to(sz, r.shape).copy()
 
-
-def cylinder_radial_stress(problem: CylinderProblem, r) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_r, sigma_theta) at radius r — the polar form, handy in tests."""
-    r = np.asarray(r, dtype=float)
-    c2 = problem.c**2
-    b2r2 = problem.b**2 / r**2
-    return (
-        problem.P * (1.0 - b2r2) / (c2 - 1.0),
-        problem.P * (1.0 + b2r2) / (c2 - 1.0),
-    )

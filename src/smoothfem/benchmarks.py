@@ -190,16 +190,6 @@ class PatchBenchmark:
             }
         )
 
-    def remote_singular_field(self) -> SingularField:
-        """A zero-amplitude notch field with its vertex far outside the mesh.
-
-        Lets the splitting variants run on the patch test: the split has
-        nothing to subtract and no node falls inside any sane splitting
-        radius.
-        """
-        solution = make_singular_solution(1.5 * np.pi, self.material, 0.0, 0.0)
-        return SingularField(solution, NotchFrame(vertex=(2.5, 2.5), bisector_angle=0.0))
-
     def exact_displacement(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         c = self.coeffs

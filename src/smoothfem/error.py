@@ -163,39 +163,6 @@ def element_error_squares(
     return est2, ex2, rec2
 
 
-def estimated_error_norm(
-    solution: DiscreteSolution,
-    recovered_field: RecoveredStressField,
-    region=None,
-) -> float:
-    """Zienkiewicz-Zhu estimate ||sigma* - sigma_h|| over the mesh or a region.
-
-    ``region`` is None (whole mesh), an element id, or an iterable of ids.
-    """
-    est2, _, _ = element_error_squares(solution, recovered_field=recovered_field)
-    return float(np.sqrt(_region_sum(est2, region)))
-
-
-def exact_error_norm(
-    solution: DiscreteSolution,
-    exact_stress,
-    region=None,
-    singular_point=None,
-) -> float:
-    """True energy-norm error ||sigma_ex - sigma_h|| (same quadrature)."""
-    _, ex2, _ = element_error_squares(
-        solution, exact_stress=exact_stress, singular_point=singular_point
-    )
-    return float(np.sqrt(_region_sum(ex2, region)))
-
-
-def _region_sum(values: np.ndarray, region) -> float:
-    if region is None:
-        return float(values.sum())
-    idx = np.atleast_1d(np.asarray(region, dtype=int))
-    return float(values[idx].sum())
-
-
 # ---------------------------------------------------------------------------
 # effectivity
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .analytic import (
     angular_displacement_eigenfunction,
     angular_stress_eigenfunction,
     q_constant,
+    stress_traction,
 )
 from .elasticity import elastic_constants
 from .quadmap import PARENT_CORNERS, gauss_points_1d, gauss_points_2d, jacobian_det, map_point
@@ -139,18 +140,6 @@ def _dual_for(solution: SingularSolution, frame: NotchFrame, mode: str) -> Extra
     )
 
 
-def _traction(stress3: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """sigma . n for stress 3-vectors; normal broadcasts over points."""
-    nx, ny = normal[..., 0], normal[..., 1]
-    return np.stack(
-        [
-            stress3[..., 0] * nx + stress3[..., 2] * ny,
-            stress3[..., 2] * nx + stress3[..., 1] * ny,
-        ],
-        axis=-1,
-    )
-
-
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------
@@ -186,8 +175,8 @@ def contour_pairing(
     tau = -lam_d * r ** (-lam_d - 1.0) * angular_stress_eigenfunction(-lam_d, Q_d, dual_mode, phi)
 
     rhat = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    integrand = np.einsum("ki,ki->k", _traction(tau, rhat), u) - np.einsum(
-        "ki,ki->k", _traction(sig, rhat), v
+    integrand = np.einsum("ki,ki->k", stress_traction(tau, rhat), u) - np.einsum(
+        "ki,ki->k", stress_traction(sig, rhat), v
     )
     return float(np.sum(w * integrand) * r)
 
@@ -287,8 +276,8 @@ def _boundary_term(
             pc0 = PARENT_CORNERS[be.local_edge]
             pc1 = PARENT_CORNERS[(be.local_edge + 1) % 4]
             par = np.outer(0.5 * (1.0 - gp), pc0) + np.outer(0.5 * (1.0 + gp), pc1)
-            t = _traction(solution.stress_at_parents([be.element_id], par)[0], normal)
-        tau_n = _traction(dual.stress(x), normal)
+            t = stress_traction(solution.stress_at_parents([be.element_id], par)[0], normal)
+        tau_n = stress_traction(dual.stress(x), normal)
         v = dual.displacement(x)
         integrand = np.einsum("ki,ki->k", tau_n, u_h) - np.einsum("ki,ki->k", t, v)
         total += float(np.sum(gw * jac * q * integrand))

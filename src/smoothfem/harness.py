@@ -92,13 +92,7 @@ class StudyConfig:
         # delegate the rest of the validation to the objects themselves
         self.formulation_obj()
         try:
-            RecoveryConfig(
-                variant=self.variant,
-                interior_degree=self.interior_degree,
-                boundary_degree=self.boundary_degree,
-                splitting_radius=self.splitting_radius,
-                gsif_mode=self.gsif_mode,
-            )
+            self.recovery_config()
         except RecoveryError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -171,16 +165,6 @@ def parse_config(path, overrides=()) -> StudyConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
-    apply_overrides(parser, overrides)
-    return config_from_parser(parser)
-
-
-def parse_config_text(text: str, overrides=()) -> StudyConfig:
-    parser = configparser.ConfigParser()
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
     apply_overrides(parser, overrides)
     return config_from_parser(parser)
 

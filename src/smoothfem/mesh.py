@@ -128,13 +128,6 @@ class Mesh:
         conn = self.elements[element_id]
         return int(conn[local_edge]), int(conn[(local_edge + 1) % 4])
 
-    def node_patch(self, node_id: int) -> tuple[int, ...]:
-        """Element ids whose connectivity contains the node."""
-        if not (0 <= node_id < self.n_nodes):
-            raise MeshError(f"unknown node id {node_id}")
-        lo, hi = self.patch_offsets[node_id], self.patch_offsets[node_id + 1]
-        return tuple(self.patch_elements[lo:hi].tolist())
-
     def find_node(self, position, tol: float = 1e-9) -> int:
         """Id of the node nearest ``position``; errors if farther than tol."""
         d = np.linalg.norm(self.coords - np.asarray(position, float), axis=1)

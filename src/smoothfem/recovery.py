@@ -29,8 +29,11 @@ arithmetic bit for bit: dots and norms are ``np.matmul`` of (B, 1, n) by
 (B, n, 1) (plus ``np.sqrt``), ``M`` and ``b`` are batched matmuls, the
 conditioning check is a stacked ``np.linalg.svd`` and the solve a stacked
 ``np.linalg.solve``; a row that one patch drops is masked out with
-``np.where``, never multiplied by zero.  A patch whose degree-2 system is
-singular logs one "falling back" warning and is refitted at degree 1.
+``np.where``, never multiplied by zero.  Failed patches are returned, not
+raised, and dropped from their chunk with one mask.  Each patch whose
+degree-2 system is singular logs one "falling back" warning (in node order)
+and is refitted at degree 1; one PatchFailure, raised after every patch was
+tried, names all singular degree-1 systems and inconsistent constraints.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 from .analytic import SingularField
 from .elasticity import compliance_matrix
 from .mesh import NEUMANN, Mesh
-from .quadmap import gauss_points_2d, invert_map, jacobian_det, map_point, shape_functions
+from .quadmap import gauss_points_2d, jacobian_det, map_point, shape_functions
 from .solver import SFEM, DiscreteSolution
 
 log = logging.getLogger(__name__)
@@ -62,7 +65,7 @@ class RecoveryError(RuntimeError):
 
 
 class PatchFailure(RecoveryError):
-    """Patches of a batch whose fit failed.
+    """Patches whose fit failed.
 
     ``failures`` maps each failing node id to its reason, in node order; the
     message is the reason of the lowest node id.
@@ -417,20 +420,21 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _orthonormalize_constraints(
     C: np.ndarray, d: np.ndarray, node_ids
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
     """Drop dependent rows (relative pivot < 1e-10) via Gram-Schmidt, per patch.
 
     C (B, k, n) and d (B, k) hold the constraints of B patches (C may be a
-    broadcast view).  Returns (Q, e, rank): patch i keeps its rank[i]
-    orthonormalized rows as Q[i, :rank[i]] with right-hand sides
+    broadcast view).  Returns (Q, e, rank, failures): patch i keeps its
+    rank[i] orthonormalized rows as Q[i, :rank[i]] with right-hand sides
     e[i, :rank[i]]; the rows past its rank are zero.  Rows go one at a time
     over the whole batch, and a row that a patch drops leaves that patch's
     state untouched (np.where), so every patch sees the same arithmetic as
     alone.
 
-    Raises PatchFailure for inconsistent rows — a zero row with a nonzero
-    right-hand side, or a dependent row whose right-hand side conflicts —
-    which signal bad input data; it names every such patch.
+    ``failures`` maps node id -> reason for the patches with inconsistent
+    rows — a zero row with a nonzero right-hand side, or a dependent row
+    whose right-hand side conflicts — which signal bad input data; their
+    Q, e and rank are not meaningful.
     """
     C = np.asarray(C, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -471,9 +475,7 @@ def _orthonormalize_constraints(
         Q[keep, rank[keep]] = v[keep] / nv[keep, None]
         e[keep, rank[keep]] = w[keep] / nv[keep]
         rank[keep] += 1
-    if failures:
-        raise PatchFailure(failures)
-    return Q, e, rank
+    return Q, e, rank, failures
 
 
 # ---------------------------------------------------------------------------
@@ -488,24 +490,22 @@ def fit_patch(
     weights: np.ndarray,
     degree: int,
     constraints: tuple[np.ndarray, np.ndarray] | None = None,
-    center: np.ndarray | None = None,
-    scale: np.ndarray | None = None,
-) -> list[PatchFit]:
+    *,
+    center: np.ndarray,
+    scale: np.ndarray,
+) -> tuple[list[PatchFit], dict[int, str]]:
     """Weighted least-squares fits of a batch of patches, KKT-constrained.
 
     Patch i minimizes sum_s w_is |p(x_is) a_j - sigma_ij(x_is)|^2 per
     component subject to its (cross-component) constraint rows.  Shapes:
     positions (B, n, 2), stresses (B, n, 3), weights (B, n), center (B, 2),
     scale (B,); constraints (C (B, k, 3m), d (B, k)) with the same k for
-    every patch, as _orthonormalize_constraints keeps them.  center
-    defaults to the sample mean and scale to the largest sample offset.
-    Raises PatchFailure naming every patch whose KKT system is singular.
+    every patch, as _orthonormalize_constraints keeps them.  Returns the
+    fits of the patches whose KKT system is regular, in batch order, and
+    ``failures`` (node id -> reason) for the singular ones; only the
+    regular systems are solved.
     """
     node_ids = np.asarray(node_ids)
-    if center is None:
-        center = positions.mean(axis=-2)
-    if scale is None:
-        scale = np.maximum(np.abs(positions - center[:, None]).max(axis=(-2, -1)), 1e-30)
     B = len(positions)
     m = len(_MONOMIALS[degree])
     P = _basis(positions, center[:, None], scale[:, None], degree)  # (B, n, m)
@@ -528,16 +528,15 @@ def fit_patch(
 
     sv = np.linalg.svd(KKT, compute_uv=False)
     singular = sv[:, -1] < 1e-12 * sv[:, 0]
-    if singular.any():
-        raise PatchFailure(
-            {int(n): f"singular patch system at node {n}" for n in node_ids[singular]}
-        )
-    sol = np.linalg.solve(KKT, rhs[..., None])[..., 0]
-    coeffs = sol[:, : 3 * m].reshape(B, 3, m)
-    return [
+    failures = {int(n): f"singular patch system at node {n}" for n in node_ids[singular]}
+    ok = ~singular
+    sol = np.linalg.solve(KKT[ok], rhs[ok, :, None])[..., 0]
+    coeffs = sol[:, : 3 * m].reshape(-1, 3, m)
+    fits = [
         PatchFit(n, degree, c, s, a)
-        for n, c, s, a in zip(node_ids.tolist(), center, scale.tolist(), coeffs)
+        for n, c, s, a in zip(node_ids[ok].tolist(), center[ok], scale[ok].tolist(), coeffs)
     ]
+    return fits, failures
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +558,6 @@ class RecoveredStressField:
         fits: list[PatchFit],
         singular_field: SingularField | None = None,
         split_flags: np.ndarray | None = None,
-        config: RecoveryConfig | None = None,
     ):
         if len(fits) != mesh.n_nodes:
             raise RecoveryError("need exactly one patch fit per mesh node")
@@ -569,7 +567,6 @@ class RecoveredStressField:
         self.split_flags = (
             np.zeros(mesh.n_nodes, dtype=bool) if split_flags is None else split_flags
         )
-        self.config = config
         # the fits as arrays: one coefficient array (n_nodes, 3, m) per degree,
         # its rows zero for the nodes fitted with the other degree
         self._centers = np.array([f.center for f in fits])
@@ -621,17 +618,6 @@ class RecoveredStressField:
                 P = _basis(phys[sel], self._centers[group, None], self._scales[group, None], degree)
                 out[sel] = np.matmul(P, coeffs[group].swapaxes(-1, -2))
 
-    def evaluate(self, element_id: int, point) -> np.ndarray:
-        """sigma* at a physical point inside the given element."""
-        corners = self.mesh.element_corners(element_id)
-        xi = invert_map(corners, np.asarray(point, float))
-        if np.any(np.abs(xi) > 1.0 + 1e-9):
-            raise RecoveryError(
-                f"point {point} lies outside element {element_id}"
-            )
-        return self.evaluate_at_parents([element_id], xi[None])[0, 0]
-
-
 def build_recovered_field(
     solution: DiscreteSolution,
     config: RecoveryConfig,
@@ -645,8 +631,8 @@ def build_recovered_field(
     ``tractions`` (boundary name -> callable) is required for the constrained
     variants whenever the mesh has Neumann edges; ``singular_field`` is
     required for the splitting variants; ``bcs`` only when
-    gsif_mode="extracted".  A failed fit raises PatchFailure naming the
-    lowest failing node.
+    gsif_mode="extracted".  Every patch is fitted before a failure is
+    reported: one PatchFailure then names every failing node.
     """
     mesh = solution.mesh
     if config.with_splitting:
@@ -714,15 +700,11 @@ def build_recovered_field(
     if fallen:
         fallen.sort()
         fitter.failures.update(fitter.fit(np.array(fallen), 1))
-    # warn as a node-by-node pass would have: in node order, and only up to
-    # the lowest failing node, where that pass would have stopped
-    first_failure = min(fitter.failures, default=mesh.n_nodes)
     for node in fallen:
-        if node <= first_failure:
-            log.warning(
-                "patch %d: singular degree-%d system, falling back to degree 1",
-                node, degrees[node],
-            )
+        log.warning(
+            "patch %d: singular degree-%d system, falling back to degree 1",
+            node, degrees[node],
+        )
     if fitter.failures:
         raise PatchFailure(fitter.failures)
 
@@ -731,7 +713,6 @@ def build_recovered_field(
         fitter.fits,
         singular_field=singular_field if config.with_splitting else None,
         split_flags=split_flags,
-        config=config,
     )
 
 
@@ -781,7 +762,7 @@ class _PatchFitter:
                     coll = tuple(
                         np.stack(a) for a in zip(*(collocation[n] for n in chunk.tolist()))
                     )
-                self._fit_chunk(chunk, size, degree, coll, singular)
+                singular.update(self._fit_chunk(chunk, size, degree, coll))
         return singular
 
     def _collocation(self, nodes: np.ndarray, degree: int) -> dict:
@@ -815,47 +796,35 @@ class _PatchFitter:
             sig[split] = self.smooth[idx[split]]
         return self.positions[idx], sig, self.weights[idx]
 
-    def _fit_chunk(self, chunk, size, degree, collocation, singular) -> None:
-        """Fit one chunk; patches with inconsistent rows are left out."""
+    def _fit_chunk(self, chunk, size, degree, collocation) -> dict[int, str]:
+        """Fit one chunk; returns its singular patches (inconsistent ones go to failures)."""
         pos, sig, w = self._gather(chunk, size)
         center = self.mesh.coords[chunk]
         scale = self.scales[chunk]
         Q = e = None
         rank = np.zeros(len(chunk), dtype=int)
+        ok = np.ones(len(chunk), dtype=bool)
         if self.constrained:
             C, d = constraint_rows(
                 degree=degree, scale=scale, compliance=self.compliance,
                 collocation=collocation, body_force=self.body_force,
             )
-            try:
-                Q, e, rank = _orthonormalize_constraints(C, d, chunk)
-            except PatchFailure as exc:
-                self.failures.update(exc.failures)
-                keep = ~np.isin(chunk, list(exc.failures))
-                if keep.any():
-                    self._fit_chunk(
-                        chunk[keep], size, degree,
-                        None if collocation is None else tuple(a[keep] for a in collocation),
-                        singular,
-                    )
-                return
+            Q, e, rank, failures = _orthonormalize_constraints(C, d, chunk)
+            self.failures.update(failures)
+            ok = ~np.isin(chunk, list(failures))
+        singular: dict[int, str] = {}
         # the kept rank decides the KKT size, so each rank is one stack
-        for r in np.unique(rank).tolist():
-            sel = np.nonzero(rank == r)[0]
-            while len(sel):
-                try:
-                    batch = fit_patch(
-                        chunk[sel], pos[sel], sig[sel], w[sel], degree,
-                        constraints=(Q[sel, :r], e[sel, :r]) if r else None,
-                        center=center[sel], scale=scale[sel],
-                    )
-                except PatchFailure as exc:  # refit the others without them
-                    singular.update(exc.failures)
-                    sel = sel[~np.isin(chunk[sel], list(exc.failures))]
-                    continue
-                for fit in batch:
-                    self.fits[fit.node_id] = fit
-                break
+        for r in np.unique(rank[ok]).tolist():
+            sel = np.nonzero(ok & (rank == r))[0]
+            fits, failed = fit_patch(
+                chunk[sel], pos[sel], sig[sel], w[sel], degree,
+                constraints=(Q[sel, :r], e[sel, :r]) if r else None,
+                center=center[sel], scale=scale[sel],
+            )
+            singular.update(failed)
+            for fit in fits:
+                self.fits[fit.node_id] = fit
+        return singular
 
 
 def _patch_scales(mesh: Mesh, positions: np.ndarray, per_element: int) -> np.ndarray:

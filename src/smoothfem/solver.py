@@ -90,10 +90,12 @@ class DirichletSpec:
 class BoundaryConditions:
     """Named boundary data + isolated node pins.
 
-    tractions: name -> callable(positions (..., 2), outward unit normal (2,))
-        -> tractions (..., 2); every Neumann boundary name in the mesh must
-        be present.  The normal argument keeps corner points unambiguous
-        (a traction belongs to an oriented edge, not a location).
+    tractions: name -> callable(positions (..., 2), outward unit normal)
+        -> tractions (..., 2); the normal is (2,) or (..., 2) and broadcasts
+        against the positions, as in analytic.stress_traction.  Every
+        Neumann boundary name in the mesh must be present.  The normal
+        argument keeps corner points unambiguous (a traction belongs to an
+        oriented edge, not a location).
     dirichlet: name -> DirichletSpec for every Dirichlet boundary name.
     pins: ((node_id, component, value), ...) extra point constraints.
     """
@@ -248,13 +250,6 @@ def _element_operators(
         if a is not None:
             a.setflags(write=False)
     return ElementOperators(K, dofs, B, cells, detw)
-
-
-def assemble_stiffness(
-    mesh: Mesh, material: Material, formulation: Formulation
-) -> sp.csr_matrix:
-    """Global stiffness (no boundary conditions applied)."""
-    return _scatter(mesh, _element_operators(mesh, material, formulation))
 
 
 def _scatter(mesh: Mesh, operators: ElementOperators) -> sp.csr_matrix:

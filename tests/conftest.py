@@ -14,6 +14,7 @@ from hypothesis import settings
 from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
 from smoothfem.harness import StudyConfig, run_convergence_study
 from smoothfem.mesh import BoundaryEdge, Mesh, NEUMANN
+from smoothfem.quadmap import invert_map
 from smoothfem.solver import Formulation, assemble_and_solve
 
 # Every run draws the same examples (seeded from each test function), so a
@@ -89,3 +90,10 @@ def single_element_mesh(corners) -> Mesh:
         BoundaryEdge(0, k, (k, (k + 1) % 4), NEUMANN, "free") for k in range(4)
     ]
     return Mesh(corners, np.array([[0, 1, 2, 3]]), boundary)
+
+
+def evaluate_at(field, element_id, point):
+    """A recovered field's sigma* at a physical point inside an element."""
+    xi = invert_map(field.mesh.element_corners(element_id), np.asarray(point, float))
+    assert np.all(np.abs(xi) <= 1.0 + 1e-9), f"{point} lies outside element {element_id}"
+    return field.evaluate_at_parents([element_id], xi[None])[0, 0]

@@ -17,7 +17,6 @@ from smoothfem.harness import (
     emit_report,
     make_benchmark,
     parse_config,
-    parse_config_text,
     preset_cases,
     resolve_variant,
     run_case,
@@ -94,8 +93,14 @@ def test_as_dict_round_trips():
 # ---------------------------------------------------------------------------
 
 
-def test_parse_full_ini():
-    cfg = parse_config_text(FULL_INI)
+def write_config(tmp_path, text):
+    path = tmp_path / "study.ini"
+    path.write_text(text, encoding="ascii")
+    return str(path)
+
+
+def test_parse_full_ini(tmp_path):
+    cfg = parse_config(write_config(tmp_path, FULL_INI))
     assert cfg == StudyConfig(
         benchmark="lshape",
         grading=1.5,
@@ -110,27 +115,27 @@ def test_parse_full_ini():
     )
 
 
-def test_missing_sections_fall_back_to_defaults():
-    cfg = parse_config_text("[problem]\nname = lshape\n")
+def test_missing_sections_fall_back_to_defaults(tmp_path):
+    cfg = parse_config(write_config(tmp_path, "[problem]\nname = lshape\n"))
     assert cfg.benchmark == "lshape"
     assert cfg.nc == StudyConfig.nc
     assert cfg.variant == StudyConfig.variant
 
 
-def test_unknown_section_and_key_are_hard_errors():
+def test_unknown_section_and_key_are_hard_errors(tmp_path):
     with pytest.raises(ConfigError, match="unknown config section"):
-        parse_config_text("[solver]\ntol = 1e-9\n")
+        parse_config(write_config(tmp_path, "[solver]\ntol = 1e-9\n"))
     with pytest.raises(ConfigError, match="unknown key"):
-        parse_config_text("[problem]\nmaterial = steel\n")
+        parse_config(write_config(tmp_path, "[problem]\nmaterial = steel\n"))
 
 
-def test_bad_values_raise():
+def test_bad_values_raise(tmp_path):
     with pytest.raises(ConfigError, match="bad value"):
-        parse_config_text("[discretization]\nnc = four\n")
+        parse_config(write_config(tmp_path, "[discretization]\nnc = four\n"))
     with pytest.raises(ConfigError, match="bad value"):
-        parse_config_text("[discretization]\nlevels = 1 two\n")
+        parse_config(write_config(tmp_path, "[discretization]\nlevels = 1 two\n"))
     with pytest.raises(ConfigError, match="malformed"):
-        parse_config_text("problem]\nname = lshape\n")
+        parse_config(write_config(tmp_path, "problem]\nname = lshape\n"))
 
 
 def test_overrides_win(tmp_path):
@@ -282,12 +287,6 @@ def test_unknown_preset_raises():
 # ---------------------------------------------------------------------------
 
 
-def write_config(tmp_path, text):
-    path = tmp_path / "study.ini"
-    path.write_text(text, encoding="ascii")
-    return str(path)
-
-
 def test_cli_run_succeeds(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -329,7 +328,7 @@ def test_cli_prints_the_variant_that_ran(tmp_path, capsys, monkeypatch):
         "[recovery]\nvariant = SPR-CX\n"
     )
     cfg = write_config(tmp_path, text)
-    case = run_case(parse_config_text(text), 1)
+    case = run_case(parse_config(cfg), 1)
     assert case.variant == "SPR-C"
     assert run_case(StudyConfig(benchmark="lshape", levels=(0,)), 0).variant == "SPR-CX"
     for verb in ("run", "study"):

@@ -111,26 +111,31 @@ def test_lshape_avoids_removed_quadrant():
 # ---------------------------------------------------------------------------
 
 
+def patch_of(m, node):
+    """Element ids of a node's patch: its row of patch_offsets/patch_elements."""
+    return tuple(m.patch_elements[m.patch_offsets[node] : m.patch_offsets[node + 1]].tolist())
+
+
 def test_node_patch_counts():
     m = build_square_mesh(4, 0.0)
     interior = m.find_node((0.5, 0.5))
     corner = m.find_node((0.0, 0.0))
-    assert len(m.node_patch(interior)) == 4
-    assert len(m.node_patch(corner)) == 1
+    assert len(patch_of(m, interior)) == 4
+    assert len(patch_of(m, corner)) == 1
 
     lshape = build_lshape_mesh(1, 1.0)
     reentrant = lshape.find_node((0.0, 0.0))
-    assert len(lshape.node_patch(reentrant)) == 3
+    assert len(patch_of(lshape, reentrant)) == 3
 
 
 def test_patch_symmetry():
     m = build_square_mesh(3, 0.2, seed=1)
     for node in range(m.n_nodes):
-        for e in m.node_patch(node):
+        for e in patch_of(m, node):
             assert node in m.elements[e]
     for e in range(m.n_elements):
         for node in m.elements[e]:
-            assert e in m.node_patch(int(node))
+            assert e in patch_of(m, int(node))
 
 
 def reference_patches_and_boundary(elements):
@@ -156,7 +161,7 @@ def test_patches_and_boundary_match_the_dict_walk(make):
     assert _topological_boundary(m.elements) == lone
     assert {(be.element_id, be.local_edge) for be in m.boundary} == lone
     for node in range(m.n_nodes):
-        assert m.node_patch(node) == tuple(patches[node])
+        assert patch_of(m, node) == tuple(patches[node])
     # reversed element order: the same edges, owned by renumbered elements
     rev = m.elements[::-1]
     n = len(rev)

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import single_element_mesh
+from conftest import evaluate_at, single_element_mesh
 from smoothfem.analytic import NotchFrame, SingularField, make_singular_solution
 from smoothfem.benchmarks import LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import Material, PLANE_STRAIN, compliance_matrix
-from smoothfem.error import element_error_squares, estimated_error_norm
+from smoothfem.error import element_error_squares
 from smoothfem.recovery import (
     PatchFailure,
     RecoveryConfig,
@@ -46,13 +46,20 @@ def patch_values(fit, points):
 
 def fit_one(node_id, positions, stresses, weights, degree, constraints=None,
             center=None, scale=None):
-    """fit_patch on a batch of one patch."""
-    return fit_patch(
+    """fit_patch on a batch of one patch; (fit or None, failures).
+
+    center and scale default to the sample mean and the largest sample offset.
+    """
+    if center is None:
+        center = positions.mean(axis=0)
+    if scale is None:
+        scale = max(np.abs(positions - center).max(), 1e-30)
+    fits, failures = fit_patch(
         [node_id], positions[None], stresses[None], weights[None], degree,
         constraints=None if constraints is None else tuple(a[None] for a in constraints),
-        center=None if center is None else np.asarray(center, float)[None],
-        scale=None if scale is None else np.array([scale], float),
-    )[0]
+        center=np.asarray(center, float)[None], scale=np.array([scale], float),
+    )
+    return (fits[0] if fits else None), failures
 
 
 def shared_constraints(degree, compliance):
@@ -263,7 +270,7 @@ def linear_stress_samples(n=12, seed=0):
 
 def test_fit_reproduces_linear_field():
     pos, stresses = linear_stress_samples()
-    fit = fit_one(0, pos, stresses, np.ones(len(pos)), degree=1)
+    fit, _ = fit_one(0, pos, stresses, np.ones(len(pos)), degree=1)
     assert np.abs(patch_values(fit, pos) - stresses).max() < 1e-10
 
 
@@ -276,8 +283,8 @@ def test_fit_with_consistent_constraints_unchanged():
     Dinv = compliance_matrix(MAT)
     center, scale = np.zeros(2), 1.0
     C, d = shared_constraints(1, Dinv)
-    free = fit_one(0, pos, stresses, np.ones(10), 1, center=center, scale=scale)
-    tied = fit_one(
+    free, _ = fit_one(0, pos, stresses, np.ones(10), 1, center=center, scale=scale)
+    tied, _ = fit_one(
         0, pos, stresses, np.ones(10), 1, constraints=(C, d), center=center, scale=scale
     )
     assert_allclose(tied.coeffs, free.coeffs, atol=1e-10)
@@ -293,7 +300,7 @@ def test_fit_matches_dense_kkt_oracle():
     weights = rng.uniform(0.5, 2.0, size=15)
     Dinv = compliance_matrix(MAT)
     C, d = shared_constraints(2, Dinv)
-    fit = fit_one(
+    fit, _ = fit_one(
         3, pos, stresses, weights, 2, constraints=(C, d),
         center=np.zeros(2), scale=1.0,
     )
@@ -319,9 +326,35 @@ def test_fit_matches_dense_kkt_oracle():
 
 
 def test_singular_fit_raises():
-    pos = np.zeros((6, 2))  # all samples at one point
-    with pytest.raises(RecoveryError, match="singular"):
-        fit_one(0, pos, np.zeros((6, 3)), np.ones(6), 2)
+    # all samples at one point: the patch comes back as a failure, unsolved
+    pos = np.zeros((6, 2))
+    fit, failures = fit_one(0, pos, np.zeros((6, 3)), np.ones(6), 2)
+    assert fit is None
+    assert list(failures) == [0] and "singular" in failures[0]
+
+
+def test_singular_patch_is_masked_out_of_its_batch():
+    # five constrained degree-2 patches, the middle one singular: exactly
+    # that node fails, and the other four equal their batch-of-one fits
+    rng = np.random.default_rng(30)
+    nodes = [10, 11, 12, 13, 14]
+    pos = rng.uniform(-1.0, 1.0, size=(5, 12, 2))
+    pos[2] = [0.3, -0.2]
+    sig = rng.normal(size=(5, 12, 3))
+    w = rng.uniform(0.5, 2.0, size=(5, 12))
+    center = rng.uniform(-0.1, 0.1, size=(5, 2))
+    scale = rng.uniform(0.8, 1.2, size=5)
+    C, d = shared_constraints(2, compliance_matrix(MAT))
+    Cb, db = np.broadcast_to(C, (5,) + C.shape), np.broadcast_to(d, (5,) + d.shape)
+    fits, failures = fit_patch(nodes, pos, sig, w, 2, (Cb, db), center=center, scale=scale)
+    assert list(failures) == [12] and "singular" in failures[12]
+    assert [fit.node_id for fit in fits] == [10, 11, 13, 14]
+    for fit, i in zip(fits, [0, 1, 3, 4]):
+        alone, failed = fit_one(nodes[i], pos[i], sig[i], w[i], 2, (C, d), center[i], scale[i])
+        assert not failed
+        assert fit.degree == alone.degree and fit.scale == alone.scale
+        assert np.array_equal(fit.center, alone.center)
+        assert np.array_equal(fit.coeffs, alone.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +374,7 @@ def test_identical_constant_fits_blend_to_constant():
     ]
     field = RecoveredStressField(mesh, fits)
     probe = mesh.element_corners(2).mean(axis=0)
-    assert_allclose(field.evaluate(2, probe), c, rtol=1e-14)
+    assert_allclose(evaluate_at(field, 2, probe), c, rtol=1e-14)
 
 
 def test_vertex_value_is_nodal_polynomial(solve_cached):
@@ -411,8 +444,8 @@ def test_recovered_field_continuity_across_edges(solve_cached):
         if len(elems) != 2:
             continue
         mid = 0.5 * (mesh.coords[n1] + mesh.coords[n2])
-        va = field.evaluate(elems[0], mid)
-        vb = field.evaluate(elems[1], mid)
+        va = evaluate_at(field, elems[0], mid)
+        vb = evaluate_at(field, elems[1], mid)
         assert np.abs(va - vb).max() < 1e-10
         checked += 1
     assert checked > 10
@@ -432,7 +465,7 @@ def test_blended_field_matches_imposed_tractions(solve_cached, cylinder_bm):
         pa, pb = mesh.coords[list(be.node_ids)]
         n = edge_normal(pa, pb)
         mid = 0.5 * (pa + pb)
-        s = field.evaluate(be.element_id, mid)
+        s = evaluate_at(field, be.element_id, mid)
         t = np.array([s[0] * n[0] + s[2] * n[1], s[2] * n[0] + s[1] * n[1]])
         assert np.abs(t - (-P * n)).max() < 1e-8 * P
 
@@ -459,7 +492,8 @@ def test_constrained_fits_satisfy_equilibrium_inside_patch(solve_cached):
 def test_polynomial_reproduction_zeroes_the_estimate():
     bm, mesh, sol = linear_solution()
     field = build_recovered_field(sol, RecoveryConfig(variant="SPR-C"))
-    assert estimated_error_norm(sol, field) < 1e-9
+    est2, _, _ = element_error_squares(sol, recovered_field=field)
+    assert np.sqrt(est2.sum()) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +718,7 @@ def reference_fits(sol, config, singular_field, tractions, bcs):
     compliance = compliance_matrix(sol.material)
     out = []
     for node in range(mesh.n_nodes):
-        patch = np.asarray(mesh.node_patch(node))
+        patch = mesh.patch_elements[mesh.patch_offsets[node] : mesh.patch_offsets[node + 1]]
         idx = (patch[:, None] * k + np.arange(k)).ravel()
         pos, w = positions[idx], weights[idx]
         sig = (smooth if split[node] else stresses)[idx]
@@ -751,18 +785,22 @@ def test_batched_fits_match_the_per_node_loop_bit_for_bit(
 
 
 def test_orthonormalize_masks_each_patch_separately():
-    # three patches in one batch: one keeps every row, one has a dependent
-    # row (dropped), one a zero row (dropped); each must equal its own
-    # scalar Gram-Schmidt bit for bit
+    # four patches in one batch: one keeps every row, one has a dependent
+    # row (dropped), one a zero row (dropped), and one a zero row with a
+    # nonzero right-hand side (a failure); each of the first three must
+    # equal its own scalar Gram-Schmidt bit for bit
     rng = np.random.default_rng(21)
-    C = rng.normal(size=(3, 4, 9))
-    d = rng.normal(size=(3, 4))
+    C = rng.normal(size=(4, 4, 9))
+    d = rng.normal(size=(4, 4))
     C[1, 2] = 2.0 * C[1, 0] - C[1, 1]
     d[1, 2] = 2.0 * d[1, 0] - d[1, 1]
     C[2, 1] = 0.0
     d[2, 1] = 0.0
-    Q, e, rank = _orthonormalize_constraints(C, d, [5, 6, 7])
-    assert rank.tolist() == [4, 3, 3]
+    C[3, 1] = 0.0
+    d[3, 1] = 0.5
+    Q, e, rank, failures = _orthonormalize_constraints(C, d, [5, 6, 7, 8])
+    assert list(failures) == [8] and "inconsistent constraint" in failures[8]
+    assert rank.tolist()[:3] == [4, 3, 3]
     for i in range(3):
         Qi, ei = reference_orthonormalize(C[i], d[i], i)
         assert np.array_equal(Q[i, : rank[i]], Qi)
