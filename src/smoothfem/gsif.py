@@ -39,7 +39,7 @@ from .analytic import (
 )
 from .elasticity import elastic_constants
 from .quadmap import PARENT_CORNERS, gauss_points_1d, gauss_points_2d, jacobian_det, map_point
-from .solver import NEUMANN, BoundaryConditions, DiscreteSolution
+from .solver import NEUMANN, BoundaryConditions, DiscreteSolution, row_dot, traction_values
 
 __all__ = [
     "GsifError",
@@ -208,80 +208,113 @@ class GsifEstimate:
     ring_elements: int = 0  # elements with quadrature points on the ramp
 
 
-def _domain_term(
-    solution: DiscreteSolution, dual: ExtractionDual, plateau: PlateauFunction, order: int
-) -> tuple[float, int]:
-    """-int grad(q) . F dOmega and the number of ring elements.
+class _DomainTerm:
+    """-int grad(q) . F dOmega of any dual, over the ring.
 
-    All elements' points are mapped at once; the dual and the FE fields are
-    evaluated only on the ring (elements with a point on the ramp), since the
-    dual has no value at the vertex.  The per-element sums are added in
-    element order.
+    The mode-independent arrays are built once: all elements' points are
+    mapped at once, and the plateau gradient, Jacobians and FE fields are
+    kept only on the ring (elements with a point on the ramp), where a dual
+    is then evaluated, since it has no value at the vertex.  The
+    per-element sums are added in element order.
     """
-    mesh = solution.mesh
-    pts, w = gauss_points_2d(order)
-    corners = mesh.coords[mesh.elements]
-    phys = map_point(corners, pts[:, 0], pts[:, 1])  # (n_e, q, 2)
-    gq = plateau.gradient(phys)
-    ring = np.nonzero(gq.any(axis=(1, 2)))[0]
-    if not len(ring):
-        return 0.0, 0
-    gq, phys = gq[ring], phys[ring]
-    det = jacobian_det(corners[ring][:, None], pts[:, 0], pts[:, 1])
-    u_h = solution.displacement_at_parents(ring, pts)
-    s_h = solution.stress_at_parents(ring, pts)
-    v = dual.displacement(phys)
-    tau = dual.stress(phys)
-    F = np.stack(
-        [
-            tau[..., 0] * u_h[..., 0] + tau[..., 2] * u_h[..., 1]
-            - (s_h[..., 0] * v[..., 0] + s_h[..., 2] * v[..., 1]),
-            tau[..., 2] * u_h[..., 0] + tau[..., 1] * u_h[..., 1]
-            - (s_h[..., 2] * v[..., 0] + s_h[..., 1] * v[..., 1]),
-        ],
-        axis=-1,
-    )
-    per_element = np.sum(w * det * np.einsum("eki,eki->ek", gq, F), axis=-1)
-    # running sum in element order, as a plain accumulation loop would
-    return -float(np.cumsum(per_element)[-1]), len(ring)
+
+    def __init__(self, solution: DiscreteSolution, plateau: PlateauFunction, order: int):
+        mesh = solution.mesh
+        pts, self.w = gauss_points_2d(order)
+        corners = mesh.coords[mesh.elements]
+        phys = map_point(corners, pts[:, 0], pts[:, 1])  # (n_e, q, 2)
+        gq = plateau.gradient(phys)
+        ring = np.nonzero(gq.any(axis=(1, 2)))[0]
+        if not len(ring):
+            raise GsifError(
+                f"no element quadrature points on the extraction ramp "
+                f"({plateau.r_plateau}, {plateau.r_outer}); widen the plateau"
+            )
+        self.ring_elements = len(ring)
+        self.gq, self.phys = gq[ring], phys[ring]
+        self.det = jacobian_det(corners[ring][:, None], pts[:, 0], pts[:, 1])
+        self.u_h = solution.displacement_at_parents(ring, pts)
+        self.s_h = solution.stress_at_parents(ring, pts)
+
+    def __call__(self, dual: ExtractionDual) -> float:
+        u_h, s_h = self.u_h, self.s_h
+        v = dual.displacement(self.phys)
+        tau = dual.stress(self.phys)
+        F = np.stack(
+            [
+                tau[..., 0] * u_h[..., 0] + tau[..., 2] * u_h[..., 1]
+                - (s_h[..., 0] * v[..., 0] + s_h[..., 2] * v[..., 1]),
+                tau[..., 2] * u_h[..., 0] + tau[..., 1] * u_h[..., 1]
+                - (s_h[..., 2] * v[..., 0] + s_h[..., 1] * v[..., 1]),
+            ],
+            axis=-1,
+        )
+        per_element = np.sum(self.w * self.det * np.einsum("eki,eki->ek", self.gq, F), axis=-1)
+        # running sum in element order, as a plain accumulation loop would
+        return -float(np.cumsum(per_element)[-1])
 
 
-def _boundary_term(
-    solution: DiscreteSolution,
-    dual: ExtractionDual,
-    bcs: BoundaryConditions,
-    plateau: PlateauFunction,
-) -> float:
-    mesh = solution.mesh
-    gp, gw = gauss_points_1d(4)
-    total = 0.0
-    for be in mesh.boundary:
-        a, b = be.node_ids
-        pa, pb = mesh.coords[a], mesh.coords[b]
+class _BoundaryTerm:
+    """sum over boundary edges with q > 0 of int q [(tau n) . u_h - t . v] ds.
+
+    4-point Gauss per edge.  The mode-independent arrays are built once for
+    every edge in the support: geometry, q, u_h and t, the imposed traction
+    on Neumann edges (one call per boundary name) or the discrete traction
+    sigma_h n on constrained ones (one stress_at_parents batch per local
+    edge).  The per-edge sums are added in edge order.
+    """
+
+    def __init__(
+        self, solution: DiscreteSolution, bcs: BoundaryConditions, plateau: PlateauFunction
+    ):
+        mesh = solution.mesh
+        gp, self.gw = gauss_points_1d(4)
+        edges = mesh.boundary_arrays
+        pa, pb = mesh.coords[edges.node_ids[:, 0]], mesh.coords[edges.node_ids[:, 1]]
         half = 0.5 * (pb - pa)
-        x = 0.5 * (pa + pb) + gp[:, None] * half
+        x = (0.5 * (pa + pb))[:, None] + gp[:, None] * half[:, None]  # (edge, point, 2)
         q = plateau.value(x)
-        if not np.any(q > 0.0):
-            continue
-        jac = np.linalg.norm(half)
-        tang = half / jac
-        normal = np.array([tang[1], -tang[0]])  # outward for CCW elements
-        u_a = solution.U[2 * a : 2 * a + 2]
-        u_b = solution.U[2 * b : 2 * b + 2]
-        u_h = np.outer(0.5 * (1.0 - gp), u_a) + np.outer(0.5 * (1.0 + gp), u_b)
-        if be.kind == NEUMANN:
-            t = np.asarray(bcs.tractions[be.name](x, normal), dtype=float).reshape(-1, 2)
-        else:
-            # constrained edge inside the support: use the discrete traction
-            pc0 = PARENT_CORNERS[be.local_edge]
-            pc1 = PARENT_CORNERS[(be.local_edge + 1) % 4]
-            par = np.outer(0.5 * (1.0 - gp), pc0) + np.outer(0.5 * (1.0 + gp), pc1)
-            t = stress_traction(solution.stress_at_parents([be.element_id], par)[0], normal)
-        tau_n = stress_traction(dual.stress(x), normal)
-        v = dual.displacement(x)
-        integrand = np.einsum("ki,ki->k", tau_n, u_h) - np.einsum("ki,ki->k", t, v)
-        total += float(np.sum(gw * jac * q * integrand))
-    return total
+        inside = np.nonzero(np.any(q > 0.0, axis=1))[0]
+        self.x, self.q, half = x[inside], q[inside], half[inside]
+        self.jac = np.sqrt(row_dot(half, half))  # np.linalg.norm of each half
+        tang = half / self.jac[:, None]
+        self.normal = np.stack([tang[:, 1], -tang[:, 0]], axis=-1)[:, None]  # outward for CCW elements
+        ends = edges.node_ids[inside]
+        U = solution.U.reshape(-1, 2)
+        Na, Nb = 0.5 * (1.0 - gp), 0.5 * (1.0 + gp)
+        self.u_h = Na[:, None] * U[ends[:, 0], None] + Nb[:, None] * U[ends[:, 1], None]
+
+        self.t = np.empty_like(self.x)
+        names, local_edges = edges.names[inside], edges.local_edges[inside]
+        neumann = edges.kinds[inside] == NEUMANN
+        for name in dict.fromkeys(names[neumann].tolist()):
+            if name not in bcs.tractions:
+                raise GsifError(
+                    f"no traction supplied for Neumann boundary {name!r} "
+                    f"inside the extraction support"
+                )
+            sel = neumann & (names == name)
+            normals = np.broadcast_to(self.normal[sel], self.x[sel].shape)
+            self.t[sel] = traction_values(
+                bcs.tractions, name, self.x[sel].reshape(-1, 2), normals.reshape(-1, 2),
+                GsifError,
+            ).reshape(-1, len(gp), 2)
+        # constrained edges inside the support: use the discrete traction
+        for k in np.unique(local_edges[~neumann]).tolist():
+            sel = ~neumann & (local_edges == k)
+            par = np.outer(Na, PARENT_CORNERS[k]) + np.outer(Nb, PARENT_CORNERS[(k + 1) % 4])
+            stress = solution.stress_at_parents(edges.element_ids[inside][sel], par)
+            self.t[sel] = stress_traction(stress, self.normal[sel])
+
+    def __call__(self, dual: ExtractionDual) -> float:
+        if not len(self.x):
+            return 0.0
+        tau_n = stress_traction(dual.stress(self.x), self.normal)
+        v = dual.displacement(self.x)
+        integrand = np.einsum("eki,eki->ek", tau_n, self.u_h) - np.einsum("eki,eki->ek", self.t, v)
+        per_edge = np.sum(self.gw * self.jac[:, None] * self.q * integrand, axis=-1)
+        # running sum in edge order, as a plain accumulation loop would
+        return float(np.cumsum(per_edge)[-1])
 
 
 def extract_gsifs(
@@ -308,22 +341,14 @@ def extract_gsifs(
     if plateau is None:
         plateau = PlateauFunction(center=tuple(np.asarray(frame.vertex, float)))
 
-    Ks, Cs, doms, bnds = [], [], [], []
-    n_ring = 0
-    for mode in (MODE_I, MODE_II):
-        dual = _dual_for(sol, frame, mode)
-        C = calibration_constant(sol, mode)
-        dom, n_ring = _domain_term(solution, dual, plateau, quad_order)
-        if n_ring == 0:
-            raise GsifError(
-                f"no element quadrature points on the extraction ramp "
-                f"({plateau.r_plateau}, {plateau.r_outer}); widen the plateau"
-            )
-        bnd = _boundary_term(solution, dual, bcs, plateau)
-        Ks.append((dom + bnd) / C)
-        Cs.append(C)
-        doms.append(dom)
-        bnds.append(bnd)
+    modes = (MODE_I, MODE_II)
+    duals = [_dual_for(sol, frame, mode) for mode in modes]
+    Cs = [calibration_constant(sol, mode) for mode in modes]
+    domain = _DomainTerm(solution, plateau, quad_order)
+    boundary = _BoundaryTerm(solution, bcs, plateau)
+    doms = [domain(dual) for dual in duals]
+    bnds = [boundary(dual) for dual in duals]
+    Ks = [(dom + bnd) / C for dom, bnd, C in zip(doms, bnds, Cs)]
     return GsifEstimate(
         K_I=Ks[0],
         K_II=Ks[1],
@@ -332,5 +357,5 @@ def extract_gsifs(
         domain_terms=tuple(doms),
         boundary_terms=tuple(bnds),
         plateau=plateau,
-        ring_elements=n_ring,
+        ring_elements=domain.ring_elements,
     )

@@ -8,6 +8,7 @@ its local nodes k and (k+1) % 4.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,19 @@ class BoundaryEdge:
     @property
     def tag(self) -> str:
         return f"{self.kind}:{self.name}"
+
+
+@dataclass(frozen=True)
+class BoundaryArrays:
+    """The tagged boundary as read-only arrays, one row per edge in
+    ``Mesh.boundary`` order: element_ids, local_edges, kinds, names (n_b,)
+    and node_ids (n_b, 2)."""
+
+    element_ids: np.ndarray
+    local_edges: np.ndarray
+    node_ids: np.ndarray
+    kinds: np.ndarray
+    names: np.ndarray
 
 
 def quad_area(corners: np.ndarray):
@@ -119,6 +133,21 @@ class Mesh:
     @property
     def n_elements(self) -> int:
         return len(self.elements)
+
+    @functools.cached_property
+    def boundary_arrays(self) -> BoundaryArrays:
+        """``boundary`` as arrays, built on first use."""
+        b = self.boundary
+        arrays = BoundaryArrays(
+            element_ids=np.array([be.element_id for be in b], dtype=int),
+            local_edges=np.array([be.local_edge for be in b], dtype=int),
+            node_ids=np.array([be.node_ids for be in b], dtype=int).reshape(-1, 2),
+            kinds=np.array([be.kind for be in b], dtype=str),
+            names=np.array([be.name for be in b], dtype=str),
+        )
+        for a in vars(arrays).values():
+            a.setflags(write=False)
+        return arrays
 
     def element_corners(self, element_id: int) -> np.ndarray:
         """(4, 2) physical corner coordinates of an element."""

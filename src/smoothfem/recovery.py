@@ -23,8 +23,9 @@ collocation row count), and each group is fitted in chunks of ``CHUNK``
 patches; a chunk gathers its samples, basis, constraints and KKT systems
 as stacked arrays.  The equilibrium and compatibility rows depend only on
 the degree and are shared by every patch (only their right-hand side
-scales per patch); traction collocation rows are built per node, for the
-nodes on Neumann edges alone.  The batched kernels repeat the per-patch
+scales per patch); the traction collocation rows of all nodes on Neumann
+edges are built in one pass per degree (one traction call per boundary
+name), and each chunk slices its own.  The batched kernels repeat the per-patch
 arithmetic bit for bit: dots and norms are ``np.matmul`` of (B, 1, n) by
 (B, n, 1) (plus ``np.sqrt``), ``M`` and ``b`` are batched matmuls, the
 conditioning check is a stacked ``np.linalg.svd`` and the solve a stacked
@@ -47,7 +48,7 @@ from .analytic import SingularField
 from .elasticity import compliance_matrix
 from .mesh import NEUMANN, Mesh
 from .quadmap import gauss_points_2d, jacobian_det, map_point, shape_functions
-from .solver import SFEM, DiscreteSolution
+from .solver import SFEM, DiscreteSolution, row_dot, traction_values
 
 log = logging.getLogger(__name__)
 
@@ -252,48 +253,106 @@ def _derivative_matrix(degree: int, axis: int) -> np.ndarray:
 
 
 def edge_normal(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Outward unit normal of a CCW-ordered boundary edge a -> b."""
+    """Outward unit normals (..., 2) of CCW-ordered boundary edges a -> b."""
     tang = pb - pa
-    return np.array([tang[1], -tang[0]]) / np.hypot(tang[0], tang[1])
+    return (
+        np.stack([tang[..., 1], -tang[..., 0]], axis=-1)
+        / np.hypot(tang[..., 0], tang[..., 1])[..., None]
+    )
 
 
-def collocation_points(node_pos: np.ndarray, edges: list, degree: int) -> list:
-    """Traction collocation set of a boundary node: (point, normal, fn) list.
+def collocation_points(
+    node_pos: np.ndarray, ends: np.ndarray, two: np.ndarray, same: np.ndarray, degree: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Traction collocation sets of K boundary nodes, degree + 1 slots each.
 
-    The node's contiguous boundary section (its 1 or 2 incident Neumann
+    Each node's contiguous boundary section (its 1 or 2 incident Neumann
     edges) gets degree+1 collocation points — the number that pins the
     polynomial traction trace along a straight section exactly, without
     redundant rows whose right-hand sides could disagree:
 
-    * one edge: the node, (degree 2) the midpoint, and the far end;
+    * one edge: the node, (degree 2) the midpoint, and the far end, in edge
+      order;
     * two edges: both midpoints, plus (degree 2) the node itself with the
       averaged normal — provided both edges carry the same traction function
       (at corners joining differently loaded faces the traction at the
       corner is direction-dependent, so the shared point is skipped).
+
+    node_pos (K, 2); ends (K, 2, 2, 2) the end points a, b of each node's
+    first and second edge (a node on one edge repeats it); two (K,) marks
+    the nodes on two edges, same (K,) those whose two edges carry the same
+    traction function.  Returns points and unit normals (K, S, 2), second
+    (K, S), whether a slot takes the second edge's traction, and valid
+    (K, S), the slots in use.
     """
-    out = []
-    if not edges:
-        return out
-    if len(edges) == 1:
-        pa, pb, fn = edges[0]
-        n = edge_normal(pa, pb)
-        pts = [pa, pb] if degree == 1 else [pa, 0.5 * (pa + pb), pb]
-        out = [(p, n, fn) for p in pts]
-        return out
-    if len(edges) != 2:
+    pa, pb = ends[:, :, 0], ends[:, :, 1]  # (K, edge, 2)
+    n = edge_normal(pa, pb)
+    mid = 0.5 * (pa + pb)
+    nav = n[:, 0] + n[:, 1]
+    nrm = np.hypot(nav[:, 0], nav[:, 1])
+    corner = two & same & (nrm > 1e-12)
+    if degree == 1:
+        one_edge = [pa[:, 0], pb[:, 0]]
+        two_edges, two_normals = [mid[:, 0], mid[:, 1]], [n[:, 0], n[:, 1]]
+    else:
+        one_edge = [pa[:, 0], mid[:, 0], pb[:, 0]]
+        two_edges = [mid[:, 0], mid[:, 1], node_pos]
+        two_normals = [n[:, 0], n[:, 1], nav / np.where(corner, nrm, 1.0)[:, None]]
+    S = degree + 1
+    on_two = two[:, None, None]
+    points = np.where(on_two, np.stack(two_edges, axis=1), np.stack(one_edge, axis=1))
+    normals = np.where(on_two, np.stack(two_normals, axis=1), n[:, :1])
+    second = two[:, None] & (np.arange(S) == 1)
+    valid = np.ones((len(two), S), dtype=bool)
+    if degree >= 2:
+        valid[:, 2] = ~two | corner
+    return points, normals, second, valid
+
+
+@dataclass(frozen=True)
+class NeumannEdges:
+    """The Neumann edges of a mesh, their tractions, and the edges per node.
+
+    ends (E, 2) node ids, names (E,) and traction_ids (E,) (edges whose
+    traction is the same callable share an id) in ``mesh.boundary`` order;
+    on (n_nodes, 2) each node's first and second Neumann edge in that order
+    (-1: none; a node on one edge repeats it).
+    """
+
+    ends: np.ndarray
+    names: np.ndarray
+    traction_ids: np.ndarray
+    on: np.ndarray
+    tractions: dict
+
+
+def neumann_edges(mesh: Mesh, tractions: dict | None) -> NeumannEdges:
+    """The mesh's Neumann edges, each of whose names needs a traction."""
+    edges = mesh.boundary_arrays
+    neumann = edges.kinds == NEUMANN
+    ends, names = edges.node_ids[neumann], edges.names[neumann]
+    for name in dict.fromkeys(names.tolist()):
+        if tractions is None or name not in tractions:
+            raise RecoveryError(
+                f"constrained recovery needs a traction for boundary {name!r}"
+            )
+    uniq, inverse = np.unique(names, return_inverse=True)
+    fns = [tractions[name] for name in uniq.tolist()]
+    # names whose traction is the same callable share an id
+    ids = np.array([next(i for i, g in enumerate(fns) if g is f) for f in fns], dtype=int)
+    count = np.bincount(ends.ravel(), minlength=mesh.n_nodes)
+    if np.any(count > 2):
+        node = int(np.argmax(count > 2))
         raise RecoveryError(
-            f"node at {node_pos} lies on {len(edges)} boundary edges"
+            f"node at {mesh.coords[node]} lies on {count[node]} boundary edges"
         )
-    (pa1, pb1, f1), (pa2, pb2, f2) = edges
-    n1, n2 = edge_normal(pa1, pb1), edge_normal(pa2, pb2)
-    out.append((0.5 * (pa1 + pb1), n1, f1))
-    out.append((0.5 * (pa2 + pb2), n2, f2))
-    if degree >= 2 and f1 is f2:
-        nav = n1 + n2
-        nrm = np.hypot(nav[0], nav[1])
-        if nrm > 1e-12:
-            out.append((np.asarray(node_pos, float), nav / nrm, f1))
-    return out
+    edge = np.argsort(ends.ravel(), kind="stable") // 2  # node-major incidences
+    first = np.cumsum(count) - count
+    on = np.full((mesh.n_nodes, 2), -1)
+    has = count > 0
+    on[has, 0] = edge[first[has]]
+    on[has, 1] = edge[first[has] + count[has] - 1]
+    return NeumannEdges(ends, names, ids[inverse], on, dict(tractions or {}))
 
 
 def _equilibrium_rows(degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -331,43 +390,58 @@ def _compatibility_rows(degree: int, compliance: np.ndarray) -> np.ndarray:
 
 
 def collocation_rows(
-    *,
+    mesh: Mesh,
+    neumann: NeumannEdges,
+    nodes: np.ndarray,
     degree: int,
-    center: np.ndarray,
-    scale: float,
-    collocation: list,
+    *,
+    scale: np.ndarray,
+    split: np.ndarray,
     singular_field: SingularField | None = None,
-    split: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Traction collocation rows of one patch: sigma*(x_c) . n = t(x_c).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Traction collocation rows sigma*(x_c) . n = t(x_c) of K patches.
 
-    ``collocation`` is a list of (point, outward unit normal, traction_fn)
-    (see collocation_points); two rows (x then y traction) per point,
-    shape (2c, 3m) and (2c,).  For split patches the singular traction moves
-    to the right-hand side, and a point at the notch vertex, where that
-    traction has no value, is skipped.  Traction functions map (positions
-    (n, 2), unit normal (2,)) to tractions (n, 2).
+    ``nodes`` (K,) lie on Neumann edges; scale and split (K,) are their
+    patches' frame scales and split flags.  One pass builds every node's
+    collocation points (see collocation_points), their right-hand sides and
+    rows, two per point (x then y traction): each traction function is
+    called once, on all points of its boundary with one unit normal (n, 2)
+    per point.  For split patches the singular traction moves to the
+    right-hand side, and a point at the notch vertex, where that traction
+    has no value, is skipped.  Returns (count (K,), rows (R, 3m), rhs (R,)):
+    node i's count[i] rows follow those of nodes 0..i-1.
     """
     m = len(_MONOMIALS[degree])
-    rows, rhs = [], []
-    for x, n, traction in collocation:
-        x = np.asarray(x, float)
-        if split and singular_field is not None:
-            r = np.hypot(*(x - np.asarray(singular_field.frame.vertex)))
-            if r < 1e-14 * (1.0 + scale):
-                continue  # the eigenfield traction has no value at the vertex
-        t = np.asarray(traction(x[None, :], n), dtype=float).reshape(2)
-        if split and singular_field is not None:
-            t = t - singular_field.traction(x[None, :], n).reshape(2)
-        p = _basis(x[None, :], center, scale, degree)[0]
-        z = np.zeros(m)
-        rows.append(np.concatenate([n[0] * p, z, n[1] * p]))
-        rhs.append(t[0])
-        rows.append(np.concatenate([z, n[1] * p, n[0] * p]))
-        rhs.append(t[1])
-    if not rows:
-        return np.zeros((0, 3 * m)), np.zeros(0)
-    return np.array(rows), np.array(rhs)
+    on = neumann.on[nodes]  # (K, 2)
+    center = mesh.coords[nodes]
+    points, normals, second, valid = collocation_points(
+        center,
+        mesh.coords[neumann.ends[on]],
+        on[:, 0] != on[:, 1],
+        neumann.traction_ids[on[:, 0]] == neumann.traction_ids[on[:, 1]],
+        degree,
+    )
+    split = split & (singular_field is not None)
+    if split.any():
+        d = points - np.asarray(singular_field.frame.vertex)
+        at_vertex = np.hypot(d[..., 0], d[..., 1]) < 1e-14 * (1.0 + scale)[:, None]
+        valid &= ~(split[:, None] & at_vertex)  # no eigenfield traction there
+    names = neumann.names[np.where(second, on[:, 1:], on[:, :1])]
+    t = np.zeros(points.shape)
+    for name in dict.fromkeys(names[valid].tolist()):
+        sel = valid & (names == name)
+        t[sel] = traction_values(
+            neumann.tractions, name, points[sel], normals[sel], RecoveryError
+        )
+    sel = valid & split[:, None]
+    if sel.any():
+        t[sel] = t[sel] - singular_field.traction(points[sel], normals[sel])
+    p = _basis(points, center[:, None], scale[:, None], degree)  # (K, S, m)
+    nx, ny = normals[..., 0, None] * p, normals[..., 1, None] * p
+    rows = np.zeros(p.shape[:2] + (2, 3 * m))
+    rows[:, :, 0, :m], rows[:, :, 0, 2 * m :] = nx, ny
+    rows[:, :, 1, m : 2 * m], rows[:, :, 1, 2 * m :] = ny, nx
+    return 2 * valid.sum(axis=1), rows[valid].reshape(-1, 3 * m), t[valid].reshape(-1)
 
 
 def constraint_rows(
@@ -413,11 +487,6 @@ def constraint_rows(
     return C, np.concatenate([d_eq, r, d_compat], axis=1)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of (B, n) stacks, equal to ndarray.dot per row."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _orthonormalize_constraints(
     C: np.ndarray, d: np.ndarray, node_ids
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
@@ -446,7 +515,7 @@ def _orthonormalize_constraints(
     failures: dict[int, str] = {}
     for i in range(k):
         row, val = C[:, i], d[:, i]
-        norm0 = np.sqrt(_dot(row, row))
+        norm0 = np.sqrt(row_dot(row, row))
         zero = norm0 == 0.0
         for b in np.nonzero(zero & (np.abs(val) > 1e-9))[0]:
             node = int(node_ids[b])
@@ -458,11 +527,11 @@ def _orthonormalize_constraints(
             w = val / norm0
         for j in range(rank.max()):
             u = Q[:, j]
-            proj = _dot(v, u)
+            proj = row_dot(v, u)
             kept = rank > j
             v = np.where(kept[:, None], v - proj[:, None] * u, v)
             w = np.where(kept, w - proj * e[:, j], w)
-        nv = np.sqrt(_dot(v, v))
+        nv = np.sqrt(row_dot(v, v))
         dependent = ~zero & (nv < 1e-10)
         for b in np.nonzero(dependent & (np.abs(w) > 1e-8))[0]:
             node = int(node_ids[b])
@@ -653,24 +722,10 @@ def build_recovered_field(
         )
         split_flags = r_nodes < config.splitting_radius
 
-    # Neumann edges per node: collocation applies to the edges the patch
-    # node itself lies on (constraining a patch to tractions of edges it
-    # merely grazes would override its interior data)
-    neumann_by_node: dict[int, list] = {}
-    if config.with_constraints:
-        for be in mesh.boundary:
-            if be.kind != NEUMANN:
-                continue
-            if tractions is None or be.name not in tractions:
-                raise RecoveryError(
-                    f"constrained recovery needs a traction for boundary "
-                    f"{be.name!r}"
-                )
-            pa, pb = mesh.coords[be.node_ids[0]], mesh.coords[be.node_ids[1]]
-            for n_id in be.node_ids:
-                neumann_by_node.setdefault(n_id, []).append(
-                    (pa, pb, tractions[be.name])
-                )
+    # collocation applies to the Neumann edges the patch node itself lies on
+    # (constraining a patch to tractions of edges it merely grazes would
+    # override its interior data)
+    neumann = neumann_edges(mesh, tractions) if config.with_constraints else None
 
     sizes = np.diff(mesh.patch_offsets)
     if len(sizes) and sizes.min() == 0:
@@ -678,14 +733,13 @@ def build_recovered_field(
             f"node {int(np.argmin(sizes))} belongs to no element, so it has no patch"
         )
     on_boundary = np.zeros(mesh.n_nodes, dtype=bool)
-    if mesh.boundary:
-        on_boundary[np.array([be.node_ids for be in mesh.boundary])] = True
+    on_boundary[mesh.boundary_arrays.node_ids] = True
     degrees = np.where(on_boundary, config.boundary_degree, config.interior_degree)
 
     fitter = _PatchFitter(
         mesh, positions, stresses, smooth, weights, per_element, split_flags,
         constrained=config.with_constraints,
-        neumann_by_node=neumann_by_node,
+        neumann=neumann,
         compliance=compliance_matrix(solution.material),
         body_force=body_force,
         singular_field=singular_field,
@@ -724,7 +778,7 @@ class _PatchFitter:
     """
 
     def __init__(self, mesh, positions, stresses, smooth, weights, per_element, split,
-                 *, constrained, neumann_by_node, compliance, body_force, singular_field):
+                 *, constrained, neumann, compliance, body_force, singular_field):
         self.mesh = mesh
         self.positions = positions
         self.stresses = stresses
@@ -734,7 +788,7 @@ class _PatchFitter:
         self.split = split
         self.scales = _patch_scales(mesh, positions, per_element)
         self.constrained = constrained
-        self.neumann_by_node = neumann_by_node
+        self.neumann = neumann
         self.compliance = compliance
         self.body_force = body_force
         self.singular_field = singular_field
@@ -745,41 +799,31 @@ class _PatchFitter:
         """Fit the nodes' patches at one degree; returns the singular ones.
 
         Nodes are grouped by patch size and collocation row count, so each
-        chunk stacks arrays of one shape.
+        chunk stacks arrays of one shape; a chunk's collocation rows are
+        sliced from the one collocation pass over the nodes.
         """
         sizes = np.diff(self.mesh.patch_offsets)[nodes]
-        collocation = self._collocation(nodes, degree) if self.constrained else {}
-        rows_of = np.zeros(self.mesh.n_nodes, dtype=int)
-        rows_of[list(collocation)] = [len(rhs) for _, rhs in collocation.values()]
-        n_rows = rows_of[nodes]
+        n_rows = np.zeros(len(nodes), dtype=int)
+        if self.constrained:
+            on = self.neumann.on[nodes, 0] >= 0
+            if on.any():
+                n_rows[on], R, r = collocation_rows(
+                    self.mesh, self.neumann, nodes[on], degree,
+                    scale=self.scales[nodes[on]], split=self.split[nodes[on]],
+                    singular_field=self.singular_field,
+                )
+        first = np.cumsum(n_rows) - n_rows
         singular: dict[int, str] = {}
         for size, rows in np.unique(np.stack([sizes, n_rows], axis=1), axis=0).tolist():
-            group = nodes[(sizes == size) & (n_rows == rows)]
-            for start in range(0, len(group), CHUNK):
-                chunk = group[start : start + CHUNK]
+            sel = np.nonzero((sizes == size) & (n_rows == rows))[0]
+            for start in range(0, len(sel), CHUNK):
+                part = sel[start : start + CHUNK]
                 coll = None
                 if rows:
-                    coll = tuple(
-                        np.stack(a) for a in zip(*(collocation[n] for n in chunk.tolist()))
-                    )
-                singular.update(self._fit_chunk(chunk, size, degree, coll))
+                    idx = first[part, None] + np.arange(rows)
+                    coll = (R[idx], r[idx])
+                singular.update(self._fit_chunk(nodes[part], size, degree, coll))
         return singular
-
-    def _collocation(self, nodes: np.ndarray, degree: int) -> dict:
-        """Collocation (rows, rhs) of the given nodes that lie on Neumann edges."""
-        coords = self.mesh.coords
-        out = {}
-        for node in nodes[np.isin(nodes, list(self.neumann_by_node))].tolist():
-            center = coords[node]
-            out[node] = collocation_rows(
-                degree=degree,
-                center=center,
-                scale=self.scales[node],
-                collocation=collocation_points(center, self.neumann_by_node[node], degree),
-                singular_field=self.singular_field,
-                split=bool(self.split[node]),
-            )
-        return out
 
     def _gather(self, chunk: np.ndarray, size: int):
         """(positions, stresses, weights) of patches of ``size`` elements each.

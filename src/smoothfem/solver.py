@@ -90,12 +90,14 @@ class DirichletSpec:
 class BoundaryConditions:
     """Named boundary data + isolated node pins.
 
-    tractions: name -> callable(positions (..., 2), outward unit normal)
-        -> tractions (..., 2); the normal is (2,) or (..., 2) and broadcasts
-        against the positions, as in analytic.stress_traction.  Every
-        Neumann boundary name in the mesh must be present.  The normal
-        argument keeps corner points unambiguous (a traction belongs to an
-        oriented edge, not a location).
+    tractions: name -> callable(positions (n, 2), outward unit normals
+        (n, 2)) -> tractions (n, 2), finite; the load vector, the traction
+        collocation and the GSIF boundary term each call it once per
+        boundary name with all of that boundary's points, one normal per
+        point (see traction_values).  Every Neumann boundary name in the
+        mesh must be present.  The normal argument keeps corner points
+        unambiguous (a traction belongs to an oriented edge, not a
+        location).
     dirichlet: name -> DirichletSpec for every Dirichlet boundary name.
     pins: ((node_id, component, value), ...) extra point constraints.
     """
@@ -103,6 +105,31 @@ class BoundaryConditions:
     tractions: dict = field(default_factory=dict)
     dirichlet: dict = field(default_factory=dict)
     pins: tuple = ()
+
+
+def traction_values(
+    tractions: dict, name: str, points: np.ndarray, normals: np.ndarray,
+    error: type[Exception] = SolveError,
+) -> np.ndarray:
+    """tractions[name] at points (n, 2) with normals (n, 2), checked.
+
+    Raises ``error`` naming the boundary unless the callable returns an
+    (n, 2) array of finite values.
+    """
+    t = np.asarray(tractions[name](points, normals), dtype=float)
+    if t.shape != points.shape:
+        raise error(
+            f"traction for boundary {name!r} returned shape {t.shape}, "
+            f"expected {points.shape}"
+        )
+    if not np.all(np.isfinite(t)):
+        raise error(f"traction for boundary {name!r} returned non-finite values")
+    return t
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (B, n) stacks, equal to ndarray.dot per row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,27 +289,39 @@ def _scatter(mesh: Mesh, operators: ElementOperators) -> sp.csr_matrix:
 
 
 def _neumann_vector(mesh: Mesh, bcs: BoundaryConditions) -> np.ndarray:
-    """External load vector from edge tractions (2-point Gauss per edge)."""
+    """External load vector from edge tractions (2-point Gauss per edge).
+
+    All Neumann edges at once: each traction function is called once, on
+    its boundary's Gauss points, and the contributions are added with
+    np.add.at in (edge, point, node a then b) order, the products taken as
+    Na * t * w * jac, so f equals an edge-by-edge accumulation bit for bit.
+    """
     f = np.zeros(2 * mesh.n_nodes)
+    edges = mesh.boundary_arrays
+    neumann = edges.kinds == NEUMANN
+    names = edges.names[neumann]
+    for name in dict.fromkeys(names.tolist()):
+        if name not in bcs.tractions:
+            raise SolveError(f"no traction supplied for Neumann boundary {name!r}")
+    ends = edges.node_ids[neumann]
+    pa, pb = mesh.coords[ends[:, 0]], mesh.coords[ends[:, 1]]
+    half = 0.5 * (pb - pa)
+    midpoint = 0.5 * (pa + pb)
+    jac = np.sqrt(row_dot(half, half))  # np.linalg.norm of each half
+    normal = np.stack([half[:, 1], -half[:, 0]], axis=-1) / jac[:, None]
     gp, gw = gauss_points_1d(2)
-    for be in mesh.boundary:
-        if be.kind != NEUMANN:
-            continue
-        if be.name not in bcs.tractions:
-            raise SolveError(f"no traction supplied for Neumann boundary {be.name!r}")
-        t_fn = bcs.tractions[be.name]
-        a, b = be.node_ids
-        pa, pb = mesh.coords[a], mesh.coords[b]
-        half = 0.5 * (pb - pa)
-        midpoint = 0.5 * (pa + pb)
-        jac = np.linalg.norm(half)
-        normal = np.array([half[1], -half[0]]) / jac
-        for s, w in zip(gp, gw):
-            x = midpoint + s * half
-            t = np.asarray(t_fn(x[None, :], normal), dtype=float).reshape(2)
-            Na, Nb = 0.5 * (1.0 - s), 0.5 * (1.0 + s)
-            f[2 * a : 2 * a + 2] += Na * t * w * jac
-            f[2 * b : 2 * b + 2] += Nb * t * w * jac
+    x = midpoint[:, None] + gp[:, None] * half[:, None]  # (edge, point, 2)
+    normals = np.broadcast_to(normal[:, None], x.shape)
+    t = np.empty_like(x)
+    for name in dict.fromkeys(names.tolist()):
+        sel = names == name
+        t[sel] = traction_values(
+            bcs.tractions, name, x[sel].reshape(-1, 2), normals[sel].reshape(-1, 2)
+        ).reshape(-1, len(gp), 2)
+    N = np.stack([0.5 * (1.0 - gp), 0.5 * (1.0 + gp)], axis=-1)  # (point, node)
+    vals = N[:, :, None] * t[:, :, None] * gw[:, None, None] * jac[:, None, None, None]
+    dofs = 2 * ends[:, None, :, None] + np.arange(2)  # (edge, 1, node, comp)
+    np.add.at(f, np.broadcast_to(dofs, vals.shape).ravel(), vals.ravel())
     return f
 
 

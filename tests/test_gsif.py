@@ -9,23 +9,33 @@ convergence of extracted amplitudes on solved problems (frozen regression
 values).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smoothfem.analytic import MODE_I, MODE_II, AnalyticError
+from smoothfem.analytic import MODE_I, MODE_II, AnalyticError, stress_traction
 from smoothfem.benchmarks import LShapeBenchmark
 from smoothfem.gsif import (
     GsifError,
     PlateauFunction,
-    _domain_term,
+    _BoundaryTerm,
+    _DomainTerm,
     _dual_for,
     calibration_constant,
     contour_pairing,
     extract_gsifs,
 )
-from smoothfem.quadmap import gauss_points_2d, jacobian_det, map_point
-from smoothfem.solver import Formulation, interpolate_solution
+from smoothfem.mesh import DIRICHLET, NEUMANN, Mesh
+from smoothfem.quadmap import (
+    PARENT_CORNERS,
+    gauss_points_1d,
+    gauss_points_2d,
+    jacobian_det,
+    map_point,
+)
+from smoothfem.solver import BoundaryConditions, Formulation, interpolate_solution
 
 BM = LShapeBenchmark()
 
@@ -272,7 +282,8 @@ def test_domain_term_matches_the_per_element_loop_bit_for_bit(solve_cached, kind
     field = BM.singular_field
     dual = _dual_for(field.solution, field.frame, mode)
     plateau = PlateauFunction(center=field.frame.vertex)
-    got = _domain_term(sol, dual, plateau, 6)
+    term = _DomainTerm(sol, plateau, 6)
+    got = (term(dual), term.ring_elements)
     assert got == _per_element_domain_term(sol, dual, plateau, 6)
     assert 0 < got[1] < mesh.n_elements  # elements both on and off the ring
 
@@ -282,3 +293,95 @@ def test_empty_ring_raises(solve_cached):
     needle = PlateauFunction(center=(0.0, 0.0), r_plateau=1e-7, r_outer=2e-7)
     with pytest.raises(GsifError, match="widen the plateau"):
         extract_gsifs(sol, BM.singular_field, bcs, plateau=needle)
+
+
+def _per_edge_boundary_term(sol, dual, bcs, plateau):
+    """Reference for _BoundaryTerm: one boundary edge at a time, summed in order."""
+    mesh = sol.mesh
+    gp, gw = gauss_points_1d(4)
+    total = 0.0
+    for be in mesh.boundary:
+        a, b = be.node_ids
+        pa, pb = mesh.coords[a], mesh.coords[b]
+        half = 0.5 * (pb - pa)
+        x = 0.5 * (pa + pb) + gp[:, None] * half
+        q = plateau.value(x)
+        if not np.any(q > 0.0):
+            continue
+        jac = np.linalg.norm(half)
+        tang = half / jac
+        normal = np.array([tang[1], -tang[0]])
+        u_a = sol.U[2 * a : 2 * a + 2]
+        u_b = sol.U[2 * b : 2 * b + 2]
+        u_h = np.outer(0.5 * (1.0 - gp), u_a) + np.outer(0.5 * (1.0 + gp), u_b)
+        if be.kind == NEUMANN:
+            t = np.asarray(bcs.tractions[be.name](x, normal), dtype=float).reshape(-1, 2)
+        else:
+            pc0 = PARENT_CORNERS[be.local_edge]
+            pc1 = PARENT_CORNERS[(be.local_edge + 1) % 4]
+            par = np.outer(0.5 * (1.0 - gp), pc0) + np.outer(0.5 * (1.0 + gp), pc1)
+            t = stress_traction(sol.stress_at_parents([be.element_id], par)[0], normal)
+        tau_n = stress_traction(dual.stress(x), normal)
+        v = dual.displacement(x)
+        integrand = np.einsum("ki,ki->k", tau_n, u_h) - np.einsum("ki,ki->k", t, v)
+        total += float(np.sum(gw * jac * q * integrand))
+    return total
+
+
+def notch_clamped(level, kind):
+    """The interpolated L-shape eigenfield with the notch faces tagged
+    Dirichlet, so the boundary term takes the discrete traction there."""
+    mesh = BM.mesh(level)
+    tags = [replace(be, kind=DIRICHLET) if be.name == "notch" else be for be in mesh.boundary]
+    mesh = Mesh(mesh.coords, mesh.elements, tags)
+    sol = interpolate_solution(mesh, BM.material, Formulation(kind, 4), BM.exact_displacement)
+    return sol, BM.boundary_conditions(mesh)
+
+
+@pytest.mark.parametrize("kind", ["sfem", "fem"])
+@pytest.mark.parametrize("mode", [MODE_I, MODE_II])
+@pytest.mark.parametrize("notch", [NEUMANN, DIRICHLET])
+def test_boundary_term_matches_the_per_edge_loop_bit_for_bit(solve_cached, kind, mode, notch):
+    # the wide plateau reaches the outer square too, so Neumann edges of
+    # both names (and, with the notch clamped, Dirichlet edges) are inside
+    if notch == NEUMANN:
+        _, bcs, sol = solve_cached("lshape", 1, kind, 4)
+    else:
+        sol, bcs = notch_clamped(1, kind)
+    field = BM.singular_field
+    dual = _dual_for(field.solution, field.frame, mode)
+    for plateau in (
+        PlateauFunction(center=field.frame.vertex),
+        PlateauFunction(center=field.frame.vertex, r_plateau=0.45, r_outer=1.1),
+    ):
+        got = _BoundaryTerm(sol, bcs, plateau)(dual)
+        assert got == _per_edge_boundary_term(sol, dual, bcs, plateau)
+    if notch == DIRICHLET and mode == MODE_I:
+        # the discrete traction on the clamped faces is not zero
+        assert abs(got) > 1e-3
+
+
+def lshape_bcs_with(bcs, **tractions):
+    return BoundaryConditions(tractions={**bcs.tractions, **tractions}, pins=bcs.pins)
+
+
+def test_missing_traction_inside_the_support_names_the_boundary(solve_cached):
+    mesh, bcs, sol = solve_cached("lshape", 1, "sfem", 4)
+    only_outer = BoundaryConditions(tractions={"outer": bcs.tractions["outer"]}, pins=bcs.pins)
+    with pytest.raises(GsifError, match="'notch'"):
+        extract_gsifs(sol, BM.singular_field, only_outer)
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (lambda p, n: np.full(np.shape(p), np.nan), "non-finite"),
+        (lambda p, n: np.zeros(2), "shape"),
+        (lambda p, n: np.zeros((len(p), 3)), "shape"),
+    ],
+    ids=["nan", "one-vector", "three-columns"],
+)
+def test_bad_traction_output_names_the_boundary(solve_cached, bad, match):
+    mesh, bcs, sol = solve_cached("lshape", 1, "sfem", 4)
+    with pytest.raises(GsifError, match=rf"'notch'.*{match}|{match}.*'notch'"):
+        extract_gsifs(sol, BM.singular_field, lshape_bcs_with(bcs, notch=bad))

@@ -26,9 +26,11 @@ from smoothfem.recovery import (
     _sampling_arrays,
     build_recovered_field,
     collocation_points,
+    collocation_rows,
     constraint_rows,
     edge_normal,
     fit_patch,
+    neumann_edges,
     singular_stress_estimate,
     smooth_part,
 )
@@ -201,32 +203,70 @@ def test_edge_normal_is_outward_unit():
     assert_allclose(n, [0.0, -1.0], atol=1e-15)  # CCW edge: outward is right
 
 
+def test_edge_normals_batch_like_single_edges():
+    rng = np.random.default_rng(5)
+    pa, pb = rng.normal(size=(2, 7, 2))
+    batched = edge_normal(pa, pb)
+    for i in range(7):
+        assert np.array_equal(batched[i], edge_normal(pa[i], pb[i]))
+
+
+def node_collocation(node, edges, same, degree):
+    """collocation_points of one node on one or two edges ((pa, pb) pairs)."""
+    ends = np.array([edges[0], edges[-1]], float)[None]
+    points, normals, second, valid = collocation_points(
+        np.asarray(node, float)[None], ends, np.array([len(edges) == 2]),
+        np.array([same]), degree,
+    )
+    return points[0][valid[0]], normals[0][valid[0]], second[0][valid[0]]
+
+
 def test_collocation_single_edge():
-    t = lambda p, n: np.zeros_like(np.asarray(p, float))
     pa, pb = np.array([0.0, 0.0]), np.array([1.0, 0.0])
-    pts = collocation_points(pa, [(pa, pb, t)], degree=2)
-    assert len(pts) == 3
-    positions = np.array([p for p, _, _ in pts])
+    positions, normals, second = node_collocation(pa, [(pa, pb)], True, degree=2)
+    assert len(positions) == 3
     assert_allclose(sorted(positions[:, 0]), [0.0, 0.5, 1.0], atol=1e-15)
-    assert len(collocation_points(pa, [(pa, pb, t)], degree=1)) == 2
+    assert_allclose(normals, [[0.0, -1.0]] * 3, atol=1e-15)
+    assert not second.any()
+    assert len(node_collocation(pa, [(pa, pb)], True, degree=1)[0]) == 2
 
 
 def test_collocation_corner_same_vs_different_tractions():
-    t1 = lambda p, n: np.zeros_like(np.asarray(p, float))
-    t2 = lambda p, n: np.zeros_like(np.asarray(p, float))
     node = np.array([1.0, 0.0])
-    edges_same = [
-        (np.array([0.0, 0.0]), node, t1),
-        (node, np.array([1.0, 1.0]), t1),
-    ]
-    edges_diff = [
-        (np.array([0.0, 0.0]), node, t1),
-        (node, np.array([1.0, 1.0]), t2),
-    ]
+    edges = [(np.array([0.0, 0.0]), node), (node, np.array([1.0, 1.0]))]
     # same traction object: 2 midpoints + the corner with averaged normal
-    assert len(collocation_points(node, edges_same, degree=2)) == 3
+    positions, normals, second = node_collocation(node, edges, True, degree=2)
+    assert_allclose(positions, [[0.5, 0.0], [1.0, 0.5], [1.0, 0.0]], atol=1e-15)
+    assert_allclose(normals[2], [np.sqrt(0.5), -np.sqrt(0.5)], atol=1e-15)
+    assert second.tolist() == [False, True, False]
     # direction-dependent corner traction: the shared point is skipped
-    assert len(collocation_points(node, edges_diff, degree=2)) == 2
+    assert len(node_collocation(node, edges, False, degree=2)[0]) == 2
+    assert len(node_collocation(node, edges, True, degree=1)[0]) == 2
+
+
+def test_collocation_skips_the_corner_of_a_slit():
+    # two faces of a slit meet with opposite normals: no averaged normal
+    node = np.array([0.0, 0.0])
+    edges = [(np.array([1.0, 0.0]), node), (node, np.array([1.0, 0.0]))]
+    positions, _, _ = node_collocation(node, edges, True, degree=2)
+    assert_allclose(positions, [[0.5, 0.0], [0.5, 0.0]], atol=1e-15)
+
+
+def test_neumann_edges_per_node():
+    # the L-shape's corner (-1, -1) joins two outer edges; the vertex joins
+    # the two notch faces, whose traction is one callable
+    mesh = LShapeBenchmark().mesh(0)
+    bcs = LShapeBenchmark().boundary_conditions(mesh)
+    neumann = neumann_edges(mesh, bcs.tractions)
+    corner, vertex = mesh.find_node((-1.0, -1.0)), mesh.find_node((0.0, 0.0))
+    for node, name in ((corner, "outer"), (vertex, "notch")):
+        first, second = neumann.on[node]
+        assert first < second
+        assert node in neumann.ends[first] and node in neumann.ends[second]
+        assert neumann.names[first] == neumann.names[second] == name
+    assert len(set(neumann.traction_ids.tolist())) == 2
+    with pytest.raises(RecoveryError, match="'notch'"):
+        neumann_edges(mesh, {"outer": bcs.tractions["outer"]})
 
 
 def test_constraint_row_counts():
@@ -598,6 +638,54 @@ def test_splitting_requires_singular_field():
 # ---------------------------------------------------------------------------
 
 
+def reference_collocation_points(node_pos, edges, degree):
+    """One node's (point, normal, traction_fn) list, as the per-node loop built it."""
+    def normal(pa, pb):
+        tang = pb - pa
+        return np.array([tang[1], -tang[0]]) / np.hypot(tang[0], tang[1])
+
+    if not edges:
+        return []
+    if len(edges) == 1:
+        pa, pb, fn = edges[0]
+        n = normal(pa, pb)
+        pts = [pa, pb] if degree == 1 else [pa, 0.5 * (pa + pb), pb]
+        return [(p, n, fn) for p in pts]
+    (pa1, pb1, f1), (pa2, pb2, f2) = edges
+    n1, n2 = normal(pa1, pb1), normal(pa2, pb2)
+    out = [(0.5 * (pa1 + pb1), n1, f1), (0.5 * (pa2 + pb2), n2, f2)]
+    if degree >= 2 and f1 is f2:
+        nav = n1 + n2
+        nrm = np.hypot(nav[0], nav[1])
+        if nrm > 1e-12:
+            out.append((np.asarray(node_pos, float), nav / nrm, f1))
+    return out
+
+
+def reference_collocation_rows(degree, center, scale, collocation, singular_field, split):
+    """One patch's traction collocation rows, built point by point."""
+    from smoothfem.recovery import _MONOMIALS
+
+    m = len(_MONOMIALS[degree])
+    rows, rhs = [], []
+    for x, n, traction in collocation:
+        x = np.asarray(x, float)
+        if split and singular_field is not None:
+            r = np.hypot(*(x - np.asarray(singular_field.frame.vertex)))
+            if r < 1e-14 * (1.0 + scale):
+                continue
+        t = np.asarray(traction(x[None, :], n), dtype=float).reshape(2)
+        if split and singular_field is not None:
+            t = t - singular_field.traction(x[None, :], n).reshape(2)
+        p = _basis(x[None, :], center, scale, degree)[0]
+        z = np.zeros(m)
+        rows.append(np.concatenate([n[0] * p, z, n[1] * p]))
+        rhs.append(t[0])
+        rows.append(np.concatenate([z, n[1] * p, n[0] * p]))
+        rhs.append(t[1])
+    return np.array(rows).reshape(-1, 3 * m), np.array(rhs)
+
+
 def reference_constraint_rows(degree, center, scale, compliance, collocation,
                               singular_field, split, body_force):
     """One patch's constraint rows, built row by row as the per-node loop did."""
@@ -614,21 +702,9 @@ def reference_constraint_rows(degree, center, scale, compliance, collocation,
         for k in range(block.shape[0]):
             rows.append(block[k])
             rhs.append(-b * scale * const[k])
-    for x, n, traction in collocation:
-        x = np.asarray(x, float)
-        if split and singular_field is not None:
-            r = np.hypot(*(x - np.asarray(singular_field.frame.vertex)))
-            if r < 1e-14 * (1.0 + scale):
-                continue
-        t = np.asarray(traction(x[None, :], n), dtype=float).reshape(2)
-        if split and singular_field is not None:
-            t = t - singular_field.traction(x[None, :], n).reshape(2)
-        p = _basis(x[None, :], center, scale, degree)[0]
-        z = np.zeros(m)
-        rows.append(np.concatenate([n[0] * p, z, n[1] * p]))
-        rhs.append(t[0])
-        rows.append(np.concatenate([z, n[1] * p, n[0] * p]))
-        rhs.append(t[1])
+    R, r = reference_collocation_rows(degree, center, scale, collocation, singular_field, split)
+    rows.extend(R)
+    rhs.extend(r)
     if degree >= 2:
         mono = _MONOMIALS[2]
         i_xx, i_xy, i_yy = mono.index((2, 0)), mono.index((1, 1)), mono.index((0, 2))
@@ -696,6 +772,17 @@ def reference_fit(node, pos, sig, w, degree, constraints, center, scale):
     return np.linalg.solve(KKT, rhs)[:3 * m].reshape(3, m)
 
 
+def reference_edges(mesh, tractions):
+    """Node id -> its Neumann edges' (pa, pb, traction_fn), in boundary order."""
+    edges = {}
+    for be in mesh.boundary:
+        if be.kind == "neumann":
+            pa, pb = mesh.coords[be.node_ids[0]], mesh.coords[be.node_ids[1]]
+            for n in be.node_ids:
+                edges.setdefault(n, []).append((pa, pb, tractions[be.name]))
+    return edges
+
+
 def reference_fits(sol, config, singular_field, tractions, bcs):
     """(degree, center, scale, coeffs) of every node, one node at a time."""
     mesh = sol.mesh
@@ -708,12 +795,7 @@ def reference_fits(sol, config, singular_field, tractions, bcs):
         smooth = smooth_part(positions, stresses, singular_field)
         split = np.linalg.norm(mesh.coords - np.asarray(singular_field.frame.vertex), axis=1) \
             < config.splitting_radius
-    edges = {}
-    for be in mesh.boundary:
-        if be.kind == "neumann" and config.with_constraints:
-            pa, pb = mesh.coords[be.node_ids[0]], mesh.coords[be.node_ids[1]]
-            for n in be.node_ids:
-                edges.setdefault(n, []).append((pa, pb, tractions[be.name]))
+    edges = reference_edges(mesh, tractions) if config.with_constraints else {}
     boundary_nodes = {n for be in mesh.boundary for n in be.node_ids}
     compliance = compliance_matrix(sol.material)
     out = []
@@ -730,7 +812,7 @@ def reference_fits(sol, config, singular_field, tractions, bcs):
             if config.with_constraints:
                 C, d = reference_constraint_rows(
                     degree, center, scale, compliance,
-                    collocation_points(center, edges.get(node, []), degree),
+                    reference_collocation_points(center, edges.get(node, []), degree),
                     singular_field, bool(split[node]), (0.0, 0.0),
                 )
                 constraints = reference_orthonormalize(C, d, node)
@@ -816,17 +898,86 @@ def test_inconsistent_collocation_row_names_its_node(solve_cached, monkeypatch):
 
     mesh, bcs, sol = solve_cached("lshape", 1, "sfem", 4)
     bad = {int(mesh.find_node((-1.0, 0.0))), int(mesh.find_node((0.0, 1.0)))}
-    original = recovery.collocation_points
+    original = recovery.collocation_rows
 
-    def with_conflict(node_pos, edges, degree):
-        points = original(node_pos, edges, degree)
-        if mesh.find_node(node_pos) in bad:
-            x, n, fn = points[0]
-            points.append((x, n, lambda p, nrm, fn=fn: fn(p, nrm) + 1.0))
-        return points
+    def with_conflict(mesh, neumann, nodes, degree, **kwargs):
+        count, rows, rhs = original(mesh, neumann, nodes, degree, **kwargs)
+        first = np.cumsum(count) - count
+        R, r = [], []
+        for node, i, c in zip(nodes.tolist(), first, count):
+            R.append(rows[i : i + c])
+            r.append(rhs[i : i + c])
+            if node in bad:
+                R.append(rows[i : i + 2])
+                r.append(rhs[i : i + 2] + 1.0)
+        count = count + 2 * np.isin(nodes, list(bad))
+        return count, np.concatenate(R), np.concatenate(r)
 
-    monkeypatch.setattr(recovery, "collocation_points", with_conflict)
+    monkeypatch.setattr(recovery, "collocation_rows", with_conflict)
     with pytest.raises(RecoveryError, match=rf"inconsistent dependent constraint in patch {min(bad)} ") as exc:
         build_recovered_field(sol, RecoveryConfig(variant="SPR-C"), tractions=bcs.tractions)
     assert isinstance(exc.value, PatchFailure)
     assert set(exc.value.failures) == bad
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("case", ["lshape-unsplit", "lshape-split", "cylinder"])
+def test_collocation_rows_match_the_per_node_loop_bit_for_bit(solve_cached, lshape_bm, case, degree):
+    # the L-shape's nodes all lie on two edges (its vertex on both notch
+    # faces, skipped when split); the cylinder's cut ends lie on one
+    name = case.split("-")[0]
+    mesh, bcs, sol = solve_cached(name, 1, "sfem", 4)
+    field = lshape_bm.singular_field if name == "lshape" else None
+    neumann = neumann_edges(mesh, bcs.tractions)
+    nodes = np.nonzero(neumann.on[:, 0] >= 0)[0]
+    positions, _, _, k = _sampling_arrays(sol)
+    scale = np.array([
+        max(np.abs(positions[(mesh.patch_elements[mesh.patch_offsets[n]:mesh.patch_offsets[n + 1], None] * k
+                              + np.arange(k)).ravel()] - mesh.coords[n]).max(), 1e-30)
+        for n in nodes
+    ])
+    split = np.zeros(len(nodes), dtype=bool)
+    if case == "lshape-split":
+        split = np.linalg.norm(mesh.coords[nodes], axis=1) < 0.5
+    count, rows, rhs = collocation_rows(
+        mesh, neumann, nodes, degree, scale=scale, split=split, singular_field=field
+    )
+    edges = reference_edges(mesh, bcs.tractions)
+    first = np.cumsum(count) - count
+    for i, node in enumerate(nodes.tolist()):
+        want = reference_collocation_rows(
+            degree, mesh.coords[node], scale[i],
+            reference_collocation_points(mesh.coords[node], edges[node], degree),
+            field, bool(split[i]),
+        )
+        assert np.array_equal(rows[first[i] : first[i] + count[i]], want[0]), node
+        assert np.array_equal(rhs[first[i] : first[i] + count[i]], want[1]), node
+    if name == "cylinder":
+        assert any(len(edges[n]) == 1 for n in nodes.tolist())
+    elif degree == 2:
+        # the vertex point is skipped when split; the corner point always is
+        # where the outer square meets a notch face (different tractions)
+        vertex = nodes.tolist().index(mesh.find_node((0.0, 0.0)))
+        assert count[vertex] == (4 if case == "lshape-split" else 6)
+        assert (count == 4).sum() == 2 + (case == "lshape-split")
+
+
+@pytest.mark.parametrize("variant", ["SPR-C", "SPR-CX"])
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (lambda p, n: np.full(np.shape(p), np.nan), "non-finite"),
+        (lambda p, n: np.array([1.0, 0.0]), "shape"),
+        (lambda p, n: np.zeros((len(p), 3)), "shape"),
+    ],
+    ids=["nan", "one-vector", "three-columns"],
+)
+@pytest.mark.parametrize("name", ["outer", "notch"])
+def test_bad_traction_output_names_the_boundary(solve_cached, lshape_bm, variant, bad, match, name):
+    mesh, bcs, sol = solve_cached("lshape", 1, "sfem", 4)
+    tractions = {**bcs.tractions, name: bad}
+    with pytest.raises(RecoveryError, match=rf"boundary '{name}'.*{match}"):
+        build_recovered_field(
+            sol, RecoveryConfig(variant=variant), singular_field=lshape_bm.singular_field,
+            tractions=tractions,
+        )

@@ -170,31 +170,101 @@ def test_assembled_stiffness_exactly_symmetric(cylinder_bm):
         assert skew == 0.0
 
 
-def test_neumann_vector_hand_values():
-    # unit traction (1, 0) on the right edge of a unit square: each of the
-    # two right-hand nodes receives half the resultant
-    boundary = [
-        BoundaryEdge(0, 0, (0, 1), NEUMANN, "bottom"),
-        BoundaryEdge(0, 1, (1, 2), NEUMANN, "right"),
-        BoundaryEdge(0, 2, (2, 3), NEUMANN, "top"),
-        BoundaryEdge(0, 3, (3, 0), NEUMANN, "left"),
-    ]
-    m = Mesh(UNIT, np.array([[0, 1, 2, 3]]), boundary)
+def named_edge_quad(corners):
+    """One quad whose four edges are Neumann boundaries of their own names."""
+    names = ("bottom", "right", "top", "left")
+    boundary = [BoundaryEdge(0, k, (k, (k + 1) % 4), NEUMANN, names[k]) for k in range(4)]
+    return Mesh(corners, np.array([[0, 1, 2, 3]]), boundary)
 
+
+def hand_loads():
+    # unit traction (1, 0) on the right edge, the other three free
     def pull(points, normal):
         return np.broadcast_to([1.0, 0.0], np.shape(points)).copy()
 
     def free(points, normal):
         return np.zeros_like(np.asarray(points, float))
 
-    bcs = BoundaryConditions(
+    return BoundaryConditions(
         tractions={"right": pull, "bottom": free, "top": free, "left": free}
     )
-    f = _neumann_vector(m, bcs)
+
+
+def swirl_loads():
+    # a traction depending nonlinearly on the position and on the normal
+    def swirl(points, normal):
+        p = np.asarray(points, float)
+        return np.stack([np.sin(p[..., 1]) + normal[..., 0], p[..., 0] ** 3 - normal[..., 1]], -1)
+
+    return BoundaryConditions(tractions=dict.fromkeys(("bottom", "right", "top", "left"), swirl))
+
+
+def test_neumann_vector_hand_values():
+    # each of the two right-hand nodes receives half the resultant
+    f = _neumann_vector(named_edge_quad(UNIT), hand_loads())
     expected = np.zeros(8)
     expected[2] = 0.5  # node 1, x
     expected[4] = 0.5  # node 2, x
     assert_allclose(f, expected, atol=1e-14)
+
+
+def per_edge_neumann_vector(mesh, bcs):
+    """Reference for _neumann_vector: one edge and Gauss point at a time."""
+    from smoothfem.quadmap import gauss_points_1d
+
+    f = np.zeros(2 * mesh.n_nodes)
+    gp, gw = gauss_points_1d(2)
+    for be in mesh.boundary:
+        if be.kind != NEUMANN:
+            continue
+        t_fn = bcs.tractions[be.name]
+        a, b = be.node_ids
+        pa, pb = mesh.coords[a], mesh.coords[b]
+        half = 0.5 * (pb - pa)
+        midpoint = 0.5 * (pa + pb)
+        jac = np.linalg.norm(half)
+        normal = np.array([half[1], -half[0]]) / jac
+        for s, w in zip(gp, gw):
+            x = midpoint + s * half
+            t = np.asarray(t_fn(x[None, :], normal), dtype=float).reshape(2)
+            Na, Nb = 0.5 * (1.0 - s), 0.5 * (1.0 + s)
+            f[2 * a : 2 * a + 2] += Na * t * w * jac
+            f[2 * b : 2 * b + 2] += Nb * t * w * jac
+    return f
+
+
+@pytest.mark.parametrize("case", ["square", "distorted-quad", "lshape-2", "cylinder-3"])
+def test_neumann_vector_matches_the_per_edge_loop_bit_for_bit(case):
+    if case == "square":
+        mesh, bcs = named_edge_quad(UNIT), hand_loads()
+    elif case == "distorted-quad":
+        mesh, bcs = named_edge_quad(DISTORTED), swirl_loads()
+    else:
+        name, level = case.split("-")
+        bm = {"lshape": LShapeBenchmark(), "cylinder": CylinderBenchmark()}[name]
+        mesh = bm.mesh(int(level))
+        bcs = bm.boundary_conditions(mesh)
+    f = _neumann_vector(mesh, bcs)
+    assert np.array_equal(f, per_edge_neumann_vector(mesh, bcs))
+    assert np.count_nonzero(f) > 0
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (lambda p, n: np.full(np.shape(p), np.nan), "non-finite"),
+        (lambda p, n: np.array([1.0, 0.0]), "shape"),
+        (lambda p, n: np.zeros((len(p), 3)), "shape"),
+    ],
+    ids=["nan", "one-vector", "three-columns"],
+)
+@pytest.mark.parametrize("name", ["outer", "notch"])
+def test_bad_traction_output_names_the_boundary(lshape_bm, bad, match, name):
+    mesh = lshape_bm.mesh(1)
+    bcs = lshape_bm.boundary_conditions(mesh)
+    bcs = BoundaryConditions(tractions={**bcs.tractions, name: bad}, pins=bcs.pins)
+    with pytest.raises(SolveError, match=rf"boundary '{name}'.*{match}"):
+        assemble_and_solve(mesh, lshape_bm.material, Formulation("sfem", 4), bcs)
 
 
 # ---------------------------------------------------------------------------
