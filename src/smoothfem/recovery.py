@@ -25,16 +25,19 @@ as stacked arrays.  The equilibrium and compatibility rows depend only on
 the degree and are shared by every patch (only their right-hand side
 scales per patch); the traction collocation rows of all nodes on Neumann
 edges are built in one pass per degree (one traction call per boundary
-name), and each chunk slices its own.  The batched kernels repeat the per-patch
-arithmetic bit for bit: dots and norms are ``np.matmul`` of (B, 1, n) by
-(B, n, 1) (plus ``np.sqrt``), ``M`` and ``b`` are batched matmuls, the
-conditioning check is a stacked ``np.linalg.svd`` and the solve a stacked
-``np.linalg.solve``; a row that one patch drops is masked out with
-``np.where``, never multiplied by zero.  Failed patches are returned, not
-raised, and dropped from their chunk with one mask.  Each patch whose
-degree-2 system is singular logs one "falling back" warning (in node order)
-and is refitted at degree 1; one PatchFailure, raised after every patch was
-tried, names all singular degree-1 systems and inconsistent constraints.
+name), and each chunk slices its own.  The batched kernels repeat the
+per-patch arithmetic bit for bit: dots and norms are ``np.matmul`` of
+(B, 1, n) by (B, n, 1) (plus ``np.sqrt``), ``M`` and ``b`` are batched
+matmuls and the solve a stacked ``np.linalg.solve``; a row that one patch
+drops is masked out with ``np.where``, never multiplied by zero.  The
+conditioning check certifies most KKT systems regular from eigenvalue
+bounds (the spectra of ``M`` and ``C C^T``, stacked ``np.linalg.eigvalsh``)
+and takes the stacked ``np.linalg.svd`` test only on the systems the bound
+cannot clear.  Failed patches are returned, not raised, and dropped from
+their chunk with one mask.  Each patch whose degree-2 system is singular
+logs one "falling back" warning (in node order) and is refitted at degree
+1; one PatchFailure, raised after every patch was tried, names all singular
+degree-1 systems and inconsistent constraints.
 """
 
 from __future__ import annotations
@@ -59,6 +62,14 @@ VARIANTS = ("SPR", "SPR-C", "SPR-X", "SPR-CX")
 # overhead, few enough that a chunk's gathered samples and KKT stack stay
 # small next to the whole-mesh arrays
 CHUNK = 64
+
+# a KKT system is singular when its smallest singular value is below
+# SINGULAR_RATIO times its largest (the SVD test); one whose eigenvalue
+# bounds give a ratio of at least CERTIFIED_RATIO is regular without the
+# SVD: the 100x margin is far wider than the SVD's own rounding of the
+# ratio (about n * eps), so both tests reach the same decision
+SINGULAR_RATIO = 1e-12
+CERTIFIED_RATIO = 1e-10
 
 
 class RecoveryError(RuntimeError):
@@ -552,6 +563,43 @@ def _orthonormalize_constraints(
 # ---------------------------------------------------------------------------
 
 
+def _kkt_ratio_bound(M: np.ndarray, C: np.ndarray | None) -> np.ndarray:
+    """Lower bound on sv_min / sv_max of each KKT system [[I3 (x) M, C^T], [C, 0]].
+
+    M (B, m, m) is symmetric positive semidefinite, C (B, k, 3m) with k > 0,
+    or None.  With mu- <= mu+ the extreme eigenvalues of M and s- <= s+ those
+    of C C^T (the squared singular values of C), every |eigenvalue| of the
+    symmetric KKT matrix lies in [lo, hi] when mu- > 0 (Rusten & Winther
+    1992; Benzi, Golub & Liesen 2005, section 3.4):
+
+        lo = min(mu-, 2 s- / (mu+ + sqrt(mu+^2 + 4 s-)))
+        hi = (mu+ + sqrt(mu+^2 + 4 s+)) / 2
+
+    lo is the cancellation-free form of (sqrt(mu+^2 + 4 s-) - mu+) / 2.  The
+    bound's other candidate for hi, (sqrt(mu-^2 + 4 s+) - mu-) / 2, is at
+    most sqrt(s+) and so never the larger when mu- > 0.  Returns lo / hi, and
+    0 where mu- <= 0 (no bound); without constraints lo / hi = mu- / mu+.
+    """
+    n = 3 * M.shape[-1] + (0 if C is None else C.shape[1])
+    # the computed eigenvalues (and the product C C^T) err by a few n eps of
+    # the largest one; lowering mu- and s- by n^2 eps of it keeps lo a lower
+    # bound, where a zero s- could otherwise come back as eps * s+
+    slack = n * n * np.finfo(float).eps
+    mu = np.linalg.eigvalsh(M)
+    mu_hi = mu[:, -1]
+    lo = mu_lo = mu[:, 0] - slack * mu_hi
+    hi = mu_hi
+    if C is not None:
+        s2 = np.linalg.eigvalsh(np.matmul(C, C.swapaxes(-1, -2)))
+        s_hi = np.maximum(s2[:, -1], 0.0)
+        s_lo = np.maximum(s2[:, 0] - slack * s_hi, 0.0)
+        # hypot(mu, 2 sqrt(s)) = sqrt(mu^2 + 4 s), without overflow
+        den = mu_hi + np.hypot(mu_hi, 2.0 * np.sqrt(s_lo))
+        lo = np.minimum(mu_lo, np.divide(2.0 * s_lo, den, out=np.zeros_like(den), where=den > 0))
+        hi = 0.5 * (mu_hi + np.hypot(mu_hi, 2.0 * np.sqrt(s_hi)))
+    return np.divide(lo, hi, out=np.zeros_like(lo), where=mu_lo > 0)
+
+
 def fit_patch(
     node_ids,
     positions: np.ndarray,
@@ -573,6 +621,12 @@ def fit_patch(
     fits of the patches whose KKT system is regular, in batch order, and
     ``failures`` (node id -> reason) for the singular ones; only the
     regular systems are solved.
+
+    A KKT system is singular when its singular values span a ratio below
+    SINGULAR_RATIO.  Systems whose eigenvalue bounds (_kkt_ratio_bound)
+    span at least CERTIFIED_RATIO are regular without an SVD; only the
+    others take the SVD test, so the decision equals the SVD's on every
+    system.
     """
     node_ids = np.asarray(node_ids)
     B = len(positions)
@@ -595,8 +649,11 @@ def fit_patch(
         KKT[:, 3 * m :, : 3 * m] = C
         rhs[:, 3 * m :] = d
 
-    sv = np.linalg.svd(KKT, compute_uv=False)
-    singular = sv[:, -1] < 1e-12 * sv[:, 0]
+    check = np.nonzero(_kkt_ratio_bound(M, constraints[0] if k else None) < CERTIFIED_RATIO)[0]
+    singular = np.zeros(B, dtype=bool)
+    if len(check):
+        sv = np.linalg.svd(KKT[check], compute_uv=False)
+        singular[check] = sv[:, -1] < SINGULAR_RATIO * sv[:, 0]
     failures = {int(n): f"singular patch system at node {n}" for n in node_ids[singular]}
     ok = ~singular
     sol = np.linalg.solve(KKT[ok], rhs[ok, :, None])[..., 0]
@@ -686,6 +743,7 @@ class RecoveredStressField:
                 group = nodes[sel]
                 P = _basis(phys[sel], self._centers[group, None], self._scales[group, None], degree)
                 out[sel] = np.matmul(P, coeffs[group].swapaxes(-1, -2))
+
 
 def build_recovered_field(
     solution: DiscreteSolution,

@@ -77,9 +77,10 @@ class DirichletSpec:
     """Prescribed displacement components on a named boundary.
 
     components: subset of (0, 1) = (u_x, u_y).
-    value: callable mapping positions (..., 2) -> displacements (..., 2), or
-           None for homogeneous conditions.  Only the listed components are
-           constrained.
+    value: callable mapping positions (n, 2) -> finite displacements (n, 2),
+           or None for homogeneous conditions; it is called once per
+           boundary name, with the end nodes of all of that boundary's
+           edges.  Only the listed components are constrained.
     """
 
     components: tuple[int, ...]
@@ -325,26 +326,47 @@ def _neumann_vector(mesh: Mesh, bcs: BoundaryConditions) -> np.ndarray:
     return f
 
 
-def _dirichlet_values(mesh: Mesh, bcs: BoundaryConditions) -> dict[int, float]:
-    """Map constrained dof -> prescribed value from edge tags and pins."""
-    fixed: dict[int, float] = {}
-    for be in mesh.boundary:
-        if be.kind != DIRICHLET:
+def _dirichlet_values(mesh: Mesh, bcs: BoundaryConditions) -> tuple[np.ndarray, np.ndarray]:
+    """Constrained dofs (sorted, unique) and their prescribed values.
+
+    All Dirichlet edges at once: each spec's ``value`` is called once, on
+    its boundary's edge end nodes (n, 2), and must return finite (n, 2)
+    values.  A dof written more than once keeps its last value in (edge,
+    node a then b) order, as an edge-by-edge loop would; pins come last.
+    """
+    edges = mesh.boundary_arrays
+    dirichlet = edges.kinds == DIRICHLET
+    names = edges.names[dirichlet]
+    ends = edges.node_ids[dirichlet]  # (edge, node)
+    values = np.zeros(ends.shape + (2,))
+    constrained = np.zeros(ends.shape + (2,), dtype=bool)
+    for name in dict.fromkeys(names.tolist()):
+        if name not in bcs.dirichlet:
+            raise SolveError(f"no constraint spec for Dirichlet boundary {name!r}")
+        spec = bcs.dirichlet[name]
+        sel = names == name
+        components = np.zeros(2, dtype=bool)
+        components[list(spec.components)] = True
+        constrained[sel] = components
+        if spec.value is None:
             continue
-        if be.name not in bcs.dirichlet:
-            raise SolveError(f"no constraint spec for Dirichlet boundary {be.name!r}")
-        spec = bcs.dirichlet[be.name]
-        for node in be.node_ids:
-            pos = mesh.coords[node]
-            if spec.value is None:
-                vals = np.zeros(2)
-            else:
-                vals = np.asarray(spec.value(pos[None, :]), dtype=float).reshape(2)
-            for comp in spec.components:
-                fixed[2 * node + comp] = float(vals[comp])
-    for node, comp, value in bcs.pins:
-        fixed[2 * int(node) + int(comp)] = float(value)
-    return fixed
+        points = mesh.coords[ends[sel].ravel()]
+        u = np.asarray(spec.value(points), dtype=float)
+        if u.shape != points.shape:
+            raise SolveError(
+                f"Dirichlet value for boundary {name!r} returned shape {u.shape}, "
+                f"expected {points.shape}"
+            )
+        if not np.all(np.isfinite(u)):
+            raise SolveError(f"Dirichlet value for boundary {name!r} returned non-finite values")
+        values[sel] = u.reshape(-1, 2, 2)
+    pin_dofs = np.array([2 * int(node) + int(comp) for node, comp, _ in bcs.pins], dtype=int)
+    pin_values = np.array([float(value) for _, _, value in bcs.pins])
+    dofs = np.concatenate([(2 * ends[..., None] + np.arange(2))[constrained], pin_dofs])
+    vals = np.concatenate([values[constrained], pin_values])
+    # the last write of each dof: the first occurrence in reversed order
+    dofs, first = np.unique(dofs[::-1], return_index=True)
+    return dofs, vals[::-1][first]
 
 
 def _diagnose_rigid_modes(mesh: Mesh, K: sp.csr_matrix, free: np.ndarray) -> list[str]:
@@ -489,11 +511,11 @@ def assemble_and_solve(
     K = _scatter(mesh, operators)
     f = _neumann_vector(mesh, loads)
 
-    fixed = _dirichlet_values(mesh, loads)
+    fixed, fixed_values = _dirichlet_values(mesh, loads)
     n_dof = 2 * mesh.n_nodes
-    if any(not (0 <= d < n_dof) for d in fixed):
+    if np.any((fixed < 0) | (fixed >= n_dof)):
         raise SolveError("constraint references dof outside the mesh")
-    free = np.setdiff1d(np.arange(n_dof), np.fromiter(fixed, dtype=int, count=len(fixed)))
+    free = np.setdiff1d(np.arange(n_dof), fixed)
     if len(free) == n_dof:
         raise SolveError(
             "no Dirichlet constraints: rigid modes translation-x, "
@@ -501,8 +523,7 @@ def assemble_and_solve(
         )
 
     U = np.zeros(n_dof)
-    for dof, val in fixed.items():
-        U[dof] = val
+    U[fixed] = fixed_values
 
     Kff = K[free][:, free].tocsc()
     rhs = f[free] - K[free] @ U
@@ -537,7 +558,8 @@ def assemble_and_solve(
 
     return DiscreteSolution(
         mesh, material, formulation, U,
-        operators=operators, residual_rel=residual_rel, fixed_dofs=fixed,
+        operators=operators, residual_rel=residual_rel,
+        fixed_dofs=dict(zip(fixed.tolist(), fixed_values.tolist())),
     )
 
 

@@ -10,6 +10,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import evaluate_at, single_element_mesh
@@ -22,6 +24,7 @@ from smoothfem.recovery import (
     RecoveryConfig,
     RecoveryError,
     _basis,
+    _kkt_ratio_bound,
     _orthonormalize_constraints,
     _sampling_arrays,
     build_recovered_field,
@@ -395,6 +398,167 @@ def test_singular_patch_is_masked_out_of_its_batch():
         assert fit.degree == alone.degree and fit.scale == alone.scale
         assert np.array_equal(fit.center, alone.center)
         assert np.array_equal(fit.coeffs, alone.coeffs)
+
+
+def kkt_matrix(M, C):
+    """The dense KKT matrix [[I3 (x) M, C^T], [C, 0]] of one patch."""
+    m, k = len(M), len(C)
+    K = np.zeros((3 * m + k, 3 * m + k))
+    for j in range(3):
+        K[j * m : (j + 1) * m, j * m : (j + 1) * m] = M
+    K[: 3 * m, 3 * m :] = C.T
+    K[3 * m :, : 3 * m] = C
+    return K
+
+
+def svd_ratio(K):
+    sv = np.linalg.svd(K, compute_uv=False)
+    return sv[-1] / sv[0] if sv[0] > 0 else 0.0
+
+
+def random_kkt_blocks(seed, m, k, m_kind, c_kind):
+    """M (m, m), C (k, 3m) and M's eigenvalues for the bound's property test.
+
+    M = U diag(lam) U^T has eigenvalues spread over 14 decades (some zero for
+    the semidefinite kinds) and C an independent scale, with orthonormal,
+    dependent or zero rows.
+    """
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    lam = 10.0 ** rng.uniform(-14.0, 0.0, size=m) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if m_kind == "psd":
+        lam[rng.integers(m)] = 0.0
+    elif m_kind == "rank-1":
+        lam[1:] = 0.0
+    elif m_kind == "zero":
+        lam[:] = 0.0
+    n = 3 * m
+    C = rng.normal(size=(k, n))
+    if c_kind == "orthonormal" and k <= n:
+        C = np.linalg.qr(rng.normal(size=(n, k)))[0].T
+    elif c_kind == "rank-deficient" and k > 1:
+        r = int(rng.integers(1, k))
+        C = rng.normal(size=(k, r)) @ rng.normal(size=(r, n))
+    elif c_kind == "zero-row" and k:
+        C[rng.integers(k)] = 0.0
+    if c_kind != "orthonormal":
+        C *= 10.0 ** rng.uniform(-3.0, 3.0)
+    return (U * lam) @ U.T, C, lam
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([3, 6]),
+    k=st.integers(0, 13),
+    m_kind=st.sampled_from(["spd", "psd", "rank-1", "zero"]),
+    c_kind=st.sampled_from(["random", "orthonormal", "rank-deficient", "zero-row"]),
+)
+@example(seed=1, m=6, k=0, m_kind="rank-1", c_kind="random")
+@example(seed=2, m=3, k=5, m_kind="rank-1", c_kind="zero-row")
+@example(seed=3, m=6, k=4, m_kind="spd", c_kind="zero-row")
+@example(seed=4, m=3, k=0, m_kind="zero", c_kind="random")
+@example(seed=5, m=6, k=13, m_kind="zero", c_kind="zero-row")
+# C's zero row makes this KKT singular, yet eigvalsh returns the zero
+# eigenvalue of C C^T as ~eps * s+: without the slack it is "certified"
+@example(seed=892, m=3, k=4, m_kind="spd", c_kind="zero-row")
+@settings(max_examples=300, deadline=None)
+def test_kkt_ratio_bound_never_exceeds_the_svd_ratio(seed, m, k, m_kind, c_kind):
+    # degenerate draws must not warn either: tier-1 turns a RuntimeWarning
+    # into an error
+    M, C, lam = random_kkt_blocks(seed, m, k, m_kind, c_kind)
+    bound = _kkt_ratio_bound(M[None], C[None] if k else None)
+    assert bound.shape == (1,) and 0.0 <= bound[0] < 1.0 + 1e-15
+    # the SVD's own rounding of the ratio is about n eps
+    assert bound[0] <= svd_ratio(kkt_matrix(M, C)) + 32 * np.finfo(float).eps
+    full_rank = k == 0 or (c_kind == "orthonormal" and k <= 3 * m)
+    if m_kind == "spd" and full_rank and lam.min() > 1e-10 * lam.max():
+        # definite M, orthonormal C, conditioning well above the slack
+        assert bound[0] > 0.0
+
+
+def test_kkt_ratio_bound_is_tight_on_known_spectra():
+    # without constraints the bound is mu- / mu+; with M = I and orthonormal
+    # rows the KKT eigenvalues are 1 and (1 +- sqrt 5) / 2, which the bound
+    # reaches at both ends.  Only the n^2 eps slack separates them.
+    M = np.diag([4.0, 1.0, 0.5])
+    assert _kkt_ratio_bound(M[None], None)[0] == pytest.approx(0.125, rel=1e-12, abs=0)
+    C = np.linalg.qr(np.random.default_rng(3).normal(size=(18, 7)))[0].T
+    want = svd_ratio(kkt_matrix(np.eye(6), C))
+    assert want == pytest.approx((3 - np.sqrt(5)) / 2, rel=1e-14, abs=0)
+    assert _kkt_ratio_bound(np.eye(6)[None], C[None])[0] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.fixture
+def svd_systems(monkeypatch):
+    """Shapes of the arrays passed to np.linalg.svd while the test runs."""
+    calls = []
+    real = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return calls
+
+
+@pytest.mark.parametrize("eps, regular", [(1e-5, True), (1e-7, False)])
+def test_kkt_between_the_thresholds_reaches_the_svd(svd_systems, eps, regular):
+    # degree 1 on samples squeezed towards a line: M's eigenvalue ratio is
+    # about eps^2, so the certificate cannot clear the patch and the SVD
+    # decides, as it always did
+    rng = np.random.default_rng(11)
+    pos = np.stack([rng.uniform(-1.0, 1.0, 12), eps * rng.uniform(-1.0, 1.0, 12)], axis=-1)
+    sig = rng.normal(size=(12, 3))
+    w = np.ones(12)
+    P = _basis(pos, np.zeros(2), 1.0, 1)
+    M = P.T @ P / 12
+    ratio = svd_ratio(kkt_matrix(M, np.zeros((0, 9))))
+    assert (1e-12 < ratio < 1e-10) if regular else (ratio < 1e-12)
+    svd_systems.clear()
+    fit, failures = fit_one(0, pos, sig, w, 1, center=np.zeros(2), scale=1.0)
+    assert svd_systems == [(1, 9, 9)]
+    want = reference_fit(0, pos, sig, w, 1, None, np.zeros(2), 1.0)
+    if regular:
+        assert not failures and np.array_equal(fit.coeffs, want)
+    else:
+        assert fit is None and want is None and list(failures) == [0]
+
+
+def count_rank_deficient_M(monkeypatch):
+    """Wraps fit_patch to count the patches whose M is rank deficient."""
+    count = [0]
+
+    def counting(node_ids, positions, stresses, weights, degree, constraints=None, **kw):
+        P = _basis(positions, kw["center"][:, None], kw["scale"][:, None], degree)
+        M = np.matmul((P * weights[..., None]).swapaxes(-1, -2), P)
+        count[0] += sum(np.linalg.matrix_rank(Mi) < P.shape[-1] for Mi in M)
+        return fit_patch(node_ids, positions, stresses, weights, degree, constraints, **kw)
+
+    monkeypatch.setattr("smoothfem.recovery.fit_patch", counting)
+    return count
+
+
+@pytest.mark.parametrize(
+    "name, level, kind, variant",
+    [("cylinder", 2, "fem", "SPR-C"), ("lshape", 1, "sfem", "SPR-CX")],
+)
+def test_only_patches_with_singular_M_reach_the_svd(
+    solve_cached, cylinder_bm, lshape_bm, svd_systems, monkeypatch, name, level, kind, variant
+):
+    # the constraint rows are orthonormal, so every patch whose M is definite
+    # is certified; the cylinder's Neumann patches whose samples cannot fit
+    # y^2 (and its starved corners) still go to the SVD
+    bm = {"cylinder": cylinder_bm, "lshape": lshape_bm}[name]
+    mesh, bcs, sol = solve_cached(name, level, kind)
+    deficient = count_rank_deficient_M(monkeypatch)
+    build_recovered_field(
+        sol, RecoveryConfig(variant=variant), singular_field=bm.singular_field,
+        tractions=bcs.tractions, bcs=bcs,
+    )
+    systems = sum(shape[0] for shape in svd_systems)
+    assert systems == deficient[0]
+    assert (systems > 0) == (name == "cylinder")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from conftest import single_element_mesh
 from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import Material, PLANE_STRAIN, elasticity_matrix
 from smoothfem.mesh import (
+    DIRICHLET,
     BoundaryEdge,
     Mesh,
     NEUMANN,
@@ -35,9 +36,11 @@ from smoothfem.quadmap import (
 )
 from smoothfem.solver import (
     BoundaryConditions,
+    DirichletSpec,
     DiscreteSolution,
     Formulation,
     SolveError,
+    _dirichlet_values,
     _element_operators,
     _neumann_vector,
     _scatter,
@@ -265,6 +268,92 @@ def test_bad_traction_output_names_the_boundary(lshape_bm, bad, match, name):
     bcs = BoundaryConditions(tractions={**bcs.tractions, name: bad}, pins=bcs.pins)
     with pytest.raises(SolveError, match=rf"boundary '{name}'.*{match}"):
         assemble_and_solve(mesh, lshape_bm.material, Formulation("sfem", 4), bcs)
+
+
+def per_edge_dirichlet_values(mesh, bcs):
+    """Reference for _dirichlet_values: one edge and node at a time."""
+    fixed = {}
+    for be in mesh.boundary:
+        if be.kind != DIRICHLET:
+            continue
+        spec = bcs.dirichlet[be.name]
+        for node in be.node_ids:
+            pos = mesh.coords[node]
+            if spec.value is None:
+                vals = np.zeros(2)
+            else:
+                vals = np.asarray(spec.value(pos[None, :]), dtype=float).reshape(2)
+            for comp in spec.components:
+                fixed[2 * node + comp] = float(vals[comp])
+    for node, comp, value in bcs.pins:
+        fixed[2 * int(node) + int(comp)] = float(value)
+    return fixed
+
+
+def clamped_corner_quad():
+    """One quad whose bottom and left edges are Dirichlet boundaries that
+    prescribe different values at the corner node 0 they share; a pin
+    overrides one component of node 3, which the left edge also holds."""
+    kinds = (DIRICHLET, NEUMANN, NEUMANN, DIRICHLET)
+    names = ("bottom", "right", "top", "left")
+    boundary = [BoundaryEdge(0, k, (k, (k + 1) % 4), kinds[k], names[k]) for k in range(4)]
+    mesh = Mesh(DISTORTED, np.array([[0, 1, 2, 3]]), boundary)
+
+    def free(points, normal):
+        return np.zeros_like(np.asarray(points, float))
+
+    bcs = BoundaryConditions(
+        tractions={"right": free, "top": free},
+        dirichlet={
+            "bottom": DirichletSpec(components=(0, 1), value=lambda p: np.sin(p) + 2.0),
+            "left": DirichletSpec(components=(1, 0), value=lambda p: np.exp(-p)),
+        },
+        pins=((3, 0, 0.25),),
+    )
+    return mesh, bcs
+
+
+@pytest.mark.parametrize("case", ["patch", "cylinder-3", "lshape-1", "clamped-corner"])
+def test_dirichlet_values_match_the_per_edge_loop_bit_for_bit(case):
+    if case == "clamped-corner":
+        mesh, bcs = clamped_corner_quad()
+    else:
+        name, _, level = case.partition("-")
+        bm = {"patch": PatchBenchmark(), "lshape": LShapeBenchmark(),
+              "cylinder": CylinderBenchmark()}[name]
+        mesh = bm.mesh(int(level or 0))
+        bcs = bm.boundary_conditions(mesh)
+    dofs, vals = _dirichlet_values(mesh, bcs)
+    want = per_edge_dirichlet_values(mesh, bcs)
+    assert dofs.tolist() == sorted(want)
+    assert np.array_equal(vals, [want[d] for d in sorted(want)])
+    assert len(want) > 0
+
+
+def test_dirichlet_corner_keeps_the_last_edge_and_pins_override():
+    mesh, bcs = clamped_corner_quad()
+    dofs, vals = _dirichlet_values(mesh, bcs)
+    fixed = dict(zip(dofs.tolist(), vals.tolist()))
+    # node 0 is on "bottom" (edge 0) and "left" (edge 3): the left edge wins
+    assert fixed[0] == fixed[1] == 1.0
+    assert fixed[6] == 0.25 and fixed[7] == np.exp(-DISTORTED[3, 1])
+    assert sorted(fixed) == [0, 1, 2, 3, 6, 7]
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (lambda p: np.full(np.shape(p), np.nan), "non-finite"),
+        (lambda p: np.array([0.0, 0.0, 0.0]), "shape"),
+        (lambda p: np.zeros((len(p), 3)), "shape"),
+    ],
+    ids=["nan", "three-vector", "three-columns"],
+)
+def test_bad_dirichlet_value_names_the_boundary(patch_bm, bad, match):
+    mesh = patch_bm.mesh()
+    bcs = BoundaryConditions(dirichlet={"exact": DirichletSpec(components=(0, 1), value=bad)})
+    with pytest.raises(SolveError, match=rf"boundary 'exact'.*{match}"):
+        assemble_and_solve(mesh, patch_bm.material, Formulation("sfem", 4), bcs)
 
 
 # ---------------------------------------------------------------------------
