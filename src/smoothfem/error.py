@@ -38,17 +38,12 @@ class ErrorComputationError(ValueError):
 
 
 @dataclass(frozen=True)
-class ElementError:
-    element_id: int
-    estimated: float
-    exact: float
-    theta_e: float  # nan when excluded
-    D: float  # nan when excluded
-
-
-@dataclass(frozen=True)
 class ErrorReport:
-    """Global and per-element error metrics of one solved case."""
+    """Global and per-element error metrics of one solved case.
+
+    The per-element fields are read-only (n_e,) arrays; theta_e and D are
+    nan where the element is excluded from the D statistics.
+    """
 
     dof: int
     estimated: float
@@ -57,8 +52,11 @@ class ErrorReport:
     theta: float
     m_abs_D: float
     sigma_D: float
-    elements: tuple
     excluded: int
+    element_estimated: np.ndarray
+    element_exact: np.ndarray
+    theta_e: np.ndarray
+    D: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,16 +78,15 @@ class RateResult:
     s_avg: float
 
 
-def local_deviation(theta_e: float) -> float:
-    """Symmetric local effectivity deviation.
+def local_deviation(theta_e):
+    """Symmetric local effectivity deviation, elementwise.
 
     D = theta - 1 for theta >= 1 (overestimation), 1 - 1/theta otherwise, so
     that a factor-two overestimate and a factor-two underestimate sit at
-    +1 / -1 symmetrically.
+    +1 / -1 symmetrically.  A nan theta gives a nan D.
     """
-    if theta_e >= 1.0:
-        return theta_e - 1.0
-    return 1.0 - 1.0 / theta_e
+    theta_e = np.asarray(theta_e, float)
+    return np.where(theta_e < 1.0, 1.0 - 1.0 / theta_e, theta_e - 1.0)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +167,11 @@ def element_error_squares(
 
 @dataclass(frozen=True)
 class EffectivityStats:
+    """theta_e and D are read-only (n_e,) arrays, nan where excluded."""
+
     theta: float
-    elements: tuple
+    theta_e: np.ndarray
+    D: np.ndarray
     m_abs_D: float
     sigma_D: float
     excluded: int
@@ -180,41 +180,54 @@ class EffectivityStats:
 def effectivity(estimated_elem: np.ndarray, exact_elem: np.ndarray) -> EffectivityStats:
     """Global theta plus the local-deviation statistics m(|D|), sigma(D).
 
-    Inputs are per-element energy norms (not squares).  Elements whose exact
-    error is below 1e-14 of the global exact norm are excluded from the D
-    statistics (logged); sigma uses population normalization.
+    Inputs are (n_e,) per-element energy norms (not squares), finite and
+    non-negative.  Elements whose exact error is below 1e-14 of the global
+    exact norm are excluded from the D statistics (logged); a kept element
+    must have a nonzero estimate, or its D would be -inf.  sigma uses
+    population normalization.
     """
     estimated_elem = np.asarray(estimated_elem, float)
     exact_elem = np.asarray(exact_elem, float)
+    if estimated_elem.shape != exact_elem.shape or estimated_elem.ndim != 1:
+        raise ErrorComputationError("estimated and exact norms must be two (n_e,) arrays")
+    norms = np.stack([estimated_elem, exact_elem])
+    bad = np.argwhere(~((norms >= 0.0) & (norms < np.inf)))  # nan fails both
+    if len(bad):
+        which, e = bad[0]
+        raise ErrorComputationError(
+            f"{('estimated', 'exact')[which]} error norm of element {e} is "
+            f"{norms[which, e]}; norms must be finite and non-negative"
+        )
     global_est = float(np.sqrt(np.sum(estimated_elem**2)))
     global_ex = float(np.sqrt(np.sum(exact_elem**2)))
     if global_ex <= 0.0:
         raise ErrorComputationError("global exact error is zero; theta undefined")
     theta = global_est / global_ex
 
-    elements = []
-    Ds = []
-    excluded = 0
-    cutoff = _EXCLUDE_REL * global_ex
-    for e, (est, ex) in enumerate(zip(estimated_elem, exact_elem)):
-        if ex <= cutoff:
-            excluded += 1
-            elements.append(ElementError(e, float(est), float(ex), np.nan, np.nan))
-            continue
-        th = float(est / ex)
-        D = local_deviation(th)
-        Ds.append(D)
-        elements.append(ElementError(e, float(est), float(ex), th, D))
+    kept = exact_elem > _EXCLUDE_REL * global_ex
+    excluded = int(np.count_nonzero(~kept))
     if excluded:
         log.info("effectivity: excluded %d element(s) with ~zero exact error", excluded)
-    Ds = np.asarray(Ds)
-    if len(Ds) == 0:
+    if excluded == len(kept):
         raise ErrorComputationError("all elements excluded from D statistics")
+    zero = np.nonzero(kept & (estimated_elem == 0.0))[0]
+    if len(zero):
+        raise ErrorComputationError(
+            f"element {zero[0]} has a zero estimated error but a nonzero exact "
+            "error: its local deviation D is -inf"
+        )
+    theta_e = np.full(len(kept), np.nan)
+    D = np.full(len(kept), np.nan)
+    theta_e[kept] = estimated_elem[kept] / exact_elem[kept]
+    D[kept] = local_deviation(theta_e[kept])
+    theta_e.setflags(write=False)
+    D.setflags(write=False)
     return EffectivityStats(
         theta=theta,
-        elements=tuple(elements),
-        m_abs_D=float(np.mean(np.abs(Ds))),
-        sigma_D=float(np.std(Ds)),  # population normalization
+        theta_e=theta_e,
+        D=D,
+        m_abs_D=float(np.mean(np.abs(D[kept]))),
+        sigma_D=float(np.std(D[kept])),  # population normalization
         excluded=excluded,
     )
 
@@ -232,17 +245,17 @@ def compute_error_report(
         exact_stress=exact_stress,
         singular_point=singular_point,
     )
-    stats = effectivity(np.sqrt(est2), np.sqrt(ex2))
+    est, ex = np.sqrt(est2), np.sqrt(ex2)
+    est.setflags(write=False)
+    ex.setflags(write=False)
     return ErrorReport(
         dof=2 * solution.mesh.n_nodes,
         estimated=float(np.sqrt(est2.sum())),
         exact=float(np.sqrt(ex2.sum())),
         recovered=float(np.sqrt(rec2.sum())),
-        theta=stats.theta,
-        m_abs_D=stats.m_abs_D,
-        sigma_D=stats.sigma_D,
-        elements=stats.elements,
-        excluded=stats.excluded,
+        element_estimated=est,
+        element_exact=ex,
+        **vars(effectivity(est, ex)),
     )
 
 

@@ -52,6 +52,10 @@ __all__ = [
 ]
 
 
+# 1D Gauss order per element direction of the domain-term quadrature
+DOMAIN_QUAD_ORDER = 6
+
+
 class GsifError(RuntimeError):
     """Extraction cannot proceed (empty ring, degenerate pairing)."""
 
@@ -322,7 +326,6 @@ def extract_gsifs(
     singular_field: SingularField,
     bcs: BoundaryConditions,
     plateau: PlateauFunction | None = None,
-    quad_order: int = 6,
 ) -> GsifEstimate:
     """Extract both GSIFs of a solved notch problem.
 
@@ -334,7 +337,6 @@ def extract_gsifs(
             imposed tractions enter the boundary correction).
         plateau: cutoff weight; defaults to the 0.45 / 0.9 plateau centered
             at the notch vertex.
-        quad_order: 1D Gauss order per element direction for the domain term.
     """
     frame = singular_field.frame
     sol = singular_field.solution
@@ -344,7 +346,7 @@ def extract_gsifs(
     modes = (MODE_I, MODE_II)
     duals = [_dual_for(sol, frame, mode) for mode in modes]
     Cs = [calibration_constant(sol, mode) for mode in modes]
-    domain = _DomainTerm(solution, plateau, quad_order)
+    domain = _DomainTerm(solution, plateau, DOMAIN_QUAD_ORDER)
     boundary = _BoundaryTerm(solution, bcs, plateau)
     doms = [domain(dual) for dual in duals]
     bnds = [boundary(dual) for dual in duals]

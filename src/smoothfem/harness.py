@@ -356,8 +356,8 @@ def study_json(study: StudyResult) -> str:
                 "excluded": r.excluded,
                 "K_I": case.K_I,
                 "K_II": case.K_II,
-                "element_estimated": [e.estimated for e in r.elements],
-                "element_exact": [e.exact for e in r.elements],
+                "element_estimated": r.element_estimated.tolist(),
+                "element_exact": r.element_exact.tolist(),
             }
         )
     doc = {

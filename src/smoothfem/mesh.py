@@ -294,7 +294,7 @@ def subcell_geometry(mesh: Mesh, nc: int) -> SubcellGeometry:
 
 
 # ---------------------------------------------------------------------------
-# boundary tagging helper
+# boundary tagging helper and the structured-grid kernel
 # ---------------------------------------------------------------------------
 
 
@@ -308,6 +308,24 @@ def _tag_boundary(coords, elements, classify) -> list[BoundaryEdge]:
         kind, name = classify(coords[a], coords[b])
         out.append(BoundaryEdge(e, k, (a, b), kind, name))
     return out
+
+
+def _grid_mesh(x, y, classify, keep=None) -> Mesh:
+    """Mesh of the structured node grid (x[i, j], y[i, j]), shape (n_i, n_j).
+
+    Cell (i, j) joins nodes (i, j), (i+1, j), (i+1, j+1), (i, j+1); ``keep``
+    (n_i - 1, n_j - 1) masks the cells to mesh (all by default), and nodes
+    that no kept cell uses are dropped.  Nodes and cells are numbered
+    row-major in (i, j); ``classify`` tags the boundary edges.
+    """
+    ids = np.arange(x.size).reshape(x.shape)
+    cells = np.stack([ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]], axis=-1)
+    cells = cells.reshape(-1, 4) if keep is None else cells[keep]
+    used = np.zeros(x.size, dtype=bool)
+    used[cells] = True
+    coords = np.stack([x.ravel(), y.ravel()], axis=-1)[used]
+    elements = (np.cumsum(used) - 1)[cells]
+    return Mesh(coords, elements, _tag_boundary(coords, elements, classify))
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +350,6 @@ def build_cylinder_mesh(a: float, b: float, n: int) -> Mesh:
     r = np.linspace(a, b, m + 1)
     phi = np.linspace(0.0, np.pi / 2.0, m + 1)
     R, PHI = np.meshgrid(r, phi, indexing="ij")
-    coords = np.stack([(R * np.cos(PHI)).ravel(), (R * np.sin(PHI)).ravel()], axis=-1)
-
-    def nid(i, j):
-        return i * (m + 1) + j
-
-    elements = np.array(
-        [
-            [nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)]
-            for i in range(m)
-            for j in range(m)
-        ]
-    )
-
     rtol = 1e-9 * b
 
     def classify(p0, p1):
@@ -359,7 +364,7 @@ def build_cylinder_mesh(a: float, b: float, n: int) -> Mesh:
             return NEUMANN, "free"
         raise MeshError(f"unclassifiable cylinder boundary edge {p0}-{p1}")
 
-    return Mesh(coords, elements, _tag_boundary(coords, elements, classify))
+    return _grid_mesh(R * np.cos(PHI), R * np.sin(PHI), classify)
 
 
 def graded_intervals(level: int, grading: float) -> np.ndarray:
@@ -397,48 +402,21 @@ def build_lshape_mesh(level: int, grading: float) -> Mesh:
 
     t = graded_intervals(level, grading)
     ax = np.concatenate([-t[::-1], t[1:]])  # -1 ... 0 ... 1, graded toward 0
-    nv = len(ax)
-
-    ids = -np.ones((nv, nv), dtype=int)
-    coords = []
-    for i in range(nv):
-        for j in range(nv):
-            x, y = ax[i], ax[j]
-            if x > 1e-12 and y < -1e-12:  # inside the removed quadrant
-                continue
-            ids[i, j] = len(coords)
-            coords.append((x, y))
-    coords = np.array(coords)
-
-    elements = []
-    for i in range(nv - 1):
-        for j in range(nv - 1):
-            cx = 0.5 * (ax[i] + ax[i + 1])
-            cy = 0.5 * (ax[j] + ax[j + 1])
-            if cx > 0.0 and cy < 0.0:
-                continue
-            elements.append(
-                [ids[i, j], ids[i + 1, j], ids[i + 1, j + 1], ids[i, j + 1]]
-            )
-    elements = np.array(elements)
+    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    mid = 0.5 * (ax[:-1] + ax[1:])
+    # cells of the removed quadrant x > 0, y < 0 go, and with them its nodes
+    keep = ~((mid[:, None] > 0.0) & (mid[None, :] < 0.0))
 
     def classify(p0, p1):
         mx, my = 0.5 * (p0 + p1)
         tol = 1e-12
-        if (
-            abs(mx - 1.0) < tol
-            or abs(mx + 1.0) < tol
-            or abs(my - 1.0) < tol
-            or abs(my + 1.0) < tol
-        ):
+        if min(abs(mx - 1.0), abs(mx + 1.0), abs(my - 1.0), abs(my + 1.0)) < tol:
             return NEUMANN, "outer"
-        if abs(my) < tol and mx > 0.0:
-            return NEUMANN, "notch"
-        if abs(mx) < tol and my < 0.0:
+        if (abs(my) < tol and mx > 0.0) or (abs(mx) < tol and my < 0.0):
             return NEUMANN, "notch"
         raise MeshError(f"unclassifiable L-shape boundary edge at ({mx}, {my})")
 
-    mesh = Mesh(coords, elements, _tag_boundary(coords, elements, classify))
+    mesh = _grid_mesh(X, Y, classify, keep)
     mesh.find_node((0.0, 0.0))  # the singular vertex must be a node
     return mesh
 
@@ -459,34 +437,14 @@ def build_square_mesh(
 
     t = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(t, t, indexing="ij")
-    coords = np.stack([X.ravel(), Y.ravel()], axis=-1)
     if distortion > 0.0:
         rng = np.random.default_rng(seed)
         h = 1.0 / n
-        shift = rng.uniform(-distortion * h, distortion * h, size=coords.shape)
-        interior = (
-            (coords[:, 0] > 1e-12)
-            & (coords[:, 0] < 1 - 1e-12)
-            & (coords[:, 1] > 1e-12)
-            & (coords[:, 1] < 1 - 1e-12)
-        )
-        coords[interior] += shift[interior]
-
-    def nid(i, j):
-        return i * (n + 1) + j
-
-    elements = np.array(
-        [
-            [nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)]
-            for i in range(n)
-            for j in range(n)
-        ]
-    )
-
-    def classify(p0, p1):
-        return DIRICHLET, "exact"
-
-    return Mesh(coords, elements, _tag_boundary(coords, elements, classify))
+        # one draw per coordinate of every node, boundary ones included
+        shift = rng.uniform(-distortion * h, distortion * h, size=X.shape + (2,))
+        X[1:-1, 1:-1] += shift[1:-1, 1:-1, 0]
+        Y[1:-1, 1:-1] += shift[1:-1, 1:-1, 1]
+    return _grid_mesh(X, Y, lambda p0, p1: (DIRICHLET, "exact"))
 
 
 # ---------------------------------------------------------------------------

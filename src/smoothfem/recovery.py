@@ -366,21 +366,18 @@ def neumann_edges(mesh: Mesh, tractions: dict | None) -> NeumannEdges:
     return NeumannEdges(ends, names, ids[inverse], on, dict(tractions or {}))
 
 
-def _equilibrium_rows(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Internal equilibrium div sigma* + b = 0 as coefficient rows.
+def _equilibrium_rows(degree: int) -> np.ndarray:
+    """Internal equilibrium div sigma* = 0 as coefficient rows.
 
     One scalar row per monomial of degree-1, first for the x equation, then
-    for the y equation; shape (2 m', 3m).  The second array (m',) selects the
-    constant monomial, the only one the body force enters.
+    for the y equation; shape (2 m', 3m).
     """
     Dx = _derivative_matrix(degree, 0)
     Dy = _derivative_matrix(degree, 1)
     zero = np.zeros_like(Dx)
     ex = np.hstack([Dx, zero, Dy])  # d(sxx)/dx + d(sxy)/dy
     ey = np.hstack([zero, Dy, Dx])  # d(syy)/dy + d(sxy)/dx
-    const = np.zeros(Dx.shape[0])
-    const[0] = 1.0
-    return np.vstack([ex, ey]), const
+    return np.vstack([ex, ey])
 
 
 def _compatibility_rows(degree: int, compliance: np.ndarray) -> np.ndarray:
@@ -458,19 +455,17 @@ def collocation_rows(
 def constraint_rows(
     *,
     degree: int,
-    scale: np.ndarray,
+    n_patches: int,
     compliance: np.ndarray,
     collocation: tuple[np.ndarray, np.ndarray] | None = None,
-    body_force: tuple[float, float] = (0.0, 0.0),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Linear constraints C a = d of a batch of B patch fits.
+    """Linear constraints C a = d of a batch of B = n_patches patch fits.
 
     C is (B, k, 3m) and d (B, k); rows, in deterministic order:
 
-    1. internal equilibrium div sigma* + b = 0, imposed identically in the
-       polynomial coefficients (one scalar row per monomial of degree-1,
-       per equilibrium equation); the body force enters the right-hand
-       side scaled by each patch's ``scale`` (B,);
+    1. internal equilibrium div sigma* = 0 (no body force), imposed
+       identically in the polynomial coefficients (one scalar row per
+       monomial of degree-1, per equilibrium equation);
     2. traction collocation, ``collocation`` = (rows (B, c, 3m), rhs (B, c))
        stacked from collocation_rows, the same c for every patch;
     3. the compatibility equation (nontrivial for degree 2 only).
@@ -478,24 +473,18 @@ def constraint_rows(
     Without collocation the rows are the same for every patch, and C is a
     read-only broadcast view of one (k, 3m) array.
     """
-    scale = np.asarray(scale, dtype=float)
-    B = len(scale)
-    eq, const = _equilibrium_rows(degree)
+    eq = _equilibrium_rows(degree)
     compat = _compatibility_rows(degree, compliance)
-    d_eq = np.concatenate(
-        [(-b * scale)[:, None] * const for b in body_force], axis=1
-    )
-    d_compat = np.zeros((B, len(compat)))
     if collocation is None:
         shared = np.vstack([eq, compat])
-        C = np.broadcast_to(shared, (B,) + shared.shape)
-        return C, np.concatenate([d_eq, d_compat], axis=1)
+        C = np.broadcast_to(shared, (n_patches,) + shared.shape)
+        return C, np.zeros(C.shape[:2])
     R, r = collocation
-    C = np.concatenate(
-        [np.broadcast_to(eq, (B,) + eq.shape), R, np.broadcast_to(compat, (B,) + compat.shape)],
-        axis=1,
-    )
-    return C, np.concatenate([d_eq, r, d_compat], axis=1)
+    C = np.concatenate([np.broadcast_to(eq, (n_patches,) + eq.shape), R,
+                        np.broadcast_to(compat, (n_patches,) + compat.shape)], axis=1)
+    d = np.zeros(C.shape[:2])
+    d[:, len(eq) : len(eq) + r.shape[1]] = r
+    return C, d
 
 
 def _orthonormalize_constraints(
@@ -750,7 +739,6 @@ def build_recovered_field(
     config: RecoveryConfig,
     singular_field: SingularField | None = None,
     tractions: dict | None = None,
-    body_force: tuple[float, float] = (0.0, 0.0),
     bcs=None,
 ) -> RecoveredStressField:
     """Run the configured recovery over every nodal patch of the solution.
@@ -799,7 +787,6 @@ def build_recovered_field(
         constrained=config.with_constraints,
         neumann=neumann,
         compliance=compliance_matrix(solution.material),
-        body_force=body_force,
         singular_field=singular_field,
     )
     fallen: list[int] = []
@@ -836,7 +823,7 @@ class _PatchFitter:
     """
 
     def __init__(self, mesh, positions, stresses, smooth, weights, per_element, split,
-                 *, constrained, neumann, compliance, body_force, singular_field):
+                 *, constrained, neumann, compliance, singular_field):
         self.mesh = mesh
         self.positions = positions
         self.stresses = stresses
@@ -848,7 +835,6 @@ class _PatchFitter:
         self.constrained = constrained
         self.neumann = neumann
         self.compliance = compliance
-        self.body_force = body_force
         self.singular_field = singular_field
         self.fits: list[PatchFit | None] = [None] * mesh.n_nodes
         self.failures: dict[int, str] = {}
@@ -908,8 +894,8 @@ class _PatchFitter:
         ok = np.ones(len(chunk), dtype=bool)
         if self.constrained:
             C, d = constraint_rows(
-                degree=degree, scale=scale, compliance=self.compliance,
-                collocation=collocation, body_force=self.body_force,
+                degree=degree, n_patches=len(chunk), compliance=self.compliance,
+                collocation=collocation,
             )
             Q, e, rank, failures = _orthonormalize_constraints(C, d, chunk)
             self.failures.update(failures)

@@ -438,7 +438,6 @@ class DiscreteSolution:
         U: np.ndarray,
         operators: ElementOperators | None = None,
         residual_rel: float = 0.0,
-        fixed_dofs: dict[int, float] | None = None,
     ):
         self.mesh = mesh
         self.material = material
@@ -446,7 +445,6 @@ class DiscreteSolution:
         self.U = np.asarray(U, dtype=float)
         self.U.setflags(write=False)
         self.residual_rel = residual_rel
-        self.fixed_dofs = dict(fixed_dofs or {})
         self.D = elasticity_matrix(material)
 
         if operators is None:
@@ -559,7 +557,6 @@ def assemble_and_solve(
     return DiscreteSolution(
         mesh, material, formulation, U,
         operators=operators, residual_rel=residual_rel,
-        fixed_dofs=dict(zip(fixed.tolist(), fixed_values.tolist())),
     )
 
 

@@ -227,7 +227,7 @@ def test_hand_computed_statistics():
     assert_allclose(stats.theta, np.sqrt(5.0 / 2.0), rtol=1e-15)
     assert stats.m_abs_D == 0.5
     assert stats.sigma_D == 0.5
-    assert [e.D for e in stats.elements] == [0.0, 1.0]
+    assert stats.D.tolist() == [0.0, 1.0]
 
 
 def test_near_zero_exact_elements_are_excluded():
@@ -235,11 +235,84 @@ def test_near_zero_exact_elements_are_excluded():
     ex = np.array([1.0, 1e-20, 1.0])
     stats = effectivity(est, ex)
     assert stats.excluded == 1
-    assert np.isnan(stats.elements[1].theta_e)
-    assert np.isnan(stats.elements[1].D)
+    assert np.isnan(stats.theta_e[1])
+    assert np.isnan(stats.D[1])
     # D stats come from the two surviving elements: D = (0, -1)
     assert stats.m_abs_D == 0.5
     assert stats.sigma_D == 0.5
+
+
+def reference_effectivity(est, ex):
+    """The per-element loop effectivity ran before it became array code:
+    (theta, theta_e, D, m_abs_D, sigma_D, excluded)."""
+    global_est = float(np.sqrt(np.sum(est**2)))
+    global_ex = float(np.sqrt(np.sum(ex**2)))
+    theta_e, D, Ds = [], [], []
+    for e_est, e_ex in zip(est, ex):
+        if e_ex <= 1e-14 * global_ex:
+            theta_e.append(np.nan)
+            D.append(np.nan)
+            continue
+        th = float(e_est / e_ex)
+        d = th - 1.0 if th >= 1.0 else 1.0 - 1.0 / th
+        theta_e.append(th)
+        D.append(d)
+        Ds.append(d)
+    Ds = np.asarray(Ds)
+    return (
+        global_est / global_ex, np.array(theta_e), np.array(D),
+        float(np.mean(np.abs(Ds))), float(np.std(Ds)), len(est) - len(Ds),
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_effectivity_matches_the_per_element_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = 50
+    ex = rng.lognormal(0.0, 2.0, n)
+    est = ex * rng.lognormal(0.0, 0.7, n)
+    exact = rng.choice(n, 3, replace=False)
+    est[exact] = ex[exact]  # theta_e == 1 exactly
+    ex[rng.choice(n, 4, replace=False)] = [0.0, 1e-300, 1e-20, 0.0]  # excluded
+    theta, theta_e, D, m_abs_D, sigma_D, excluded = reference_effectivity(est, ex)
+    stats = effectivity(est, ex)
+    assert excluded == 4 and stats.excluded == excluded
+    assert np.array_equal(stats.theta_e, theta_e, equal_nan=True)
+    assert np.array_equal(stats.D, D, equal_nan=True)
+    assert (stats.theta, stats.m_abs_D, stats.sigma_D) == (theta, m_abs_D, sigma_D)
+
+
+def test_local_deviation_is_elementwise():
+    theta = np.array([0.25, 0.5, 1.0, 2.0, 4.0, np.nan])
+    D = local_deviation(theta)
+    assert np.array_equal(D[:-1], [-3.0, -1.0, 0.0, 1.0, 3.0])
+    assert np.isnan(D[-1])
+    assert [local_deviation(t) for t in theta[:-1]] == D[:-1].tolist()
+
+
+@pytest.mark.parametrize("est, ex, match", [
+    ([1.0, np.nan], [1.0, 1.0], "estimated error norm of element 1 is nan"),
+    ([1.0, 1.0], [np.inf, 1.0], "exact error norm of element 0 is inf"),
+    ([1.0, -0.5], [1.0, 1.0], "estimated error norm of element 1 is -0.5"),
+    ([1.0, 1.0, 1.0], [1.0, 1.0, -1.0], "exact error norm of element 2"),
+    ([0.0, 1.0], [1.0, 1.0], "element 0 has a zero estimated error"),
+    ([1.0, 1.0, 0.0], [1.0, 0.0, 1.0], "element 2 has a zero estimated error"),
+])
+def test_bad_element_norms_raise(est, ex, match):
+    with pytest.raises(ErrorComputationError, match=match):
+        effectivity(est, ex)
+
+
+@pytest.mark.parametrize("est, ex", [([1.0, 1.0], [1.0]), ([[1.0]], [[1.0]])])
+def test_mismatched_norm_arrays_raise(est, ex):
+    with pytest.raises(ErrorComputationError, match=r"two \(n_e,\) arrays"):
+        effectivity(est, ex)
+
+
+def test_zero_estimate_on_an_excluded_element_is_allowed():
+    stats = effectivity(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    assert stats.excluded == 1
+    assert stats.D[0] == 0.0 and np.isnan(stats.D[1])
 
 
 def test_zero_global_exact_error_raises():
@@ -263,7 +336,10 @@ def test_report_fields(solve_cached, cylinder_bm):
     )
     rep = compute_error_report(sol, field, cylinder_bm.exact_stress)
     assert rep.dof == 2 * mesh.n_nodes
-    assert len(rep.elements) == mesh.n_elements
+    for name in ("element_estimated", "element_exact", "theta_e", "D"):
+        a = getattr(rep, name)
+        assert a.shape == (mesh.n_elements,), name
+        assert not a.flags.writeable, name
     assert 0.9 < rep.theta < 1.2
     assert rep.estimated > 0 and rep.exact > 0 and rep.recovered > 0
     assert_allclose(rep.theta, rep.estimated / rep.exact, rtol=1e-15)

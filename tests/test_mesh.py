@@ -17,7 +17,9 @@ from smoothfem.mesh import (
     load_mesh,
     quad_area,
     save_mesh,
+    _tag_boundary,
     _topological_boundary,
+    graded_intervals,
     subcell_geometry,
 )
 
@@ -172,6 +174,142 @@ def test_missing_node_lookup_raises():
     m = build_square_mesh(2, 0.0)
     with pytest.raises(MeshError):
         m.find_node((10.0, 10.0))
+
+
+# ---------------------------------------------------------------------------
+# the structured-grid kernel against the former per-node / per-cell loops
+# ---------------------------------------------------------------------------
+
+
+def reference_cylinder_mesh(a, b, n):
+    """The cylinder builder as it was, numbering through an ``nid`` closure."""
+    m = 4 * 2 ** (n - 1)
+    r = np.linspace(a, b, m + 1)
+    phi = np.linspace(0.0, np.pi / 2.0, m + 1)
+    R, PHI = np.meshgrid(r, phi, indexing="ij")
+    coords = np.stack([(R * np.cos(PHI)).ravel(), (R * np.sin(PHI)).ravel()], axis=-1)
+
+    def nid(i, j):
+        return i * (m + 1) + j
+
+    elements = np.array(
+        [
+            [nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)]
+            for i in range(m)
+            for j in range(m)
+        ]
+    )
+    rtol = 1e-9 * b
+
+    def classify(p0, p1):
+        if abs(p0[1]) < rtol and abs(p1[1]) < rtol:
+            return DIRICHLET, "sym_y"
+        if abs(p0[0]) < rtol and abs(p1[0]) < rtol:
+            return DIRICHLET, "sym_x"
+        r0, r1 = np.hypot(*p0), np.hypot(*p1)
+        if abs(r0 - a) < rtol and abs(r1 - a) < rtol:
+            return NEUMANN, "pressure"
+        if abs(r0 - b) < rtol and abs(r1 - b) < rtol:
+            return NEUMANN, "free"
+        raise AssertionError(f"unclassifiable edge {p0}-{p1}")
+
+    return coords, elements, _tag_boundary(coords, elements, classify)
+
+
+def reference_lshape_mesh(level, grading):
+    """The L-shape builder as it was: one double loop over nodes, one over cells."""
+    t = graded_intervals(level, grading)
+    ax = np.concatenate([-t[::-1], t[1:]])
+    nv = len(ax)
+    ids = -np.ones((nv, nv), dtype=int)
+    coords = []
+    for i in range(nv):
+        for j in range(nv):
+            x, y = ax[i], ax[j]
+            if x > 1e-12 and y < -1e-12:
+                continue
+            ids[i, j] = len(coords)
+            coords.append((x, y))
+    coords = np.array(coords)
+    elements = []
+    for i in range(nv - 1):
+        for j in range(nv - 1):
+            cx = 0.5 * (ax[i] + ax[i + 1])
+            cy = 0.5 * (ax[j] + ax[j + 1])
+            if cx > 0.0 and cy < 0.0:
+                continue
+            elements.append([ids[i, j], ids[i + 1, j], ids[i + 1, j + 1], ids[i, j + 1]])
+    elements = np.array(elements)
+
+    def classify(p0, p1):
+        mx, my = 0.5 * (p0 + p1)
+        tol = 1e-12
+        if min(abs(mx - 1.0), abs(mx + 1.0), abs(my - 1.0), abs(my + 1.0)) < tol:
+            return NEUMANN, "outer"
+        if (abs(my) < tol and mx > 0.0) or (abs(mx) < tol and my < 0.0):
+            return NEUMANN, "notch"
+        raise AssertionError(f"unclassifiable edge at ({mx}, {my})")
+
+    return coords, elements, _tag_boundary(coords, elements, classify)
+
+
+def reference_square_mesh(n, distortion=0.0, seed=0):
+    """The unit-square builder as it was, distorting through a node mask."""
+    t = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(t, t, indexing="ij")
+    coords = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    if distortion > 0.0:
+        rng = np.random.default_rng(seed)
+        h = 1.0 / n
+        shift = rng.uniform(-distortion * h, distortion * h, size=coords.shape)
+        interior = (
+            (coords[:, 0] > 1e-12)
+            & (coords[:, 0] < 1 - 1e-12)
+            & (coords[:, 1] > 1e-12)
+            & (coords[:, 1] < 1 - 1e-12)
+        )
+        coords[interior] += shift[interior]
+
+    def nid(i, j):
+        return i * (n + 1) + j
+
+    elements = np.array(
+        [
+            [nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)]
+            for i in range(n)
+            for j in range(n)
+        ]
+    )
+    return coords, elements, _tag_boundary(coords, elements, lambda p0, p1: (DIRICHLET, "exact"))
+
+
+GRID_CASES = (
+    [(build_cylinder_mesh, reference_cylinder_mesh, (5.0, 20.0, n)) for n in (1, 2, 3)]
+    + [
+        (build_lshape_mesh, reference_lshape_mesh, (level, grading))
+        for level in (0, 1, 2, 3)
+        for grading in (1.0, 2.0, 20.0)
+    ]
+    + [
+        (build_square_mesh, reference_square_mesh, (n, distortion, 7))
+        for n in (1, 2, 4)
+        for distortion in (0.0, 0.2)
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "build, reference, args",
+    GRID_CASES,
+    ids=[f"{b.__name__}{args}" for b, _, args in GRID_CASES],
+)
+def test_grid_builders_match_the_loop_builders_bit_for_bit(build, reference, args):
+    m = build(*args)
+    coords, elements, boundary = reference(*args)
+    assert np.array_equal(m.coords, coords)
+    assert m.coords.tobytes() == coords.tobytes()  # signed zeros included
+    assert np.array_equal(m.elements, elements)
+    assert m.boundary == tuple(boundary)
 
 
 # ---------------------------------------------------------------------------

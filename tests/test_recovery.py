@@ -69,7 +69,7 @@ def fit_one(node_id, positions, stresses, weights, degree, constraints=None,
 
 def shared_constraints(degree, compliance):
     """The constraint rows of one patch without collocation, at scale 1."""
-    C, d = constraint_rows(degree=degree, scale=np.ones(1), compliance=compliance)
+    C, d = constraint_rows(degree=degree, n_patches=1, compliance=compliance)
     return C[0], d[0]
 
 
@@ -851,7 +851,7 @@ def reference_collocation_rows(degree, center, scale, collocation, singular_fiel
 
 
 def reference_constraint_rows(degree, center, scale, compliance, collocation,
-                              singular_field, split, body_force):
+                              singular_field, split):
     """One patch's constraint rows, built row by row as the per-node loop did."""
     from smoothfem.recovery import _MONOMIALS, _derivative_matrix
 
@@ -859,13 +859,10 @@ def reference_constraint_rows(degree, center, scale, compliance, collocation,
     rows, rhs = [], []
     Dx, Dy = _derivative_matrix(degree, 0), _derivative_matrix(degree, 1)
     zero = np.zeros_like(Dx)
-    const = np.zeros(Dx.shape[0])
-    const[0] = 1.0
-    for block, b in ((np.hstack([Dx, zero, Dy]), body_force[0]),
-                     (np.hstack([zero, Dy, Dx]), body_force[1])):
+    for block in (np.hstack([Dx, zero, Dy]), np.hstack([zero, Dy, Dx])):
         for k in range(block.shape[0]):
             rows.append(block[k])
-            rhs.append(-b * scale * const[k])
+            rhs.append(0.0)
     R, r = reference_collocation_rows(degree, center, scale, collocation, singular_field, split)
     rows.extend(R)
     rhs.extend(r)
@@ -977,7 +974,7 @@ def reference_fits(sol, config, singular_field, tractions, bcs):
                 C, d = reference_constraint_rows(
                     degree, center, scale, compliance,
                     reference_collocation_points(center, edges.get(node, []), degree),
-                    singular_field, bool(split[node]), (0.0, 0.0),
+                    singular_field, bool(split[node]),
                 )
                 constraints = reference_orthonormalize(C, d, node)
             coeffs = reference_fit(node, pos, sig, w, degree, constraints, center, scale)

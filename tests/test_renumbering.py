@@ -66,8 +66,8 @@ def run(name, seed=None):
     out = {k: getattr(report, k) for k in ("theta", "estimated", "exact", "m_abs_D", "sigma_D")}
     out["K_I"] = None if field.singular_field is None else field.singular_field.solution.K_I
     # per-element norms in the natural element order
-    out["element_estimated"] = np.array([report.elements[e].estimated for e in elem_perm])
-    out["element_exact"] = np.array([report.elements[e].exact for e in elem_perm])
+    out["element_estimated"] = report.element_estimated[elem_perm]
+    out["element_exact"] = report.element_exact[elem_perm]
     return out
 
 
