@@ -96,12 +96,15 @@ def solve_singularity_eigenvalue(alpha: float, mode: str) -> float:
     """Smallest positive root of the characteristic equation for the mode.
 
     Brackets sign changes of the residual on a 400-interval grid over
-    (0.1, 1.999) and bisects each to 1e-14, skipping spurious roots whose
+    (0.1, 1.999) plus the interval up to 2 (mode II just above pi has its
+    root there) and bisects each to 1e-14, skipping spurious roots whose
     stress eigenfunction vanishes identically.  The mode-II search runs on
     the deflated residual (see _search_residual).
 
     Raises:
-        AnalyticError: alpha outside (pi, 2 pi], unknown mode, or no root.
+        AnalyticError: alpha outside (pi, 2 pi], unknown mode, no root, or
+            only roots with a vanishing eigenfunction (mode II at
+            tan(alpha) = alpha, where the genuine root merges with 1).
     """
     if mode not in (MODE_I, MODE_II):
         raise AnalyticError(f"mode must be 'I' or 'II', got {mode!r}")
@@ -110,7 +113,8 @@ def solve_singularity_eigenvalue(alpha: float, mode: str) -> float:
             f"notch opening angle must lie in (pi, 2 pi], got {alpha!r}"
         )
 
-    grid = np.linspace(0.1, 1.999, 401)
+    grid = np.append(np.linspace(0.1, 1.999, 401), 2.0)
+    spurious = []
     res = _search_residual(grid, alpha, mode)
     for i in range(len(grid) - 1):
         lo, hi = grid[i], grid[i + 1]
@@ -132,10 +136,17 @@ def solve_singularity_eigenvalue(alpha: float, mode: str) -> float:
             root = float(0.5 * (lo + hi))
         if _eigenfunction_scale(alpha, root, mode) < 1e-8:
             log.debug("skipping spurious characteristic root %g (mode %s)", root, mode)
+            spurious.append(root)
             continue
         return root
+    if spurious:
+        raise AnalyticError(
+            f"the only characteristic roots in (0, 2] for alpha={alpha}, mode {mode} "
+            f"({', '.join(f'{r:.15g}' for r in spurious)}) have a vanishing stress "
+            f"eigenfunction"
+        )
     raise AnalyticError(
-        f"no characteristic root in (0, 2) for alpha={alpha}, mode {mode}"
+        f"no characteristic root in (0, 2] for alpha={alpha}, mode {mode}"
     )
 
 

@@ -39,7 +39,7 @@ from .analytic import (
 )
 from .elasticity import elastic_constants
 from .quadmap import PARENT_CORNERS, gauss_points_1d, gauss_points_2d, jacobian_det, map_point
-from .solver import NEUMANN, BoundaryConditions, DiscreteSolution, row_dot, traction_values
+from .solver import NEUMANN, BoundaryConditions, DiscreteSolution, boundary_values, row_dot
 
 __all__ = [
     "GsifError",
@@ -291,18 +291,10 @@ class _BoundaryTerm:
         self.t = np.empty_like(self.x)
         names, local_edges = edges.names[inside], edges.local_edges[inside]
         neumann = edges.kinds[inside] == NEUMANN
-        for name in dict.fromkeys(names[neumann].tolist()):
-            if name not in bcs.tractions:
-                raise GsifError(
-                    f"no traction supplied for Neumann boundary {name!r} "
-                    f"inside the extraction support"
-                )
-            sel = neumann & (names == name)
-            normals = np.broadcast_to(self.normal[sel], self.x[sel].shape)
-            self.t[sel] = traction_values(
-                bcs.tractions, name, self.x[sel].reshape(-1, 2), normals.reshape(-1, 2),
-                GsifError,
-            ).reshape(-1, len(gp), 2)
+        self.t[neumann] = boundary_values(
+            bcs.tractions, np.repeat(names[neumann], len(gp)), self.x[neumann].reshape(-1, 2),
+            np.repeat(self.normal[neumann, 0], len(gp), axis=0), GsifError,
+        ).reshape(-1, len(gp), 2)
         # constrained edges inside the support: use the discrete traction
         for k in np.unique(local_edges[~neumann]).tolist():
             sel = ~neumann & (local_edges == k)

@@ -200,12 +200,11 @@ class Mesh:
 
 def _topological_boundary(elements: np.ndarray) -> set[tuple[int, int]]:
     """(element, local_edge) pairs whose undirected edge only one element uses."""
-    elements = np.asarray(elements, dtype=int).reshape(-1, 4)
-    # row 4e + k is local edge k of element e, its node ids sorted
-    edges = np.sort(np.stack([elements, np.roll(elements, -1, axis=1)], axis=-1), axis=-1)
-    _, first, count = np.unique(
-        edges.reshape(-1, 2), axis=0, return_index=True, return_counts=True
-    )
+    elements = np.asarray(elements, dtype=np.int64).reshape(-1, 4)
+    # entry 4e + k keys local edge k of element e by its sorted node ids
+    a, b = elements.ravel(), np.roll(elements, -1, axis=1).ravel()
+    key = np.minimum(a, b) * (elements.max(initial=0) + 1) + np.maximum(a, b)
+    _, first, count = np.unique(key, return_index=True, return_counts=True)
     lone = first[count == 1]
     return set(zip((lone // 4).tolist(), (lone % 4).tolist()))
 
@@ -465,18 +464,38 @@ def save_mesh(mesh: Mesh, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def _check_ids(rows: list[list[str]], n: int, what: str) -> None:
+    """Raise MeshError unless the rows' leading ids are 0..n-1, each once."""
+    seen = np.zeros(n, dtype=bool)
+    for i in (int(row[0]) for row in rows):
+        if not 0 <= i < n:
+            raise MeshError(f"{what} id {i} is outside 0..{n - 1}")
+        if seen[i]:
+            raise MeshError(f"{what} id {i} is repeated")
+        seen[i] = True
+    if not seen.all():
+        raise MeshError(f"{what} id {int(np.argmin(seen))} is missing")
+
+
 def load_mesh(path) -> Mesh:
-    """Read the plain-text mesh format written by save_mesh."""
+    """Read the plain-text mesh format written by save_mesh.
+
+    Node and element rows may come in any order, but their ids must be
+    exactly 0..n-1, each once.
+    """
     with open(path, encoding="ascii") as f:
         tokens = [line.split() for line in f if line.strip()]
     try:
         n_nodes, n_elems, n_bound = (int(v) for v in tokens[0])
         rows = tokens[1:]
+        node_rows, elem_rows = rows[:n_nodes], rows[n_nodes : n_nodes + n_elems]
+        _check_ids(node_rows, n_nodes, "node")
+        _check_ids(elem_rows, n_elems, "element")
         coords = np.empty((n_nodes, 2))
-        for row in rows[:n_nodes]:
+        for row in node_rows:
             coords[int(row[0])] = (float(row[1]), float(row[2]))
         elements = np.empty((n_elems, 4), dtype=int)
-        for row in rows[n_nodes : n_nodes + n_elems]:
+        for row in elem_rows:
             elements[int(row[0])] = [int(v) for v in row[1:5]]
         boundary = []
         for row in rows[n_nodes + n_elems : n_nodes + n_elems + n_bound]:

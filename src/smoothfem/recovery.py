@@ -51,7 +51,7 @@ from .analytic import SingularField
 from .elasticity import compliance_matrix
 from .mesh import NEUMANN, Mesh
 from .quadmap import gauss_points_2d, jacobian_det, map_point, shape_functions
-from .solver import SFEM, DiscreteSolution, row_dot, traction_values
+from .solver import SFEM, DiscreteSolution, boundary_values, row_dot
 
 log = logging.getLogger(__name__)
 
@@ -436,11 +436,9 @@ def collocation_rows(
         valid &= ~(split[:, None] & at_vertex)  # no eigenfield traction there
     names = neumann.names[np.where(second, on[:, 1:], on[:, :1])]
     t = np.zeros(points.shape)
-    for name in dict.fromkeys(names[valid].tolist()):
-        sel = valid & (names == name)
-        t[sel] = traction_values(
-            neumann.tractions, name, points[sel], normals[sel], RecoveryError
-        )
+    t[valid] = boundary_values(
+        neumann.tractions, names[valid], points[valid], normals[valid], RecoveryError
+    )
     sel = valid & split[:, None]
     if sel.any():
         t[sel] = t[sel] - singular_field.traction(points[sel], normals[sel])

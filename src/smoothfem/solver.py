@@ -95,12 +95,13 @@ class BoundaryConditions:
         (n, 2)) -> tractions (n, 2), finite; the load vector, the traction
         collocation and the GSIF boundary term each call it once per
         boundary name with all of that boundary's points, one normal per
-        point (see traction_values).  Every Neumann boundary name in the
-        mesh must be present.  The normal argument keeps corner points
-        unambiguous (a traction belongs to an oriented edge, not a
-        location).
+        point.  Every Neumann boundary name in the mesh must be present.
+        The normal argument keeps corner points unambiguous (a traction
+        belongs to an oriented edge, not a location).
     dirichlet: name -> DirichletSpec for every Dirichlet boundary name.
     pins: ((node_id, component, value), ...) extra point constraints.
+    Tractions and Dirichlet values are all called through boundary_values,
+    which checks them (finite, the points' shape) and names the boundary.
     """
 
     tractions: dict = field(default_factory=dict)
@@ -108,24 +109,34 @@ class BoundaryConditions:
     pins: tuple = ()
 
 
-def traction_values(
-    tractions: dict, name: str, points: np.ndarray, normals: np.ndarray,
+def boundary_values(
+    fns: dict, names, points: np.ndarray, normals: np.ndarray | None = None,
     error: type[Exception] = SolveError,
 ) -> np.ndarray:
-    """tractions[name] at points (n, 2) with normals (n, 2), checked.
+    """Boundary data at points (n, 2), the array names (n,) naming each one's boundary.
 
-    Raises ``error`` naming the boundary unless the callable returns an
-    (n, 2) array of finite values.
+    The one call path for user tractions (given normals) and Dirichlet
+    values: ``fns[name]`` is called once per name, in order of first
+    appearance, with that name's points (and normals (n, 2)) in order.
+    Raises ``error`` naming the boundary when a name has no callable or its
+    callable does not return finite values of its points' shape.
     """
-    t = np.asarray(tractions[name](points, normals), dtype=float)
-    if t.shape != points.shape:
-        raise error(
-            f"traction for boundary {name!r} returned shape {t.shape}, "
-            f"expected {points.shape}"
-        )
-    if not np.all(np.isfinite(t)):
-        raise error(f"traction for boundary {name!r} returned non-finite values")
-    return t
+    what = "Dirichlet value" if normals is None else "traction"
+    out = np.empty(points.shape)
+    for name in dict.fromkeys(names.tolist()):
+        if fns.get(name) is None:
+            raise error(f"no {what} supplied for boundary {name!r}")
+        sel = names == name
+        args = (points[sel],) if normals is None else (points[sel], normals[sel])
+        v = np.asarray(fns[name](*args), dtype=float)
+        if v.shape != args[0].shape:
+            raise error(
+                f"{what} for boundary {name!r} returned shape {v.shape}, not {args[0].shape}"
+            )
+        if not np.all(np.isfinite(v)):
+            raise error(f"{what} for boundary {name!r} returned non-finite values")
+        out[sel] = v
+    return out
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -292,33 +303,26 @@ def _scatter(mesh: Mesh, operators: ElementOperators) -> sp.csr_matrix:
 def _neumann_vector(mesh: Mesh, bcs: BoundaryConditions) -> np.ndarray:
     """External load vector from edge tractions (2-point Gauss per edge).
 
-    All Neumann edges at once: each traction function is called once, on
-    its boundary's Gauss points, and the contributions are added with
-    np.add.at in (edge, point, node a then b) order, the products taken as
-    Na * t * w * jac, so f equals an edge-by-edge accumulation bit for bit.
+    All Neumann edges at once: each traction function is called once
+    (boundary_values), on its boundary's Gauss points, and the
+    contributions are added with np.add.at in (edge, point, node a then b)
+    order, the products taken as Na * t * w * jac, so f equals an
+    edge-by-edge accumulation bit for bit.
     """
     f = np.zeros(2 * mesh.n_nodes)
     edges = mesh.boundary_arrays
     neumann = edges.kinds == NEUMANN
-    names = edges.names[neumann]
-    for name in dict.fromkeys(names.tolist()):
-        if name not in bcs.tractions:
-            raise SolveError(f"no traction supplied for Neumann boundary {name!r}")
     ends = edges.node_ids[neumann]
     pa, pb = mesh.coords[ends[:, 0]], mesh.coords[ends[:, 1]]
     half = 0.5 * (pb - pa)
-    midpoint = 0.5 * (pa + pb)
     jac = np.sqrt(row_dot(half, half))  # np.linalg.norm of each half
     normal = np.stack([half[:, 1], -half[:, 0]], axis=-1) / jac[:, None]
     gp, gw = gauss_points_1d(2)
-    x = midpoint[:, None] + gp[:, None] * half[:, None]  # (edge, point, 2)
-    normals = np.broadcast_to(normal[:, None], x.shape)
-    t = np.empty_like(x)
-    for name in dict.fromkeys(names.tolist()):
-        sel = names == name
-        t[sel] = traction_values(
-            bcs.tractions, name, x[sel].reshape(-1, 2), normals[sel].reshape(-1, 2)
-        ).reshape(-1, len(gp), 2)
+    x = (0.5 * (pa + pb))[:, None] + gp[:, None] * half[:, None]  # (edge, point, 2)
+    t = boundary_values(
+        bcs.tractions, np.repeat(edges.names[neumann], len(gp)), x.reshape(-1, 2),
+        np.repeat(normal, len(gp), axis=0),
+    ).reshape(x.shape)
     N = np.stack([0.5 * (1.0 - gp), 0.5 * (1.0 + gp)], axis=-1)  # (point, node)
     vals = N[:, :, None] * t[:, :, None] * gw[:, None, None] * jac[:, None, None, None]
     dofs = 2 * ends[:, None, :, None] + np.arange(2)  # (edge, 1, node, comp)
@@ -330,36 +334,26 @@ def _dirichlet_values(mesh: Mesh, bcs: BoundaryConditions) -> tuple[np.ndarray, 
     """Constrained dofs (sorted, unique) and their prescribed values.
 
     All Dirichlet edges at once: each spec's ``value`` is called once, on
-    its boundary's edge end nodes (n, 2), and must return finite (n, 2)
-    values.  A dof written more than once keeps its last value in (edge,
-    node a then b) order, as an edge-by-edge loop would; pins come last.
+    its boundary's edge end nodes.  A dof written more than once keeps its
+    last value in (edge, node a then b) order; pins come last.
     """
     edges = mesh.boundary_arrays
     dirichlet = edges.kinds == DIRICHLET
     names = edges.names[dirichlet]
     ends = edges.node_ids[dirichlet]  # (edge, node)
-    values = np.zeros(ends.shape + (2,))
     constrained = np.zeros(ends.shape + (2,), dtype=bool)
     for name in dict.fromkeys(names.tolist()):
         if name not in bcs.dirichlet:
             raise SolveError(f"no constraint spec for Dirichlet boundary {name!r}")
-        spec = bcs.dirichlet[name]
-        sel = names == name
         components = np.zeros(2, dtype=bool)
-        components[list(spec.components)] = True
-        constrained[sel] = components
-        if spec.value is None:
-            continue
-        points = mesh.coords[ends[sel].ravel()]
-        u = np.asarray(spec.value(points), dtype=float)
-        if u.shape != points.shape:
-            raise SolveError(
-                f"Dirichlet value for boundary {name!r} returned shape {u.shape}, "
-                f"expected {points.shape}"
-            )
-        if not np.all(np.isfinite(u)):
-            raise SolveError(f"Dirichlet value for boundary {name!r} returned non-finite values")
-        values[sel] = u.reshape(-1, 2, 2)
+        components[list(bcs.dirichlet[name].components)] = True
+        constrained[names == name] = components
+    fns = {name: spec.value for name, spec in bcs.dirichlet.items() if spec.value is not None}
+    valued = np.isin(names, list(fns))
+    values = np.zeros(ends.shape + (2,))
+    values[valued] = boundary_values(
+        fns, np.repeat(names[valued], 2), mesh.coords[ends[valued].ravel()]
+    ).reshape(-1, 2, 2)
     pin_dofs = np.array([2 * int(node) + int(comp) for node, comp, _ in bcs.pins], dtype=int)
     pin_values = np.array([float(value) for _, _, value in bcs.pins])
     dofs = np.concatenate([(2 * ends[..., None] + np.arange(2))[constrained], pin_dofs])

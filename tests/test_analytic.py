@@ -89,14 +89,31 @@ def test_crack_limit_is_one_half():
     assert abs(solve_singularity_eigenvalue(2.0 * np.pi, MODE_I) - 0.5) < 1e-12
 
 
-@given(alpha=st.floats(np.pi + 0.05, 2.0 * np.pi))
+@given(alpha=st.floats(np.pi, 2.0 * np.pi, exclude_min=True))
 @example(4.4921875)  # mode II root within 1e-3 of the spurious lambda = 1
+@example(np.pi + 1e-4)  # mode II root in (1.999, 2), above the grid's last point
 @settings(max_examples=40, deadline=None)
 def test_eigenvalue_residual_and_range(alpha):
     for mode in (MODE_I, MODE_II):
         lam = solve_singularity_eigenvalue(alpha, mode)
         assert 0.0 < lam < 2.0
         assert abs(characteristic_residual(lam, alpha, mode)) < 1e-12
+
+
+def test_singular_solution_just_above_pi():
+    # lambda_II -> 2 as alpha -> pi from above: the search must reach 2
+    for alpha in (np.nextafter(np.pi, 4.0), np.pi + 1e-4, np.pi + 7e-4):
+        sol = make_singular_solution(alpha, MAT, 1.0, 1.0)
+        assert 1.999 < sol.lambda_II < 2.0
+
+
+def test_merged_mode_two_root_says_its_eigenfunction_vanishes():
+    # at tan(alpha) = alpha the genuine mode-II root merges with the
+    # spurious lambda = 1, so the only root found is rejected
+    alpha_star = 4.493409457909064
+    assert abs(np.tan(alpha_star) - alpha_star) < 1e-9
+    with pytest.raises(AnalyticError, match="vanishing stress eigenfunction"):
+        solve_singularity_eigenvalue(alpha_star, MODE_II)
 
 
 def test_q_constants_match_oracle():

@@ -423,6 +423,55 @@ def test_load_mesh_rejects_mistyped_kind(tmp_path):
         load_mesh(path)
 
 
+def write_with_bad_ids(tmp_path, what, change):
+    """The square n=2 mesh file (9 nodes, 4 elements) with the ids of one
+    section broken: row 1 relabelled, or row 2 dropped and the file cut
+    after the section (the only way an id goes missing without a repeat)."""
+    path = tmp_path / "square.mesh"
+    save_mesh(build_square_mesh(2), path)
+    lines = path.read_text(encoding="ascii").splitlines()
+    start, n = (1, 9) if what == "node" else (10, 4)
+    if change == "missing":
+        lines = lines[: start + 2] + lines[start + 3 : start + n]
+    else:
+        new_id = {"duplicate": 0, "negative": -1, "out-of-range": n}[change]
+        row = lines[start + 1].split()
+        lines[start + 1] = " ".join([str(new_id)] + row[1:])
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return path
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ("duplicate", "id 0 is repeated"),
+        ("missing", "id 2 is missing"),
+        ("negative", "id -1 is outside"),
+        ("out-of-range", "id {n} is outside"),
+    ],
+)
+@pytest.mark.parametrize("what", ["node", "element"])
+def test_load_mesh_rejects_bad_ids(tmp_path, what, change, message):
+    # unchecked, a repeated id leaves a row of np.empty uninitialized and a
+    # negative one wraps around, and the load succeeds
+    path = write_with_bad_ids(tmp_path, what, change)
+    message = message.format(n=9 if what == "node" else 4)
+    with pytest.raises(MeshError, match=f"{what} {message}"):
+        load_mesh(path)
+
+
+def test_load_mesh_accepts_rows_in_any_order(tmp_path):
+    m = build_square_mesh(2, 0.15, seed=7)
+    path = tmp_path / "square.mesh"
+    save_mesh(m, path)
+    lines = path.read_text(encoding="ascii").splitlines()
+    lines[1:10], lines[10:14] = lines[9:0:-1], lines[13:9:-1]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    back = load_mesh(path)
+    assert np.array_equal(back.coords, m.coords)
+    assert np.array_equal(back.elements, m.elements)
+
+
 def test_golden_mesh_file(tmp_path):
     # the distorted-square mesh is frozen as a text artifact; regeneration
     # must be byte-identical and loading it must reproduce the mesh

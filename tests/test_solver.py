@@ -45,6 +45,7 @@ from smoothfem.solver import (
     _neumann_vector,
     _scatter,
     assemble_and_solve,
+    boundary_values,
     interpolate_solution,
     smoothed_strain_matrices,
     strain_matrix,
@@ -354,6 +355,103 @@ def test_bad_dirichlet_value_names_the_boundary(patch_bm, bad, match):
     bcs = BoundaryConditions(dirichlet={"exact": DirichletSpec(components=(0, 1), value=bad)})
     with pytest.raises(SolveError, match=rf"boundary 'exact'.*{match}"):
         assemble_and_solve(mesh, patch_bm.material, Formulation("sfem", 4), bcs)
+
+
+# ---------------------------------------------------------------------------
+# the boundary-data evaluator and its four consumers
+# ---------------------------------------------------------------------------
+
+
+def counting(fns):
+    """fns with each callable wrapped to record its name and arguments."""
+    calls = []
+
+    def wrap(name, fn):
+        def counted(*args):
+            calls.append((name, [np.array(a) for a in args]))
+            return fn(*args)
+
+        return counted
+
+    return {name: wrap(name, fn) for name, fn in fns.items()}, calls
+
+
+class BoundaryDataError(Exception):
+    pass
+
+
+def test_boundary_values_contract():
+    names = np.array(["b", "a", "b", "c", "a"])
+    points = np.arange(10.0).reshape(5, 2)
+    normals = -points
+    fns, calls = counting({n: (lambda p, nrm: p + nrm[:, ::-1]) for n in "abc"})
+    t = boundary_values(fns, names, points, normals, BoundaryDataError)
+    assert [name for name, _ in calls] == ["b", "a", "c"]
+    for name, (p, nrm) in calls:
+        assert np.array_equal(p, points[names == name])
+        assert np.array_equal(nrm, normals[names == name])
+    assert np.array_equal(t, points + normals[:, ::-1])
+    # a Dirichlet value gets the points alone
+    fns, calls = counting({n: (lambda p: -p) for n in "abc"})
+    assert np.array_equal(boundary_values(fns, names, points), -points)
+    assert [len(args) for _, args in calls] == [1, 1, 1]
+    # a missing or None callable raises the caller's error, naming the boundary
+    for fns in ({"a": np.add, "b": np.add}, {"a": np.add, "b": np.add, "c": None}):
+        with pytest.raises(BoundaryDataError, match="no traction supplied for boundary 'c'"):
+            boundary_values(fns, names, points, normals, BoundaryDataError)
+
+
+def consumer_calls(consumer, solve_cached, lshape_bm):
+    """(calls, names in order of first appearance) of one consumer."""
+    from smoothfem.gsif import PlateauFunction, _BoundaryTerm
+    from smoothfem.recovery import collocation_rows, neumann_edges
+
+    if consumer == "dirichlet":
+        mesh, bcs = clamped_corner_quad()
+        fns, calls = counting({n: s.value for n, s in bcs.dirichlet.items()})
+        specs = {n: DirichletSpec(s.components, fns[n]) for n, s in bcs.dirichlet.items()}
+        _dirichlet_values(mesh, BoundaryConditions(bcs.tractions, specs, bcs.pins))
+        return calls, ["bottom", "left"]
+    mesh, bcs, sol = solve_cached("lshape", 1, "sfem", 4)
+    tractions, calls = counting(bcs.tractions)
+    counted = BoundaryConditions(tractions, bcs.dirichlet, bcs.pins)
+    if consumer == "neumann":
+        _neumann_vector(mesh, counted)
+    elif consumer == "gsif":
+        # the wide plateau reaches the outer square as well as the notch
+        vertex = lshape_bm.singular_field.frame.vertex
+        _BoundaryTerm(sol, counted, PlateauFunction(center=vertex, r_plateau=0.45, r_outer=1.1))
+    else:
+        neumann = neumann_edges(mesh, tractions)
+        nodes = np.nonzero(neumann.on[:, 0] >= 0)[0]
+        collocation_rows(
+            mesh, neumann, nodes, 2, scale=np.ones(len(nodes)),
+            split=np.zeros(len(nodes), dtype=bool),
+        )
+    return calls, list(dict.fromkeys(mesh.boundary_arrays.names.tolist()))
+
+
+@pytest.mark.parametrize("consumer", ["neumann", "dirichlet", "gsif", "collocation"])
+def test_each_consumer_calls_each_callable_once_per_name(solve_cached, lshape_bm, consumer):
+    calls, names = consumer_calls(consumer, solve_cached, lshape_bm)
+    assert len(names) == 2
+    assert [name for name, _ in calls] == names
+
+
+def test_missing_traction_names_the_boundary(lshape_bm):
+    mesh = lshape_bm.mesh(1)
+    bcs = lshape_bm.boundary_conditions(mesh)
+    bcs = BoundaryConditions(tractions={"outer": bcs.tractions["outer"]}, pins=bcs.pins)
+    with pytest.raises(SolveError, match="no traction supplied for boundary 'notch'"):
+        assemble_and_solve(mesh, lshape_bm.material, Formulation("sfem", 4), bcs)
+
+
+def test_missing_dirichlet_spec_names_the_boundary(cylinder_bm):
+    mesh = cylinder_bm.mesh(1)
+    bcs = cylinder_bm.boundary_conditions(mesh)
+    bcs = BoundaryConditions(bcs.tractions, {"sym_y": bcs.dirichlet["sym_y"]}, bcs.pins)
+    with pytest.raises(SolveError, match="no constraint spec for Dirichlet boundary 'sym_x'"):
+        assemble_and_solve(mesh, cylinder_bm.material, Formulation("sfem", 4), bcs)
 
 
 # ---------------------------------------------------------------------------
