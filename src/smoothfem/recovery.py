@@ -20,24 +20,25 @@ element edges by the partition of unity of the Q4 shape functions.
 
 Fitting is batched.  Nodes are grouped by (patch element count, degree,
 collocation row count), and each group is fitted in chunks of ``CHUNK``
-patches; a chunk gathers its samples, basis, constraints and KKT systems
-as stacked arrays.  The equilibrium and compatibility rows depend only on
-the degree and are shared by every patch (only their right-hand side
-scales per patch); the traction collocation rows of all nodes on Neumann
-edges are built in one pass per degree (one traction call per boundary
-name), and each chunk slices its own.  The batched kernels repeat the
-per-patch arithmetic bit for bit: dots and norms are ``np.matmul`` of
-(B, 1, n) by (B, n, 1) (plus ``np.sqrt``), ``M`` and ``b`` are batched
-matmuls and the solve a stacked ``np.linalg.solve``; a row that one patch
-drops is masked out with ``np.where``, never multiplied by zero.  The
-conditioning check certifies most KKT systems regular from eigenvalue
-bounds (the spectra of ``M`` and ``C C^T``, stacked ``np.linalg.eigvalsh``)
-and takes the stacked ``np.linalg.svd`` test only on the systems the bound
-cannot clear.  Failed patches are returned, not raised, and dropped from
-their chunk with one mask.  Each patch whose degree-2 system is singular
-logs one "falling back" warning (in node order) and is refitted at degree
-1; one PatchFailure, raised after every patch was tried, names all singular
-degree-1 systems and inconsistent constraints.
+patches; a chunk gathers its samples, basis, constraints and KKT systems as
+stacked arrays.  The equilibrium and compatibility rows (zero right-hand
+sides) depend only on the degree: interior patches share one orthonormalized
+basis per degree and fit pass, broadcast to every chunk.  The traction
+collocation rows of all nodes on Neumann edges are built in one pass per
+degree (one traction call per boundary name); each chunk slices its own and
+orthonormalizes its stack.  The batched kernels repeat the per-patch
+arithmetic bit for bit: dots and norms are ``np.matmul`` of (B, 1, n) by
+(B, n, 1) (plus ``np.sqrt``), ``M`` and ``b`` are batched matmuls and the
+solve a stacked ``np.linalg.solve``; a row that one patch drops is masked
+out with ``np.where``, never multiplied by zero.  The conditioning check
+certifies most KKT systems regular from eigenvalue bounds (the spectra of
+``M`` and ``C C^T``, stacked ``np.linalg.eigvalsh``) and takes the stacked
+``np.linalg.svd`` test only on the systems the bound cannot clear.  Failed
+patches are returned, not raised, and dropped from their chunk with one
+mask.  Each patch whose degree-2 system is singular logs one "falling back"
+warning (in node order) and is refitted at degree 1; one PatchFailure,
+raised after every patch was tried, names all singular degree-1 systems and
+inconsistent constraints.
 """
 
 from __future__ import annotations
@@ -469,7 +470,8 @@ def constraint_rows(
     3. the compatibility equation (nontrivial for degree 2 only).
 
     Without collocation the rows are the same for every patch, and C is a
-    read-only broadcast view of one (k, 3m) array.
+    read-only broadcast view of one (k, 3m) array; the fitter builds them
+    once per degree with n_patches=1 (the shared interior basis).
     """
     eq = _equilibrium_rows(degree)
     compat = _compatibility_rows(degree, compliance)
@@ -490,9 +492,10 @@ def _orthonormalize_constraints(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
     """Drop dependent rows (relative pivot < 1e-10) via Gram-Schmidt, per patch.
 
-    C (B, k, n) and d (B, k) hold the constraints of B patches (C may be a
-    broadcast view).  Returns (Q, e, rank, failures): patch i keeps its
-    rank[i] orthonormalized rows as Q[i, :rank[i]] with right-hand sides
+    C (B, k, n) and d (B, k) hold the constraints of B patches: a chunk's
+    collocated stacks, or (B = 1) the rows all interior patches share.
+    Returns (Q, e, rank, failures): patch i keeps its rank[i]
+    orthonormalized rows as Q[i, :rank[i]] with right-hand sides
     e[i, :rank[i]]; the rows past its rank are zero.  Rows go one at a time
     over the whole batch, and a row that a patch drops leaves that patch's
     state untouched (np.where), so every patch sees the same arithmetic as
@@ -566,6 +569,7 @@ def _kkt_ratio_bound(M: np.ndarray, C: np.ndarray | None) -> np.ndarray:
     bound's other candidate for hi, (sqrt(mu-^2 + 4 s+) - mu-) / 2, is at
     most sqrt(s+) and so never the larger when mu- > 0.  Returns lo / hi, and
     0 where mu- <= 0 (no bound); without constraints lo / hi = mu- / mu+.
+    A C broadcast over the batch (stride 0) has its spectrum taken once.
     """
     n = 3 * M.shape[-1] + (0 if C is None else C.shape[1])
     # the computed eigenvalues (and the product C C^T) err by a few n eps of
@@ -577,6 +581,8 @@ def _kkt_ratio_bound(M: np.ndarray, C: np.ndarray | None) -> np.ndarray:
     lo = mu_lo = mu[:, 0] - slack * mu_hi
     hi = mu_hi
     if C is not None:
+        if C.strides[0] == 0:  # rows shared by every patch: one spectrum
+            C = C[:1]
         s2 = np.linalg.eigvalsh(np.matmul(C, C.swapaxes(-1, -2)))
         s_hi = np.maximum(s2[:, -1], 0.0)
         s_lo = np.maximum(s2[:, 0] - slack * s_hi, 0.0)
@@ -816,8 +822,11 @@ def build_recovered_field(
 class _PatchFitter:
     """Fits the patches of one recovery, a chunk of CHUNK patches at a time.
 
-    Finished fits collect in ``fits`` (by node id) and inconsistent
-    constraints in ``failures`` (node id -> reason).
+    Each ``fit`` call orthonormalizes the interior rows once, as ``shared``
+    (Q, e), and chunks without collocation rows fit one stack on read-only
+    broadcast views of it (None: unconstrained).  Finished fits collect in
+    ``fits`` (by node id), inconsistent constraints in ``failures`` (node
+    id -> reason).
     """
 
     def __init__(self, mesh, positions, stresses, smooth, weights, per_element, split,
@@ -855,6 +864,12 @@ class _PatchFitter:
                     singular_field=self.singular_field,
                 )
         first = np.cumsum(n_rows) - n_rows
+        # every interior patch has the same rows: one Gram-Schmidt, not one per chunk
+        shared = None
+        if self.constrained:
+            C, d = constraint_rows(degree=degree, n_patches=1, compliance=self.compliance)
+            Q, e, rank, _ = _orthonormalize_constraints(C, d, nodes[:1])
+            shared = Q[0, : rank[0]], e[0, : rank[0]]
         singular: dict[int, str] = {}
         for size, rows in np.unique(np.stack([sizes, n_rows], axis=1), axis=0).tolist():
             sel = np.nonzero((sizes == size) & (n_rows == rows))[0]
@@ -864,7 +879,7 @@ class _PatchFitter:
                 if rows:
                     idx = first[part, None] + np.arange(rows)
                     coll = (R[idx], r[idx])
-                singular.update(self._fit_chunk(nodes[part], size, degree, coll))
+                singular.update(self._fit_chunk(nodes[part], size, degree, coll, shared))
         return singular
 
     def _gather(self, chunk: np.ndarray, size: int):
@@ -882,15 +897,17 @@ class _PatchFitter:
             sig[split] = self.smooth[idx[split]]
         return self.positions[idx], sig, self.weights[idx]
 
-    def _fit_chunk(self, chunk, size, degree, collocation) -> dict[int, str]:
+    def _fit_chunk(self, chunk, size, degree, collocation, shared) -> dict[int, str]:
         """Fit one chunk; returns its singular patches (inconsistent ones go to failures)."""
         pos, sig, w = self._gather(chunk, size)
         center = self.mesh.coords[chunk]
         scale = self.scales[chunk]
-        Q = e = None
-        rank = np.zeros(len(chunk), dtype=int)
-        ok = np.ones(len(chunk), dtype=bool)
-        if self.constrained:
+        if collocation is None:
+            cons = None if shared is None else tuple(
+                np.broadcast_to(a, (len(chunk),) + a.shape) for a in shared
+            )
+            stacks = [(slice(None), cons)]
+        else:
             C, d = constraint_rows(
                 degree=degree, n_patches=len(chunk), compliance=self.compliance,
                 collocation=collocation,
@@ -898,13 +915,15 @@ class _PatchFitter:
             Q, e, rank, failures = _orthonormalize_constraints(C, d, chunk)
             self.failures.update(failures)
             ok = ~np.isin(chunk, list(failures))
+            # the kept rank decides the KKT size, so each rank is one stack
+            stacks = []
+            for r in np.unique(rank[ok]).tolist():
+                sel = np.nonzero(ok & (rank == r))[0]
+                stacks.append((sel, (Q[sel, :r], e[sel, :r])))
         singular: dict[int, str] = {}
-        # the kept rank decides the KKT size, so each rank is one stack
-        for r in np.unique(rank[ok]).tolist():
-            sel = np.nonzero(ok & (rank == r))[0]
+        for sel, cons in stacks:
             fits, failed = fit_patch(
-                chunk[sel], pos[sel], sig[sel], w[sel], degree,
-                constraints=(Q[sel, :r], e[sel, :r]) if r else None,
+                chunk[sel], pos[sel], sig[sel], w[sel], degree, constraints=cons,
                 center=center[sel], scale=scale[sel],
             )
             singular.update(failed)

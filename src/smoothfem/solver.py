@@ -99,7 +99,8 @@ class BoundaryConditions:
         The normal argument keeps corner points unambiguous (a traction
         belongs to an oriented edge, not a location).
     dirichlet: name -> DirichletSpec for every Dirichlet boundary name.
-    pins: ((node_id, component, value), ...) extra point constraints.
+    pins: ((node_id, component, value), ...) extra point constraints, each
+        with node_id in [0, n_nodes), component 0 or 1 and a finite value.
     Tractions and Dirichlet values are all called through boundary_values,
     which checks them (finite, the points' shape) and names the boundary.
     """
@@ -335,7 +336,9 @@ def _dirichlet_values(mesh: Mesh, bcs: BoundaryConditions) -> tuple[np.ndarray, 
 
     All Dirichlet edges at once: each spec's ``value`` is called once, on
     its boundary's edge end nodes.  A dof written more than once keeps its
-    last value in (edge, node a then b) order; pins come last.
+    last value in (edge, node a then b) order; pins come last.  A component
+    outside (0, 1), a pin node outside the mesh or a non-finite pin value
+    raises SolveError naming the boundary or the pin.
     """
     edges = mesh.boundary_arrays
     dirichlet = edges.kinds == DIRICHLET
@@ -345,15 +348,25 @@ def _dirichlet_values(mesh: Mesh, bcs: BoundaryConditions) -> tuple[np.ndarray, 
     for name in dict.fromkeys(names.tolist()):
         if name not in bcs.dirichlet:
             raise SolveError(f"no constraint spec for Dirichlet boundary {name!r}")
-        components = np.zeros(2, dtype=bool)
-        components[list(bcs.dirichlet[name].components)] = True
-        constrained[names == name] = components
+        for comp in bcs.dirichlet[name].components:
+            if comp not in (0, 1):
+                raise SolveError(
+                    f"Dirichlet boundary {name!r}: component {comp!r} is not 0 (u_x) or 1 (u_y)"
+                )
+        constrained[names == name] = np.isin((0, 1), bcs.dirichlet[name].components)
     fns = {name: spec.value for name, spec in bcs.dirichlet.items() if spec.value is not None}
     valued = np.isin(names, list(fns))
     values = np.zeros(ends.shape + (2,))
     values[valued] = boundary_values(
         fns, np.repeat(names[valued], 2), mesh.coords[ends[valued].ravel()]
     ).reshape(-1, 2, 2)
+    for i, (node, comp, value) in enumerate(bcs.pins):
+        if not (0 <= node < mesh.n_nodes and node == int(node)):
+            raise SolveError(f"pin {i}: node {node!r} is not a node id in [0, {mesh.n_nodes})")
+        if comp not in (0, 1):
+            raise SolveError(f"pin {i}: component {comp!r} is not 0 (u_x) or 1 (u_y)")
+        if not np.isfinite(value):
+            raise SolveError(f"pin {i}: value {value!r} is not finite")
     pin_dofs = np.array([2 * int(node) + int(comp) for node, comp, _ in bcs.pins], dtype=int)
     pin_values = np.array([float(value) for _, _, value in bcs.pins])
     dofs = np.concatenate([(2 * ends[..., None] + np.arange(2))[constrained], pin_dofs])
@@ -505,8 +518,6 @@ def assemble_and_solve(
 
     fixed, fixed_values = _dirichlet_values(mesh, loads)
     n_dof = 2 * mesh.n_nodes
-    if np.any((fixed < 0) | (fixed >= n_dof)):
-        raise SolveError("constraint references dof outside the mesh")
     free = np.setdiff1d(np.arange(n_dof), fixed)
     if len(free) == n_dof:
         raise SolveError(

@@ -20,6 +20,7 @@ from smoothfem.benchmarks import LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import Material, PLANE_STRAIN, compliance_matrix
 from smoothfem.error import element_error_squares
 from smoothfem.recovery import (
+    CHUNK,
     PatchFailure,
     RecoveryConfig,
     RecoveryError,
@@ -1049,6 +1050,84 @@ def test_orthonormalize_masks_each_patch_separately():
         assert np.array_equal(Q[i, : rank[i]], Qi)
         assert np.array_equal(e[i, : rank[i]], ei)
         assert not Q[i, rank[i]:].any() and not e[i, rank[i]:].any()
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", ["cylinder", "lshape"])
+def test_shared_basis_equals_the_per_chunk_gram_schmidt(solve_cached, monkeypatch, name, degree):
+    # the interior basis a fit pass shares must be, bit for bit, what the
+    # Gram-Schmidt of a full broadcast chunk gives each of its patches, with
+    # the compliance of each benchmark's material
+    import smoothfem.recovery as recovery
+
+    mesh, bcs, sol = solve_cached(name, 1, "fem", 4)
+    seen = []
+    original = recovery._PatchFitter._fit_chunk
+
+    def recording(self, chunk, size, degree, collocation, shared):
+        seen.append(shared)
+        return original(self, chunk, size, degree, collocation, shared)
+
+    monkeypatch.setattr(recovery._PatchFitter, "_fit_chunk", recording)
+    config = RecoveryConfig(variant="SPR-C", interior_degree=degree, boundary_degree=degree)
+    build_recovered_field(sol, config, tractions=bcs.tractions)
+    Q, e = seen[0]
+    assert all(s[0] is Q and s[1] is e for s in seen)
+    C, d = constraint_rows(
+        degree=degree, n_patches=CHUNK, compliance=compliance_matrix(sol.material)
+    )
+    Qc, ec, rank, failures = _orthonormalize_constraints(C, d, np.arange(CHUNK))
+    assert not failures and np.all(rank == len(Q))
+    assert np.array_equal(Qc[:, : len(Q)], np.broadcast_to(Q, (CHUNK,) + Q.shape))
+    assert np.array_equal(ec[:, : len(e)], np.broadcast_to(e, (CHUNK,) + e.shape))
+    assert not Qc[:, len(Q) :].any() and not ec[:, len(e) :].any()
+
+
+@pytest.mark.parametrize("interior_degree", [1, 2])
+def test_gram_schmidt_runs_once_per_fit_call_and_per_collocated_chunk(
+    solve_cached, monkeypatch, interior_degree
+):
+    # one Gram-Schmidt per fit call (the shared interior rows) and one per
+    # chunk with collocation rows; interior chunks only read broadcast,
+    # read-only views of the shared basis
+    import smoothfem.recovery as recovery
+
+    mesh, bcs, sol = solve_cached("cylinder", 2, "fem", 4)
+    events, current = [], {}
+    orth, fit = recovery._orthonormalize_constraints, recovery._PatchFitter.fit
+    fit_chunk, fit_patch_ = recovery._PatchFitter._fit_chunk, recovery.fit_patch
+
+    def counted_orth(C, d, node_ids):
+        events.append("orth")
+        return orth(C, d, node_ids)
+
+    def counted_fit(self, nodes, degree):
+        events.append("fit")
+        return fit(self, nodes, degree)
+
+    def counted_chunk(self, chunk, size, degree, collocation, shared):
+        events.append("interior" if collocation is None else "collocated")
+        current["shared"] = shared
+        return fit_chunk(self, chunk, size, degree, collocation, shared)
+
+    def checked_fit_patch(*args, constraints=None, **kwargs):
+        if events[-1] == "interior":
+            for view, basis in zip(constraints, current["shared"]):
+                assert view.strides[0] == 0 and not view.flags.writeable
+                assert np.shares_memory(view, basis)
+        return fit_patch_(*args, constraints=constraints, **kwargs)
+
+    monkeypatch.setattr(recovery, "_orthonormalize_constraints", counted_orth)
+    monkeypatch.setattr(recovery._PatchFitter, "fit", counted_fit)
+    monkeypatch.setattr(recovery._PatchFitter, "_fit_chunk", counted_chunk)
+    monkeypatch.setattr(recovery, "fit_patch", checked_fit_patch)
+    config = RecoveryConfig(variant="SPR-C", interior_degree=interior_degree)
+    build_recovered_field(sol, config, tractions=bcs.tractions)
+    assert events.count("fit") == (2 if interior_degree == 1 else 1)
+    assert events.count("interior") >= 1 and events.count("collocated") >= 1
+    assert events.count("orth") == events.count("fit") + events.count("collocated")
+    for before, after in zip(events, events[1:] + [None]):
+        assert (after == "orth") == (before in ("fit", "collocated")), events
 
 
 def test_inconsistent_collocation_row_names_its_node(solve_cached, monkeypatch):

@@ -357,6 +357,35 @@ def test_bad_dirichlet_value_names_the_boundary(patch_bm, bad, match):
         assemble_and_solve(mesh, patch_bm.material, Formulation("sfem", 4), bcs)
 
 
+@pytest.mark.parametrize("component", [2, -1])
+def test_bad_dirichlet_component_names_the_boundary(patch_bm, component):
+    # 2 used to end in numpy's IndexError, -1 to constrain u_y silently
+    mesh = patch_bm.mesh()
+    bcs = BoundaryConditions(dirichlet={"exact": DirichletSpec(components=(0, component))})
+    with pytest.raises(SolveError, match=rf"boundary 'exact': component {component} is not"):
+        assemble_and_solve(mesh, patch_bm.material, Formulation("sfem", 4), bcs)
+
+
+@pytest.mark.parametrize(
+    "pin, match",
+    [
+        ((0, 2, 0.0), "component 2 is not"),
+        ((0, 0, np.nan), "value nan is not finite"),
+        ((4, 0, 0.0), r"node 4 is not a node id in \[0, 4\)"),
+        ((-1, 1, 0.0), r"node -1 is not a node id"),
+    ],
+    ids=["component", "nan-value", "node-past-the-mesh", "negative-node"],
+)
+def test_bad_pin_names_its_index_and_field(pin, match):
+    # before the check, component 2 pinned node 1's u_x, a NaN value ended in
+    # "non-finite values" from the solve and a node past the mesh in a
+    # message that named no pin
+    mesh, bcs = clamped_corner_quad()
+    bad = BoundaryConditions(bcs.tractions, bcs.dirichlet, bcs.pins + (pin,))
+    with pytest.raises(SolveError, match=rf"pin 1: {match}"):
+        assemble_and_solve(mesh, Material(100.0, 0.3, PLANE_STRAIN), Formulation("sfem", 4), bad)
+
+
 # ---------------------------------------------------------------------------
 # the boundary-data evaluator and its four consumers
 # ---------------------------------------------------------------------------
