@@ -52,8 +52,10 @@ __all__ = [
 ]
 
 
-# 1D Gauss order per element direction of the domain-term quadrature
+# 1D Gauss orders: per element direction of the domain-term quadrature, and
+# of contour_pairing's angular integral
 DOMAIN_QUAD_ORDER = 6
+PAIRING_QUAD_ORDER = 200
 
 
 class GsifError(RuntimeError):
@@ -154,7 +156,6 @@ def contour_pairing(
     primal_mode: str,
     dual_mode: str,
     r: float = 1.0,
-    n: int = 200,
 ) -> float:
     """Reciprocal-work pairing of a unit primal mode with a dual mode.
 
@@ -168,7 +169,7 @@ def contour_pairing(
     lam_d = solution.lambda_I if dual_mode == MODE_I else solution.lambda_II
     Q_d = q_constant(solution.alpha, -lam_d, dual_mode)
 
-    x, w = gauss_points_1d(n)
+    x, w = gauss_points_1d(PAIRING_QUAD_ORDER)
     half = 0.5 * solution.alpha
     phi = half * x
     w = half * w

@@ -18,6 +18,9 @@ from .quadmap import corner_jacobians, map_point
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
 
+# find_node's reach: far below any mesh spacing, far above coordinate round-off
+FIND_NODE_TOL = 1e-9
+
 
 class MeshError(ValueError):
     """Invalid mesh construction input or inconsistent mesh data."""
@@ -149,19 +152,15 @@ class Mesh:
             a.setflags(write=False)
         return arrays
 
-    def element_corners(self, element_id: int) -> np.ndarray:
-        """(4, 2) physical corner coordinates of an element."""
-        return self.coords[self.elements[element_id]]
-
     def edge_nodes(self, element_id: int, local_edge: int) -> tuple[int, int]:
         conn = self.elements[element_id]
         return int(conn[local_edge]), int(conn[(local_edge + 1) % 4])
 
-    def find_node(self, position, tol: float = 1e-9) -> int:
-        """Id of the node nearest ``position``; errors if farther than tol."""
+    def find_node(self, position) -> int:
+        """Id of the node nearest ``position``; errors if farther than FIND_NODE_TOL."""
         d = np.linalg.norm(self.coords - np.asarray(position, float), axis=1)
         i = int(np.argmin(d))
-        if d[i] > tol:
+        if d[i] > FIND_NODE_TOL:
             raise MeshError(f"no node at {position} (nearest is {d[i]:.3e} away)")
         return i
 

@@ -15,6 +15,10 @@ PARENT_CORNERS = np.array(
     [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 )
 
+# invert_map's Newton stopping rule: parent increment norm and iteration cap
+NEWTON_TOL = 1e-12
+NEWTON_MAXITER = 20
+
 
 class QuadMapError(RuntimeError):
     """Bilinear-map inversion failed (degenerate or severely distorted quad)."""
@@ -83,25 +87,20 @@ def corner_jacobians(corners: np.ndarray) -> np.ndarray:
     return jacobian_det(np.asarray(corners)[..., None, :, :], xi, eta)
 
 
-def invert_map(
-    corners: np.ndarray,
-    points: np.ndarray,
-    tol: float = 1e-12,
-    maxiter: int = 20,
-) -> np.ndarray:
+def invert_map(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Parent coordinates of physical points by batched Newton iteration.
 
     ``corners`` (P, 4, 2) and ``points`` (P, 2) give one quad per point and
     return (P, 2); a single (4, 2) quad with a (2,) point is a batch of one
     and returns (2,).  Every point follows the scalar Newton sequence and
     leaves the active set at the iteration where its parent increment norm
-    drops below tol (well inside machine precision for the mildly distorted
-    quads used here; quadratic convergence means 2-4 iterations in
-    practice), so its result does not depend on the rest of the batch.
+    drops below NEWTON_TOL (well inside machine precision for the mildly
+    distorted quads used here; quadratic convergence means 2-4 iterations
+    in practice), so its result does not depend on the rest of the batch.
 
     Raises:
-        QuadMapError: singular Jacobian, or no convergence within maxiter
-            iterations; the message names the offending point.
+        QuadMapError: singular Jacobian, or no convergence within
+            NEWTON_MAXITER iterations; the message names the offending point.
     """
     points = np.asarray(points, dtype=float)
     C = np.asarray(corners, dtype=float).reshape(-1, 4, 2)
@@ -109,7 +108,7 @@ def invert_map(
     out = np.zeros_like(X)
     active = np.arange(len(X))
     xi = np.zeros_like(X)
-    for _ in range(maxiter):
+    for _ in range(NEWTON_MAXITER):
         if not len(active):
             break
         Ca = C[active]
@@ -134,13 +133,13 @@ def invert_map(
             / det[:, None]
         )
         xi = xi - step
-        done = np.hypot(step[:, 0], step[:, 1]) < tol
+        done = np.hypot(step[:, 0], step[:, 1]) < NEWTON_TOL
         out[active[done]] = xi[done]
         active = active[~done]
         xi = xi[~done]
     if len(active):
         raise QuadMapError(
-            f"bilinear-map inversion did not converge in {maxiter} iterations "
+            f"bilinear-map inversion did not converge in {NEWTON_MAXITER} iterations "
             f"for point {X[active[0]]}"
         )
     return out.reshape(points.shape)

@@ -123,18 +123,24 @@ class RecoveryConfig:
 
 
 @dataclass(frozen=True)
-class PatchFit:
-    """Polynomial stress expansion of one node's patch.
+class PatchFits:
+    """Every node's patch polynomial, as read-only arrays.
 
-    coeffs is (3, m) over the monomial basis of ``degree`` in the scaled
-    frame (x - center) / scale.
+    Node I's has degree degrees[I] and coefficients coeffs[degrees[I]][I],
+    (3, m) over the monomials of that degree in the frame (x - x_I) /
+    scales[I]; a degree's (n_nodes, 3, m) array is zero on the other nodes.
     """
 
-    node_id: int
-    degree: int
-    center: np.ndarray
-    scale: float
-    coeffs: np.ndarray
+    degrees: np.ndarray
+    scales: np.ndarray
+    coeffs: dict[int, np.ndarray]
+
+    def __post_init__(self) -> None:
+        for a in (self.degrees, self.scales, *self.coeffs.values()):
+            a.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +609,7 @@ def fit_patch(
     *,
     center: np.ndarray,
     scale: np.ndarray,
-) -> tuple[list[PatchFit], dict[int, str]]:
+) -> tuple[np.ndarray, dict[int, str]]:
     """Weighted least-squares fits of a batch of patches, KKT-constrained.
 
     Patch i minimizes sum_s w_is |p(x_is) a_j - sigma_ij(x_is)|^2 per
@@ -611,9 +617,9 @@ def fit_patch(
     positions (B, n, 2), stresses (B, n, 3), weights (B, n), center (B, 2),
     scale (B,); constraints (C (B, k, 3m), d (B, k)) with the same k for
     every patch, as _orthonormalize_constraints keeps them.  Returns the
-    fits of the patches whose KKT system is regular, in batch order, and
-    ``failures`` (node id -> reason) for the singular ones; only the
-    regular systems are solved.
+    coefficients (n_ok, 3, m) of the patches whose KKT system is regular,
+    in batch order, and ``failures`` (node id -> reason) for the singular
+    ones; only the regular systems are solved.
 
     A KKT system is singular when its singular values span a ratio below
     SINGULAR_RATIO.  Systems whose eigenvalue bounds (_kkt_ratio_bound)
@@ -650,12 +656,7 @@ def fit_patch(
     failures = {int(n): f"singular patch system at node {n}" for n in node_ids[singular]}
     ok = ~singular
     sol = np.linalg.solve(KKT[ok], rhs[ok, :, None])[..., 0]
-    coeffs = sol[:, : 3 * m].reshape(-1, 3, m)
-    fits = [
-        PatchFit(n, degree, c, s, a)
-        for n, c, s, a in zip(node_ids[ok].tolist(), center[ok], scale[ok].tolist(), coeffs)
-    ]
-    return fits, failures
+    return sol[:, : 3 * m].reshape(-1, 3, m), failures
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +675,7 @@ class RecoveredStressField:
     def __init__(
         self,
         mesh: Mesh,
-        fits: list[PatchFit],
+        fits: PatchFits,
         singular_field: SingularField | None = None,
         split_flags: np.ndarray | None = None,
     ):
@@ -686,16 +687,6 @@ class RecoveredStressField:
         self.split_flags = (
             np.zeros(mesh.n_nodes, dtype=bool) if split_flags is None else split_flags
         )
-        # the fits as arrays: one coefficient array (n_nodes, 3, m) per degree,
-        # its rows zero for the nodes fitted with the other degree
-        self._centers = np.array([f.center for f in fits])
-        self._scales = np.array([f.scale for f in fits])
-        self._degrees = np.array([f.degree for f in fits])
-        self._coeffs = {}
-        for degree in np.unique(self._degrees):
-            coeffs = np.zeros((len(fits), 3, len(_MONOMIALS[degree])))
-            coeffs[self._degrees == degree] = [f.coeffs for f in fits if f.degree == degree]
-            self._coeffs[int(degree)] = coeffs
 
     def evaluate_at_parents(self, element_ids, pts: np.ndarray) -> np.ndarray:
         """sigma* at parent points of elements; ids (n,), pts (q, 2) -> (n, q, 3).
@@ -727,14 +718,15 @@ class RecoveredStressField:
 
     def _patch_values(self, nodes: np.ndarray, phys: np.ndarray, out: np.ndarray) -> None:
         """Patch polynomial of nodes[i] at phys[i] (n, q, 2), written to out (n, q, 3)."""
-        for degree, coeffs in self._coeffs.items():
-            sel = self._degrees[nodes] == degree
+        centers, scales = self.mesh.coords, self.fits.scales
+        for degree, coeffs in self.fits.coeffs.items():
+            sel = self.fits.degrees[nodes] == degree
             if sel.all():  # the usual case: no gathered copies
-                P = _basis(phys, self._centers[nodes, None], self._scales[nodes, None], degree)
+                P = _basis(phys, centers[nodes, None], scales[nodes, None], degree)
                 np.matmul(P, coeffs[nodes].swapaxes(-1, -2), out=out)
             elif sel.any():
                 group = nodes[sel]
-                P = _basis(phys[sel], self._centers[group, None], self._scales[group, None], degree)
+                P = _basis(phys[sel], centers[group, None], scales[group, None], degree)
                 out[sel] = np.matmul(P, coeffs[group].swapaxes(-1, -2))
 
 
@@ -813,7 +805,7 @@ def build_recovered_field(
 
     return RecoveredStressField(
         mesh,
-        fitter.fits,
+        PatchFits(fitter.degrees, fitter.scales, fitter.coeffs),
         singular_field=singular_field if config.with_splitting else None,
         split_flags=split_flags,
     )
@@ -824,9 +816,10 @@ class _PatchFitter:
 
     Each ``fit`` call orthonormalizes the interior rows once, as ``shared``
     (Q, e), and chunks without collocation rows fit one stack on read-only
-    broadcast views of it (None: unconstrained).  Finished fits collect in
-    ``fits`` (by node id), inconsistent constraints in ``failures`` (node
-    id -> reason).
+    broadcast views of it (None: unconstrained).  Each node's finished fit
+    sets its entry of ``degrees`` and its row of ``coeffs[degree]`` (one
+    (n_nodes, 3, m) array per degree fitted), so a refit overwrites them;
+    inconsistent constraints collect in ``failures`` (node id -> reason).
     """
 
     def __init__(self, mesh, positions, stresses, smooth, weights, per_element, split,
@@ -843,7 +836,8 @@ class _PatchFitter:
         self.neumann = neumann
         self.compliance = compliance
         self.singular_field = singular_field
-        self.fits: list[PatchFit | None] = [None] * mesh.n_nodes
+        self.degrees = np.zeros(mesh.n_nodes, dtype=int)
+        self.coeffs: dict[int, np.ndarray] = {}
         self.failures: dict[int, str] = {}
 
     def fit(self, nodes: np.ndarray, degree: int) -> dict[int, str]:
@@ -864,6 +858,7 @@ class _PatchFitter:
                     singular_field=self.singular_field,
                 )
         first = np.cumsum(n_rows) - n_rows
+        self.coeffs.setdefault(degree, np.zeros((self.mesh.n_nodes, 3, len(_MONOMIALS[degree]))))
         # every interior patch has the same rows: one Gram-Schmidt, not one per chunk
         shared = None
         if self.constrained:
@@ -922,13 +917,15 @@ class _PatchFitter:
                 stacks.append((sel, (Q[sel, :r], e[sel, :r])))
         singular: dict[int, str] = {}
         for sel, cons in stacks:
-            fits, failed = fit_patch(
-                chunk[sel], pos[sel], sig[sel], w[sel], degree, constraints=cons,
+            nodes = chunk[sel]
+            coeffs, failed = fit_patch(
+                nodes, pos[sel], sig[sel], w[sel], degree, constraints=cons,
                 center=center[sel], scale=scale[sel],
             )
             singular.update(failed)
-            for fit in fits:
-                self.fits[fit.node_id] = fit
+            fitted = nodes[~np.isin(nodes, list(failed))]
+            self.coeffs[degree][fitted] = coeffs
+            self.degrees[fitted] = degree
         return singular
 
 

@@ -429,6 +429,29 @@ def _diagnose_rigid_modes(mesh: Mesh, K: sp.csr_matrix, free: np.ndarray) -> lis
     return loose
 
 
+def _solve_failure(
+    reason: str, mesh: Mesh, operators: ElementOperators, K: sp.csr_matrix, free: np.ndarray
+) -> SolveError:
+    """The SolveError of a failed solve: ``reason`` and what leaves K singular.
+
+    It names the free rigid-body modes and counts the hourglass modes: the
+    zero-energy modes beyond the 3 rigid ones of each element stiffness
+    (eigenvalues below 1e-10 of its largest).
+    """
+    loose = _diagnose_rigid_modes(mesh, K, free)
+    if loose:
+        reason += f"; free rigid mode(s): {', '.join(loose)}"
+    ev = np.linalg.eigvalsh(operators.K)
+    extra = np.maximum(np.sum(ev < 1e-10 * ev[:, -1:], axis=1) - 3, 0)
+    if extra.any():
+        reason += (
+            f"; {np.count_nonzero(extra)} element(s) carry {extra.sum()} zero-energy "
+            "(hourglass) mode(s) beyond rigid motion, which the boundary conditions "
+            "do not restrain"
+        )
+    return SolveError(reason)
+
+
 class DiscreteSolution:
     """A solved (or interpolated) discrete displacement field with stresses.
 
@@ -509,8 +532,9 @@ def assemble_and_solve(
 
     Dirichlet constraints are imposed by elimination (possibly with nonzero
     prescribed values); the sparse symmetric system is factorized with
-    SuperLU.  Raises SolveError naming the free rigid-body mode(s) when the
-    constrained system is singular.
+    SuperLU.  No Dirichlet constraint, a failed factorization, a non-finite
+    solution or a residual above 1e-9 raises SolveError naming the free
+    rigid-body and element hourglass modes.
     """
     operators = _element_operators(mesh, material, formulation)
     K = _scatter(mesh, operators)
@@ -520,10 +544,7 @@ def assemble_and_solve(
     n_dof = 2 * mesh.n_nodes
     free = np.setdiff1d(np.arange(n_dof), fixed)
     if len(free) == n_dof:
-        raise SolveError(
-            "no Dirichlet constraints: rigid modes translation-x, "
-            "translation-y, rotation are unconstrained"
-        )
+        raise _solve_failure("no Dirichlet constraints", mesh, operators, K, free)
 
     U = np.zeros(n_dof)
     U[fixed] = fixed_values
@@ -535,17 +556,9 @@ def assemble_and_solve(
         lu = spla.splu(Kff)
         u_free = lu.solve(rhs)
     except RuntimeError as exc:
-        loose = _diagnose_rigid_modes(mesh, K, free)
-        raise SolveError(
-            "singular stiffness system"
-            + (f"; free rigid mode(s): {', '.join(loose)}" if loose else "")
-        ) from exc
+        raise _solve_failure("singular stiffness system", mesh, operators, K, free) from exc
     if not np.all(np.isfinite(u_free)):
-        loose = _diagnose_rigid_modes(mesh, K, free)
-        raise SolveError(
-            "linear solve produced non-finite values"
-            + (f"; free rigid mode(s): {', '.join(loose)}" if loose else "")
-        )
+        raise _solve_failure("linear solve produced non-finite values", mesh, operators, K, free)
 
     ref = np.linalg.norm(rhs)
     res = np.linalg.norm(Kff @ u_free - rhs)
@@ -557,7 +570,9 @@ def assemble_and_solve(
     U[free] = u_free
     residual_rel = float(res / ref) if ref > 0 else float(res)
     if ref > 0 and residual_rel > 1e-9:
-        raise SolveError(f"solver residual too large: {residual_rel:.3e}")
+        raise _solve_failure(
+            f"solver residual too large: {residual_rel:.3e}", mesh, operators, K, free
+        )
 
     return DiscreteSolution(
         mesh, material, formulation, U,

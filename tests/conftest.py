@@ -94,6 +94,7 @@ def single_element_mesh(corners) -> Mesh:
 
 def evaluate_at(field, element_id, point):
     """A recovered field's sigma* at a physical point inside an element."""
-    xi = invert_map(field.mesh.element_corners(element_id), np.asarray(point, float))
+    mesh = field.mesh
+    xi = invert_map(mesh.coords[mesh.elements[element_id]], np.asarray(point, float))
     assert np.all(np.abs(xi) <= 1.0 + 1e-9), f"{point} lies outside element {element_id}"
     return field.evaluate_at_parents([element_id], xi[None])[0, 0]

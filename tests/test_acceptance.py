@@ -45,9 +45,12 @@ from smoothfem.solver import (
 ALPHA = 1.5 * np.pi
 
 
-def patch_values(fit, points):
-    """A patch polynomial at physical points (..., 2); (..., 3)."""
-    return _basis(np.asarray(points, float), fit.center, fit.scale, fit.degree) @ fit.coeffs.T
+def patch_values(field, node, points):
+    """A node's patch polynomial in a recovered field at physical points (..., 2)."""
+    fits = field.fits
+    degree = int(fits.degrees[node])
+    center, scale = field.mesh.coords[node], fits.scales[node]
+    return _basis(np.asarray(points, float), center, scale, degree) @ fits.coeffs[degree][node].T
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -309,14 +312,14 @@ def test_criterion_8_invariants_and_determinism(tmp_path, solve_cached, cylinder
     checks.append(("continuity", jump < 1e-10))
 
     h = 1e-5
+    steps = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
     resid = 0.0
     for node in range(mesh.n_nodes):
-        fit = field.fits[node]
-        x0 = mesh.coords[node]
-        sx = (patch_values(fit, x0 + [h, 0.0]) - patch_values(fit, x0 - [h, 0.0])) / (2 * h)
-        sy = (patch_values(fit, x0 + [0.0, h]) - patch_values(fit, x0 - [0.0, h])) / (2 * h)
+        v = patch_values(field, node, mesh.coords[node] + steps)
+        sx, sy = (v[0] - v[1]) / (2 * h), (v[2] - v[3]) / (2 * h)
         div = np.array([sx[0] + sy[2], sx[2] + sy[1]])
-        scale = max(np.abs(fit.coeffs).max() / fit.scale, 1e-30)
+        coeffs = field.fits.coeffs[int(field.fits.degrees[node])][node]
+        scale = max(np.abs(coeffs).max() / field.fits.scales[node], 1e-30)
         resid = max(resid, np.abs(div).max() / scale)
     traction_resid = 0.0
     for be in mesh.boundary:

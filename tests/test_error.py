@@ -169,7 +169,7 @@ def _per_element_squares(sol, field, exact_stress, singular_point):
     Dinv = compliance_matrix(sol.material)
     out = np.zeros((3, mesh.n_elements))
     for e in range(mesh.n_elements):
-        corners = mesh.element_corners(e)
+        corners = mesh.coords[mesh.elements[e]]
         at_vertex = singular_point is not None and np.any(
             np.linalg.norm(corners - singular_point, axis=1) < 1e-12
         )

@@ -252,7 +252,7 @@ def _per_element_domain_term(sol, dual, plateau, order):
     pts, w = gauss_points_2d(order)
     total, n_ring = 0.0, 0
     for e in range(sol.mesh.n_elements):
-        corners = sol.mesh.element_corners(e)
+        corners = sol.mesh.coords[sol.mesh.elements[e]]
         phys = map_point(corners, pts[:, 0], pts[:, 1])
         gq = plateau.gradient(phys)
         if not np.any(gq):

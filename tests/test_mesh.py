@@ -62,7 +62,7 @@ def test_cylinder_area_approximates_annulus_quadrant():
     deficits = []
     for n in (1, 2):
         m = build_cylinder_mesh(a, b, n)
-        total = sum(quad_area(m.element_corners(e)) for e in range(m.n_elements))
+        total = sum(quad_area(m.coords[m.elements[e]]) for e in range(m.n_elements))
         deficits.append((exact - total) / exact)
     assert 0.0 < deficits[0] < 0.03
     assert 0.0 < deficits[1] < 0.007
@@ -82,7 +82,7 @@ def test_lshape_uniform_is_congruent_squares():
     m = build_lshape_mesh(0, 1.0)
     lengths = set()
     for e in range(m.n_elements):
-        cs = m.element_corners(e)
+        cs = m.coords[m.elements[e]]
         for k in range(4):
             lengths.add(round(float(np.linalg.norm(cs[(k + 1) % 4] - cs[k])), 12))
     assert len(lengths) == 1
@@ -94,7 +94,7 @@ def test_lshape_grading_ratio():
     m = build_lshape_mesh(2, 2.0)
     lengths = []
     for e in range(m.n_elements):
-        cs = m.element_corners(e)
+        cs = m.coords[m.elements[e]]
         for k in range(4):
             lengths.append(float(np.linalg.norm(cs[(k + 1) % 4] - cs[k])))
     ratio = max(lengths) / min(lengths)

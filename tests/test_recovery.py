@@ -22,6 +22,8 @@ from smoothfem.error import element_error_squares
 from smoothfem.recovery import (
     CHUNK,
     PatchFailure,
+    PatchFits,
+    RecoveredStressField,
     RecoveryConfig,
     RecoveryError,
     _basis,
@@ -45,14 +47,22 @@ UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 MAT = Material(100.0, 0.3, PLANE_STRAIN)
 
 
-def patch_values(fit, points):
-    """A patch polynomial at physical points (..., 2); (..., 3)."""
-    return _basis(np.asarray(points, float), fit.center, fit.scale, fit.degree) @ fit.coeffs.T
+def poly_values(coeffs, points, center, scale):
+    """A patch polynomial, coefficients (3, m), at physical points (..., 2); (..., 3)."""
+    degree = {3: 1, 6: 2}[coeffs.shape[-1]]
+    return _basis(np.asarray(points, float), center, scale, degree) @ coeffs.T
+
+
+def patch_values(field, node, points):
+    """A node's patch polynomial in a recovered field at physical points (..., 2)."""
+    fits = field.fits
+    coeffs = fits.coeffs[int(fits.degrees[node])][node]
+    return poly_values(coeffs, points, field.mesh.coords[node], fits.scales[node])
 
 
 def fit_one(node_id, positions, stresses, weights, degree, constraints=None,
             center=None, scale=None):
-    """fit_patch on a batch of one patch; (fit or None, failures).
+    """fit_patch on a batch of one patch; (coefficients (3, m) or None, failures).
 
     center and scale default to the sample mean and the largest sample offset.
     """
@@ -60,12 +70,12 @@ def fit_one(node_id, positions, stresses, weights, degree, constraints=None,
         center = positions.mean(axis=0)
     if scale is None:
         scale = max(np.abs(positions - center).max(), 1e-30)
-    fits, failures = fit_patch(
+    coeffs, failures = fit_patch(
         [node_id], positions[None], stresses[None], weights[None], degree,
         constraints=None if constraints is None else tuple(a[None] for a in constraints),
         center=np.asarray(center, float)[None], scale=np.array([scale], float),
     )
-    return (fits[0] if fits else None), failures
+    return (coeffs[0] if len(coeffs) else None), failures
 
 
 def shared_constraints(degree, compliance):
@@ -296,7 +306,7 @@ def test_interior_spr_patch_has_no_constraints(solve_cached):
     field = build_recovered_field(sol, cfg)
     exact = bm.exact_stress(mesh.coords)
     for node in range(mesh.n_nodes):
-        assert_allclose(patch_values(field.fits[node], mesh.coords[node]), exact[node], atol=1e-9)
+        assert_allclose(patch_values(field, node, mesh.coords[node]), exact[node], atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +324,10 @@ def linear_stress_samples(n=12, seed=0):
 
 def test_fit_reproduces_linear_field():
     pos, stresses = linear_stress_samples()
-    fit, _ = fit_one(0, pos, stresses, np.ones(len(pos)), degree=1)
-    assert np.abs(patch_values(fit, pos) - stresses).max() < 1e-10
+    center = pos.mean(axis=0)
+    scale = np.abs(pos - center).max()
+    fit, _ = fit_one(0, pos, stresses, np.ones(len(pos)), 1, center=center, scale=scale)
+    assert np.abs(poly_values(fit, pos, center, scale) - stresses).max() < 1e-10
 
 
 def test_fit_with_consistent_constraints_unchanged():
@@ -331,8 +343,8 @@ def test_fit_with_consistent_constraints_unchanged():
     tied, _ = fit_one(
         0, pos, stresses, np.ones(10), 1, constraints=(C, d), center=center, scale=scale
     )
-    assert_allclose(tied.coeffs, free.coeffs, atol=1e-10)
-    assert np.abs(patch_values(tied, pos) - stresses).max() < 1e-10
+    assert_allclose(tied, free, atol=1e-10)
+    assert np.abs(poly_values(tied, pos, center, scale) - stresses).max() < 1e-10
 
 
 def test_fit_matches_dense_kkt_oracle():
@@ -366,7 +378,7 @@ def test_fit_matches_dense_kkt_oracle():
     KKT[:3 * m, 3 * m:] = C.T
     KKT[3 * m:, :3 * m] = C
     sol = np.linalg.solve(KKT, np.concatenate([rhs, d]))
-    assert np.abs(fit.coeffs - sol[:3 * m].reshape(3, m)).max() < 1e-9
+    assert np.abs(fit - sol[:3 * m].reshape(3, m)).max() < 1e-9
 
 
 def test_singular_fit_raises():
@@ -390,15 +402,13 @@ def test_singular_patch_is_masked_out_of_its_batch():
     scale = rng.uniform(0.8, 1.2, size=5)
     C, d = shared_constraints(2, compliance_matrix(MAT))
     Cb, db = np.broadcast_to(C, (5,) + C.shape), np.broadcast_to(d, (5,) + d.shape)
-    fits, failures = fit_patch(nodes, pos, sig, w, 2, (Cb, db), center=center, scale=scale)
+    coeffs, failures = fit_patch(nodes, pos, sig, w, 2, (Cb, db), center=center, scale=scale)
     assert list(failures) == [12] and "singular" in failures[12]
-    assert [fit.node_id for fit in fits] == [10, 11, 13, 14]
-    for fit, i in zip(fits, [0, 1, 3, 4]):
+    assert coeffs.shape == (4, 3, 6)
+    for fit, i in zip(coeffs, [0, 1, 3, 4]):
         alone, failed = fit_one(nodes[i], pos[i], sig[i], w[i], 2, (C, d), center[i], scale[i])
         assert not failed
-        assert fit.degree == alone.degree and fit.scale == alone.scale
-        assert np.array_equal(fit.center, alone.center)
-        assert np.array_equal(fit.coeffs, alone.coeffs)
+        assert np.array_equal(fit, alone)
 
 
 def kkt_matrix(M, C):
@@ -521,7 +531,7 @@ def test_kkt_between_the_thresholds_reaches_the_svd(svd_systems, eps, regular):
     assert svd_systems == [(1, 9, 9)]
     want = reference_fit(0, pos, sig, w, 1, None, np.zeros(2), 1.0)
     if regular:
-        assert not failures and np.array_equal(fit.coeffs, want)
+        assert not failures and np.array_equal(fit, want)
     else:
         assert fit is None and want is None and list(failures) == [0]
 
@@ -567,19 +577,37 @@ def test_only_patches_with_singular_M_reach_the_svd(
 # ---------------------------------------------------------------------------
 
 
-def test_identical_constant_fits_blend_to_constant():
-    from smoothfem.recovery import PatchFit, RecoveredStressField
+def constant_fits(n_nodes, c):
+    """Degree-1 PatchFits whose every patch polynomial is the constant c (3,)."""
+    coeffs = np.zeros((n_nodes, 3, 3))
+    coeffs[:, :, 0] = c
+    return PatchFits(np.ones(n_nodes, dtype=int), np.ones(n_nodes), {1: coeffs})
 
+
+def test_identical_constant_fits_blend_to_constant():
     bm, mesh, sol = linear_solution()
     c = np.array([2.0, -1.0, 0.5])
-    coeffs = np.zeros((3, 3))
-    coeffs[:, 0] = c
-    fits = [
-        PatchFit(i, 1, np.zeros(2), 1.0, coeffs.copy()) for i in range(mesh.n_nodes)
-    ]
-    field = RecoveredStressField(mesh, fits)
-    probe = mesh.element_corners(2).mean(axis=0)
+    field = RecoveredStressField(mesh, constant_fits(mesh.n_nodes, c))
+    probe = mesh.coords[mesh.elements[2]].mean(axis=0)
     assert_allclose(evaluate_at(field, 2, probe), c, rtol=1e-14)
+
+
+def test_patch_fits_are_read_only(solve_cached):
+    mesh, bcs, sol = solve_cached("cylinder", 1, "sfem", 4)
+    config = RecoveryConfig(variant="SPR-C")
+    fits = build_recovered_field(sol, config, tractions=bcs.tractions).fits
+    assert len(fits) == mesh.n_nodes
+    for a in (fits.degrees, fits.scales, *fits.coeffs.values()):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_field_needs_one_fit_per_node():
+    bm, mesh, sol = linear_solution()
+    for n_nodes in (mesh.n_nodes - 1, mesh.n_nodes + 1):
+        with pytest.raises(RecoveryError, match="one patch fit per mesh node"):
+            RecoveredStressField(mesh, constant_fits(n_nodes, np.ones(3)))
 
 
 def test_vertex_value_is_nodal_polynomial(solve_cached):
@@ -591,18 +619,18 @@ def test_vertex_value_is_nodal_polynomial(solve_cached):
     for k, node in enumerate(mesh.elements[e]):
         xi, eta = [(-1, -1), (1, -1), (1, 1), (-1, 1)][k]
         blended = field.evaluate_at_parents([e], np.array([[xi, eta]], float))[0, 0]
-        assert_allclose(blended, patch_values(field.fits[node], mesh.coords[node]), atol=1e-12)
+        assert_allclose(blended, patch_values(field, node, mesh.coords[node]), atol=1e-12)
 
 
 def _per_element_blend(field, e, pts):
     """Reference for evaluate_at_parents: one element, node by node."""
     N = shape_functions(pts[:, 0], pts[:, 1])
-    x = N @ field.mesh.element_corners(e)
+    x = N @ field.mesh.coords[field.mesh.elements[e]]
     conn = field.mesh.elements[e]
     any_split = field.singular_field is not None and field.split_flags[conn].any()
     out = np.zeros((len(pts), 3))
     for k, node in enumerate(conn):
-        vals = patch_values(field.fits[node], x)
+        vals = patch_values(field, node, x)
         if any_split and field.split_flags[node]:
             vals = vals + field.singular_field.stress(x)
         out += N[:, k, None] * vals
@@ -685,12 +713,12 @@ def test_constrained_fits_satisfy_equilibrium_inside_patch(solve_cached):
     h = 1e-5
     rng = np.random.default_rng(12)
     for node in rng.choice(mesh.n_nodes, size=8, replace=False):
-        fit = field.fits[int(node)]
-        x0 = mesh.coords[int(node)] + rng.uniform(-0.1, 0.1, size=2)
-        sx = (patch_values(fit, x0 + [h, 0]) - patch_values(fit, x0 - [h, 0])) / (2 * h)
-        sy = (patch_values(fit, x0 + [0, h]) - patch_values(fit, x0 - [0, h])) / (2 * h)
+        x0 = mesh.coords[node] + rng.uniform(-0.1, 0.1, size=2)
+        v = patch_values(field, node, x0 + np.array([[h, 0], [-h, 0], [0, h], [0, -h]]))
+        sx, sy = (v[0] - v[1]) / (2 * h), (v[2] - v[3]) / (2 * h)
         div = np.array([sx[0] + sy[2], sx[2] + sy[1]])
-        scale = max(np.abs(fit.coeffs).max() / fit.scale, 1e-30)
+        coeffs = field.fits.coeffs[int(field.fits.degrees[node])][node]
+        scale = max(np.abs(coeffs).max() / field.fits.scales[node], 1e-30)
         assert np.abs(div).max() < 1e-9 * scale
 
 
@@ -734,7 +762,7 @@ def test_splitting_beats_plain_spr_on_exact_data(lshape_bm):
     rho = 0.5
     inside = [
         e for e in range(mesh.n_elements)
-        if np.linalg.norm(mesh.element_corners(e).mean(axis=0)) < rho
+        if np.linalg.norm(mesh.coords[mesh.elements[e]].mean(axis=0)) < rho
     ]
     errors = {}
     for variant in ("SPR", "SPR-CX"):
@@ -769,11 +797,12 @@ def test_degree_fallback_on_starved_corner_patch(caplog):
     sol = interpolate_solution(m, MAT, Formulation("sfem", 1), lambda p: 0.01 * p)
     with caplog.at_level(logging.WARNING, logger="smoothfem.recovery"):
         field = build_recovered_field(sol, RecoveryConfig(variant="SPR"))
-    assert all(fit.degree == 1 for fit in field.fits)
+    assert np.array_equal(field.fits.degrees, [1, 1, 1, 1])
+    assert not field.fits.coeffs[2].any()
     assert any("falling back" in r.message for r in caplog.records)
     # one warning per fallen-back patch, in node order
     fallen = [r.args[0] for r in caplog.records if "falling back" in r.getMessage()]
-    assert fallen == [fit.node_id for fit in field.fits] == [0, 1, 2, 3]
+    assert fallen == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -946,7 +975,7 @@ def reference_edges(mesh, tractions):
 
 
 def reference_fits(sol, config, singular_field, tractions, bcs):
-    """(degree, center, scale, coeffs) of every node, one node at a time."""
+    """(degree, scale, coeffs) of every node, one node at a time."""
     mesh = sol.mesh
     if config.with_splitting:
         singular_field = singular_stress_estimate(singular_field, sol, config.gsif_mode, bcs=bcs)
@@ -983,7 +1012,7 @@ def reference_fits(sol, config, singular_field, tractions, bcs):
                 break
             assert degree > 1, f"node {node} singular at degree 1"
             degree = 1
-        out.append((degree, center, scale, coeffs))
+        out.append((degree, scale, coeffs))
     return out
 
 
@@ -1019,13 +1048,14 @@ def test_batched_fits_match_the_per_node_loop_bit_for_bit(
         sol, config, singular_field=bm.singular_field, tractions=bcs.tractions, bcs=bcs
     )
     want = reference_fits(sol, config, bm.singular_field, bcs.tractions, bcs)
-    assert len(field.fits) == mesh.n_nodes
-    for node, (fit, (degree, center, scale, coeffs)) in enumerate(zip(field.fits, want)):
-        assert fit.node_id == node
-        assert fit.degree == degree
-        assert np.array_equal(fit.center, center)
-        assert fit.scale == scale
-        assert np.array_equal(fit.coeffs, coeffs), node
+    fits = field.fits
+    assert len(fits) == mesh.n_nodes
+    assert np.array_equal(fits.degrees, [degree for degree, _, _ in want])
+    assert np.array_equal(fits.scales, [scale for _, scale, _ in want])
+    for node, (degree, _, coeffs) in enumerate(want):
+        assert np.array_equal(fits.coeffs[degree][node], coeffs), node
+        # a node's row in the other degree's array stays zero
+        assert not any(a[node].any() for d, a in fits.coeffs.items() if d != degree), node
 
 
 def test_orthonormalize_masks_each_patch_separately():

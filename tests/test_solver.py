@@ -584,6 +584,23 @@ def test_unconstrained_problem_names_rigid_modes():
         assemble_and_solve(m, MAT, Formulation("sfem", 4), bcs)
 
 
+@pytest.mark.parametrize("level", [0, 1])
+def test_one_cell_sfem_lshape_names_its_hourglass_modes(lshape_bm, level):
+    # one smoothing cell leaves every element two hourglass modes, which the
+    # L-shape's three pins do not restrain: the failed solve must name them
+    mesh = lshape_bm.mesh(level)
+    bcs = lshape_bm.boundary_conditions(mesh)
+    n = mesh.n_elements
+    with pytest.raises(SolveError, match=rf"{n} element\(s\) carry {2 * n} zero-energy"):
+        assemble_and_solve(mesh, lshape_bm.material, Formulation("sfem", 1), bcs)
+
+
+def test_one_cell_sfem_cylinder_still_solves(solve_cached):
+    # the cylinder's Dirichlet symmetry edges restrain the same modes
+    _, _, sol = solve_cached("cylinder", 2, "sfem", 1)
+    assert sol.residual_rel < 1e-9
+
+
 def test_rigid_mode_diagnosis_names_the_loose_modes():
     from smoothfem.solver import _diagnose_rigid_modes
 
@@ -610,8 +627,11 @@ def test_torque_on_pinned_corner_does_not_return_garbage():
     bcs = BoundaryConditions(
         tractions={"free": torque}, pins=((0, 0, 0.0), (0, 1, 0.0))
     )
-    with pytest.raises(SolveError):
+    # the residual check names the free rotation too; a Q4 element has no
+    # zero-energy modes beyond the rigid ones
+    with pytest.raises(SolveError, match=r"residual too large.*rigid mode\(s\): rotation") as err:
         assemble_and_solve(m, MAT, Formulation("fem"), bcs)
+    assert "zero-energy" not in str(err.value)
 
 
 def test_exact_error_decreases_under_refinement(study_cached):
@@ -744,7 +764,7 @@ def test_kernels_match_the_scalar_reference_bit_for_bit(name, kind, nc):
     full = _element_operators(mesh, MAT, Formulation(kind, nc))
     pts, wts = gauss_points_2d(2)
     for e in np.random.default_rng(7).permutation(mesh.n_elements)[:12]:
-        corners = mesh.element_corners(e)
+        corners = mesh.coords[mesh.elements[e]]
         Ke = np.zeros((8, 8))
         if kind == "sfem":
             cells = _reference_cells(corners, mesh_mod.subcell_parent_rects(nc))
@@ -794,7 +814,7 @@ def test_kernels_are_batch_invariant(name, kind, nc):
         assert np.array_equal(det.reshape(-1, n_g) * w, full.detw[subset])
     # batches of one: one-element meshes, and single points for FEM B
     for e in subset[:8]:
-        c = mesh.element_corners(e)
+        c = mesh.coords[mesh.elements[e]]
         one = _element_operators(single_element_mesh(c), MAT, Formulation(kind, nc))
         assert np.array_equal(one.B[0], full.B[e])
         assert np.array_equal(one.K[0], full.K[e])
@@ -816,7 +836,7 @@ def test_fem_point_stresses_are_batch_invariant():
         assert np.array_equal(sol.stress_at_parents([e], pts[order])[0], batch[order])
         q = sol.U[sol.operators.dofs[e]]
         for k in order[:3]:
-            B, _ = _reference_fem_B(mesh.element_corners(e), *pts[k])
+            B, _ = _reference_fem_B(mesh.coords[mesh.elements[e]], *pts[k])
             assert np.array_equal(sol.D @ (B @ q), batch[k])
 
 
