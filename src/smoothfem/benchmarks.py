@@ -21,7 +21,7 @@ from .analytic import (
     make_singular_solution,
 )
 from .elasticity import PLANE_STRAIN, Material, elasticity_matrix
-from .mesh import Mesh, build_cylinder_mesh, build_lshape_mesh, build_square_mesh
+from .mesh import Mesh, MeshError, build_cylinder_mesh, build_lshape_mesh, build_square_mesh
 from .solver import BoundaryConditions, DirichletSpec
 
 __all__ = ["CylinderBenchmark", "LShapeBenchmark", "PatchBenchmark"]
@@ -181,6 +181,9 @@ class PatchBenchmark:
         return None
 
     def mesh(self, level: int = 0) -> Mesh:
+        """The one patch-test mesh; level must be 0."""
+        if level != 0:
+            raise MeshError(f"the patch benchmark has one mesh, level 0; got level {level}")
         return build_square_mesh(self.n, self.distortion, seed=self.seed)
 
     def boundary_conditions(self, mesh: Mesh) -> BoundaryConditions:

@@ -15,6 +15,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -107,8 +108,9 @@ def _print_case(config: StudyConfig, case) -> None:
 
 def _cmd_run(args) -> int:
     config = parse_config(args.config, args.overrides)
-    level = args.level if args.level is not None else config.levels[0]
-    case = run_case(config, level)
+    if args.level is not None:
+        config = dataclasses.replace(config, levels=(args.level,))
+    case = run_case(config, config.levels[0])
     _print_case(config, case)
     return 0
 
@@ -138,7 +140,9 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_export_mesh(args) -> int:
-    benchmark = make_benchmark(StudyConfig(benchmark=args.benchmark, grading=args.grading))
+    benchmark = make_benchmark(
+        StudyConfig(benchmark=args.benchmark, grading=args.grading, levels=(args.level,))
+    )
     try:
         mesh = benchmark.mesh(args.level)
     except MeshError as exc:

@@ -39,7 +39,7 @@ from .analytic import (
 )
 from .elasticity import elastic_constants
 from .quadmap import PARENT_CORNERS, gauss_points_1d, gauss_points_2d, jacobian_det, map_point
-from .solver import NEUMANN, BoundaryConditions, DiscreteSolution, boundary_values, row_dot
+from .solver import NEUMANN, BoundaryConditions, DiscreteSolution, boundary_values, edge_gauss_rule
 
 __all__ = [
     "GsifError",
@@ -273,29 +273,24 @@ class _BoundaryTerm:
         self, solution: DiscreteSolution, bcs: BoundaryConditions, plateau: PlateauFunction
     ):
         mesh = solution.mesh
-        gp, self.gw = gauss_points_1d(4)
         edges = mesh.boundary_arrays
-        pa, pb = mesh.coords[edges.node_ids[:, 0]], mesh.coords[edges.node_ids[:, 1]]
-        half = 0.5 * (pb - pa)
-        x = (0.5 * (pa + pb))[:, None] + gp[:, None] * half[:, None]  # (edge, point, 2)
-        q = plateau.value(x)
+        x, jac, normal, N, self.gw = edge_gauss_rule(mesh, edges.node_ids, 4)
+        q = plateau.value(x)  # x: (edge, point, 2)
         inside = np.nonzero(np.any(q > 0.0, axis=1))[0]
-        self.x, self.q, half = x[inside], q[inside], half[inside]
-        self.jac = np.sqrt(row_dot(half, half))  # np.linalg.norm of each half
-        tang = half / self.jac[:, None]
-        self.normal = np.stack([tang[:, 1], -tang[:, 0]], axis=-1)[:, None]  # outward for CCW elements
+        self.x, self.q, self.jac = x[inside], q[inside], jac[inside]
+        self.normal = normal[inside][:, None]
         ends = edges.node_ids[inside]
         U = solution.U.reshape(-1, 2)
-        Na, Nb = 0.5 * (1.0 - gp), 0.5 * (1.0 + gp)
+        Na, Nb = N.T
         self.u_h = Na[:, None] * U[ends[:, 0], None] + Nb[:, None] * U[ends[:, 1], None]
 
         self.t = np.empty_like(self.x)
         names, local_edges = edges.names[inside], edges.local_edges[inside]
         neumann = edges.kinds[inside] == NEUMANN
         self.t[neumann] = boundary_values(
-            bcs.tractions, np.repeat(names[neumann], len(gp)), self.x[neumann].reshape(-1, 2),
-            np.repeat(self.normal[neumann, 0], len(gp), axis=0), GsifError,
-        ).reshape(-1, len(gp), 2)
+            bcs.tractions, np.repeat(names[neumann], len(self.gw)), self.x[neumann].reshape(-1, 2),
+            np.repeat(self.normal[neumann, 0], len(self.gw), axis=0), GsifError,
+        ).reshape(-1, len(self.gw), 2)
         # constrained edges inside the support: use the discrete traction
         for k in np.unique(local_edges[~neumann]).tolist():
             sel = ~neumann & (local_edges == k)

@@ -89,6 +89,10 @@ class StudyConfig:
             raise ConfigError(
                 f"{self.benchmark} levels start at {low}, got {self.levels[0]}"
             )
+        if self.benchmark == "patch" and tuple(self.levels) != (0,):
+            raise ConfigError(
+                f"benchmark 'patch' has one mesh: levels must be (0,), got {self.levels}"
+            )
         # delegate the rest of the validation to the objects themselves
         self.formulation_obj()
         try:

@@ -301,6 +301,20 @@ def _scatter(mesh: Mesh, operators: ElementOperators) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(n_dof, n_dof)).tocsr()
 
 
+def edge_gauss_rule(mesh: Mesh, ends: np.ndarray, order: int) -> tuple:
+    """Gauss rule on straight edges ends (n, 2): x (n, order, 2), jac (n,),
+    the unit normal [h1, -h0] / jac of h = (b - a) / 2 (n, 2; outward for CCW
+    elements), end-node shape values N (order, 2) and weights (order,)."""
+    pa, pb = mesh.coords[ends[:, 0]], mesh.coords[ends[:, 1]]
+    half = 0.5 * (pb - pa)
+    jac = np.sqrt(row_dot(half, half))  # np.linalg.norm of each half
+    normal = np.stack([half[:, 1], -half[:, 0]], axis=-1) / jac[:, None]
+    gp, gw = gauss_points_1d(order)
+    x = (0.5 * (pa + pb))[:, None] + gp[:, None] * half[:, None]
+    N = np.stack([0.5 * (1.0 - gp), 0.5 * (1.0 + gp)], axis=-1)
+    return x, jac, normal, N, gw
+
+
 def _neumann_vector(mesh: Mesh, bcs: BoundaryConditions) -> np.ndarray:
     """External load vector from edge tractions (2-point Gauss per edge).
 
@@ -314,17 +328,11 @@ def _neumann_vector(mesh: Mesh, bcs: BoundaryConditions) -> np.ndarray:
     edges = mesh.boundary_arrays
     neumann = edges.kinds == NEUMANN
     ends = edges.node_ids[neumann]
-    pa, pb = mesh.coords[ends[:, 0]], mesh.coords[ends[:, 1]]
-    half = 0.5 * (pb - pa)
-    jac = np.sqrt(row_dot(half, half))  # np.linalg.norm of each half
-    normal = np.stack([half[:, 1], -half[:, 0]], axis=-1) / jac[:, None]
-    gp, gw = gauss_points_1d(2)
-    x = (0.5 * (pa + pb))[:, None] + gp[:, None] * half[:, None]  # (edge, point, 2)
+    x, jac, normal, N, gw = edge_gauss_rule(mesh, ends, 2)  # x: (edge, point, 2)
     t = boundary_values(
-        bcs.tractions, np.repeat(edges.names[neumann], len(gp)), x.reshape(-1, 2),
-        np.repeat(normal, len(gp), axis=0),
+        bcs.tractions, np.repeat(edges.names[neumann], len(gw)), x.reshape(-1, 2),
+        np.repeat(normal, len(gw), axis=0),
     ).reshape(x.shape)
-    N = np.stack([0.5 * (1.0 - gp), 0.5 * (1.0 + gp)], axis=-1)  # (point, node)
     vals = N[:, :, None] * t[:, :, None] * gw[:, None, None] * jac[:, None, None, None]
     dofs = 2 * ends[:, None, :, None] + np.arange(2)  # (edge, 1, node, comp)
     np.add.at(f, np.broadcast_to(dofs, vals.shape).ravel(), vals.ravel())
@@ -376,78 +384,48 @@ def _dirichlet_values(mesh: Mesh, bcs: BoundaryConditions) -> tuple[np.ndarray, 
     return dofs, vals[::-1][first]
 
 
-def _diagnose_rigid_modes(mesh: Mesh, K: sp.csr_matrix, free: np.ndarray) -> list[str]:
-    """Names of rigid-body modes with (numerically) zero energy on free dofs."""
-    coords = mesh.coords
-    center = coords.mean(axis=0)
-    modes = {
-        "translation-x": np.stack(
-            [np.ones(mesh.n_nodes), np.zeros(mesh.n_nodes)], axis=-1
-        ),
-        "translation-y": np.stack(
-            [np.zeros(mesh.n_nodes), np.ones(mesh.n_nodes)], axis=-1
-        ),
-        "rotation": np.stack(
-            [-(coords[:, 1] - center[1]), coords[:, 0] - center[0]], axis=-1
-        ),
-    }
-    scale = abs(K).max()
-    Kff = K[free][:, free]
-    loose = []
-    restricted = {}
-    for name, vec in modes.items():
-        v = vec.ravel()[free]
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        restricted[name] = v / nv
-        if np.linalg.norm(Kff @ v) / (scale * nv) < 1e-8:
-            loose.append(name)
-    if loose or not restricted:
-        return loose
+def _free_rigid_modes(mesh: Mesh, fixed: np.ndarray) -> list[str]:
+    """Names of the rigid-body motions that vanish on every fixed dof.
 
-    # No probe is individually loose, but a rigid motion about a constrained
-    # point is a probe mixture (rotation about x0 = center rotation + a
-    # translation).  Look for zero-energy directions inside the probe span.
-    names = list(restricted)
-    V = np.stack([restricted[n] for n in names], axis=1)
-    A = V.T @ (Kff @ V)
-    M = V.T @ V
-    w_m, Q = np.linalg.eigh(M)
-    good = w_m > 1e-12 * w_m.max()
-    if not np.any(good):
-        return loose
-    B = Q[:, good] / np.sqrt(w_m[good])
-    w, C = np.linalg.eigh(B.T @ A @ B)
-    for lam, c in zip(w, (B @ C).T):
-        if lam < 1e-8 * scale:
-            weights = dict(zip(names, np.abs(c) / np.abs(c).max()))
-            if weights.get("rotation", 0.0) > 1e-6:
-                loose.append("rotation (about a constrained point)")
-            else:
-                loose.append("translation (a skew combination)")
-    return loose
-
-
-def _solve_failure(
-    reason: str, mesh: Mesh, operators: ElementOperators, K: sp.csr_matrix, free: np.ndarray
-) -> SolveError:
-    """The SolveError of a failed solve: ``reason`` and what leaves K singular.
-
-    It names the free rigid-body modes and counts the hourglass modes: the
-    zero-energy modes beyond the 3 rigid ones of each element stiffness
-    (eigenvalues below 1e-10 of its largest).
+    Rows R (n_fixed, 3) of the rigid basis (t_x, t_y, rotation about the node
+    centroid c scaled by rho = max |x - c|) at the fixed dofs; the free
+    motions span the null space of R^T R (eigenvalues at most 1e-12 of the
+    largest).  Constraints act on single components, so translation-x is
+    free iff no u_x dof is fixed (y likewise); a further free dimension is a
+    rotation, named by its fixed point unless both translations are free.
     """
-    loose = _diagnose_rigid_modes(mesh, K, free)
-    if loose:
-        reason += f"; free rigid mode(s): {', '.join(loose)}"
+    c = mesh.coords.mean(axis=0)
+    d = mesh.coords - c
+    rho = np.linalg.norm(d, axis=1).max()
+    node, comp = np.divmod(fixed, 2)
+    R = np.empty((len(fixed), 3))
+    R[:, :2] = comp[:, None] == np.arange(2)
+    R[:, 2] = np.where(comp == 0, -d[node, 1], d[node, 0]) / rho
+    ev, vecs = np.linalg.eigh(R.T @ R)
+    null = vecs[:, ev <= 1e-12 * ev[-1]]
+    modes = [f"translation-{'xy'[k]}" for k in (0, 1) if not np.any(comp == k)]
+    if null.shape[1] > len(modes):
+        # the rotation's projection onto the null space has no component
+        # along a free translation, so it fixes one point
+        a = null @ null[2]
+        point = c + rho * np.array([-a[1], a[0]]) / a[2]
+        point[np.abs(point) < 1e-12 * rho] = 0.0
+        modes.append(
+            "rotation" if len(modes) == 2 else "rotation about ({:.6g}, {:.6g})".format(*point)
+        )
+    return modes
+
+
+def _solve_failure(reason: str, operators: ElementOperators) -> SolveError:
+    """The SolveError of a failed solve: ``reason`` and the per-element count
+    of zero-energy modes beyond the 3 rigid ones (eigenvalues below 1e-10 of
+    the element stiffness's largest), which the constraints may restrain."""
     ev = np.linalg.eigvalsh(operators.K)
     extra = np.maximum(np.sum(ev < 1e-10 * ev[:, -1:], axis=1) - 3, 0)
     if extra.any():
         reason += (
             f"; {np.count_nonzero(extra)} element(s) carry {extra.sum()} zero-energy "
-            "(hourglass) mode(s) beyond rigid motion, which the boundary conditions "
-            "do not restrain"
+            "(hourglass) mode(s) beyond rigid motion"
         )
     return SolveError(reason)
 
@@ -532,33 +510,35 @@ def assemble_and_solve(
 
     Dirichlet constraints are imposed by elimination (possibly with nonzero
     prescribed values); the sparse symmetric system is factorized with
-    SuperLU.  No Dirichlet constraint, a failed factorization, a non-finite
-    solution or a residual above 1e-9 raises SolveError naming the free
-    rigid-body and element hourglass modes.
+    SuperLU.  Constraints that leave a rigid-body mode free raise SolveError
+    naming the modes before anything is factorized; a failed factorization,
+    a non-finite solution or a residual above 1e-9 raises SolveError counting
+    the element hourglass modes.
     """
     operators = _element_operators(mesh, material, formulation)
     K = _scatter(mesh, operators)
     f = _neumann_vector(mesh, loads)
 
     fixed, fixed_values = _dirichlet_values(mesh, loads)
+    loose = _free_rigid_modes(mesh, fixed)
+    if loose:
+        raise SolveError(f"free rigid mode(s): {', '.join(loose)}")
     n_dof = 2 * mesh.n_nodes
     free = np.setdiff1d(np.arange(n_dof), fixed)
-    if len(free) == n_dof:
-        raise _solve_failure("no Dirichlet constraints", mesh, operators, K, free)
 
     U = np.zeros(n_dof)
     U[fixed] = fixed_values
 
     Kff = K[free][:, free].tocsc()
-    rhs = f[free] - K[free] @ U
+    rhs = f[free] - (K @ U)[free]  # each row's sum as in K[free] @ U
 
     try:
         lu = spla.splu(Kff)
         u_free = lu.solve(rhs)
     except RuntimeError as exc:
-        raise _solve_failure("singular stiffness system", mesh, operators, K, free) from exc
+        raise _solve_failure("singular stiffness system", operators) from exc
     if not np.all(np.isfinite(u_free)):
-        raise _solve_failure("linear solve produced non-finite values", mesh, operators, K, free)
+        raise _solve_failure("linear solve produced non-finite values", operators)
 
     ref = np.linalg.norm(rhs)
     res = np.linalg.norm(Kff @ u_free - rhs)
@@ -570,9 +550,7 @@ def assemble_and_solve(
     U[free] = u_free
     residual_rel = float(res / ref) if ref > 0 else float(res)
     if ref > 0 and residual_rel > 1e-9:
-        raise _solve_failure(
-            f"solver residual too large: {residual_rel:.3e}", mesh, operators, K, free
-        )
+        raise _solve_failure(f"solver residual too large: {residual_rel:.3e}", operators)
 
     return DiscreteSolution(
         mesh, material, formulation, U,

@@ -23,7 +23,7 @@ from smoothfem.harness import (
     study_csv,
     study_json,
 )
-from smoothfem.mesh import load_mesh
+from smoothfem.mesh import MeshError, load_mesh
 from smoothfem.solver import SolveError
 
 GOLDEN_CSV = "tests/golden/cylinder_spr_c.csv"
@@ -81,6 +81,15 @@ def test_defaults_are_valid():
 def test_invalid_configs_raise(kwargs):
     with pytest.raises(ConfigError):
         StudyConfig(**kwargs)
+
+
+@pytest.mark.parametrize("levels", [(0, 1), (1,), (2,)])
+def test_patch_benchmark_has_one_level(levels, patch_bm):
+    # the patch test has one mesh: a ladder of levels would solve it repeatedly
+    with pytest.raises(ConfigError, match="'patch' has one mesh"):
+        StudyConfig(benchmark="patch", levels=levels)
+    with pytest.raises(MeshError, match="patch benchmark has one mesh"):
+        patch_bm.mesh(levels[-1])
 
 
 def test_as_dict_round_trips():
@@ -313,6 +322,14 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, good, bad", [("cylinder", 1, 0), ("patch", 0, 2)])
+def test_cli_run_rejects_a_level_the_benchmark_lacks(tmp_path, capsys, name, good, bad):
+    # a bad --level is a usage error (exit 1), not a runtime failure
+    cfg = write_config(tmp_path, f"[problem]\nname = {name}\n[discretization]\nlevels = {good}\n")
+    assert main(["run", "--config", cfg, "--level", str(bad)]) == 1
+    assert name in capsys.readouterr().err
+
+
 def test_cli_reports_runtime_failures(tmp_path, capsys, monkeypatch):
     import smoothfem.cli as cli_mod
 
@@ -408,3 +425,13 @@ def test_cli_export_mesh_bad_level(tmp_path, capsys):
     rc = main(["export-mesh", "--benchmark", "cylinder", "--level", "0", "--out", str(out)])
     assert rc == 1
     assert not out.exists()
+
+
+def test_cli_export_mesh_patch_has_level_0_only(tmp_path, capsys, patch_bm):
+    out = tmp_path / "patch.mesh"
+    rc = main(["export-mesh", "--benchmark", "patch", "--level", "2", "--out", str(out)])
+    assert rc == 1
+    assert "'patch' has one mesh" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["export-mesh", "--benchmark", "patch", "--level", "0", "--out", str(out)]) == 0
+    np.testing.assert_array_equal(load_mesh(out).coords, patch_bm.mesh().coords)

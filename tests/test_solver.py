@@ -14,7 +14,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import smoothfem.mesh as mesh_mod
-from conftest import single_element_mesh
+import smoothfem.solver as solver_mod
+from conftest import BENCHMARKS, single_element_mesh
 from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import Material, PLANE_STRAIN, elasticity_matrix
 from smoothfem.mesh import (
@@ -42,6 +43,7 @@ from smoothfem.solver import (
     SolveError,
     _dirichlet_values,
     _element_operators,
+    _free_rigid_modes,
     _neumann_vector,
     _scatter,
     assemble_and_solve,
@@ -587,7 +589,7 @@ def test_unconstrained_problem_names_rigid_modes():
 @pytest.mark.parametrize("level", [0, 1])
 def test_one_cell_sfem_lshape_names_its_hourglass_modes(lshape_bm, level):
     # one smoothing cell leaves every element two hourglass modes, which the
-    # L-shape's three pins do not restrain: the failed solve must name them
+    # L-shape's three pins do not restrain: the failed solve must count them
     mesh = lshape_bm.mesh(level)
     bcs = lshape_bm.boundary_conditions(mesh)
     n = mesh.n_elements
@@ -601,37 +603,69 @@ def test_one_cell_sfem_cylinder_still_solves(solve_cached):
     assert sol.residual_rel < 1e-9
 
 
-def test_rigid_mode_diagnosis_names_the_loose_modes():
-    from smoothfem.solver import _diagnose_rigid_modes
-
+def test_rigid_mode_diagnosis_names_the_loose_modes(cylinder_bm):
+    # decided from the constrained dofs alone, before any assembly
     m = single_element_mesh(UNIT)
-    K = _scatter(m, _element_operators(m, MAT, Formulation("fem")))
-    all_free = np.arange(8)
-    assert set(_diagnose_rigid_modes(m, K, all_free)) == {
-        "translation-x", "translation-y", "rotation",
-    }
-    pinned_node0 = np.arange(2, 8)  # node 0 fully fixed: rotation survives
-    names = _diagnose_rigid_modes(m, K, pinned_node0)
-    assert any("rotation" in n for n in names)
+    nothing = np.array([], dtype=int)
+    assert set(_free_rigid_modes(m, nothing)) == {"translation-x", "translation-y", "rotation"}
+    assert _free_rigid_modes(m, np.array([0, 1])) == ["rotation about (0, 0)"]
+    # one u_x pin at node 2 = (1, 1): u_y is free everywhere, and a rotation
+    # about any point at the pin's y leaves its u_x at zero
+    assert _free_rigid_modes(m, np.array([4])) == ["translation-y", "rotation about (0.5, 1)"]
+
+    mesh = cylinder_bm.mesh(2)
+    for name, comp, loose in (("sym_y", 1, "translation-x"), ("sym_x", 0, "translation-y")):
+        specs = {n: DirichletSpec(components=()) for n in ("sym_x", "sym_y")}
+        specs[name] = DirichletSpec(components=(comp,))
+        fixed, _ = _dirichlet_values(mesh, BoundaryConditions(dirichlet=specs))
+        assert _free_rigid_modes(mesh, fixed) == [loose]
 
 
-def test_torque_on_pinned_corner_does_not_return_garbage():
-    # one pinned corner leaves the rotation free; loading it with a couple
-    # must end in a SolveError (never a silently wrong solution)
-    m = single_element_mesh(UNIT)
+@pytest.mark.parametrize(
+    "bm, level", [("cylinder", 1), ("cylinder", 5), ("lshape", 0), ("lshape", 3), ("patch", 0)]
+)
+def test_benchmark_constraints_restrain_every_rigid_mode(bm, level):
+    bm = BENCHMARKS[bm]
+    mesh = bm.mesh(level)
+    fixed, _ = _dirichlet_values(mesh, bm.boundary_conditions(mesh))
+    assert _free_rigid_modes(mesh, fixed) == []
+
+
+def pinned_corner_loads(traction):
+    """Node 0 of the unit square pinned in both components: the rotation
+    about (0, 0) stays free."""
+    return BoundaryConditions(tractions={"free": traction}, pins=((0, 0, 0.0), (0, 1, 0.0)))
+
+
+def forbid_factorization(monkeypatch):
+    def splu(*args, **kwargs):
+        raise AssertionError("SuperLU was called on a rigidly unrestrained system")
+
+    monkeypatch.setattr(solver_mod.spla, "splu", splu)
+
+
+def test_torque_on_pinned_corner_does_not_return_garbage(monkeypatch):
+    # loading the free rotation with a couple must end in a SolveError
+    # (never a silently wrong solution), raised before any factorization
+    forbid_factorization(monkeypatch)
 
     def torque(points, normal):
         p = np.asarray(points, float) - 0.5
         return np.stack([-p[..., 1], p[..., 0]], axis=-1)
 
-    bcs = BoundaryConditions(
-        tractions={"free": torque}, pins=((0, 0, 0.0), (0, 1, 0.0))
-    )
-    # the residual check names the free rotation too; a Q4 element has no
-    # zero-energy modes beyond the rigid ones
-    with pytest.raises(SolveError, match=r"residual too large.*rigid mode\(s\): rotation") as err:
-        assemble_and_solve(m, MAT, Formulation("fem"), bcs)
-    assert "zero-energy" not in str(err.value)
+    for form in [Formulation("fem")] + [Formulation("sfem", nc) for nc in (1, 2, 4, 8)]:
+        with pytest.raises(SolveError, match=r"rigid mode\(s\): rotation about \(0, 0\)") as err:
+            assemble_and_solve(single_element_mesh(UNIT), MAT, form, pinned_corner_loads(torque))
+        assert "zero-energy" not in str(err.value)
+
+
+def test_unloaded_pinned_corner_raises(monkeypatch):
+    # with no load the system used to solve to U = 0; a free rotation is an
+    # ill-posed problem whatever the load
+    forbid_factorization(monkeypatch)
+    bcs = pinned_corner_loads(lambda p, n: np.zeros_like(np.asarray(p, float)))
+    with pytest.raises(SolveError, match=r"rigid mode\(s\): rotation about \(0, 0\)$"):
+        assemble_and_solve(single_element_mesh(UNIT), MAT, Formulation("fem"), bcs)
 
 
 def test_exact_error_decreases_under_refinement(study_cached):
