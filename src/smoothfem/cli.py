@@ -143,10 +143,7 @@ def _cmd_export_mesh(args) -> int:
     benchmark = make_benchmark(
         StudyConfig(benchmark=args.benchmark, grading=args.grading, levels=(args.level,))
     )
-    try:
-        mesh = benchmark.mesh(args.level)
-    except MeshError as exc:
-        raise ConfigError(str(exc)) from exc
+    mesh = benchmark.mesh(args.level)
     out_dir = os.path.dirname(args.out)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

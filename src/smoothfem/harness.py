@@ -26,6 +26,7 @@ import numpy as np
 
 from .benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
 from .error import ConvergenceSeries, ErrorReport, RateResult, compute_error_report, convergence_rate
+from .mesh import MeshError, check_grading
 from .recovery import RecoveryConfig, RecoveryError, build_recovered_field
 from .solver import Formulation, SolveError, assemble_and_solve
 
@@ -33,24 +34,14 @@ log = logging.getLogger(__name__)
 
 BENCHMARKS = ("cylinder", "lshape", "patch")
 
-# (INI section, key) -> StudyConfig field
-_KEY_TO_FIELD = {
-    ("problem", "name"): "benchmark",
-    ("problem", "grading"): "grading",
-    ("discretization", "formulation"): "formulation",
-    ("discretization", "nc"): "nc",
-    ("discretization", "levels"): "levels",
-    ("recovery", "variant"): "variant",
-    ("recovery", "interior_degree"): "interior_degree",
-    ("recovery", "boundary_degree"): "boundary_degree",
-    ("recovery", "splitting_radius"): "splitting_radius",
-    ("recovery", "gsif_mode"): "gsif_mode",
-}
-
-# section -> its keys, in table order
-_SCHEMA = {
-    section: tuple(k for s, k in _KEY_TO_FIELD if s == section)
-    for section, _ in _KEY_TO_FIELD
+# INI section -> its keys; a key sets the StudyConfig field of its name,
+# except [problem] name, which sets benchmark
+_SECTIONS = {
+    "problem": ("name", "grading"),
+    "discretization": ("formulation", "nc", "levels"),
+    "recovery": (
+        "variant", "interior_degree", "boundary_degree", "splitting_radius", "gsif_mode"
+    ),
 }
 
 
@@ -96,8 +87,9 @@ class StudyConfig:
         # delegate the rest of the validation to the objects themselves
         self.formulation_obj()
         try:
+            check_grading(self.grading)
             self.recovery_config()
-        except RecoveryError as exc:
+        except (MeshError, RecoveryError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def formulation_obj(self) -> Formulation:
@@ -121,44 +113,6 @@ class StudyConfig:
 # ---------------------------------------------------------------------------
 
 
-def _check_schema(parser: configparser.ConfigParser) -> None:
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(
-                f"unknown config section [{section}] "
-                f"(known: {', '.join(_SCHEMA)})"
-            )
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section}] "
-                    f"(known: {', '.join(_SCHEMA[section])})"
-                )
-
-
-def _coerce(section: str, key: str, raw: str):
-    raw = raw.strip()
-    try:
-        if key in ("nc", "interior_degree", "boundary_degree"):
-            return int(raw)
-        if key in ("grading", "splitting_radius"):
-            return float(raw)
-        if key == "levels":
-            return tuple(int(tok) for tok in raw.split())
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-
-
-def config_from_parser(parser: configparser.ConfigParser) -> StudyConfig:
-    _check_schema(parser)
-    kwargs = {}
-    for section in parser.sections():
-        for key, raw in parser[section].items():
-            kwargs[_KEY_TO_FIELD[(section, key)]] = _coerce(section, key, raw)
-    return StudyConfig(**kwargs)
-
-
 def parse_config(path, overrides=()) -> StudyConfig:
     """Load an INI study config, applying ``section.key=value`` overrides."""
     parser = configparser.ConfigParser()
@@ -170,7 +124,28 @@ def parse_config(path, overrides=()) -> StudyConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     apply_overrides(parser, overrides)
-    return config_from_parser(parser)
+    kwargs = {}
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(
+                f"unknown config section [{section}] (known: {', '.join(_SECTIONS)})"
+            )
+        for key, raw in parser[section].items():
+            if key not in _SECTIONS[section]:
+                raise ConfigError(
+                    f"unknown key {key!r} in [{section}] "
+                    f"(known: {', '.join(_SECTIONS[section])})"
+                )
+            name = "benchmark" if key == "name" else key
+            default, raw = getattr(StudyConfig, name), raw.strip()
+            try:
+                if isinstance(default, tuple):
+                    kwargs[name] = tuple(int(tok) for tok in raw.split())
+                else:
+                    kwargs[name] = type(default)(raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+    return StudyConfig(**kwargs)
 
 
 def apply_overrides(parser: configparser.ConfigParser, overrides) -> None:

@@ -384,6 +384,12 @@ def graded_intervals(level: int, grading: float) -> np.ndarray:
     return t
 
 
+def check_grading(grading: float) -> None:
+    """Raise MeshError unless the L-shape grading lies in [1, 20] (NaN does not)."""
+    if not (1.0 <= grading <= 20.0):
+        raise MeshError(f"grading must lie in [1, 20], got {grading}")
+
+
 def build_lshape_mesh(level: int, grading: float) -> Mesh:
     """Graded mesh of the L-shaped domain [-1,1]^2 minus {x>0, y<0}.
 
@@ -395,8 +401,7 @@ def build_lshape_mesh(level: int, grading: float) -> Mesh:
     """
     if not (isinstance(level, (int, np.integer)) and level >= 0):
         raise MeshError(f"level must be an integer >= 0, got {level}")
-    if not (1.0 <= grading <= 20.0):
-        raise MeshError(f"grading must lie in [1, 20], got {grading}")
+    check_grading(grading)
 
     t = graded_intervals(level, grading)
     ax = np.concatenate([-t[::-1], t[1:]])  # -1 ... 0 ... 1, graded toward 0

@@ -108,8 +108,8 @@ class RecoveryConfig:
             raise RecoveryError(f"unknown recovery variant {self.variant!r}")
         if self.interior_degree not in (1, 2) or self.boundary_degree not in (1, 2):
             raise RecoveryError("polynomial degrees must be 1 or 2")
-        if self.with_splitting and self.splitting_radius < 0.0:
-            raise RecoveryError("splitting radius must be >= 0")
+        if self.with_splitting and not self.splitting_radius >= 0.0:  # NaN fails too
+            raise RecoveryError(f"splitting radius must be >= 0, got {self.splitting_radius}")
         if self.gsif_mode not in ("exact", "extracted"):
             raise RecoveryError(f"unknown gsif_mode {self.gsif_mode!r}")
 
@@ -175,49 +175,6 @@ def _sampling_arrays(solution: DiscreteSolution):
         weight.reshape(-1),
         k,
     )
-
-
-def singular_stress_estimate(
-    singular_field: SingularField,
-    solution: DiscreteSolution | None = None,
-    gsif_mode: str = "exact",
-    bcs=None,
-) -> SingularField:
-    """The singular recovery component with exact or extracted intensities.
-
-    "exact" passes the field through unchanged; "extracted" replaces its
-    K factors with reciprocal-work estimates from the solution (which needs
-    the boundary conditions the solution was computed with).
-    """
-    if gsif_mode == "exact":
-        return singular_field
-    if gsif_mode != "extracted":
-        raise RecoveryError(f"unknown gsif_mode {gsif_mode!r}")
-    if solution is None or bcs is None:
-        raise RecoveryError(
-            "extracted gsif_mode needs the discrete solution and its bcs"
-        )
-    from .gsif import extract_gsifs
-
-    est = extract_gsifs(solution, singular_field, bcs)
-    return singular_field.with_gsifs(est.K_I, est.K_II)
-
-
-def smooth_part(
-    positions: np.ndarray,
-    stresses: np.ndarray,
-    singular_field: SingularField,
-) -> np.ndarray:
-    """Sampling stresses with the singular eigenfield subtracted everywhere.
-
-    Split patches (node within the splitting radius) fit this array instead
-    of the raw one, so every sample they see belongs to one consistent field
-    sigma_h - sigma_sing; restricting the subtraction to samples inside the
-    radius would hand transition patches a mix of the two fields, which the
-    polynomial fit cannot represent.  The blend adds the eigenfield back
-    through the same partition of unity.
-    """
-    return stresses - singular_field.stress(positions)
 
 
 # ---------------------------------------------------------------------------
@@ -457,42 +414,6 @@ def collocation_rows(
     return 2 * valid.sum(axis=1), rows[valid].reshape(-1, 3 * m), t[valid].reshape(-1)
 
 
-def constraint_rows(
-    *,
-    degree: int,
-    n_patches: int,
-    compliance: np.ndarray,
-    collocation: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear constraints C a = d of a batch of B = n_patches patch fits.
-
-    C is (B, k, 3m) and d (B, k); rows, in deterministic order:
-
-    1. internal equilibrium div sigma* = 0 (no body force), imposed
-       identically in the polynomial coefficients (one scalar row per
-       monomial of degree-1, per equilibrium equation);
-    2. traction collocation, ``collocation`` = (rows (B, c, 3m), rhs (B, c))
-       stacked from collocation_rows, the same c for every patch;
-    3. the compatibility equation (nontrivial for degree 2 only).
-
-    Without collocation the rows are the same for every patch, and C is a
-    read-only broadcast view of one (k, 3m) array; the fitter builds them
-    once per degree with n_patches=1 (the shared interior basis).
-    """
-    eq = _equilibrium_rows(degree)
-    compat = _compatibility_rows(degree, compliance)
-    if collocation is None:
-        shared = np.vstack([eq, compat])
-        C = np.broadcast_to(shared, (n_patches,) + shared.shape)
-        return C, np.zeros(C.shape[:2])
-    R, r = collocation
-    C = np.concatenate([np.broadcast_to(eq, (n_patches,) + eq.shape), R,
-                        np.broadcast_to(compat, (n_patches,) + compat.shape)], axis=1)
-    d = np.zeros(C.shape[:2])
-    d[:, len(eq) : len(eq) + r.shape[1]] = r
-    return C, d
-
-
 def _orthonormalize_constraints(
     C: np.ndarray, d: np.ndarray, node_ids
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
@@ -676,17 +597,15 @@ class RecoveredStressField:
         self,
         mesh: Mesh,
         fits: PatchFits,
-        singular_field: SingularField | None = None,
-        split_flags: np.ndarray | None = None,
+        singular_field: SingularField | None,
+        split_flags: np.ndarray,
     ):
         if len(fits) != mesh.n_nodes:
             raise RecoveryError("need exactly one patch fit per mesh node")
         self.mesh = mesh
         self.fits = fits
         self.singular_field = singular_field
-        self.split_flags = (
-            np.zeros(mesh.n_nodes, dtype=bool) if split_flags is None else split_flags
-        )
+        self.split_flags = split_flags
 
     def evaluate_at_parents(self, element_ids, pts: np.ndarray) -> np.ndarray:
         """sigma* at parent points of elements; ids (n,), pts (q, 2) -> (n, q, 3).
@@ -749,16 +668,24 @@ def build_recovered_field(
     if config.with_splitting:
         if singular_field is None:
             raise RecoveryError(f"{config.variant} requires a singular field")
-        singular_field = singular_stress_estimate(
-            singular_field, solution, config.gsif_mode, bcs=bcs
-        )
+        if config.gsif_mode == "extracted":
+            if bcs is None:
+                raise RecoveryError("extracted gsif_mode needs the solution's bcs")
+            # looked up per call, so a wrapped gsif.extract_gsifs (tracing) runs
+            from .gsif import extract_gsifs
+
+            est = extract_gsifs(solution, singular_field, bcs)
+            singular_field = singular_field.with_gsifs(est.K_I, est.K_II)
 
     positions, stresses, weights, per_element = _sampling_arrays(solution)
 
     split_flags = np.zeros(mesh.n_nodes, dtype=bool)
     smooth = stresses
     if config.with_splitting:
-        smooth = smooth_part(positions, stresses, singular_field)
+        # subtracted everywhere, not only within the radius: a transition
+        # patch then sees the one field sigma_h - sigma_sing, where a mix of
+        # the two would defeat its polynomial fit
+        smooth = stresses - singular_field.stress(positions)
         r_nodes = np.linalg.norm(
             mesh.coords - np.asarray(singular_field.frame.vertex), axis=1
         )
@@ -844,8 +771,11 @@ class _PatchFitter:
         """Fit the nodes' patches at one degree; returns the singular ones.
 
         Nodes are grouped by patch size and collocation row count, so each
-        chunk stacks arrays of one shape; a chunk's collocation rows are
-        sliced from the one collocation pass over the nodes.
+        chunk stacks arrays of one shape.  A patch's constraints C a = d are,
+        in order: internal equilibrium div sigma* = 0 (no body force; one
+        scalar row per monomial of degree-1 per equation), its traction
+        collocation rows, sliced from the one collocation pass over the
+        nodes, and (degree 2) the compatibility equation.
         """
         sizes = np.diff(self.mesh.patch_offsets)[nodes]
         n_rows = np.zeros(len(nodes), dtype=int)
@@ -862,19 +792,25 @@ class _PatchFitter:
         # every interior patch has the same rows: one Gram-Schmidt, not one per chunk
         shared = None
         if self.constrained:
-            C, d = constraint_rows(degree=degree, n_patches=1, compliance=self.compliance)
-            Q, e, rank, _ = _orthonormalize_constraints(C, d, nodes[:1])
+            eq, compat = _equilibrium_rows(degree), _compatibility_rows(degree, self.compliance)
+            C = np.vstack([eq, compat])[None]
+            Q, e, rank, _ = _orthonormalize_constraints(C, np.zeros(C.shape[:2]), nodes[:1])
             shared = Q[0, : rank[0]], e[0, : rank[0]]
         singular: dict[int, str] = {}
         for size, rows in np.unique(np.stack([sizes, n_rows], axis=1), axis=0).tolist():
             sel = np.nonzero((sizes == size) & (n_rows == rows))[0]
             for start in range(0, len(sel), CHUNK):
                 part = sel[start : start + CHUNK]
-                coll = None
+                collocated = None
                 if rows:
                     idx = first[part, None] + np.arange(rows)
-                    coll = (R[idx], r[idx])
-                singular.update(self._fit_chunk(nodes[part], size, degree, coll, shared))
+                    B = len(part)
+                    C = np.concatenate([np.broadcast_to(eq, (B,) + eq.shape), R[idx],
+                                        np.broadcast_to(compat, (B,) + compat.shape)], axis=1)
+                    d = np.zeros(C.shape[:2])
+                    d[:, len(eq) : len(eq) + rows] = r[idx]
+                    collocated = C, d
+                singular.update(self._fit_chunk(nodes[part], size, degree, collocated, shared))
         return singular
 
     def _gather(self, chunk: np.ndarray, size: int):
@@ -892,22 +828,21 @@ class _PatchFitter:
             sig[split] = self.smooth[idx[split]]
         return self.positions[idx], sig, self.weights[idx]
 
-    def _fit_chunk(self, chunk, size, degree, collocation, shared) -> dict[int, str]:
-        """Fit one chunk; returns its singular patches (inconsistent ones go to failures)."""
+    def _fit_chunk(self, chunk, size, degree, collocated, shared) -> dict[int, str]:
+        """Fit one chunk; returns its singular patches (inconsistent ones go to failures).
+
+        ``collocated``: the chunk's constraints (C, d) if it has collocation rows, else None.
+        """
         pos, sig, w = self._gather(chunk, size)
         center = self.mesh.coords[chunk]
         scale = self.scales[chunk]
-        if collocation is None:
+        if collocated is None:
             cons = None if shared is None else tuple(
                 np.broadcast_to(a, (len(chunk),) + a.shape) for a in shared
             )
             stacks = [(slice(None), cons)]
         else:
-            C, d = constraint_rows(
-                degree=degree, n_patches=len(chunk), compliance=self.compliance,
-                collocation=collocation,
-            )
-            Q, e, rank, failures = _orthonormalize_constraints(C, d, chunk)
+            Q, e, rank, failures = _orthonormalize_constraints(*collocated, chunk)
             self.failures.update(failures)
             ok = ~np.isin(chunk, list(failures))
             # the kept rank decides the KKT size, so each rank is one stack

@@ -76,6 +76,10 @@ def test_defaults_are_valid():
         dict(variant="SPR-Q"),
         dict(interior_degree=3),
         dict(gsif_mode="guessed"),
+        dict(benchmark="lshape", levels=(0,), grading=0.5),
+        dict(benchmark="lshape", levels=(0,), grading=float("nan")),
+        dict(benchmark="lshape", levels=(0,), grading=21.0),
+        dict(benchmark="lshape", levels=(0,), variant="SPR-X", splitting_radius=float("nan")),
     ],
 )
 def test_invalid_configs_raise(kwargs):
@@ -330,6 +334,17 @@ def test_cli_run_rejects_a_level_the_benchmark_lacks(tmp_path, capsys, name, goo
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override", ["problem.grading=0.5", "problem.grading=nan", "recovery.splitting_radius=nan"]
+)
+def test_cli_run_rejects_a_bad_grading_or_radius(tmp_path, capsys, override):
+    # a bad grading or splitting radius is a configuration error (exit 1):
+    # neither a mesh failure (exit 2) nor, for NaN, a silent SPR-C run
+    cfg = write_config(tmp_path, "[problem]\nname = lshape\n[discretization]\nlevels = 0\n")
+    assert main(["run", "--config", cfg, "--set", override]) == 1
+    assert override.split(".")[1].split("=")[0].replace("_", " ") in capsys.readouterr().err
+
+
 def test_cli_reports_runtime_failures(tmp_path, capsys, monkeypatch):
     import smoothfem.cli as cli_mod
 
@@ -424,6 +439,12 @@ def test_cli_export_mesh_bad_level(tmp_path, capsys):
     out = tmp_path / "bad.mesh"
     rc = main(["export-mesh", "--benchmark", "cylinder", "--level", "0", "--out", str(out)])
     assert rc == 1
+    assert not out.exists()
+    # an out-of-range grading is a configuration error too
+    rc = main(["export-mesh", "--benchmark", "lshape", "--level", "0", "--grading", "0.5",
+               "--out", str(out)])
+    assert rc == 1
+    assert "grading must lie in [1, 20], got 0.5" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -19,6 +19,7 @@ from smoothfem.analytic import NotchFrame, SingularField, make_singular_solution
 from smoothfem.benchmarks import LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import Material, PLANE_STRAIN, compliance_matrix
 from smoothfem.error import element_error_squares
+from smoothfem.gsif import extract_gsifs
 from smoothfem.recovery import (
     CHUNK,
     PatchFailure,
@@ -27,18 +28,17 @@ from smoothfem.recovery import (
     RecoveryConfig,
     RecoveryError,
     _basis,
+    _compatibility_rows,
+    _equilibrium_rows,
     _kkt_ratio_bound,
     _orthonormalize_constraints,
     _sampling_arrays,
     build_recovered_field,
     collocation_points,
     collocation_rows,
-    constraint_rows,
     edge_normal,
     fit_patch,
     neumann_edges,
-    singular_stress_estimate,
-    smooth_part,
 )
 from smoothfem.quadmap import gauss_points_2d, shape_functions
 from smoothfem.solver import Formulation, interpolate_solution
@@ -80,8 +80,8 @@ def fit_one(node_id, positions, stresses, weights, degree, constraints=None,
 
 def shared_constraints(degree, compliance):
     """The constraint rows of one patch without collocation, at scale 1."""
-    C, d = constraint_rows(degree=degree, n_patches=1, compliance=compliance)
-    return C[0], d[0]
+    C = np.vstack([_equilibrium_rows(degree), _compatibility_rows(degree, compliance)])
+    return C, np.zeros(len(C))
 
 
 def linear_solution(kind="sfem", nc=4, coeffs=(0.1, 0.02, 0.035, -0.04, 0.012, -0.009)):
@@ -139,9 +139,17 @@ def lshape_field(K_I=1.0, K_II=0.0):
 def test_exact_gsif_mode_is_passthrough():
     field = lshape_field(1.0, 0.0)
     bm, mesh, sol = linear_solution()
-    est = singular_stress_estimate(field, sol, "exact")
-    pts = np.array([[0.3, 0.2], [-0.1, 0.4]])
-    assert_allclose(est.stress(pts), field.stress(pts), rtol=1e-15)
+    config = RecoveryConfig(variant="SPR-X", gsif_mode="exact")
+    assert build_recovered_field(sol, config, singular_field=field).singular_field is field
+
+
+def test_extracted_gsif_mode_needs_the_bcs(solve_cached, lshape_bm):
+    mesh, bcs, sol = solve_cached("lshape", 0, "sfem", 4)
+    config = RecoveryConfig(variant="SPR-CX", gsif_mode="extracted")
+    with pytest.raises(RecoveryError, match="extracted gsif_mode needs"):
+        build_recovered_field(
+            sol, config, singular_field=lshape_bm.singular_field, tractions=bcs.tractions
+        )
 
 
 def test_singular_estimate_linearity():
@@ -173,24 +181,32 @@ def test_singular_estimate_is_divergence_free():
 
 
 def test_smooth_part_with_zero_singular_field_is_identity():
+    # a zero-amplitude eigenfield has zero stress: subtracting it leaves the
+    # samples bit for bit
     field = lshape_field(0.0, 0.0)
     rng = np.random.default_rng(2)
     pos = rng.uniform(-0.9, -0.1, size=(30, 2))
     stresses = rng.normal(size=(30, 3))
-    assert_allclose(smooth_part(pos, stresses, field), stresses, rtol=0, atol=0)
+    assert not field.stress(pos).any()
+    assert_allclose(stresses - field.stress(pos), stresses, rtol=0, atol=0)
 
 
-def test_smooth_part_cancels_exact_input():
-    field = lshape_field(1.0, 0.25)
-    rng = np.random.default_rng(3)
-    phi = rng.uniform(-2.3, 2.3, size=40)
-    r = rng.uniform(0.05, 0.8, size=40)
-    pos = np.stack(
-        [r * np.cos(phi + 0.75 * np.pi), r * np.sin(phi + 0.75 * np.pi)], axis=-1
+def test_smooth_part_cancels_exact_input(lshape_bm):
+    # FEM samples that are the eigenfield itself: the split patches fit
+    # sigma_h - sigma_sing, which cancels to round-off, so their
+    # polynomials vanish
+    field = lshape_bm.singular_field
+    mesh = lshape_bm.mesh(1)
+    sol = interpolate_solution(
+        mesh, lshape_bm.material, Formulation("fem", 4), lshape_bm.exact_displacement
     )
-    exact = field.stress(pos)
-    residual = smooth_part(pos, exact, field)
-    assert np.abs(residual).max() < 1e-10 * np.abs(exact).max()
+    exact = field.stress(_sampling_arrays(sol)[0])
+    sol.cell_stress = exact.reshape(sol.cell_stress.shape)
+    rec = build_recovered_field(sol, RecoveryConfig(variant="SPR-X"), singular_field=field)
+    split = rec.split_flags
+    assert split.any() and not split.all()
+    for coeffs in rec.fits.coeffs.values():
+        assert np.abs(coeffs[split]).max() < 1e-10 * np.abs(exact).max()
 
 
 def test_zero_radius_degenerates_to_constrained_variant(solve_cached, lshape_bm):
@@ -587,7 +603,9 @@ def constant_fits(n_nodes, c):
 def test_identical_constant_fits_blend_to_constant():
     bm, mesh, sol = linear_solution()
     c = np.array([2.0, -1.0, 0.5])
-    field = RecoveredStressField(mesh, constant_fits(mesh.n_nodes, c))
+    field = RecoveredStressField(
+        mesh, constant_fits(mesh.n_nodes, c), None, np.zeros(mesh.n_nodes, dtype=bool)
+    )
     probe = mesh.coords[mesh.elements[2]].mean(axis=0)
     assert_allclose(evaluate_at(field, 2, probe), c, rtol=1e-14)
 
@@ -607,7 +625,9 @@ def test_field_needs_one_fit_per_node():
     bm, mesh, sol = linear_solution()
     for n_nodes in (mesh.n_nodes - 1, mesh.n_nodes + 1):
         with pytest.raises(RecoveryError, match="one patch fit per mesh node"):
-            RecoveredStressField(mesh, constant_fits(n_nodes, np.ones(3)))
+            RecoveredStressField(
+                mesh, constant_fits(n_nodes, np.ones(3)), None, np.zeros(n_nodes, dtype=bool)
+            )
 
 
 def test_vertex_value_is_nodal_polynomial(solve_cached):
@@ -817,6 +837,8 @@ def test_config_validation():
         RecoveryConfig(interior_degree=3)
     with pytest.raises(RecoveryError):
         RecoveryConfig(variant="SPR-X", splitting_radius=-0.1)
+    with pytest.raises(RecoveryError, match="splitting radius must be >= 0, got nan"):
+        RecoveryConfig(variant="SPR-CX", splitting_radius=float("nan"))
     with pytest.raises(RecoveryError):
         RecoveryConfig(gsif_mode="guessed")
 
@@ -977,13 +999,14 @@ def reference_edges(mesh, tractions):
 def reference_fits(sol, config, singular_field, tractions, bcs):
     """(degree, scale, coeffs) of every node, one node at a time."""
     mesh = sol.mesh
-    if config.with_splitting:
-        singular_field = singular_stress_estimate(singular_field, sol, config.gsif_mode, bcs=bcs)
+    if config.with_splitting and config.gsif_mode == "extracted":
+        est = extract_gsifs(sol, singular_field, bcs)
+        singular_field = singular_field.with_gsifs(est.K_I, est.K_II)
     positions, stresses, weights, k = _sampling_arrays(sol)
     split = np.zeros(mesh.n_nodes, dtype=bool)
     smooth = stresses
     if config.with_splitting:
-        smooth = smooth_part(positions, stresses, singular_field)
+        smooth = stresses - singular_field.stress(positions)
         split = np.linalg.norm(mesh.coords - np.asarray(singular_field.frame.vertex), axis=1) \
             < config.splitting_radius
     edges = reference_edges(mesh, tractions) if config.with_constraints else {}
@@ -1094,19 +1117,20 @@ def test_shared_basis_equals_the_per_chunk_gram_schmidt(solve_cached, monkeypatc
     seen = []
     original = recovery._PatchFitter._fit_chunk
 
-    def recording(self, chunk, size, degree, collocation, shared):
+    def recording(self, chunk, size, degree, collocated, shared):
         seen.append(shared)
-        return original(self, chunk, size, degree, collocation, shared)
+        return original(self, chunk, size, degree, collocated, shared)
 
     monkeypatch.setattr(recovery._PatchFitter, "_fit_chunk", recording)
     config = RecoveryConfig(variant="SPR-C", interior_degree=degree, boundary_degree=degree)
     build_recovered_field(sol, config, tractions=bcs.tractions)
     Q, e = seen[0]
     assert all(s[0] is Q and s[1] is e for s in seen)
-    C, d = constraint_rows(
-        degree=degree, n_patches=CHUNK, compliance=compliance_matrix(sol.material)
+    C, d = shared_constraints(degree, compliance_matrix(sol.material))
+    Qc, ec, rank, failures = _orthonormalize_constraints(
+        np.broadcast_to(C, (CHUNK,) + C.shape), np.broadcast_to(d, (CHUNK,) + d.shape),
+        np.arange(CHUNK),
     )
-    Qc, ec, rank, failures = _orthonormalize_constraints(C, d, np.arange(CHUNK))
     assert not failures and np.all(rank == len(Q))
     assert np.array_equal(Qc[:, : len(Q)], np.broadcast_to(Q, (CHUNK,) + Q.shape))
     assert np.array_equal(ec[:, : len(e)], np.broadcast_to(e, (CHUNK,) + e.shape))
@@ -1135,10 +1159,10 @@ def test_gram_schmidt_runs_once_per_fit_call_and_per_collocated_chunk(
         events.append("fit")
         return fit(self, nodes, degree)
 
-    def counted_chunk(self, chunk, size, degree, collocation, shared):
-        events.append("interior" if collocation is None else "collocated")
+    def counted_chunk(self, chunk, size, degree, collocated, shared):
+        events.append("interior" if collocated is None else "collocated")
         current["shared"] = shared
-        return fit_chunk(self, chunk, size, degree, collocation, shared)
+        return fit_chunk(self, chunk, size, degree, collocated, shared)
 
     def checked_fit_patch(*args, constraints=None, **kwargs):
         if events[-1] == "interior":
