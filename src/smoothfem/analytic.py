@@ -1,11 +1,9 @@
-"""Closed-form benchmark solutions.
+"""Closed-form corner eigenfields of a traction-free V-notch.
 
-Two families live here:
-
-* the pressurized thick-wall cylinder (smooth axisymmetric solution), and
-* the leading symmetric/antisymmetric eigenfields of a traction-free V-notch
-  (displacement exponents lambda_I, lambda_II from the characteristic
-  equations), including the eigenvalue solver and the notch constant Q.
+The leading symmetric/antisymmetric eigenfields (displacement exponents
+lambda_I, lambda_II from the characteristic equations), the eigenvalue
+solver and the notch constant Q.  The benchmarks' other exact solutions
+live with their problems in ``benchmarks``.
 
 Notch-field conventions: the angle ``phi`` is measured from the notch
 *bisector*, so the free faces sit at phi = +/- alpha/2, and vector/tensor
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elasticity import PLANE_STRAIN, Material, elastic_constants
+from .elasticity import Material, elastic_constants
 
 log = logging.getLogger(__name__)
 
@@ -438,97 +436,3 @@ class SingularField:
 
     def with_gsifs(self, K_I: float, K_II: float) -> "SingularField":
         return SingularField(self.solution.with_gsifs(K_I, K_II), self.frame)
-
-
-# ---------------------------------------------------------------------------
-# thick-wall cylinder
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CylinderProblem:
-    """Thick-wall cylinder under internal pressure, plane strain.
-
-    Attributes:
-        a, b: inner/outer radii with 0 < a < b.
-        P: internal pressure (positive = pushing outward on the inner wall).
-        material: must be plane strain (the closed form assumes it).
-    """
-
-    a: float
-    b: float
-    P: float
-    material: Material
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.a < self.b):
-            raise AnalyticError(
-                f"radii must satisfy 0 < a < b, got a={self.a}, b={self.b}"
-            )
-        if not np.isfinite(self.P):
-            raise AnalyticError("pressure must be finite")
-        if self.material.state != PLANE_STRAIN:
-            raise AnalyticError("cylinder closed form assumes plane strain")
-
-    @property
-    def c(self) -> float:
-        return self.b / self.a
-
-
-# Relative slack on the annulus containment check.  Quadrature points of
-# elements along the curved walls fall inside the chord by O(h^2); the check
-# exists to catch misuse (points in the hole / far outside), not that.
-_ANNULUS_SLACK = 0.02
-
-
-def _cylinder_radius(problem: CylinderProblem, x, y) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = np.hypot(x, y)
-    if np.any(r < (1.0 - _ANNULUS_SLACK) * problem.a) or np.any(
-        r > (1.0 + _ANNULUS_SLACK) * problem.b
-    ):
-        raise AnalyticError(
-            f"point outside the annulus [a={problem.a}, b={problem.b}]"
-        )
-    return r
-
-
-def cylinder_displacement(problem: CylinderProblem, x, y) -> np.ndarray:
-    """Cartesian displacement of the pressurized cylinder at (x, y).
-
-    Radial closed form u_r(r) = P (1+nu) / (E (c^2-1)) (r (1-2 nu) + b^2 / r),
-    rotated to cartesian components.  Returns shape (..., 2).
-    """
-    r = _cylinder_radius(problem, x, y)
-    E, nu = problem.material.E, problem.material.nu
-    c2 = problem.c**2
-    ur = problem.P * (1.0 + nu) / (E * (c2 - 1.0)) * (
-        r * (1.0 - 2.0 * nu) + problem.b**2 / r
-    )
-    scale = ur / r
-    return np.stack([np.asarray(x, float) * scale, np.asarray(y, float) * scale], axis=-1)
-
-
-def cylinder_stress(problem: CylinderProblem, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Cartesian stress of the pressurized cylinder at (x, y).
-
-    Returns (sigma, sigma_z) where sigma has shape (..., 3) ordered
-    (xx, yy, xy) and sigma_z = 2 nu P / (c^2 - 1) is the constant out-of-plane
-    stress of the plane-strain solution (reported, never part of 2D energy
-    norms).
-    """
-    r = _cylinder_radius(problem, x, y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    c2 = problem.c**2
-    b2r2 = problem.b**2 / r**2
-    sr = problem.P * (1.0 - b2r2) / (c2 - 1.0)
-    st = problem.P * (1.0 + b2r2) / (c2 - 1.0)
-    cs, sn = x / r, y / r
-    sxx = sr * cs * cs + st * sn * sn
-    syy = sr * sn * sn + st * cs * cs
-    sxy = (sr - st) * sn * cs
-    sz = 2.0 * problem.material.nu * problem.P / (c2 - 1.0)
-    return np.stack([sxx, syy, sxy], axis=-1), np.broadcast_to(sz, r.shape).copy()
-

@@ -76,7 +76,7 @@ class PlateauFunction:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.r_plateau < self.r_outer:
-            raise ValueError(
+            raise GsifError(
                 f"need 0 < r_plateau < r_outer, got "
                 f"({self.r_plateau}, {self.r_outer})"
             )
@@ -99,6 +99,17 @@ class PlateauFunction:
         return scale[..., None] * rhat
 
 
+def _mode_fields(lam, Q, mode, r, phi, mu, kappa):
+    """(u, sigma) of the unit notch mode of exponent lam, in the notch frame.
+
+    u = r^lam Psi(phi) / (2 mu) and sigma = lam r^(lam-1) Phi(phi); r is a
+    scalar or broadcasts against phi[..., None].
+    """
+    u = r**lam * angular_displacement_eigenfunction(lam, Q, mode, phi, kappa) / (2.0 * mu)
+    sigma = lam * r ** (lam - 1.0) * angular_stress_eigenfunction(lam, Q, mode, phi)
+    return u, sigma
+
+
 @dataclass(frozen=True)
 class ExtractionDual:
     """The dual (negative-exponent) eigenfield of one mode, placed globally.
@@ -114,23 +125,14 @@ class ExtractionDual:
     mu: float
     kappa: float
 
-    def displacement(self, points) -> np.ndarray:
+    def fields(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """(v, tau) at global points (..., 2): shapes (..., 2) and (..., 3)."""
         r, phi = self.frame.to_polar(points)
         if np.any(r <= 0.0):
             raise AnalyticError("extraction dual evaluated at the vertex")
-        psi = angular_displacement_eigenfunction(
-            -self.lam, self.Q_dual, self.mode, phi, self.kappa
-        )
-        v = r[..., None] ** (-self.lam) * psi / (2.0 * self.mu)
-        return self.frame.vector_to_global(v)
-
-    def stress(self, points) -> np.ndarray:
-        r, phi = self.frame.to_polar(points)
-        if np.any(r <= 0.0):
-            raise AnalyticError("extraction dual evaluated at the vertex")
-        Phi = angular_stress_eigenfunction(-self.lam, self.Q_dual, self.mode, phi)
-        tau = -self.lam * r[..., None] ** (-self.lam - 1.0) * Phi
-        return self.frame.stress_to_global(tau)
+        lam, r = -self.lam, r[..., None]
+        v, tau = _mode_fields(lam, self.Q_dual, self.mode, r, phi, self.mu, self.kappa)
+        return self.frame.vector_to_global(v), self.frame.stress_to_global(tau)
 
 
 def _dual_for(solution: SingularSolution, frame: NotchFrame, mode: str) -> ExtractionDual:
@@ -174,10 +176,8 @@ def contour_pairing(
     phi = half * x
     w = half * w
 
-    u = r**lam_p * angular_displacement_eigenfunction(lam_p, Q_p, primal_mode, phi, kappa) / (2.0 * mu)
-    sig = lam_p * r ** (lam_p - 1.0) * angular_stress_eigenfunction(lam_p, Q_p, primal_mode, phi)
-    v = r ** (-lam_d) * angular_displacement_eigenfunction(-lam_d, Q_d, dual_mode, phi, kappa) / (2.0 * mu)
-    tau = -lam_d * r ** (-lam_d - 1.0) * angular_stress_eigenfunction(-lam_d, Q_d, dual_mode, phi)
+    u, sig = _mode_fields(lam_p, Q_p, primal_mode, r, phi, mu, kappa)
+    v, tau = _mode_fields(-lam_d, Q_d, dual_mode, r, phi, mu, kappa)
 
     rhat = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     integrand = np.einsum("ki,ki->k", stress_traction(tau, rhat), u) - np.einsum(
@@ -243,8 +243,7 @@ class _DomainTerm:
 
     def __call__(self, dual: ExtractionDual) -> float:
         u_h, s_h = self.u_h, self.s_h
-        v = dual.displacement(self.phys)
-        tau = dual.stress(self.phys)
+        v, tau = dual.fields(self.phys)
         F = np.stack(
             [
                 tau[..., 0] * u_h[..., 0] + tau[..., 2] * u_h[..., 1]
@@ -301,8 +300,8 @@ class _BoundaryTerm:
     def __call__(self, dual: ExtractionDual) -> float:
         if not len(self.x):
             return 0.0
-        tau_n = stress_traction(dual.stress(self.x), self.normal)
-        v = dual.displacement(self.x)
+        v, tau = dual.fields(self.x)
+        tau_n = stress_traction(tau, self.normal)
         integrand = np.einsum("eki,eki->ek", tau_n, self.u_h) - np.einsum("eki,eki->ek", self.t, v)
         per_edge = np.sum(self.gw * self.jac[:, None] * self.q * integrand, axis=-1)
         # running sum in edge order, as a plain accumulation loop would

@@ -20,12 +20,12 @@ import configparser
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
-from .error import ConvergenceSeries, ErrorReport, RateResult, compute_error_report, convergence_rate
+from .error import ConvergenceSeries, ErrorReport, compute_error_report, convergence_rate
 from .mesh import MeshError, check_grading
 from .recovery import RecoveryConfig, RecoveryError, build_recovered_field
 from .solver import Formulation, SolveError, assemble_and_solve
@@ -49,6 +49,18 @@ class ConfigError(ValueError):
     """Malformed, unknown or inconsistent study configuration."""
 
 
+# the types a StudyConfig field accepts, by the type of its default: a bool
+# is no number, an int serves for a float, and numpy integers become int
+_ACCEPTS = {str: str, int: (int, np.integer), float: (int, np.integer, float), tuple: tuple}
+
+
+def _typed(name: str, value, kind: type):
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kind]):
+        want, got = kind.__name__, type(value).__name__
+        raise ConfigError(f"{name} must be {want}, got {value!r} of type {got}")
+    return int(value) if isinstance(value, np.integer) else value
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Everything needed to reproduce one convergence study."""
@@ -65,12 +77,15 @@ class StudyConfig:
     gsif_mode: str = "exact"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = _typed(f.name, getattr(self, f.name), type(f.default))
+            if isinstance(value, tuple):  # levels: a tuple of ints
+                value = tuple(_typed(f.name, lv, int) for lv in value)
+            object.__setattr__(self, f.name, value)
         if self.benchmark not in BENCHMARKS:
             raise ConfigError(f"unknown benchmark {self.benchmark!r}")
         if len(self.levels) == 0:
             raise ConfigError("need at least one level")
-        if any(not isinstance(lv, (int, np.integer)) for lv in self.levels):
-            raise ConfigError("levels must be integers")
         if len(set(self.levels)) != len(self.levels):
             raise ConfigError(f"duplicate levels in {self.levels}")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
@@ -252,12 +267,8 @@ def run_convergence_study(config: StudyConfig) -> StudyResult:
     rates = {}
     if len(cases) >= 2:
         dofs = tuple(c.dof for c in cases)
-        for name, attr in (
-            ("exact", "exact"),
-            ("estimated", "estimated"),
-            ("recovered", "recovered"),
-        ):
-            values = tuple(getattr(c.report, attr) for c in cases)
+        for name in ("exact", "estimated", "recovered"):
+            values = tuple(getattr(c.report, name) for c in cases)
             if all(v > 0.0 for v in values):
                 rates[name] = convergence_rate(ConvergenceSeries(dofs, values))
     return StudyResult(config=config, cases=cases, rates=rates)
@@ -277,13 +288,12 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def _pairwise_rate(prev: CaseResult, cur: CaseResult, attr: str) -> float:
-    v0, v1 = getattr(prev.report, attr), getattr(cur.report, attr)
-    return -(np.log(v1) - np.log(v0)) / (np.log(cur.dof) - np.log(prev.dof))
-
-
 def study_csv(study: StudyResult) -> str:
-    """The study as CSV text; rate columns hold the step-to-step rates."""
+    """The study as CSV text; rate columns hold the step-to-step rates.
+
+    A series without a rate (one of its values is not positive) leaves its
+    rate cells empty.
+    """
     lines = [CSV_COLUMNS]
     for i, case in enumerate(study.cases):
         r = case.report
@@ -297,24 +307,11 @@ def study_csv(study: StudyResult) -> str:
             _fmt(r.m_abs_D),
             _fmt(r.sigma_D),
         ]
-        if i == 0:
-            cells += ["", ""]
-        else:
-            prev = study.cases[i - 1]
-            cells += [
-                _fmt(_pairwise_rate(prev, case, "exact")),
-                _fmt(_pairwise_rate(prev, case, "estimated")),
-            ]
+        for name in ("exact", "estimated"):
+            rate = study.rates.get(name)
+            cells.append(_fmt(rate.pairwise[i - 1]) if i and rate is not None else "")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def _rate_dict(rate: RateResult) -> dict:
-    return {
-        "s": rate.s,
-        "pairwise": list(rate.pairwise),
-        "s_avg": rate.s_avg,
-    }
 
 
 def study_json(study: StudyResult) -> str:
@@ -342,7 +339,7 @@ def study_json(study: StudyResult) -> str:
     doc = {
         "config": asdict(study.config),
         "cases": cases,
-        "rates": {name: _rate_dict(rate) for name, rate in study.rates.items()},
+        "rates": {name: asdict(rate) for name, rate in study.rates.items()},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

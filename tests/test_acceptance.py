@@ -43,6 +43,8 @@ from smoothfem.solver import (
 )
 
 ALPHA = 1.5 * np.pi
+# every preset's CSV report, byte for byte; re-bless these on purpose only
+GOLDEN_PRESETS = os.path.join(os.path.dirname(__file__), "golden", "presets")
 
 
 def patch_values(field, node, points):
@@ -342,8 +344,9 @@ def test_criterion_8_invariants_and_determinism(tmp_path, solve_cached, cylinder
     )
     checks.append(("D antisymmetry", d_dev < 1e-12))
 
-    # byte-identical reruns of every preset
+    # byte-identical reruns of every preset; each CSV equals its golden file
     identical = True
+    csvs = []
     for name in sorted(PRESETS):
         d1 = tmp_path / "a" / name
         d2 = tmp_path / "b" / name
@@ -352,7 +355,14 @@ def test_criterion_8_invariants_and_determinism(tmp_path, solve_cached, cylinder
         for p1, p2 in zip(w1, w2):
             identical &= filecmp.cmp(p1, p2, shallow=False)
             identical &= os.path.basename(p1) == os.path.basename(p2)
+        csvs += [p for p in w1 if p.endswith(".csv")]
     checks.append(("preset determinism", identical))
+    golden = sorted(os.listdir(GOLDEN_PRESETS)) == sorted(map(os.path.basename, csvs))
+    for path in csvs:
+        golden &= filecmp.cmp(
+            path, os.path.join(GOLDEN_PRESETS, os.path.basename(path)), shallow=False
+        )
+    checks.append(("preset CSVs equal the golden files", golden))
 
     elapsed = time.perf_counter() - t0
     ok = all(passed for _, passed in checks)

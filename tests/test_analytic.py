@@ -42,19 +42,17 @@ from smoothfem.analytic import (
     MODE_I,
     MODE_II,
     AnalyticError,
-    CylinderProblem,
     NotchFrame,
     SingularField,
     SingularSolution,
     characteristic_residual,
-    cylinder_displacement,
-    cylinder_stress,
     make_singular_solution,
     q_constant,
     solve_singularity_eigenvalue,
     williams_displacement,
     williams_stress,
 )
+from smoothfem.benchmarks import CylinderBenchmark
 from smoothfem.elasticity import PLANE_STRAIN, Material
 
 ALPHA = 1.5 * np.pi
@@ -268,30 +266,31 @@ def test_frame_rotations_preserve_invariants():
 # cylinder closed form
 # ---------------------------------------------------------------------------
 
-CYL = CylinderProblem(5.0, 20.0, 1.0, Material(3.0e7, 0.3, PLANE_STRAIN))
+CYL = CylinderBenchmark(a=5.0, b=20.0, P=1.0, E=3.0e7, nu=0.3)
 
 
 def test_cylinder_displacement_at_inner_wall():
-    E, nu, P = CYL.material.E, CYL.material.nu, CYL.P
+    E, nu, P = CYL.E, CYL.nu, CYL.P
     a, b = CYL.a, CYL.b
     c2 = (b / a) ** 2
     ux_exact = P * (1 + nu) / (E * (c2 - 1)) * (a * (1 - 2 * nu) + b**2 / a)
-    u = cylinder_displacement(CYL, np.array([a]), np.array([0.0]))
+    u = CYL.exact_displacement(np.array([[a, 0.0]]))
+    assert u.shape == (1, 2)
     assert_allclose(u[0], [ux_exact, 0.0], rtol=1e-14, atol=1e-30)
 
 
 def test_cylinder_displacement_diagonal_symmetry():
     x = 8.0 / np.sqrt(2.0)
-    u = cylinder_displacement(CYL, np.array([x]), np.array([x]))
+    u = CYL.exact_displacement(np.array([[x, x]]))
     assert_allclose(u[0, 0], u[0, 1], rtol=1e-14)
 
 
 def test_cylinder_displacement_ratio_independent_of_pressure():
-    heavy = CylinderProblem(5.0, 20.0, 7.25, CYL.material)
+    heavy = CylinderBenchmark(P=7.25)
 
-    def ratio(problem):
-        ua = cylinder_displacement(problem, np.array([problem.a]), np.array([0.0]))
-        ub = cylinder_displacement(problem, np.array([problem.b]), np.array([0.0]))
+    def ratio(bm):
+        ua = bm.exact_displacement(np.array([[bm.a, 0.0]]))
+        ub = bm.exact_displacement(np.array([[bm.b, 0.0]]))
         return ub[0, 0] / ua[0, 0]
 
     assert_allclose(ratio(CYL), ratio(heavy), rtol=1e-14)
@@ -299,7 +298,8 @@ def test_cylinder_displacement_ratio_independent_of_pressure():
 
 def radial_stress(r):
     """(sigma_r, sigma_theta) at radii r: on the x-axis they are sigma_xx, sigma_yy."""
-    sig, _ = cylinder_stress(CYL, r, np.zeros_like(r))
+    sig = CYL.exact_stress(np.stack([r, np.zeros_like(r)], axis=-1))
+    assert sig.shape == r.shape + (3,)
     return sig[..., 0], sig[..., 1]
 
 
@@ -311,7 +311,7 @@ def test_cylinder_wall_stresses():
 
 
 def test_cylinder_stress_sum_invariant():
-    c2 = CYL.c**2
+    c2 = (CYL.b / CYL.a) ** 2
     for r in (5.0, 9.0, 17.5, 20.0):
         sr, st = radial_stress(np.array([r]))
         assert_allclose(sr + st, 2.0 * CYL.P / (c2 - 1.0), rtol=1e-13)
@@ -328,27 +328,24 @@ def test_cylinder_radial_equilibrium():
         assert np.abs(residual) < 1e-6 * np.abs(st)
 
 
-def test_cylinder_out_of_plane_stress():
-    sig, sz = cylinder_stress(CYL, np.array([7.0]), np.array([3.0]))
-    nu = CYL.material.nu
-    assert_allclose(sz, nu * (sig[..., 0] + sig[..., 1]), rtol=1e-12)
-
-
 def test_cylinder_linearity_in_pressure():
-    double = CylinderProblem(5.0, 20.0, 2.0, CYL.material)
-    x, y = np.array([9.0]), np.array([4.0])
-    s1, _ = cylinder_stress(CYL, x, y)
-    s2, _ = cylinder_stress(double, x, y)
-    assert_allclose(s2, 2.0 * s1, rtol=1e-14)
+    double = CylinderBenchmark(P=2.0)
+    p = np.array([[9.0, 4.0]])
+    assert_allclose(double.exact_stress(p), 2.0 * CYL.exact_stress(p), rtol=1e-14)
     assert_allclose(
-        cylinder_displacement(double, x, y),
-        2.0 * cylinder_displacement(CYL, x, y),
-        rtol=1e-14,
+        double.exact_displacement(p), 2.0 * CYL.exact_displacement(p), rtol=1e-14
     )
 
 
 def test_cylinder_rejects_bad_geometry_and_points():
-    with pytest.raises(AnalyticError):
-        CylinderProblem(2.0, 1.0, 1.0, CYL.material)
-    with pytest.raises(AnalyticError):
-        cylinder_stress(CYL, np.array([1.0]), np.array([0.0]))  # in the hole
+    with pytest.raises(AnalyticError, match="0 < a < b"):
+        CylinderBenchmark(a=2.0, b=1.0)
+    with pytest.raises(AnalyticError, match="0 < a < b"):
+        CylinderBenchmark(a=0.0)
+    with pytest.raises(AnalyticError, match="pressure must be finite"):
+        CylinderBenchmark(P=float("nan"))
+    with pytest.raises(ValueError, match="Poisson ratio"):
+        CylinderBenchmark(nu=0.5)
+    for exact in (CYL.exact_stress, CYL.exact_displacement):
+        with pytest.raises(AnalyticError, match="outside the annulus"):
+            exact(np.array([[1.0, 0.0]]))  # in the hole

@@ -15,9 +15,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smoothfem.analytic import MODE_I, MODE_II, AnalyticError, stress_traction
+from smoothfem.analytic import (
+    MODE_I,
+    MODE_II,
+    AnalyticError,
+    angular_displacement_eigenfunction,
+    angular_stress_eigenfunction,
+    q_constant,
+    stress_traction,
+)
 from smoothfem.benchmarks import LShapeBenchmark
+from smoothfem.elasticity import elastic_constants
 from smoothfem.gsif import (
+    PAIRING_QUAD_ORDER,
     GsifError,
     PlateauFunction,
     _BoundaryTerm,
@@ -96,9 +106,11 @@ def test_plateau_gradient_matches_finite_differences():
 
 
 def test_plateau_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(GsifError, match="0 < r_plateau < r_outer"):
         PlateauFunction(r_plateau=0.9, r_outer=0.45)
-    with pytest.raises(ValueError):
+    with pytest.raises(GsifError, match="0 < r_plateau < r_outer"):
+        PlateauFunction(r_plateau=0.5, r_outer=0.4)
+    with pytest.raises(GsifError, match="0 < r_plateau < r_outer"):
         PlateauFunction(r_plateau=0.0, r_outer=0.5)
 
 
@@ -118,7 +130,7 @@ def test_dual_faces_are_traction_free():
             (np.array([[0.3, 0.0], [0.9, 0.0]]), np.array([0.0, -1.0])),
             (np.array([[0.0, -0.3], [0.0, -0.9]]), np.array([1.0, 0.0])),
         ]:
-            s = dual.stress(pts)
+            _, s = dual.fields(pts)
             t = np.stack(
                 [s[:, 0] * n[0] + s[:, 2] * n[1], s[:, 2] * n[0] + s[:, 1] * n[1]],
                 axis=-1,
@@ -132,9 +144,8 @@ def test_dual_scales_like_negative_exponent():
     dual = _dual_for(BM.singular_field.solution, BM.singular_field.frame, MODE_I)
     lam = BM.singular_field.solution.lambda_I
     p1 = np.array([[-0.2, 0.3]])
-    u1, u2 = dual.displacement(p1), dual.displacement(2.0 * p1)
+    (u1, s1), (u2, s2) = dual.fields(p1), dual.fields(2.0 * p1)
     assert_allclose(u2, u1 * 2.0 ** (-lam), rtol=1e-12)
-    s1, s2 = dual.stress(p1), dual.stress(2.0 * p1)
     assert_allclose(s2, s1 * 2.0 ** (-lam - 1.0), rtol=1e-12)
 
 
@@ -142,8 +153,36 @@ def test_dual_rejects_the_vertex():
     from smoothfem.gsif import _dual_for
 
     dual = _dual_for(BM.singular_field.solution, BM.singular_field.frame, MODE_I)
-    with pytest.raises(AnalyticError):
-        dual.displacement(np.array([[0.0, 0.0]]))
+    with pytest.raises(AnalyticError, match="at the vertex"):
+        dual.fields(np.array([[0.0, 0.0]]))
+    with pytest.raises(AnalyticError, match="at the vertex"):
+        dual.fields(np.array([[0.3, 0.2], [0.0, 0.0]]))
+
+
+def _former_dual_fields(dual, points):
+    """The former ExtractionDual.displacement and .stress, each with its own
+    polar map and its own copy of the unit-mode formula."""
+    r, phi = dual.frame.to_polar(points)
+    psi = angular_displacement_eigenfunction(-dual.lam, dual.Q_dual, dual.mode, phi, dual.kappa)
+    v = r[..., None] ** (-dual.lam) * psi / (2.0 * dual.mu)
+    Phi = angular_stress_eigenfunction(-dual.lam, dual.Q_dual, dual.mode, phi)
+    tau = -dual.lam * r[..., None] ** (-dual.lam - 1.0) * Phi
+    return dual.frame.vector_to_global(v), dual.frame.stress_to_global(tau)
+
+
+@pytest.mark.parametrize("mode", [MODE_I, MODE_II])
+def test_dual_fields_equal_the_former_formulas_bit_for_bit(solve_cached, mode):
+    # the points both extraction terms evaluate the dual at: the ring's
+    # quadrature points and the boundary edges' Gauss points in the support
+    _, bcs, sol = solve_cached("lshape", 1, "sfem", 4)
+    field = BM.singular_field
+    dual = _dual_for(field.solution, field.frame, mode)
+    plateau = PlateauFunction(center=field.frame.vertex, r_plateau=0.45, r_outer=1.1)
+    for points in (_DomainTerm(sol, plateau, 6).phys, _BoundaryTerm(sol, bcs, plateau).x):
+        assert len(points)
+        for got, want in zip(dual.fields(points), _former_dual_fields(dual, points)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +201,38 @@ def test_cross_mode_pairings_vanish():
     sol = BM.singular_field.solution
     assert abs(contour_pairing(sol, MODE_I, MODE_II)) < 1e-15
     assert abs(contour_pairing(sol, MODE_II, MODE_I)) < 1e-15
+
+
+def _former_contour_pairing(solution, primal_mode, dual_mode, r=1.0):
+    """contour_pairing as it was, with the four mode fields written inline."""
+    mu, kappa = elastic_constants(solution.material)
+    lam_p = solution.lambda_I if primal_mode == MODE_I else solution.lambda_II
+    Q_p = solution.Q_I if primal_mode == MODE_I else solution.Q_II
+    lam_d = solution.lambda_I if dual_mode == MODE_I else solution.lambda_II
+    Q_d = q_constant(solution.alpha, -lam_d, dual_mode)
+    x, w = gauss_points_1d(PAIRING_QUAD_ORDER)
+    half = 0.5 * solution.alpha
+    phi = half * x
+    w = half * w
+    u = r**lam_p * angular_displacement_eigenfunction(lam_p, Q_p, primal_mode, phi, kappa) / (2.0 * mu)
+    sig = lam_p * r ** (lam_p - 1.0) * angular_stress_eigenfunction(lam_p, Q_p, primal_mode, phi)
+    v = r ** (-lam_d) * angular_displacement_eigenfunction(-lam_d, Q_d, dual_mode, phi, kappa) / (2.0 * mu)
+    tau = -lam_d * r ** (-lam_d - 1.0) * angular_stress_eigenfunction(-lam_d, Q_d, dual_mode, phi)
+    rhat = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    integrand = np.einsum("ki,ki->k", stress_traction(tau, rhat), u) - np.einsum(
+        "ki,ki->k", stress_traction(sig, rhat), v
+    )
+    return float(np.sum(w * integrand) * r)
+
+
+@pytest.mark.parametrize("r", [1.0, 0.5, 7.5])
+def test_pairing_equals_the_former_inline_fields_bit_for_bit(r):
+    sol = BM.singular_field.solution
+    for primal in (MODE_I, MODE_II):
+        for dual in (MODE_I, MODE_II):
+            assert contour_pairing(sol, primal, dual, r=r) == _former_contour_pairing(
+                sol, primal, dual, r=r
+            )
 
 
 def test_calibration_constants_frozen():
@@ -261,7 +332,7 @@ def _per_element_domain_term(sol, dual, plateau, order):
         det = jacobian_det(corners, pts[:, 0], pts[:, 1])
         u_h = sol.displacement_at_parents([e], pts)[0]
         s_h = sol.stress_at_parents([e], pts)[0]
-        v, tau = dual.displacement(phys), dual.stress(phys)
+        v, tau = dual.fields(phys)
         F = np.stack(
             [
                 tau[:, 0] * u_h[:, 0] + tau[:, 2] * u_h[:, 1]
@@ -321,8 +392,8 @@ def _per_edge_boundary_term(sol, dual, bcs, plateau):
             pc1 = PARENT_CORNERS[(be.local_edge + 1) % 4]
             par = np.outer(0.5 * (1.0 - gp), pc0) + np.outer(0.5 * (1.0 + gp), pc1)
             t = stress_traction(sol.stress_at_parents([be.element_id], par)[0], normal)
-        tau_n = stress_traction(dual.stress(x), normal)
-        v = dual.displacement(x)
+        v, tau = dual.fields(x)
+        tau_n = stress_traction(tau, normal)
         integrand = np.einsum("ki,ki->k", tau_n, u_h) - np.einsum("ki,ki->k", t, v)
         total += float(np.sum(gw * jac * q * integrand))
     return total

@@ -2,10 +2,12 @@
 
 import json
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
+from smoothfem import harness
 from smoothfem.cli import main
 from smoothfem.harness import (
     CSV_COLUMNS,
@@ -20,6 +22,7 @@ from smoothfem.harness import (
     preset_cases,
     resolve_variant,
     run_case,
+    run_convergence_study,
     study_csv,
     study_json,
 )
@@ -80,11 +83,52 @@ def test_defaults_are_valid():
         dict(benchmark="lshape", levels=(0,), grading=float("nan")),
         dict(benchmark="lshape", levels=(0,), grading=21.0),
         dict(benchmark="lshape", levels=(0,), variant="SPR-X", splitting_radius=float("nan")),
+        # wrong types, each named with its value and type
+        dict(benchmark="lshape", levels=(0,), grading="2"),
+        dict(benchmark="lshape", levels=(0,), variant="SPR-X", splitting_radius="0.5"),
+        dict(nc="4"),
+        dict(nc=True),
+        dict(nc=4.0),
+        dict(grading=True),
+        dict(levels=(True, 2)),
+        dict(levels=[1, 2]),
+        dict(variant=None),
     ],
 )
 def test_invalid_configs_raise(kwargs):
     with pytest.raises(ConfigError):
         StudyConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(grading="2"), "grading must be float, got '2' of type str"),
+        (dict(splitting_radius="0.5"), "splitting_radius must be float, got '0.5' of type str"),
+        (dict(nc="4"), "nc must be int, got '4' of type str"),
+        (dict(nc=True), "nc must be int, got True of type bool"),
+        (dict(nc=4.0), "nc must be int, got 4.0 of type float"),
+        (dict(levels=(1, 2.0)), "levels must be int, got 2.0 of type float"),
+        (dict(levels=[1, 2]), "levels must be tuple, got [1, 2] of type list"),
+    ],
+)
+def test_a_wrongly_typed_field_is_named_with_its_value_and_type(kwargs, message):
+    with pytest.raises(ConfigError) as info:
+        StudyConfig(**kwargs)
+    assert str(info.value) == message
+
+
+def test_numpy_integers_are_stored_as_int_and_an_int_serves_for_a_float():
+    cfg = StudyConfig(nc=np.int64(8), levels=(np.int64(1), np.int32(2)), grading=3)
+    assert cfg == StudyConfig(nc=8, levels=(1, 2), grading=3.0)
+    assert type(cfg.nc) is int and all(type(lv) is int for lv in cfg.levels)
+
+
+def test_numpy_integer_levels_round_trip_through_the_json_report():
+    cfg = StudyConfig(benchmark="patch", levels=(np.int64(0),))
+    doc = json.loads(study_json(run_convergence_study(cfg)))
+    assert doc["config"]["levels"] == [0]
+    assert StudyConfig(**{**doc["config"], "levels": tuple(doc["config"]["levels"])}) == cfg
 
 
 @pytest.mark.parametrize("levels", [(0, 1), (1,), (2,)])
@@ -220,6 +264,28 @@ def test_csv_rate_column_matches_hand_computation(study_cached):
     e1, e2 = float(first["exact_error"]), float(second["exact_error"])
     expect = -(np.log(e2) - np.log(e1)) / (np.log(d2) - np.log(d1))
     assert abs(float(second["rate_exact"]) - expect) < 1e-9
+
+
+def test_csv_leaves_the_rate_cells_of_a_series_with_a_zero_empty(monkeypatch, study_cached):
+    study = study_cached(**GOLDEN_KWARGS)
+    cases = {case.level: case for case in study.cases}
+
+    def zero_exact_error(config, level):
+        case = cases[level]
+        if level == config.levels[-1]:
+            case = dataclasses.replace(case, report=dataclasses.replace(case.report, exact=0.0))
+        return case
+
+    monkeypatch.setattr(harness, "run_case", zero_exact_error)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no log(0)
+        zeroed = run_convergence_study(study.config)
+        rows = [line.split(",") for line in study_csv(zeroed).splitlines()[1:]]
+    assert set(zeroed.rates) == {"estimated", "recovered"}
+    before = [line.split(",") for line in study_csv(study).splitlines()[1:]]
+    assert [row[-2] for row in rows] == ["", ""]
+    assert [row[-1] for row in rows] == [row[-1] for row in before]
+    assert rows[1][-1] != ""
 
 
 def test_empty_study_is_header_only():
