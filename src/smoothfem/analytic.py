@@ -61,7 +61,7 @@ def _eigenfunction_scale(alpha: float, lam: float, mode: str) -> float:
     try:
         Q = q_constant(alpha, lam, mode)
     except AnalyticError:
-        return 1.0  # degenerate Q: cannot be the zero eigenfunction
+        return 1.0  # infinite Q: cannot be the zero eigenfunction
     phi = _angular_grid(alpha)
     F = angular_stress_eigenfunction(lam, Q, mode, phi)
     mag = np.sqrt(np.mean(F * F))
@@ -154,41 +154,38 @@ def q_constant(alpha: float, lam: float, mode: str) -> float:
     Q_I  = -cos((lam-1) alpha/2) / cos((lam+1) alpha/2)
     Q_II = -sin((lam-1) alpha/2) / sin((lam+1) alpha/2)
 
-    At isolated degenerate angles (e.g. the crack limit alpha = 2 pi with
-    lam = 1/2) the formula is 0/0; the value is then recovered as the limit
-    along the characteristic-root curve by perturbing alpha and
-    Richardson-extrapolating, and a warning is logged.
+    A characteristic root makes the formula 0/0 only at the crack,
+    alpha = 2 pi.  There the root curve is flat (dF/dalpha = 0 for the
+    characteristic function F), so the limit along it is L'Hopital's in alpha
+    at fixed lam:
+
+    Q_I  = (lam-1) sin((lam-1) alpha/2) / (-(lam+1) sin((lam+1) alpha/2))
+    Q_II = -(lam-1) cos((lam-1) alpha/2) / ((lam+1) cos((lam+1) alpha/2))
+
+    That is 1/3 at lam = 1/2 and 3 at lam = -1/2 in mode I, and 0 at
+    lam = 1 in mode II.
+
+    Raises:
+        AnalyticError: unknown mode, or an infinite Q (also a 0/0 with an
+            infinite limit, as mode II at lam = -1).
     """
+    a, b = (lam - 1.0) * alpha / 2.0, (lam + 1.0) * alpha / 2.0
     if mode == MODE_I:
-        num = -np.cos((lam - 1.0) * alpha / 2.0)
-        den = np.cos((lam + 1.0) * alpha / 2.0)
+        num, den = -np.cos(a), np.cos(b)
     elif mode == MODE_II:
-        num = -np.sin((lam - 1.0) * alpha / 2.0)
-        den = np.sin((lam + 1.0) * alpha / 2.0)
+        num, den = -np.sin(a), np.sin(b)
     else:
         raise AnalyticError(f"mode must be 'I' or 'II', got {mode!r}")
-    if abs(den) >= 1e-14:
-        return float(num / den)
-
-    if abs(num) >= 1e-10:
-        # genuinely infinite limit: refuse rather than guess
+    if abs(den) < 1e-14 and abs(num) < 1e-10:
+        if mode == MODE_I:
+            num, den = (lam - 1.0) * np.sin(a), -(lam + 1.0) * np.sin(b)
+        else:
+            num, den = -(lam - 1.0) * np.cos(a), (lam + 1.0) * np.cos(b)
+    if abs(den) < 1e-14:
         raise AnalyticError(
             f"Q denominator vanishes at alpha={alpha}, lambda={lam} (mode {mode})"
         )
-    # 0/0: follow the root curve lambda(alpha) toward the degenerate angle
-    log.warning(
-        "Q formula degenerate at alpha=%g, lambda=%g (mode %s); "
-        "using perturbed-angle limit",
-        alpha, lam, mode,
-    )
-    values = []
-    deltas = (1e-4, 2e-4)
-    for d in deltas:
-        a = alpha - d
-        lam_d = solve_singularity_eigenvalue(a, mode)
-        values.append(q_constant(a, lam_d, mode))
-    # linear Richardson extrapolation to delta -> 0
-    return float(2.0 * values[0] - values[1])
+    return float(num / den)
 
 
 # ---------------------------------------------------------------------------

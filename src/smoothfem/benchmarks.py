@@ -14,7 +14,14 @@ import numpy as np
 
 from .analytic import AnalyticError, NotchFrame, SingularField, make_singular_solution
 from .elasticity import PLANE_STRAIN, Material, elasticity_matrix
-from .mesh import Mesh, MeshError, build_cylinder_mesh, build_lshape_mesh, build_square_mesh
+from .mesh import (
+    Mesh,
+    MeshError,
+    build_cylinder_mesh,
+    build_lshape_mesh,
+    build_square_mesh,
+    check_grading,
+)
 from .solver import BoundaryConditions, DirichletSpec
 
 __all__ = ["CylinderBenchmark", "LShapeBenchmark", "PatchBenchmark"]
@@ -139,7 +146,14 @@ class LShapeBenchmark:
     opening_angle = 1.5 * np.pi
     singular_vertex = (0.0, 0.0)
 
-    @property
+    def __post_init__(self) -> None:
+        for field in ("K_I", "K_II"):
+            if not np.isfinite(getattr(self, field)):
+                raise AnalyticError(f"{field} must be finite, got {getattr(self, field)}")
+        check_grading(self.grading)
+        self.material  # built once, here, so a bad E or nu fails at construction
+
+    @functools.cached_property
     def material(self) -> Material:
         return Material(self.E, self.nu, PLANE_STRAIN)
 
@@ -203,7 +217,16 @@ class PatchBenchmark:
     name = "patch"
     singular_vertex = None
 
-    @property
+    def __post_init__(self) -> None:
+        try:
+            coeffs = np.array(self.coeffs, dtype=float)
+        except (TypeError, ValueError):
+            coeffs = None
+        if coeffs is None or coeffs.shape != (6,) or not np.all(np.isfinite(coeffs)):
+            raise AnalyticError(f"coeffs must hold six finite numbers, got {self.coeffs!r}")
+        self.material  # built once, here, so a bad E, nu or state fails at construction
+
+    @functools.cached_property
     def material(self) -> Material:
         return Material(self.E, self.nu, self.state)
 

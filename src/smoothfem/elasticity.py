@@ -22,7 +22,7 @@ class Material:
     """Linear isotropic material in a 2D reduction.
 
     Attributes:
-        E: Young's modulus, > 0.
+        E: Young's modulus, > 0 and finite.
         nu: Poisson ratio in [0, 0.5).
         state: ``"plane_strain"`` or ``"plane_stress"``.
     """
@@ -32,8 +32,8 @@ class Material:
     state: str = PLANE_STRAIN
 
     def __post_init__(self) -> None:
-        if not (self.E > 0):
-            raise ValueError(f"Young's modulus must be positive, got {self.E}")
+        if not (0.0 < self.E < np.inf):
+            raise ValueError(f"Young's modulus must be positive and finite, got {self.E}")
         if not (0.0 <= self.nu < 0.5):
             raise ValueError(f"Poisson ratio must lie in [0, 0.5), got {self.nu}")
         if self.state not in (PLANE_STRAIN, PLANE_STRESS):

@@ -130,7 +130,7 @@ class StudyConfig:
 
 def parse_config(path, overrides=()) -> StudyConfig:
     """Load an INI study config, applying ``section.key=value`` overrides."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         with open(path, encoding="ascii") as f:
             parser.read_file(f)

@@ -23,7 +23,7 @@ and for the dual (negative) exponents used by extraction integrals:
     Q(-lambda_II, II) = -4.567811152141099122743792
 
 At alpha = 2 pi (the crack) the mode-I Q formula becomes 0/0; the analytic
-limit is 1/3.
+limit is 1/3 for lambda = 1/2 and 3 for the dual exponent -1/2.
 
 Pressurized thick-wall cylinder (plane strain)
 ----------------------------------------------
@@ -45,15 +45,18 @@ from smoothfem.analytic import (
     NotchFrame,
     SingularField,
     SingularSolution,
+    angular_stress_eigenfunction,
     characteristic_residual,
     make_singular_solution,
     q_constant,
     solve_singularity_eigenvalue,
+    stress_traction,
     williams_displacement,
     williams_stress,
 )
-from smoothfem.benchmarks import CylinderBenchmark
+from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import PLANE_STRAIN, Material
+from smoothfem.mesh import MeshError
 
 ALPHA = 1.5 * np.pi
 
@@ -123,8 +126,38 @@ def test_q_constants_match_oracle():
 
 
 def test_q_crack_degenerate_limit():
-    # naive formula is 0/0 at alpha = 2 pi, lambda = 1/2; the limit is 1/3
-    assert abs(q_constant(2.0 * np.pi, 0.5, MODE_I) - 1.0 / 3.0) < 1e-6
+    # the formula is 0/0 at alpha = 2 pi for the crack's roots; the closed-form
+    # limit is exact for the primal, the extraction dual and mode II's lambda = 1
+    assert q_constant(2.0 * np.pi, 0.5, MODE_I) == 1.0 / 3.0
+    assert q_constant(2.0 * np.pi, -0.5, MODE_I) == 3.0
+    assert q_constant(2.0 * np.pi, 1.0, MODE_II) == 0.0
+    # an infinite limit is refused, not divided out
+    with pytest.raises(AnalyticError, match="denominator vanishes"):
+        q_constant(2.0 * np.pi, -1.0, MODE_II)
+    # and it continues the regular formula just below the crack
+    alpha = 2.0 * np.pi - 1e-4
+    lam = solve_singularity_eigenvalue(alpha, MODE_I)
+    assert abs(q_constant(alpha, lam, MODE_I) - 1.0 / 3.0) < 1e-6
+    assert abs(q_constant(alpha, -lam, MODE_I) - 3.0) < 1e-6
+
+
+@given(alpha=st.floats(np.pi, 2.0 * np.pi, exclude_min=True))
+@example(2.0 * np.pi)  # the crack, where Q is the 0/0 limit
+@settings(max_examples=40, deadline=None)
+def test_primal_and_dual_eigenfunctions_are_traction_free(alpha):
+    # sigma.n = 0 on both faces phi = +-alpha/2, for the primal exponent and
+    # for the extraction dual -lambda, which solves the same equation
+    phi = np.linspace(-alpha / 2.0, alpha / 2.0, 201)
+    faces = np.array([-alpha / 2.0, alpha / 2.0])
+    normals = np.stack([-np.sin(faces), np.cos(faces)], axis=-1)
+    for mode in (MODE_I, MODE_II):
+        lam = solve_singularity_eigenvalue(alpha, mode)
+        for exponent in (lam, -lam):
+            Q = q_constant(alpha, exponent, mode)
+            scale = np.abs(angular_stress_eigenfunction(exponent, Q, mode, phi)).max()
+            on_faces = angular_stress_eigenfunction(exponent, Q, mode, faces)
+            traction = stress_traction(on_faces, normals)
+            assert np.abs(traction).max() <= 1e-10 * scale, (mode, exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -349,3 +382,27 @@ def test_cylinder_rejects_bad_geometry_and_points():
     for exact in (CYL.exact_stress, CYL.exact_displacement):
         with pytest.raises(AnalyticError, match="outside the annulus"):
             exact(np.array([[1.0, 0.0]]))  # in the hole
+
+
+def test_lshape_and_patch_reject_bad_input_at_construction():
+    for field in ("K_I", "K_II"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(AnalyticError, match=f"{field} must be finite"):
+                LShapeBenchmark(**{field: bad})
+    with pytest.raises(ValueError, match="Poisson ratio"):
+        LShapeBenchmark(nu=0.7)
+    with pytest.raises(ValueError, match="Young's modulus"):
+        LShapeBenchmark(E=float("inf"))
+    with pytest.raises(MeshError, match="grading"):
+        LShapeBenchmark(grading=0.5)
+    for coeffs in ((1, 2), (0.1, 0.0, 0.0, 0.0, 0.0, float("inf")), ("a",) * 6):
+        with pytest.raises(AnalyticError, match="coeffs must hold six finite numbers"):
+            PatchBenchmark(coeffs=coeffs)
+    with pytest.raises(ValueError, match="Poisson ratio"):
+        PatchBenchmark(nu=0.7)
+
+
+def test_material_rejects_a_non_finite_modulus():
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Material(E=bad, nu=0.3)
