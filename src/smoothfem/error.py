@@ -9,7 +9,9 @@ sums of the element squares by construction — the same quadrature.
 The quadrature runs in one batch per rule order.  A batch's points,
 Jacobian determinants and stress fields are (n, q, ...) arrays from
 whole-mesh calls (stress_at_parents, evaluate_at_parents, one exact_stress
-call), and each element's square is reduced with the einsum and sum a
+call).  Each point's energy density d^T D^-1 d is an explicit in-order sum
+of its nine terms, equal bit for bit to the per-element einsum
+"ki,ij,kj->k", and each element's square is the sum over its points that a
 single element would use, so it is bit-identical to integrating that
 element alone.
 """
@@ -115,8 +117,17 @@ def _singular_elements(solution: DiscreteSolution, singular_point) -> np.ndarray
 
 
 def _energy_squares(d: np.ndarray, Dinv: np.ndarray, wdet: np.ndarray) -> np.ndarray:
-    """Per-element sum over points of w det d^T D^-1 d; d (n, q, 3) -> (n,)."""
-    return np.sum(wdet * np.einsum("eki,ij,ekj->ek", d, Dinv, d), axis=-1)
+    """Per-element sum over points of w det d^T D^-1 d; d (n, q, 3) -> (n,).
+
+    The density d^T D^-1 d is summed term by term, i outer and j inner, the
+    order of the einsum "eki,ij,ekj->ek" over (d, Dinv, d), so it equals
+    that einsum bit for bit.
+    """
+    density = 0.0
+    for i in range(3):
+        for j in range(3):
+            density = density + d[..., i] * Dinv[i, j] * d[..., j]
+    return np.sum(wdet * density, axis=-1)
 
 
 def element_error_squares(

@@ -2,7 +2,16 @@
 
 Parent domain is the square [-1, 1]^2 with corners ordered counter-clockwise:
 (-1,-1), (1,-1), (1,1), (-1,1).  ``corners`` arguments are (4, 2) arrays of
-the physical corner coordinates in the same order.
+the physical corner coordinates in the same order, or stacks (..., 4, 2) of
+them.
+
+Every Jacobian (``jacobian``, ``jacobian_det``, the Newton of ``invert_map``
+and solver.strain_matrix) comes from one componentwise kernel,
+``_jacobian_entries``: four separate entry arrays, each an in-order sum over
+the corners.  That order must equal the einsum over the (..., 4, 2) gradient
+and corner stacks bit for bit, so that every batch layout gives the same
+numbers.  Physical images keep the batched matmul (``map_point``, the Newton
+residual); an explicit sum rounds differently there.
 """
 
 from __future__ import annotations
@@ -58,24 +67,47 @@ def map_point(corners: np.ndarray, xi, eta) -> np.ndarray:
     return N @ corners
 
 
+def _jacobian_entries(corners: np.ndarray, xi, eta) -> tuple[np.ndarray, ...]:
+    """Entries (J00, J01, J10, J11) of the Jacobian dx/d(xi, eta).
+
+    J[i, j] = sum_I corners[..., I, i] dN_I/dxi_j, each entry summed over the
+    corners in order, ((c0 g0 + c1 g1) + c2 g2) + c3 g3, with the gradients
+    of shape_gradients: the same arithmetic as the einsum
+    "...ij,...ik->...kj" over the (..., 4, 2) stacks, so bit-identical to
+    it, without building the stacks.  ``corners`` (..., 4, 2) broadcasts
+    against the parent points.
+    """
+    corners = np.asarray(corners, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    m, p = 0.25 * (1.0 - eta), 0.25 * (1.0 + eta)
+    dxi = (-m, m, p, -p)
+    m, p = 0.25 * (1.0 - xi), 0.25 * (1.0 + xi)
+    deta = (-m, -p, p, m)
+
+    def entry(i, g):
+        s = corners[..., 0, i] * g[0]
+        for k in (1, 2, 3):
+            s = s + corners[..., k, i] * g[k]
+        return s
+
+    return entry(0, dxi), entry(0, deta), entry(1, dxi), entry(1, deta)
+
+
 def jacobian(corners: np.ndarray, xi, eta) -> np.ndarray:
     """Jacobian dx/d(xi, eta) of the bilinear map; returns (..., 2, 2).
 
     ``corners`` is one (4, 2) quad or a stack (..., 4, 2) broadcasting
     against the parent points.
     """
-    return jacobian_from_gradients(shape_gradients(xi, eta), corners)
-
-
-def jacobian_from_gradients(G: np.ndarray, corners: np.ndarray) -> np.ndarray:
-    """Jacobian from parent shape gradients G (..., 4, 2); returns (..., 2, 2)."""
-    # J[i, j] = sum_I corners[I, i] * G[I, j]
-    return np.einsum("...ij,...ik->...kj", G, corners)
+    J00, J01, J10, J11 = _jacobian_entries(corners, xi, eta)
+    return np.stack([np.stack([J00, J01], axis=-1), np.stack([J10, J11], axis=-1)], axis=-2)
 
 
 def jacobian_det(corners: np.ndarray, xi, eta) -> np.ndarray:
-    J = jacobian(corners, xi, eta)
-    return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    """Jacobian determinant J00 J11 - J01 J10, broadcasting as ``jacobian``."""
+    J00, J01, J10, J11 = _jacobian_entries(corners, xi, eta)
+    return J00 * J11 - J01 * J10
 
 
 def corner_jacobians(corners: np.ndarray) -> np.ndarray:
@@ -90,21 +122,40 @@ def corner_jacobians(corners: np.ndarray) -> np.ndarray:
 def invert_map(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Parent coordinates of physical points by batched Newton iteration.
 
-    ``corners`` (P, 4, 2) and ``points`` (P, 2) give one quad per point and
-    return (P, 2); a single (4, 2) quad with a (2,) point is a batch of one
-    and returns (2,).  Every point follows the scalar Newton sequence and
-    leaves the active set at the iteration where its parent increment norm
-    drops below NEWTON_TOL (well inside machine precision for the mildly
-    distorted quads used here; quadratic convergence means 2-4 iterations
-    in practice), so its result does not depend on the rest of the batch.
+    ``points`` (P, 2) lie in one quad ``corners`` (4, 2), or each in its own
+    quad of ``corners`` (P, 4, 2); the result has the points' shape, so a
+    single (2,) point returns (2,).  Every point follows the scalar Newton
+    sequence and leaves the active set at the iteration where its parent
+    increment norm drops below NEWTON_TOL (well inside machine precision for
+    the mildly distorted quads used here; quadratic convergence means 2-4
+    iterations in practice), so its result does not depend on the rest of
+    the batch.  Jacobians come from _jacobian_entries; the residual keeps
+    the batched matmul of map_point.
 
     Raises:
-        QuadMapError: singular Jacobian, or no convergence within
-            NEWTON_MAXITER iterations; the message names the offending point.
+        QuadMapError: before iterating, for shapes that pair neither one
+            quad with all points nor one quad with each point, or for a
+            non-finite point; then for a singular Jacobian, or no
+            convergence within NEWTON_MAXITER iterations.  The message names
+            the shapes or the offending point.
     """
     points = np.asarray(points, dtype=float)
-    C = np.asarray(corners, dtype=float).reshape(-1, 4, 2)
+    corners = np.asarray(corners, dtype=float)
+    n_quads = corners.size // 8
+    if (
+        corners.shape[-2:] != (4, 2)
+        or points.shape[-1:] != (2,)
+        or n_quads not in (1, points.size // 2)
+    ):
+        raise QuadMapError(
+            f"cannot invert points of shape {points.shape} in quads of shape "
+            f"{corners.shape}: give one (4, 2) quad, or one quad per point"
+        )
     X = points.reshape(-1, 2)
+    C = np.broadcast_to(corners.reshape(-1, 4, 2), (len(X), 4, 2))
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise QuadMapError(f"cannot invert the non-finite point {X[np.argmin(finite)]}")
     out = np.zeros_like(X)
     active = np.arange(len(X))
     xi = np.zeros_like(X)
@@ -114,8 +165,8 @@ def invert_map(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
         Ca = C[active]
         N = shape_functions(xi[:, 0], xi[:, 1])
         res = np.matmul(N[:, None, :], Ca)[:, 0] - X[active]
-        J = jacobian(Ca, xi[:, 0], xi[:, 1])
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        J00, J01, J10, J11 = _jacobian_entries(Ca, xi[:, 0], xi[:, 1])
+        det = J00 * J11 - J01 * J10
         singular = np.abs(det) < 1e-30
         if np.any(singular):
             bad = X[active[np.argmax(singular)]]
@@ -124,10 +175,7 @@ def invert_map(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
             )
         step = (
             np.stack(
-                [
-                    J[:, 1, 1] * res[:, 0] - J[:, 0, 1] * res[:, 1],
-                    -J[:, 1, 0] * res[:, 0] + J[:, 0, 0] * res[:, 1],
-                ],
+                [J11 * res[:, 0] - J01 * res[:, 1], -J10 * res[:, 0] + J00 * res[:, 1]],
                 axis=-1,
             )
             / det[:, None]

@@ -11,8 +11,8 @@ Two formulations share all plumbing:
   constant-strain subcell contributions.
 
 Element operators are built for the whole mesh at once: the subcell geometry
-(mesh.subcell_geometry), one batched Newton inversion per (subcell, edge)
-slot over all elements for the smoothed B, one batched kernel for the
+(mesh.subcell_geometry), one batched Newton inversion per distinct subcell
+edge over all elements for the smoothed B, one batched kernel for the
 compatible B at any set of parent points, and stiffnesses, stresses, energy
 and the sparse scatter as array operations.  Every kernel reproduces the
 per-element arithmetic bit for bit, so an element's operators do not depend
@@ -37,12 +37,13 @@ from .mesh import (
     SubcellGeometry,
     subcell_geometry,
     subcell_index_at,
+    subcell_parent_rects,
 )
 from .quadmap import (
+    _jacobian_entries,
     gauss_points_1d,
     gauss_points_2d,
     invert_map,
-    jacobian_from_gradients,
     shape_functions,
     shape_gradients,
 )
@@ -150,11 +151,12 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # Every kernel works on whole batches (all elements of a mesh, or all points
-# of one element).  The numpy forms are chosen so each entry is computed exactly as by the scalar
-# per-element formulas: batched matmul wherever those used a small matrix
-# product (it issues the same per-item BLAS calls), and the einsum of
-# quadmap.jacobian_from_gradients for Jacobians (a matmul there rounds
-# differently).  Results therefore do not depend on how the mesh is batched.
+# of one element).  The numpy forms are chosen so each entry is computed
+# exactly as by the scalar per-element formulas: batched matmul wherever
+# those used a small matrix product (it issues the same per-item BLAS calls),
+# and the in-order componentwise sums of quadmap._jacobian_entries for
+# Jacobians (a matmul there rounds differently).  Results therefore do not
+# depend on how the mesh is batched.
 
 
 def strain_matrix(corners: np.ndarray, xi, eta) -> tuple[np.ndarray, np.ndarray]:
@@ -163,21 +165,16 @@ def strain_matrix(corners: np.ndarray, xi, eta) -> tuple[np.ndarray, np.ndarray]
     corners (P, 4, 2) is the quad owning each point, xi/eta (P,) the parent
     coordinates; returns B (P, 3, 8) and det (P,).
     """
-    G = shape_gradients(xi, eta)  # (P, 4, 2)
-    J = jacobian_from_gradients(G, corners)
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    J00, J01, J10, J11 = _jacobian_entries(corners, xi, eta)
+    det = J00 * J11 - J01 * J10
     if np.any(det <= 0.0):
         raise SolveError("non-positive Jacobian inside element")
-    invJ = (
-        np.stack(
-            [
-                np.stack([J[:, 1, 1], -J[:, 0, 1]], axis=-1),
-                np.stack([-J[:, 1, 0], J[:, 0, 0]], axis=-1),
-            ],
-            axis=-2,
-        )
-        / det[:, None, None]
-    )
+    invJ = np.empty((len(det), 2, 2))
+    invJ[:, 0, 0] = J11 / det
+    invJ[:, 0, 1] = -J01 / det
+    invJ[:, 1, 0] = -J10 / det
+    invJ[:, 1, 1] = J00 / det
+    G = shape_gradients(xi, eta)  # (P, 4, 2)
     dN = np.matmul(G, invJ)  # physical gradients: dN/dx_i = dN/dxi_j (J^-1)_ji
     B = np.zeros((len(det), 3, 8))
     B[:, 0, 0::2] = dN[..., 0]
@@ -187,21 +184,42 @@ def strain_matrix(corners: np.ndarray, xi, eta) -> tuple[np.ndarray, np.ndarray]
     return B, det
 
 
+def _subcell_edge_ids(nc: int) -> np.ndarray:
+    """Distinct-edge id (nc, 4) of every (cell, CCW edge) slot of the nc subcells.
+
+    Slots share an id exactly when their parent edge midpoints coincide,
+    i.e. the edge lies between two cells.
+    """
+    x0, x1, e0, e1 = np.array(subcell_parent_rects(nc)).T
+    xm, em = 0.5 * (x0 + x1), 0.5 * (e0 + e1)
+    mids = np.stack(
+        [np.stack(v, axis=-1) for v in ((xm, e0), (x1, em), (xm, e1), (x0, em))], axis=1
+    )  # (nc, 4, 2)
+    return np.unique(mids.reshape(-1, 2), axis=0, return_inverse=True)[1].reshape(nc, 4)
+
+
 def smoothed_strain_matrices(corners: np.ndarray, cells: SubcellGeometry) -> np.ndarray:
     """Constant smoothed B (n, nc, 3, 8) of every subcell by boundary integration.
 
     B~_I = (1/A_C) sum_edges N_I(midpoint) [n-structure] l_edge, with the
     shape functions evaluated by Newton inversion of the element's bilinear
-    map (corners (n, 4, 2)) at the physical edge midpoints.  Edges are
-    accumulated cell by cell in CCW order, one Newton batch of n midpoints
-    each.
+    map (corners (n, 4, 2)) at the physical edge midpoints.  An edge shared
+    by two cells has the same midpoint, bit for bit, in both, so each
+    distinct edge takes one Newton batch of n midpoints (4/7/12/22 for nc
+    1/2/4/8) and its N serves every cell on it.  Edges are accumulated cell
+    by cell in CCW order.
     """
     n, nc = cells.areas.shape
     B = np.zeros((n, nc, 3, 8))
+    edge_ids = _subcell_edge_ids(nc)
+    edge_N = {}  # distinct edge id -> N (n, 4) at its midpoints
     for c in range(nc):
         for k in range(4):
-            xi = invert_map(corners, cells.edge_midpoints[:, c, k])
-            N = shape_functions(xi[:, 0], xi[:, 1])  # (n, 4)
+            e = int(edge_ids[c, k])
+            if e not in edge_N:
+                xi = invert_map(corners, cells.edge_midpoints[:, c, k])
+                edge_N[e] = shape_functions(xi[:, 0], xi[:, 1])
+            N = edge_N[e]
             nx = cells.edge_normals[:, c, k, 0, None]
             ny = cells.edge_normals[:, c, k, 1, None]
             w = cells.edge_lengths[:, c, k, None] * N
@@ -430,6 +448,24 @@ def _solve_failure(reason: str, operators: ElementOperators) -> SolveError:
     return SolveError(reason)
 
 
+def _parent_points(pts) -> np.ndarray:
+    """pts as a (q, 2) float array of finite points of the closed parent square.
+
+    Raises SolveError naming the first point that is not: outside [-1, 1]^2
+    the SFEM cell lookup would return another cell's stress, and the FEM
+    fields would extrapolate.
+    """
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise SolveError(f"parent points must be a (q, 2) array, got shape {pts.shape}")
+    outside = ~np.all(np.abs(pts) <= 1.0, axis=1)  # a nan fails too
+    if outside.any():
+        raise SolveError(
+            f"parent point {pts[np.argmax(outside)]} is not a finite point of [-1, 1]^2"
+        )
+    return pts
+
+
 class DiscreteSolution:
     """A solved (or interpolated) discrete displacement field with stresses.
 
@@ -466,8 +502,11 @@ class DiscreteSolution:
     # -- field evaluation ---------------------------------------------------
 
     def displacement_at_parents(self, element_ids, pts: np.ndarray) -> np.ndarray:
-        """FE displacement at parent points pts (q, 2) of elements (n,); (n, q, 2)."""
-        pts = np.asarray(pts, dtype=float)
+        """FE displacement at parent points pts (q, 2) of elements (n,); (n, q, 2).
+
+        Raises SolveError unless every point lies in [-1, 1]^2 (_parent_points).
+        """
+        pts = _parent_points(pts)
         q = self.U[self.operators.dofs[np.asarray(element_ids, dtype=int)]]
         N = shape_functions(pts[:, 0], pts[:, 1])  # (q, 4)
         return np.matmul(N, q.reshape(-1, 4, 2))
@@ -477,10 +516,11 @@ class DiscreteSolution:
 
         SFEM: the owning subcell's constant; FEM: the compatible pointwise
         stress, computed one point at a time over all n elements so that B
-        stays (n, 3, 8).
+        stays (n, 3, 8).  Raises SolveError unless every point lies in
+        [-1, 1]^2 (_parent_points).
         """
         ids = np.asarray(element_ids, dtype=int)
-        pts = np.asarray(pts, dtype=float)
+        pts = _parent_points(pts)
         if self.formulation.kind == SFEM:
             c = subcell_index_at(self.formulation.nc, pts[:, 0], pts[:, 1])
             return self.cell_stress[ids[:, None], c]

@@ -14,7 +14,7 @@ from hypothesis import settings
 from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
 from smoothfem.harness import StudyConfig, run_convergence_study
 from smoothfem.mesh import BoundaryEdge, Mesh, NEUMANN
-from smoothfem.quadmap import invert_map
+from smoothfem.quadmap import invert_map, shape_gradients
 from smoothfem.solver import Formulation, assemble_and_solve
 
 # Every run draws the same examples (seeded from each test function), so a
@@ -90,6 +90,25 @@ def single_element_mesh(corners) -> Mesh:
         BoundaryEdge(0, k, (k, (k + 1) % 4), NEUMANN, "free") for k in range(4)
     ]
     return Mesh(corners, np.array([[0, 1, 2, 3]]), boundary)
+
+
+def einsum_jacobian(corners, xi, eta):
+    """Q4 Jacobian (..., 2, 2) by the einsum over the (..., 4, 2) gradient and
+    corner stacks: the oracle that the componentwise Jacobian kernels must
+    equal bit for bit."""
+    return np.einsum("...ij,...ik->...kj", shape_gradients(xi, eta), np.asarray(corners, float))
+
+
+def random_quads(rng, n):
+    """n randomly distorted, rotated, scaled and shifted convex quads (n, 4, 2)."""
+    square = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    local = square + rng.uniform(-0.3, 0.3, size=(n, 4, 2))
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    cos, sin = np.cos(angle), np.sin(angle)
+    rotation = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1, 1))
+    shift = rng.uniform(-100.0, 100.0, size=(n, 1, 2))
+    return scale * (local @ rotation.swapaxes(-1, -2)) + shift
 
 
 def evaluate_at(field, element_id, point):

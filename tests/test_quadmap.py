@@ -1,9 +1,13 @@
 """Bilinear parent-element machinery: shape functions, Jacobians, inversion."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import smoothfem.quadmap as quadmap_mod
+from conftest import einsum_jacobian, random_quads
 from smoothfem.quadmap import (
     PARENT_CORNERS,
     QuadMapError,
@@ -99,3 +103,62 @@ def test_gauss_rules_are_cached_and_read_only():
     for a in (*gauss_points_1d(3), *gauss_points_2d(3)):
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+# Every layout in which src calls the Jacobian kernels: (corners, xi, eta).
+def _jacobian_layouts(rng):
+    per_point = rng.uniform(-1.0, 1.0, size=(2, 200))
+    gauss4, _ = gauss_points_2d(4)
+    gauss2, _ = gauss_points_2d(2)
+    return {
+        # one quad per point: invert_map's Newton, solver.strain_matrix
+        "per-point": (random_quads(rng, 200), *per_point),
+        # elements x shared points: error quadrature, GSIF ring, mesh check
+        "elements-x-points": (random_quads(rng, 50)[:, None], *gauss4.T),
+        # elements x subcells x shared points: SFEM recovery sampling
+        "subcells-x-points": (random_quads(rng, 40).reshape(5, 8, 1, 4, 2), *gauss2.T),
+        "one-quad": (random_quads(rng, 1)[0], 0.3, -0.7),
+    }
+
+
+@pytest.mark.parametrize(
+    "layout", ["per-point", "elements-x-points", "subcells-x-points", "one-quad"]
+)
+def test_jacobian_kernels_match_the_einsum_oracle(layout):
+    corners, xi, eta = _jacobian_layouts(np.random.default_rng(17))[layout]
+    J = einsum_jacobian(corners, xi, eta)
+    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    assert np.array_equal(jacobian(corners, xi, eta), J)
+    assert np.array_equal(jacobian_det(corners, xi, eta), det)
+
+
+def test_invert_map_inverts_every_point_in_one_quad():
+    parent = np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, 2))
+    points = map_point(DISTORTED, parent[:, 0], parent[:, 1])
+    expected = np.array([invert_map(DISTORTED, x) for x in points])
+    assert_allclose(expected, parent, atol=1e-12)
+    for corners in (DISTORTED, DISTORTED[None]):
+        assert np.array_equal(invert_map(corners, points), expected)
+    assert np.array_equal(invert_map(DISTORTED, points[None]), expected[None])
+
+
+@pytest.mark.parametrize(
+    "corners_shape,points_shape",
+    [((2, 4, 2), (3, 2)), ((3, 4, 2), (2,)), ((4, 3), (2,)), ((4, 2), (3, 3))],
+)
+def test_invert_map_names_shapes_that_do_not_pair(corners_shape, points_shape):
+    corners = np.resize(DISTORTED, corners_shape)
+    shapes = re.escape(f"{points_shape}") + ".*" + re.escape(f"{corners_shape}")
+    with pytest.raises(QuadMapError, match=shapes):
+        invert_map(corners, np.full(points_shape, 0.5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_invert_map_rejects_a_non_finite_point_before_iterating(monkeypatch, bad):
+    def no_iteration(*args):
+        raise AssertionError("Newton iterated on a non-finite point")
+
+    monkeypatch.setattr(quadmap_mod, "shape_functions", no_iteration)
+    points = np.array([[0.5, 0.5], [0.25, bad]])
+    with pytest.raises(QuadMapError, match=r"non-finite point \[0\.25 +-?(nan|inf)\]"):
+        invert_map(np.stack([DISTORTED, DISTORTED]), points)

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 import smoothfem.mesh as mesh_mod
 import smoothfem.solver as solver_mod
-from conftest import BENCHMARKS, single_element_mesh
+from conftest import BENCHMARKS, einsum_jacobian, random_quads, single_element_mesh
 from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import Material, PLANE_STRAIN, elasticity_matrix
 from smoothfem.mesh import (
@@ -30,7 +30,6 @@ from smoothfem.mesh import (
 from smoothfem.quadmap import (
     gauss_points_2d,
     invert_map,
-    jacobian,
     map_point,
     shape_functions,
     shape_gradients,
@@ -732,14 +731,15 @@ BATCH_MESHES = {"lshape": LShapeBenchmark().mesh(1), "cylinder": CylinderBenchma
 
 
 # Scalar per-element / per-point reference formulas: the batched kernels
-# must reproduce them bit for bit.
+# must reproduce them bit for bit.  Their Jacobians come from the einsum
+# oracle, so the componentwise kernels are not checked against themselves.
 
 
 def _reference_inverse(corners, point):
     xi = np.zeros(2)
     for _ in range(20):
         res = map_point(corners, xi[0], xi[1]) - point
-        J = jacobian(corners, xi[0], xi[1])
+        J = einsum_jacobian(corners, xi[0], xi[1])
         det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
         step = np.array(
             [J[1, 1] * res[0] - J[0, 1] * res[1], -J[1, 0] * res[0] + J[0, 0] * res[1]]
@@ -779,7 +779,7 @@ def _reference_smoothed_B(corners, mids, normals, lengths, area):
 
 def _reference_fem_B(corners, xi, eta):
     G = shape_gradients(xi, eta)
-    J = jacobian(corners, xi, eta)
+    J = einsum_jacobian(corners, xi, eta)
     det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
     invJ = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / det
     dN = G @ invJ
@@ -792,7 +792,9 @@ def _reference_fem_B(corners, xi, eta):
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_MESHES))
-@pytest.mark.parametrize("kind,nc", [("sfem", 2), ("sfem", 8), ("fem", 4)])
+@pytest.mark.parametrize(
+    "kind,nc", [("sfem", 1), ("sfem", 2), ("sfem", 4), ("sfem", 8), ("fem", 4)]
+)
 def test_kernels_match_the_scalar_reference_bit_for_bit(name, kind, nc):
     mesh = BATCH_MESHES[name]
     full = _element_operators(mesh, MAT, Formulation(kind, nc))
@@ -817,6 +819,42 @@ def test_kernels_match_the_scalar_reference_bit_for_bit(name, kind, nc):
                 assert det * w == full.detw[e, g]
                 Ke += B.T @ D @ B * det * w
         assert np.array_equal(0.5 * (Ke + Ke.T), full.K[e])
+
+
+def test_strain_matrix_matches_the_einsum_oracle_on_distorted_quads():
+    rng = np.random.default_rng(23)
+    corners = random_quads(rng, 100)
+    xi, eta = rng.uniform(-1.0, 1.0, size=(2, 100))
+    B, det = strain_matrix(corners, xi, eta)
+    for p in range(100):
+        B_ref, det_ref = _reference_fem_B(corners[p], xi[p], eta[p])
+        assert np.array_equal(B[p], B_ref)
+        assert det[p] == det_ref
+
+
+@pytest.mark.parametrize("level", [1, 3])
+@pytest.mark.parametrize("nc,distinct", [(1, 4), (2, 7), (4, 12), (8, 22)])
+def test_smoothed_operators_invert_each_distinct_edge_midpoint_once(
+    monkeypatch, level, nc, distinct
+):
+    mesh = LShapeBenchmark().mesh(level)
+    calls = []
+
+    def counting_invert_map(corners, points):
+        calls.append(len(points))
+        return invert_map(corners, points)
+
+    monkeypatch.setattr(solver_mod, "invert_map", counting_invert_map)
+    ops = _element_operators(mesh, MAT, Formulation("sfem", nc))
+    assert calls == [mesh.n_elements] * distinct
+    # the premise: the slots of one shared edge hold bit-equal midpoints
+    edge_ids = solver_mod._subcell_edge_ids(nc)
+    mids = ops.cells.edge_midpoints
+    for e in range(distinct):
+        (c0, k0), *shared = np.argwhere(edge_ids == e)
+        assert len(shared) <= 1
+        for c, k in shared:
+            assert np.array_equal(mids[:, c, k], mids[:, c0, k0])
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_MESHES))
@@ -902,3 +940,16 @@ def test_single_point_inversion_matches_the_batch():
         single = invert_map(corners[p], points[p])
         assert single.shape == (2,)
         assert np.array_equal(single, batch[p])
+
+
+@pytest.mark.parametrize("kind", ["sfem", "fem"])
+@pytest.mark.parametrize(
+    "bad", [(-3.0, 0.5), (1.0 + 1e-12, 0.0), (0.0, -1.5), (np.nan, 0.0), (0.0, np.inf)]
+)
+def test_parent_fields_reject_points_outside_the_parent_square(solve_cached, kind, bad):
+    _, _, sol = solve_cached("lshape", 1, kind, 4)
+    pts = np.array([[0.0, 0.0], [1.0, -1.0], bad])
+    for method in (sol.stress_at_parents, sol.displacement_at_parents):
+        assert method([0, 1], pts[:2]).shape[:2] == (2, 2)  # the closed square is fine
+        with pytest.raises(SolveError, match=r"parent point \[.*\] is not a finite point"):
+            method([0, 1], pts)
