@@ -228,7 +228,11 @@ class StudyResult:
 
 def run_case(config: StudyConfig, level: int) -> CaseResult:
     """Solve + recover + error report for one mesh level of a study."""
-    benchmark = make_benchmark(config)
+    return _run_level(config, make_benchmark(config), level)
+
+
+def _run_level(config: StudyConfig, benchmark, level: int) -> CaseResult:
+    """run_case on a given benchmark object, shared by a study's levels."""
     mesh = benchmark.mesh(level)
     bcs = benchmark.boundary_conditions(mesh)
     solution = assemble_and_solve(
@@ -262,8 +266,13 @@ def run_case(config: StudyConfig, level: int) -> CaseResult:
 
 
 def run_convergence_study(config: StudyConfig) -> StudyResult:
-    """Run every level of the config and fit the three convergence rates."""
-    cases = tuple(run_case(config, level) for level in config.levels)
+    """Run every level of the config and fit the three convergence rates.
+
+    The levels share one benchmark object, so its set-up (the notch
+    eigenvalue solve of the L-shape) runs once per study.
+    """
+    benchmark = make_benchmark(config)
+    cases = tuple(_run_level(config, benchmark, level) for level in config.levels)
     rates = {}
     if len(cases) >= 2:
         dofs = tuple(c.dof for c in cases)

@@ -122,75 +122,80 @@ def corner_jacobians(corners: np.ndarray) -> np.ndarray:
 def invert_map(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Parent coordinates of physical points by batched Newton iteration.
 
-    ``points`` (P, 2) lie in one quad ``corners`` (4, 2), or each in its own
-    quad of ``corners`` (P, 4, 2); the result has the points' shape, so a
-    single (2,) point returns (2,).  Every point follows the scalar Newton
-    sequence and leaves the active set at the iteration where its parent
-    increment norm drops below NEWTON_TOL (well inside machine precision for
-    the mildly distorted quads used here; quadratic convergence means 2-4
-    iterations in practice), so its result does not depend on the rest of
-    the batch.  Jacobians come from _jacobian_entries; the residual keeps
-    the batched matmul of map_point.
+    ``points`` (..., 2) lie in quads ``corners`` (..., 4, 2) whose leading
+    axes broadcast against the points' without adding any: one (4, 2) quad
+    for all points, one quad per point, or (n, 1, 4, 2) quads for (n, E, 2)
+    points.  The result has the points' shape, so a single (2,) point
+    returns (2,).  The whole block iterates under a done-mask: a point is
+    frozen (np.where) at the iteration where its parent increment norm drops
+    below NEWTON_TOL (well inside machine precision for the mildly distorted
+    quads used here; quadratic convergence means 2-4 iterations in
+    practice), so every point follows the scalar Newton sequence and its
+    result does not depend on the rest of the block.  Jacobians come from
+    _jacobian_entries; the residual keeps the batched matmul of map_point,
+    with the quads broadcast rather than gathered per point.
 
     Raises:
-        QuadMapError: before iterating, for shapes that pair neither one
-            quad with all points nor one quad with each point, or for a
-            non-finite point; then for a singular Jacobian, or no
-            convergence within NEWTON_MAXITER iterations.  The message names
-            the shapes or the offending point.
+        QuadMapError: before iterating, for shapes that do not pair as
+            above, a non-finite point or a quad with a non-finite corner;
+            then for a singular Jacobian, or no convergence within
+            NEWTON_MAXITER iterations.  The message names the shapes, the
+            quad or the offending point.
     """
     points = np.asarray(points, dtype=float)
     corners = np.asarray(corners, dtype=float)
-    n_quads = corners.size // 8
-    if (
-        corners.shape[-2:] != (4, 2)
-        or points.shape[-1:] != (2,)
-        or n_quads not in (1, points.size // 2)
-    ):
+    lead = points.shape[:-1]
+    try:
+        paired = np.broadcast_shapes(corners.shape[:-2], lead) == lead
+    except ValueError:
+        paired = False
+    if corners.shape[-2:] != (4, 2) or points.shape[-1:] != (2,) or not paired:
         raise QuadMapError(
             f"cannot invert points of shape {points.shape} in quads of shape "
-            f"{corners.shape}: give one (4, 2) quad, or one quad per point"
+            f"{corners.shape}: give one (4, 2) quad, or quads that broadcast "
+            "against the points"
         )
-    X = points.reshape(-1, 2)
-    C = np.broadcast_to(corners.reshape(-1, 4, 2), (len(X), 4, 2))
-    finite = np.isfinite(X).all(axis=1)
+    finite = np.isfinite(points).all(axis=-1)
     if not finite.all():
-        raise QuadMapError(f"cannot invert the non-finite point {X[np.argmin(finite)]}")
-    out = np.zeros_like(X)
-    active = np.arange(len(X))
-    xi = np.zeros_like(X)
+        bad = points.reshape(-1, 2)[np.argmin(finite.ravel())]
+        raise QuadMapError(f"cannot invert the non-finite point {bad}")
+    finite = np.isfinite(corners).all(axis=(-2, -1))
+    if not finite.all():
+        bad = corners.reshape(-1, 4, 2)[np.argmin(finite.ravel())]
+        raise QuadMapError(
+            f"cannot invert points in the quad with a non-finite corner {bad.tolist()}"
+        )
+    xi = np.zeros_like(points)
+    done = np.zeros(lead, dtype=bool)
     for _ in range(NEWTON_MAXITER):
-        if not len(active):
+        if done.all():
             break
-        Ca = C[active]
-        N = shape_functions(xi[:, 0], xi[:, 1])
-        res = np.matmul(N[:, None, :], Ca)[:, 0] - X[active]
-        J00, J01, J10, J11 = _jacobian_entries(Ca, xi[:, 0], xi[:, 1])
-        det = J00 * J11 - J01 * J10
+        N = shape_functions(xi[..., 0], xi[..., 1])
+        res = np.matmul(N[..., None, :], corners)[..., 0, :] - points
+        J00, J01, J10, J11 = _jacobian_entries(corners, xi[..., 0], xi[..., 1])
+        # a frozen point's step is discarded: keep its division harmless
+        det = np.where(done, 1.0, J00 * J11 - J01 * J10)
         singular = np.abs(det) < 1e-30
-        if np.any(singular):
-            bad = X[active[np.argmax(singular)]]
+        if singular.any():
+            bad = points.reshape(-1, 2)[np.argmax(singular.ravel())]
             raise QuadMapError(
                 f"singular Jacobian during bilinear-map inversion for point {bad}"
             )
         step = (
             np.stack(
-                [J11 * res[:, 0] - J01 * res[:, 1], -J10 * res[:, 0] + J00 * res[:, 1]],
+                [J11 * res[..., 0] - J01 * res[..., 1], -J10 * res[..., 0] + J00 * res[..., 1]],
                 axis=-1,
             )
-            / det[:, None]
+            / det[..., None]
         )
-        xi = xi - step
-        done = np.hypot(step[:, 0], step[:, 1]) < NEWTON_TOL
-        out[active[done]] = xi[done]
-        active = active[~done]
-        xi = xi[~done]
-    if len(active):
+        xi = np.where(done[..., None], xi, xi - step)
+        done |= np.hypot(step[..., 0], step[..., 1]) < NEWTON_TOL
+    if not done.all():
         raise QuadMapError(
             f"bilinear-map inversion did not converge in {NEWTON_MAXITER} iterations "
-            f"for point {X[active[0]]}"
+            f"for point {points.reshape(-1, 2)[np.argmin(done.ravel())]}"
         )
-    return out.reshape(points.shape)
+    return xi
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

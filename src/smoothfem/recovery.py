@@ -25,8 +25,10 @@ stacked arrays.  The equilibrium and compatibility rows (zero right-hand
 sides) depend only on the degree: interior patches share one orthonormalized
 basis per degree and fit pass, broadcast to every chunk.  The traction
 collocation rows of all nodes on Neumann edges are built in one pass per
-degree (one traction call per boundary name); each chunk slices its own and
-orthonormalizes its stack.  The batched kernels repeat the per-patch
+degree (one traction call per boundary name).  One Gram-Schmidt per fit
+pass orthonormalizes the shared rows and every collocated patch's stack
+together, each padded with zero rows to the longest, and each chunk slices
+its own from the result.  The batched kernels repeat the per-patch
 arithmetic bit for bit: dots and norms are ``np.matmul`` of (B, 1, n) by
 (B, n, 1) (plus ``np.sqrt``), ``M`` and ``b`` are batched matmuls and the
 solve a stacked ``np.linalg.solve``; a row that one patch drops is masked
@@ -52,7 +54,7 @@ from .analytic import SingularField
 from .elasticity import compliance_matrix
 from .mesh import NEUMANN, Mesh
 from .quadmap import gauss_points_2d, jacobian_det, map_point, shape_functions
-from .solver import SFEM, DiscreteSolution, boundary_values, row_dot
+from .solver import SFEM, DiscreteSolution, _parent_points, boundary_values, row_dot
 
 log = logging.getLogger(__name__)
 
@@ -419,12 +421,13 @@ def _orthonormalize_constraints(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
     """Drop dependent rows (relative pivot < 1e-10) via Gram-Schmidt, per patch.
 
-    C (B, k, n) and d (B, k) hold the constraints of B patches: a chunk's
-    collocated stacks, or (B = 1) the rows all interior patches share.
-    Returns (Q, e, rank, failures): patch i keeps its rank[i]
-    orthonormalized rows as Q[i, :rank[i]] with right-hand sides
-    e[i, :rank[i]]; the rows past its rank are zero.  Rows go one at a time
-    over the whole batch, and a row that a patch drops leaves that patch's
+    C (B, k, n) and d (B, k) hold the constraints of B patches, those with
+    fewer rows padded with trailing zero rows (as _PatchFitter._constraints
+    stacks a fit call's patches).  Returns (Q, e, rank, failures): patch i
+    keeps its rank[i] orthonormalized rows as Q[i, :rank[i]] with
+    right-hand sides e[i, :rank[i]]; the rows past its rank are zero.  Rows
+    go one at a time over the whole batch, and a row that a patch drops (a
+    zero row with a zero right-hand side among them) leaves that patch's
     state untouched (np.where), so every patch sees the same arithmetic as
     alone.
 
@@ -450,9 +453,11 @@ def _orthonormalize_constraints(
             failures.setdefault(
                 node, f"inconsistent constraint (0 = {val[b]:.3e}) in patch {node}"
             )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = row / norm0[:, None]
-            w = val / norm0
+        # a zero row (padding, or a row a patch lacks) is never kept: divide it
+        # by 1 so that it carries no nan through the projections
+        norm = np.where(zero, 1.0, norm0)
+        v = row / norm[:, None]
+        w = val / norm
         for j in range(rank.max()):
             u = Q[:, j]
             proj = row_dot(v, u)
@@ -613,10 +618,11 @@ class RecoveredStressField:
         The blend accumulates over local corners k = 0..3 in turn; each
         corner's patch polynomials are one batched (q, m) @ (m, 3) matmul
         per degree, and the singular field is evaluated once, on the
-        elements that touch a split node.
+        elements that touch a split node.  Raises RecoveryError naming the
+        first point that is not a finite point of [-1, 1]^2.
         """
         ids = np.asarray(element_ids, dtype=int)
-        pts = np.asarray(pts, dtype=float)
+        pts = _parent_points(pts, RecoveryError)
         conn = self.mesh.elements[ids]
         N = shape_functions(pts[:, 0], pts[:, 1])  # (q, 4)
         phys = N @ self.mesh.coords[conn]  # (n, q, 2)
@@ -741,9 +747,11 @@ def build_recovered_field(
 class _PatchFitter:
     """Fits the patches of one recovery, a chunk of CHUNK patches at a time.
 
-    Each ``fit`` call orthonormalizes the interior rows once, as ``shared``
-    (Q, e), and chunks without collocation rows fit one stack on read-only
-    broadcast views of it (None: unconstrained).  Each node's finished fit
+    Each ``fit`` call runs one Gram-Schmidt (``_constraints``): the interior
+    rows become ``shared`` (Q, e), and chunks without collocation rows fit
+    one stack on read-only broadcast views of it (None: unconstrained);
+    chunks with collocation rows take their patches' members of the same
+    stack.  Each node's finished fit
     sets its entry of ``degrees`` and its row of ``coeffs[degree]`` (one
     (n_nodes, 3, m) array per degree fitted), so a refit overwrites them;
     inconsistent constraints collect in ``failures`` (node id -> reason).
@@ -774,28 +782,19 @@ class _PatchFitter:
         chunk stacks arrays of one shape.  A patch's constraints C a = d are,
         in order: internal equilibrium div sigma* = 0 (no body force; one
         scalar row per monomial of degree-1 per equation), its traction
-        collocation rows, sliced from the one collocation pass over the
-        nodes, and (degree 2) the compatibility equation.
+        collocation rows, from the one collocation pass over the nodes, and
+        (degree 2) the compatibility equation; one Gram-Schmidt
+        (_constraints) orthonormalizes them for every chunk.
         """
         sizes = np.diff(self.mesh.patch_offsets)[nodes]
         n_rows = np.zeros(len(nodes), dtype=int)
-        if self.constrained:
-            on = self.neumann.on[nodes, 0] >= 0
-            if on.any():
-                n_rows[on], R, r = collocation_rows(
-                    self.mesh, self.neumann, nodes[on], degree,
-                    scale=self.scales[nodes[on]], split=self.split[nodes[on]],
-                    singular_field=self.singular_field,
-                )
-        first = np.cumsum(n_rows) - n_rows
-        self.coeffs.setdefault(degree, np.zeros((self.mesh.n_nodes, 3, len(_MONOMIALS[degree]))))
-        # every interior patch has the same rows: one Gram-Schmidt, not one per chunk
         shared = None
         if self.constrained:
-            eq, compat = _equilibrium_rows(degree), _compatibility_rows(degree, self.compliance)
-            C = np.vstack([eq, compat])[None]
-            Q, e, rank, _ = _orthonormalize_constraints(C, np.zeros(C.shape[:2]), nodes[:1])
+            n_rows, Q, e, rank, ok = self._constraints(nodes, degree)
+            # every interior patch has the same rows: read-only views of one basis
             shared = Q[0, : rank[0]], e[0, : rank[0]]
+            member = np.cumsum(n_rows > 0)  # a collocated node's member of the stack
+        self.coeffs.setdefault(degree, np.zeros((self.mesh.n_nodes, 3, len(_MONOMIALS[degree]))))
         singular: dict[int, str] = {}
         for size, rows in np.unique(np.stack([sizes, n_rows], axis=1), axis=0).tolist():
             sel = np.nonzero((sizes == size) & (n_rows == rows))[0]
@@ -803,15 +802,47 @@ class _PatchFitter:
                 part = sel[start : start + CHUNK]
                 collocated = None
                 if rows:
-                    idx = first[part, None] + np.arange(rows)
-                    B = len(part)
-                    C = np.concatenate([np.broadcast_to(eq, (B,) + eq.shape), R[idx],
-                                        np.broadcast_to(compat, (B,) + compat.shape)], axis=1)
-                    d = np.zeros(C.shape[:2])
-                    d[:, len(eq) : len(eq) + rows] = r[idx]
-                    collocated = C, d
+                    m = member[part]
+                    collocated = Q[m], e[m], rank[m], ok[m]
                 singular.update(self._fit_chunk(nodes[part], size, degree, collocated, shared))
         return singular
+
+    def _constraints(self, nodes: np.ndarray, degree: int):
+        """Collocation row counts (len(nodes),) and one Gram-Schmidt stack.
+
+        Member 0 of the stack is the interior rows [equilibrium,
+        compatibility]; member i > 0 is the i-th node with collocation rows,
+        [equilibrium, collocation, compatibility].  Each member is padded
+        with trailing zero rows to the longest, which the Gram-Schmidt skips,
+        so every member's (Q, e, rank) equals its unpadded one.  ok marks the
+        members whose rows are consistent; the others go to ``failures``.
+        """
+        eq, compat = _equilibrium_rows(degree), _compatibility_rows(degree, self.compliance)
+        n_rows = np.zeros(len(nodes), dtype=int)
+        on = self.neumann.on[nodes, 0] >= 0
+        if on.any():
+            n_rows[on], R, r = collocation_rows(
+                self.mesh, self.neumann, nodes[on], degree,
+                scale=self.scales[nodes[on]], split=self.split[nodes[on]],
+                singular_field=self.singular_field,
+            )
+        counts = np.concatenate([[0], n_rows[on]])
+        most = counts.max()
+        C = np.zeros((len(counts), len(eq) + most + len(compat), eq.shape[1]))
+        d = np.zeros(C.shape[:2])
+        C[:, : len(eq)] = eq
+        if most:
+            # node after node, as collocation_rows returns them
+            rows = np.arange(most) < counts[:, None]
+            C[:, len(eq) : len(eq) + most][rows] = R
+            d[:, len(eq) : len(eq) + most][rows] = r
+        for j, row in enumerate(compat):
+            C[np.arange(len(counts)), len(eq) + counts + j] = row
+        # member 0's right-hand sides are zero, so it never fails under its id
+        ids = np.concatenate([nodes[:1], nodes[on]])
+        Q, e, rank, failures = _orthonormalize_constraints(C, d, ids)
+        self.failures.update(failures)
+        return n_rows, Q, e, rank, ~np.isin(ids, list(failures))
 
     def _gather(self, chunk: np.ndarray, size: int):
         """(positions, stresses, weights) of patches of ``size`` elements each.
@@ -831,7 +862,8 @@ class _PatchFitter:
     def _fit_chunk(self, chunk, size, degree, collocated, shared) -> dict[int, str]:
         """Fit one chunk; returns its singular patches (inconsistent ones go to failures).
 
-        ``collocated``: the chunk's constraints (C, d) if it has collocation rows, else None.
+        ``collocated``: the chunk's (Q, e, rank, ok) from the fit call's
+        Gram-Schmidt if it has collocation rows, else None.
         """
         pos, sig, w = self._gather(chunk, size)
         center = self.mesh.coords[chunk]
@@ -842,9 +874,7 @@ class _PatchFitter:
             )
             stacks = [(slice(None), cons)]
         else:
-            Q, e, rank, failures = _orthonormalize_constraints(*collocated, chunk)
-            self.failures.update(failures)
-            ok = ~np.isin(chunk, list(failures))
+            Q, e, rank, ok = collocated
             # the kept rank decides the KKT size, so each rank is one stack
             stacks = []
             for r in np.unique(rank[ok]).tolist():

@@ -11,8 +11,8 @@ Two formulations share all plumbing:
   constant-strain subcell contributions.
 
 Element operators are built for the whole mesh at once: the subcell geometry
-(mesh.subcell_geometry), one batched Newton inversion per distinct subcell
-edge over all elements for the smoothed B, one batched kernel for the
+(mesh.subcell_geometry), one batched Newton inversion of every element's
+distinct subcell-edge midpoints for the smoothed B, one batched kernel for the
 compatible B at any set of parent points, and stiffnesses, stresses, energy
 and the sparse scatter as array operations.  Every kernel reproduces the
 per-element arithmetic bit for bit, so an element's operators do not depend
@@ -204,22 +204,21 @@ def smoothed_strain_matrices(corners: np.ndarray, cells: SubcellGeometry) -> np.
     B~_I = (1/A_C) sum_edges N_I(midpoint) [n-structure] l_edge, with the
     shape functions evaluated by Newton inversion of the element's bilinear
     map (corners (n, 4, 2)) at the physical edge midpoints.  An edge shared
-    by two cells has the same midpoint, bit for bit, in both, so each
-    distinct edge takes one Newton batch of n midpoints (4/7/12/22 for nc
-    1/2/4/8) and its N serves every cell on it.  Edges are accumulated cell
-    by cell in CCW order.
+    by two cells has the same midpoint, bit for bit, in both, so one Newton
+    call inverts the E distinct edge midpoints (E = 4/7/12/22 for nc
+    1/2/4/8) of every element at once, and each distinct edge's N serves
+    every cell on it.  Edges are accumulated cell by cell in CCW order.
     """
     n, nc = cells.areas.shape
     B = np.zeros((n, nc, 3, 8))
     edge_ids = _subcell_edge_ids(nc)
-    edge_N = {}  # distinct edge id -> N (n, 4) at its midpoints
+    # each distinct edge's first (cell, edge) slot
+    first = np.unique(edge_ids.ravel(), return_index=True)[1]
+    xi = invert_map(corners[:, None], cells.edge_midpoints[:, first // 4, first % 4])
+    edge_N = shape_functions(xi[..., 0], xi[..., 1])  # (n, E, 4)
     for c in range(nc):
         for k in range(4):
-            e = int(edge_ids[c, k])
-            if e not in edge_N:
-                xi = invert_map(corners, cells.edge_midpoints[:, c, k])
-                edge_N[e] = shape_functions(xi[:, 0], xi[:, 1])
-            N = edge_N[e]
+            N = edge_N[:, edge_ids[c, k]]
             nx = cells.edge_normals[:, c, k, 0, None]
             ny = cells.edge_normals[:, c, k, 1, None]
             w = cells.edge_lengths[:, c, k, None] * N
@@ -448,19 +447,19 @@ def _solve_failure(reason: str, operators: ElementOperators) -> SolveError:
     return SolveError(reason)
 
 
-def _parent_points(pts) -> np.ndarray:
+def _parent_points(pts, error: type[Exception] = SolveError) -> np.ndarray:
     """pts as a (q, 2) float array of finite points of the closed parent square.
 
-    Raises SolveError naming the first point that is not: outside [-1, 1]^2
+    Raises ``error`` naming the first point that is not: outside [-1, 1]^2
     the SFEM cell lookup would return another cell's stress, and the FEM
-    fields would extrapolate.
+    fields and the recovered blend would extrapolate.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise SolveError(f"parent points must be a (q, 2) array, got shape {pts.shape}")
+        raise error(f"parent points must be a (q, 2) array, got shape {pts.shape}")
     outside = ~np.all(np.abs(pts) <= 1.0, axis=1)  # a nan fails too
     if outside.any():
-        raise SolveError(
+        raise error(
             f"parent point {pts[np.argmax(outside)]} is not a finite point of [-1, 1]^2"
         )
     return pts

@@ -116,4 +116,5 @@ def evaluate_at(field, element_id, point):
     mesh = field.mesh
     xi = invert_map(mesh.coords[mesh.elements[element_id]], np.asarray(point, float))
     assert np.all(np.abs(xi) <= 1.0 + 1e-9), f"{point} lies outside element {element_id}"
-    return field.evaluate_at_parents([element_id], xi[None])[0, 0]
+    # a point on the element's boundary may invert a rounding outside the square
+    return field.evaluate_at_parents([element_id], np.clip(xi, -1.0, 1.0)[None])[0, 0]

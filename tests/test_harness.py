@@ -270,13 +270,13 @@ def test_csv_leaves_the_rate_cells_of_a_series_with_a_zero_empty(monkeypatch, st
     study = study_cached(**GOLDEN_KWARGS)
     cases = {case.level: case for case in study.cases}
 
-    def zero_exact_error(config, level):
+    def zero_exact_error(config, benchmark, level):
         case = cases[level]
         if level == config.levels[-1]:
             case = dataclasses.replace(case, report=dataclasses.replace(case.report, exact=0.0))
         return case
 
-    monkeypatch.setattr(harness, "run_case", zero_exact_error)
+    monkeypatch.setattr(harness, "_run_level", zero_exact_error)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no log(0)
         zeroed = run_convergence_study(study.config)
@@ -329,18 +329,42 @@ def test_emit_report_writes_both_files(tmp_path, study_cached):
     assert json_path.read_text(encoding="ascii") == study_json(study)
 
 
-def test_run_case_is_deterministic():
-    cfg = StudyConfig(**GOLDEN_KWARGS)
-    a = run_case(cfg, 1)
-    b = run_case(cfg, 1)
-    # bitwise: every float and every per-element array identical (nan
-    # entries of theta_e and D compare equal to nan)
-    for f in dataclasses.fields(a.report):
-        x, y = getattr(a.report, f.name), getattr(b.report, f.name)
+def _assert_same_report(a, b):
+    """Bitwise: every float and every per-element array identical (nan
+    entries of theta_e and D compare equal to nan)."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
         if isinstance(x, np.ndarray):
             assert np.array_equal(x, y, equal_nan=True), f.name
         else:
             assert x == y, f.name
+
+
+def test_a_study_makes_one_benchmark_for_all_its_levels(monkeypatch):
+    made = []
+
+    def counting_make_benchmark(config):
+        made.append(config.levels)
+        return make_benchmark(config)
+
+    monkeypatch.setattr(harness, "make_benchmark", counting_make_benchmark)
+    for levels in ((0,), (0, 1, 2)):
+        config = StudyConfig(benchmark="lshape", levels=levels)
+        study = run_convergence_study(config)
+        assert made == [levels]
+        made.clear()
+    # sharing the benchmark changes no number: each case equals its run_case
+    for case in study.cases:
+        alone = run_case(config, case.level)
+        _assert_same_report(case.report, alone.report)
+        assert (case.K_I, case.K_II) == (alone.K_I, alone.K_II)
+
+
+def test_run_case_is_deterministic():
+    cfg = StudyConfig(**GOLDEN_KWARGS)
+    a = run_case(cfg, 1)
+    b = run_case(cfg, 1)
+    _assert_same_report(a.report, b.report)
     assert a.K_I == b.K_I
 
 

@@ -162,3 +162,74 @@ def test_invert_map_rejects_a_non_finite_point_before_iterating(monkeypatch, bad
     points = np.array([[0.5, 0.5], [0.25, bad]])
     with pytest.raises(QuadMapError, match=r"non-finite point \[0\.25 +-?(nan|inf)\]"):
         invert_map(np.stack([DISTORTED, DISTORTED]), points)
+
+
+def _active_set_newton(corners, points):
+    """invert_map's former Newton: one quad per point (P, 4, 2) for points
+    (P, 2), the converged points removed from a compacted active set.  The
+    oracle the masked Newton must equal bit for bit."""
+    X, C = points, corners
+    out = np.zeros_like(X)
+    active = np.arange(len(X))
+    xi = np.zeros_like(X)
+    for _ in range(quadmap_mod.NEWTON_MAXITER):
+        if not len(active):
+            break
+        Ca = C[active]
+        N = shape_functions(xi[:, 0], xi[:, 1])
+        res = np.matmul(N[:, None, :], Ca)[:, 0] - X[active]
+        J00, J01, J10, J11 = quadmap_mod._jacobian_entries(Ca, xi[:, 0], xi[:, 1])
+        det = J00 * J11 - J01 * J10
+        step = (
+            np.stack(
+                [J11 * res[:, 0] - J01 * res[:, 1], -J10 * res[:, 0] + J00 * res[:, 1]],
+                axis=-1,
+            )
+            / det[:, None]
+        )
+        xi = xi - step
+        done = np.hypot(step[:, 0], step[:, 1]) < quadmap_mod.NEWTON_TOL
+        out[active[done]] = xi[done]
+        active = active[~done]
+        xi = xi[~done]
+    assert not len(active)
+    return out
+
+
+@pytest.mark.parametrize("layout", ["one-quad", "per-point", "quads-x-points", "single-point"])
+def test_masked_newton_equals_the_active_set_newton(layout):
+    rng = np.random.default_rng(31)
+    n, E = 60, 7
+    # centred: a quad of size 1e-3 shifted by 100 cannot resolve its parent
+    # increments to NEWTON_TOL in double precision, in either Newton
+    quads = random_quads(rng, n)
+    quads -= quads.mean(axis=1, keepdims=True)
+    corners = {
+        "one-quad": quads[0],
+        "per-point": quads,
+        "quads-x-points": quads[:, None],
+        "single-point": quads[0],
+    }[layout]
+    lead = {"one-quad": (n,), "per-point": (n,), "quads-x-points": (n, E), "single-point": ()}
+    parent = rng.uniform(-1.0, 1.0, size=lead[layout] + (2,))
+    N = shape_functions(parent[..., 0], parent[..., 1])
+    points = np.matmul(N[..., None, :], corners)[..., 0, :]
+    got = invert_map(corners, points)
+    assert got.shape == points.shape
+    per_point = np.broadcast_to(corners, lead[layout] + (4, 2)).reshape(-1, 4, 2)
+    want = _active_set_newton(per_point, points.reshape(-1, 2)).reshape(points.shape)
+    assert np.array_equal(got, want)
+    assert_allclose(got, parent, atol=1e-9)
+
+
+def test_invert_map_names_a_quad_with_a_non_finite_corner_before_iterating(monkeypatch):
+    def no_iteration(*args):
+        raise AssertionError("Newton iterated in a non-finite quad")
+
+    monkeypatch.setattr(quadmap_mod, "shape_functions", no_iteration)
+    bad = DISTORTED.copy()
+    bad[2, 0] = np.nan
+    with pytest.raises(QuadMapError, match=r"non-finite corner \[\[0\.0, 0\.0\], .*nan"):
+        invert_map(bad, np.array([0.1, 0.2]))
+    with pytest.raises(QuadMapError, match=r"non-finite corner .*nan"):
+        invert_map(np.stack([DISTORTED, bad])[:, None], np.full((2, 3, 2), 0.5))

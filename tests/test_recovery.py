@@ -657,6 +657,18 @@ def _per_element_blend(field, e, pts):
     return out
 
 
+@pytest.mark.parametrize(
+    "bad", [(-3.0, 0.5), (1.0 + 1e-12, 0.0), (0.0, -1.5), (np.nan, 0.0), (0.0, np.inf)]
+)
+def test_blend_rejects_points_outside_the_parent_square(solve_cached, bad):
+    _, bcs, sol = solve_cached("cylinder", 1, "sfem", 4)
+    field = build_recovered_field(sol, RecoveryConfig(variant="SPR"), tractions=bcs.tractions)
+    pts = np.array([[0.0, 0.0], [1.0, -1.0], bad])
+    assert field.evaluate_at_parents([0], pts[:2]).shape == (1, 2, 3)  # the closed square is fine
+    with pytest.raises(RecoveryError, match=r"parent point \[.*\] is not a finite point"):
+        field.evaluate_at_parents([0], pts)
+
+
 @pytest.mark.parametrize("interior_degree", [1, 2])
 def test_blend_matches_the_per_element_loop_and_any_subset(solve_cached, lshape_bm, interior_degree):
     # split patches, elements touching them and (degree 1 inside) both
@@ -1138,50 +1150,82 @@ def test_shared_basis_equals_the_per_chunk_gram_schmidt(solve_cached, monkeypatc
 
 
 @pytest.mark.parametrize("interior_degree", [1, 2])
-def test_gram_schmidt_runs_once_per_fit_call_and_per_collocated_chunk(
-    solve_cached, monkeypatch, interior_degree
-):
-    # one Gram-Schmidt per fit call (the shared interior rows) and one per
-    # chunk with collocation rows; interior chunks only read broadcast,
-    # read-only views of the shared basis
+def test_gram_schmidt_runs_once_per_fit_call(solve_cached, monkeypatch, interior_degree):
+    # one Gram-Schmidt per fit call, over the shared interior rows and every
+    # collocated patch at once, whatever the mesh level; interior chunks only
+    # read broadcast, read-only views of the shared basis
     import smoothfem.recovery as recovery
 
-    mesh, bcs, sol = solve_cached("cylinder", 2, "fem", 4)
-    events, current = [], {}
     orth, fit = recovery._orthonormalize_constraints, recovery._PatchFitter.fit
     fit_chunk, fit_patch_ = recovery._PatchFitter._fit_chunk, recovery.fit_patch
+    counts = []
+    for level in (2, 4):
+        mesh, bcs, sol = solve_cached("cylinder", level, "fem", 4)
+        events, current = [], {}
 
-    def counted_orth(C, d, node_ids):
-        events.append("orth")
-        return orth(C, d, node_ids)
+        def counted_orth(C, d, node_ids):
+            events.append("orth")
+            return orth(C, d, node_ids)
 
-    def counted_fit(self, nodes, degree):
-        events.append("fit")
-        return fit(self, nodes, degree)
+        def counted_fit(self, nodes, degree):
+            events.append("fit")
+            return fit(self, nodes, degree)
 
-    def counted_chunk(self, chunk, size, degree, collocated, shared):
-        events.append("interior" if collocated is None else "collocated")
-        current["shared"] = shared
-        return fit_chunk(self, chunk, size, degree, collocated, shared)
+        def counted_chunk(self, chunk, size, degree, collocated, shared):
+            events.append("interior" if collocated is None else "collocated")
+            current["shared"] = shared
+            return fit_chunk(self, chunk, size, degree, collocated, shared)
 
-    def checked_fit_patch(*args, constraints=None, **kwargs):
-        if events[-1] == "interior":
-            for view, basis in zip(constraints, current["shared"]):
-                assert view.strides[0] == 0 and not view.flags.writeable
-                assert np.shares_memory(view, basis)
-        return fit_patch_(*args, constraints=constraints, **kwargs)
+        def checked_fit_patch(*args, constraints=None, **kwargs):
+            if events[-1] == "interior":
+                for view, basis in zip(constraints, current["shared"]):
+                    assert view.strides[0] == 0 and not view.flags.writeable
+                    assert np.shares_memory(view, basis)
+            return fit_patch_(*args, constraints=constraints, **kwargs)
 
-    monkeypatch.setattr(recovery, "_orthonormalize_constraints", counted_orth)
-    monkeypatch.setattr(recovery._PatchFitter, "fit", counted_fit)
-    monkeypatch.setattr(recovery._PatchFitter, "_fit_chunk", counted_chunk)
-    monkeypatch.setattr(recovery, "fit_patch", checked_fit_patch)
-    config = RecoveryConfig(variant="SPR-C", interior_degree=interior_degree)
-    build_recovered_field(sol, config, tractions=bcs.tractions)
-    assert events.count("fit") == (2 if interior_degree == 1 else 1)
-    assert events.count("interior") >= 1 and events.count("collocated") >= 1
-    assert events.count("orth") == events.count("fit") + events.count("collocated")
-    for before, after in zip(events, events[1:] + [None]):
-        assert (after == "orth") == (before in ("fit", "collocated")), events
+        monkeypatch.setattr(recovery, "_orthonormalize_constraints", counted_orth)
+        monkeypatch.setattr(recovery._PatchFitter, "fit", counted_fit)
+        monkeypatch.setattr(recovery._PatchFitter, "_fit_chunk", counted_chunk)
+        monkeypatch.setattr(recovery, "fit_patch", checked_fit_patch)
+        config = RecoveryConfig(variant="SPR-C", interior_degree=interior_degree)
+        build_recovered_field(sol, config, tractions=bcs.tractions)
+        assert events.count("fit") == (2 if interior_degree == 1 else 1)
+        assert events.count("interior") >= 1 and events.count("collocated") >= 1
+        for before, after in zip(events, events[1:] + [None]):
+            assert (after == "orth") == (before == "fit"), events
+        counts.append(events.count("orth"))
+    assert counts[0] == counts[1] == events.count("fit")
+
+
+def test_padded_gram_schmidt_stack_equals_each_patch_alone():
+    # patches of 5, 3 and 6 rows (one with a dependent row, one with an
+    # inconsistent dependent row) stacked with trailing zero rows up to 7:
+    # each patch's Q, e, rank and failure message equal its unpadded ones
+    rng = np.random.default_rng(41)
+    counts = (5, 3, 6, 7)
+    rows = [rng.normal(size=(k, 9)) for k in counts]
+    rhs = [rng.normal(size=k) for k in counts]
+    rows[1][2] = rows[1][0] - 3.0 * rows[1][1]
+    rhs[1][2] = rhs[1][0] - 3.0 * rhs[1][1]
+    rows[2][4] = 2.0 * rows[2][0] + rows[2][3]
+    rhs[2][4] = 2.0 * rhs[2][0] + rhs[2][3] + 0.5
+    C = np.zeros((len(counts), max(counts), 9))
+    d = np.zeros(C.shape[:2])
+    for i, k in enumerate(counts):
+        C[i, :k], d[i, :k] = rows[i], rhs[i]
+    nodes = [10, 11, 12, 13]
+    Q, e, rank, failures = _orthonormalize_constraints(C, d, nodes)
+    assert list(failures) == [12] and "inconsistent dependent" in failures[12]
+    for i, k in enumerate(counts):
+        Qi, ei, ri, fi = _orthonormalize_constraints(rows[i][None], rhs[i][None], nodes[i : i + 1])
+        assert fi == {n: m for n, m in failures.items() if n == nodes[i]}
+        assert rank[i] == ri[0]
+        assert np.array_equal(Q[i, :k], Qi[0]) and np.array_equal(e[i, :k], ei[0])
+        assert not Q[i, k:].any() and not e[i, k:].any()
+        if not fi:
+            Qr, er = reference_orthonormalize(rows[i], rhs[i], nodes[i])
+            assert np.array_equal(Qi[0, : ri[0]], Qr) and np.array_equal(ei[0, : ri[0]], er)
+    assert rank[[0, 1, 3]].tolist() == [5, 2, 7]
 
 
 def test_inconsistent_collocation_row_names_its_node(solve_cached, monkeypatch):

@@ -837,16 +837,19 @@ def test_strain_matrix_matches_the_einsum_oracle_on_distorted_quads():
 def test_smoothed_operators_invert_each_distinct_edge_midpoint_once(
     monkeypatch, level, nc, distinct
 ):
+    # one Newton call per operator build, on every element's distinct edge
+    # midpoints (n, E, 2) against its own quad (n, 1, 4, 2), at any level
     mesh = LShapeBenchmark().mesh(level)
     calls = []
 
     def counting_invert_map(corners, points):
-        calls.append(len(points))
+        calls.append((corners.shape, points.shape))
         return invert_map(corners, points)
 
     monkeypatch.setattr(solver_mod, "invert_map", counting_invert_map)
     ops = _element_operators(mesh, MAT, Formulation("sfem", nc))
-    assert calls == [mesh.n_elements] * distinct
+    n = mesh.n_elements
+    assert calls == [((n, 1, 4, 2), (n, distinct, 2))]
     # the premise: the slots of one shared edge hold bit-equal midpoints
     edge_ids = solver_mod._subcell_edge_ids(nc)
     mids = ops.cells.edge_midpoints
