@@ -75,11 +75,15 @@ class PlateauFunction:
     r_outer: float = 0.9
 
     def __post_init__(self) -> None:
+        if np.shape(self.center) != (2,) or not np.isfinite(self.center).all():
+            raise GsifError(f"plateau center must be a finite point (x, y), got {self.center!r}")
         if not 0.0 < self.r_plateau < self.r_outer:
             raise GsifError(
                 f"need 0 < r_plateau < r_outer, got "
                 f"({self.r_plateau}, {self.r_outer})"
             )
+        if not np.isfinite(self.r_outer):
+            raise GsifError(f"plateau r_outer must be finite, got {self.r_outer}")
 
     def _radii(self, points):
         d = np.asarray(points, dtype=float) - np.asarray(self.center)

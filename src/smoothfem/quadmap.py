@@ -24,8 +24,10 @@ PARENT_CORNERS = np.array(
     [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 )
 
-# invert_map's Newton stopping rule: parent increment norm and iteration cap
+# invert_map's Newton stopping rule: parent increment norm (raised to
+# NEWTON_FLOOR eps max|corner| / shortest edge where larger) and iteration cap
 NEWTON_TOL = 1e-12
+NEWTON_FLOOR = 8.0
 NEWTON_MAXITER = 20
 
 
@@ -128,10 +130,13 @@ def invert_map(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
     points.  The result has the points' shape, so a single (2,) point
     returns (2,).  The whole block iterates under a done-mask: a point is
     frozen (np.where) at the iteration where its parent increment norm drops
-    below NEWTON_TOL (well inside machine precision for the mildly distorted
-    quads used here; quadratic convergence means 2-4 iterations in
-    practice), so every point follows the scalar Newton sequence and its
-    result does not depend on the rest of the block.  Jacobians come from
+    below its quad's tolerance (quadratic convergence means 2-4 iterations
+    in practice), so every point follows the scalar Newton sequence and its
+    result does not depend on the rest of the block.  The tolerance is
+    NEWTON_TOL, or NEWTON_FLOOR eps max|corner| / h (h the shortest edge)
+    where that is larger: the residual rounds to about eps |x|, a parent
+    increment of about eps |x| / h, so a small quad far from the origin
+    could not reach NEWTON_TOL.  Jacobians come from
     _jacobian_entries; the residual keeps the batched matmul of map_point,
     with the quads broadcast rather than gathered per point.
 
@@ -165,6 +170,10 @@ def invert_map(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
         raise QuadMapError(
             f"cannot invert points in the quad with a non-finite corner {bad.tolist()}"
         )
+    edges = np.roll(corners, -1, axis=-2) - corners
+    h = np.hypot(edges[..., 0], edges[..., 1]).min(axis=-1)
+    floor = NEWTON_FLOOR * np.finfo(float).eps * np.abs(corners).max(axis=(-2, -1))
+    tol = np.maximum(NEWTON_TOL, np.divide(floor, h, out=np.zeros_like(h), where=h > 0))
     xi = np.zeros_like(points)
     done = np.zeros(lead, dtype=bool)
     for _ in range(NEWTON_MAXITER):
@@ -189,7 +198,7 @@ def invert_map(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
             / det[..., None]
         )
         xi = np.where(done[..., None], xi, xi - step)
-        done |= np.hypot(step[..., 0], step[..., 1]) < NEWTON_TOL
+        done |= np.hypot(step[..., 0], step[..., 1]) < tol
     if not done.all():
         raise QuadMapError(
             f"bilinear-map inversion did not converge in {NEWTON_MAXITER} iterations "

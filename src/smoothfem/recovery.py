@@ -18,29 +18,28 @@ patch in a node-centered, scaled coordinate frame.  Variants:
 The blended field sigma*(x) = sum_I N_I(x) sigma*_I(x) is continuous across
 element edges by the partition of unity of the Q4 shape functions.
 
-Fitting is batched.  Nodes are grouped by (patch element count, degree,
-collocation row count), and each group is fitted in chunks of ``CHUNK``
-patches; a chunk gathers its samples, basis, constraints and KKT systems as
-stacked arrays.  The equilibrium and compatibility rows (zero right-hand
-sides) depend only on the degree: interior patches share one orthonormalized
-basis per degree and fit pass, broadcast to every chunk.  The traction
-collocation rows of all nodes on Neumann edges are built in one pass per
-degree (one traction call per boundary name).  One Gram-Schmidt per fit
-pass orthonormalizes the shared rows and every collocated patch's stack
-together, each padded with zero rows to the longest, and each chunk slices
-its own from the result.  The batched kernels repeat the per-patch
-arithmetic bit for bit: dots and norms are ``np.matmul`` of (B, 1, n) by
-(B, n, 1) (plus ``np.sqrt``), ``M`` and ``b`` are batched matmuls and the
-solve a stacked ``np.linalg.solve``; a row that one patch drops is masked
-out with ``np.where``, never multiplied by zero.  The conditioning check
-certifies most KKT systems regular from eigenvalue bounds (the spectra of
-``M`` and ``C C^T``, stacked ``np.linalg.eigvalsh``) and takes the stacked
-``np.linalg.svd`` test only on the systems the bound cannot clear.  Failed
-patches are returned, not raised, and dropped from their chunk with one
-mask.  Each patch whose degree-2 system is singular logs one "falling back"
-warning (in node order) and is refitted at degree 1; one PatchFailure,
-raised after every patch was tried, names all singular degree-1 systems and
-inconsistent constraints.
+Fitting is batched.  Each degree's nodes are grouped by (patch element
+count, kept constraint rank) and fitted in chunks of ``CHUNK`` patches; a
+chunk gathers its samples, basis, constraints and KKT systems as stacked
+arrays.  Each fit pass builds one stack of constraint rows: member 0 holds
+the equilibrium and compatibility rows (zero right-hand sides) that every
+interior patch takes, each node on a Neumann edge has its own member with
+its traction collocation rows (built in one pass, one traction call per
+boundary name), and the unconstrained variants get one member of zero
+rows.  One Gram-Schmidt orthonormalizes the stack, and each chunk takes its
+patches' members.  The batched kernels repeat the per-patch arithmetic bit
+for bit: dots and norms are ``np.matmul`` of (B, 1, n) by (B, n, 1) (plus
+``np.sqrt``), ``M`` and ``b`` are batched matmuls and the solve a stacked
+``np.linalg.solve``; a row that one patch drops is masked out with
+``np.where``, never multiplied by zero.  The conditioning check certifies
+most KKT systems regular from the spectrum of ``M`` alone (stacked
+``np.linalg.eigvalsh``; the constraint rows are orthonormal) and takes the
+stacked ``np.linalg.svd`` test only on the systems the bound cannot clear.
+Failed patches are returned, not raised, and dropped from their chunk with
+one mask.  Each patch whose degree-2 system is singular logs one "falling
+back" warning (in node order) and is refitted at degree 1; one
+PatchFailure, raised after every patch was tried, names all singular
+degree-1 systems and inconsistent constraints.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .analytic import SingularField
 from .elasticity import compliance_matrix
 from .mesh import NEUMANN, Mesh
 from .quadmap import gauss_points_2d, jacobian_det, map_point, shape_functions
-from .solver import SFEM, DiscreteSolution, _parent_points, boundary_values, row_dot
+from .solver import SFEM, DiscreteSolution, _element_ids, _parent_points, boundary_values, row_dot
 
 log = logging.getLogger(__name__)
 
@@ -485,43 +484,40 @@ def _orthonormalize_constraints(
 # ---------------------------------------------------------------------------
 
 
-def _kkt_ratio_bound(M: np.ndarray, C: np.ndarray | None) -> np.ndarray:
+def _kkt_ratio_bound(M: np.ndarray, k: int) -> np.ndarray:
     """Lower bound on sv_min / sv_max of each KKT system [[I3 (x) M, C^T], [C, 0]].
 
-    M (B, m, m) is symmetric positive semidefinite, C (B, k, 3m) with k > 0,
-    or None.  With mu- <= mu+ the extreme eigenvalues of M and s- <= s+ those
-    of C C^T (the squared singular values of C), every |eigenvalue| of the
-    symmetric KKT matrix lies in [lo, hi] when mu- > 0 (Rusten & Winther
-    1992; Benzi, Golub & Liesen 2005, section 3.4):
+    M (B, m, m) is symmetric positive semidefinite; C (B, k, 3m) has
+    orthonormal rows (k = 0: none), so C C^T = I and only M's spectrum is
+    taken.  With mu- <= mu+ the extreme eigenvalues of M, every |eigenvalue|
+    of the symmetric KKT matrix lies in [lo, hi] when mu- > 0 (Rusten &
+    Winther 1992; Benzi, Golub & Liesen 2005, section 3.4, with the squared
+    singular values of C all 1):
 
-        lo = min(mu-, 2 s- / (mu+ + sqrt(mu+^2 + 4 s-)))
-        hi = (mu+ + sqrt(mu+^2 + 4 s+)) / 2
+        lo = min(mu-, 2 / (mu+ + sqrt(mu+^2 + 4))),  hi = (mu+ + sqrt(mu+^2 + 4)) / 2
 
-    lo is the cancellation-free form of (sqrt(mu+^2 + 4 s-) - mu+) / 2.  The
-    bound's other candidate for hi, (sqrt(mu-^2 + 4 s+) - mu-) / 2, is at
-    most sqrt(s+) and so never the larger when mu- > 0.  Returns lo / hi, and
-    0 where mu- <= 0 (no bound); without constraints lo / hi = mu- / mu+.
-    A C broadcast over the batch (stride 0) has its spectrum taken once.
+    lo is the cancellation-free form of (sqrt(mu+^2 + 4) - mu+) / 2; the
+    other candidate for hi, (sqrt(mu-^2 + 4) - mu-) / 2 <= 1, is never the
+    larger.  Returns lo / hi, and 0 where mu- <= 0 (no bound); with k = 0,
+    mu- / mu+.  Taking C C^T = I is safe: modified Gram-Schmidt loses
+    orthogonality only by about eps times the condition number of the rows
+    it keeps (Bjorck 1967), and while ||C C^T - I|| <= 1/2 the squared
+    singular values lie in [1/2, 3/2], which moves lo / hi by less than a
+    factor of 3.  That is far inside the 100x gap between CERTIFIED_RATIO
+    and SINGULAR_RATIO: every certified system is regular by the SVD test
+    too, and the SVD still decides every system the bound cannot clear.
     """
-    n = 3 * M.shape[-1] + (0 if C is None else C.shape[1])
-    # the computed eigenvalues (and the product C C^T) err by a few n eps of
-    # the largest one; lowering mu- and s- by n^2 eps of it keeps lo a lower
-    # bound, where a zero s- could otherwise come back as eps * s+
+    n = 3 * M.shape[-1] + k
+    # the computed eigenvalues err by a few n eps of the largest one;
+    # lowering mu- by n^2 eps of it keeps lo a lower bound
     slack = n * n * np.finfo(float).eps
     mu = np.linalg.eigvalsh(M)
     mu_hi = mu[:, -1]
     lo = mu_lo = mu[:, 0] - slack * mu_hi
     hi = mu_hi
-    if C is not None:
-        if C.strides[0] == 0:  # rows shared by every patch: one spectrum
-            C = C[:1]
-        s2 = np.linalg.eigvalsh(np.matmul(C, C.swapaxes(-1, -2)))
-        s_hi = np.maximum(s2[:, -1], 0.0)
-        s_lo = np.maximum(s2[:, 0] - slack * s_hi, 0.0)
-        # hypot(mu, 2 sqrt(s)) = sqrt(mu^2 + 4 s), without overflow
-        den = mu_hi + np.hypot(mu_hi, 2.0 * np.sqrt(s_lo))
-        lo = np.minimum(mu_lo, np.divide(2.0 * s_lo, den, out=np.zeros_like(den), where=den > 0))
-        hi = 0.5 * (mu_hi + np.hypot(mu_hi, 2.0 * np.sqrt(s_hi)))
+    if k:
+        hi = 0.5 * (mu_hi + np.hypot(mu_hi, 2.0))  # hypot: sqrt(mu^2 + 4) without overflow
+        lo = np.minimum(mu_lo, 1.0 / hi)
     return np.divide(lo, hi, out=np.zeros_like(lo), where=mu_lo > 0)
 
 
@@ -531,7 +527,7 @@ def fit_patch(
     stresses: np.ndarray,
     weights: np.ndarray,
     degree: int,
-    constraints: tuple[np.ndarray, np.ndarray] | None = None,
+    constraints: tuple[np.ndarray, np.ndarray],
     *,
     center: np.ndarray,
     scale: np.ndarray,
@@ -542,16 +538,17 @@ def fit_patch(
     component subject to its (cross-component) constraint rows.  Shapes:
     positions (B, n, 2), stresses (B, n, 3), weights (B, n), center (B, 2),
     scale (B,); constraints (C (B, k, 3m), d (B, k)) with the same k for
-    every patch, as _orthonormalize_constraints keeps them.  Returns the
-    coefficients (n_ok, 3, m) of the patches whose KKT system is regular,
-    in batch order, and ``failures`` (node id -> reason) for the singular
-    ones; only the regular systems are solved.
+    every patch and orthonormal rows, as _orthonormalize_constraints keeps
+    them; k = 0 fits without constraints.  Returns the coefficients
+    (n_ok, 3, m) of the patches whose KKT system is regular, in batch
+    order, and ``failures`` (node id -> reason) for the singular ones; only
+    the regular systems are solved.
 
     A KKT system is singular when its singular values span a ratio below
-    SINGULAR_RATIO.  Systems whose eigenvalue bounds (_kkt_ratio_bound)
-    span at least CERTIFIED_RATIO are regular without an SVD; only the
-    others take the SVD test, so the decision equals the SVD's on every
-    system.
+    SINGULAR_RATIO.  Systems whose eigenvalue bounds (_kkt_ratio_bound, from
+    M's spectrum alone) span at least CERTIFIED_RATIO are regular without
+    an SVD; only the others take the SVD test, so the decision equals the
+    SVD's on every system.
     """
     node_ids = np.asarray(node_ids)
     B = len(positions)
@@ -562,19 +559,18 @@ def fit_patch(
     M = np.matmul(PwT, P) / wtot
     b = np.matmul(PwT, stresses) / wtot  # (B, m, 3)
 
-    k = 0 if constraints is None else constraints[0].shape[1]
+    C, d = constraints
+    k = C.shape[1]
     KKT = np.zeros((B, 3 * m + k, 3 * m + k))
     rhs = np.zeros((B, 3 * m + k))
     for j in range(3):
         KKT[:, j * m : (j + 1) * m, j * m : (j + 1) * m] = M
         rhs[:, j * m : (j + 1) * m] = b[..., j]
-    if k:
-        C, d = constraints
-        KKT[:, : 3 * m, 3 * m :] = C.swapaxes(-1, -2)
-        KKT[:, 3 * m :, : 3 * m] = C
-        rhs[:, 3 * m :] = d
+    KKT[:, : 3 * m, 3 * m :] = C.swapaxes(-1, -2)
+    KKT[:, 3 * m :, : 3 * m] = C
+    rhs[:, 3 * m :] = d
 
-    check = np.nonzero(_kkt_ratio_bound(M, constraints[0] if k else None) < CERTIFIED_RATIO)[0]
+    check = np.nonzero(_kkt_ratio_bound(M, k) < CERTIFIED_RATIO)[0]
     singular = np.zeros(B, dtype=bool)
     if len(check):
         sv = np.linalg.svd(KKT[check], compute_uv=False)
@@ -619,9 +615,9 @@ class RecoveredStressField:
         corner's patch polynomials are one batched (q, m) @ (m, 3) matmul
         per degree, and the singular field is evaluated once, on the
         elements that touch a split node.  Raises RecoveryError naming the
-        first point that is not a finite point of [-1, 1]^2.
+        first element id out of range or point not in [-1, 1]^2.
         """
-        ids = np.asarray(element_ids, dtype=int)
+        ids = _element_ids(element_ids, self.mesh.n_elements, RecoveryError)
         pts = _parent_points(pts, RecoveryError)
         conn = self.mesh.elements[ids]
         N = shape_functions(pts[:, 0], pts[:, 1])  # (q, 4)
@@ -747,14 +743,12 @@ def build_recovered_field(
 class _PatchFitter:
     """Fits the patches of one recovery, a chunk of CHUNK patches at a time.
 
-    Each ``fit`` call runs one Gram-Schmidt (``_constraints``): the interior
-    rows become ``shared`` (Q, e), and chunks without collocation rows fit
-    one stack on read-only broadcast views of it (None: unconstrained);
-    chunks with collocation rows take their patches' members of the same
-    stack.  Each node's finished fit
-    sets its entry of ``degrees`` and its row of ``coeffs[degree]`` (one
-    (n_nodes, 3, m) array per degree fitted), so a refit overwrites them;
-    inconsistent constraints collect in ``failures`` (node id -> reason).
+    Each ``fit`` call runs one Gram-Schmidt (``_constraints``) over one
+    stack of constraint rows, and every chunk of patches fits its own
+    members of that stack.  Each node's finished fit sets its entry of
+    ``degrees`` and its row of ``coeffs[degree]`` (one (n_nodes, 3, m)
+    array per degree fitted), so a refit overwrites them; inconsistent
+    constraints collect in ``failures`` (node id -> reason).
     """
 
     def __init__(self, mesh, positions, stresses, smooth, weights, per_element, split,
@@ -778,57 +772,64 @@ class _PatchFitter:
     def fit(self, nodes: np.ndarray, degree: int) -> dict[int, str]:
         """Fit the nodes' patches at one degree; returns the singular ones.
 
-        Nodes are grouped by patch size and collocation row count, so each
-        chunk stacks arrays of one shape.  A patch's constraints C a = d are,
-        in order: internal equilibrium div sigma* = 0 (no body force; one
-        scalar row per monomial of degree-1 per equation), its traction
-        collocation rows, from the one collocation pass over the nodes, and
-        (degree 2) the compatibility equation; one Gram-Schmidt
-        (_constraints) orthonormalizes them for every chunk.
+        A patch's constraints C a = d are, in order: internal equilibrium
+        div sigma* = 0 (no body force; one scalar row per monomial of
+        degree-1 per equation), its traction collocation rows and (degree 2)
+        the compatibility equation, orthonormalized by one Gram-Schmidt
+        (_constraints).  Nodes are grouped by patch size and kept rank, so
+        each chunk stacks arrays of one shape and makes one fit_patch call
+        on its patches' members of the stack; patches whose rows are
+        inconsistent are left out.
         """
         sizes = np.diff(self.mesh.patch_offsets)[nodes]
-        n_rows = np.zeros(len(nodes), dtype=int)
-        shared = None
-        if self.constrained:
-            n_rows, Q, e, rank, ok = self._constraints(nodes, degree)
-            # every interior patch has the same rows: read-only views of one basis
-            shared = Q[0, : rank[0]], e[0, : rank[0]]
-            member = np.cumsum(n_rows > 0)  # a collocated node's member of the stack
+        Q, e, rank, member = self._constraints(nodes, degree)
+        kept = rank[member]  # -1: inconsistent rows
         self.coeffs.setdefault(degree, np.zeros((self.mesh.n_nodes, 3, len(_MONOMIALS[degree]))))
         singular: dict[int, str] = {}
-        for size, rows in np.unique(np.stack([sizes, n_rows], axis=1), axis=0).tolist():
-            sel = np.nonzero((sizes == size) & (n_rows == rows))[0]
+        for size, r in np.unique(np.stack([sizes, kept], axis=1)[kept >= 0], axis=0).tolist():
+            sel = np.nonzero((sizes == size) & (kept == r))[0]
             for start in range(0, len(sel), CHUNK):
                 part = sel[start : start + CHUNK]
-                collocated = None
-                if rows:
-                    m = member[part]
-                    collocated = Q[m], e[m], rank[m], ok[m]
-                singular.update(self._fit_chunk(nodes[part], size, degree, collocated, shared))
+                chunk, m = nodes[part], member[part]
+                pos, sig, w = self._gather(chunk, size)
+                fitted, failed = fit_patch(
+                    chunk, pos, sig, w, degree, (Q[m, :r], e[m, :r]),
+                    center=self.mesh.coords[chunk], scale=self.scales[chunk],
+                )
+                singular.update(failed)
+                ok = chunk[~np.isin(chunk, list(failed))]
+                self.coeffs[degree][ok] = fitted
+                self.degrees[ok] = degree
         return singular
 
     def _constraints(self, nodes: np.ndarray, degree: int):
-        """Collocation row counts (len(nodes),) and one Gram-Schmidt stack.
+        """One Gram-Schmidt stack (Q, e, rank) and each node's member of it.
 
         Member 0 of the stack is the interior rows [equilibrium,
-        compatibility]; member i > 0 is the i-th node with collocation rows,
-        [equilibrium, collocation, compatibility].  Each member is padded
-        with trailing zero rows to the longest, which the Gram-Schmidt skips,
-        so every member's (Q, e, rank) equals its unpadded one.  ok marks the
-        members whose rows are consistent; the others go to ``failures``.
+        compatibility], which every node without collocation rows takes;
+        member i > 0 is the i-th node with collocation rows, [equilibrium,
+        collocation, compatibility]; unconstrained variants get one member
+        of zero rows.  Members are padded with trailing zero rows to the
+        longest, which the Gram-Schmidt skips, so each member's (Q, e, rank)
+        equals its unpadded one.  Inconsistent members get rank -1 and
+        their reasons go to ``failures``.
         """
+        n = 3 * len(_MONOMIALS[degree])
+        member = np.zeros(len(nodes), dtype=int)
+        if not self.constrained:
+            return np.zeros((1, 0, n)), np.zeros((1, 0)), np.zeros(1, dtype=int), member
         eq, compat = _equilibrium_rows(degree), _compatibility_rows(degree, self.compliance)
-        n_rows = np.zeros(len(nodes), dtype=int)
-        on = self.neumann.on[nodes, 0] >= 0
-        if on.any():
-            n_rows[on], R, r = collocation_rows(
+        on = np.nonzero(self.neumann.on[nodes, 0] >= 0)[0]
+        member[on] = np.arange(1, len(on) + 1)
+        counts = np.zeros(len(on) + 1, dtype=int)
+        if len(on):
+            counts[1:], R, r = collocation_rows(
                 self.mesh, self.neumann, nodes[on], degree,
                 scale=self.scales[nodes[on]], split=self.split[nodes[on]],
                 singular_field=self.singular_field,
             )
-        counts = np.concatenate([[0], n_rows[on]])
         most = counts.max()
-        C = np.zeros((len(counts), len(eq) + most + len(compat), eq.shape[1]))
+        C = np.zeros((len(counts), len(eq) + most + len(compat), n))
         d = np.zeros(C.shape[:2])
         C[:, : len(eq)] = eq
         if most:
@@ -838,11 +839,12 @@ class _PatchFitter:
             d[:, len(eq) : len(eq) + most][rows] = r
         for j, row in enumerate(compat):
             C[np.arange(len(counts)), len(eq) + counts + j] = row
-        # member 0's right-hand sides are zero, so it never fails under its id
-        ids = np.concatenate([nodes[:1], nodes[on]])
+        # member 0's right-hand sides are zero, so it never fails
+        ids = np.concatenate([[-1], nodes[on]])
         Q, e, rank, failures = _orthonormalize_constraints(C, d, ids)
         self.failures.update(failures)
-        return n_rows, Q, e, rank, ~np.isin(ids, list(failures))
+        rank[np.isin(ids, list(failures))] = -1
+        return Q, e, rank, member
 
     def _gather(self, chunk: np.ndarray, size: int):
         """(positions, stresses, weights) of patches of ``size`` elements each.
@@ -858,40 +860,6 @@ class _PatchFitter:
         if split.any():
             sig[split] = self.smooth[idx[split]]
         return self.positions[idx], sig, self.weights[idx]
-
-    def _fit_chunk(self, chunk, size, degree, collocated, shared) -> dict[int, str]:
-        """Fit one chunk; returns its singular patches (inconsistent ones go to failures).
-
-        ``collocated``: the chunk's (Q, e, rank, ok) from the fit call's
-        Gram-Schmidt if it has collocation rows, else None.
-        """
-        pos, sig, w = self._gather(chunk, size)
-        center = self.mesh.coords[chunk]
-        scale = self.scales[chunk]
-        if collocated is None:
-            cons = None if shared is None else tuple(
-                np.broadcast_to(a, (len(chunk),) + a.shape) for a in shared
-            )
-            stacks = [(slice(None), cons)]
-        else:
-            Q, e, rank, ok = collocated
-            # the kept rank decides the KKT size, so each rank is one stack
-            stacks = []
-            for r in np.unique(rank[ok]).tolist():
-                sel = np.nonzero(ok & (rank == r))[0]
-                stacks.append((sel, (Q[sel, :r], e[sel, :r])))
-        singular: dict[int, str] = {}
-        for sel, cons in stacks:
-            nodes = chunk[sel]
-            coeffs, failed = fit_patch(
-                nodes, pos[sel], sig[sel], w[sel], degree, constraints=cons,
-                center=center[sel], scale=scale[sel],
-            )
-            singular.update(failed)
-            fitted = nodes[~np.isin(nodes, list(failed))]
-            self.coeffs[degree][fitted] = coeffs
-            self.degrees[fitted] = degree
-        return singular
 
 
 def _patch_scales(mesh: Mesh, positions: np.ndarray, per_element: int) -> np.ndarray:

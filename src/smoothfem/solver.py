@@ -465,6 +465,21 @@ def _parent_points(pts, error: type[Exception] = SolveError) -> np.ndarray:
     return pts
 
 
+def _element_ids(ids, n_elements: int, error: type[Exception] = SolveError) -> np.ndarray:
+    """ids as an (n,) int array of element ids in [0, n_elements).
+
+    Raises ``error`` naming the first id that is not: a negative id would
+    index from the end and read another element's fields.
+    """
+    ids = np.asarray(ids, dtype=int)
+    if ids.ndim != 1:
+        raise error(f"element ids must be a (n,) array, got shape {ids.shape}")
+    bad = (ids < 0) | (ids >= n_elements)
+    if bad.any():
+        raise error(f"element id {ids[np.argmax(bad)]} is not in [0, {n_elements})")
+    return ids
+
+
 class DiscreteSolution:
     """A solved (or interpolated) discrete displacement field with stresses.
 
@@ -503,10 +518,12 @@ class DiscreteSolution:
     def displacement_at_parents(self, element_ids, pts: np.ndarray) -> np.ndarray:
         """FE displacement at parent points pts (q, 2) of elements (n,); (n, q, 2).
 
-        Raises SolveError unless every point lies in [-1, 1]^2 (_parent_points).
+        Raises SolveError naming an id out of range (_element_ids) or a point
+        outside [-1, 1]^2 (_parent_points).
         """
+        ids = _element_ids(element_ids, self.mesh.n_elements)
         pts = _parent_points(pts)
-        q = self.U[self.operators.dofs[np.asarray(element_ids, dtype=int)]]
+        q = self.U[self.operators.dofs[ids]]
         N = shape_functions(pts[:, 0], pts[:, 1])  # (q, 4)
         return np.matmul(N, q.reshape(-1, 4, 2))
 
@@ -515,10 +532,10 @@ class DiscreteSolution:
 
         SFEM: the owning subcell's constant; FEM: the compatible pointwise
         stress, computed one point at a time over all n elements so that B
-        stays (n, 3, 8).  Raises SolveError unless every point lies in
-        [-1, 1]^2 (_parent_points).
+        stays (n, 3, 8).  Raises SolveError naming an id out of range
+        (_element_ids) or a point outside [-1, 1]^2 (_parent_points).
         """
-        ids = np.asarray(element_ids, dtype=int)
+        ids = _element_ids(element_ids, self.mesh.n_elements)
         pts = _parent_points(pts)
         if self.formulation.kind == SFEM:
             c = subcell_index_at(self.formulation.nc, pts[:, 0], pts[:, 1])

@@ -114,6 +114,21 @@ def test_plateau_validation():
         PlateauFunction(r_plateau=0.0, r_outer=0.5)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(center=(np.nan, 0.0)), "center"),
+        (dict(center=(0.0, np.inf)), "center"),
+        (dict(center=(0.0, 0.0, 0.0)), "center"),
+        (dict(r_outer=np.inf), "r_outer"),
+    ],
+)
+def test_plateau_rejects_a_non_finite_center_or_outer_radius(kwargs, match):
+    # these used to construct, and extraction then asked to widen the plateau
+    with pytest.raises(GsifError, match=match):
+        PlateauFunction(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # the dual extraction field
 # ---------------------------------------------------------------------------

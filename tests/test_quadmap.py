@@ -200,8 +200,8 @@ def _active_set_newton(corners, points):
 def test_masked_newton_equals_the_active_set_newton(layout):
     rng = np.random.default_rng(31)
     n, E = 60, 7
-    # centred: a quad of size 1e-3 shifted by 100 cannot resolve its parent
-    # increments to NEWTON_TOL in double precision, in either Newton
+    # centred: the oracle stops on NEWTON_TOL alone, which a quad of size
+    # 1e-3 shifted by 100 cannot reach in double precision
     quads = random_quads(rng, n)
     quads -= quads.mean(axis=1, keepdims=True)
     corners = {
@@ -233,3 +233,18 @@ def test_invert_map_names_a_quad_with_a_non_finite_corner_before_iterating(monke
         invert_map(bad, np.array([0.1, 0.2]))
     with pytest.raises(QuadMapError, match=r"non-finite corner .*nan"):
         invert_map(np.stack([DISTORTED, bad])[:, None], np.full((2, 3, 2), 0.5))
+
+
+@pytest.mark.parametrize("size, offset", [(1e-3, 10.0), (1e-4, 1.0), (1e-5, 1.0), (1e-7, 1.0)])
+def test_invert_map_converges_in_small_quads_far_from_the_origin(size, offset):
+    # the residual rounds to about eps |x|, a parent increment of about
+    # eps |x| / h, which a fixed NEWTON_TOL cannot always reach; the result
+    # is as exact as the physical points themselves allow
+    rng = np.random.default_rng(7)
+    corners = offset + size * DISTORTED
+    parent = rng.uniform(-1.0, 1.0, size=(200, 2))
+    points = map_point(corners, parent[:, 0], parent[:, 1])
+    got = invert_map(corners, points)
+    assert np.abs(got - parent).max() < max(1e-10, 64 * np.finfo(float).eps * offset / size)
+    one_per_point = invert_map(np.broadcast_to(corners, (200, 4, 2)), points)
+    assert np.array_equal(one_per_point, got)

@@ -27,6 +27,7 @@ from smoothfem.recovery import (
     RecoveredStressField,
     RecoveryConfig,
     RecoveryError,
+    _MONOMIALS,
     _basis,
     _compatibility_rows,
     _equilibrium_rows,
@@ -64,15 +65,18 @@ def fit_one(node_id, positions, stresses, weights, degree, constraints=None,
             center=None, scale=None):
     """fit_patch on a batch of one patch; (coefficients (3, m) or None, failures).
 
-    center and scale default to the sample mean and the largest sample offset.
+    constraints default to none (zero rows), center and scale to the sample
+    mean and the largest sample offset.
     """
+    if constraints is None:
+        constraints = np.zeros((0, 3 * len(_MONOMIALS[degree]))), np.zeros(0)
     if center is None:
         center = positions.mean(axis=0)
     if scale is None:
         scale = max(np.abs(positions - center).max(), 1e-30)
     coeffs, failures = fit_patch(
         [node_id], positions[None], stresses[None], weights[None], degree,
-        constraints=None if constraints is None else tuple(a[None] for a in constraints),
+        constraints=tuple(a[None] for a in constraints),
         center=np.asarray(center, float)[None], scale=np.array([scale], float),
     )
     return (coeffs[0] if len(coeffs) else None), failures
@@ -448,7 +452,8 @@ def random_kkt_blocks(seed, m, k, m_kind, c_kind):
 
     M = U diag(lam) U^T has eigenvalues spread over 14 decades (some zero for
     the semidefinite kinds) and C an independent scale, with orthonormal,
-    dependent or zero rows.
+    dependent or zero rows, before _orthonormalize_constraints keeps its
+    independent ones, as every fit does.
     """
     rng = np.random.default_rng(seed)
     U = np.linalg.qr(rng.normal(size=(m, m)))[0]
@@ -470,7 +475,9 @@ def random_kkt_blocks(seed, m, k, m_kind, c_kind):
         C[rng.integers(k)] = 0.0
     if c_kind != "orthonormal":
         C *= 10.0 ** rng.uniform(-3.0, 3.0)
-    return (U * lam) @ U.T, C, lam
+    Q, _, rank, failures = _orthonormalize_constraints(C[None], np.zeros((1, k)), [0])
+    assert not failures
+    return (U * lam) @ U.T, Q[0, : rank[0]], lam
 
 
 @given(
@@ -485,21 +492,19 @@ def random_kkt_blocks(seed, m, k, m_kind, c_kind):
 @example(seed=3, m=6, k=4, m_kind="spd", c_kind="zero-row")
 @example(seed=4, m=3, k=0, m_kind="zero", c_kind="random")
 @example(seed=5, m=6, k=13, m_kind="zero", c_kind="zero-row")
-# C's zero row makes this KKT singular, yet eigvalsh returns the zero
-# eigenvalue of C C^T as ~eps * s+: without the slack it is "certified"
+# a zero row, which the Gram-Schmidt drops: C keeps 3 of its 4 rows
 @example(seed=892, m=3, k=4, m_kind="spd", c_kind="zero-row")
 @settings(max_examples=300, deadline=None)
 def test_kkt_ratio_bound_never_exceeds_the_svd_ratio(seed, m, k, m_kind, c_kind):
     # degenerate draws must not warn either: tier-1 turns a RuntimeWarning
     # into an error
     M, C, lam = random_kkt_blocks(seed, m, k, m_kind, c_kind)
-    bound = _kkt_ratio_bound(M[None], C[None] if k else None)
+    bound = _kkt_ratio_bound(M[None], len(C))
     assert bound.shape == (1,) and 0.0 <= bound[0] < 1.0 + 1e-15
     # the SVD's own rounding of the ratio is about n eps
     assert bound[0] <= svd_ratio(kkt_matrix(M, C)) + 32 * np.finfo(float).eps
-    full_rank = k == 0 or (c_kind == "orthonormal" and k <= 3 * m)
-    if m_kind == "spd" and full_rank and lam.min() > 1e-10 * lam.max():
-        # definite M, orthonormal C, conditioning well above the slack
+    if m_kind == "spd" and lam.min() > 1e-10 * lam.max():
+        # definite M and orthonormal C, conditioning well above the slack
         assert bound[0] > 0.0
 
 
@@ -508,11 +513,11 @@ def test_kkt_ratio_bound_is_tight_on_known_spectra():
     # rows the KKT eigenvalues are 1 and (1 +- sqrt 5) / 2, which the bound
     # reaches at both ends.  Only the n^2 eps slack separates them.
     M = np.diag([4.0, 1.0, 0.5])
-    assert _kkt_ratio_bound(M[None], None)[0] == pytest.approx(0.125, rel=1e-12, abs=0)
+    assert _kkt_ratio_bound(M[None], 0)[0] == pytest.approx(0.125, rel=1e-12, abs=0)
     C = np.linalg.qr(np.random.default_rng(3).normal(size=(18, 7)))[0].T
     want = svd_ratio(kkt_matrix(np.eye(6), C))
     assert want == pytest.approx((3 - np.sqrt(5)) / 2, rel=1e-14, abs=0)
-    assert _kkt_ratio_bound(np.eye(6)[None], C[None])[0] == pytest.approx(want, rel=1e-12, abs=0)
+    assert _kkt_ratio_bound(np.eye(6)[None], len(C))[0] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.fixture
@@ -556,7 +561,7 @@ def count_rank_deficient_M(monkeypatch):
     """Wraps fit_patch to count the patches whose M is rank deficient."""
     count = [0]
 
-    def counting(node_ids, positions, stresses, weights, degree, constraints=None, **kw):
+    def counting(node_ids, positions, stresses, weights, degree, constraints, **kw):
         P = _basis(positions, kw["center"][:, None], kw["scale"][:, None], degree)
         M = np.matmul((P * weights[..., None]).swapaxes(-1, -2), P)
         count[0] += sum(np.linalg.matrix_rank(Mi) < P.shape[-1] for Mi in M)
@@ -667,6 +672,16 @@ def test_blend_rejects_points_outside_the_parent_square(solve_cached, bad):
     assert field.evaluate_at_parents([0], pts[:2]).shape == (1, 2, 3)  # the closed square is fine
     with pytest.raises(RecoveryError, match=r"parent point \[.*\] is not a finite point"):
         field.evaluate_at_parents([0], pts)
+
+
+def test_blend_rejects_element_ids_out_of_range(solve_cached):
+    mesh, bcs, sol = solve_cached("cylinder", 1, "sfem", 4)
+    field = build_recovered_field(sol, RecoveryConfig(variant="SPR"), tractions=bcs.tractions)
+    n, pts = mesh.n_elements, np.zeros((1, 2))
+    assert field.evaluate_at_parents([n - 1], pts).shape == (1, 1, 3)
+    for bad in (-1, n):
+        with pytest.raises(RecoveryError, match=rf"element id {bad} is not in \[0, {n}\)"):
+            field.evaluate_at_parents([0, bad], pts)
 
 
 @pytest.mark.parametrize("interior_degree", [1, 2])
@@ -1117,27 +1132,52 @@ def test_orthonormalize_masks_each_patch_separately():
         assert not Q[i, rank[i]:].any() and not e[i, rank[i]:].any()
 
 
+def record_fit_calls(monkeypatch):
+    """Wraps the patch fitter: one ("stack", (Q, e, rank, member), nodes) per
+    _constraints call and one ("fit", node_ids, (C, d)) per fit_patch call."""
+    import smoothfem.recovery as recovery
+
+    calls = []
+    constraints, fit_patch_ = recovery._PatchFitter._constraints, recovery.fit_patch
+
+    def recording_constraints(self, nodes, degree):
+        stack = constraints(self, nodes, degree)
+        calls.append(("stack", stack, nodes))
+        return stack
+
+    def recording_fit_patch(node_ids, positions, stresses, weights, degree, constraints, **kw):
+        calls.append(("fit", np.asarray(node_ids), constraints))
+        return fit_patch_(node_ids, positions, stresses, weights, degree, constraints, **kw)
+
+    monkeypatch.setattr(recovery._PatchFitter, "_constraints", recording_constraints)
+    monkeypatch.setattr(recovery, "fit_patch", recording_fit_patch)
+    return calls
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("name", ["cylinder", "lshape"])
 def test_shared_basis_equals_the_per_chunk_gram_schmidt(solve_cached, monkeypatch, name, degree):
-    # the interior basis a fit pass shares must be, bit for bit, what the
-    # Gram-Schmidt of a full broadcast chunk gives each of its patches, with
-    # the compliance of each benchmark's material
-    import smoothfem.recovery as recovery
-
+    # the interior basis (member 0 of a fit pass's stack) must be, bit for
+    # bit, what the Gram-Schmidt of a full broadcast chunk gives each of its
+    # patches, with the compliance of each benchmark's material; every
+    # interior chunk fits exactly those rows, every other chunk its own
+    # patches' members
     mesh, bcs, sol = solve_cached(name, 1, "fem", 4)
-    seen = []
-    original = recovery._PatchFitter._fit_chunk
-
-    def recording(self, chunk, size, degree, collocated, shared):
-        seen.append(shared)
-        return original(self, chunk, size, degree, collocated, shared)
-
-    monkeypatch.setattr(recovery._PatchFitter, "_fit_chunk", recording)
+    calls = record_fit_calls(monkeypatch)
     config = RecoveryConfig(variant="SPR-C", interior_degree=degree, boundary_degree=degree)
     build_recovered_field(sol, config, tractions=bcs.tractions)
-    Q, e = seen[0]
-    assert all(s[0] is Q and s[1] is e for s in seen)
+    assert [kind for kind, *_ in calls].count("stack") == 1
+    _, (Qs, es, rank, member), nodes = calls[0]
+    Q, e = Qs[0, : rank[0]], es[0, : rank[0]]
+    interior = 0
+    for _, chunk, (C, d) in calls[1:]:
+        m = member[np.searchsorted(nodes, chunk)]
+        assert np.array_equal(C, Qs[m, : C.shape[1]]) and np.array_equal(d, es[m, : C.shape[1]])
+        if not m.any():
+            interior += 1
+            assert np.array_equal(C, np.broadcast_to(Q, (len(chunk),) + Q.shape))
+            assert np.array_equal(d, np.broadcast_to(e, (len(chunk),) + e.shape))
+    assert interior >= 1
     C, d = shared_constraints(degree, compliance_matrix(sol.material))
     Qc, ec, rank, failures = _orthonormalize_constraints(
         np.broadcast_to(C, (CHUNK,) + C.shape), np.broadcast_to(d, (CHUNK,) + d.shape),
@@ -1152,16 +1192,17 @@ def test_shared_basis_equals_the_per_chunk_gram_schmidt(solve_cached, monkeypatc
 @pytest.mark.parametrize("interior_degree", [1, 2])
 def test_gram_schmidt_runs_once_per_fit_call(solve_cached, monkeypatch, interior_degree):
     # one Gram-Schmidt per fit call, over the shared interior rows and every
-    # collocated patch at once, whatever the mesh level; interior chunks only
-    # read broadcast, read-only views of the shared basis
+    # collocated patch at once, whatever the mesh level; interior and
+    # collocated chunks alike fit members of that one stack
     import smoothfem.recovery as recovery
 
     orth, fit = recovery._orthonormalize_constraints, recovery._PatchFitter.fit
-    fit_chunk, fit_patch_ = recovery._PatchFitter._fit_chunk, recovery.fit_patch
+    fit_patch_ = recovery.fit_patch
     counts = []
     for level in (2, 4):
         mesh, bcs, sol = solve_cached("cylinder", level, "fem", 4)
-        events, current = [], {}
+        events = []
+        neumann = neumann_edges(mesh, bcs.tractions)
 
         def counted_orth(C, d, node_ids):
             events.append("orth")
@@ -1171,22 +1212,14 @@ def test_gram_schmidt_runs_once_per_fit_call(solve_cached, monkeypatch, interior
             events.append("fit")
             return fit(self, nodes, degree)
 
-        def counted_chunk(self, chunk, size, degree, collocated, shared):
-            events.append("interior" if collocated is None else "collocated")
-            current["shared"] = shared
-            return fit_chunk(self, chunk, size, degree, collocated, shared)
-
-        def checked_fit_patch(*args, constraints=None, **kwargs):
-            if events[-1] == "interior":
-                for view, basis in zip(constraints, current["shared"]):
-                    assert view.strides[0] == 0 and not view.flags.writeable
-                    assert np.shares_memory(view, basis)
-            return fit_patch_(*args, constraints=constraints, **kwargs)
+        def counted_fit_patch(node_ids, *args, **kwargs):
+            on = neumann.on[np.asarray(node_ids), 0] >= 0
+            events.append("collocated" if on.all() else "interior" if not on.any() else "mixed")
+            return fit_patch_(node_ids, *args, **kwargs)
 
         monkeypatch.setattr(recovery, "_orthonormalize_constraints", counted_orth)
         monkeypatch.setattr(recovery._PatchFitter, "fit", counted_fit)
-        monkeypatch.setattr(recovery._PatchFitter, "_fit_chunk", counted_chunk)
-        monkeypatch.setattr(recovery, "fit_patch", checked_fit_patch)
+        monkeypatch.setattr(recovery, "fit_patch", counted_fit_patch)
         config = RecoveryConfig(variant="SPR-C", interior_degree=interior_degree)
         build_recovered_field(sol, config, tractions=bcs.tractions)
         assert events.count("fit") == (2 if interior_degree == 1 else 1)
@@ -1195,6 +1228,66 @@ def test_gram_schmidt_runs_once_per_fit_call(solve_cached, monkeypatch, interior
             assert (after == "orth") == (before == "fit"), events
         counts.append(events.count("orth"))
     assert counts[0] == counts[1] == events.count("fit")
+
+
+@pytest.mark.parametrize(
+    "name, level, kind, variant",
+    [("cylinder", 2, "fem", "SPR-C"), ("cylinder", 4, "fem", "SPR-C"),
+     ("lshape", 1, "sfem", "SPR-CX"), ("lshape", 2, "sfem", "SPR-CX")],
+)
+def test_every_stack_member_is_orthonormal(
+    solve_cached, cylinder_bm, lshape_bm, monkeypatch, name, level, kind, variant
+):
+    # _kkt_ratio_bound takes C C^T = I for every fitted patch: pin it far
+    # tighter than the ||C C^T - I|| <= 1/2 that its certificate needs
+    bm = {"cylinder": cylinder_bm, "lshape": lshape_bm}[name]
+    mesh, bcs, sol = solve_cached(name, level, kind)
+    calls = record_fit_calls(monkeypatch)
+    build_recovered_field(
+        sol, RecoveryConfig(variant=variant), singular_field=bm.singular_field,
+        tractions=bcs.tractions,
+    )
+    stacks = [stack for kind, stack, _ in calls if kind == "stack"]
+    assert stacks
+    for Q, _, rank, _ in stacks:
+        assert rank.min() > 0
+        for q, r in zip(Q, rank):
+            assert np.abs(q[:r] @ q[:r].T - np.eye(r)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("variant", ["SPR", "SPR-CX"])
+def test_each_fit_patch_call_takes_one_spectrum_of_M(solve_cached, lshape_bm, monkeypatch, variant):
+    # the conditioning certificate reads M's spectrum alone: exactly one
+    # eigvalsh call per fit_patch call, on the (B, m, m) stack of M, and
+    # every call gets constraint rows (zero rows for the plain variants)
+    import smoothfem.recovery as recovery
+
+    mesh, bcs, sol = solve_cached("lshape", 1, "sfem")
+    spectra, real_eigvalsh, fit_patch_ = [], np.linalg.eigvalsh, recovery.fit_patch
+
+    def eigvalsh(a, *args, **kwargs):
+        spectra.append(np.shape(a))
+        return real_eigvalsh(a, *args, **kwargs)
+
+    def counted_fit_patch(node_ids, positions, stresses, weights, degree, constraints, **kw):
+        assert constraints is not None
+        C, d = constraints
+        assert C.shape[:2] == d.shape and (C.shape[1] > 0) == (variant == "SPR-CX")
+        spectra.clear()
+        out = fit_patch_(node_ids, positions, stresses, weights, degree, constraints, **kw)
+        m = len(_MONOMIALS[degree])
+        assert spectra == [(len(positions), m, m)]
+        calls.append(len(positions))
+        return out
+
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(recovery, "fit_patch", counted_fit_patch)
+    build_recovered_field(
+        sol, RecoveryConfig(variant=variant), singular_field=lshape_bm.singular_field,
+        tractions=bcs.tractions,
+    )
+    assert sum(calls) == mesh.n_nodes
 
 
 def test_padded_gram_schmidt_stack_equals_each_patch_alone():

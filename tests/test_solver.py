@@ -956,3 +956,28 @@ def test_parent_fields_reject_points_outside_the_parent_square(solve_cached, kin
         assert method([0, 1], pts[:2]).shape[:2] == (2, 2)  # the closed square is fine
         with pytest.raises(SolveError, match=r"parent point \[.*\] is not a finite point"):
             method([0, 1], pts)
+
+
+@pytest.mark.parametrize("kind", ["sfem", "fem"])
+def test_parent_fields_reject_element_ids_out_of_range(solve_cached, kind):
+    # -1 used to read the last element's fields, n_elements a bare IndexError
+    mesh, _, sol = solve_cached("cylinder", 1, kind, 4)
+    n = mesh.n_elements
+    pts = np.zeros((1, 2))
+    for method in (sol.stress_at_parents, sol.displacement_at_parents):
+        assert method([0, n - 1], pts).shape[:2] == (2, 1)
+        for bad in (-1, n):
+            with pytest.raises(SolveError, match=rf"element id {bad} is not in \[0, {n}\)"):
+                method([0, bad], pts)
+        with pytest.raises(SolveError, match=r"element ids must be a \(n,\) array"):
+            method(0, pts)
+
+
+def test_sfem_operators_of_a_small_element_far_from_the_origin():
+    # a 1e-4 element at (1, 1): the Newton of the edge midpoints stops at the
+    # round-off floor of its parent increments, and the smoothed strains of a
+    # linear field stay exact
+    mesh = single_element_mesh(1.0 + 1e-4 * DISTORTED)
+    sol = interpolate_solution(mesh, MAT, Formulation("sfem", 4), lambda p: 0.01 * (p - 1.0))
+    want = np.broadcast_to(D @ [0.01, 0.01, 0.0], (1, 4, 3))
+    assert_allclose(sol.cell_stress, want, rtol=1e-6, atol=1e-6 * np.abs(want).max())
