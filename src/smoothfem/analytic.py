@@ -200,20 +200,21 @@ def angular_stress_eigenfunction(lam: float, Q: float, mode: str, phi):
     Valid for any exponent (extraction duals use lam < 0).  Shape: phi (...,)
     -> (..., 3).
     """
+    if mode not in (MODE_I, MODE_II):
+        raise AnalyticError(f"mode must be 'I' or 'II', got {mode!r}")
     phi = np.asarray(phi, dtype=float)
     a = (lam - 1.0) * phi
     b = (lam - 3.0) * phi
     q1 = Q * (lam + 1.0)
+    cos_a, cos_b, sin_a, sin_b = np.cos(a), np.cos(b), np.sin(a), np.sin(b)
     if mode == MODE_I:
-        sxx = (2.0 - q1) * np.cos(a) - (lam - 1.0) * np.cos(b)
-        syy = (2.0 + q1) * np.cos(a) + (lam - 1.0) * np.cos(b)
-        sxy = q1 * np.sin(a) + (lam - 1.0) * np.sin(b)
-    elif mode == MODE_II:
-        sxx = (2.0 - q1) * np.sin(a) - (lam - 1.0) * np.sin(b)
-        syy = (2.0 + q1) * np.sin(a) + (lam - 1.0) * np.sin(b)
-        sxy = -q1 * np.cos(a) - (lam - 1.0) * np.cos(b)
+        sxx = (2.0 - q1) * cos_a - (lam - 1.0) * cos_b
+        syy = (2.0 + q1) * cos_a + (lam - 1.0) * cos_b
+        sxy = q1 * sin_a + (lam - 1.0) * sin_b
     else:
-        raise AnalyticError(f"mode must be 'I' or 'II', got {mode!r}")
+        sxx = (2.0 - q1) * sin_a - (lam - 1.0) * sin_b
+        syy = (2.0 + q1) * sin_a + (lam - 1.0) * sin_b
+        sxy = -q1 * cos_a - (lam - 1.0) * cos_b
     return np.stack([sxx, syy, sxy], axis=-1)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elasticity import compliance_matrix
-from .quadmap import gauss_points_2d, jacobian_det, map_point
+from .quadmap import mapped_rule
 from .recovery import RecoveredStressField
 from .solver import DiscreteSolution
 
@@ -96,16 +96,6 @@ def local_deviation(theta_e):
 # ---------------------------------------------------------------------------
 
 
-def _element_quadrature(solution: DiscreteSolution, element_ids: np.ndarray, order: int):
-    """Gauss points (q, 2), weights x Jacobian (n, q) and physical points
-    (n, q, 2) of an order x order rule on each of the elements."""
-    pts, w = gauss_points_2d(order)
-    corners = solution.mesh.coords[solution.mesh.elements[element_ids]]
-    det = jacobian_det(corners[:, None], pts[:, 0], pts[:, 1])
-    phys = map_point(corners, pts[:, 0], pts[:, 1])
-    return pts, w * det, phys
-
-
 def _singular_elements(solution: DiscreteSolution, singular_point) -> np.ndarray:
     """Mask of elements with a corner at the singular vertex."""
     mesh = solution.mesh
@@ -152,7 +142,7 @@ def element_error_squares(
     for ids, order in ((np.nonzero(~singular)[0], 4), (np.nonzero(singular)[0], 16)):
         if not len(ids):
             continue
-        pts, wdet, phys = _element_quadrature(solution, ids, order)
+        pts, wdet, phys = mapped_rule(mesh.coords[mesh.elements[ids]], order)
         # the fields are built one at a time and the points dropped once the
         # exact stress has used them, which keeps the peak memory low
         s_star = s_ex = None

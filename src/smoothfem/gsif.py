@@ -38,7 +38,7 @@ from .analytic import (
     stress_traction,
 )
 from .elasticity import elastic_constants
-from .quadmap import PARENT_CORNERS, gauss_points_1d, gauss_points_2d, jacobian_det, map_point
+from .quadmap import PARENT_CORNERS, gauss_points_1d, mapped_rule
 from .solver import NEUMANN, BoundaryConditions, DiscreteSolution, boundary_values, edge_gauss_rule
 
 __all__ = [
@@ -229,9 +229,7 @@ class _DomainTerm:
 
     def __init__(self, solution: DiscreteSolution, plateau: PlateauFunction, order: int):
         mesh = solution.mesh
-        pts, self.w = gauss_points_2d(order)
-        corners = mesh.coords[mesh.elements]
-        phys = map_point(corners, pts[:, 0], pts[:, 1])  # (n_e, q, 2)
+        pts, wdet, phys = mapped_rule(mesh.coords[mesh.elements], order)
         gq = plateau.gradient(phys)
         ring = np.nonzero(gq.any(axis=(1, 2)))[0]
         if not len(ring):
@@ -240,8 +238,7 @@ class _DomainTerm:
                 f"({plateau.r_plateau}, {plateau.r_outer}); widen the plateau"
             )
         self.ring_elements = len(ring)
-        self.gq, self.phys = gq[ring], phys[ring]
-        self.det = jacobian_det(corners[ring][:, None], pts[:, 0], pts[:, 1])
+        self.gq, self.phys, self.wdet = gq[ring], phys[ring], wdet[ring]
         self.u_h = solution.displacement_at_parents(ring, pts)
         self.s_h = solution.stress_at_parents(ring, pts)
 
@@ -257,7 +254,7 @@ class _DomainTerm:
             ],
             axis=-1,
         )
-        per_element = np.sum(self.w * self.det * np.einsum("eki,eki->ek", self.gq, F), axis=-1)
+        per_element = np.sum(self.wdet * np.einsum("eki,eki->ek", self.gq, F), axis=-1)
         # running sum in element order, as a plain accumulation loop would
         return -float(np.cumsum(per_element)[-1])
 

@@ -5,13 +5,14 @@ Parent domain is the square [-1, 1]^2 with corners ordered counter-clockwise:
 the physical corner coordinates in the same order, or stacks (..., 4, 2) of
 them.
 
-Every Jacobian (``jacobian``, ``jacobian_det``, the Newton of ``invert_map``
-and solver.strain_matrix) comes from one componentwise kernel,
+Every Jacobian (``jacobian_det``, ``mapped_rule``, the Newton of
+``invert_map`` and solver.strain_matrix) comes from one componentwise kernel,
 ``_jacobian_entries``: four separate entry arrays, each an in-order sum over
 the corners.  That order must equal the einsum over the (..., 4, 2) gradient
 and corner stacks bit for bit, so that every batch layout gives the same
 numbers.  Physical images keep the batched matmul (``map_point``, the Newton
-residual); an explicit sum rounds differently there.
+residual); an explicit sum rounds differently there.  ``mapped_rule`` is the
+one place a Gauss rule is carried onto a stack of quads.
 """
 
 from __future__ import annotations
@@ -96,18 +97,12 @@ def _jacobian_entries(corners: np.ndarray, xi, eta) -> tuple[np.ndarray, ...]:
     return entry(0, dxi), entry(0, deta), entry(1, dxi), entry(1, deta)
 
 
-def jacobian(corners: np.ndarray, xi, eta) -> np.ndarray:
-    """Jacobian dx/d(xi, eta) of the bilinear map; returns (..., 2, 2).
+def jacobian_det(corners: np.ndarray, xi, eta) -> np.ndarray:
+    """Jacobian determinant J00 J11 - J01 J10 of the bilinear map.
 
     ``corners`` is one (4, 2) quad or a stack (..., 4, 2) broadcasting
     against the parent points.
     """
-    J00, J01, J10, J11 = _jacobian_entries(corners, xi, eta)
-    return np.stack([np.stack([J00, J01], axis=-1), np.stack([J10, J11], axis=-1)], axis=-2)
-
-
-def jacobian_det(corners: np.ndarray, xi, eta) -> np.ndarray:
-    """Jacobian determinant J00 J11 - J01 J10, broadcasting as ``jacobian``."""
     J00, J01, J10, J11 = _jacobian_entries(corners, xi, eta)
     return J00 * J11 - J01 * J10
 
@@ -143,7 +138,8 @@ def invert_map(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
     Raises:
         QuadMapError: before iterating, for shapes that do not pair as
             above, a non-finite point or a quad with a non-finite corner;
-            then for a singular Jacobian, or no convergence within
+            then for a singular Jacobian (|det| at most 1e-30 times the
+            square of the quad's longest edge), or no convergence within
             NEWTON_MAXITER iterations.  The message names the shapes, the
             quad or the offending point.
     """
@@ -171,7 +167,9 @@ def invert_map(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
             f"cannot invert points in the quad with a non-finite corner {bad.tolist()}"
         )
     edges = np.roll(corners, -1, axis=-2) - corners
-    h = np.hypot(edges[..., 0], edges[..., 1]).min(axis=-1)
+    lengths = np.hypot(edges[..., 0], edges[..., 1])
+    # a Jacobian scales with the square of the quad's size
+    h, tiny = lengths.min(axis=-1), 1e-30 * lengths.max(axis=-1) ** 2
     floor = NEWTON_FLOOR * np.finfo(float).eps * np.abs(corners).max(axis=(-2, -1))
     tol = np.maximum(NEWTON_TOL, np.divide(floor, h, out=np.zeros_like(h), where=h > 0))
     xi = np.zeros_like(points)
@@ -182,14 +180,15 @@ def invert_map(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
         N = shape_functions(xi[..., 0], xi[..., 1])
         res = np.matmul(N[..., None, :], corners)[..., 0, :] - points
         J00, J01, J10, J11 = _jacobian_entries(corners, xi[..., 0], xi[..., 1])
-        # a frozen point's step is discarded: keep its division harmless
-        det = np.where(done, 1.0, J00 * J11 - J01 * J10)
-        singular = np.abs(det) < 1e-30
+        det = J00 * J11 - J01 * J10
+        singular = ~done & (np.abs(det) <= tiny)
         if singular.any():
             bad = points.reshape(-1, 2)[np.argmax(singular.ravel())]
             raise QuadMapError(
                 f"singular Jacobian during bilinear-map inversion for point {bad}"
             )
+        # a frozen point's step is discarded: keep its division harmless
+        det = np.where(done, 1.0, det)
         step = (
             np.stack(
                 [J11 * res[..., 0] - J01 * res[..., 1], -J10 * res[..., 0] + J00 * res[..., 1]],
@@ -230,3 +229,14 @@ def gauss_points_2d(order: int) -> tuple[np.ndarray, np.ndarray]:
     WX, WY = np.meshgrid(w, w, indexing="ij")
     pts = np.stack([XI.ravel(), ETA.ravel()], axis=-1)
     return _read_only(pts, (WX * WY).ravel())
+
+
+def mapped_rule(corners: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order x order Gauss rule carried onto every quad of a stack.
+
+    ``corners`` (..., 4, 2); returns the parent points (q, 2), weight times
+    Jacobian determinant (..., q) and physical points (..., q, 2).
+    """
+    pts, w = gauss_points_2d(order)
+    wdet = w * jacobian_det(corners[..., None, :, :], pts[:, 0], pts[:, 1])
+    return pts, wdet, map_point(corners, pts[:, 0], pts[:, 1])

@@ -52,7 +52,7 @@ import numpy as np
 from .analytic import SingularField
 from .elasticity import compliance_matrix
 from .mesh import NEUMANN, Mesh
-from .quadmap import gauss_points_2d, jacobian_det, map_point, shape_functions
+from .quadmap import mapped_rule, shape_functions
 from .solver import SFEM, DiscreteSolution, _element_ids, _parent_points, boundary_values, row_dot
 
 log = logging.getLogger(__name__)
@@ -157,18 +157,12 @@ def _sampling_arrays(solution: DiscreteSolution):
     the element's 2x2 Gauss points carry the pointwise compatible stress.
     Samples are element-major: element e owns rows e*k ... (e+1)*k - 1.
     """
-    gp, gw = gauss_points_2d(2)
     if solution.formulation.kind == SFEM:
-        corners = solution.operators.cells.corners  # (n_e, nc, 4, 2)
-        pos = map_point(corners, gp[:, 0], gp[:, 1])
-        det = jacobian_det(corners[..., None, :, :], gp[:, 0], gp[:, 1])
-        stress = np.broadcast_to(solution.cell_stress[:, :, None], det.shape + (3,))
-        weight = gw * det
+        _, weight, pos = mapped_rule(solution.operators.cells.corners, 2)  # (n_e, nc, 4)
+        stress = np.broadcast_to(solution.cell_stress[:, :, None], weight.shape + (3,))
     else:
-        mesh = solution.mesh
-        pos = map_point(mesh.coords[mesh.elements], gp[:, 0], gp[:, 1])
+        _, weight, pos = mapped_rule(solution.mesh.coords[solution.mesh.elements], 2)
         stress = solution.cell_stress
-        weight = solution.operators.detw
     k = int(np.prod(weight.shape[1:]))
     return (
         pos.reshape(-1, 2),
@@ -684,14 +678,17 @@ def build_recovered_field(
     split_flags = np.zeros(mesh.n_nodes, dtype=bool)
     smooth = stresses
     if config.with_splitting:
-        # subtracted everywhere, not only within the radius: a transition
-        # patch then sees the one field sigma_h - sigma_sing, where a mix of
-        # the two would defeat its polynomial fit
-        smooth = stresses - singular_field.stress(positions)
         r_nodes = np.linalg.norm(
             mesh.coords - np.asarray(singular_field.frame.vertex), axis=1
         )
         split_flags = r_nodes < config.splitting_radius
+        # only split patches read sigma_h - sigma_sing: it is taken on every
+        # element touching a split node, beyond the radius too, so that a
+        # transition patch sees one field rather than a mix of the two
+        touched = np.nonzero(split_flags[mesh.elements].any(axis=1))[0]
+        rows = (touched[:, None] * per_element + np.arange(per_element)).ravel()
+        smooth = stresses.copy()
+        smooth[rows] -= singular_field.stress(positions[rows])
 
     # collocation applies to the Neumann edges the patch node itself lies on
     # (constraining a patch to tractions of edges it merely grazes would

@@ -159,29 +159,28 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # depend on how the mesh is batched.
 
 
+def _strain_rows(bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """The (..., 3, 8) strain operator of x and y gradient rows (..., 4)."""
+    B = np.zeros(bx.shape[:-1] + (3, 8))
+    B[..., 0, 0::2] = B[..., 2, 1::2] = bx
+    B[..., 1, 1::2] = B[..., 2, 0::2] = by
+    return B
+
+
 def strain_matrix(corners: np.ndarray, xi, eta) -> tuple[np.ndarray, np.ndarray]:
     """Compatible B and Jacobian determinant at parent points.
 
-    corners (P, 4, 2) is the quad owning each point, xi/eta (P,) the parent
-    coordinates; returns B (P, 3, 8) and det (P,).
+    corners (..., 4, 2) broadcast against xi/eta as in _jacobian_entries,
+    say (n, 1, 4, 2) quads with (q,) points; returns B (..., 3, 8), det (...).
     """
     J00, J01, J10, J11 = _jacobian_entries(corners, xi, eta)
     det = J00 * J11 - J01 * J10
     if np.any(det <= 0.0):
         raise SolveError("non-positive Jacobian inside element")
-    invJ = np.empty((len(det), 2, 2))
-    invJ[:, 0, 0] = J11 / det
-    invJ[:, 0, 1] = -J01 / det
-    invJ[:, 1, 0] = -J10 / det
-    invJ[:, 1, 1] = J00 / det
-    G = shape_gradients(xi, eta)  # (P, 4, 2)
-    dN = np.matmul(G, invJ)  # physical gradients: dN/dx_i = dN/dxi_j (J^-1)_ji
-    B = np.zeros((len(det), 3, 8))
-    B[:, 0, 0::2] = dN[..., 0]
-    B[:, 1, 1::2] = dN[..., 1]
-    B[:, 2, 0::2] = dN[..., 1]
-    B[:, 2, 1::2] = dN[..., 0]
-    return B, det
+    invJ = np.stack([J11, -J01, -J10, J00], axis=-1) / det[..., None]
+    # physical gradients: dN/dx_i = dN/dxi_j (J^-1)_ji, (..., 4, 2)
+    dN = np.matmul(shape_gradients(xi, eta), invJ.reshape(det.shape + (2, 2)))
+    return _strain_rows(dN[..., 0], dN[..., 1]), det
 
 
 def _subcell_edge_ids(nc: int) -> np.ndarray:
@@ -207,26 +206,20 @@ def smoothed_strain_matrices(corners: np.ndarray, cells: SubcellGeometry) -> np.
     by two cells has the same midpoint, bit for bit, in both, so one Newton
     call inverts the E distinct edge midpoints (E = 4/7/12/22 for nc
     1/2/4/8) of every element at once, and each distinct edge's N serves
-    every cell on it.  Edges are accumulated cell by cell in CCW order.
+    every cell on it.  Every cell adds its edges in CCW order k = 0..3.
     """
-    n, nc = cells.areas.shape
-    B = np.zeros((n, nc, 3, 8))
-    edge_ids = _subcell_edge_ids(nc)
+    edge_ids = _subcell_edge_ids(cells.areas.shape[1])
     # each distinct edge's first (cell, edge) slot
     first = np.unique(edge_ids.ravel(), return_index=True)[1]
     xi = invert_map(corners[:, None], cells.edge_midpoints[:, first // 4, first % 4])
     edge_N = shape_functions(xi[..., 0], xi[..., 1])  # (n, E, 4)
-    for c in range(nc):
-        for k in range(4):
-            N = edge_N[:, edge_ids[c, k]]
-            nx = cells.edge_normals[:, c, k, 0, None]
-            ny = cells.edge_normals[:, c, k, 1, None]
-            w = cells.edge_lengths[:, c, k, None] * N
-            B[:, c, 0, 0::2] += nx * w
-            B[:, c, 1, 1::2] += ny * w
-            B[:, c, 2, 0::2] += ny * w
-            B[:, c, 2, 1::2] += nx * w
-    return B / cells.areas[:, :, None, None]
+    # sums of n_x N_I l and n_y N_I l over the edges of all (n, nc) cells
+    bx = by = 0.0
+    for k in range(4):
+        w = cells.edge_lengths[:, :, k, None] * edge_N[:, edge_ids[:, k]]  # (n, nc, 4)
+        bx = bx + cells.edge_normals[:, :, k, 0, None] * w
+        by = by + cells.edge_normals[:, :, k, 1, None] * w
+    return _strain_rows(bx, by) / cells.areas[:, :, None, None]
 
 
 def _stiffness(B: np.ndarray, D: np.ndarray, *factors: np.ndarray) -> np.ndarray:
@@ -266,15 +259,13 @@ class ElementOperators:
     K: (n_e, 8, 8) element stiffnesses; dofs: (n_e, 8) global dof map;
     B: (n_e, n_s, 3, 8) strain operators at the element's n_s stress points
     (SFEM: the nc smoothing cells, FEM: the 2x2 Gauss points).
-    SFEM only: cells, the subcell geometry.  FEM only: detw (n_e, 4),
-    Jacobian times Gauss weight at the Gauss points.
+    SFEM only: cells, the subcell geometry.
     """
 
     K: np.ndarray
     dofs: np.ndarray
     B: np.ndarray
     cells: SubcellGeometry | None = None
-    detw: np.ndarray | None = None
 
 
 def _element_operators(
@@ -287,26 +278,19 @@ def _element_operators(
     """
     corners = mesh.coords[mesh.elements]
     D = elasticity_matrix(material)
-    cells = detw = None
+    cells = None
     if formulation.kind == SFEM:
         cells = subcell_geometry(mesh, formulation.nc)
         B = smoothed_strain_matrices(corners, cells)
         K = _stiffness(B, D, cells.areas)
     else:
         pts, w = gauss_points_2d(2)
-        n, n_g = len(corners), len(pts)
-        B, det = strain_matrix(
-            np.repeat(corners, n_g, axis=0), np.tile(pts[:, 0], n), np.tile(pts[:, 1], n)
-        )
-        B, det = B.reshape(n, n_g, 3, 8), det.reshape(n, n_g)
-        w = np.broadcast_to(w, det.shape)
-        K = _stiffness(B, D, det, w)
-        detw = det * w
+        B, det = strain_matrix(corners[:, None], pts[:, 0], pts[:, 1])
+        K = _stiffness(B, D, det, np.broadcast_to(w, det.shape))
     dofs = _dof_map(mesh.elements)
-    for a in (K, dofs, B, detw):
-        if a is not None:
-            a.setflags(write=False)
-    return ElementOperators(K, dofs, B, cells, detw)
+    for a in (K, dofs, B):
+        a.setflags(write=False)
+    return ElementOperators(K, dofs, B, cells)
 
 
 def _scatter(mesh: Mesh, operators: ElementOperators) -> sp.csr_matrix:
@@ -544,7 +528,7 @@ class DiscreteSolution:
         u = self.U[self.operators.dofs[ids]][..., None]  # (n, 8, 1)
         out = np.empty((len(ids), len(pts), 3))
         for k, (xi, eta) in enumerate(pts):
-            B, _ = strain_matrix(corners, np.full(len(ids), xi), np.full(len(ids), eta))
+            B, _ = strain_matrix(corners, xi, eta)
             out[:, k] = np.matmul(self.D, np.matmul(B, u))[..., 0]
         return out
 

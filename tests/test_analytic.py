@@ -160,6 +160,35 @@ def test_primal_and_dual_eigenfunctions_are_traction_free(alpha):
             assert np.abs(traction).max() <= 1e-10 * scale, (mode, exponent)
 
 
+def _former_angular_stress(lam, Q, mode, phi):
+    """angular_stress_eigenfunction as it was, with cos and sin called
+    twice: the oracle for the one-call-each form."""
+    a, b, q1 = (lam - 1.0) * phi, (lam - 3.0) * phi, Q * (lam + 1.0)
+    if mode == MODE_I:
+        sxx = (2.0 - q1) * np.cos(a) - (lam - 1.0) * np.cos(b)
+        syy = (2.0 + q1) * np.cos(a) + (lam - 1.0) * np.cos(b)
+        sxy = q1 * np.sin(a) + (lam - 1.0) * np.sin(b)
+    else:
+        sxx = (2.0 - q1) * np.sin(a) - (lam - 1.0) * np.sin(b)
+        syy = (2.0 + q1) * np.sin(a) + (lam - 1.0) * np.sin(b)
+        sxy = -q1 * np.cos(a) - (lam - 1.0) * np.cos(b)
+    return np.stack([sxx, syy, sxy], axis=-1)
+
+
+@pytest.mark.parametrize("mode", [MODE_I, MODE_II])
+def test_angular_stress_eigenfunction_equals_its_former_form(mode):
+    phi = np.random.default_rng(2).uniform(-ALPHA / 2.0, ALPHA / 2.0, size=(7, 33))
+    for lam in (0.5444837367824639, -0.9085291898460988):
+        got = angular_stress_eigenfunction(lam, 0.3, mode, phi)
+        assert np.array_equal(got, _former_angular_stress(lam, 0.3, mode, phi))
+
+
+def test_angular_stress_eigenfunction_checks_the_mode_first():
+    # a bad mode is named before any phi is read
+    with pytest.raises(AnalyticError, match="mode must be 'I' or 'II', got 'III'"):
+        angular_stress_eigenfunction(0.5, 0.3, "III", object())
+
+
 # ---------------------------------------------------------------------------
 # Williams eigenfields
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from smoothfem.error import (
     element_error_squares,
     local_deviation,
 )
-from smoothfem.quadmap import gauss_points_2d, jacobian_det, map_point
+from smoothfem.quadmap import gauss_points_2d, jacobian_det, map_point, mapped_rule
 from smoothfem.recovery import RecoveryConfig, build_recovered_field
 from smoothfem.solver import Formulation, assemble_and_solve, interpolate_solution
 
@@ -130,37 +130,59 @@ def test_quadrature_is_converged_for_smooth_fields():
     bcs = cb.boundary_conditions(mesh)
     sol = assemble_and_solve(mesh, cb.material, Formulation("fem"), bcs)
     base = np.sqrt(element_error_squares(sol, exact_stress=cb.exact_stress)[1].sum())
-    orig = error_mod._element_quadrature
-    error_mod._element_quadrature = lambda s, ids, order: orig(s, ids, 2 * order)
+    orig = error_mod.mapped_rule
+    error_mod.mapped_rule = lambda corners, order: orig(corners, 2 * order)
     try:
         doubled = np.sqrt(element_error_squares(sol, exact_stress=cb.exact_stress)[1].sum())
     finally:
-        error_mod._element_quadrature = orig
+        error_mod.mapped_rule = orig
     assert abs(doubled - base) < 1e-4 * base
 
 
 def test_singular_elements_get_the_fine_rule(solve_cached, lshape_bm, monkeypatch):
     mesh, bcs, sol = solve_cached("lshape", 1, "sfem", 4)
-    seen = {}
-    orig = error_mod._element_quadrature
+    calls = []
+    orig = error_mod.mapped_rule
 
-    def spy(solution, ids, order):
-        for e in ids:
-            seen[e] = order
-        return orig(solution, ids, order)
+    def spy(corners, order):
+        calls.append((corners, order))
+        return orig(corners, order)
 
-    monkeypatch.setattr(error_mod, "_element_quadrature", spy)
+    monkeypatch.setattr(error_mod, "mapped_rule", spy)
     element_error_squares(
         sol, exact_stress=lshape_bm.exact_stress,
         singular_point=lshape_bm.singular_vertex,
     )
     vertex = mesh.find_node(lshape_bm.singular_vertex)
     lo, hi = mesh.patch_offsets[vertex], mesh.patch_offsets[vertex + 1]
-    vertex_elems = set(mesh.patch_elements[lo:hi].tolist())
-    assert vertex_elems  # sanity
-    assert sorted(seen) == list(range(mesh.n_elements))
-    for e, order in seen.items():
-        assert order == (16 if e in vertex_elems else 4)
+    vertex_elems = np.unique(mesh.patch_elements[lo:hi])
+    assert len(vertex_elems)  # sanity
+    others = np.setdiff1d(np.arange(mesh.n_elements), vertex_elems)
+    # one rule per order, each on exactly its elements' quads, in element order
+    all_corners = mesh.coords[mesh.elements]
+    assert [order for _, order in calls] == [4, 16]
+    assert np.array_equal(calls[0][0], all_corners[others])
+    assert np.array_equal(calls[1][0], all_corners[vertex_elems])
+
+
+def _element_quadrature(solution, element_ids, order):
+    """The error quadrature's former rule, written out by hand: the oracle
+    that mapped_rule must equal bit for bit."""
+    pts, w = gauss_points_2d(order)
+    corners = solution.mesh.coords[solution.mesh.elements[element_ids]]
+    det = jacobian_det(corners[:, None], pts[:, 0], pts[:, 1])
+    phys = map_point(corners, pts[:, 0], pts[:, 1])
+    return pts, w * det, phys
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 16])
+@pytest.mark.parametrize("name,level,kind", [("cylinder", 2, "fem"), ("lshape", 1, "sfem")])
+def test_mapped_rule_equals_the_former_element_quadrature(solve_cached, name, level, kind, order):
+    mesh, _, sol = solve_cached(name, level, kind, 4)
+    ids = np.random.default_rng(order).permutation(mesh.n_elements)[: mesh.n_elements // 2]
+    got = mapped_rule(mesh.coords[mesh.elements[ids]], order)
+    for a, b in zip(got, _element_quadrature(sol, ids, order)):
+        assert np.array_equal(a, b)
 
 
 def _per_element_squares(sol, field, exact_stress, singular_point):

@@ -8,15 +8,18 @@ from numpy.testing import assert_allclose
 
 import smoothfem.quadmap as quadmap_mod
 from conftest import einsum_jacobian, random_quads
+from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark
+from smoothfem.mesh import subcell_geometry
 from smoothfem.quadmap import (
     PARENT_CORNERS,
     QuadMapError,
     gauss_points_1d,
     gauss_points_2d,
+    _jacobian_entries,
     invert_map,
-    jacobian,
     jacobian_det,
     map_point,
+    mapped_rule,
     shape_functions,
     shape_gradients,
 )
@@ -55,7 +58,7 @@ def test_map_point_hits_corners():
 def test_jacobian_of_axis_aligned_square():
     # unit physical square [0,1]^2: x = (xi+1)/2, so dx/dxi = 1/2
     unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    J = jacobian(unit, 0.2, -0.4)
+    J = np.reshape(_jacobian_entries(unit, 0.2, -0.4), (2, 2))
     assert_allclose(J, 0.5 * np.eye(2), atol=1e-15)
     assert_allclose(jacobian_det(unit, 0.2, -0.4), 0.25, atol=1e-15)
 
@@ -73,6 +76,19 @@ def test_invert_map_rejects_degenerate_quad():
     degenerate = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     with pytest.raises(QuadMapError):
         invert_map(degenerate, np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-5, 1.0, 1e5, 1e15])
+def test_invert_map_singular_test_does_not_depend_on_the_quad_size(scale):
+    # the singular-Jacobian threshold scales with the square of the longest
+    # edge, so a uniformly scaled quad inverts as the unit one does
+    point = map_point(scale * DISTORTED, 0.3, -0.2)
+    assert_allclose(invert_map(scale * DISTORTED, point), [0.3, -0.2], atol=1e-12)
+    # a collapsed quad (two corners on one point, det = 0 at xi = 0) still
+    # raises, naming the point
+    collapsed = scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(QuadMapError, match=r"singular Jacobian .* for point \["):
+        invert_map(collapsed, scale * np.array([0.25, 0.25]))
 
 
 def test_gauss_rules_integrate_polynomials_exactly():
@@ -128,7 +144,9 @@ def test_jacobian_kernels_match_the_einsum_oracle(layout):
     corners, xi, eta = _jacobian_layouts(np.random.default_rng(17))[layout]
     J = einsum_jacobian(corners, xi, eta)
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    assert np.array_equal(jacobian(corners, xi, eta), J)
+    entries = _jacobian_entries(corners, xi, eta)
+    for entry, (i, j) in zip(entries, [(0, 0), (0, 1), (1, 0), (1, 1)]):
+        assert np.array_equal(entry, J[..., i, j])
     assert np.array_equal(jacobian_det(corners, xi, eta), det)
 
 
@@ -248,3 +266,47 @@ def test_invert_map_converges_in_small_quads_far_from_the_origin(size, offset):
     assert np.abs(got - parent).max() < max(1e-10, 64 * np.finfo(float).eps * offset / size)
     one_per_point = invert_map(np.broadcast_to(corners, (200, 4, 2)), points)
     assert np.array_equal(one_per_point, got)
+
+
+def _former_rules(corners, order):
+    """The hand-written Gauss mappings that mapped_rule replaced, each the
+    oracle it must equal bit for bit: the error quadrature's and the
+    recovery sampling's (points, w det, physical points), and the GSIF
+    domain term's w and det (taken on the ring rows)."""
+    pts, w = gauss_points_2d(order)
+    det = jacobian_det(corners[..., None, :, :], pts[:, 0], pts[:, 1])
+    phys = map_point(corners, pts[:, 0], pts[:, 1])
+    return pts, w, det, phys
+
+
+def _rule_stacks():
+    cylinder = CylinderBenchmark().mesh(2)
+    lshape = LShapeBenchmark().mesh(1)
+    stacks = {"cylinder-L2-elements": cylinder.coords[cylinder.elements]}
+    for nc in (1, 2, 4, 8):
+        stacks[f"lshape-L1-subcells-nc{nc}"] = subcell_geometry(lshape, nc).corners
+    return stacks
+
+
+RULE_STACKS = _rule_stacks()
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 16])
+@pytest.mark.parametrize("stack", sorted(RULE_STACKS))
+def test_mapped_rule_equals_the_former_hand_written_rules(stack, order):
+    corners = RULE_STACKS[stack]
+    pts, wdet, phys = mapped_rule(corners, order)
+    ref_pts, w, det, ref_phys = _former_rules(corners, order)
+    assert pts is ref_pts
+    assert wdet.shape == corners.shape[:-2] + (len(w),)
+    assert phys.shape == corners.shape[:-2] + (len(w), 2)
+    assert np.array_equal(wdet, w * det)  # error quadrature, recovery sampling
+    assert np.array_equal(phys, ref_phys)
+    # the GSIF domain term took det on the ring rows only, then w * det * F
+    ring = np.arange(0, len(corners), 3)
+    ring_det = _former_rules(corners[ring], order)[2]
+    f = np.random.default_rng(order).uniform(-1.0, 1.0, size=ring_det.shape)
+    assert np.array_equal(wdet[ring] * f, w * ring_det * f)
+    # and a single quad gives its row of the stack
+    first = corners.reshape(-1, 4, 2)[0]
+    assert np.array_equal(mapped_rule(first, order)[1], wdet.reshape(-1, len(w))[0])

@@ -1412,3 +1412,45 @@ def test_bad_traction_output_names_the_boundary(solve_cached, lshape_bm, variant
             sol, RecoveryConfig(variant=variant), singular_field=lshape_bm.singular_field,
             tractions=tractions,
         )
+
+
+@pytest.mark.parametrize("kind", ["sfem", "fem"])
+def test_singular_stress_is_subtracted_only_where_split_patches_read_it(
+    solve_cached, lshape_bm, monkeypatch, kind
+):
+    # the smooth part is taken on the samples of the elements touching a
+    # split node, and split patches read nothing else; it equals the
+    # subtraction over all samples there bit for bit
+    import smoothfem.recovery as recovery
+
+    mesh, bcs, sol = solve_cached("lshape", 1, kind, 4)
+    seen, fitters = [], []
+    stress = SingularField.stress
+
+    def counting_stress(self, points):
+        seen.append(np.array(points))
+        return stress(self, points)
+
+    class SpyFitter(recovery._PatchFitter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            fitters.append(self)
+
+    monkeypatch.setattr(SingularField, "stress", counting_stress)
+    monkeypatch.setattr(recovery, "_PatchFitter", SpyFitter)
+    build_recovered_field(
+        sol, RecoveryConfig(variant="SPR-X", gsif_mode="exact"),
+        singular_field=lshape_bm.singular_field,
+    )
+    monkeypatch.undo()
+    (fitter,) = fitters
+    positions, stresses, _, k = _sampling_arrays(sol)
+    touched = fitter.split[mesh.elements].any(axis=1)
+    assert 0 < touched.sum() < mesh.n_elements
+    rows = (np.nonzero(touched)[0][:, None] * k + np.arange(k)).ravel()
+    assert len(seen) == 1 and np.array_equal(seen[0], positions[rows])
+    full = stresses - lshape_bm.singular_field.stress(positions)
+    assert np.array_equal(fitter.smooth[rows], full[rows])
+    for node in np.nonzero(fitter.split)[0]:
+        patch = mesh.patch_elements[mesh.patch_offsets[node]:mesh.patch_offsets[node + 1]]
+        assert touched[patch].all()

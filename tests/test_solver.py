@@ -31,6 +31,7 @@ from smoothfem.quadmap import (
     gauss_points_2d,
     invert_map,
     map_point,
+    mapped_rule,
     shape_functions,
     shape_gradients,
 )
@@ -602,6 +603,35 @@ def test_one_cell_sfem_cylinder_still_solves(solve_cached):
     assert sol.residual_rel < 1e-9
 
 
+@pytest.mark.parametrize("grading, solves, residual", [(20.0, 2, 8.2e-12), (2.0, 1, 5.3e-14)])
+def test_iterative_refinement_runs_when_the_first_residual_is_above_1e_12(
+    monkeypatch, grading, solves, residual
+):
+    # the strongly graded L-shape's first solve leaves a residual above
+    # 1e-12, so one refinement step (a second solve) follows; the default
+    # grading stops after one solve
+    calls = []
+    splu = solver_mod.spla.splu
+
+    class CountingLU:
+        def __init__(self, A):
+            self.lu = splu(A)
+
+        def solve(self, rhs):
+            calls.append(len(rhs))
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(solver_mod.spla, "splu", CountingLU)
+    bm = LShapeBenchmark(grading=grading)
+    mesh = bm.mesh(3)
+    sol = assemble_and_solve(
+        mesh, bm.material, Formulation("sfem", 4), bm.boundary_conditions(mesh)
+    )
+    assert len(calls) == solves
+    # measured 8.2e-12 and 5.3e-14; round-off may vary with the BLAS build
+    assert residual / 10 < sol.residual_rel < residual * 10
+
+
 def test_rigid_mode_diagnosis_names_the_loose_modes(cylinder_bm):
     # decided from the constrained dofs alone, before any assembly
     m = single_element_mesh(UNIT)
@@ -715,8 +745,6 @@ def test_solution_stresses_and_operators_are_read_only():
                 cells.corners, cells.areas,
                 cells.edge_midpoints, cells.edge_normals, cells.edge_lengths,
             ]
-        else:
-            arrays.append(ops.detw)
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1
@@ -799,6 +827,7 @@ def test_kernels_match_the_scalar_reference_bit_for_bit(name, kind, nc):
     mesh = BATCH_MESHES[name]
     full = _element_operators(mesh, MAT, Formulation(kind, nc))
     pts, wts = gauss_points_2d(2)
+    _, wdet, _ = mapped_rule(mesh.coords[mesh.elements], 2)  # FEM recovery weights
     for e in np.random.default_rng(7).permutation(mesh.n_elements)[:12]:
         corners = mesh.coords[mesh.elements[e]]
         Ke = np.zeros((8, 8))
@@ -816,7 +845,7 @@ def test_kernels_match_the_scalar_reference_bit_for_bit(name, kind, nc):
             for g, ((xi, eta), w) in enumerate(zip(pts, wts)):
                 B, det = _reference_fem_B(corners, xi, eta)
                 assert np.array_equal(B, full.B[e, g])
-                assert det * w == full.detw[e, g]
+                assert det * w == wdet[e, g]
                 Ke += B.T @ D @ B * det * w
         assert np.array_equal(0.5 * (Ke + Ke.T), full.K[e])
 
@@ -877,16 +906,11 @@ def test_kernels_are_batch_invariant(name, kind, nc):
             assert np.array_equal(getattr(cells, field), getattr(full.cells, field)[subset])
         assert np.array_equal(smoothed_strain_matrices(corners, cells), full.B[subset])
     else:
-        pts, _ = gauss_points_2d(2)
-        n_g = len(pts)
-        B, det = strain_matrix(
-            np.repeat(corners, n_g, axis=0),
-            np.tile(pts[:, 0], len(subset)),
-            np.tile(pts[:, 1], len(subset)),
-        )
-        assert np.array_equal(B.reshape(-1, n_g, 3, 8), full.B[subset])
-        _, w = gauss_points_2d(2)
-        assert np.array_equal(det.reshape(-1, n_g) * w, full.detw[subset])
+        pts, w = gauss_points_2d(2)
+        B, det = strain_matrix(corners[:, None], pts[:, 0], pts[:, 1])
+        assert np.array_equal(B, full.B[subset])
+        _, wdet, _ = mapped_rule(mesh.coords[mesh.elements], 2)
+        assert np.array_equal(det * w, wdet[subset])
     # batches of one: one-element meshes, and single points for FEM B
     for e in subset[:8]:
         c = mesh.coords[mesh.elements[e]]
@@ -897,6 +921,29 @@ def test_kernels_are_batch_invariant(name, kind, nc):
             for g, (xi, eta) in enumerate(pts):
                 B, _ = strain_matrix(c[None], np.array([xi]), np.array([eta]))
                 assert np.array_equal(B[0], full.B[e, g])
+                assert np.array_equal(strain_matrix(c, xi, eta)[0], full.B[e, g])
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_MESHES))
+def test_strain_matrix_broadcasts_as_the_per_point_batch(name):
+    # the former layouts, one quad per point: np.repeat/np.tile over the
+    # Gauss points, and np.full of one point over all elements
+    mesh = BATCH_MESHES[name]
+    corners = mesh.coords[mesh.elements]
+    n = len(corners)
+    pts, _ = gauss_points_2d(2)
+    B, det = strain_matrix(corners[:, None], pts[:, 0], pts[:, 1])
+    assert B.shape == (n, len(pts), 3, 8) and det.shape == (n, len(pts))
+    B_ref, det_ref = strain_matrix(
+        np.repeat(corners, len(pts), axis=0), np.tile(pts[:, 0], n), np.tile(pts[:, 1], n)
+    )
+    assert np.array_equal(B, B_ref.reshape(B.shape))
+    assert np.array_equal(det, det_ref.reshape(det.shape))
+    for xi, eta in np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 2)):
+        B, det = strain_matrix(corners, xi, eta)
+        B_ref, det_ref = strain_matrix(corners, np.full(n, xi), np.full(n, eta))
+        assert np.array_equal(B, B_ref)
+        assert np.array_equal(det, det_ref)
 
 
 def test_fem_point_stresses_are_batch_invariant():
