@@ -7,6 +7,9 @@ handed out by key.  Everything returned from these fixtures is shared —
 treat it as read-only.
 """
 
+import gc
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -28,6 +31,25 @@ BENCHMARKS = {
     "lshape": LShapeBenchmark(),
     "patch": PatchBenchmark(),
 }
+
+
+TESTS_DIR = pathlib.Path(__file__).resolve().parent
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_runtest_teardown(item, nextitem):
+    """Collect garbage once, after the last test of this directory.
+
+    By then the process holds ~1e5 objects (session caches, collected
+    items, reports), and the cyclic collector owes a full pass over them
+    (50-80 ms).
+    Left pending, it lands inside whichever timed pass of
+    perfbench/test_counts.py first allocates enough, outside every layer
+    span, and breaks that test's span-coverage check.  perfbench/run.py
+    starts each pass with gc.collect() for the same reason.
+    """
+    if nextitem is None or TESTS_DIR not in nextitem.path.resolve().parents:
+        gc.collect()
 
 
 @pytest.fixture(scope="session")
