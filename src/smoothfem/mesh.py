@@ -4,6 +4,11 @@ Meshes are immutable after construction: nodes (dense ids), counter-clockwise
 Q4 elements, tagged boundary edges covering the whole boundary, and the
 node -> elements adjacency ("patch") map.  Local edge k of an element joins
 its local nodes k and (k+1) % 4.
+
+The tagged boundary is stored once, as ``Mesh.boundary_arrays``.  Builders
+tag it with ``classify(p0, p1)``, which maps the (n_b, 2) end points of all
+boundary edges to (n_b,) kind and name arrays (or values broadcasting to
+them); a kind other than "neumann" or "dirichlet" is unclassifiable.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ class MeshError(ValueError):
 
 @dataclass(frozen=True)
 class BoundaryEdge:
-    """A tagged element edge on the domain boundary.
+    """A tagged element edge on the domain boundary: one BoundaryArrays row.
 
     kind is "neumann" or "dirichlet"; name identifies the traction function /
     constraint spec supplied at solve time.
@@ -40,22 +45,32 @@ class BoundaryEdge:
     kind: str
     name: str
 
-    @property
-    def tag(self) -> str:
-        return f"{self.kind}:{self.name}"
-
 
 @dataclass(frozen=True)
 class BoundaryArrays:
-    """The tagged boundary as read-only arrays, one row per edge in
-    ``Mesh.boundary`` order: element_ids, local_edges, kinds, names (n_b,)
-    and node_ids (n_b, 2)."""
+    """The tagged boundary as read-only arrays (copies of the arguments), one
+    row per edge: element_ids, local_edges, kinds, names (n_b,) and node_ids
+    (n_b, 2), the edge's end nodes in its element's order."""
 
     element_ids: np.ndarray
     local_edges: np.ndarray
     node_ids: np.ndarray
     kinds: np.ndarray
     names: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = np.size(self.element_ids)
+        try:  # fields in declaration order: ids, ids, node pairs, kinds, names
+            for field, dtype in zip(vars(self), (int, int, int, str, str)):
+                value = getattr(self, field)
+                a = np.array(value, dtype=dtype)
+                if dtype is int and not np.array_equal(a, value):
+                    raise ValueError(f"{field} must be integers")
+                a = a.reshape((n, 2) if field == "node_ids" else (n,))
+                a.setflags(write=False)
+                object.__setattr__(self, field, a)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MeshError(f"malformed boundary arrays (one row per edge): {exc}") from exc
 
 
 def quad_area(corners: np.ndarray):
@@ -83,7 +98,7 @@ class Mesh:
         self,
         coords: np.ndarray,
         elements: np.ndarray,
-        boundary: list[BoundaryEdge],
+        boundary: BoundaryArrays | tuple[BoundaryEdge, ...] | list[BoundaryEdge],
     ):
         coords = np.array(coords, dtype=float)
         elements = np.array(elements, dtype=int)
@@ -102,7 +117,10 @@ class Mesh:
         elements.setflags(write=False)
         self.coords = coords
         self.elements = elements
-        self.boundary = tuple(boundary)
+        if not isinstance(boundary, BoundaryArrays):  # records, in the caller's order
+            rows = [(r.element_id, r.local_edge, r.node_ids, r.kind, r.name) for r in boundary]
+            boundary = BoundaryArrays(*(zip(*rows) if rows else [()] * 5))
+        self.boundary_arrays = boundary
 
         # element orientation / degeneracy: bilinear Jacobian positive at all
         # four corners
@@ -138,23 +156,13 @@ class Mesh:
         return len(self.elements)
 
     @functools.cached_property
-    def boundary_arrays(self) -> BoundaryArrays:
-        """``boundary`` as arrays, built on first use."""
-        b = self.boundary
-        arrays = BoundaryArrays(
-            element_ids=np.array([be.element_id for be in b], dtype=int),
-            local_edges=np.array([be.local_edge for be in b], dtype=int),
-            node_ids=np.array([be.node_ids for be in b], dtype=int).reshape(-1, 2),
-            kinds=np.array([be.kind for be in b], dtype=str),
-            names=np.array([be.name for be in b], dtype=str),
-        )
-        for a in vars(arrays).values():
-            a.setflags(write=False)
-        return arrays
-
-    def edge_nodes(self, element_id: int, local_edge: int) -> tuple[int, int]:
-        conn = self.elements[element_id]
-        return int(conn[local_edge]), int(conn[(local_edge + 1) % 4])
+    def boundary(self) -> tuple[BoundaryEdge, ...]:
+        """``boundary_arrays`` as BoundaryEdge records, built on first use."""
+        b = self.boundary_arrays
+        return tuple(map(
+            BoundaryEdge, b.element_ids.tolist(), b.local_edges.tolist(),
+            map(tuple, b.node_ids.tolist()), b.kinds.tolist(), b.names.tolist(),
+        ))
 
     def find_node(self, position) -> int:
         """Id of the node nearest ``position``; errors if farther than FIND_NODE_TOL."""
@@ -169,43 +177,54 @@ class Mesh:
     def _check_boundary(self) -> None:
         """The tags cover the topological boundary exactly, each once, with a
         known kind and its element's own node order."""
+        b = self.boundary_arrays
+        e, k = b.element_ids, b.local_edges
         topo = _topological_boundary(self.elements)
-        tagged = {(be.element_id, be.local_edge) for be in self.boundary}
-        if len(tagged) != len(self.boundary):
-            raise MeshError("duplicate boundary edge tags")
-        if tagged != topo:
-            missing = topo - tagged
-            extra = tagged - topo
+        # out-of-range tags key as -1: sorted keys equal topo only for unique, covering tags
+        keys = np.where((0 <= e) & (e < self.n_elements) & (0 <= k) & (k < 4), 4 * e + k, -1)
+        if not np.array_equal(np.sort(keys), topo):
+            tagged = set(zip(e.tolist(), k.tolist()))
+            if len(tagged) != len(e):
+                raise MeshError("duplicate boundary edge tags")
+            lone = set(zip((topo // 4).tolist(), (topo % 4).tolist()))
             raise MeshError(
                 f"boundary tags do not cover the boundary exactly "
-                f"(missing {sorted(missing)[:5]}, extra {sorted(extra)[:5]})"
+                f"(missing {sorted(lone - tagged)[:5]}, extra {sorted(tagged - lone)[:5]})"
             )
         # an unknown kind or a reversed node pair would silently drop the
         # edge's load or flip its outward normal
-        for be in self.boundary:
-            where = f"boundary edge {be.local_edge} of element {be.element_id} ({be.tag})"
-            if be.kind not in (NEUMANN, DIRICHLET):
-                raise MeshError(
-                    f"{where} has unknown kind {be.kind!r} "
-                    f"(use {NEUMANN!r} or {DIRICHLET!r})"
-                )
-            nodes = self.edge_nodes(be.element_id, be.local_edge)
-            if tuple(be.node_ids) != nodes:
-                raise MeshError(
-                    f"{where} lists nodes {tuple(be.node_ids)}, "
-                    f"but the element's edge joins {nodes}"
-                )
+        unknown = np.flatnonzero(~np.isin(b.kinds, (NEUMANN, DIRICHLET)))
+        if len(unknown):
+            i = unknown[0]
+            raise MeshError(
+                f"boundary edge {k[i]} of element {e[i]} ({b.kinds[i]}:{b.names[i]}) "
+                f"has unknown kind {str(b.kinds[i])!r} (use {NEUMANN!r} or {DIRICHLET!r})"
+            )
+        nodes = _edge_ends(self.elements, e, k)
+        misordered = np.flatnonzero(np.any(b.node_ids != nodes, axis=1))
+        if len(misordered):
+            i = misordered[0]
+            raise MeshError(
+                f"boundary edge {k[i]} of element {e[i]} ({b.kinds[i]}:{b.names[i]}) lists "
+                f"nodes {tuple(b.node_ids[i].tolist())}, but the element's edge joins "
+                f"{tuple(nodes[i].tolist())}"
+            )
 
 
-def _topological_boundary(elements: np.ndarray) -> set[tuple[int, int]]:
-    """(element, local_edge) pairs whose undirected edge only one element uses."""
+def _edge_ends(elements, element_ids, local_edges) -> np.ndarray:
+    """(n, 2) end nodes of local edge k of element e, in the element's order."""
+    return elements[element_ids[:, None], (local_edges[:, None] + (0, 1)) % 4]
+
+
+def _topological_boundary(elements: np.ndarray) -> np.ndarray:
+    """Sorted keys 4e + k of the local edges k of elements e whose undirected
+    edge only one element uses."""
     elements = np.asarray(elements, dtype=np.int64).reshape(-1, 4)
     # entry 4e + k keys local edge k of element e by its sorted node ids
     a, b = elements.ravel(), np.roll(elements, -1, axis=1).ravel()
     key = np.minimum(a, b) * (elements.max(initial=0) + 1) + np.maximum(a, b)
     _, first, count = np.unique(key, return_index=True, return_counts=True)
-    lone = first[count == 1]
-    return set(zip((lone // 4).tolist(), (lone % 4).tolist()))
+    return np.sort(first[count == 1])
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +315,17 @@ def subcell_geometry(mesh: Mesh, nc: int) -> SubcellGeometry:
 # ---------------------------------------------------------------------------
 
 
-def _tag_boundary(coords, elements, classify) -> list[BoundaryEdge]:
-    """Tag every topological boundary edge via ``classify(p0, p1) -> (kind, name)``."""
-    coords = np.asarray(coords, float)
-    elements = np.asarray(elements, int)
-    out = []
-    for e, k in sorted(_topological_boundary(elements)):
-        a, b = int(elements[e, k]), int(elements[e, (k + 1) % 4])
-        kind, name = classify(coords[a], coords[b])
-        out.append(BoundaryEdge(e, k, (a, b), kind, name))
-    return out
+def _tag_boundary(coords, elements, classify) -> BoundaryArrays:
+    """Tag every topological boundary edge, in (element, local edge) order,
+    via ``classify(p0, p1) -> (kinds, names)`` on their (n_b, 2) end points."""
+    e, k = np.divmod(_topological_boundary(elements), 4)
+    ends = _edge_ends(elements, e, k)
+    p0, p1 = coords[ends[:, 0]], coords[ends[:, 1]]
+    kinds, names, _ = np.broadcast_arrays(*classify(p0, p1), e)
+    bad = np.flatnonzero(~np.isin(kinds, (NEUMANN, DIRICHLET)))
+    if len(bad):
+        raise MeshError(f"unclassifiable boundary edge {p0[bad[0]].tolist()}-{p1[bad[0]].tolist()}")
+    return BoundaryArrays(e, k, ends, kinds, names)
 
 
 def _grid_mesh(x, y, classify, keep=None) -> Mesh:
@@ -351,16 +371,15 @@ def build_cylinder_mesh(a: float, b: float, n: int) -> Mesh:
     rtol = 1e-9 * b
 
     def classify(p0, p1):
-        if abs(p0[1]) < rtol and abs(p1[1]) < rtol:
-            return DIRICHLET, "sym_y"
-        if abs(p0[0]) < rtol and abs(p1[0]) < rtol:
-            return DIRICHLET, "sym_x"
-        r0, r1 = np.hypot(*p0), np.hypot(*p1)
-        if abs(r0 - a) < rtol and abs(r1 - a) < rtol:
-            return NEUMANN, "pressure"
-        if abs(r0 - b) < rtol and abs(r1 - b) < rtol:
-            return NEUMANN, "free"
-        raise MeshError(f"unclassifiable cylinder boundary edge {p0}-{p1}")
+        r0, r1 = np.hypot(*p0.T), np.hypot(*p1.T)
+        on = [  # the first match wins
+            (abs(p0[:, 1]) < rtol) & (abs(p1[:, 1]) < rtol),
+            (abs(p0[:, 0]) < rtol) & (abs(p1[:, 0]) < rtol),
+            (abs(r0 - a) < rtol) & (abs(r1 - a) < rtol),
+            (abs(r0 - b) < rtol) & (abs(r1 - b) < rtol),
+        ]
+        kinds = np.select(on, [DIRICHLET, DIRICHLET, NEUMANN, NEUMANN], "")
+        return kinds, np.select(on, ["sym_y", "sym_x", "pressure", "free"], "")
 
     return _grid_mesh(R * np.cos(PHI), R * np.sin(PHI), classify)
 
@@ -411,13 +430,13 @@ def build_lshape_mesh(level: int, grading: float) -> Mesh:
     keep = ~((mid[:, None] > 0.0) & (mid[None, :] < 0.0))
 
     def classify(p0, p1):
-        mx, my = 0.5 * (p0 + p1)
+        mx, my = (0.5 * (p0 + p1)).T
         tol = 1e-12
-        if min(abs(mx - 1.0), abs(mx + 1.0), abs(my - 1.0), abs(my + 1.0)) < tol:
-            return NEUMANN, "outer"
-        if (abs(my) < tol and mx > 0.0) or (abs(mx) < tol and my < 0.0):
-            return NEUMANN, "notch"
-        raise MeshError(f"unclassifiable L-shape boundary edge at ({mx}, {my})")
+        on = [  # the first match wins
+            np.minimum.reduce([abs(mx - 1.0), abs(mx + 1.0), abs(my - 1.0), abs(my + 1.0)]) < tol,
+            ((abs(my) < tol) & (mx > 0.0)) | ((abs(mx) < tol) & (my < 0.0)),
+        ]
+        return np.select(on, [NEUMANN, NEUMANN], ""), np.select(on, ["outer", "notch"], "")
 
     mesh = _grid_mesh(X, Y, classify, keep)
     mesh.find_node((0.0, 0.0))  # the singular vertex must be a node
@@ -457,13 +476,14 @@ def build_square_mesh(
 
 def save_mesh(mesh: Mesh, path) -> None:
     """Write the plain-text mesh format (lossless %.17g coordinates)."""
-    lines = [f"{mesh.n_nodes} {mesh.n_elements} {len(mesh.boundary)}"]
+    b = mesh.boundary_arrays
+    lines = [f"{mesh.n_nodes} {mesh.n_elements} {len(b.element_ids)}"]
     for i, (x, y) in enumerate(mesh.coords):
         lines.append(f"{i} {x:.17g} {y:.17g}")
     for e, conn in enumerate(mesh.elements):
         lines.append(f"{e} {conn[0]} {conn[1]} {conn[2]} {conn[3]}")
-    for be in mesh.boundary:
-        lines.append(f"{be.element_id} {be.local_edge} {be.tag}")
+    tags = b.kinds + ":" + b.names
+    lines += map(" ".join, zip(b.element_ids.astype(str), b.local_edges.astype(str), tags))
     with open(path, "w", encoding="ascii") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -501,13 +521,13 @@ def load_mesh(path) -> Mesh:
         elements = np.empty((n_elems, 4), dtype=int)
         for row in elem_rows:
             elements[int(row[0])] = [int(v) for v in row[1:5]]
-        boundary = []
-        for row in rows[n_nodes + n_elems : n_nodes + n_elems + n_bound]:
-            e, k = int(row[0]), int(row[1])
-            kind, name = row[2].split(":", 1)
-            a = int(elements[e][k])
-            b = int(elements[e][(k + 1) % 4])
-            boundary.append(BoundaryEdge(e, k, (a, b), kind, name))
+        table = np.array(rows[n_nodes + n_elems : n_nodes + n_elems + n_bound], dtype=str)
+        table = table.reshape(-1, 3)  # element, local edge, kind:name
+        e, k = table[:, :2].astype(int).T
+        kinds, colon, names = np.strings.partition(table[:, 2], ":")
+        if not np.all(colon == ":"):
+            raise ValueError("a boundary tag has no ':'")
+        boundary = BoundaryArrays(e, k, _edge_ends(elements, e, k), kinds, names)
     except (IndexError, ValueError) as exc:
         raise MeshError(f"malformed mesh file {path}: {exc}") from exc
     return Mesh(coords, elements, boundary)

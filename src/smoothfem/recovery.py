@@ -284,7 +284,7 @@ class NeumannEdges:
     """The Neumann edges of a mesh, their tractions, and the edges per node.
 
     ends (E, 2) node ids, names (E,) and traction_ids (E,) (edges whose
-    traction is the same callable share an id) in ``mesh.boundary`` order;
+    traction is the same callable share an id) in ``mesh.boundary_arrays`` order;
     on (n_nodes, 2) each node's first and second Neumann edge in that order
     (-1: none; a node on one edge repeats it).
     """

@@ -1,5 +1,10 @@
 """Mesh generation, smoothing-cell subdivision, boundary tagging, mesh I/O."""
 
+import cProfile
+import pstats
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +13,7 @@ from conftest import single_element_mesh
 from smoothfem.mesh import (
     DIRICHLET,
     NEUMANN,
+    BoundaryArrays,
     BoundaryEdge,
     Mesh,
     MeshError,
@@ -160,14 +166,17 @@ def reference_patches_and_boundary(elements):
 def test_patches_and_boundary_match_the_dict_walk(make):
     m = make()
     patches, lone = reference_patches_and_boundary(m.elements)
-    assert _topological_boundary(m.elements) == lone
-    assert {(be.element_id, be.local_edge) for be in m.boundary} == lone
+    # the keys are 4e + k, sorted, so they list the pairs in sorted order
+    assert _topological_boundary(m.elements).tolist() == [4 * e + k for e, k in sorted(lone)]
+    b = m.boundary_arrays
+    assert list(zip(b.element_ids.tolist(), b.local_edges.tolist())) == sorted(lone)
     for node in range(m.n_nodes):
         assert patch_of(m, node) == tuple(patches[node])
     # reversed element order: the same edges, owned by renumbered elements
     rev = m.elements[::-1]
     n = len(rev)
-    assert _topological_boundary(rev) == {(n - 1 - e, k) for e, k in lone}
+    expected = sorted(4 * (n - 1 - e) + k for e, k in lone)
+    assert _topological_boundary(rev).tolist() == expected
 
 
 def test_missing_node_lookup_raises():
@@ -179,6 +188,19 @@ def test_missing_node_lookup_raises():
 # ---------------------------------------------------------------------------
 # the structured-grid kernel against the former per-node / per-cell loops
 # ---------------------------------------------------------------------------
+
+
+def reference_tag_boundary(coords, elements, classify):
+    """The former edge-by-edge tagger: one ``classify(p0, p1) -> (kind, name)``
+    call and one BoundaryEdge per edge, in sorted (element, local edge) order."""
+    coords = np.asarray(coords, float)
+    elements = np.asarray(elements, int)
+    out = []
+    for e, k in sorted(reference_patches_and_boundary(elements)[1]):
+        a, b = int(elements[e, k]), int(elements[e, (k + 1) % 4])
+        kind, name = classify(coords[a], coords[b])
+        out.append(BoundaryEdge(e, k, (a, b), kind, name))
+    return out
 
 
 def reference_cylinder_mesh(a, b, n):
@@ -213,7 +235,7 @@ def reference_cylinder_mesh(a, b, n):
             return NEUMANN, "free"
         raise AssertionError(f"unclassifiable edge {p0}-{p1}")
 
-    return coords, elements, _tag_boundary(coords, elements, classify)
+    return coords, elements, reference_tag_boundary(coords, elements, classify)
 
 
 def reference_lshape_mesh(level, grading):
@@ -250,7 +272,7 @@ def reference_lshape_mesh(level, grading):
             return NEUMANN, "notch"
         raise AssertionError(f"unclassifiable edge at ({mx}, {my})")
 
-    return coords, elements, _tag_boundary(coords, elements, classify)
+    return coords, elements, reference_tag_boundary(coords, elements, classify)
 
 
 def reference_square_mesh(n, distortion=0.0, seed=0):
@@ -280,7 +302,9 @@ def reference_square_mesh(n, distortion=0.0, seed=0):
             for j in range(n)
         ]
     )
-    return coords, elements, _tag_boundary(coords, elements, lambda p0, p1: (DIRICHLET, "exact"))
+    return coords, elements, reference_tag_boundary(
+        coords, elements, lambda p0, p1: (DIRICHLET, "exact")
+    )
 
 
 GRID_CASES = (
@@ -309,7 +333,45 @@ def test_grid_builders_match_the_loop_builders_bit_for_bit(build, reference, arg
     assert np.array_equal(m.coords, coords)
     assert m.coords.tobytes() == coords.tobytes()  # signed zeros included
     assert np.array_equal(m.elements, elements)
+    b = m.boundary_arrays
+    assert b.element_ids.tolist() == [be.element_id for be in boundary]
+    assert b.local_edges.tolist() == [be.local_edge for be in boundary]
+    assert b.node_ids.tolist() == [list(be.node_ids) for be in boundary]
+    assert b.kinds.tolist() == [be.kind for be in boundary]
+    assert b.names.tolist() == [be.name for be in boundary]
     assert m.boundary == tuple(boundary)
+
+
+@pytest.mark.parametrize(
+    "build, small, large",
+    [
+        (build_cylinder_mesh, (5.0, 20.0, 2), (5.0, 20.0, 5)),
+        (build_lshape_mesh, (1, 2.0), (3, 2.0)),
+    ],
+    ids=["cylinder-L2-L5", "lshape-L1-L3"],
+)
+def test_mesh_build_python_calls_do_not_grow_with_the_mesh(build, small, large):
+    # tagging and checking the boundary are array operations, so building
+    # a mesh takes the same number of Python calls at every level
+    def calls(args):
+        build(*args)  # warm up caches (imports, numpy dispatch)
+        profile = cProfile.Profile()
+        profile.runcall(build, *args)
+        return pstats.Stats(profile).total_calls
+
+    assert calls(small) == calls(large)
+
+
+def test_tagging_rejects_an_unclassifiable_edge():
+    m = build_square_mesh(2)
+
+    def classify(p0, p1):  # leaves the edges on x = 1 untagged
+        right = (p0[:, 0] == 1.0) & (p1[:, 0] == 1.0)
+        return np.where(right, "", DIRICHLET), "exact"
+
+    message = "unclassifiable boundary edge [1.0, 0.0]-[1.0, 0.5]"
+    with pytest.raises(MeshError, match=re.escape(message)):
+        _tag_boundary(m.coords, m.elements, classify)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +435,58 @@ def test_mesh_rejects_inverted_element():
         single_element_mesh(flipped)
 
 
+def test_boundary_records_and_arrays_round_trip():
+    m = build_square_mesh(2, 0.1, seed=3)
+    b = m.boundary_arrays
+    assert all(not a.flags.writeable for a in vars(b).values())
+    assert isinstance(m.boundary, tuple) and len(m.boundary) == len(b.element_ids)
+    # records are taken in the caller's order, sorted or not
+    rev = Mesh(m.coords, m.elements, m.boundary[::-1]).boundary_arrays
+    for field in vars(b):
+        assert np.array_equal(getattr(rev, field), getattr(b, field)[::-1])
+    same = Mesh(m.coords, m.elements, b).boundary_arrays
+    assert all(np.array_equal(getattr(same, f), getattr(b, f)) for f in vars(b))
+
+
+def test_boundary_arrays_need_one_row_per_edge_and_integer_ids():
+    with pytest.raises(MeshError, match="one row per edge"):
+        BoundaryArrays([0, 0], [0, 1], [[0, 1]], [NEUMANN] * 2, ["a"] * 2)
+    boundary = [BoundaryEdge(0, k, (k, (k + 1) % 4), NEUMANN, "a") for k in range(4)]
+    bad_rows = [replace(boundary[0], node_ids=(0, 1, 0))] + boundary[1:]
+    with pytest.raises(MeshError, match="one row per edge"):
+        Mesh(UNIT, np.array([[0, 1, 2, 3]]), bad_rows)
+    # a fractional id must not be truncated onto a real edge
+    fractional = [replace(boundary[0], local_edge=0.5)] + boundary[1:]
+    with pytest.raises(MeshError, match="local_edges must be integers"):
+        Mesh(UNIT, np.array([[0, 1, 2, 3]]), fractional)
+    Mesh(UNIT, np.array([[0, 1, 2, 3]]), boundary)
+
+
+@pytest.mark.parametrize(
+    "tag, bad",
+    [((3, 1), (-1, 1)), ((3, 2), (4, 2)), ((0, 3), (1, -1)), ((2, 0), (1, 4))],
+    ids=["element-minus-1", "element-n_e", "local-edge-minus-1", "local-edge-4"],
+)
+def test_mesh_rejects_out_of_range_boundary_tags(tag, bad):
+    # each bad pair replaces the tag it would alias: element -1 wraps around
+    # to element 3, and key 4e + k of (1, -1) and (1, 4) is that of (0, 3)
+    # and (2, 0)
+    m = build_square_mesh(2)
+    boundary = [
+        replace(be, element_id=bad[0], local_edge=bad[1])
+        if (be.element_id, be.local_edge) == tag else be
+        for be in m.boundary
+    ]
+    with pytest.raises(MeshError, match=re.escape(f"(missing [{tag}], extra [{bad}])")):
+        Mesh(m.coords, m.elements, boundary)
+
+
+def test_mesh_rejects_duplicate_boundary_tags():
+    boundary = [BoundaryEdge(0, k, (k, (k + 1) % 4), NEUMANN, "a") for k in (0, 1, 2, 3, 3)]
+    with pytest.raises(MeshError, match="duplicate boundary edge tags"):
+        Mesh(UNIT, np.array([[0, 1, 2, 3]]), boundary)
+
+
 def test_mesh_requires_complete_boundary_cover():
     partial = [BoundaryEdge(0, 0, (0, 1), NEUMANN, "free")]
     with pytest.raises(MeshError):
@@ -410,7 +524,8 @@ def test_save_load_round_trip(tmp_path):
     back = load_mesh(path)
     assert_allclose(back.coords, m.coords, rtol=0, atol=0)  # %.17g is exact
     assert np.array_equal(back.elements, m.elements)
-    assert [be.tag for be in back.boundary] == [be.tag for be in m.boundary]
+    b, b_back = m.boundary_arrays, back.boundary_arrays
+    assert all(np.array_equal(getattr(b_back, f), getattr(b, f)) for f in vars(b))
 
 
 def test_load_mesh_rejects_mistyped_kind(tmp_path):
@@ -420,6 +535,21 @@ def test_load_mesh_rejects_mistyped_kind(tmp_path):
     assert "dirichlet:exact" in text
     path.write_text(text.replace("dirichlet:exact", "dirichelt:exact", 1), encoding="ascii")
     with pytest.raises(MeshError, match="unknown kind 'dirichelt'"):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("dirichlet:exact", "dirichlet"), ("0 0 dirichlet:exact", "0 0 dirichlet:exact 7")],
+    ids=["tag-without-colon", "extra-token"],
+)
+def test_load_mesh_rejects_malformed_boundary_rows(tmp_path, old, new):
+    path = tmp_path / "square.mesh"
+    save_mesh(build_square_mesh(2), path)
+    text = path.read_text(encoding="ascii")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="ascii")
+    with pytest.raises(MeshError, match="malformed mesh file"):
         load_mesh(path)
 
 
