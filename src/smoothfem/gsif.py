@@ -265,8 +265,8 @@ class _BoundaryTerm:
     4-point Gauss per edge.  The mode-independent arrays are built once for
     every edge in the support: geometry, q, u_h and t, the imposed traction
     on Neumann edges (one call per boundary name) or the discrete traction
-    sigma_h n on constrained ones (one stress_at_parents batch per local
-    edge).  The per-edge sums are added in edge order.
+    sigma_h n on constrained ones (one stress_at_parents call at per-edge
+    parent points).  The per-edge sums are added in edge order.
     """
 
     def __init__(
@@ -291,12 +291,11 @@ class _BoundaryTerm:
             bcs.tractions, np.repeat(names[neumann], len(self.gw)), self.x[neumann].reshape(-1, 2),
             np.repeat(self.normal[neumann, 0], len(self.gw), axis=0), GsifError,
         ).reshape(-1, len(self.gw), 2)
-        # constrained edges inside the support: use the discrete traction
-        for k in np.unique(local_edges[~neumann]).tolist():
-            sel = ~neumann & (local_edges == k)
-            par = np.outer(Na, PARENT_CORNERS[k]) + np.outer(Nb, PARENT_CORNERS[(k + 1) % 4])
-            stress = solution.stress_at_parents(edges.element_ids[inside][sel], par)
-            self.t[sel] = stress_traction(stress, self.normal[sel])
+        # constrained edges inside the support: sigma_h n at each edge's parent points
+        k = local_edges[~neumann, None]
+        par = Na[:, None] * PARENT_CORNERS[k] + Nb[:, None] * PARENT_CORNERS[(k + 1) % 4]
+        stress = solution.stress_at_parents(edges.element_ids[inside][~neumann], par)
+        self.t[~neumann] = stress_traction(stress, self.normal[~neumann])
 
     def __call__(self, dual: ExtractionDual) -> float:
         if not len(self.x):

@@ -474,57 +474,63 @@ def build_square_mesh(
 # ---------------------------------------------------------------------------
 
 
+def _format(line: str, *columns: np.ndarray) -> str:
+    """One ``line % row`` text line per row of the (n,) or (n, k) columns, by a
+    single % format of the whole section."""
+    cells = np.column_stack([np.asarray(c, dtype=object) for c in columns])
+    return (line + "\n") * len(cells) % tuple(cells.ravel().tolist())
+
+
+def _table(lines: np.ndarray, width: int) -> np.ndarray:
+    """The (len(lines), width) str tokens of lines; ValueError unless each has width."""
+    return np.array(np.char.split(lines).tolist(), dtype=object).reshape(len(lines), width)
+
+
 def save_mesh(mesh: Mesh, path) -> None:
-    """Write the plain-text mesh format (lossless %.17g coordinates)."""
+    """Write the plain-text mesh format (lossless %.17g), a section at a time."""
     b = mesh.boundary_arrays
-    lines = [f"{mesh.n_nodes} {mesh.n_elements} {len(b.element_ids)}"]
-    for i, (x, y) in enumerate(mesh.coords):
-        lines.append(f"{i} {x:.17g} {y:.17g}")
-    for e, conn in enumerate(mesh.elements):
-        lines.append(f"{e} {conn[0]} {conn[1]} {conn[2]} {conn[3]}")
-    tags = b.kinds + ":" + b.names
-    lines += map(" ".join, zip(b.element_ids.astype(str), b.local_edges.astype(str), tags))
+    text = f"{mesh.n_nodes} {mesh.n_elements} {len(b.element_ids)}\n"
+    text += _format("%d %.17g %.17g", np.arange(mesh.n_nodes), mesh.coords)
+    text += _format("%d %d %d %d %d", np.arange(mesh.n_elements), mesh.elements)
+    text += _format("%d %d %s", b.element_ids, b.local_edges, b.kinds + ":" + b.names)
     with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(text)
 
 
-def _check_ids(rows: list[list[str]], n: int, what: str) -> None:
-    """Raise MeshError unless the rows' leading ids are 0..n-1, each once."""
-    seen = np.zeros(n, dtype=bool)
-    for i in (int(row[0]) for row in rows):
-        if not 0 <= i < n:
-            raise MeshError(f"{what} id {i} is outside 0..{n - 1}")
-        if seen[i]:
-            raise MeshError(f"{what} id {i} is repeated")
-        seen[i] = True
-    if not seen.all():
-        raise MeshError(f"{what} id {int(np.argmin(seen))} is missing")
+def _check_ids(ids: np.ndarray, n: int, what: str) -> None:
+    """Raise MeshError unless ids (in file order) are 0..n-1, each once, naming
+    the first id out of range or repeated, else the lowest missing one."""
+    first = np.isin(np.arange(len(ids)), np.unique(ids, return_index=True)[1])
+    bad = np.flatnonzero(~first | (ids < 0) | (ids >= n))
+    if len(bad):
+        i = ids[bad[0]]
+        problem = "repeated" if 0 <= i < n else f"outside 0..{n - 1}"
+        raise MeshError(f"{what} id {i} is {problem}")
+    if len(ids) < n:
+        raise MeshError(f"{what} id {np.setdiff1d(np.arange(n), ids)[0]} is missing")
 
 
 def load_mesh(path) -> Mesh:
     """Read the plain-text mesh format written by save_mesh.
 
-    Node and element rows may come in any order, but their ids must be
-    exactly 0..n-1, each once.
+    Blank lines are skipped.  Node and element rows may come in any order,
+    but their ids must be exactly 0..n-1, each once; a section is parsed and
+    checked as one array, and its rows must all have its number of tokens.
     """
     with open(path, encoding="ascii") as f:
-        tokens = [line.split() for line in f if line.strip()]
+        lines = np.array(f.read().splitlines(), dtype=str)
+    lines = lines[np.strings.strip(lines) != ""]
     try:
-        n_nodes, n_elems, n_bound = (int(v) for v in tokens[0])
-        rows = tokens[1:]
-        node_rows, elem_rows = rows[:n_nodes], rows[n_nodes : n_nodes + n_elems]
-        _check_ids(node_rows, n_nodes, "node")
-        _check_ids(elem_rows, n_elems, "element")
-        coords = np.empty((n_nodes, 2))
-        for row in node_rows:
-            coords[int(row[0])] = (float(row[1]), float(row[2]))
-        elements = np.empty((n_elems, 4), dtype=int)
-        for row in elem_rows:
-            elements[int(row[0])] = [int(v) for v in row[1:5]]
-        table = np.array(rows[n_nodes + n_elems : n_nodes + n_elems + n_bound], dtype=str)
-        table = table.reshape(-1, 3)  # element, local edge, kind:name
-        e, k = table[:, :2].astype(int).T
-        kinds, colon, names = np.strings.partition(table[:, 2], ":")
+        n_nodes, n_elems, n_bound = (int(v) for v in lines[0].split())
+        ends = np.cumsum([1, n_nodes, n_elems, n_bound])
+        nodes, elems, table = (_table(lines[a:b], w) for a, b, w in zip(ends, ends[1:], (3, 5, 3)))
+        node_ids, elem_ids = nodes[:, 0].astype(int), elems[:, 0].astype(int)
+        _check_ids(node_ids, n_nodes, "node")
+        _check_ids(elem_ids, n_elems, "element")
+        coords = nodes[np.argsort(node_ids), 1:].astype(float)
+        elements = elems[np.argsort(elem_ids), 1:].astype(int)
+        e, k = table[:, :2].astype(int).T  # element, local edge, kind:name
+        kinds, colon, names = np.strings.partition(table[:, 2].astype(str), ":")
         if not np.all(colon == ":"):
             raise ValueError("a boundary tag has no ':'")
         boundary = BoundaryArrays(e, k, _edge_ends(elements, e, k), kinds, names)

@@ -53,7 +53,7 @@ from .analytic import SingularField
 from .elasticity import compliance_matrix
 from .mesh import NEUMANN, Mesh
 from .quadmap import mapped_rule, shape_functions
-from .solver import SFEM, DiscreteSolution, _element_ids, _parent_points, boundary_values, row_dot
+from .solver import SFEM, DiscreteSolution, _parent_batch, boundary_values, row_dot
 
 log = logging.getLogger(__name__)
 
@@ -603,7 +603,7 @@ class RecoveredStressField:
         self.split_flags = split_flags
 
     def evaluate_at_parents(self, element_ids, pts: np.ndarray) -> np.ndarray:
-        """sigma* at parent points of elements; ids (n,), pts (q, 2) -> (n, q, 3).
+        """sigma* at parent points (q, 2) or (n, q, 2) of elements (n,); (n, q, 3).
 
         The blend accumulates over local corners k = 0..3 in turn; each
         corner's patch polynomials are one batched (q, m) @ (m, 3) matmul
@@ -611,10 +611,9 @@ class RecoveredStressField:
         elements that touch a split node.  Raises RecoveryError naming the
         first element id out of range or point not in [-1, 1]^2.
         """
-        ids = _element_ids(element_ids, self.mesh.n_elements, RecoveryError)
-        pts = _parent_points(pts, RecoveryError)
+        ids, pts = _parent_batch(element_ids, pts, self.mesh.n_elements, RecoveryError)
         conn = self.mesh.elements[ids]
-        N = shape_functions(pts[:, 0], pts[:, 1])  # (q, 4)
+        N = shape_functions(pts[..., 0], pts[..., 1])  # (q, 4) or (n, q, 4)
         phys = N @ self.mesh.coords[conn]  # (n, q, 2)
         split = self.split_flags[conn] & (self.singular_field is not None)
         touched = np.nonzero(split.any(axis=1))[0]
@@ -627,7 +626,7 @@ class RecoveredStressField:
             if len(touched):
                 hit = split[touched, k]
                 vals[touched[hit]] += sing[hit]
-            vals *= N[:, k, None]
+            vals *= N[..., k, None]
             out += vals
         return out
 

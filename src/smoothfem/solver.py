@@ -431,37 +431,30 @@ def _solve_failure(reason: str, operators: ElementOperators) -> SolveError:
     return SolveError(reason)
 
 
-def _parent_points(pts, error: type[Exception] = SolveError) -> np.ndarray:
-    """pts as a (q, 2) float array of finite points of the closed parent square.
+def _parent_batch(element_ids, pts, n_elements: int, error: type[Exception] = SolveError):
+    """ids (n,) in [0, n_elements) and finite pts of [-1, 1]^2, shared (q, 2)
+    or per element (n, q, 2); raises ``error`` naming the first that is not.
 
-    Raises ``error`` naming the first point that is not: outside [-1, 1]^2
-    the SFEM cell lookup would return another cell's stress, and the FEM
-    fields and the recovered blend would extrapolate.
+    A negative id would read another element's fields; outside the parent
+    square the SFEM cell lookup would return another cell's stress, and the
+    FEM fields and the recovered blend would extrapolate.
     """
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise error(f"parent points must be a (q, 2) array, got shape {pts.shape}")
-    outside = ~np.all(np.abs(pts) <= 1.0, axis=1)  # a nan fails too
-    if outside.any():
-        raise error(
-            f"parent point {pts[np.argmax(outside)]} is not a finite point of [-1, 1]^2"
-        )
-    return pts
-
-
-def _element_ids(ids, n_elements: int, error: type[Exception] = SolveError) -> np.ndarray:
-    """ids as an (n,) int array of element ids in [0, n_elements).
-
-    Raises ``error`` naming the first id that is not: a negative id would
-    index from the end and read another element's fields.
-    """
-    ids = np.asarray(ids, dtype=int)
+    ids = np.asarray(element_ids, dtype=int)
     if ids.ndim != 1:
         raise error(f"element ids must be a (n,) array, got shape {ids.shape}")
     bad = (ids < 0) | (ids >= n_elements)
     if bad.any():
         raise error(f"element id {ids[np.argmax(bad)]} is not in [0, {n_elements})")
-    return ids
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim < 2 or pts.shape[-1] != 2 or pts.shape[:-2] not in ((), ids.shape):
+        raise error(
+            f"parent points must be a (q, 2) or ({len(ids)}, q, 2) array, got shape {pts.shape}"
+        )
+    outside = ~np.all(np.abs(pts) <= 1.0, axis=-1).ravel()  # a nan fails too
+    if outside.any():
+        bad = pts.reshape(-1, 2)[np.argmax(outside)]
+        raise error(f"parent point {bad} is not a finite point of [-1, 1]^2")
+    return ids, pts
 
 
 class DiscreteSolution:
@@ -500,36 +493,39 @@ class DiscreteSolution:
     # -- field evaluation ---------------------------------------------------
 
     def displacement_at_parents(self, element_ids, pts: np.ndarray) -> np.ndarray:
-        """FE displacement at parent points pts (q, 2) of elements (n,); (n, q, 2).
+        """FE displacement at parent points of elements (n,); (n, q, 2).
 
-        Raises SolveError naming an id out of range (_element_ids) or a point
-        outside [-1, 1]^2 (_parent_points).
+        pts (q, 2) are shared by all elements, pts (n, q, 2) given per
+        element.  Raises SolveError as _parent_batch does.
         """
-        ids = _element_ids(element_ids, self.mesh.n_elements)
-        pts = _parent_points(pts)
+        ids, pts = _parent_batch(element_ids, pts, self.mesh.n_elements)
         q = self.U[self.operators.dofs[ids]]
-        N = shape_functions(pts[:, 0], pts[:, 1])  # (q, 4)
+        N = shape_functions(pts[..., 0], pts[..., 1])  # (q, 4) or (n, q, 4)
         return np.matmul(N, q.reshape(-1, 4, 2))
 
     def stress_at_parents(self, element_ids, pts: np.ndarray) -> np.ndarray:
-        """Raw stress at parent points pts (q, 2) of elements (n,); (n, q, 3).
+        """Raw stress at parent points of elements (n,); (n, q, 3).
 
-        SFEM: the owning subcell's constant; FEM: the compatible pointwise
-        stress, computed one point at a time over all n elements so that B
-        stays (n, 3, 8).  Raises SolveError naming an id out of range
-        (_element_ids) or a point outside [-1, 1]^2 (_parent_points).
+        pts (q, 2) are shared by all elements, pts (n, q, 2) given per
+        element.  SFEM: the owning subcell's constant.  FEM: the compatible
+        pointwise stress in blocks of ceil(n / q) elements, one strain_matrix
+        call each: at most min(n, q) calls of fewer than n + q B matrices.
+        Raises SolveError as _parent_batch does.
         """
-        ids = _element_ids(element_ids, self.mesh.n_elements)
-        pts = _parent_points(pts)
+        ids, pts = _parent_batch(element_ids, pts, self.mesh.n_elements)
         if self.formulation.kind == SFEM:
-            c = subcell_index_at(self.formulation.nc, pts[:, 0], pts[:, 1])
+            c = subcell_index_at(self.formulation.nc, pts[..., 0], pts[..., 1])
             return self.cell_stress[ids[:, None], c]
-        corners = self.mesh.coords[self.mesh.elements[ids]]
-        u = self.U[self.operators.dofs[ids]][..., None]  # (n, 8, 1)
-        out = np.empty((len(ids), len(pts), 3))
-        for k, (xi, eta) in enumerate(pts):
-            B, _ = strain_matrix(corners, xi, eta)
-            out[:, k] = np.matmul(self.D, np.matmul(B, u))[..., 0]
+        n, q = len(ids), pts.shape[-2]
+        corners = self.mesh.coords[self.mesh.elements[ids]][:, None]  # (n, 1, 4, 2)
+        u = self.U[self.operators.dofs[ids]][:, None, :, None]  # (n, 1, 8, 1)
+        out = np.empty((n, q, 3))
+        step = max(1, -(-n // max(q, 1)))  # ceil(n / q) elements per block
+        for s in range(0, n, step):
+            b = slice(s, s + step)
+            p = pts if pts.ndim == 2 else pts[b]  # shared points stay (q, 2)
+            B, _ = strain_matrix(corners[b], p[..., 0], p[..., 1])
+            out[b] = np.matmul(self.D, np.matmul(B, u[b]))[..., 0]
         return out
 
     def energy(self) -> float:

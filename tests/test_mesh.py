@@ -1,6 +1,7 @@
 """Mesh generation, smoothing-cell subdivision, boundary tagging, mesh I/O."""
 
 import cProfile
+import gc
 import pstats
 import re
 from dataclasses import replace
@@ -613,3 +614,27 @@ def test_golden_mesh_file(tmp_path):
     golden = load_mesh(GOLDEN_MESH)
     assert_allclose(golden.coords, m.coords, rtol=0, atol=0)
     assert np.array_equal(golden.elements, m.elements)
+
+
+def test_mesh_io_python_calls_do_not_grow_with_the_mesh(tmp_path):
+    # save_mesh formats and load_mesh parses and checks whole sections as
+    # arrays, so a round trip takes the same number of Python calls at every
+    # level (one line-by-line pass used to grow with nodes and elements).
+    # The collector is off while profiling: a collection would add the gc
+    # callbacks other libraries register (Hypothesis does) to the count.
+    path = tmp_path / "cylinder.mesh"
+
+    def calls(level):
+        m = build_cylinder_mesh(5.0, 20.0, level)
+        save_mesh(m, path)
+        load_mesh(path)  # warm up caches (imports, numpy dispatch)
+        profile = cProfile.Profile()
+        gc.disable()
+        try:
+            profile.runcall(save_mesh, m, path)
+            profile.runcall(load_mesh, path)
+        finally:
+            gc.enable()
+        return pstats.Stats(profile).total_calls
+
+    assert calls(2) == calls(5)

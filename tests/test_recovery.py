@@ -20,8 +20,10 @@ from smoothfem.benchmarks import LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import Material, PLANE_STRAIN, compliance_matrix
 from smoothfem.error import element_error_squares
 from smoothfem.gsif import extract_gsifs
+from smoothfem.mesh import Mesh, build_square_mesh
 from smoothfem.recovery import (
     CHUNK,
+    VARIANTS,
     PatchFailure,
     PatchFits,
     RecoveredStressField,
@@ -41,7 +43,7 @@ from smoothfem.recovery import (
     fit_patch,
     neumann_edges,
 )
-from smoothfem.quadmap import gauss_points_2d, shape_functions
+from smoothfem.quadmap import gauss_points_2d, mapped_rule, shape_functions
 from smoothfem.solver import Formulation, interpolate_solution
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -700,6 +702,8 @@ def test_blend_matches_the_per_element_loop_and_any_subset(solve_cached, lshape_
     subset = rng.permutation(mesh.n_elements)[: mesh.n_elements // 3]
     assert np.array_equal(field.evaluate_at_parents(subset, pts), full[subset])
     assert np.array_equal(field.evaluate_at_parents(subset[::-1], pts), full[subset[::-1]])
+    per_element = np.broadcast_to(pts, (len(subset),) + pts.shape)
+    assert np.array_equal(field.evaluate_at_parents(subset, per_element), full[subset])
     for e in subset[:6]:
         assert np.array_equal(field.evaluate_at_parents([e], pts)[0], full[e])
     for e in range(mesh.n_elements):
@@ -774,6 +778,49 @@ def test_polynomial_reproduction_zeroes_the_estimate():
     field = build_recovered_field(sol, RecoveryConfig(variant="SPR-C"))
     est2, _, _ = element_error_squares(sol, recovered_field=field)
     assert np.sqrt(est2.sum()) < 1e-9
+
+
+def airy_stress(p):
+    """The stress (phi_yy, phi_xx, -phi_xy) of the biharmonic Airy function
+    phi = x^4 - 6 x^2 y^2 + y^4 + x^3 y - x y^3: a statically admissible
+    quadratic field (equilibrium and compatibility hold exactly)."""
+    x, y = p[..., 0], p[..., 1]
+    sxx = -12 * x**2 + 12 * y**2 - 6 * x * y
+    return np.stack([sxx, -sxx, 24 * x * y - 3 * x**2 + 3 * y**2], axis=-1)
+
+
+@pytest.mark.parametrize(
+    "aspect",
+    [
+        1.0,
+        pytest.param(1e7, marks=pytest.mark.xfail(
+            strict=True, raises=PatchFailure,
+            reason="ROADMAP item 10: one basis scale per patch makes a patch 1e7 times "
+            "longer than wide singular (PatchFailure at node 0)",
+        )),
+    ],
+)
+def test_stretched_block_reproduces_a_quadratic_airy_stress(lshape_bm, aspect):
+    # a 2 x 2 FEM block of [2, 3] x [0, 1 / aspect] sampled exactly from
+    # the Airy field at its Gauss points; the centre node's 4-element patch
+    # has enough samples for degree 2 in every variant (the other patches
+    # fall back for want of samples at any aspect), and the splitting
+    # variants split nothing this far from the L-shape's notch
+    square = build_square_mesh(2)
+    mesh = Mesh(square.coords * [1.0, 1.0 / aspect] + [2.0, 0.0], square.elements,
+                square.boundary_arrays)
+    sol = interpolate_solution(mesh, MAT, Formulation("fem"), np.zeros_like)
+    points = mapped_rule(mesh.coords[mesh.elements], 2)[2]
+    sol.cell_stress = airy_stress(points)
+    for variant in VARIANTS:
+        field = build_recovered_field(
+            sol, RecoveryConfig(variant=variant), singular_field=lshape_bm.singular_field
+        )
+        assert field.fits.degrees[4] == 2, variant
+        assert_allclose(
+            patch_values(field, 4, points), sol.cell_stress,
+            atol=1e-10 * np.abs(sol.cell_stress).max(), err_msg=variant,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import smoothfem.solver as solver_mod
 from conftest import BENCHMARKS, einsum_jacobian, random_quads, single_element_mesh
 from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import Material, PLANE_STRAIN, elasticity_matrix
+from smoothfem.error import _singular_elements
 from smoothfem.mesh import (
     DIRICHLET,
     BoundaryEdge,
@@ -632,6 +633,61 @@ def test_iterative_refinement_runs_when_the_first_residual_is_above_1e_12(
     assert residual / 10 < sol.residual_rel < residual * 10
 
 
+def graded_square(span):
+    """16 x 16 unit square graded geometrically toward both centre lines, the
+    L-shape's tensor grading, element sizes spanning ``span``: the left edge
+    clamped, a unit x traction on the right edge, the rest free."""
+    t = mesh_mod.graded_intervals(1, span)
+    ax = 0.5 + 0.5 * np.concatenate([-t[::-1], t[1:]])
+
+    def classify(p0, p1):
+        left, right = (p0[:, 0] == 0.0) & (p1[:, 0] == 0.0), (p0[:, 0] == 1.0) & (p1[:, 0] == 1.0)
+        names = np.select([left, right], ["clamp", "load"], "free")
+        return np.where(left, DIRICHLET, NEUMANN), names
+
+    mesh = mesh_mod._grid_mesh(*np.meshgrid(ax, ax, indexing="ij"), classify)
+    bcs = BoundaryConditions(
+        tractions={"load": lambda x, n: 0 * x + [1.0, 0.0], "free": lambda x, n: 0 * x},
+        dirichlet={"clamp": DirichletSpec((0, 1))},
+    )
+    return mesh, bcs
+
+
+@pytest.mark.xfail(
+    strict=True, raises=SolveError,
+    reason="ROADMAP item 9: the residual test ||r|| / ||b|| <= 1e-9 is not scale-aware "
+    "(solver residual too large: 3.458e-09)",
+)
+def test_strongly_graded_square_solves_to_a_small_backward_error():
+    # elements 1e7 times longer than wide make ||K|| ||u|| >> ||b||; the
+    # solve is backward stable all the same (a span of 1e6 passes today)
+    mesh, bcs = graded_square(1e7)
+    sol = assemble_and_solve(mesh, MAT, Formulation("sfem", 4), bcs)
+    free = np.setdiff1d(np.arange(2 * mesh.n_nodes), _dirichlet_values(mesh, bcs)[0])
+    K = _scatter(mesh, sol.operators)[free]
+    f = _neumann_vector(mesh, bcs)[free]
+    # the componentwise backward error of Oettli and Prager
+    omega = np.abs(K @ sol.U - f) / (abs(K) @ np.abs(sol.U) + np.abs(f))
+    assert omega.max() <= 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True, raises=mesh_mod.MeshError,
+    reason="ROADMAP item 6: the shoelace sum of absolute coordinates cancels "
+    "(non-positive smoothing-cell area in element 119)",
+)
+def test_smoothing_cells_of_tiny_elements_away_from_the_origin():
+    # element 119 is 4.6e-9 wide at (0.5, 0.5); the mesh accepts it.  The
+    # rectangles' areas are exact products of exact coordinate differences;
+    # 1e-6 leaves room for cell corners rounded at |x| = 0.5 (today the
+    # cells' areas are off by 9e-4 already at a span of 1e6)
+    mesh, _ = graded_square(1e8)
+    corners = mesh.coords[mesh.elements]
+    width, height = np.ptp(corners[..., 0], axis=1), np.ptp(corners[..., 1], axis=1)
+    cells = subcell_geometry(mesh, 4)
+    assert_allclose(cells.areas.sum(axis=1), width * height, rtol=1e-6)
+
+
 def test_rigid_mode_diagnosis_names_the_loose_modes(cylinder_bm):
     # decided from the constrained dofs alone, before any assembly
     m = single_element_mesh(UNIT)
@@ -960,6 +1016,74 @@ def test_fem_point_stresses_are_batch_invariant():
         for k in order[:3]:
             B, _ = _reference_fem_B(mesh.coords[mesh.elements[e]], *pts[k])
             assert np.array_equal(sol.D @ (B @ q), batch[k])
+
+
+def _per_point_fem_stress(sol, ids, pts):
+    """Reference FEM stress_at_parents: one strain_matrix call per parent
+    point over all n elements, so B stays (n, 3, 8)."""
+    corners = sol.mesh.coords[sol.mesh.elements[ids]]
+    u = sol.U[sol.operators.dofs[ids]][..., None]
+    out = np.empty((len(ids), len(pts), 3))
+    for k, (xi, eta) in enumerate(pts):
+        B, _ = strain_matrix(corners, xi, eta)
+        out[:, k] = np.matmul(sol.D, np.matmul(B, u))[..., 0]
+    return out
+
+
+def _error_batches(bm, sol):
+    """The (element ids, rule order) batches of the error quadrature: 4x4
+    away from the singular vertex, 16x16 on the elements touching it."""
+    vertex = _singular_elements(sol, bm.singular_vertex)
+    return (np.nonzero(~vertex)[0], 4), (np.nonzero(vertex)[0], 16)
+
+
+@pytest.mark.parametrize("name, level", [("cylinder", 5), ("lshape", 3)])
+def test_blocked_fem_stresses_match_the_per_point_loop(solve_cached, name, level):
+    # every block's broadcasting strain_matrix call computes each entry as
+    # the per-point loop does, so the arrays agree bit for bit
+    _, _, sol = solve_cached(name, level, "fem")
+    batches = _error_batches(BENCHMARKS[name], sol)
+    if name == "cylinder":  # no vertex: the 16x16 rule on 3 elements
+        batches = batches[:1] + ((np.array([0, 2047, 4095]), 16),)
+    for ids, order in batches:
+        pts = gauss_points_2d(order)[0]
+        assert len(ids) and np.array_equal(
+            sol.stress_at_parents(ids, pts), _per_point_fem_stress(sol, ids, pts)
+        )
+
+
+@pytest.mark.parametrize("kind", ["sfem", "fem"])
+def test_per_element_parent_points_match_shared_ones(solve_cached, kind):
+    mesh, _, sol = solve_cached("lshape", 1, kind, 4)
+    ids = np.random.default_rng(21).permutation(mesh.n_elements)[:40]
+    pts = gauss_points_2d(4)[0]
+    per_element = np.broadcast_to(pts, (len(ids),) + pts.shape)
+    own = np.random.default_rng(22).uniform(-1.0, 1.0, size=(len(ids), 3, 2))
+    for method in (sol.stress_at_parents, sol.displacement_at_parents):
+        assert np.array_equal(method(ids, per_element), method(ids, pts))
+        batch = method(ids, own)
+        for i, e in enumerate(ids):
+            assert np.array_equal(batch[i], method([e], own[i])[0])
+    with pytest.raises(SolveError, match=r"must be a \(q, 2\) or \(40, q, 2\) array"):
+        sol.stress_at_parents(ids, own[:39])
+
+
+def test_fem_stresses_call_strain_matrix_at_most_min_n_q_times(solve_cached, monkeypatch):
+    # one call per block of ceil(n / q) elements: 16 on the 4x4 rule, 3 on
+    # the L-shape's 16x16 vertex batch (the per-point loop made 256)
+    calls = []
+    monkeypatch.setattr(
+        solver_mod, "strain_matrix", lambda *args: calls.append(args) or strain_matrix(*args)
+    )
+    counts = []
+    for name, level in (("lshape", 3), ("cylinder", 5)):
+        sol = solve_cached(name, level, "fem")[2]
+        for ids, order in _error_batches(BENCHMARKS[name], sol):
+            calls.clear()
+            sol.stress_at_parents(ids, gauss_points_2d(order)[0])
+            assert len(calls) == min(len(ids), order**2)
+            counts.append(len(calls))
+    assert counts == [16, 3, 16, 0]
 
 
 @pytest.mark.parametrize("kind", ["sfem", "fem"])
