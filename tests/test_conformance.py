@@ -14,6 +14,7 @@ from smoothfem.recovery import VARIANTS
 from smoothfem.solver import SolveError
 
 FORMULATIONS = (("fem", 4), ("sfem", 1), ("sfem", 2), ("sfem", 4), ("sfem", 8))
+LOADED_MODES = "3 zero-energy mode(s) are unrestrained and loaded"
 
 
 def documented_configs():
@@ -32,14 +33,15 @@ def documented_configs():
 def test_every_documented_config_runs_or_raises_the_documented_failure():
     # One SFEM cell per element leaves zero-energy (hourglass) modes.  The
     # cylinder's load is orthogonal to its one global mode, so it solves;
-    # the L-shape's is not, so its 32 nc = 1 configs raise SolveError.
+    # the L-shape's is not, so its 32 nc = 1 configs raise SolveError naming
+    # the three unrestrained, loaded modes of its assembled stiffness.
     failures, raised, ran = [], 0, 0
     for config in documented_configs():
         singular = config.benchmark == "lshape" and config.formulation == "sfem" and config.nc == 1
         try:
             report = run_case(config, config.levels[0]).report
         except SolveError as exc:
-            if not singular:
+            if not (singular and str(exc).startswith(LOADED_MODES)):
                 failures.append(f"{config}: {exc}")
             raised += 1
             continue

@@ -33,6 +33,24 @@ from smoothfem.mesh import (
 GOLDEN_MESH = "tests/golden/square_n2.mesh"
 
 
+def python_calls(*calls):
+    """Python calls (cProfile's total_calls) made by running each (fn, *args)
+    of ``calls`` once, in order, in one profile.
+
+    The cyclic collector is off while profiling: a collection inside the
+    profile would add the callbacks other libraries put in gc.callbacks
+    (Hypothesis does) to the count.
+    """
+    profile = cProfile.Profile()
+    gc.disable()
+    try:
+        for fn, *args in calls:
+            profile.runcall(fn, *args)
+    finally:
+        gc.enable()
+    return pstats.Stats(profile).total_calls
+
+
 # ---------------------------------------------------------------------------
 # cylinder mesh
 # ---------------------------------------------------------------------------
@@ -356,9 +374,7 @@ def test_mesh_build_python_calls_do_not_grow_with_the_mesh(build, small, large):
     # a mesh takes the same number of Python calls at every level
     def calls(args):
         build(*args)  # warm up caches (imports, numpy dispatch)
-        profile = cProfile.Profile()
-        profile.runcall(build, *args)
-        return pstats.Stats(profile).total_calls
+        return python_calls((build, *args))
 
     assert calls(small) == calls(large)
 
@@ -619,22 +635,13 @@ def test_golden_mesh_file(tmp_path):
 def test_mesh_io_python_calls_do_not_grow_with_the_mesh(tmp_path):
     # save_mesh formats and load_mesh parses and checks whole sections as
     # arrays, so a round trip takes the same number of Python calls at every
-    # level (one line-by-line pass used to grow with nodes and elements).
-    # The collector is off while profiling: a collection would add the gc
-    # callbacks other libraries register (Hypothesis does) to the count.
+    # level (one line-by-line pass used to grow with nodes and elements)
     path = tmp_path / "cylinder.mesh"
 
     def calls(level):
         m = build_cylinder_mesh(5.0, 20.0, level)
         save_mesh(m, path)
         load_mesh(path)  # warm up caches (imports, numpy dispatch)
-        profile = cProfile.Profile()
-        gc.disable()
-        try:
-            profile.runcall(save_mesh, m, path)
-            profile.runcall(load_mesh, path)
-        finally:
-            gc.enable()
-        return pstats.Stats(profile).total_calls
+        return python_calls((save_mesh, m, path), (load_mesh, path))
 
     assert calls(2) == calls(5)

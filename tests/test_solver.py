@@ -11,6 +11,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import smoothfem.mesh as mesh_mod
@@ -42,6 +43,7 @@ from smoothfem.solver import (
     DiscreteSolution,
     Formulation,
     SolveError,
+    _backward_error,
     _dirichlet_values,
     _element_operators,
     _free_rigid_modes,
@@ -589,13 +591,31 @@ def test_unconstrained_problem_names_rigid_modes():
 
 @pytest.mark.parametrize("level", [0, 1])
 def test_one_cell_sfem_lshape_names_its_hourglass_modes(lshape_bm, level):
-    # one smoothing cell leaves every element two hourglass modes, which the
-    # L-shape's three pins do not restrain: the failed solve must count them
+    # one smoothing cell per element leaves the assembled Kff three
+    # zero-energy modes that the L-shape's three pins do not restrain and
+    # its load excites: the LU's tiny pivots count exactly the dense
+    # matrix's zero eigenvalues
     mesh = lshape_bm.mesh(level)
     bcs = lshape_bm.boundary_conditions(mesh)
-    n = mesh.n_elements
-    with pytest.raises(SolveError, match=rf"{n} element\(s\) carry {2 * n} zero-energy"):
-        assemble_and_solve(mesh, lshape_bm.material, Formulation("sfem", 1), bcs)
+    form = Formulation("sfem", 1)
+    with pytest.raises(SolveError, match=r"^3 zero-energy mode\(s\) are unrestrained and loaded"):
+        assemble_and_solve(mesh, lshape_bm.material, form, bcs)
+    free = np.setdiff1d(np.arange(2 * mesh.n_nodes), _dirichlet_values(mesh, bcs)[0])
+    K = _scatter(mesh, _element_operators(mesh, lshape_bm.material, form))
+    ev = np.linalg.eigvalsh(K[free][:, free].toarray())
+    assert len(free) == {0: 127, 1: 447}[level]
+    assert np.count_nonzero(ev <= 1e-12 * ev[-1]) == 3
+
+
+@pytest.mark.parametrize("grading", [2.0, 10.0, 20.0])
+def test_one_cell_sfem_lshape_counts_three_modes_at_every_grading(grading):
+    # at level 2 the third round-off pivot of the loaded modes reaches
+    # 3.3e-13 / 5.4e-13 / 5.2e-13 of the largest, the closest any measured
+    # singular pivot comes to the regular ones (2.8e-8 and up)
+    bm = LShapeBenchmark(grading=grading)
+    mesh = bm.mesh(2)
+    with pytest.raises(SolveError, match=r"^3 zero-energy mode\(s\) are unrestrained and loaded"):
+        assemble_and_solve(mesh, bm.material, Formulation("sfem", 1), bm.boundary_conditions(mesh))
 
 
 def test_one_cell_sfem_cylinder_still_solves(solve_cached):
@@ -653,22 +673,48 @@ def graded_square(span):
     return mesh, bcs
 
 
-@pytest.mark.xfail(
-    strict=True, raises=SolveError,
-    reason="ROADMAP item 9: the residual test ||r|| / ||b|| <= 1e-9 is not scale-aware "
-    "(solver residual too large: 3.458e-09)",
-)
 def test_strongly_graded_square_solves_to_a_small_backward_error():
-    # elements 1e7 times longer than wide make ||K|| ||u|| >> ||b||; the
-    # solve is backward stable all the same (a span of 1e6 passes today)
+    # elements 1e7 times longer than wide make ||K|| ||u|| >> ||b||, so the
+    # relative residual stays above 1e-9 after refinement; the solve is
+    # backward stable all the same and is accepted
     mesh, bcs = graded_square(1e7)
     sol = assemble_and_solve(mesh, MAT, Formulation("sfem", 4), bcs)
+    assert sol.residual_rel > 1e-9
     free = np.setdiff1d(np.arange(2 * mesh.n_nodes), _dirichlet_values(mesh, bcs)[0])
     K = _scatter(mesh, sol.operators)[free]
     f = _neumann_vector(mesh, bcs)[free]
     # the componentwise backward error of Oettli and Prager
     omega = np.abs(K @ sol.U - f) / (abs(K) @ np.abs(sol.U) + np.abs(f))
     assert omega.max() <= 1e-12
+
+
+def test_a_solve_that_is_not_backward_stable_names_its_backward_error(monkeypatch):
+    # an LU whose solves come out 1.5 times too long leaves a residual of a
+    # quarter of the load after refinement; its pivots are the true ones
+    splu = solver_mod.spla.splu
+
+    class LongLU:
+        def __init__(self, A):
+            self.lu = splu(A)
+            self.U = self.lu.U
+
+        def solve(self, rhs):
+            return 1.5 * self.lu.solve(rhs)
+
+    monkeypatch.setattr(solver_mod.spla, "splu", LongLU)
+    mesh, bcs = clamped_corner_quad()
+    with pytest.raises(SolveError, match=r"^componentwise backward error .* above 1e-12"):
+        assemble_and_solve(mesh, MAT, Formulation("sfem", 4), bcs)
+
+
+def test_backward_error_counts_a_row_with_a_zero_denominator_as_zero():
+    # row 0 has |K||x| + |b| = 0 (x vanishes on its support, b_0 = 0): its
+    # residual is 0 too, and 0 / 0 must not become nan
+    K = sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
+    x = np.array([0.0, 1.0])
+    b = np.array([0.0, 1.5])
+    assert _backward_error(K, x, b) == 0.5 / 2.5
+    assert _backward_error(K, np.zeros(2), np.zeros(2)) == 0.0
 
 
 @pytest.mark.xfail(
