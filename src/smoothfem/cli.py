@@ -8,8 +8,8 @@ Verbs:
 
 Exit codes: 0 success, 1 bad configuration or usage, 2 runtime failure
 (one of the package's own errors: solve, recovery, mesh, GSIF, analytic,
-bilinear-map or error computation).  Any other exception propagates with its
-traceback.
+material, bilinear-map or error computation).  Any other exception
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import os
 import sys
 
 from .analytic import AnalyticError
+from .elasticity import MaterialError
 from .error import ErrorComputationError
 from .gsif import GsifError
 from .harness import (
@@ -49,6 +50,7 @@ RUNTIME_ERRORS = (
     MeshError,
     GsifError,
     AnalyticError,
+    MaterialError,
     QuadMapError,
     ErrorComputationError,
 )

@@ -17,6 +17,10 @@ PLANE_STRAIN = "plane_strain"
 PLANE_STRESS = "plane_stress"
 
 
+class MaterialError(ValueError):
+    """Material constants or plane state out of range."""
+
+
 @dataclass(frozen=True)
 class Material:
     """Linear isotropic material in a 2D reduction.
@@ -33,11 +37,11 @@ class Material:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.E < np.inf):
-            raise ValueError(f"Young's modulus must be positive and finite, got {self.E}")
+            raise MaterialError(f"Young's modulus must be positive and finite, got {self.E}")
         if not (0.0 <= self.nu < 0.5):
-            raise ValueError(f"Poisson ratio must lie in [0, 0.5), got {self.nu}")
+            raise MaterialError(f"Poisson ratio must lie in [0, 0.5), got {self.nu}")
         if self.state not in (PLANE_STRAIN, PLANE_STRESS):
-            raise ValueError(f"unknown plane state {self.state!r}")
+            raise MaterialError(f"unknown plane state {self.state!r}")
 
 
 def elasticity_matrix(material: Material) -> np.ndarray:

@@ -60,9 +60,10 @@ log = logging.getLogger(__name__)
 VARIANTS = ("SPR", "SPR-C", "SPR-X", "SPR-CX")
 
 
-# patches per fitting batch: enough to amortize the batched kernels' call
-# overhead, few enough that a chunk's gathered samples and KKT stack stay
-# small next to the whole-mesh arrays
+# patches per fitting batch, a speed as well as a memory choice: enough to
+# amortize the batched kernels' call overhead, few enough that a chunk's
+# stacks stay small.  On the level-5 cylinder 64 was as fast as 16 to 1024,
+# one chunk per group 1.1-1.3x slower with peak RSS 132 MiB against 101
 CHUNK = 64
 
 # a KKT system is singular when its smallest singular value is below
@@ -127,17 +128,18 @@ class RecoveryConfig:
 class PatchFits:
     """Every node's patch polynomial, as read-only arrays.
 
-    Node I's has degree degrees[I] and coefficients coeffs[degrees[I]][I],
-    (3, m) over the monomials of that degree in the frame (x - x_I) /
-    scales[I]; a degree's (n_nodes, 3, m) array is zero on the other nodes.
+    Node I's has degree degrees[I] and coefficients coeffs[I], (3, 6) over
+    the degree-2 monomials in the frame (x - x_I) / scales[I].  The
+    degree-1 monomials are the first three, so a degree-1 fit fills columns
+    0-2 and its other columns are zero.
     """
 
     degrees: np.ndarray
     scales: np.ndarray
-    coeffs: dict[int, np.ndarray]
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.degrees, self.scales, *self.coeffs.values()):
+        for a in (self.degrees, self.scales, self.coeffs):
             a.setflags(write=False)
 
     def __len__(self) -> int:
@@ -606,10 +608,11 @@ class RecoveredStressField:
         """sigma* at parent points (q, 2) or (n, q, 2) of elements (n,); (n, q, 3).
 
         The blend accumulates over local corners k = 0..3 in turn; each
-        corner's patch polynomials are one batched (q, m) @ (m, 3) matmul
-        per degree, and the singular field is evaluated once, on the
-        elements that touch a split node.  Raises RecoveryError naming the
-        first element id out of range or point not in [-1, 1]^2.
+        corner's patch polynomials are one batched (q, 6) @ (6, 3) matmul
+        over the degree-2 monomials, whatever the nodes' degrees, and the
+        singular field is evaluated once, on the elements that touch a split
+        node.  Raises RecoveryError naming the first element id out of range
+        or point not in [-1, 1]^2.
         """
         ids, pts = _parent_batch(element_ids, pts, self.mesh.n_elements, RecoveryError)
         conn = self.mesh.elements[ids]
@@ -622,26 +625,16 @@ class RecoveredStressField:
         out = np.zeros(phys.shape[:-1] + (3,))
         vals = np.empty_like(out)
         for k in range(4):
-            self._patch_values(conn[:, k], phys, vals)
+            nodes = conn[:, k]
+            P = _basis(phys, self.mesh.coords[nodes, None], self.fits.scales[nodes, None], 2)
+            np.matmul(P, self.fits.coeffs[nodes].swapaxes(-1, -2), out=vals)
+            del P  # else two corners' bases are alive at once, and peak memory grows
             if len(touched):
                 hit = split[touched, k]
                 vals[touched[hit]] += sing[hit]
             vals *= N[..., k, None]
             out += vals
         return out
-
-    def _patch_values(self, nodes: np.ndarray, phys: np.ndarray, out: np.ndarray) -> None:
-        """Patch polynomial of nodes[i] at phys[i] (n, q, 2), written to out (n, q, 3)."""
-        centers, scales = self.mesh.coords, self.fits.scales
-        for degree, coeffs in self.fits.coeffs.items():
-            sel = self.fits.degrees[nodes] == degree
-            if sel.all():  # the usual case: no gathered copies
-                P = _basis(phys, centers[nodes, None], scales[nodes, None], degree)
-                np.matmul(P, coeffs[nodes].swapaxes(-1, -2), out=out)
-            elif sel.any():
-                group = nodes[sel]
-                P = _basis(phys[sel], centers[group, None], scales[group, None], degree)
-                out[sel] = np.matmul(P, coeffs[group].swapaxes(-1, -2))
 
 
 def build_recovered_field(
@@ -742,9 +735,10 @@ class _PatchFitter:
     Each ``fit`` call runs one Gram-Schmidt (``_constraints``) over one
     stack of constraint rows, and every chunk of patches fits its own
     members of that stack.  Each node's finished fit sets its entry of
-    ``degrees`` and its row of ``coeffs[degree]`` (one (n_nodes, 3, m)
-    array per degree fitted), so a refit overwrites them; inconsistent
-    constraints collect in ``failures`` (node id -> reason).
+    ``degrees`` and columns 0..m-1 of its row of ``coeffs`` (n_nodes, 3,
+    6); a degree-1 refit leaves the degree-2 columns zero, because the
+    singular degree-2 fit was never written.  Inconsistent constraints
+    collect in ``failures`` (node id -> reason).
     """
 
     def __init__(self, mesh, positions, stresses, smooth, weights, per_element, split,
@@ -762,7 +756,7 @@ class _PatchFitter:
         self.compliance = compliance
         self.singular_field = singular_field
         self.degrees = np.zeros(mesh.n_nodes, dtype=int)
-        self.coeffs: dict[int, np.ndarray] = {}
+        self.coeffs = np.zeros((mesh.n_nodes, 3, len(_MONOMIALS[2])))
         self.failures: dict[int, str] = {}
 
     def fit(self, nodes: np.ndarray, degree: int) -> dict[int, str]:
@@ -780,7 +774,6 @@ class _PatchFitter:
         sizes = np.diff(self.mesh.patch_offsets)[nodes]
         Q, e, rank, member = self._constraints(nodes, degree)
         kept = rank[member]  # -1: inconsistent rows
-        self.coeffs.setdefault(degree, np.zeros((self.mesh.n_nodes, 3, len(_MONOMIALS[degree]))))
         singular: dict[int, str] = {}
         for size, r in np.unique(np.stack([sizes, kept], axis=1)[kept >= 0], axis=0).tolist():
             sel = np.nonzero((sizes == size) & (kept == r))[0]
@@ -794,7 +787,7 @@ class _PatchFitter:
                 )
                 singular.update(failed)
                 ok = chunk[~np.isin(chunk, list(failed))]
-                self.coeffs[degree][ok] = fitted
+                self.coeffs[ok, :, : fitted.shape[-1]] = fitted
                 self.degrees[ok] = degree
         return singular
 

@@ -10,6 +10,7 @@ from smoothfem.elasticity import (
     PLANE_STRAIN,
     PLANE_STRESS,
     Material,
+    MaterialError,
     compliance_matrix,
     elastic_constants,
     elasticity_matrix,
@@ -77,9 +78,9 @@ def test_compliance_is_inverse():
 
 
 def test_invalid_material_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(MaterialError, match="Young's modulus"):
         Material(-1.0, 0.3, PLANE_STRAIN)
-    with pytest.raises(Exception):
+    with pytest.raises(MaterialError, match="Poisson ratio"):
         Material(1.0, 0.5, PLANE_STRAIN)
-    with pytest.raises(Exception):
+    with pytest.raises(MaterialError, match="unknown plane state"):
         Material(1.0, 0.3, "plane_chaos")

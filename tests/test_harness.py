@@ -1,7 +1,10 @@
 """Study harness: INI configs, deterministic reports, presets, CLI."""
 
+import importlib
+import inspect
 import json
 import dataclasses
+import pkgutil
 import warnings
 
 import numpy as np
@@ -26,7 +29,9 @@ from smoothfem.harness import (
     study_csv,
     study_json,
 )
+from smoothfem.elasticity import MaterialError
 from smoothfem.mesh import MeshError, load_mesh
+from smoothfem.recovery import PatchFailure
 from smoothfem.solver import SolveError
 
 GOLDEN_CSV = "tests/golden/cylinder_spr_c.csv"
@@ -445,6 +450,38 @@ def test_cli_reports_runtime_failures(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, "[problem]\nname = cylinder\n")
     assert main(["run", "--config", cfg]) == 2
     assert "singular" in capsys.readouterr().err
+
+
+def package_exceptions():
+    """Every exception class that a smoothfem module defines."""
+    import smoothfem
+
+    found = []
+    for info in pkgutil.iter_modules(smoothfem.__path__):
+        module = importlib.import_module(f"smoothfem.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                found.append(cls)
+    return found
+
+
+def test_cli_maps_every_package_error_to_its_exit_code(capsys, monkeypatch):
+    # a configuration error exits 1; every other error the package defines
+    # is a runtime failure, exit 2, never a traceback
+    import smoothfem.cli as cli_mod
+
+    errors = package_exceptions()
+    assert {ConfigError, MaterialError, PatchFailure} <= set(errors)
+    for cls in errors:
+        exc = cls.__new__(cls)  # raisable whatever its constructor takes
+        exc.args = (f"{cls.__name__} raised",)
+
+        def boom(args, exc=exc):
+            raise exc
+
+        monkeypatch.setitem(cli_mod._COMMANDS, "preset", boom)
+        assert main(["preset", "--list"]) == (1 if cls is ConfigError else 2), cls
+        assert f"error: {cls.__name__} raised" in capsys.readouterr().err
 
 
 def test_cli_prints_the_variant_that_ran(tmp_path, capsys, monkeypatch):

@@ -59,8 +59,7 @@ def poly_values(coeffs, points, center, scale):
 def patch_values(field, node, points):
     """A node's patch polynomial in a recovered field at physical points (..., 2)."""
     fits = field.fits
-    coeffs = fits.coeffs[int(fits.degrees[node])][node]
-    return poly_values(coeffs, points, field.mesh.coords[node], fits.scales[node])
+    return poly_values(fits.coeffs[node], points, field.mesh.coords[node], fits.scales[node])
 
 
 def fit_one(node_id, positions, stresses, weights, degree, constraints=None,
@@ -211,8 +210,7 @@ def test_smooth_part_cancels_exact_input(lshape_bm):
     rec = build_recovered_field(sol, RecoveryConfig(variant="SPR-X"), singular_field=field)
     split = rec.split_flags
     assert split.any() and not split.all()
-    for coeffs in rec.fits.coeffs.values():
-        assert np.abs(coeffs[split]).max() < 1e-10 * np.abs(exact).max()
+    assert np.abs(rec.fits.coeffs[split]).max() < 1e-10 * np.abs(exact).max()
 
 
 def test_zero_radius_degenerates_to_constrained_variant(solve_cached, lshape_bm):
@@ -602,9 +600,9 @@ def test_only_patches_with_singular_M_reach_the_svd(
 
 def constant_fits(n_nodes, c):
     """Degree-1 PatchFits whose every patch polynomial is the constant c (3,)."""
-    coeffs = np.zeros((n_nodes, 3, 3))
+    coeffs = np.zeros((n_nodes, 3, 6))
     coeffs[:, :, 0] = c
-    return PatchFits(np.ones(n_nodes, dtype=int), np.ones(n_nodes), {1: coeffs})
+    return PatchFits(np.ones(n_nodes, dtype=int), np.ones(n_nodes), coeffs)
 
 
 def test_identical_constant_fits_blend_to_constant():
@@ -622,7 +620,8 @@ def test_patch_fits_are_read_only(solve_cached):
     config = RecoveryConfig(variant="SPR-C")
     fits = build_recovered_field(sol, config, tractions=bcs.tractions).fits
     assert len(fits) == mesh.n_nodes
-    for a in (fits.degrees, fits.scales, *fits.coeffs.values()):
+    assert fits.coeffs.shape == (mesh.n_nodes, 3, 6)
+    for a in (fits.degrees, fits.scales, fits.coeffs):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
@@ -710,6 +709,75 @@ def test_blend_matches_the_per_element_loop_and_any_subset(solve_cached, lshape_
         assert np.array_equal(full[e], _per_element_blend(field, e, pts))
 
 
+def _per_degree_blend(field, pts):
+    """Reference for evaluate_at_parents on every element: each corner's
+    nodes gathered per degree, with that degree's basis and a contiguous
+    (n_nodes, 3, m) coefficient array, as the blend was once evaluated."""
+    mesh, fits = field.mesh, field.fits
+    per_degree = {d: np.ascontiguousarray(fits.coeffs[:, :, : len(_MONOMIALS[d])]) for d in (1, 2)}
+    conn = mesh.elements
+    N = shape_functions(pts[:, 0], pts[:, 1])
+    phys = N @ mesh.coords[conn]
+    split = field.split_flags[conn]
+    touched = np.nonzero(split.any(axis=1))[0]
+    sing = field.singular_field.stress(phys[touched])
+    out = np.zeros(phys.shape[:-1] + (3,))
+    for k in range(4):
+        nodes = conn[:, k]
+        vals = np.empty_like(out)
+        for degree, coeffs in per_degree.items():
+            sel = fits.degrees[nodes] == degree
+            group = nodes[sel]
+            P = _basis(phys[sel], mesh.coords[group, None], fits.scales[group, None], degree)
+            vals[sel] = np.matmul(P, coeffs[group].swapaxes(-1, -2))
+        hit = split[touched, k]
+        vals[touched[hit]] += sing[hit]
+        vals *= N[..., k, None]
+        out += vals
+    return out
+
+
+def test_degree_one_fits_fill_the_first_three_columns(solve_cached, lshape_bm, caplog):
+    # the degree-1 monomials are the degree-2 ones' first three, so one
+    # (n_nodes, 3, 6) array holds both degrees
+    assert _MONOMIALS[1] == _MONOMIALS[2][:3]
+    mesh, bcs, sol = solve_cached("lshape", 1, "sfem", 4)
+    mixed = build_recovered_field(
+        sol, RecoveryConfig(variant="SPR-CX", boundary_degree=1),
+        singular_field=lshape_bm.singular_field, tractions=bcs.tractions,
+    )
+    # unconstrained, the cylinder's starved corner patches fall back from
+    # degree 2 to 1
+    mesh, bcs, sol = solve_cached("cylinder", 2, "fem", 4)
+    with caplog.at_level(logging.WARNING, logger="smoothfem.recovery"):
+        fallen = build_recovered_field(sol, RecoveryConfig(variant="SPR"))
+    assert any("falling back" in r.getMessage() for r in caplog.records)
+    for field in (mixed, fallen):
+        one = field.fits.degrees == 1
+        assert one.any() and not one.all()
+        assert field.fits.coeffs[one, :, :3].any() and field.fits.coeffs[~one, :, 3:].any()
+        assert not field.fits.coeffs[one, :, 3:].any()
+
+
+@pytest.mark.parametrize("q", [2, 3, 16])
+def test_mixed_degree_blend_equals_the_per_degree_evaluation(solve_cached, lshape_bm, q):
+    # split patches and both degrees (degree 1 on the boundary) in one
+    # batch: the zero-padded (q, 6) @ (6, 3) products of the degree-1 nodes
+    # round exactly as their (q, 3) @ (3, 3) ones for q >= 2
+    mesh, bcs, sol = solve_cached("lshape", 1, "sfem", 4)
+    field = build_recovered_field(
+        sol, RecoveryConfig(variant="SPR-CX", boundary_degree=1),
+        singular_field=lshape_bm.singular_field, tractions=bcs.tractions,
+    )
+    assert set(field.fits.degrees.tolist()) == {1, 2} and field.split_flags.any()
+    if q == 16:
+        pts = gauss_points_2d(4)[0]
+    else:
+        pts = np.random.default_rng(q).uniform(-1.0, 1.0, size=(q, 2))
+    full = field.evaluate_at_parents(np.arange(mesh.n_elements), pts)
+    assert np.array_equal(full, _per_degree_blend(field, pts))
+
+
 def test_recovered_field_continuity_across_edges(solve_cached):
     # sigma* from the two elements sharing an edge, evaluated at the shared
     # midpoint, must agree: same vertex fits, same partition-of-unity values
@@ -768,8 +836,7 @@ def test_constrained_fits_satisfy_equilibrium_inside_patch(solve_cached):
         v = patch_values(field, node, x0 + np.array([[h, 0], [-h, 0], [0, h], [0, -h]]))
         sx, sy = (v[0] - v[1]) / (2 * h), (v[2] - v[3]) / (2 * h)
         div = np.array([sx[0] + sy[2], sx[2] + sy[1]])
-        coeffs = field.fits.coeffs[int(field.fits.degrees[node])][node]
-        scale = max(np.abs(coeffs).max() / field.fits.scales[node], 1e-30)
+        scale = max(np.abs(field.fits.coeffs[node]).max() / field.fits.scales[node], 1e-30)
         assert np.abs(div).max() < 1e-9 * scale
 
 
@@ -892,7 +959,7 @@ def test_degree_fallback_on_starved_corner_patch(caplog):
     with caplog.at_level(logging.WARNING, logger="smoothfem.recovery"):
         field = build_recovered_field(sol, RecoveryConfig(variant="SPR"))
     assert np.array_equal(field.fits.degrees, [1, 1, 1, 1])
-    assert not field.fits.coeffs[2].any()
+    assert not field.fits.coeffs[:, :, 3:].any()
     assert any("falling back" in r.message for r in caplog.records)
     # one warning per fallen-back patch, in node order
     fallen = [r.args[0] for r in caplog.records if "falling back" in r.getMessage()]
@@ -1150,9 +1217,10 @@ def test_batched_fits_match_the_per_node_loop_bit_for_bit(
     assert np.array_equal(fits.degrees, [degree for degree, _, _ in want])
     assert np.array_equal(fits.scales, [scale for _, scale, _ in want])
     for node, (degree, _, coeffs) in enumerate(want):
-        assert np.array_equal(fits.coeffs[degree][node], coeffs), node
-        # a node's row in the other degree's array stays zero
-        assert not any(a[node].any() for d, a in fits.coeffs.items() if d != degree), node
+        m = len(_MONOMIALS[degree])
+        assert np.array_equal(fits.coeffs[node, :, :m], coeffs), node
+        # a degree-1 node's degree-2 columns stay zero
+        assert not fits.coeffs[node, :, m:].any(), node
 
 
 def test_orthonormalize_masks_each_patch_separately():
