@@ -1,9 +1,11 @@
 """Patch-based stress recovery: SPR and its constrained / singular variants.
 
 Every mesh node I owns a patch (the elements sharing it).  Raw stresses are
-sampled at 2x2 Gauss points per smoothing cell (per element for FEM) and a
-polynomial expansion per stress component is least-squares fitted over each
-patch in a node-centered, scaled coordinate frame.  Variants:
+sampled at 2x2 Gauss points per smoothing cell (per element for FEM) into
+element-major arrays, one row of samples per element, so a patch gathers its
+elements' rows.  A polynomial expansion per stress component is
+least-squares fitted over each patch in a node-centered, scaled coordinate
+frame.  Variants:
 
 * SPR     — plain fit;
 * SPR-C   — fit constrained by internal equilibrium, boundary-traction
@@ -152,12 +154,13 @@ class PatchFits:
 
 
 def _sampling_arrays(solution: DiscreteSolution):
-    """Positions, stresses and weights of all samples, plus samples per element.
+    """Positions (n_e, k, 2), stresses (n_e, k, 3) and weights (n_e, k).
 
-    SFEM: the constant stress of each smoothing cell is mapped to the cell's
-    own 2x2 Gauss positions (weights = Gauss weight x cell Jacobian); FEM:
-    the element's 2x2 Gauss points carry the pointwise compatible stress.
-    Samples are element-major: element e owns rows e*k ... (e+1)*k - 1.
+    Element-major: row e holds element e's k samples.  SFEM: the constant
+    stress of each smoothing cell is mapped to the cell's own 2x2 Gauss
+    positions (weights = Gauss weight x cell Jacobian), k = 4 nc, cell by
+    cell; FEM: the element's 2x2 Gauss points carry the pointwise compatible
+    stress, k = 4.
     """
     if solution.formulation.kind == SFEM:
         _, weight, pos = mapped_rule(solution.operators.cells.corners, 2)  # (n_e, nc, 4)
@@ -165,12 +168,11 @@ def _sampling_arrays(solution: DiscreteSolution):
     else:
         _, weight, pos = mapped_rule(solution.mesh.coords[solution.mesh.elements], 2)
         stress = solution.cell_stress
-    k = int(np.prod(weight.shape[1:]))
+    shape = (len(weight), int(np.prod(weight.shape[1:])))
     return (
-        pos.reshape(-1, 2),
-        stress.reshape(-1, 3).astype(float),
-        weight.reshape(-1),
-        k,
+        pos.reshape(shape + (2,)),
+        stress.reshape(shape + (3,)).astype(float),
+        weight.reshape(shape),
     )
 
 
@@ -665,7 +667,7 @@ def build_recovered_field(
             est = extract_gsifs(solution, singular_field, bcs)
             singular_field = singular_field.with_gsifs(est.K_I, est.K_II)
 
-    positions, stresses, weights, per_element = _sampling_arrays(solution)
+    positions, stresses, weights = _sampling_arrays(solution)
 
     split_flags = np.zeros(mesh.n_nodes, dtype=bool)
     smooth = stresses
@@ -678,9 +680,8 @@ def build_recovered_field(
         # element touching a split node, beyond the radius too, so that a
         # transition patch sees one field rather than a mix of the two
         touched = np.nonzero(split_flags[mesh.elements].any(axis=1))[0]
-        rows = (touched[:, None] * per_element + np.arange(per_element)).ravel()
         smooth = stresses.copy()
-        smooth[rows] -= singular_field.stress(positions[rows])
+        smooth[touched] -= singular_field.stress(positions[touched])
 
     # collocation applies to the Neumann edges the patch node itself lies on
     # (constraining a patch to tractions of edges it merely grazes would
@@ -697,7 +698,7 @@ def build_recovered_field(
     degrees = np.where(on_boundary, config.boundary_degree, config.interior_degree)
 
     fitter = _PatchFitter(
-        mesh, positions, stresses, smooth, weights, per_element, split_flags,
+        mesh, positions, stresses, smooth, weights, split_flags,
         constrained=config.with_constraints,
         neumann=neumann,
         compliance=compliance_matrix(solution.material),
@@ -741,16 +742,15 @@ class _PatchFitter:
     collect in ``failures`` (node id -> reason).
     """
 
-    def __init__(self, mesh, positions, stresses, smooth, weights, per_element, split,
+    def __init__(self, mesh, positions, stresses, smooth, weights, split,
                  *, constrained, neumann, compliance, singular_field):
         self.mesh = mesh
         self.positions = positions
         self.stresses = stresses
         self.smooth = smooth
         self.weights = weights
-        self.per_element = per_element
         self.split = split
-        self.scales = _patch_scales(mesh, positions, per_element)
+        self.scales = _patch_scales(mesh, positions)
         self.constrained = constrained
         self.neumann = neumann
         self.compliance = compliance
@@ -838,30 +838,33 @@ class _PatchFitter:
     def _gather(self, chunk: np.ndarray, size: int):
         """(positions, stresses, weights) of patches of ``size`` elements each.
 
-        Shapes (B, n, 2), (B, n, 3), (B, n) with n = size * per_element; split
-        patches read the smooth part of the stresses.
+        Shapes (B, n, 2), (B, n, 3), (B, n) with n = size * k, the patch
+        elements' samples in turn; split patches read the smooth part of the
+        stresses.
         """
-        mesh, k = self.mesh, self.per_element
+        mesh, B = self.mesh, len(chunk)
         elems = mesh.patch_elements[mesh.patch_offsets[chunk][:, None] + np.arange(size)]
-        idx = (elems[:, :, None] * k + np.arange(k)).reshape(len(chunk), -1)
-        sig = self.stresses[idx]
+        sig = self.stresses[elems]  # (B, size, k, 3)
         split = self.split[chunk]
         if split.any():
-            sig[split] = self.smooth[idx[split]]
-        return self.positions[idx], sig, self.weights[idx]
+            sig[split] = self.smooth[elems[split]]
+        return (
+            self.positions[elems].reshape(B, -1, 2),
+            sig.reshape(B, -1, 3),
+            self.weights[elems].reshape(B, -1),
+        )
 
 
-def _patch_scales(mesh: Mesh, positions: np.ndarray, per_element: int) -> np.ndarray:
+def _patch_scales(mesh: Mesh, positions: np.ndarray) -> np.ndarray:
     """Per node, the largest |x - x_I| component over its patch's samples.
 
     Each element's samples are measured from each of its corners at once and
     the maximum is taken per node, which is exact in any order; at least
     1e-30, so a scaled frame always exists.
     """
-    pos = positions.reshape(mesh.n_elements, per_element, 2)
     scale = np.zeros(mesh.n_nodes)
     for k in range(4):
         corner = mesh.elements[:, k]
-        reach = np.abs(pos - mesh.coords[corner][:, None, :]).max(axis=(1, 2))
+        reach = np.abs(positions - mesh.coords[corner][:, None, :]).max(axis=(1, 2))
         np.maximum.at(scale, corner, reach)
     return np.maximum(scale, 1e-30)

@@ -13,8 +13,8 @@ Two formulations share all plumbing:
 Element operators are built for the whole mesh at once: the subcell geometry
 (mesh.subcell_geometry), one batched Newton inversion of every element's
 distinct subcell-edge midpoints for the smoothed B, one batched kernel for the
-compatible B at any set of parent points, and stiffnesses, stresses, energy
-and the sparse scatter as array operations.  Every kernel reproduces the
+compatible B at any set of parent points, and stiffnesses, stresses and the
+sparse scatter as array operations.  Every kernel reproduces the
 per-element arithmetic bit for bit, so an element's operators do not depend
 on the batch it was computed in; a one-element mesh gives the same numbers as
 that element's row of the whole mesh (see the note above the kernels for the
@@ -254,15 +254,14 @@ def _dof_map(conn: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ElementOperators:
-    """Whole-mesh element operators; every array is read-only.
+    """Whole-mesh element operators, what a solved case reads; read-only.
 
-    K: (n_e, 8, 8) element stiffnesses; dofs: (n_e, 8) global dof map;
-    B: (n_e, n_s, 3, 8) strain operators at the element's n_s stress points
-    (SFEM: the nc smoothing cells, FEM: the 2x2 Gauss points).
-    SFEM only: cells, the subcell geometry.
+    dofs: (n_e, 8) global dof map; B: (n_e, n_s, 3, 8) strain operators at
+    the element's n_s stress points (SFEM: the nc smoothing cells, FEM: the
+    2x2 Gauss points).  SFEM only: cells, the subcell geometry.  The element
+    stiffnesses are not kept: only the assembly reads them.
     """
 
-    K: np.ndarray
     dofs: np.ndarray
     B: np.ndarray
     cells: SubcellGeometry | None = None
@@ -270,8 +269,8 @@ class ElementOperators:
 
 def _element_operators(
     mesh: Mesh, material: Material, formulation: Formulation
-) -> ElementOperators:
-    """Element stiffnesses plus cached strain operators for the whole mesh.
+) -> tuple[ElementOperators, np.ndarray]:
+    """Strain operators and the (n_e, 8, 8) element stiffnesses, read-only.
 
     SFEM: K = sum_C B~_C^T D B~_C A_C over each element's smoothing cells.
     FEM: 2x2 Gauss quadrature of B^T D B.
@@ -290,15 +289,15 @@ def _element_operators(
     dofs = _dof_map(mesh.elements)
     for a in (K, dofs, B):
         a.setflags(write=False)
-    return ElementOperators(K, dofs, B, cells)
+    return ElementOperators(dofs, B, cells), K
 
 
-def _scatter(mesh: Mesh, operators: ElementOperators) -> sp.csr_matrix:
+def _scatter(mesh: Mesh, dofs: np.ndarray, K: np.ndarray) -> sp.csr_matrix:
+    """Global stiffness from element stiffnesses K (n_e, 8, 8) on dofs (n_e, 8)."""
     n_dof = 2 * mesh.n_nodes
-    dofs = operators.dofs
     rows = np.repeat(dofs, 8, axis=1).ravel()
     cols = np.tile(dofs, (1, 8)).ravel()
-    vals = operators.K.ravel()
+    vals = K.ravel()
     return sp.coo_matrix((vals, (rows, cols)), shape=(n_dof, n_dof)).tocsr()
 
 
@@ -454,9 +453,11 @@ def _parent_batch(element_ids, pts, n_elements: int, error: type[Exception] = So
 class DiscreteSolution:
     """A solved (or interpolated) discrete displacement field with stresses.
 
-    Carries the mesh, nodal vector U, the formulation's cached element
-    operators, and per-cell (SFEM) or per-Gauss-point (FEM) raw stresses.
-    Immutable: U, cell_stress and the operator arrays are read-only.
+    Carries the mesh, nodal vector U, the formulation's element operators
+    (from _element_operators, as the solve built them), and per-cell (SFEM)
+    or per-Gauss-point (FEM) raw stresses: what recovery, the error
+    quadrature and GSIF extraction read.  Immutable: U, cell_stress and the
+    operator arrays are read-only.
     """
 
     def __init__(
@@ -465,7 +466,7 @@ class DiscreteSolution:
         material: Material,
         formulation: Formulation,
         U: np.ndarray,
-        operators: ElementOperators | None = None,
+        operators: ElementOperators,
         residual_rel: float = 0.0,
     ):
         self.mesh = mesh
@@ -476,8 +477,6 @@ class DiscreteSolution:
         self.residual_rel = residual_rel
         self.D = elasticity_matrix(material)
 
-        if operators is None:
-            operators = _element_operators(mesh, material, formulation)
         self.operators = operators
         # (n_e, n_s, 3): sigma = D (B q) at every subcell / Gauss point
         strain = np.matmul(operators.B, self.U[operators.dofs][:, None, :, None])[..., 0]
@@ -522,13 +521,6 @@ class DiscreteSolution:
             out[b] = np.matmul(self.D, np.matmul(B, u[b]))[..., 0]
         return out
 
-    def energy(self) -> float:
-        """U^T K U via the cached element stiffnesses."""
-        q = self.U[self.operators.dofs]
-        per_element = np.matmul(np.matmul(q[:, None, :], self.operators.K), q[:, :, None])
-        # running sum in element order, as a plain accumulation loop would
-        return float(np.cumsum(per_element[:, 0, 0])[-1]) if len(q) else 0.0
-
 
 def assemble_and_solve(
     mesh: Mesh,
@@ -547,8 +539,8 @@ def assemble_and_solve(
     below 1e-10 of the largest ("k zero-energy mode(s) are unrestrained and
     loaded") or else a componentwise backward error above 1e-12.
     """
-    operators = _element_operators(mesh, material, formulation)
-    K = _scatter(mesh, operators)
+    operators, stiffnesses = _element_operators(mesh, material, formulation)
+    K = _scatter(mesh, operators.dofs, stiffnesses)
     f = _neumann_vector(mesh, loads)
 
     fixed, fixed_values = _dirichlet_values(mesh, loads)
@@ -609,4 +601,5 @@ def interpolate_solution(
     u_nodes = np.asarray(displacement(mesh.coords), dtype=float)
     if u_nodes.shape != (mesh.n_nodes, 2):
         raise SolveError("displacement field returned wrong shape")
-    return DiscreteSolution(mesh, material, formulation, u_nodes.ravel())
+    operators, _ = _element_operators(mesh, material, formulation)
+    return DiscreteSolution(mesh, material, formulation, u_nodes.ravel(), operators)

@@ -104,31 +104,31 @@ def linear_solution(kind="sfem", nc=4, coeffs=(0.1, 0.02, 0.035, -0.04, 0.012, -
 def test_sampling_layout_single_cell():
     m = single_element_mesh(UNIT)
     sol = interpolate_solution(m, MAT, Formulation("sfem", 1), lambda p: 0.01 * p)
-    pos, _, _, _ = _sampling_arrays(sol)
-    assert len(pos) == 4
+    pos, _, _ = _sampling_arrays(sol)
+    assert pos.shape == (1, 4, 2)
     g = 0.5 + np.array([-1.0, 1.0]) / (2.0 * np.sqrt(3.0))
     expected = sorted((x, y) for x in g for y in g)
-    got = sorted(map(tuple, np.round(pos, 12)))
+    got = sorted(map(tuple, np.round(pos[0], 12)))
     assert_allclose(got, expected, atol=1e-12)
 
 
 def test_sampling_layout_two_cells():
     m = single_element_mesh(UNIT)
     sol = interpolate_solution(m, MAT, Formulation("sfem", 2), lambda p: 0.01 * p)
-    assert len(_sampling_arrays(sol)[0]) == 8  # 2x2 per half
+    assert _sampling_arrays(sol)[0].shape == (1, 8, 2)  # 2x2 per half
 
 
 def test_sampling_fem_gauss_points():
     bm, mesh, sol = linear_solution(kind="fem")
-    pos, _, _, _ = _sampling_arrays(sol)
-    assert len(pos) == 4 * mesh.n_elements
+    pos, _, _ = _sampling_arrays(sol)
+    assert pos.shape == (mesh.n_elements, 4, 2)
 
 
 def test_constant_stress_gives_identical_samples():
     # pure shear-free uniform strain: all sampling stresses equal
     bm, mesh, sol = linear_solution()
-    _, stresses, _, _ = _sampling_arrays(sol)
-    assert np.abs(stresses - stresses[0]).max() < 1e-12
+    _, stresses, _ = _sampling_arrays(sol)
+    assert np.abs(stresses - stresses[0, 0]).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1143,11 +1143,12 @@ def reference_fits(sol, config, singular_field, tractions, bcs):
     if config.with_splitting and config.gsif_mode == "extracted":
         est = extract_gsifs(sol, singular_field, bcs)
         singular_field = singular_field.with_gsifs(est.K_I, est.K_II)
-    positions, stresses, weights, k = _sampling_arrays(sol)
+    positions, stresses, weights = _sampling_arrays(sol)
     split = np.zeros(mesh.n_nodes, dtype=bool)
     smooth = stresses
     if config.with_splitting:
-        smooth = stresses - singular_field.stress(positions)
+        flat = singular_field.stress(positions.reshape(-1, 2))
+        smooth = stresses - flat.reshape(stresses.shape)
         split = np.linalg.norm(mesh.coords - np.asarray(singular_field.frame.vertex), axis=1) \
             < config.splitting_radius
     edges = reference_edges(mesh, tractions) if config.with_constraints else {}
@@ -1156,9 +1157,8 @@ def reference_fits(sol, config, singular_field, tractions, bcs):
     out = []
     for node in range(mesh.n_nodes):
         patch = mesh.patch_elements[mesh.patch_offsets[node] : mesh.patch_offsets[node + 1]]
-        idx = (patch[:, None] * k + np.arange(k)).ravel()
-        pos, w = positions[idx], weights[idx]
-        sig = (smooth if split[node] else stresses)[idx]
+        pos, w = positions[patch].reshape(-1, 2), weights[patch].ravel()
+        sig = (smooth if split[node] else stresses)[patch].reshape(-1, 3)
         center = mesh.coords[node]
         scale = max(np.abs(pos - center).max(), 1e-30)
         degree = config.boundary_degree if node in boundary_nodes else config.interior_degree
@@ -1476,10 +1476,10 @@ def test_collocation_rows_match_the_per_node_loop_bit_for_bit(solve_cached, lsha
     field = lshape_bm.singular_field if name == "lshape" else None
     neumann = neumann_edges(mesh, bcs.tractions)
     nodes = np.nonzero(neumann.on[:, 0] >= 0)[0]
-    positions, _, _, k = _sampling_arrays(sol)
+    positions, _, _ = _sampling_arrays(sol)
     scale = np.array([
-        max(np.abs(positions[(mesh.patch_elements[mesh.patch_offsets[n]:mesh.patch_offsets[n + 1], None] * k
-                              + np.arange(k)).ravel()] - mesh.coords[n]).max(), 1e-30)
+        max(np.abs(positions[mesh.patch_elements[mesh.patch_offsets[n]:mesh.patch_offsets[n + 1]]]
+                   - mesh.coords[n]).max(), 1e-30)
         for n in nodes
     ])
     split = np.zeros(len(nodes), dtype=bool)
@@ -1559,13 +1559,15 @@ def test_singular_stress_is_subtracted_only_where_split_patches_read_it(
     )
     monkeypatch.undo()
     (fitter,) = fitters
-    positions, stresses, _, k = _sampling_arrays(sol)
+    positions, stresses, _ = _sampling_arrays(sol)
     touched = fitter.split[mesh.elements].any(axis=1)
     assert 0 < touched.sum() < mesh.n_elements
-    rows = (np.nonzero(touched)[0][:, None] * k + np.arange(k)).ravel()
-    assert len(seen) == 1 and np.array_equal(seen[0], positions[rows])
-    full = stresses - lshape_bm.singular_field.stress(positions)
-    assert np.array_equal(fitter.smooth[rows], full[rows])
+    assert len(seen) == 1 and np.array_equal(seen[0], positions[touched])
+    # the oracle evaluates the flat sample list, so the element-major call
+    # must match a flat one too
+    flat = lshape_bm.singular_field.stress(positions.reshape(-1, 2))
+    full = stresses - flat.reshape(stresses.shape)
+    assert np.array_equal(fitter.smooth[touched], full[touched])
     for node in np.nonzero(fitter.split)[0]:
         patch = mesh.patch_elements[mesh.patch_offsets[node]:mesh.patch_offsets[node + 1]]
         assert touched[patch].all()

@@ -65,8 +65,15 @@ D = elasticity_matrix(MAT)
 # nu=0.3, plane strain): 1/2 int sigma^T D^-1 sigma dA on the quadrant,
 # evaluated by 60x60 Gauss-Legendre quadrature in polar coordinates of the
 # closed-form Lame stresses -- fully independent of the FE machinery.
-# (The solver's .energy() is U^T K U = 2 x strain energy = work done.)
+# (U^T K U, as strain_work computes it, is 2 x strain energy = work done.)
 CYLINDER_EXACT_UKU = 1.8605209826259367e-06
+
+
+def strain_work(sol) -> float:
+    """U^T K U of a solution, from its globally assembled stiffness."""
+    _, stiffnesses = _element_operators(sol.mesh, sol.material, sol.formulation)
+    K = _scatter(sol.mesh, sol.operators.dofs, stiffnesses)
+    return float(sol.U @ (K @ sol.U))
 
 
 def zero_mode_count(K: np.ndarray) -> int:
@@ -82,8 +89,8 @@ def smoothed_B(corners, nc) -> np.ndarray:
 
 def element_K(corners, kind, nc=4) -> np.ndarray:
     """8x8 stiffness of a one-element mesh."""
-    ops = _element_operators(single_element_mesh(corners), MAT, Formulation(kind, nc))
-    return ops.K[0]
+    _, K = _element_operators(single_element_mesh(corners), MAT, Formulation(kind, nc))
+    return K[0]
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +181,8 @@ def test_formulation_validation():
 def test_assembled_stiffness_exactly_symmetric(cylinder_bm):
     mesh = cylinder_bm.mesh(1)
     for kind in ("sfem", "fem"):
-        K = _scatter(mesh, _element_operators(mesh, cylinder_bm.material, Formulation(kind, 4)))
+        ops, Ke = _element_operators(mesh, cylinder_bm.material, Formulation(kind, 4))
+        K = _scatter(mesh, ops.dofs, Ke)
         skew = np.abs((K - K.T).toarray()).max()
         assert skew == 0.0
 
@@ -524,7 +532,7 @@ def test_zero_displacement_zero_stress(patch_bm):
         mesh, patch_bm.material, Formulation("sfem", 4), lambda p: np.zeros_like(p)
     )
     assert np.abs(sol.cell_stress).max() == 0.0
-    assert sol.energy() == 0.0
+    assert strain_work(sol) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +542,7 @@ def test_zero_displacement_zero_stress(patch_bm):
 
 def test_cylinder_energy_against_closed_form(solve_cached):
     _, _, sol = solve_cached("cylinder", 1, "sfem", 4)
-    dev = abs(sol.energy() - CYLINDER_EXACT_UKU) / CYLINDER_EXACT_UKU
+    dev = abs(strain_work(sol) - CYLINDER_EXACT_UKU) / CYLINDER_EXACT_UKU
     assert dev < 0.10  # measured 0.082 on the level-1 mesh
 
 
@@ -544,7 +552,7 @@ def test_work_balance(solve_cached):
     mesh, bcs, sol = solve_cached("cylinder", 2, "sfem", 4)
     f = _neumann_vector(mesh, bcs)
     work = float(sol.U @ f)
-    assert abs(sol.energy() - work) < 1e-9 * abs(work)
+    assert abs(strain_work(sol) - work) < 1e-9 * abs(work)
 
 
 def test_inner_wall_radial_stress_regression(solve_cached, cylinder_bm):
@@ -601,7 +609,8 @@ def test_one_cell_sfem_lshape_names_its_hourglass_modes(lshape_bm, level):
     with pytest.raises(SolveError, match=r"^3 zero-energy mode\(s\) are unrestrained and loaded"):
         assemble_and_solve(mesh, lshape_bm.material, form, bcs)
     free = np.setdiff1d(np.arange(2 * mesh.n_nodes), _dirichlet_values(mesh, bcs)[0])
-    K = _scatter(mesh, _element_operators(mesh, lshape_bm.material, form))
+    ops, Ke = _element_operators(mesh, lshape_bm.material, form)
+    K = _scatter(mesh, ops.dofs, Ke)
     ev = np.linalg.eigvalsh(K[free][:, free].toarray())
     assert len(free) == {0: 127, 1: 447}[level]
     assert np.count_nonzero(ev <= 1e-12 * ev[-1]) == 3
@@ -700,7 +709,8 @@ def test_strongly_graded_square_solves_to_a_small_backward_error():
     sol = assemble_and_solve(mesh, MAT, Formulation("sfem", 4), bcs)
     assert sol.residual_rel > 1e-9
     free = np.setdiff1d(np.arange(2 * mesh.n_nodes), _dirichlet_values(mesh, bcs)[0])
-    K = _scatter(mesh, sol.operators)[free]
+    _, Ke = _element_operators(mesh, MAT, Formulation("sfem", 4))
+    K = _scatter(mesh, sol.operators.dofs, Ke)[free]
     f = _neumann_vector(mesh, bcs)[free]
     # the componentwise backward error of Oettli and Prager
     omega = np.abs(K @ sol.U - f) / (abs(K) @ np.abs(sol.U) + np.abs(f))
@@ -859,7 +869,7 @@ def test_solution_stresses_and_operators_are_read_only():
     for form in (Formulation("sfem", 4), Formulation("fem")):
         sol = interpolate_solution(mesh, MAT, form, lambda p: 0.01 * p)
         ops = sol.operators
-        arrays = [sol.cell_stress, ops.K, ops.B, ops.dofs]
+        arrays = [sol.cell_stress, ops.B, ops.dofs, _element_operators(mesh, MAT, form)[1]]
         if form.kind == "sfem":
             cells = ops.cells
             arrays += [
@@ -869,6 +879,27 @@ def test_solution_stresses_and_operators_are_read_only():
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1
+
+
+@pytest.mark.parametrize("kind", ["fem", "sfem"])
+def test_interpolation_and_solve_hold_the_same_operators(solve_cached, kind):
+    # both build their operators with one _element_operators call, so a
+    # solution built from either with the same U has the same stresses
+    mesh, _, solved = solve_cached("cylinder", 2, kind, 4)
+    interpolated = interpolate_solution(
+        mesh, solved.material, solved.formulation, lambda p: solved.U.reshape(-1, 2)
+    )
+    a, b = solved.operators, interpolated.operators
+    assert np.array_equal(a.B, b.B) and np.array_equal(a.dofs, b.dofs)
+    if kind == "sfem":
+        for f in fields(a.cells):
+            assert np.array_equal(getattr(a.cells, f.name), getattr(b.cells, f.name)), f.name
+    else:
+        assert a.cells is None and b.cells is None
+    assert np.array_equal(interpolated.cell_stress, solved.cell_stress)
+    for ops in (a, b):
+        rebuilt = DiscreteSolution(mesh, solved.material, solved.formulation, solved.U, ops)
+        assert np.array_equal(rebuilt.cell_stress, solved.cell_stress)
 
 
 # ---------------------------------------------------------------------------
@@ -946,7 +977,7 @@ def _reference_fem_B(corners, xi, eta):
 )
 def test_kernels_match_the_scalar_reference_bit_for_bit(name, kind, nc):
     mesh = BATCH_MESHES[name]
-    full = _element_operators(mesh, MAT, Formulation(kind, nc))
+    full, full_K = _element_operators(mesh, MAT, Formulation(kind, nc))
     pts, wts = gauss_points_2d(2)
     _, wdet, _ = mapped_rule(mesh.coords[mesh.elements], 2)  # FEM recovery weights
     for e in np.random.default_rng(7).permutation(mesh.n_elements)[:12]:
@@ -968,7 +999,7 @@ def test_kernels_match_the_scalar_reference_bit_for_bit(name, kind, nc):
                 assert np.array_equal(B, full.B[e, g])
                 assert det * w == wdet[e, g]
                 Ke += B.T @ D @ B * det * w
-        assert np.array_equal(0.5 * (Ke + Ke.T), full.K[e])
+        assert np.array_equal(0.5 * (Ke + Ke.T), full_K[e])
 
 
 def test_strain_matrix_matches_the_einsum_oracle_on_distorted_quads():
@@ -997,7 +1028,7 @@ def test_smoothed_operators_invert_each_distinct_edge_midpoint_once(
         return invert_map(corners, points)
 
     monkeypatch.setattr(solver_mod, "invert_map", counting_invert_map)
-    ops = _element_operators(mesh, MAT, Formulation("sfem", nc))
+    ops, _ = _element_operators(mesh, MAT, Formulation("sfem", nc))
     n = mesh.n_elements
     assert calls == [((n, 1, 4, 2), (n, distinct, 2))]
     # the premise: the slots of one shared edge hold bit-equal midpoints
@@ -1016,7 +1047,7 @@ def test_smoothed_operators_invert_each_distinct_edge_midpoint_once(
 )
 def test_kernels_are_batch_invariant(name, kind, nc):
     mesh = BATCH_MESHES[name]
-    full = _element_operators(mesh, MAT, Formulation(kind, nc))
+    full, full_K = _element_operators(mesh, MAT, Formulation(kind, nc))
     rng = np.random.default_rng(nc + 10 * len(name))
     subset = rng.permutation(mesh.n_elements)[: mesh.n_elements // 3]
     corners = mesh.coords[mesh.elements[subset]]
@@ -1035,9 +1066,9 @@ def test_kernels_are_batch_invariant(name, kind, nc):
     # batches of one: one-element meshes, and single points for FEM B
     for e in subset[:8]:
         c = mesh.coords[mesh.elements[e]]
-        one = _element_operators(single_element_mesh(c), MAT, Formulation(kind, nc))
+        one, one_K = _element_operators(single_element_mesh(c), MAT, Formulation(kind, nc))
         assert np.array_equal(one.B[0], full.B[e])
-        assert np.array_equal(one.K[0], full.K[e])
+        assert np.array_equal(one_K[0], full_K[e])
         if kind == "fem":
             for g, (xi, eta) in enumerate(pts):
                 B, _ = strain_matrix(c[None], np.array([xi]), np.array([eta]))
