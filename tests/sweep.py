@@ -1,28 +1,30 @@
 """Deep sweep of the documented inputs, written to a committed ledger.
 
-    PYTHONPATH=src python tests/sweep.py                  # level 3 -> SWEEP.json
-    PYTHONPATH=src python tests/sweep.py --level 4 --out sweep4.json
+    PYTHONPATH=src python tests/sweep.py              # level 3 -> SWEEP.json
+    PYTHONPATH=src python tests/sweep.py --level 4    # -> SWEEP_L4.json
 
-The grid is the one tests/test_conformance.py runs at the coarsest levels,
-taken deeper: the cylinder, and the L-shape at gradings 1, 2 and 20 in both
-GSIF modes, at one level; FEM and SFEM with 1, 2, 4 or 8 smoothing cells;
-all four recovery variants; fitting degrees 1 and 2.  That is 280 configs.
+Only the level-3 ledger is committed; another level writes its own file,
+so an opt-in deeper run never replaces it.  The grid is
+tests/test_conformance.py's `documented_configs`, taken deeper: the
+cylinder, and the L-shape at gradings 1, 2 and 20 in both GSIF modes, at
+one level; FEM and SFEM with 1, 2, 4 or 8 smoothing cells; all four
+recovery variants; fitting degrees 1 and 2.  That is 280 configs.
 
 Per config the ledger records the status: "ok" with the error report's
 metrics (and the intensity factors the recovery used), or "error" with the
-exception's class, message and the module.function that raised it.  It also records theta and the number of
-patches that fell back from degree 2 to degree 1, counted from recovery's
-log warnings.  A RuntimeWarning (a NaN or overflow in numpy) is raised as an
-error, as in the test suite.  No timings are recorded, so two runs write
-identical files; diff the ledger against the committed one to see what a
-change moved.  The name keeps pytest from collecting this file.
+exception's class, message and the module.function that raised it.  It
+also records theta and the number of patches that fell back from degree 2
+to degree 1, counted from recovery's log warnings.  A RuntimeWarning (a
+NaN or overflow in numpy) is raised as an error, as in the test suite.  No
+timings are recorded, so two runs write identical files; diff the ledger
+against the committed one to see what a change moved.  The name keeps
+pytest from collecting this file.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
-import itertools
 import json
 import logging
 import math
@@ -31,10 +33,9 @@ import sys
 import traceback
 import warnings
 
-from test_conformance import FORMULATIONS
+from test_conformance import documented_configs
 
 from smoothfem.harness import StudyConfig, run_case
-from smoothfem.recovery import VARIANTS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GRADINGS = (1.0, 2.0, 20.0)
@@ -42,7 +43,11 @@ METRICS = ("dof", "estimated", "exact", "recovered", "m_abs_D", "sigma_D", "excl
 
 
 class FallbackCounter(logging.Handler):
-    """Counts the degree-1 fallback warnings recovery logs per patch."""
+    """Counts the degree-1 fallback warnings recovery logs per patch.
+
+    It mirrors perfbench/tracing.py's `_FallbackCounter`, which adds the
+    same count to a trace instead of keeping it.
+    """
 
     def __init__(self):
         super().__init__(level=logging.WARNING)
@@ -51,17 +56,6 @@ class FallbackCounter(logging.Handler):
     def emit(self, record):
         if "falling back" in record.getMessage():
             self.count += 1
-
-
-def configs(level: int):
-    for (formulation, nc), variant, degree in itertools.product(FORMULATIONS, VARIANTS, (1, 2)):
-        common = dict(
-            formulation=formulation, nc=nc, variant=variant,
-            interior_degree=degree, boundary_degree=degree, levels=(level,),
-        )
-        yield StudyConfig(benchmark="cylinder", **common)
-        for grading, mode in itertools.product(GRADINGS, ("exact", "extracted")):
-            yield StudyConfig(benchmark="lshape", grading=grading, gsif_mode=mode, **common)
 
 
 def run(config: StudyConfig, counter: FallbackCounter) -> dict:
@@ -113,20 +107,21 @@ def summary(entries: list) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--level", type=int, default=3, help="mesh level of both benchmarks")
-    parser.add_argument("--out", type=pathlib.Path, default=ROOT / "SWEEP.json")
     args = parser.parse_args(argv)
+    out = ROOT / ("SWEEP.json" if args.level == 3 else f"SWEEP_L{args.level}.json")
 
     counter = FallbackCounter()
     recovery_log = logging.getLogger("smoothfem.recovery")
     recovery_log.addHandler(counter)
     try:
-        entries = [run(config, counter) for config in configs(args.level)]
+        grid = documented_configs((args.level, args.level), GRADINGS)
+        entries = [run(config, counter) for config in grid]
     finally:
         recovery_log.removeHandler(counter)
     head = summary(entries)
     # one config per line, so a diff of two ledgers reads config by config
     rows = ",\n  ".join(json.dumps(e) for e in entries)
-    args.out.write_text(
+    out.write_text(
         f'{{"level": {args.level},\n "summary": {json.dumps(head)},\n "configs": [\n  {rows}\n ]}}\n',
         encoding="ascii",
     )

@@ -17,16 +17,19 @@ FORMULATIONS = (("fem", 4), ("sfem", 1), ("sfem", 2), ("sfem", 4), ("sfem", 8))
 LOADED_MODES = "3 zero-energy mode(s) are unrestrained and loaded"
 
 
-def documented_configs():
+def documented_configs(levels=(1, 0), gradings=(1.0, 20.0)):
+    """The documented-input grid; `levels` are the (cylinder, L-shape) mesh levels."""
+    cylinder_level, lshape_level = levels
     for (formulation, nc), variant, degree in itertools.product(FORMULATIONS, VARIANTS, (1, 2)):
         common = dict(
             formulation=formulation, nc=nc, variant=variant,
             interior_degree=degree, boundary_degree=degree,
         )
-        yield StudyConfig(benchmark="cylinder", levels=(1,), **common)
-        for grading, mode in itertools.product((1.0, 20.0), ("exact", "extracted")):
+        yield StudyConfig(benchmark="cylinder", levels=(cylinder_level,), **common)
+        for grading, mode in itertools.product(gradings, ("exact", "extracted")):
             yield StudyConfig(
-                benchmark="lshape", grading=grading, levels=(0,), gsif_mode=mode, **common
+                benchmark="lshape", grading=grading, levels=(lshape_level,), gsif_mode=mode,
+                **common,
             )
 
 
