@@ -16,7 +16,8 @@ support reaches:
 
 with (v, tau) the calibrated dual and t the imposed traction (the raw
 discrete traction on constrained edges).  Notch faces drop out exactly:
-both t and tau n vanish there.
+both t and tau n vanish there.  Each of the two sums builds its
+mode-independent arrays once and evaluates both modes' duals on them.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .solver import NEUMANN, BoundaryConditions, DiscreteSolution, boundary_valu
 __all__ = [
     "GsifError",
     "PlateauFunction",
-    "ExtractionDual",
     "GsifEstimate",
     "contour_pairing",
     "calibration_constant",
@@ -114,42 +114,21 @@ def _mode_fields(lam, Q, mode, r, phi, mu, kappa):
     return u, sigma
 
 
-@dataclass(frozen=True)
-class ExtractionDual:
-    """The dual (negative-exponent) eigenfield of one mode, placed globally.
+def _dual_fields(solution: SingularSolution, frame: NotchFrame, mode: str, points):
+    """(v, tau) of a mode's dual eigenfield at global points (..., 2).
 
-    v = r^(-lam) Psi(-lam, Q(-lam)) / (2 mu),  tau = -lam r^(-lam-1) Phi(...)
-    in the notch frame; both are rotated to global components.
+    v = r^(-lam) Psi(-lam, Q(-lam)) / (2 mu) and tau = -lam r^(-lam-1) Phi
+    in the notch frame, lam the mode's exponent; returned in global
+    components, shapes (..., 2) and (..., 3).
     """
-
-    mode: str
-    lam: float  # primal exponent; the dual uses -lam
-    Q_dual: float
-    frame: NotchFrame
-    mu: float
-    kappa: float
-
-    def fields(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """(v, tau) at global points (..., 2): shapes (..., 2) and (..., 3)."""
-        r, phi = self.frame.to_polar(points)
-        if np.any(r <= 0.0):
-            raise AnalyticError("extraction dual evaluated at the vertex")
-        lam, r = -self.lam, r[..., None]
-        v, tau = _mode_fields(lam, self.Q_dual, self.mode, r, phi, self.mu, self.kappa)
-        return self.frame.vector_to_global(v), self.frame.stress_to_global(tau)
-
-
-def _dual_for(solution: SingularSolution, frame: NotchFrame, mode: str) -> ExtractionDual:
+    r, phi = frame.to_polar(points)
+    if np.any(r <= 0.0):
+        raise AnalyticError("extraction dual evaluated at the vertex")
     mu, kappa = elastic_constants(solution.material)
-    lam = solution.lambda_I if mode == MODE_I else solution.lambda_II
-    return ExtractionDual(
-        mode=mode,
-        lam=lam,
-        Q_dual=q_constant(solution.alpha, -lam, mode),
-        frame=frame,
-        mu=mu,
-        kappa=kappa,
-    )
+    lam = -(solution.lambda_I if mode == MODE_I else solution.lambda_II)
+    Q = q_constant(solution.alpha, lam, mode)
+    v, tau = _mode_fields(lam, Q, mode, r[..., None], phi, mu, kappa)
+    return frame.vector_to_global(v), frame.stress_to_global(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -217,34 +196,31 @@ class GsifEstimate:
     ring_elements: int = 0  # elements with quadrature points on the ramp
 
 
-class _DomainTerm:
-    """-int grad(q) . F dOmega of any dual, over the ring.
+def _domain_terms(
+    solution: DiscreteSolution, singular_field: SingularField, plateau: PlateauFunction
+) -> tuple[list[float], int]:
+    """-int grad(q) . F dOmega over the ring for each mode, and the ring size.
 
-    The mode-independent arrays are built once: all elements' points are
-    mapped at once, and the plateau gradient, Jacobians and FE fields are
-    kept only on the ring (elements with a point on the ramp), where a dual
-    is then evaluated, since it has no value at the vertex.  The
-    per-element sums are added in element order.
+    All elements' points are mapped at once; the plateau gradient, weights
+    and FE fields are kept only on the ring (elements with a point on the
+    ramp), where each mode's dual is then evaluated, since it has no value
+    at the vertex.  The per-element sums are added in element order.
     """
+    mesh = solution.mesh
+    pts, wdet, phys = mapped_rule(mesh.coords[mesh.elements], DOMAIN_QUAD_ORDER)
+    gq = plateau.gradient(phys)
+    ring = np.nonzero(gq.any(axis=(1, 2)))[0]
+    if not len(ring):
+        raise GsifError(
+            f"no element quadrature points on the extraction ramp "
+            f"({plateau.r_plateau}, {plateau.r_outer}); widen the plateau"
+        )
+    gq, phys, wdet = gq[ring], phys[ring], wdet[ring]
+    u_h = solution.displacement_at_parents(ring, pts)
+    s_h = solution.stress_at_parents(ring, pts)
 
-    def __init__(self, solution: DiscreteSolution, plateau: PlateauFunction, order: int):
-        mesh = solution.mesh
-        pts, wdet, phys = mapped_rule(mesh.coords[mesh.elements], order)
-        gq = plateau.gradient(phys)
-        ring = np.nonzero(gq.any(axis=(1, 2)))[0]
-        if not len(ring):
-            raise GsifError(
-                f"no element quadrature points on the extraction ramp "
-                f"({plateau.r_plateau}, {plateau.r_outer}); widen the plateau"
-            )
-        self.ring_elements = len(ring)
-        self.gq, self.phys, self.wdet = gq[ring], phys[ring], wdet[ring]
-        self.u_h = solution.displacement_at_parents(ring, pts)
-        self.s_h = solution.stress_at_parents(ring, pts)
-
-    def __call__(self, dual: ExtractionDual) -> float:
-        u_h, s_h = self.u_h, self.s_h
-        v, tau = dual.fields(self.phys)
+    def term(mode):  # one mode's fields are freed before the next mode's
+        v, tau = _dual_fields(singular_field.solution, singular_field.frame, mode, phys)
         F = np.stack(
             [
                 tau[..., 0] * u_h[..., 0] + tau[..., 2] * u_h[..., 1]
@@ -254,58 +230,61 @@ class _DomainTerm:
             ],
             axis=-1,
         )
-        per_element = np.sum(self.wdet * np.einsum("eki,eki->ek", self.gq, F), axis=-1)
+        per_element = np.sum(wdet * np.einsum("eki,eki->ek", gq, F), axis=-1)
         # running sum in element order, as a plain accumulation loop would
         return -float(np.cumsum(per_element)[-1])
 
+    return [term(MODE_I), term(MODE_II)], len(ring)
 
-class _BoundaryTerm:
-    """sum over boundary edges with q > 0 of int q [(tau n) . u_h - t . v] ds.
 
-    4-point Gauss per edge.  The mode-independent arrays are built once for
-    every edge in the support: geometry, q, u_h and t, the imposed traction
-    on Neumann edges (one call per boundary name) or the discrete traction
-    sigma_h n on constrained ones (one stress_at_parents call at per-edge
-    parent points).  The per-edge sums are added in edge order.
+def _boundary_terms(
+    solution: DiscreteSolution,
+    bcs: BoundaryConditions,
+    singular_field: SingularField,
+    plateau: PlateauFunction,
+) -> list[float]:
+    """sum over boundary edges with q > 0 of int q [(tau n) . u_h - t . v] ds
+    for each mode.
+
+    4-point Gauss per edge.  Geometry, q, u_h and t are built once for every
+    edge in the support: t is the imposed traction on Neumann edges (one
+    call per boundary name) or the discrete traction sigma_h n on
+    constrained ones (one stress_at_parents call at per-edge parent points).
+    The per-edge sums are added in edge order.
     """
+    mesh = solution.mesh
+    edges = mesh.boundary_arrays
+    x, jac, normal, N, gw = edge_gauss_rule(mesh, edges.node_ids, 4)
+    q = plateau.value(x)  # x: (edge, point, 2)
+    inside = np.nonzero(np.any(q > 0.0, axis=1))[0]
+    x, q, jac, normal = x[inside], q[inside], jac[inside], normal[inside][:, None]
+    ends = edges.node_ids[inside]
+    U = solution.U.reshape(-1, 2)
+    Na, Nb = N.T
+    u_h = Na[:, None] * U[ends[:, 0], None] + Nb[:, None] * U[ends[:, 1], None]
 
-    def __init__(
-        self, solution: DiscreteSolution, bcs: BoundaryConditions, plateau: PlateauFunction
-    ):
-        mesh = solution.mesh
-        edges = mesh.boundary_arrays
-        x, jac, normal, N, self.gw = edge_gauss_rule(mesh, edges.node_ids, 4)
-        q = plateau.value(x)  # x: (edge, point, 2)
-        inside = np.nonzero(np.any(q > 0.0, axis=1))[0]
-        self.x, self.q, self.jac = x[inside], q[inside], jac[inside]
-        self.normal = normal[inside][:, None]
-        ends = edges.node_ids[inside]
-        U = solution.U.reshape(-1, 2)
-        Na, Nb = N.T
-        self.u_h = Na[:, None] * U[ends[:, 0], None] + Nb[:, None] * U[ends[:, 1], None]
+    t = np.empty_like(x)
+    names, local_edges = edges.names[inside], edges.local_edges[inside]
+    neumann = edges.kinds[inside] == NEUMANN
+    t[neumann] = boundary_values(
+        bcs.tractions, np.repeat(names[neumann], len(gw)), x[neumann].reshape(-1, 2),
+        np.repeat(normal[neumann, 0], len(gw), axis=0), GsifError,
+    ).reshape(-1, len(gw), 2)
+    # constrained edges inside the support: sigma_h n at each edge's parent points
+    k = local_edges[~neumann, None]
+    par = Na[:, None] * PARENT_CORNERS[k] + Nb[:, None] * PARENT_CORNERS[(k + 1) % 4]
+    stress = solution.stress_at_parents(edges.element_ids[inside][~neumann], par)
+    t[~neumann] = stress_traction(stress, normal[~neumann])
 
-        self.t = np.empty_like(self.x)
-        names, local_edges = edges.names[inside], edges.local_edges[inside]
-        neumann = edges.kinds[inside] == NEUMANN
-        self.t[neumann] = boundary_values(
-            bcs.tractions, np.repeat(names[neumann], len(self.gw)), self.x[neumann].reshape(-1, 2),
-            np.repeat(self.normal[neumann, 0], len(self.gw), axis=0), GsifError,
-        ).reshape(-1, len(self.gw), 2)
-        # constrained edges inside the support: sigma_h n at each edge's parent points
-        k = local_edges[~neumann, None]
-        par = Na[:, None] * PARENT_CORNERS[k] + Nb[:, None] * PARENT_CORNERS[(k + 1) % 4]
-        stress = solution.stress_at_parents(edges.element_ids[inside][~neumann], par)
-        self.t[~neumann] = stress_traction(stress, self.normal[~neumann])
-
-    def __call__(self, dual: ExtractionDual) -> float:
-        if not len(self.x):
-            return 0.0
-        v, tau = dual.fields(self.x)
-        tau_n = stress_traction(tau, self.normal)
-        integrand = np.einsum("eki,eki->ek", tau_n, self.u_h) - np.einsum("eki,eki->ek", self.t, v)
-        per_edge = np.sum(self.gw * self.jac[:, None] * self.q * integrand, axis=-1)
+    def term(mode):
+        v, tau = _dual_fields(singular_field.solution, singular_field.frame, mode, x)
+        tau_n = stress_traction(tau, normal)
+        integrand = np.einsum("eki,eki->ek", tau_n, u_h) - np.einsum("eki,eki->ek", t, v)
+        per_edge = np.sum(gw * jac[:, None] * q * integrand, axis=-1)
         # running sum in edge order, as a plain accumulation loop would
         return float(np.cumsum(per_edge)[-1])
+
+    return [term(MODE_I), term(MODE_II)] if len(x) else [0.0, 0.0]
 
 
 def extract_gsifs(
@@ -325,18 +304,12 @@ def extract_gsifs(
         plateau: cutoff weight; defaults to the 0.45 / 0.9 plateau centered
             at the notch vertex.
     """
-    frame = singular_field.frame
-    sol = singular_field.solution
     if plateau is None:
-        plateau = PlateauFunction(center=tuple(np.asarray(frame.vertex, float)))
+        plateau = PlateauFunction(center=tuple(np.asarray(singular_field.frame.vertex, float)))
 
-    modes = (MODE_I, MODE_II)
-    duals = [_dual_for(sol, frame, mode) for mode in modes]
-    Cs = [calibration_constant(sol, mode) for mode in modes]
-    domain = _DomainTerm(solution, plateau, DOMAIN_QUAD_ORDER)
-    boundary = _BoundaryTerm(solution, bcs, plateau)
-    doms = [domain(dual) for dual in duals]
-    bnds = [boundary(dual) for dual in duals]
+    Cs = [calibration_constant(singular_field.solution, mode) for mode in (MODE_I, MODE_II)]
+    doms, ring_elements = _domain_terms(solution, singular_field, plateau)
+    bnds = _boundary_terms(solution, bcs, singular_field, plateau)
     Ks = [(dom + bnd) / C for dom, bnd, C in zip(doms, bnds, Cs)]
     return GsifEstimate(
         K_I=Ks[0],
@@ -346,5 +319,5 @@ def extract_gsifs(
         domain_terms=tuple(doms),
         boundary_terms=tuple(bnds),
         plateau=plateau,
-        ring_elements=domain.ring_elements,
+        ring_elements=ring_elements,
     )

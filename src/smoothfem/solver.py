@@ -451,13 +451,13 @@ def _parent_batch(element_ids, pts, n_elements: int, error: type[Exception] = So
 
 
 class DiscreteSolution:
-    """A solved (or interpolated) discrete displacement field with stresses.
+    """A solved discrete displacement field with stresses.
 
-    Carries the mesh, nodal vector U, the formulation's element operators
-    (from _element_operators, as the solve built them), and per-cell (SFEM)
-    or per-Gauss-point (FEM) raw stresses: what recovery, the error
-    quadrature and GSIF extraction read.  Immutable: U, cell_stress and the
-    operator arrays are read-only.
+    Carries the mesh, nodal vector U, the solve's relative residual, the
+    formulation's element operators (from _element_operators, as the solve
+    built them), and per-cell (SFEM) or per-Gauss-point (FEM) raw stresses:
+    what recovery, the error quadrature and GSIF extraction read.
+    Immutable: U, cell_stress and the operator arrays are read-only.
     """
 
     def __init__(
@@ -467,7 +467,7 @@ class DiscreteSolution:
         formulation: Formulation,
         U: np.ndarray,
         operators: ElementOperators,
-        residual_rel: float = 0.0,
+        residual_rel: float,
     ):
         self.mesh = mesh
         self.material = material
@@ -585,21 +585,3 @@ def assemble_and_solve(
 
     return DiscreteSolution(mesh, material, formulation, U, operators, residual_rel)
 
-
-def interpolate_solution(
-    mesh: Mesh,
-    material: Material,
-    formulation: Formulation,
-    displacement,
-) -> DiscreteSolution:
-    """DiscreteSolution whose nodal values interpolate a given field.
-
-    No system is solved; this is the "exactly interpolated analytic field"
-    used by extraction-consistency and convergence probes.
-    ``displacement`` maps positions (n, 2) -> (n, 2).
-    """
-    u_nodes = np.asarray(displacement(mesh.coords), dtype=float)
-    if u_nodes.shape != (mesh.n_nodes, 2):
-        raise SolveError("displacement field returned wrong shape")
-    operators, _ = _element_operators(mesh, material, formulation)
-    return DiscreteSolution(mesh, material, formulation, u_nodes.ravel(), operators)

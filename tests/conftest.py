@@ -7,8 +7,10 @@ handed out by key.  Everything returned from these fixtures is shared —
 treat it as read-only.
 """
 
+import cProfile
 import gc
 import pathlib
+import pstats
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchm
 from smoothfem.harness import StudyConfig, run_convergence_study
 from smoothfem.mesh import BoundaryEdge, Mesh, NEUMANN
 from smoothfem.quadmap import invert_map, shape_gradients
-from smoothfem.solver import Formulation, assemble_and_solve
+from smoothfem.solver import DiscreteSolution, Formulation, _element_operators, assemble_and_solve
 
 # Every run draws the same examples (seeded from each test function), so a
 # property test passes on every run or fails on every run, never by the luck
@@ -99,6 +101,33 @@ def study_cached():
         return cache[key]
 
     return get
+
+
+def interpolate_solution(mesh, material, formulation, displacement) -> DiscreteSolution:
+    """The DiscreteSolution whose nodal values interpolate ``displacement``
+    (positions (n, 2) -> (n, 2)); nothing is solved, so residual_rel is 0."""
+    u_nodes = np.asarray(displacement(mesh.coords), dtype=float)
+    assert u_nodes.shape == (mesh.n_nodes, 2), u_nodes.shape
+    operators = _element_operators(mesh, material, formulation)[0]
+    return DiscreteSolution(mesh, material, formulation, u_nodes.ravel(), operators, 0.0)
+
+
+def python_calls(*calls):
+    """Python calls (cProfile's total_calls) made by running each (fn, *args)
+    of ``calls`` once, in order, in one profile.
+
+    The cyclic collector is off while profiling: a collection inside the
+    profile would add the callbacks other libraries put in gc.callbacks
+    (Hypothesis does) to the count.
+    """
+    profile = cProfile.Profile()
+    gc.disable()
+    try:
+        for fn, *args in calls:
+            profile.runcall(fn, *args)
+    finally:
+        gc.enable()
+    return pstats.Stats(profile).total_calls
 
 
 def single_element_mesh(corners) -> Mesh:

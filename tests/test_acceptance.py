@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from conftest import evaluate_at
+from conftest import evaluate_at, interpolate_solution
 from smoothfem.analytic import (
     MODE_I,
     MODE_II,
@@ -39,7 +39,6 @@ from smoothfem.solver import (
     Formulation,
     _element_operators,
     assemble_and_solve,
-    interpolate_solution,
 )
 
 ALPHA = 1.5 * np.pi

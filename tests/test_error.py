@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 import smoothfem.error as error_mod
-from conftest import single_element_mesh
+from conftest import interpolate_solution, single_element_mesh
 from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import Material, PLANE_STRAIN, compliance_matrix
 from smoothfem.error import (
@@ -27,7 +27,7 @@ from smoothfem.error import (
 )
 from smoothfem.quadmap import gauss_points_2d, jacobian_det, map_point, mapped_rule
 from smoothfem.recovery import RecoveryConfig, build_recovered_field
-from smoothfem.solver import Formulation, assemble_and_solve, interpolate_solution
+from smoothfem.solver import Formulation, assemble_and_solve
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 MAT = Material(100.0, 0.3, PLANE_STRAIN)

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import smoothfem.gsif as gsif_mod
+from conftest import interpolate_solution, python_calls
 from smoothfem.analytic import (
     MODE_I,
     MODE_II,
@@ -27,12 +29,13 @@ from smoothfem.analytic import (
 from smoothfem.benchmarks import LShapeBenchmark
 from smoothfem.elasticity import elastic_constants
 from smoothfem.gsif import (
+    DOMAIN_QUAD_ORDER,
     PAIRING_QUAD_ORDER,
     GsifError,
     PlateauFunction,
-    _BoundaryTerm,
-    _DomainTerm,
-    _dual_for,
+    _boundary_terms,
+    _domain_terms,
+    _dual_fields,
     calibration_constant,
     contour_pairing,
     extract_gsifs,
@@ -45,7 +48,7 @@ from smoothfem.quadmap import (
     jacobian_det,
     map_point,
 )
-from smoothfem.solver import BoundaryConditions, Formulation, interpolate_solution
+from smoothfem.solver import BoundaryConditions, Formulation
 
 BM = LShapeBenchmark()
 
@@ -55,13 +58,10 @@ C_I = 0.019631389706144267
 C_II = 0.006408638275563891
 
 
-def interpolated(benchmark, level=2):
+def interpolated(benchmark, level=2, formulation=Formulation("sfem", 4)):
     mesh = benchmark.mesh(level)
     bcs = benchmark.boundary_conditions(mesh)
-    sol = interpolate_solution(
-        mesh, benchmark.material, Formulation("sfem", 4),
-        benchmark.exact_displacement,
-    )
+    sol = interpolate_solution(mesh, benchmark.material, formulation, benchmark.exact_displacement)
     return sol, bcs
 
 
@@ -134,18 +134,20 @@ def test_plateau_rejects_a_non_finite_center_or_outer_radius(kwargs, match):
 # ---------------------------------------------------------------------------
 
 
-def test_dual_faces_are_traction_free():
-    from smoothfem.gsif import _dual_for
+def dual(mode, points):
+    """The benchmark notch's extraction dual (v, tau) of one mode."""
+    return _dual_fields(BM.singular_field.solution, BM.singular_field.frame, mode, points)
 
+
+def test_dual_faces_are_traction_free():
     # notch faces of the benchmark: the +x axis (outward normal -y) and the
     # -y axis (outward normal +x)
     for mode in (MODE_I, MODE_II):
-        dual = _dual_for(BM.singular_field.solution, BM.singular_field.frame, mode)
         for pts, n in [
             (np.array([[0.3, 0.0], [0.9, 0.0]]), np.array([0.0, -1.0])),
             (np.array([[0.0, -0.3], [0.0, -0.9]]), np.array([1.0, 0.0])),
         ]:
-            _, s = dual.fields(pts)
+            _, s = dual(mode, pts)
             t = np.stack(
                 [s[:, 0] * n[0] + s[:, 2] * n[1], s[:, 2] * n[0] + s[:, 1] * n[1]],
                 axis=-1,
@@ -154,48 +156,63 @@ def test_dual_faces_are_traction_free():
 
 
 def test_dual_scales_like_negative_exponent():
-    from smoothfem.gsif import _dual_for
-
-    dual = _dual_for(BM.singular_field.solution, BM.singular_field.frame, MODE_I)
     lam = BM.singular_field.solution.lambda_I
     p1 = np.array([[-0.2, 0.3]])
-    (u1, s1), (u2, s2) = dual.fields(p1), dual.fields(2.0 * p1)
+    (u1, s1), (u2, s2) = dual(MODE_I, p1), dual(MODE_I, 2.0 * p1)
     assert_allclose(u2, u1 * 2.0 ** (-lam), rtol=1e-12)
     assert_allclose(s2, s1 * 2.0 ** (-lam - 1.0), rtol=1e-12)
 
 
 def test_dual_rejects_the_vertex():
-    from smoothfem.gsif import _dual_for
-
-    dual = _dual_for(BM.singular_field.solution, BM.singular_field.frame, MODE_I)
     with pytest.raises(AnalyticError, match="at the vertex"):
-        dual.fields(np.array([[0.0, 0.0]]))
+        dual(MODE_I, np.array([[0.0, 0.0]]))
     with pytest.raises(AnalyticError, match="at the vertex"):
-        dual.fields(np.array([[0.3, 0.2], [0.0, 0.0]]))
+        dual(MODE_I, np.array([[0.3, 0.2], [0.0, 0.0]]))
 
 
-def _former_dual_fields(dual, points):
+def _former_dual_fields(solution, frame, mode, points):
     """The former ExtractionDual.displacement and .stress, each with its own
-    polar map and its own copy of the unit-mode formula."""
-    r, phi = dual.frame.to_polar(points)
-    psi = angular_displacement_eigenfunction(-dual.lam, dual.Q_dual, dual.mode, phi, dual.kappa)
-    v = r[..., None] ** (-dual.lam) * psi / (2.0 * dual.mu)
-    Phi = angular_stress_eigenfunction(-dual.lam, dual.Q_dual, dual.mode, phi)
-    tau = -dual.lam * r[..., None] ** (-dual.lam - 1.0) * Phi
-    return dual.frame.vector_to_global(v), dual.frame.stress_to_global(tau)
+    polar map and its own copy of the unit-mode formula, with the constants
+    the former _dual_for gave the dual."""
+    mu, kappa = elastic_constants(solution.material)
+    lam = solution.lambda_I if mode == MODE_I else solution.lambda_II
+    Q_dual = q_constant(solution.alpha, -lam, mode)
+    r, phi = frame.to_polar(points)
+    psi = angular_displacement_eigenfunction(-lam, Q_dual, mode, phi, kappa)
+    v = r[..., None] ** (-lam) * psi / (2.0 * mu)
+    Phi = angular_stress_eigenfunction(-lam, Q_dual, mode, phi)
+    tau = -lam * r[..., None] ** (-lam - 1.0) * Phi
+    return frame.vector_to_global(v), frame.stress_to_global(tau)
+
+
+def recorded_dual_points(monkeypatch):
+    """A list that gets (mode, points) of every later _dual_fields call
+    extraction makes."""
+    calls = []
+
+    def recording(solution, frame, mode, points):
+        calls.append((mode, points))
+        return _dual_fields(solution, frame, mode, points)
+
+    monkeypatch.setattr(gsif_mod, "_dual_fields", recording)
+    return calls
 
 
 @pytest.mark.parametrize("mode", [MODE_I, MODE_II])
-def test_dual_fields_equal_the_former_formulas_bit_for_bit(solve_cached, mode):
+def test_dual_fields_equal_the_former_formulas_bit_for_bit(solve_cached, monkeypatch, mode):
     # the points both extraction terms evaluate the dual at: the ring's
     # quadrature points and the boundary edges' Gauss points in the support
     _, bcs, sol = solve_cached("lshape", 1, "sfem", 4)
     field = BM.singular_field
-    dual = _dual_for(field.solution, field.frame, mode)
     plateau = PlateauFunction(center=field.frame.vertex, r_plateau=0.45, r_outer=1.1)
-    for points in (_DomainTerm(sol, plateau, 6).phys, _BoundaryTerm(sol, bcs, plateau).x):
-        assert len(points)
-        for got, want in zip(dual.fields(points), _former_dual_fields(dual, points)):
+    calls = recorded_dual_points(monkeypatch)
+    extract_gsifs(sol, field, bcs, plateau)
+    points = [p for m, p in calls if m == mode]
+    assert [p.shape[1:] for p in points] == [(DOMAIN_QUAD_ORDER**2, 2), (4, 2)]
+    for p in points:
+        assert len(p)
+        former = _former_dual_fields(field.solution, field.frame, mode, p)
+        for got, want in zip(dual(mode, p), former):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
@@ -333,9 +350,9 @@ def test_single_mode_wrapper(solve_cached):
     assert full.K_II == (full.domain_terms[1] + full.boundary_terms[1]) / full.C_II
 
 
-def _per_element_domain_term(sol, dual, plateau, order):
-    """Reference for _domain_term: one element at a time, summed in order."""
-    pts, w = gauss_points_2d(order)
+def _per_element_domain_term(sol, mode, plateau):
+    """Reference for _domain_terms: one element at a time, summed in order."""
+    pts, w = gauss_points_2d(DOMAIN_QUAD_ORDER)
     total, n_ring = 0.0, 0
     for e in range(sol.mesh.n_elements):
         corners = sol.mesh.coords[sol.mesh.elements[e]]
@@ -347,7 +364,7 @@ def _per_element_domain_term(sol, dual, plateau, order):
         det = jacobian_det(corners, pts[:, 0], pts[:, 1])
         u_h = sol.displacement_at_parents([e], pts)[0]
         s_h = sol.stress_at_parents([e], pts)[0]
-        v, tau = dual.fields(phys)
+        v, tau = dual(mode, phys)
         F = np.stack(
             [
                 tau[:, 0] * u_h[:, 0] + tau[:, 2] * u_h[:, 1]
@@ -365,13 +382,28 @@ def _per_element_domain_term(sol, dual, plateau, order):
 @pytest.mark.parametrize("mode", [MODE_I, MODE_II])
 def test_domain_term_matches_the_per_element_loop_bit_for_bit(solve_cached, kind, mode):
     mesh, bcs, sol = solve_cached("lshape", 1, kind, 4)
-    field = BM.singular_field
-    dual = _dual_for(field.solution, field.frame, mode)
-    plateau = PlateauFunction(center=field.frame.vertex)
-    term = _DomainTerm(sol, plateau, 6)
-    got = (term(dual), term.ring_elements)
-    assert got == _per_element_domain_term(sol, dual, plateau, 6)
+    plateau = PlateauFunction(center=BM.singular_field.frame.vertex)
+    terms, ring_elements = _domain_terms(sol, BM.singular_field, plateau)
+    got = (terms[(MODE_I, MODE_II).index(mode)], ring_elements)
+    assert got == _per_element_domain_term(sol, mode, plateau)
     assert 0 < got[1] < mesh.n_elements  # elements both on and off the ring
+
+
+@pytest.mark.parametrize(
+    "kind, levels", [("sfem", (1, 3)), ("fem", (3, 4))], ids=["sfem-L1-L3", "fem-L3-L4"]
+)
+def test_extraction_python_calls_do_not_grow_with_the_mesh(kind, levels):
+    # both sums are array operations over the ring and the support edges, so
+    # extraction takes the same number of Python calls at every level.  FEM
+    # stress_at_parents makes at most q = 36 blocks, one strain_matrix call
+    # each, so FEM reaches its constant count once the ring has 36 elements
+    # (at L3; L1 and L2 make fewer calls)
+    def calls(level):
+        sol, bcs = interpolated(BM, level, Formulation(kind, 4))
+        extract_gsifs(sol, BM.singular_field, bcs)  # warm up caches
+        return python_calls((extract_gsifs, sol, BM.singular_field, bcs))
+
+    assert calls(levels[0]) == calls(levels[1])
 
 
 def test_empty_ring_raises(solve_cached):
@@ -381,8 +413,8 @@ def test_empty_ring_raises(solve_cached):
         extract_gsifs(sol, BM.singular_field, bcs, plateau=needle)
 
 
-def _per_edge_boundary_term(sol, dual, bcs, plateau):
-    """Reference for _BoundaryTerm: one boundary edge at a time, summed in order."""
+def _per_edge_boundary_term(sol, mode, bcs, plateau):
+    """Reference for _boundary_terms: one boundary edge at a time, summed in order."""
     mesh = sol.mesh
     gp, gw = gauss_points_1d(4)
     total = 0.0
@@ -407,7 +439,7 @@ def _per_edge_boundary_term(sol, dual, bcs, plateau):
             pc1 = PARENT_CORNERS[(be.local_edge + 1) % 4]
             par = np.outer(0.5 * (1.0 - gp), pc0) + np.outer(0.5 * (1.0 + gp), pc1)
             t = stress_traction(sol.stress_at_parents([be.element_id], par)[0], normal)
-        v, tau = dual.fields(x)
+        v, tau = dual(mode, x)
         tau_n = stress_traction(tau, normal)
         integrand = np.einsum("ki,ki->k", tau_n, u_h) - np.einsum("ki,ki->k", t, v)
         total += float(np.sum(gw * jac * q * integrand))
@@ -435,13 +467,12 @@ def test_boundary_term_matches_the_per_edge_loop_bit_for_bit(solve_cached, kind,
     else:
         sol, bcs = notch_clamped(1, kind)
     field = BM.singular_field
-    dual = _dual_for(field.solution, field.frame, mode)
     for plateau in (
         PlateauFunction(center=field.frame.vertex),
         PlateauFunction(center=field.frame.vertex, r_plateau=0.45, r_outer=1.1),
     ):
-        got = _BoundaryTerm(sol, bcs, plateau)(dual)
-        assert got == _per_edge_boundary_term(sol, dual, bcs, plateau)
+        got = _boundary_terms(sol, bcs, field, plateau)[(MODE_I, MODE_II).index(mode)]
+        assert got == _per_edge_boundary_term(sol, mode, bcs, plateau)
     if notch == DIRICHLET and mode == MODE_I:
         # the discrete traction on the clamped faces is not zero
         assert abs(got) > 1e-3

@@ -1,8 +1,5 @@
 """Mesh generation, smoothing-cell subdivision, boundary tagging, mesh I/O."""
 
-import cProfile
-import gc
-import pstats
 import re
 from dataclasses import replace
 
@@ -10,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import single_element_mesh
+from conftest import python_calls, single_element_mesh
 from smoothfem.mesh import (
     DIRICHLET,
     NEUMANN,
@@ -31,24 +28,6 @@ from smoothfem.mesh import (
 )
 
 GOLDEN_MESH = "tests/golden/square_n2.mesh"
-
-
-def python_calls(*calls):
-    """Python calls (cProfile's total_calls) made by running each (fn, *args)
-    of ``calls`` once, in order, in one profile.
-
-    The cyclic collector is off while profiling: a collection inside the
-    profile would add the callbacks other libraries put in gc.callbacks
-    (Hypothesis does) to the count.
-    """
-    profile = cProfile.Profile()
-    gc.disable()
-    try:
-        for fn, *args in calls:
-            profile.runcall(fn, *args)
-    finally:
-        gc.enable()
-    return pstats.Stats(profile).total_calls
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import evaluate_at, single_element_mesh
+from conftest import evaluate_at, interpolate_solution, single_element_mesh
 from smoothfem.analytic import NotchFrame, SingularField, make_singular_solution
 from smoothfem.benchmarks import LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import Material, PLANE_STRAIN, compliance_matrix
@@ -44,7 +44,7 @@ from smoothfem.recovery import (
     neumann_edges,
 )
 from smoothfem.quadmap import gauss_points_2d, mapped_rule, shape_functions
-from smoothfem.solver import Formulation, interpolate_solution
+from smoothfem.solver import Formulation
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 MAT = Material(100.0, 0.3, PLANE_STRAIN)

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import interpolate_solution
 from smoothfem.analytic import NotchFrame, SingularField
 from smoothfem.benchmarks import LShapeBenchmark
 from smoothfem.error import compute_error_report
@@ -31,7 +32,6 @@ from smoothfem.solver import (
     BoundaryConditions,
     Formulation,
     assemble_and_solve,
-    interpolate_solution,
 )
 
 BM = LShapeBenchmark()

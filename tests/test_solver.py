@@ -16,7 +16,13 @@ from numpy.testing import assert_allclose
 
 import smoothfem.mesh as mesh_mod
 import smoothfem.solver as solver_mod
-from conftest import BENCHMARKS, einsum_jacobian, random_quads, single_element_mesh
+from conftest import (
+    BENCHMARKS,
+    einsum_jacobian,
+    interpolate_solution,
+    random_quads,
+    single_element_mesh,
+)
 from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import Material, PLANE_STRAIN, elasticity_matrix
 from smoothfem.error import _singular_elements
@@ -40,7 +46,6 @@ from smoothfem.quadmap import (
 from smoothfem.solver import (
     BoundaryConditions,
     DirichletSpec,
-    DiscreteSolution,
     Formulation,
     SolveError,
     _backward_error,
@@ -51,7 +56,6 @@ from smoothfem.solver import (
     _scatter,
     assemble_and_solve,
     boundary_values,
-    interpolate_solution,
     smoothed_strain_matrices,
     strain_matrix,
 )
@@ -445,7 +449,7 @@ def test_boundary_values_contract():
 
 def consumer_calls(consumer, solve_cached, lshape_bm):
     """(calls, names in order of first appearance) of one consumer."""
-    from smoothfem.gsif import PlateauFunction, _BoundaryTerm
+    from smoothfem.gsif import PlateauFunction, _boundary_terms
     from smoothfem.recovery import collocation_rows, neumann_edges
 
     if consumer == "dirichlet":
@@ -462,7 +466,8 @@ def consumer_calls(consumer, solve_cached, lshape_bm):
     elif consumer == "gsif":
         # the wide plateau reaches the outer square as well as the notch
         vertex = lshape_bm.singular_field.frame.vertex
-        _BoundaryTerm(sol, counted, PlateauFunction(center=vertex, r_plateau=0.45, r_outer=1.1))
+        plateau = PlateauFunction(center=vertex, r_plateau=0.45, r_outer=1.1)
+        _boundary_terms(sol, counted, lshape_bm.singular_field, plateau)
     else:
         neumann = neumann_edges(mesh, tractions)
         nodes = np.nonzero(neumann.on[:, 0] >= 0)[0]
@@ -663,8 +668,8 @@ def test_iterative_refinement_runs_when_the_first_residual_is_above_1e_12(
     splu = solver_mod.spla.splu
 
     class CountingLU:
-        def __init__(self, A):
-            self.lu = splu(A)
+        def __init__(self, A, **kwargs):
+            self.lu = splu(A, **kwargs)
 
         def solve(self, rhs):
             calls.append(len(rhs))
@@ -723,8 +728,8 @@ def test_a_solve_that_is_not_backward_stable_names_its_backward_error(monkeypatc
     splu = solver_mod.spla.splu
 
     class LongLU:
-        def __init__(self, A):
-            self.lu = splu(A)
+        def __init__(self, A, **kwargs):
+            self.lu = splu(A, **kwargs)
             self.U = self.lu.U
 
         def solve(self, rhs):
@@ -844,20 +849,6 @@ def test_exact_error_decreases_under_refinement(study_cached):
     assert all(a > b for a, b in zip(errors, errors[1:]))
 
 
-def test_interpolate_solution_contract(patch_bm):
-    mesh = patch_bm.mesh()
-    sol = interpolate_solution(
-        mesh, patch_bm.material, Formulation("sfem", 4), patch_bm.exact_displacement
-    )
-    assert_allclose(
-        sol.U.reshape(-1, 2), patch_bm.exact_displacement(mesh.coords), rtol=1e-15
-    )
-    with pytest.raises(SolveError):
-        interpolate_solution(
-            mesh, patch_bm.material, Formulation("fem"), lambda p: np.zeros(3)
-        )
-
-
 def test_solution_vector_is_read_only(solve_cached):
     _, _, sol = solve_cached("cylinder", 1, "sfem", 4)
     with pytest.raises(ValueError):
@@ -879,27 +870,6 @@ def test_solution_stresses_and_operators_are_read_only():
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1
-
-
-@pytest.mark.parametrize("kind", ["fem", "sfem"])
-def test_interpolation_and_solve_hold_the_same_operators(solve_cached, kind):
-    # both build their operators with one _element_operators call, so a
-    # solution built from either with the same U has the same stresses
-    mesh, _, solved = solve_cached("cylinder", 2, kind, 4)
-    interpolated = interpolate_solution(
-        mesh, solved.material, solved.formulation, lambda p: solved.U.reshape(-1, 2)
-    )
-    a, b = solved.operators, interpolated.operators
-    assert np.array_equal(a.B, b.B) and np.array_equal(a.dofs, b.dofs)
-    if kind == "sfem":
-        for f in fields(a.cells):
-            assert np.array_equal(getattr(a.cells, f.name), getattr(b.cells, f.name)), f.name
-    else:
-        assert a.cells is None and b.cells is None
-    assert np.array_equal(interpolated.cell_stress, solved.cell_stress)
-    for ops in (a, b):
-        rebuilt = DiscreteSolution(mesh, solved.material, solved.formulation, solved.U, ops)
-        assert np.array_equal(rebuilt.cell_stress, solved.cell_stress)
 
 
 # ---------------------------------------------------------------------------
