@@ -193,7 +193,7 @@ class GsifEstimate:
     domain_terms: tuple  # (mode I, mode II) values of -int grad(q).F
     boundary_terms: tuple
     plateau: PlateauFunction
-    ring_elements: int = 0  # elements with quadrature points on the ramp
+    ring_elements: int  # elements with quadrature points on the ramp
 
 
 def _domain_terms(

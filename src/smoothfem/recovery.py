@@ -23,9 +23,10 @@ element edges by the partition of unity of the Q4 shape functions.
 Fitting is batched.  Each degree's nodes are grouped by (patch element
 count, kept constraint rank) and fitted in chunks of ``CHUNK`` patches; a
 chunk gathers its samples, basis, constraints and KKT systems as stacked
-arrays.  Each fit pass builds one stack of constraint rows: member 0 holds
-the equilibrium and compatibility rows (zero right-hand sides) that every
-interior patch takes, each node on a Neumann edge has its own member with
+arrays.  There is at most one fit pass per degree, degree 2 first, and
+each builds one stack of constraint rows: member 0 holds the equilibrium
+and compatibility rows (zero right-hand sides) that every interior patch
+takes, each node on a Neumann edge has its own member with
 its traction collocation rows (built in one pass, one traction call per
 boundary name), and the unconstrained variants get one member of zero
 rows.  One Gram-Schmidt orthonormalizes the stack, and each chunk takes its
@@ -38,10 +39,11 @@ most KKT systems regular from the spectrum of ``M`` alone (stacked
 ``np.linalg.eigvalsh``; the constraint rows are orthonormal) and takes the
 stacked ``np.linalg.svd`` test only on the systems the bound cannot clear.
 Failed patches are returned, not raised, and dropped from their chunk with
-one mask.  Each patch whose degree-2 system is singular logs one "falling
-back" warning (in node order) and is refitted at degree 1; one
-PatchFailure, raised after every patch was tried, names all singular
-degree-1 systems and inconsistent constraints.
+one mask.  Each patch whose degree-2 system is singular is refitted in the
+degree-1 pass, with the patches configured at degree 1, and logs one
+"falling back" warning (in node order) after the passes; one PatchFailure,
+raised after every patch was tried, names all singular degree-1 systems
+and inconsistent constraints.
 """
 
 from __future__ import annotations
@@ -419,8 +421,8 @@ def _orthonormalize_constraints(
     """Drop dependent rows (relative pivot < 1e-10) via Gram-Schmidt, per patch.
 
     C (B, k, n) and d (B, k) hold the constraints of B patches, those with
-    fewer rows padded with trailing zero rows (as _PatchFitter._constraints
-    stacks a fit call's patches).  Returns (Q, e, rank, failures): patch i
+    fewer rows padded with trailing zero rows (as _constraints stacks a fit
+    pass's patches).  Returns (Q, e, rank, failures): patch i
     keeps its rank[i] orthonormalized rows as Q[i, :rank[i]] with
     right-hand sides e[i, :rank[i]]; the rows past its rank are zero.  Rows
     go one at a time over the whole batch, and a row that a patch drops (a
@@ -639,6 +641,64 @@ class RecoveredStressField:
         return out
 
 
+def _constraints(mesh, neumann, nodes, degree, compliance, scales, split, singular_field):
+    """One Gram-Schmidt stack (Q, e, rank), each node's member of it, and
+    the inconsistent members' reasons (node id -> reason).
+
+    A patch's constraints C a = d are, in order: internal equilibrium
+    div sigma* = 0 (no body force; one scalar row per monomial of degree-1
+    per equation), its traction collocation rows and (degree 2) the
+    compatibility equation.  Member 0 of the stack is the interior rows
+    [equilibrium, compatibility], which every node without collocation rows
+    takes; member i > 0 is the i-th node with collocation rows.  Members
+    are padded with trailing zero rows to the longest, which the
+    Gram-Schmidt skips, so each member's (Q, e, rank) equals its unpadded
+    one.  Inconsistent members get rank -1.
+    """
+    eq, compat = _equilibrium_rows(degree), _compatibility_rows(degree, compliance)
+    member = np.zeros(len(nodes), dtype=int)
+    on = np.nonzero(neumann.on[nodes, 0] >= 0)[0]
+    member[on] = np.arange(1, len(on) + 1)
+    counts = np.zeros(len(on) + 1, dtype=int)
+    if len(on):
+        counts[1:], R, r = collocation_rows(
+            mesh, neumann, nodes[on], degree,
+            scale=scales[nodes[on]], split=split[nodes[on]], singular_field=singular_field,
+        )
+    most = counts.max()
+    C = np.zeros((len(counts), len(eq) + most + len(compat), eq.shape[1]))
+    d = np.zeros(C.shape[:2])
+    C[:, : len(eq)] = eq
+    if most:
+        # node after node, as collocation_rows returns them
+        rows = np.arange(most) < counts[:, None]
+        C[:, len(eq) : len(eq) + most][rows] = R
+        d[:, len(eq) : len(eq) + most][rows] = r
+    for j, row in enumerate(compat):
+        C[np.arange(len(counts)), len(eq) + counts + j] = row
+    # member 0's right-hand sides are zero, so it never fails
+    ids = np.concatenate([[-1], nodes[on]])
+    Q, e, rank, failures = _orthonormalize_constraints(C, d, ids)
+    rank[np.isin(ids, list(failures))] = -1
+    return Q, e, rank, member, failures
+
+
+def _gather(mesh, chunk, size, positions, stresses, smooth, weights, split):
+    """(positions, stresses, weights) of patches of ``size`` elements each.
+
+    Shapes (B, n, 2), (B, n, 3), (B, n) with n = size * k, the patch
+    elements' samples in turn; split patches read the smooth part of the
+    stresses.
+    """
+    B = len(chunk)
+    elems = mesh.patch_elements[mesh.patch_offsets[chunk][:, None] + np.arange(size)]
+    sig = stresses[elems]  # (B, size, k, 3)
+    split = split[chunk]
+    if split.any():
+        sig[split] = smooth[elems[split]]
+    return positions[elems].reshape(B, -1, 2), sig.reshape(B, -1, 3), weights[elems].reshape(B, -1)
+
+
 def build_recovered_field(
     solution: DiscreteSolution,
     config: RecoveryConfig,
@@ -695,164 +755,66 @@ def build_recovered_field(
         )
     on_boundary = np.zeros(mesh.n_nodes, dtype=bool)
     on_boundary[mesh.boundary_arrays.node_ids] = True
-    degrees = np.where(on_boundary, config.boundary_degree, config.interior_degree)
+    configured = np.where(on_boundary, config.boundary_degree, config.interior_degree)
 
-    fitter = _PatchFitter(
-        mesh, positions, stresses, smooth, weights, split_flags,
-        constrained=config.with_constraints,
-        neumann=neumann,
-        compliance=compliance_matrix(solution.material),
-        singular_field=singular_field,
-    )
-    fallen: list[int] = []
-    for degree in np.unique(degrees).tolist():
-        singular = fitter.fit(np.nonzero(degrees == degree)[0], degree)
-        if degree > 1:
-            fallen.extend(singular)
+    # each finished fit sets its node's entry of degrees and columns 0..m-1
+    # of its row of coeffs; a refitted patch keeps its degree-2 columns zero
+    degrees = np.zeros(mesh.n_nodes, dtype=int)
+    coeffs = np.zeros((mesh.n_nodes, 3, len(_MONOMIALS[2])))
+    scales = _patch_scales(mesh, positions)
+    compliance = compliance_matrix(solution.material)
+    failures: dict[int, str] = {}
+    fallen = np.zeros(0, dtype=int)
+    for degree in (2, 1):
+        # one pass per degree; the degree-1 pass also refits every patch
+        # whose degree-2 system is singular
+        nodes = np.union1d(np.nonzero(configured == degree)[0], fallen)
+        if not len(nodes):
+            continue
+        if neumann is None:  # plain variants: one member of zero rows
+            Q, e = np.zeros((1, 0, 3 * len(_MONOMIALS[degree]))), np.zeros((1, 0))
+            rank, member = np.zeros(1, dtype=int), np.zeros(len(nodes), dtype=int)
         else:
-            fitter.failures.update(singular)
-    if fallen:
-        fallen.sort()
-        fitter.failures.update(fitter.fit(np.array(fallen), 1))
-    for node in fallen:
-        log.warning(
-            "patch %d: singular degree-%d system, falling back to degree 1",
-            node, degrees[node],
-        )
-    if fitter.failures:
-        raise PatchFailure(fitter.failures)
-
-    return RecoveredStressField(
-        mesh,
-        PatchFits(fitter.degrees, fitter.scales, fitter.coeffs),
-        singular_field=singular_field if config.with_splitting else None,
-        split_flags=split_flags,
-    )
-
-
-class _PatchFitter:
-    """Fits the patches of one recovery, a chunk of CHUNK patches at a time.
-
-    Each ``fit`` call runs one Gram-Schmidt (``_constraints``) over one
-    stack of constraint rows, and every chunk of patches fits its own
-    members of that stack.  Each node's finished fit sets its entry of
-    ``degrees`` and columns 0..m-1 of its row of ``coeffs`` (n_nodes, 3,
-    6); a degree-1 refit leaves the degree-2 columns zero, because the
-    singular degree-2 fit was never written.  Inconsistent constraints
-    collect in ``failures`` (node id -> reason).
-    """
-
-    def __init__(self, mesh, positions, stresses, smooth, weights, split,
-                 *, constrained, neumann, compliance, singular_field):
-        self.mesh = mesh
-        self.positions = positions
-        self.stresses = stresses
-        self.smooth = smooth
-        self.weights = weights
-        self.split = split
-        self.scales = _patch_scales(mesh, positions)
-        self.constrained = constrained
-        self.neumann = neumann
-        self.compliance = compliance
-        self.singular_field = singular_field
-        self.degrees = np.zeros(mesh.n_nodes, dtype=int)
-        self.coeffs = np.zeros((mesh.n_nodes, 3, len(_MONOMIALS[2])))
-        self.failures: dict[int, str] = {}
-
-    def fit(self, nodes: np.ndarray, degree: int) -> dict[int, str]:
-        """Fit the nodes' patches at one degree; returns the singular ones.
-
-        A patch's constraints C a = d are, in order: internal equilibrium
-        div sigma* = 0 (no body force; one scalar row per monomial of
-        degree-1 per equation), its traction collocation rows and (degree 2)
-        the compatibility equation, orthonormalized by one Gram-Schmidt
-        (_constraints).  Nodes are grouped by patch size and kept rank, so
-        each chunk stacks arrays of one shape and makes one fit_patch call
-        on its patches' members of the stack; patches whose rows are
-        inconsistent are left out.
-        """
-        sizes = np.diff(self.mesh.patch_offsets)[nodes]
-        Q, e, rank, member = self._constraints(nodes, degree)
-        kept = rank[member]  # -1: inconsistent rows
+            Q, e, rank, member, inconsistent = _constraints(
+                mesh, neumann, nodes, degree, compliance, scales, split_flags, singular_field
+            )
+            failures.update(inconsistent)
+        # nodes are grouped by patch size and kept rank (-1: inconsistent
+        # rows, not fitted), so each chunk stacks arrays of one shape and
+        # makes one fit_patch call on its patches' members of the stack
+        group = np.stack([sizes[nodes], rank[member]], axis=1)
         singular: dict[int, str] = {}
-        for size, r in np.unique(np.stack([sizes, kept], axis=1)[kept >= 0], axis=0).tolist():
-            sel = np.nonzero((sizes == size) & (kept == r))[0]
+        for size, r in np.unique(group[group[:, 1] >= 0], axis=0).tolist():
+            sel = np.nonzero((group == (size, r)).all(axis=1))[0]
             for start in range(0, len(sel), CHUNK):
                 part = sel[start : start + CHUNK]
                 chunk, m = nodes[part], member[part]
-                pos, sig, w = self._gather(chunk, size)
+                pos, sig, w = _gather(
+                    mesh, chunk, size, positions, stresses, smooth, weights, split_flags
+                )
                 fitted, failed = fit_patch(
                     chunk, pos, sig, w, degree, (Q[m, :r], e[m, :r]),
-                    center=self.mesh.coords[chunk], scale=self.scales[chunk],
+                    center=mesh.coords[chunk], scale=scales[chunk],
                 )
                 singular.update(failed)
                 ok = chunk[~np.isin(chunk, list(failed))]
-                self.coeffs[ok, :, : fitted.shape[-1]] = fitted
-                self.degrees[ok] = degree
-        return singular
+                coeffs[ok, :, : fitted.shape[-1]] = fitted
+                degrees[ok] = degree
+        if degree == 2:
+            fallen = np.array(sorted(singular), dtype=int)
+        else:
+            failures.update(singular)
+    for node in fallen:
+        log.warning("patch %d: singular degree-2 system, falling back to degree 1", node)
+    if failures:
+        raise PatchFailure(failures)
 
-    def _constraints(self, nodes: np.ndarray, degree: int):
-        """One Gram-Schmidt stack (Q, e, rank) and each node's member of it.
-
-        Member 0 of the stack is the interior rows [equilibrium,
-        compatibility], which every node without collocation rows takes;
-        member i > 0 is the i-th node with collocation rows, [equilibrium,
-        collocation, compatibility]; unconstrained variants get one member
-        of zero rows.  Members are padded with trailing zero rows to the
-        longest, which the Gram-Schmidt skips, so each member's (Q, e, rank)
-        equals its unpadded one.  Inconsistent members get rank -1 and
-        their reasons go to ``failures``.
-        """
-        n = 3 * len(_MONOMIALS[degree])
-        member = np.zeros(len(nodes), dtype=int)
-        if not self.constrained:
-            return np.zeros((1, 0, n)), np.zeros((1, 0)), np.zeros(1, dtype=int), member
-        eq, compat = _equilibrium_rows(degree), _compatibility_rows(degree, self.compliance)
-        on = np.nonzero(self.neumann.on[nodes, 0] >= 0)[0]
-        member[on] = np.arange(1, len(on) + 1)
-        counts = np.zeros(len(on) + 1, dtype=int)
-        if len(on):
-            counts[1:], R, r = collocation_rows(
-                self.mesh, self.neumann, nodes[on], degree,
-                scale=self.scales[nodes[on]], split=self.split[nodes[on]],
-                singular_field=self.singular_field,
-            )
-        most = counts.max()
-        C = np.zeros((len(counts), len(eq) + most + len(compat), n))
-        d = np.zeros(C.shape[:2])
-        C[:, : len(eq)] = eq
-        if most:
-            # node after node, as collocation_rows returns them
-            rows = np.arange(most) < counts[:, None]
-            C[:, len(eq) : len(eq) + most][rows] = R
-            d[:, len(eq) : len(eq) + most][rows] = r
-        for j, row in enumerate(compat):
-            C[np.arange(len(counts)), len(eq) + counts + j] = row
-        # member 0's right-hand sides are zero, so it never fails
-        ids = np.concatenate([[-1], nodes[on]])
-        Q, e, rank, failures = _orthonormalize_constraints(C, d, ids)
-        self.failures.update(failures)
-        rank[np.isin(ids, list(failures))] = -1
-        return Q, e, rank, member
-
-    def _gather(self, chunk: np.ndarray, size: int):
-        """(positions, stresses, weights) of patches of ``size`` elements each.
-
-        Shapes (B, n, 2), (B, n, 3), (B, n) with n = size * k, the patch
-        elements' samples in turn; split patches read the smooth part of the
-        stresses.
-        """
-        mesh, B = self.mesh, len(chunk)
-        elems = mesh.patch_elements[mesh.patch_offsets[chunk][:, None] + np.arange(size)]
-        sig = self.stresses[elems]  # (B, size, k, 3)
-        split = self.split[chunk]
-        if split.any():
-            sig[split] = self.smooth[elems[split]]
-        return (
-            self.positions[elems].reshape(B, -1, 2),
-            sig.reshape(B, -1, 3),
-            self.weights[elems].reshape(B, -1),
-        )
+    return RecoveredStressField(
+        mesh,
+        PatchFits(degrees, scales, coeffs),
+        singular_field=singular_field if config.with_splitting else None,
+        split_flags=split_flags,
+    )
 
 
 def _patch_scales(mesh: Mesh, positions: np.ndarray) -> np.ndarray:

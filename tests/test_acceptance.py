@@ -23,11 +23,10 @@ from smoothfem.analytic import (
     q_constant,
     solve_singularity_eigenvalue,
 )
-from smoothfem.benchmarks import PatchBenchmark
 from smoothfem.error import element_error_squares, local_deviation
 from smoothfem.gsif import PlateauFunction, extract_gsifs
 from smoothfem.harness import PRESETS, run_preset
-from smoothfem.mesh import build_square_mesh, quad_area, subcell_geometry
+from smoothfem.mesh import quad_area, subcell_geometry
 from smoothfem.recovery import (
     VARIANTS,
     RecoveryConfig,

@@ -966,6 +966,29 @@ def test_degree_fallback_on_starved_corner_patch(caplog):
     assert fallen == [0, 1, 2, 3]
 
 
+def test_one_fit_pass_per_degree_refits_fallen_patches(monkeypatch, caplog):
+    # degree 2 runs first, and its singular corner patches join the degree-1
+    # patches in the one degree-1 pass: one Gram-Schmidt per degree
+    import smoothfem.recovery as recovery
+
+    mesh = build_square_mesh(2)
+    sol = interpolate_solution(mesh, MAT, Formulation("sfem", 1), lambda p: 0.01 * p)
+    orth, calls = recovery._orthonormalize_constraints, []
+
+    def counted_orth(C, d, node_ids):
+        calls.append(len(C))
+        return orth(C, d, node_ids)
+
+    monkeypatch.setattr(recovery, "_orthonormalize_constraints", counted_orth)
+    config = RecoveryConfig(variant="SPR-C", interior_degree=1, boundary_degree=2)
+    with caplog.at_level(logging.WARNING, logger="smoothfem.recovery"):
+        field = build_recovered_field(sol, config, tractions={})
+    assert len(calls) == 2
+    assert np.bincount(field.fits.degrees).tolist() == [0, 5, 4]
+    fallen = [r.args[0] for r in caplog.records if "falling back" in r.getMessage()]
+    assert fallen == [0, 2, 6, 8]
+
+
 # ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------
@@ -1248,15 +1271,16 @@ def test_orthonormalize_masks_each_patch_separately():
 
 
 def record_fit_calls(monkeypatch):
-    """Wraps the patch fitter: one ("stack", (Q, e, rank, member), nodes) per
-    _constraints call and one ("fit", node_ids, (C, d)) per fit_patch call."""
+    """Wraps the fit passes: one ("stack", (Q, e, rank, member, failures),
+    nodes) per _constraints call and one ("fit", node_ids, (C, d)) per
+    fit_patch call."""
     import smoothfem.recovery as recovery
 
     calls = []
-    constraints, fit_patch_ = recovery._PatchFitter._constraints, recovery.fit_patch
+    constraints, fit_patch_ = recovery._constraints, recovery.fit_patch
 
-    def recording_constraints(self, nodes, degree):
-        stack = constraints(self, nodes, degree)
+    def recording_constraints(mesh, neumann, nodes, *args):
+        stack = constraints(mesh, neumann, nodes, *args)
         calls.append(("stack", stack, nodes))
         return stack
 
@@ -1264,7 +1288,7 @@ def record_fit_calls(monkeypatch):
         calls.append(("fit", np.asarray(node_ids), constraints))
         return fit_patch_(node_ids, positions, stresses, weights, degree, constraints, **kw)
 
-    monkeypatch.setattr(recovery._PatchFitter, "_constraints", recording_constraints)
+    monkeypatch.setattr(recovery, "_constraints", recording_constraints)
     monkeypatch.setattr(recovery, "fit_patch", recording_fit_patch)
     return calls
 
@@ -1282,7 +1306,7 @@ def test_shared_basis_equals_the_per_chunk_gram_schmidt(solve_cached, monkeypatc
     config = RecoveryConfig(variant="SPR-C", interior_degree=degree, boundary_degree=degree)
     build_recovered_field(sol, config, tractions=bcs.tractions)
     assert [kind for kind, *_ in calls].count("stack") == 1
-    _, (Qs, es, rank, member), nodes = calls[0]
+    _, (Qs, es, rank, member, _), nodes = calls[0]
     Q, e = Qs[0, : rank[0]], es[0, : rank[0]]
     interior = 0
     for _, chunk, (C, d) in calls[1:]:
@@ -1306,12 +1330,13 @@ def test_shared_basis_equals_the_per_chunk_gram_schmidt(solve_cached, monkeypatc
 
 @pytest.mark.parametrize("interior_degree", [1, 2])
 def test_gram_schmidt_runs_once_per_fit_call(solve_cached, monkeypatch, interior_degree):
-    # one Gram-Schmidt per fit call, over the shared interior rows and every
-    # collocated patch at once, whatever the mesh level; interior and
-    # collocated chunks alike fit members of that one stack
+    # one Gram-Schmidt per fit pass (one _constraints call), over the shared
+    # interior rows and every collocated patch at once, whatever the mesh
+    # level; interior and collocated chunks alike fit members of that one
+    # stack
     import smoothfem.recovery as recovery
 
-    orth, fit = recovery._orthonormalize_constraints, recovery._PatchFitter.fit
+    orth, constraints = recovery._orthonormalize_constraints, recovery._constraints
     fit_patch_ = recovery.fit_patch
     counts = []
     for level in (2, 4):
@@ -1323,9 +1348,9 @@ def test_gram_schmidt_runs_once_per_fit_call(solve_cached, monkeypatch, interior
             events.append("orth")
             return orth(C, d, node_ids)
 
-        def counted_fit(self, nodes, degree):
+        def counted_constraints(*args):
             events.append("fit")
-            return fit(self, nodes, degree)
+            return constraints(*args)
 
         def counted_fit_patch(node_ids, *args, **kwargs):
             on = neumann.on[np.asarray(node_ids), 0] >= 0
@@ -1333,7 +1358,7 @@ def test_gram_schmidt_runs_once_per_fit_call(solve_cached, monkeypatch, interior
             return fit_patch_(node_ids, *args, **kwargs)
 
         monkeypatch.setattr(recovery, "_orthonormalize_constraints", counted_orth)
-        monkeypatch.setattr(recovery._PatchFitter, "fit", counted_fit)
+        monkeypatch.setattr(recovery, "_constraints", counted_constraints)
         monkeypatch.setattr(recovery, "fit_patch", counted_fit_patch)
         config = RecoveryConfig(variant="SPR-C", interior_degree=interior_degree)
         build_recovered_field(sol, config, tractions=bcs.tractions)
@@ -1364,7 +1389,7 @@ def test_every_stack_member_is_orthonormal(
     )
     stacks = [stack for kind, stack, _ in calls if kind == "stack"]
     assert stacks
-    for Q, _, rank, _ in stacks:
+    for Q, _, rank, *_ in stacks:
         assert rank.min() > 0
         for q, r in zip(Q, rank):
             assert np.abs(q[:r] @ q[:r].T - np.eye(r)).max() <= 1e-12
@@ -1539,35 +1564,35 @@ def test_singular_stress_is_subtracted_only_where_split_patches_read_it(
     import smoothfem.recovery as recovery
 
     mesh, bcs, sol = solve_cached("lshape", 1, kind, 4)
-    seen, fitters = [], []
-    stress = SingularField.stress
+    seen, gathered = [], []
+    stress, gather = SingularField.stress, recovery._gather
 
     def counting_stress(self, points):
         seen.append(np.array(points))
         return stress(self, points)
 
-    class SpyFitter(recovery._PatchFitter):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            fitters.append(self)
+    def spy_gather(mesh, chunk, size, positions, stresses, smooth, weights, split):
+        gathered.append((smooth, split))
+        return gather(mesh, chunk, size, positions, stresses, smooth, weights, split)
 
     monkeypatch.setattr(SingularField, "stress", counting_stress)
-    monkeypatch.setattr(recovery, "_PatchFitter", SpyFitter)
+    monkeypatch.setattr(recovery, "_gather", spy_gather)
     build_recovered_field(
         sol, RecoveryConfig(variant="SPR-X", gsif_mode="exact"),
         singular_field=lshape_bm.singular_field,
     )
     monkeypatch.undo()
-    (fitter,) = fitters
+    smooth, split = gathered[0]
+    assert all(s is smooth and f is split for s, f in gathered)
     positions, stresses, _ = _sampling_arrays(sol)
-    touched = fitter.split[mesh.elements].any(axis=1)
+    touched = split[mesh.elements].any(axis=1)
     assert 0 < touched.sum() < mesh.n_elements
     assert len(seen) == 1 and np.array_equal(seen[0], positions[touched])
     # the oracle evaluates the flat sample list, so the element-major call
     # must match a flat one too
     flat = lshape_bm.singular_field.stress(positions.reshape(-1, 2))
     full = stresses - flat.reshape(stresses.shape)
-    assert np.array_equal(fitter.smooth[touched], full[touched])
-    for node in np.nonzero(fitter.split)[0]:
+    assert np.array_equal(smooth[touched], full[touched])
+    for node in np.nonzero(split)[0]:
         patch = mesh.patch_elements[mesh.patch_offsets[node]:mesh.patch_offsets[node + 1]]
         assert touched[patch].all()
