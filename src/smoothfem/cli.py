@@ -6,9 +6,9 @@ Verbs:
     preset       canned multi-study bundles (see --list)
     export-mesh  write a benchmark mesh in the plain-text format
 
-Exit codes: 0 success, 1 bad configuration or usage, 2 runtime failure
-(one of the package's own errors: solve, recovery, mesh, GSIF, analytic,
-material, bilinear-map or error computation).  Any other exception
+Exit codes: 0 success, 1 bad configuration, usage or output path, 2 runtime
+failure (one of the package's own errors: solve, recovery, mesh, GSIF,
+analytic, material, bilinear-map or error computation).  Any other exception
 propagates with its traceback.
 """
 
@@ -25,6 +25,7 @@ from .elasticity import MaterialError
 from .error import ErrorComputationError
 from .gsif import GsifError
 from .harness import (
+    BENCHMARKS,
     PRESETS,
     ConfigError,
     StudyConfig,
@@ -34,6 +35,7 @@ from .harness import (
     run_convergence_study,
     run_preset,
     emit_report,
+    writing,
 )
 from .mesh import MeshError, save_mesh
 from .quadmap import QuadMapError
@@ -91,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--list", action="store_true", help="list preset names")
 
     p_mesh = sub.add_parser("export-mesh", help="write a benchmark mesh")
-    p_mesh.add_argument("--benchmark", required=True, choices=("cylinder", "lshape", "patch"))
+    p_mesh.add_argument("--benchmark", required=True, choices=BENCHMARKS)
     p_mesh.add_argument("--level", type=int, required=True)
     p_mesh.add_argument("--grading", type=float, default=2.0, help="L-shape mesh grading")
     p_mesh.add_argument("--out", required=True, help="output file")
@@ -119,6 +121,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_study(args) -> int:
     config = parse_config(args.config, args.overrides)
+    for path in filter(None, (args.csv, args.json)):
+        with writing(path):
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     study = run_convergence_study(config)
     for case in study.cases:
         _print_case(config, case)
@@ -146,10 +151,9 @@ def _cmd_export_mesh(args) -> int:
         StudyConfig(benchmark=args.benchmark, grading=args.grading, levels=(args.level,))
     )
     mesh = benchmark.mesh(args.level)
-    out_dir = os.path.dirname(args.out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    save_mesh(mesh, args.out)
+    with writing(args.out):
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+        save_mesh(mesh, args.out)
     print(f"{args.out}: {mesh.n_nodes} nodes, {mesh.n_elements} elements")
     return 0
 

@@ -62,18 +62,6 @@ class ErrorReport:
 
 
 @dataclass(frozen=True)
-class ConvergenceSeries:
-    dofs: tuple
-    values: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.dofs) != len(self.values):
-            raise ErrorComputationError("dof and value counts differ")
-        if any(b <= a for a, b in zip(self.dofs, self.dofs[1:])):
-            raise ErrorComputationError("dof counts must increase strictly")
-
-
-@dataclass(frozen=True)
 class RateResult:
     s: float  # global log-log least-squares slope, sign-flipped
     pairwise: tuple
@@ -265,10 +253,14 @@ def compute_error_report(
 # ---------------------------------------------------------------------------
 
 
-def convergence_rate(series: ConvergenceSeries) -> RateResult:
+def convergence_rate(dofs, values) -> RateResult:
     """Rate s of value ~ dof^(-s): global log-log fit + pairwise average."""
-    dofs = np.asarray(series.dofs, float)
-    vals = np.asarray(series.values, float)
+    if len(dofs) != len(values):
+        raise ErrorComputationError("dof and value counts differ")
+    if any(b <= a for a, b in zip(dofs, dofs[1:])):
+        raise ErrorComputationError("dof counts must increase strictly")
+    dofs = np.asarray(dofs, float)
+    vals = np.asarray(values, float)
     if len(dofs) < 2:
         raise ErrorComputationError("need at least two points for a rate")
     if np.any(vals <= 0.0):

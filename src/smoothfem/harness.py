@@ -1,9 +1,12 @@
 """Study driver: configs, convergence runs, deterministic CSV/JSON reports.
 
 A study is one benchmark solved over a ladder of mesh levels with one
-formulation + recovery pairing.  Configuration lives in INI files with three
-sections; every key has a default, unknown sections or keys are hard errors
-(silent typos in a verification tool are worse than crashes):
+formulation + recovery pairing.  run_studies is the one runner: studies that
+pose the same discrete problem share each level's solve, and run_case,
+run_convergence_study and run_preset go through it.  Configuration lives in
+INI files with three sections; every key has a default, unknown sections or
+keys are hard errors (silent typos in a verification tool are worse than
+crashes):
 
     [problem]        name, grading
     [discretization] formulation, nc, levels
@@ -17,15 +20,16 @@ keys — rerunning a preset must reproduce files exactly.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
-from .error import ConvergenceSeries, ErrorReport, compute_error_report, convergence_rate
+from .error import ErrorReport, compute_error_report, convergence_rate
 from .mesh import MeshError, check_grading
 from .recovery import RecoveryConfig, RecoveryError, build_recovered_field
 from .solver import Formulation, SolveError, assemble_and_solve
@@ -39,9 +43,7 @@ BENCHMARKS = ("cylinder", "lshape", "patch")
 _SECTIONS = {
     "problem": ("name", "grading"),
     "discretization": ("formulation", "nc", "levels"),
-    "recovery": (
-        "variant", "interior_degree", "boundary_degree", "splitting_radius", "gsif_mode"
-    ),
+    "recovery": tuple(f.name for f in fields(RecoveryConfig)),
 }
 
 
@@ -67,14 +69,14 @@ class StudyConfig:
 
     benchmark: str = "cylinder"
     grading: float = 2.0
-    formulation: str = "sfem"
-    nc: int = 4
+    formulation: str = Formulation.kind
+    nc: int = Formulation.nc
     levels: tuple = (1, 2, 3)
-    variant: str = "SPR-CX"
-    interior_degree: int = 2
-    boundary_degree: int = 2
-    splitting_radius: float = 0.5
-    gsif_mode: str = "exact"
+    variant: str = RecoveryConfig.variant
+    interior_degree: int = RecoveryConfig.interior_degree
+    boundary_degree: int = RecoveryConfig.boundary_degree
+    splitting_radius: float = RecoveryConfig.splitting_radius
+    gsif_mode: str = RecoveryConfig.gsif_mode
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -114,13 +116,8 @@ class StudyConfig:
             raise ConfigError(str(exc)) from exc
 
     def recovery_config(self, variant: str | None = None) -> RecoveryConfig:
-        return RecoveryConfig(
-            variant=self.variant if variant is None else variant,
-            interior_degree=self.interior_degree,
-            boundary_degree=self.boundary_degree,
-            splitting_radius=self.splitting_radius,
-            gsif_mode=self.gsif_mode,
-        )
+        kwargs = {f.name: getattr(self, f.name) for f in fields(RecoveryConfig)}
+        return RecoveryConfig(**{**kwargs, "variant": self.variant if variant is None else variant})
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +191,7 @@ def resolve_variant(variant: str, benchmark) -> str:
     """Splitting needs a singular field; smooth problems drop the X."""
     if benchmark.singular_field is None and variant in ("SPR-X", "SPR-CX"):
         resolved = "SPR" if variant == "SPR-X" else "SPR-C"
-        log.info(
-            "%s has no singular field: running %s as %s",
-            benchmark.name, variant, resolved,
-        )
+        log.info("%s has no singular field: running %s as %s", benchmark.name, variant, resolved)
         return resolved
     return variant
 
@@ -214,10 +208,6 @@ class CaseResult:
     K_I: float | None = None
     K_II: float | None = None
 
-    @property
-    def dof(self) -> int:
-        return self.report.dof
-
 
 @dataclass(frozen=True)
 class StudyResult:
@@ -228,31 +218,52 @@ class StudyResult:
 
 def run_case(config: StudyConfig, level: int) -> CaseResult:
     """Solve + recover + error report for one mesh level of a study."""
-    return _run_level(config, make_benchmark(config), level)
+    return run_studies((replace(config, levels=(level,)),))[0].cases[0]
 
 
-def _run_level(config: StudyConfig, benchmark, level: int) -> CaseResult:
-    """run_case on a given benchmark object, shared by a study's levels."""
-    mesh = benchmark.mesh(level)
-    bcs = benchmark.boundary_conditions(mesh)
-    solution = assemble_and_solve(
-        mesh, benchmark.material, config.formulation_obj(), bcs
-    )
+def run_convergence_study(config: StudyConfig) -> StudyResult:
+    """Run every level of the config and fit the three convergence rates."""
+    return run_studies((config,))[0]
+
+
+def run_studies(configs) -> tuple:
+    """Run the studies, solving each discrete problem once per level.
+
+    Configs with the same benchmark, grading and formulation pose one
+    discrete problem.  They share one benchmark object (so the L-shape's
+    notch eigenvalue solve runs once), and each level any of them has is
+    meshed, loaded and solved once, in increasing order; every config with
+    that level then recovers and reports on the one solution.  Nothing
+    outlives the call, and the studies come back in the order of configs.
+    """
+    configs = tuple(configs)
+    problems = {}  # (benchmark, grading, formulation) -> indices into configs
+    for i, config in enumerate(configs):
+        key = (config.benchmark, config.grading, config.formulation_obj())
+        problems.setdefault(key, []).append(i)
+    cases = [[] for _ in configs]
+    for (_, _, formulation), members in problems.items():
+        benchmark = make_benchmark(configs[members[0]])
+        for level in sorted({level for i in members for level in configs[i].levels}):
+            mesh = benchmark.mesh(level)
+            bcs = benchmark.boundary_conditions(mesh)
+            solution = assemble_and_solve(mesh, benchmark.material, formulation, bcs)
+            for i in members:
+                if level in configs[i].levels:
+                    cases[i].append(_recover(configs[i], benchmark, level, solution, bcs))
+            del mesh, bcs, solution  # not held while the next level is solved
+    return tuple(_fit_rates(config, tuple(c)) for config, c in zip(configs, cases))
+
+
+def _recover(config: StudyConfig, benchmark, level: int, solution, bcs) -> CaseResult:
+    """One config's recovery and error report on a solved level."""
     variant = resolve_variant(config.variant, benchmark)
-    recovery = config.recovery_config(variant)
-    singular_field = benchmark.singular_field
     recovered = build_recovered_field(
-        solution,
-        recovery,
-        singular_field=singular_field,
-        tractions=bcs.tractions,
-        bcs=bcs,
+        solution, config.recovery_config(variant),
+        singular_field=benchmark.singular_field, tractions=bcs.tractions, bcs=bcs,
     )
     report = compute_error_report(
-        solution,
-        recovered,
-        benchmark.exact_stress,
-        singular_point=benchmark.singular_vertex,
+        solution, recovered, benchmark.exact_stress, singular_point=benchmark.singular_vertex
     )
     resolved_field = recovered.singular_field
     K_I = float(resolved_field.solution.K_I) if resolved_field is not None else None
@@ -265,21 +276,15 @@ def _run_level(config: StudyConfig, benchmark, level: int) -> CaseResult:
     return CaseResult(level=level, report=report, variant=variant, K_I=K_I, K_II=K_II)
 
 
-def run_convergence_study(config: StudyConfig) -> StudyResult:
-    """Run every level of the config and fit the three convergence rates.
-
-    The levels share one benchmark object, so its set-up (the notch
-    eigenvalue solve of the L-shape) runs once per study.
-    """
-    benchmark = make_benchmark(config)
-    cases = tuple(_run_level(config, benchmark, level) for level in config.levels)
+def _fit_rates(config: StudyConfig, cases: tuple) -> StudyResult:
+    """The study of the cases, with a rate for each series of positive values."""
     rates = {}
     if len(cases) >= 2:
-        dofs = tuple(c.dof for c in cases)
+        dofs = tuple(c.report.dof for c in cases)
         for name in ("exact", "estimated", "recovered"):
             values = tuple(getattr(c.report, name) for c in cases)
             if all(v > 0.0 for v in values):
-                rates[name] = convergence_rate(ConvergenceSeries(dofs, values))
+                rates[name] = convergence_rate(dofs, values)
     return StudyResult(config=config, cases=cases, rates=rates)
 
 
@@ -353,64 +358,45 @@ def study_json(study: StudyResult) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+@contextlib.contextmanager
+def writing(path):
+    """Report an OSError from creating or writing the output path as a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def emit_report(study: StudyResult, csv_path=None, json_path=None) -> None:
     """Write the CSV and/or JSON report files (newline-terminated ASCII)."""
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="ascii") as f:
-            f.write(study_csv(study))
-    if json_path is not None:
-        with open(json_path, "w", encoding="ascii") as f:
-            f.write(study_json(study))
+    for path, render in ((csv_path, study_csv), (json_path, study_json)):
+        if path is not None:
+            with writing(path), open(path, "w", encoding="ascii") as f:
+                f.write(render(study))
 
 
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
 
-
-def _preset_cylinder_subcells() -> tuple:
-    return tuple(
-        (f"nc{nc}", StudyConfig(benchmark="cylinder", nc=nc, levels=(1, 2, 3, 4)))
-        for nc in (1, 2, 4, 8)
-    )
-
-
-def _preset_cylinder_variants() -> tuple:
-    return tuple(
-        (variant.lower(), StudyConfig(
-            benchmark="cylinder", variant=variant, levels=(1, 2, 3, 4)
-        ))
-        for variant in ("SPR", "SPR-C")
-    )
-
-
-def _preset_cylinder_poly_order() -> tuple:
-    return tuple(
-        (f"p{deg}", StudyConfig(
-            benchmark="cylinder",
-            variant="SPR-C",
-            interior_degree=deg,
-            boundary_degree=deg,
-            levels=(1, 2, 3, 4),
-        ))
-        for deg in (1, 2)
-    )
-
-
-def _preset_lshape_variants() -> tuple:
-    return tuple(
-        (variant.lower(), StudyConfig(
-            benchmark="lshape", variant=variant, levels=(0, 1, 2, 3)
-        ))
-        for variant in ("SPR", "SPR-C", "SPR-X", "SPR-CX")
-    )
-
-
+# preset name -> its (label, StudyConfig keywords) pairs, in run order
 PRESETS = {
-    "cylinder-subcells": _preset_cylinder_subcells,
-    "cylinder-variants": _preset_cylinder_variants,
-    "cylinder-poly-order": _preset_cylinder_poly_order,
-    "lshape-variants": _preset_lshape_variants,
+    "cylinder-subcells": tuple(
+        (f"nc{nc}", dict(benchmark="cylinder", nc=nc, levels=(1, 2, 3, 4))) for nc in (1, 2, 4, 8)
+    ),
+    "cylinder-variants": tuple(
+        (v.lower(), dict(benchmark="cylinder", variant=v, levels=(1, 2, 3, 4)))
+        for v in ("SPR", "SPR-C")
+    ),
+    "cylinder-poly-order": tuple(
+        (f"p{p}", dict(benchmark="cylinder", variant="SPR-C", interior_degree=p, boundary_degree=p,
+                       levels=(1, 2, 3, 4)))
+        for p in (1, 2)
+    ),
+    "lshape-variants": tuple(
+        (v.lower(), dict(benchmark="lshape", variant=v, levels=(0, 1, 2, 3)))
+        for v in ("SPR", "SPR-C", "SPR-X", "SPR-CX")
+    ),
 }
 
 
@@ -419,20 +405,22 @@ def preset_cases(name: str) -> tuple:
         raise ConfigError(
             f"unknown preset {name!r} (known: {', '.join(sorted(PRESETS))})"
         )
-    return PRESETS[name]()
+    return tuple((label, StudyConfig(**kwargs)) for label, kwargs in PRESETS[name])
 
 
 def run_preset(name: str, directory) -> list:
-    """Run every case of a preset, writing {name}-{label}.{csv,json}.
+    """Run every study of a preset, writing {name}-{label}.{csv,json}.
 
     Returns the list of written paths.  Output is deterministic: running a
-    preset twice produces byte-identical files.
+    preset twice produces byte-identical files.  The studies run in one
+    run_studies call, so a failing study leaves no report files.
     """
     cases = preset_cases(name)
-    os.makedirs(directory, exist_ok=True)
+    with writing(directory):
+        os.makedirs(directory, exist_ok=True)
+    studies = run_studies(config for _, config in cases)
     written = []
-    for label, config in cases:
-        study = run_convergence_study(config)
+    for (label, _), study in zip(cases, studies):
         csv_path = os.path.join(directory, f"{name}-{label}.csv")
         json_path = os.path.join(directory, f"{name}-{label}.json")
         emit_report(study, csv_path, json_path)

@@ -26,13 +26,14 @@ from smoothfem.harness import (
     resolve_variant,
     run_case,
     run_convergence_study,
+    run_studies,
     study_csv,
     study_json,
 )
 from smoothfem.elasticity import MaterialError
 from smoothfem.mesh import MeshError, load_mesh
 from smoothfem.recovery import PatchFailure
-from smoothfem.solver import SolveError
+from smoothfem.solver import SolveError, assemble_and_solve
 
 GOLDEN_CSV = "tests/golden/cylinder_spr_c.csv"
 GOLDEN_KWARGS = dict(
@@ -275,13 +276,13 @@ def test_csv_leaves_the_rate_cells_of_a_series_with_a_zero_empty(monkeypatch, st
     study = study_cached(**GOLDEN_KWARGS)
     cases = {case.level: case for case in study.cases}
 
-    def zero_exact_error(config, benchmark, level):
+    def zero_exact_error(config, benchmark, level, solution, bcs):
         case = cases[level]
         if level == config.levels[-1]:
             case = dataclasses.replace(case, report=dataclasses.replace(case.report, exact=0.0))
         return case
 
-    monkeypatch.setattr(harness, "_run_level", zero_exact_error)
+    monkeypatch.setattr(harness, "_recover", zero_exact_error)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no log(0)
         zeroed = run_convergence_study(study.config)
@@ -365,6 +366,39 @@ def test_a_study_makes_one_benchmark_for_all_its_levels(monkeypatch):
         assert (case.K_I, case.K_II) == (alone.K_I, alone.K_II)
 
 
+def test_run_studies_solves_each_discrete_problem_once_per_level(monkeypatch):
+    configs = [
+        dataclasses.replace(config, levels=levels)
+        for name, levels in (("lshape-variants", (0, 1)), ("cylinder-variants", (1, 2)))
+        for _, config in preset_cases(name)
+    ]
+    alone = [run_convergence_study(config) for config in configs]
+    made, solved = [], []
+
+    def counting_make_benchmark(config):
+        made.append(config.benchmark)
+        return make_benchmark(config)
+
+    def counting_solve(mesh, material, formulation, bcs):
+        solved.append((mesh.n_elements, formulation))
+        return assemble_and_solve(mesh, material, formulation, bcs)
+
+    monkeypatch.setattr(harness, "make_benchmark", counting_make_benchmark)
+    monkeypatch.setattr(harness, "assemble_and_solve", counting_solve)
+    together = run_studies(configs)
+    assert made == ["lshape", "cylinder"]
+    assert len(solved) == 4 and len(set(solved)) == 4
+    # a study's reports do not depend on the studies that share its solves
+    assert [s.config for s in together] == configs
+    for shared, own in zip(together, alone):
+        assert study_csv(shared) == study_csv(own)
+        assert study_json(shared) == study_json(own)
+
+
+def test_run_studies_of_no_configs_is_empty():
+    assert run_studies(()) == ()
+
+
 def test_run_case_is_deterministic():
     cfg = StudyConfig(**GOLDEN_KWARGS)
     a = run_case(cfg, 1)
@@ -390,6 +424,20 @@ def test_preset_names_and_labels():
     for _, cfg in preset_cases("lshape-variants"):
         assert cfg.benchmark == "lshape"
         assert cfg.levels == (0, 1, 2, 3)
+
+
+def test_a_preset_with_a_failing_study_writes_no_files(tmp_path, monkeypatch):
+    recover = harness._recover
+
+    def fail_spr_c(config, *args):
+        if config.variant == "SPR-C":
+            raise SolveError("SPR-C failed")
+        return recover(config, *args)
+
+    monkeypatch.setattr(harness, "_recover", fail_spr_c)
+    with pytest.raises(SolveError, match="SPR-C failed"):
+        harness.run_preset("cylinder-variants", tmp_path / "out")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_unknown_preset_raises():
@@ -536,6 +584,36 @@ def test_cli_study_writes_reports(tmp_path, capsys):
     assert "rate exact:" in out
     with open(GOLDEN_CSV, encoding="ascii") as f:
         assert csv_path.read_text(encoding="ascii") == f.read()
+
+
+def test_cli_study_creates_the_parents_of_its_reports(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[problem]\nname = cylinder\n[discretization]\nlevels = 1\n")
+    csv_path, json_path = tmp_path / "new" / "study.csv", tmp_path / "newer" / "a" / "study.json"
+    assert main(["study", "--config", cfg, "--csv", str(csv_path), "--json", str(json_path)]) == 0
+    assert csv_path.read_text(encoding="ascii").startswith(CSV_COLUMNS)
+    assert json.loads(json_path.read_text(encoding="ascii"))["config"]["levels"] == [1]
+
+
+def test_cli_unusable_output_paths_are_configuration_errors(tmp_path, capsys, monkeypatch):
+    import smoothfem.cli as cli_mod
+
+    def unreachable(*args):
+        raise AssertionError("ran before checking its output path")
+
+    monkeypatch.setattr(cli_mod, "run_convergence_study", unreachable)
+    monkeypatch.setattr(harness, "run_studies", unreachable)
+    cfg = write_config(tmp_path, "[problem]\nname = cylinder\n[discretization]\nlevels = 1\n")
+    a_file = tmp_path / "file"
+    a_file.write_text("taken\n", encoding="ascii")
+    for argv, path in [
+        (["study", "--config", cfg, "--csv", str(a_file / "x.csv")], a_file / "x.csv"),
+        (["preset", "cylinder-variants", "--out", str(a_file)], a_file),
+        (["export-mesh", "--benchmark", "cylinder", "--level", "1", "--out", str(tmp_path)],
+         tmp_path),
+    ]:
+        assert main(argv) == 1, argv
+        assert f"error: cannot write {path}: " in capsys.readouterr().err
+    assert a_file.read_text(encoding="ascii") == "taken\n"
 
 
 def test_cli_preset_list(capsys):
