@@ -470,7 +470,7 @@ def build_square_mesh(
 
 
 # ---------------------------------------------------------------------------
-# plain-text export / import
+# plain-text export
 # ---------------------------------------------------------------------------
 
 
@@ -479,11 +479,6 @@ def _format(line: str, *columns: np.ndarray) -> str:
     single % format of the whole section."""
     cells = np.column_stack([np.asarray(c, dtype=object) for c in columns])
     return (line + "\n") * len(cells) % tuple(cells.ravel().tolist())
-
-
-def _table(lines: np.ndarray, width: int) -> np.ndarray:
-    """The (len(lines), width) str tokens of lines; ValueError unless each has width."""
-    return np.array(np.char.split(lines).tolist(), dtype=object).reshape(len(lines), width)
 
 
 def save_mesh(mesh: Mesh, path) -> None:
@@ -495,45 +490,3 @@ def save_mesh(mesh: Mesh, path) -> None:
     text += _format("%d %d %s", b.element_ids, b.local_edges, b.kinds + ":" + b.names)
     with open(path, "w", encoding="ascii") as f:
         f.write(text)
-
-
-def _check_ids(ids: np.ndarray, n: int, what: str) -> None:
-    """Raise MeshError unless ids (in file order) are 0..n-1, each once, naming
-    the first id out of range or repeated, else the lowest missing one."""
-    first = np.isin(np.arange(len(ids)), np.unique(ids, return_index=True)[1])
-    bad = np.flatnonzero(~first | (ids < 0) | (ids >= n))
-    if len(bad):
-        i = ids[bad[0]]
-        problem = "repeated" if 0 <= i < n else f"outside 0..{n - 1}"
-        raise MeshError(f"{what} id {i} is {problem}")
-    if len(ids) < n:
-        raise MeshError(f"{what} id {np.setdiff1d(np.arange(n), ids)[0]} is missing")
-
-
-def load_mesh(path) -> Mesh:
-    """Read the plain-text mesh format written by save_mesh.
-
-    Blank lines are skipped.  Node and element rows may come in any order,
-    but their ids must be exactly 0..n-1, each once; a section is parsed and
-    checked as one array, and its rows must all have its number of tokens.
-    """
-    with open(path, encoding="ascii") as f:
-        lines = np.array(f.read().splitlines(), dtype=str)
-    lines = lines[np.strings.strip(lines) != ""]
-    try:
-        n_nodes, n_elems, n_bound = (int(v) for v in lines[0].split())
-        ends = np.cumsum([1, n_nodes, n_elems, n_bound])
-        nodes, elems, table = (_table(lines[a:b], w) for a, b, w in zip(ends, ends[1:], (3, 5, 3)))
-        node_ids, elem_ids = nodes[:, 0].astype(int), elems[:, 0].astype(int)
-        _check_ids(node_ids, n_nodes, "node")
-        _check_ids(elem_ids, n_elems, "element")
-        coords = nodes[np.argsort(node_ids), 1:].astype(float)
-        elements = elems[np.argsort(elem_ids), 1:].astype(int)
-        e, k = table[:, :2].astype(int).T  # element, local edge, kind:name
-        kinds, colon, names = np.strings.partition(table[:, 2].astype(str), ":")
-        if not np.all(colon == ":"):
-            raise ValueError("a boundary tag has no ':'")
-        boundary = BoundaryArrays(e, k, _edge_ends(elements, e, k), kinds, names)
-    except (IndexError, ValueError) as exc:
-        raise MeshError(f"malformed mesh file {path}: {exc}") from exc
-    return Mesh(coords, elements, boundary)

@@ -72,6 +72,13 @@ class Formulation:
     def label(self) -> str:
         return "fem" if self.kind == FEM else f"sfem{self.nc}"
 
+    # FEM has no smoothing cells, so FEM formulations are equal whatever nc
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Formulation) and self.label() == other.label()
+
+    def __hash__(self) -> int:
+        return hash(self.label())
+
 
 @dataclass(frozen=True)
 class DirichletSpec:
