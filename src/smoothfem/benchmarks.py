@@ -2,12 +2,14 @@
 
 Each benchmark bundles a mesh family, a material, boundary conditions and the
 exact solution, so studies can be phrased uniformly: build mesh at a level,
-solve, recover, compare against ``exact_stress``.
+solve, recover, compare against ``exact_stress``.  A study config sets the
+fields of a benchmark that share a name with its own (the L-shape's grading).
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,25 @@ def _zero_traction(points, normal) -> np.ndarray:
     return np.zeros_like(np.asarray(points, dtype=float))
 
 
+class _Benchmark:
+    """A material built once at construction; no singular field or vertex by default.
+
+    ``levels``, the mesh levels built, is open-ended or one level (one mesh).
+    """
+
+    state = PLANE_STRAIN
+    levels = range(0, sys.maxsize)
+    singular_field = None
+    singular_vertex = None
+
+    def __post_init__(self) -> None:
+        self.material  # built once, here, so a bad E, nu or state fails at construction
+
+    @functools.cached_property
+    def material(self) -> Material:
+        return Material(self.E, self.nu, self.state)
+
+
 # Relative slack on the annulus containment check.  Quadrature points of
 # elements along the curved walls fall inside the chord by O(h^2); the check
 # exists to catch misuse (points in the hole / far outside), not that.
@@ -38,7 +59,7 @@ _ANNULUS_SLACK = 0.02
 
 
 @dataclass(frozen=True)
-class CylinderBenchmark:
+class CylinderBenchmark(_Benchmark):
     """Quarter thick-wall cylinder under internal pressure (smooth solution).
 
     Inner wall carries the pressure as a Neumann traction -P n; the two
@@ -57,7 +78,7 @@ class CylinderBenchmark:
     nu: float = 0.3
 
     name = "cylinder"
-    singular_vertex = None
+    levels = range(1, sys.maxsize)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.a < self.b):
@@ -66,15 +87,7 @@ class CylinderBenchmark:
             )
         if not np.isfinite(self.P):
             raise AnalyticError("pressure must be finite")
-        self.material  # built once, here, so a bad E or nu fails at construction
-
-    @functools.cached_property
-    def material(self) -> Material:
-        return Material(self.E, self.nu, PLANE_STRAIN)
-
-    @property
-    def singular_field(self):
-        return None
+        super().__post_init__()
 
     def mesh(self, level: int) -> Mesh:
         return build_cylinder_mesh(self.a, self.b, level)
@@ -127,7 +140,7 @@ class CylinderBenchmark:
 
 
 @dataclass(frozen=True)
-class LShapeBenchmark:
+class LShapeBenchmark(_Benchmark):
     """L-shaped domain loaded with an exact two-mode notch eigenfield.
 
     The boundary is all-Neumann (exact tractions on the outer square, zero
@@ -151,11 +164,7 @@ class LShapeBenchmark:
             if not np.isfinite(getattr(self, field)):
                 raise AnalyticError(f"{field} must be finite, got {getattr(self, field)}")
         check_grading(self.grading)
-        self.material  # built once, here, so a bad E or nu fails at construction
-
-    @functools.cached_property
-    def material(self) -> Material:
-        return Material(self.E, self.nu, PLANE_STRAIN)
+        super().__post_init__()
 
     @property
     def frame(self) -> NotchFrame:
@@ -198,7 +207,7 @@ class LShapeBenchmark:
 
 
 @dataclass(frozen=True)
-class PatchBenchmark:
+class PatchBenchmark(_Benchmark):
     """Linear displacement field on a distorted square: the patch test.
 
     Any formulation/recovery pair must reproduce the constant stress state
@@ -215,7 +224,7 @@ class PatchBenchmark:
     coeffs: tuple = (0.1, 0.02, 0.035, -0.04, 0.012, -0.009)
 
     name = "patch"
-    singular_vertex = None
+    levels = range(0, 1)
 
     def __post_init__(self) -> None:
         try:
@@ -224,19 +233,11 @@ class PatchBenchmark:
             coeffs = None
         if coeffs is None or coeffs.shape != (6,) or not np.all(np.isfinite(coeffs)):
             raise AnalyticError(f"coeffs must hold six finite numbers, got {self.coeffs!r}")
-        self.material  # built once, here, so a bad E, nu or state fails at construction
-
-    @functools.cached_property
-    def material(self) -> Material:
-        return Material(self.E, self.nu, self.state)
-
-    @property
-    def singular_field(self):
-        return None
+        super().__post_init__()
 
     def mesh(self, level: int = 0) -> Mesh:
         """The one patch-test mesh; level must be 0."""
-        if level != 0:
+        if level not in self.levels:
             raise MeshError(f"the patch benchmark has one mesh, level 0; got level {level}")
         return build_square_mesh(self.n, self.distortion, seed=self.seed)
 

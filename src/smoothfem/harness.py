@@ -36,7 +36,7 @@ from .solver import Formulation, SolveError, assemble_and_solve
 
 log = logging.getLogger(__name__)
 
-BENCHMARKS = ("cylinder", "lshape", "patch")
+BENCHMARKS = {cls.name: cls for cls in (CylinderBenchmark, LShapeBenchmark, PatchBenchmark)}
 
 # INI section -> its keys; a key sets the StudyConfig field of its name,
 # except [problem] name, which sets benchmark
@@ -68,7 +68,7 @@ class StudyConfig:
     """Everything needed to reproduce one convergence study."""
 
     benchmark: str = "cylinder"
-    grading: float = 2.0
+    grading: float = LShapeBenchmark.grading
     formulation: str = Formulation.kind
     nc: int = Formulation.nc
     levels: tuple = (1, 2, 3)
@@ -92,14 +92,15 @@ class StudyConfig:
             raise ConfigError(f"duplicate levels in {self.levels}")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ConfigError("levels must be strictly increasing")
-        low = {"cylinder": 1, "lshape": 0, "patch": 0}[self.benchmark]
-        if self.levels[0] < low:
+        accepted = BENCHMARKS[self.benchmark].levels
+        if self.levels[0] < accepted.start:
             raise ConfigError(
-                f"{self.benchmark} levels start at {low}, got {self.levels[0]}"
+                f"{self.benchmark} levels start at {accepted.start}, got {self.levels[0]}"
             )
-        if self.benchmark == "patch" and tuple(self.levels) != (0,):
+        if len(accepted) == 1 and self.levels != tuple(accepted):
             raise ConfigError(
-                f"benchmark 'patch' has one mesh: levels must be (0,), got {self.levels}"
+                f"benchmark {self.benchmark!r} has one mesh: "
+                f"levels must be {tuple(accepted)}, got {self.levels}"
             )
         # delegate the rest of the validation to the objects themselves
         self.formulation_obj()
@@ -179,12 +180,16 @@ def apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _problem(config: StudyConfig) -> tuple:
+    """The benchmark class and the config's (name, value) of each field it declares too."""
+    shared = {f.name for f in fields(StudyConfig)}
+    cls = BENCHMARKS[config.benchmark]
+    return cls, tuple((f.name, getattr(config, f.name)) for f in fields(cls) if f.name in shared)
+
+
 def make_benchmark(config: StudyConfig):
-    if config.benchmark == "cylinder":
-        return CylinderBenchmark()
-    if config.benchmark == "lshape":
-        return LShapeBenchmark(grading=config.grading)
-    return PatchBenchmark()
+    cls, posed = _problem(config)
+    return cls(**dict(posed))
 
 
 def resolve_variant(variant: str, benchmark) -> str:
@@ -229,17 +234,18 @@ def run_convergence_study(config: StudyConfig) -> StudyResult:
 def run_studies(configs) -> tuple:
     """Run the studies, solving each discrete problem once per level.
 
-    Configs with the same benchmark, grading and formulation pose one
-    discrete problem.  They share one benchmark object (so the L-shape's
-    notch eigenvalue solve runs once), and each level any of them has is
-    meshed, loaded and solved once, in increasing order; every config with
-    that level then recovers and reports on the one solution.  Nothing
-    outlives the call, and the studies come back in the order of configs.
+    Configs with the same benchmark, formulation and values of the fields
+    its class declares (the L-shape's grading) pose one discrete problem.
+    They share one benchmark object (so the L-shape's notch eigenvalue
+    solve runs once), and each level any of them has is meshed, loaded and
+    solved once, in increasing order; every config with that level then
+    recovers and reports on the one solution.  Nothing outlives the call,
+    and the studies come back in the order of configs.
     """
     configs = tuple(configs)
-    problems = {}  # (benchmark, grading, formulation) -> indices into configs
+    problems = {}  # (class, posed fields, formulation) -> indices into configs
     for i, config in enumerate(configs):
-        key = (config.benchmark, config.grading, config.formulation_obj())
+        key = (*_problem(config), config.formulation_obj())
         problems.setdefault(key, []).append(i)
     cases = [[] for _ in configs]
     for (_, _, formulation), members in problems.items():

@@ -242,16 +242,14 @@ def subcell_grid(nc: int) -> tuple[int, int]:
     return _SUBCELL_GRID[nc]
 
 
-def subcell_parent_rects(nc: int) -> list[tuple[float, float, float, float]]:
-    """Parent rectangles (xi0, xi1, eta0, eta1), row-major (eta rows outer)."""
+def subcell_parent_corners(nc: int) -> np.ndarray:
+    """Parent-domain CCW corners (nc, 4, 2) of the cells, row-major (eta rows outer)."""
     n_xi, n_eta = subcell_grid(nc)
-    xs = np.linspace(-1.0, 1.0, n_xi + 1)
-    es = np.linspace(-1.0, 1.0, n_eta + 1)
-    rects = []
-    for j in range(n_eta):
-        for i in range(n_xi):
-            rects.append((xs[i], xs[i + 1], es[j], es[j + 1]))
-    return rects
+    cell = np.stack(np.divmod(np.arange(nc), n_xi)[::-1], axis=-1)  # (i, j) per cell
+    unit = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])  # CCW corners of a grid square
+    corners = (cell[:, None] + unit) * (2.0 / np.array([n_xi, n_eta])) - 1.0
+    corners.setflags(write=False)
+    return corners
 
 
 def subcell_index_at(nc: int, xi, eta) -> np.ndarray:
@@ -268,7 +266,7 @@ class SubcellGeometry:
 
     Row i describes the batch's i-th element (element i of the mesh, as
     subcell_geometry builds it); each element has nc cells in
-    the row-major order of subcell_parent_rects, each cell four CCW edges.
+    the row-major order of subcell_parent_corners, each cell four CCW edges.
     Shapes: corners, edge_midpoints, edge_normals (n, nc, 4, 2); areas
     (n, nc); edge_lengths (n, nc, 4).
     """
@@ -287,11 +285,7 @@ def subcell_geometry(mesh: Mesh, nc: int) -> SubcellGeometry:
     bilinear map; because the parent rectangles are axis-aligned, their
     images have straight edges and the mapped corners describe them exactly.
     """
-    x0, x1, e0, e1 = np.array(subcell_parent_rects(nc)).T
-    pc = np.stack(
-        [np.stack(v, axis=-1) for v in ((x0, e0), (x1, e0), (x1, e1), (x0, e1))],
-        axis=1,
-    )  # (nc, 4, 2) parent corners of every cell
+    pc = subcell_parent_corners(nc)
     corners = mesh.coords[mesh.elements]  # (n, 4, 2)
     phys = map_point(corners[:, None], pc[..., 0], pc[..., 1])  # (n, nc, 4, 2)
     areas = quad_area(phys)

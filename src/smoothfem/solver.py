@@ -37,7 +37,7 @@ from .mesh import (
     SubcellGeometry,
     subcell_geometry,
     subcell_index_at,
-    subcell_parent_rects,
+    subcell_parent_corners,
 )
 from .quadmap import (
     _jacobian_entries,
@@ -196,11 +196,8 @@ def _subcell_edge_ids(nc: int) -> np.ndarray:
     Slots share an id exactly when their parent edge midpoints coincide,
     i.e. the edge lies between two cells.
     """
-    x0, x1, e0, e1 = np.array(subcell_parent_rects(nc)).T
-    xm, em = 0.5 * (x0 + x1), 0.5 * (e0 + e1)
-    mids = np.stack(
-        [np.stack(v, axis=-1) for v in ((xm, e0), (x1, em), (xm, e1), (x0, em))], axis=1
-    )  # (nc, 4, 2)
+    pc = subcell_parent_corners(nc)
+    mids = 0.5 * (pc + np.roll(pc, -1, axis=1))  # (nc, 4, 2)
     return np.unique(mids.reshape(-1, 2), axis=0, return_inverse=True)[1].reshape(nc, 4)
 
 

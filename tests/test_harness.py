@@ -13,6 +13,7 @@ import pytest
 from smoothfem import harness
 from smoothfem.cli import main
 from smoothfem.harness import (
+    BENCHMARKS,
     CSV_COLUMNS,
     PRESETS,
     ConfigError,
@@ -144,6 +145,30 @@ def test_patch_benchmark_has_one_level(levels, patch_bm):
         StudyConfig(benchmark="patch", levels=levels)
     with pytest.raises(MeshError, match="patch benchmark has one mesh"):
         patch_bm.mesh(levels[-1])
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_declared_level_ranges_agree_with_the_mesh_builders(name):
+    cls = BENCHMARKS[name]
+    with pytest.raises(ConfigError, match="levels start at"):
+        StudyConfig(benchmark=name, levels=(cls.levels.start - 1,))
+    with pytest.raises(MeshError):
+        cls().mesh(cls.levels.start - 1)
+    assert StudyConfig(benchmark=name, levels=(cls.levels.start,)).levels == (cls.levels.start,)
+    if len(cls.levels) == 1:
+        with pytest.raises(MeshError):
+            cls().mesh(cls.levels.stop)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+@pytest.mark.parametrize("grading", [1.0, 1.5])
+def test_make_benchmark_builds_the_class_from_its_declared_fields_only(name, grading):
+    cls = BENCHMARKS[name]
+    config = StudyConfig(benchmark=name, grading=grading, levels=(cls.levels.start,))
+    declared = {f.name for f in dataclasses.fields(cls)}
+    posed = {k: v for k, v in dataclasses.asdict(config).items() if k in declared}
+    assert make_benchmark(config) == cls(**posed)
+    assert set(posed) == ({"grading"} if name == "lshape" else set())
 
 
 def test_as_dict_round_trips():
@@ -416,6 +441,29 @@ def test_run_studies_solves_fem_configs_that_differ_only_in_nc_once(monkeypatch)
     for shared, own in zip(together, alone):
         assert study_csv(shared) == study_csv(own)
         assert study_json(shared) == study_json(own)
+
+
+def test_run_studies_solves_configs_that_differ_only_in_an_unread_grading_once(monkeypatch):
+    # the cylinder and the patch ignore grading; the L-shape's mesh reads it
+    configs = [
+        StudyConfig(benchmark=name, grading=grading, levels=levels, variant="SPR-C")
+        for name, levels in (("cylinder", (1,)), ("patch", (0,)), ("lshape", (0,)))
+        for grading in (1.0, 2.0)
+    ]
+    solved = []
+
+    def counting_solve(mesh, material, formulation, bcs):
+        solved.append(mesh.n_elements)
+        return assemble_and_solve(mesh, material, formulation, bcs)
+
+    monkeypatch.setattr(harness, "assemble_and_solve", counting_solve)
+    studies = run_studies(configs)
+    # one solve each for the cylinder and the patch, two for the L-shape
+    assert solved == [16, 16, 48, 48]
+    for a, b in (studies[0:2], studies[2:4]):
+        assert study_csv(a) == study_csv(b)
+        for x, y in zip(a.cases, b.cases):
+            _assert_same_report(x.report, y.report)
 
 
 def test_run_studies_of_no_configs_is_empty():

@@ -24,6 +24,8 @@ from smoothfem.mesh import (
     _topological_boundary,
     graded_intervals,
     subcell_geometry,
+    subcell_index_at,
+    subcell_parent_corners,
 )
 
 GOLDEN_MESH = "tests/golden/square_n2.mesh"
@@ -411,6 +413,16 @@ def test_cell_boundaries_close():
         cells = subcell_geometry(m, nc)
         closure = (cells.edge_lengths[..., None] * cells.edge_normals).sum(axis=-2)
         assert np.abs(closure).max() < 1e-12
+
+
+@pytest.mark.parametrize("nc", [1, 2, 4, 8])
+def test_parent_corners_tile_the_square_in_the_order_subcell_index_at_reads(nc):
+    pc = subcell_parent_corners(nc)
+    assert pc.shape == (nc, 4, 2) and not pc.flags.writeable
+    # CCW cells of equal area that tile [-1, 1]^2
+    assert np.all(quad_area(pc) == 4.0 / nc)
+    centres = pc.mean(axis=1)
+    assert subcell_index_at(nc, centres[:, 0], centres[:, 1]).tolist() == list(range(nc))
 
 
 def test_unsupported_subcell_count():

@@ -900,10 +900,9 @@ def _reference_inverse(corners, point):
     raise AssertionError("reference Newton did not converge")
 
 
-def _reference_cells(corners, rects):
+def _reference_cells(corners, parent_corners):
     out = []
-    for x0, x1, e0, e1 in rects:
-        pc = np.array([[x0, e0], [x1, e0], [x1, e1], [x0, e1]])
+    for pc in parent_corners:
         phys = map_point(corners, pc[:, 0], pc[:, 1])
         x, y = phys[:, 0], phys[:, 1]
         area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
@@ -954,7 +953,7 @@ def test_kernels_match_the_scalar_reference_bit_for_bit(name, kind, nc):
         corners = mesh.coords[mesh.elements[e]]
         Ke = np.zeros((8, 8))
         if kind == "sfem":
-            cells = _reference_cells(corners, mesh_mod.subcell_parent_rects(nc))
+            cells = _reference_cells(corners, mesh_mod.subcell_parent_corners(nc))
             for c, (area, mids, normals, lengths) in enumerate(cells):
                 assert area == full.cells.areas[e, c]
                 assert np.array_equal(mids, full.cells.edge_midpoints[e, c])
