@@ -95,7 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mesh = sub.add_parser("export-mesh", help="write a benchmark mesh")
     p_mesh.add_argument("--benchmark", required=True, choices=BENCHMARKS)
     p_mesh.add_argument("--level", type=int, required=True)
-    p_mesh.add_argument("--grading", type=float, default=2.0, help="L-shape mesh grading")
+    p_mesh.add_argument(
+        "--grading", type=float, default=BENCHMARKS["lshape"].grading, help="L-shape mesh grading"
+    )
     p_mesh.add_argument("--out", required=True, help="output file")
     return parser
 

@@ -35,9 +35,10 @@ for bit: dots and norms are ``np.matmul`` of (B, 1, n) by (B, n, 1) (plus
 ``np.sqrt``), ``M`` and ``b`` are batched matmuls and the solve a stacked
 ``np.linalg.solve``; a row that one patch drops is masked out with
 ``np.where``, never multiplied by zero.  The conditioning check certifies
-most KKT systems regular from the spectrum of ``M`` alone (stacked
-``np.linalg.eigvalsh``; the constraint rows are orthonormal) and takes the
-stacked ``np.linalg.svd`` test only on the systems the bound cannot clear.
+a chunk's KKT systems regular from ``M`` alone, by one Cholesky
+factorization of the shifted stack of ``M`` (the constraint rows are
+orthonormal), and takes the stacked ``np.linalg.svd`` test only on a chunk
+that the factorization cannot clear.
 Failed patches are returned, not raised, and dropped from their chunk with
 one mask.  Each patch whose degree-2 system is singular is refitted in the
 degree-1 pass, with the patches configured at degree 1, and logs one
@@ -71,8 +72,8 @@ VARIANTS = ("SPR", "SPR-C", "SPR-X", "SPR-CX")
 CHUNK = 64
 
 # a KKT system is singular when its smallest singular value is below
-# SINGULAR_RATIO times its largest (the SVD test); one whose eigenvalue
-# bounds give a ratio of at least CERTIFIED_RATIO is regular without the
+# SINGULAR_RATIO times its largest (the SVD test); one that _certified
+# proves to have a ratio of at least CERTIFIED_RATIO is regular without the
 # SVD: the 100x margin is far wider than the SVD's own rounding of the
 # ratio (about n * eps), so both tests reach the same decision
 SINGULAR_RATIO = 1e-12
@@ -198,10 +199,11 @@ def _basis(points: np.ndarray, center: np.ndarray, scale, degree: int) -> np.nda
     xh /= scale
     yh = points[..., 1] - center[..., 1]
     yh /= scale
+    xs, ys = (1.0, xh, xh * xh), (1.0, yh, yh * yh)  # xh**i bit for bit, i = 0, 1, 2
     mono = _MONOMIALS[degree]
     P = np.empty(xh.shape + (len(mono),))
     for c, (i, j) in enumerate(mono):
-        np.multiply(xh**i, yh**j, out=P[..., c])
+        np.multiply(xs[i], ys[j], out=P[..., c])
     return P
 
 
@@ -484,41 +486,35 @@ def _orthonormalize_constraints(
 # ---------------------------------------------------------------------------
 
 
-def _kkt_ratio_bound(M: np.ndarray, k: int) -> np.ndarray:
-    """Lower bound on sv_min / sv_max of each KKT system [[I3 (x) M, C^T], [C, 0]].
+def _certified(M: np.ndarray, k: int) -> bool:
+    """Whether every KKT system [[I3 (x) M, C^T], [C, 0]] of the stack has
+    sv_min / sv_max >= CERTIFIED_RATIO, judged from M (B, m, m) alone.
 
-    M (B, m, m) is symmetric positive semidefinite; C (B, k, 3m) has
-    orthonormal rows (k = 0: none), so C C^T = I and only M's spectrum is
-    taken.  With mu- <= mu+ the extreme eigenvalues of M, every |eigenvalue|
-    of the symmetric KKT matrix lies in [lo, hi] when mu- > 0 (Rusten &
-    Winther 1992; Benzi, Golub & Liesen 2005, section 3.4, with the squared
-    singular values of C all 1):
-
-        lo = min(mu-, 2 / (mu+ + sqrt(mu+^2 + 4))),  hi = (mu+ + sqrt(mu+^2 + 4)) / 2
-
-    lo is the cancellation-free form of (sqrt(mu+^2 + 4) - mu+) / 2; the
-    other candidate for hi, (sqrt(mu-^2 + 4) - mu-) / 2 <= 1, is never the
-    larger.  Returns lo / hi, and 0 where mu- <= 0 (no bound); with k = 0,
-    mu- / mu+.  Taking C C^T = I is safe: modified Gram-Schmidt loses
-    orthogonality only by about eps times the condition number of the rows
-    it keeps (Bjorck 1967), and while ||C C^T - I|| <= 1/2 the squared
-    singular values lie in [1/2, 3/2], which moves lo / hi by less than a
-    factor of 3.  That is far inside the 100x gap between CERTIFIED_RATIO
-    and SINGULAR_RATIO: every certified system is regular by the SVD test
-    too, and the SVD still decides every system the bound cannot clear.
+    C (B, k, 3m) has orthonormal rows, so with mu- <= mu+ the extreme
+    eigenvalues of M, every |eigenvalue| of the KKT matrix lies in
+    [min(mu-, 1 / h), h], h = (mu+ + sqrt(mu+^2 + 4)) / 2 (Rusten & Winther
+    1992), and in [mu-, mu+] when k = 0.  Taking h at t = trace M >= mu+
+    (h = t when k = 0), the ratio is at least CERTIFIED_RATIO when
+    1 / h >= CERTIFIED_RATIO h and mu- >= CERTIFIED_RATIO h.  One Cholesky
+    factorization of the stack M - s I, s = CERTIFIED_RATIO h + (m + 1)^2 eps t,
+    proves the latter: it completes only if M - s I + E is definite for some
+    ||E|| <= (m + 1) eps t to first order (Demmel 1989), and the rest of the
+    slack covers the rounding of t, s and the shift.  Modified Gram-Schmidt
+    keeps C C^T within about eps times the rows' condition number of I
+    (Bjorck 1967); even ||C C^T - I|| = 1/2 moves the ratio by less than 3x,
+    far inside the 100x gap to SINGULAR_RATIO.
     """
-    n = 3 * M.shape[-1] + k
-    # the computed eigenvalues err by a few n eps of the largest one;
-    # lowering mu- by n^2 eps of it keeps lo a lower bound
-    slack = n * n * np.finfo(float).eps
-    mu = np.linalg.eigvalsh(M)
-    mu_hi = mu[:, -1]
-    lo = mu_lo = mu[:, 0] - slack * mu_hi
-    hi = mu_hi
-    if k:
-        hi = 0.5 * (mu_hi + np.hypot(mu_hi, 2.0))  # hypot: sqrt(mu^2 + 4) without overflow
-        lo = np.minimum(mu_lo, 1.0 / hi)
-    return np.divide(lo, hi, out=np.zeros_like(lo), where=mu_lo > 0)
+    m = M.shape[-1]
+    t = np.trace(M, axis1=-2, axis2=-1)
+    h = 0.5 * (t + np.hypot(t, 2.0)) if k else t  # hypot: sqrt(t^2 + 4) without overflow
+    if k and np.any(CERTIFIED_RATIO * h * h > 1.0):
+        return False
+    s = CERTIFIED_RATIO * h + (m + 1) ** 2 * np.finfo(float).eps * t
+    try:
+        np.linalg.cholesky(M - s[:, None, None] * np.eye(m))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def fit_patch(
@@ -545,10 +541,10 @@ def fit_patch(
     the regular systems are solved.
 
     A KKT system is singular when its singular values span a ratio below
-    SINGULAR_RATIO.  Systems whose eigenvalue bounds (_kkt_ratio_bound, from
-    M's spectrum alone) span at least CERTIFIED_RATIO are regular without
-    an SVD; only the others take the SVD test, so the decision equals the
-    SVD's on every system.
+    SINGULAR_RATIO.  A batch that _certified clears (one Cholesky
+    factorization of the shifted stack of M) is regular without an SVD;
+    otherwise every system of the batch takes the SVD test, so the decision
+    equals the SVD's on every system.
     """
     node_ids = np.asarray(node_ids)
     B = len(positions)
@@ -570,11 +566,10 @@ def fit_patch(
     KKT[:, 3 * m :, : 3 * m] = C
     rhs[:, 3 * m :] = d
 
-    check = np.nonzero(_kkt_ratio_bound(M, k) < CERTIFIED_RATIO)[0]
     singular = np.zeros(B, dtype=bool)
-    if len(check):
-        sv = np.linalg.svd(KKT[check], compute_uv=False)
-        singular[check] = sv[:, -1] < SINGULAR_RATIO * sv[:, 0]
+    if not _certified(M, k):
+        sv = np.linalg.svd(KKT, compute_uv=False)
+        singular = sv[:, -1] < SINGULAR_RATIO * sv[:, 0]
     failures = {int(n): f"singular patch system at node {n}" for n in node_ids[singular]}
     ok = ~singular
     sol = np.linalg.solve(KKT[ok], rhs[ok, :, None])[..., 0]
@@ -820,13 +815,15 @@ def build_recovered_field(
 def _patch_scales(mesh: Mesh, positions: np.ndarray) -> np.ndarray:
     """Per node, the largest |x - x_I| component over its patch's samples.
 
-    Each element's samples are measured from each of its corners at once and
-    the maximum is taken per node, which is exact in any order; at least
-    1e-30, so a scaled frame always exists.
+    Rounding x - x_I is monotone in x, so each element's lowest and highest
+    sample coordinates, measured from each of its corners, give it exactly;
+    the maximum per node is exact in any order, and at least 1e-30, so a
+    scaled frame always exists.
     """
+    lo, hi = positions.min(axis=1), positions.max(axis=1)  # (n_e, 2)
     scale = np.zeros(mesh.n_nodes)
     for k in range(4):
         corner = mesh.elements[:, k]
-        reach = np.abs(positions - mesh.coords[corner][:, None, :]).max(axis=(1, 2))
-        np.maximum.at(scale, corner, reach)
+        c = mesh.coords[corner]
+        np.maximum.at(scale, corner, np.maximum(np.abs(hi - c), np.abs(lo - c)).max(axis=1))
     return np.maximum(scale, 1e-30)

@@ -35,7 +35,7 @@ import warnings
 
 from test_conformance import documented_configs
 
-from smoothfem.harness import StudyConfig, run_case
+from smoothfem.harness import StudyConfig, _problem, run_case
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GRADINGS = (1.0, 2.0, 20.0)
@@ -66,7 +66,7 @@ def run(config: StudyConfig, counter: FallbackCounter) -> dict:
         "nc": config.nc if config.formulation == "sfem" else None,
         "variant": config.variant,
         "degree": config.interior_degree,
-        "grading": config.grading if config.benchmark == "lshape" else None,
+        "grading": dict(_problem(config)[1]).get("grading"),
         "gsif_mode": config.gsif_mode if config.benchmark == "lshape" else None,
     }
     counter.count = 0

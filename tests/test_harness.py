@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from smoothfem import harness
-from smoothfem.cli import main
+from smoothfem.benchmarks import LShapeBenchmark
+from smoothfem.cli import _build_parser, main
 from smoothfem.harness import (
     BENCHMARKS,
     CSV_COLUMNS,
@@ -706,6 +707,18 @@ def test_cli_export_mesh(tmp_path, capsys, cylinder_bm):
     assert rc == 0
     assert "16 elements" in capsys.readouterr().out
     save_mesh(cylinder_bm.mesh(1), tmp_path / "expected.mesh")
+    assert out.read_bytes() == (tmp_path / "expected.mesh").read_bytes()
+
+
+def test_cli_export_mesh_grading_default_is_the_lshape_benchmarks(tmp_path, capsys):
+    # one owner of the default grading: the exported mesh is the study's
+    args = _build_parser().parse_args(
+        ["export-mesh", "--benchmark", "lshape", "--level", "1", "--out", "m"]
+    )
+    assert args.grading == LShapeBenchmark.grading == StudyConfig().grading
+    out = tmp_path / "lshape1.mesh"
+    assert main(["export-mesh", "--benchmark", "lshape", "--level", "1", "--out", str(out)]) == 0
+    save_mesh(LShapeBenchmark().mesh(1), tmp_path / "expected.mesh")
     assert out.read_bytes() == (tmp_path / "expected.mesh").read_bytes()
 
 

@@ -22,6 +22,7 @@ from smoothfem.error import element_error_squares
 from smoothfem.gsif import extract_gsifs
 from smoothfem.mesh import Mesh, build_square_mesh
 from smoothfem.recovery import (
+    CERTIFIED_RATIO,
     CHUNK,
     VARIANTS,
     PatchFailure,
@@ -31,10 +32,11 @@ from smoothfem.recovery import (
     RecoveryError,
     _MONOMIALS,
     _basis,
+    _certified,
     _compatibility_rows,
     _equilibrium_rows,
-    _kkt_ratio_bound,
     _orthonormalize_constraints,
+    _patch_scales,
     _sampling_arrays,
     build_recovered_field,
     collocation_points,
@@ -334,6 +336,42 @@ def test_interior_spr_patch_has_no_constraints(solve_cached):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_basis_equals_the_power_form_bit_for_bit(degree):
+    # products 1, x, x x in place of x**0, x**1, x**2: equal with sign bits,
+    # on random points and on +-0, +-inf and nan
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-200, -1e200, 3.0])
+    points = np.concatenate([
+        rng.normal(size=(200, 2)) * 10.0 ** rng.uniform(-8, 8, size=(200, 1)),
+        np.stack(np.meshgrid(special, special), axis=-1).reshape(-1, 2),
+    ])
+    with np.errstate(all="ignore"):  # inf * 0 and overflow are part of the check
+        for center, scale in [(np.array([0.0, -0.0]), 1.0), (np.array([0.3, -1.7]), 0.45)]:
+            got = _basis(points, center, scale, degree)
+            xh, yh = (points - center).T / scale
+            want = np.stack([xh**i * yh**j for i, j in _MONOMIALS[degree]], axis=-1)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_patch_scales_equal_the_per_sample_maximum(offset):
+    # each element's sample bounds measured from its corners give the same
+    # scales, bit for bit, as every sample measured from every corner, also
+    # for samples outside their element and far from the origin
+    mesh = build_square_mesh(5, distortion=0.2, seed=3)
+    mesh = Mesh(mesh.coords + offset, mesh.elements, mesh.boundary)
+    rng = np.random.default_rng(8)
+    positions = offset + rng.uniform(-0.5, 1.5, size=(mesh.n_elements, 16, 2))
+    want = np.zeros(mesh.n_nodes)
+    for k in range(4):
+        corner = mesh.elements[:, k]
+        reach = np.abs(positions - mesh.coords[corner][:, None, :]).max(axis=(1, 2))
+        np.maximum.at(want, corner, reach)
+    assert np.array_equal(_patch_scales(mesh, positions), np.maximum(want, 1e-30))
+
+
 def linear_stress_samples(n=12, seed=0):
     rng = np.random.default_rng(seed)
     pos = rng.uniform(-1.0, 1.0, size=(n, 2))
@@ -495,29 +533,48 @@ def random_kkt_blocks(seed, m, k, m_kind, c_kind):
 # a zero row, which the Gram-Schmidt drops: C keeps 3 of its 4 rows
 @example(seed=892, m=3, k=4, m_kind="spd", c_kind="zero-row")
 @settings(max_examples=300, deadline=None)
-def test_kkt_ratio_bound_never_exceeds_the_svd_ratio(seed, m, k, m_kind, c_kind):
+def test_certified_kkt_keeps_a_third_of_the_certified_ratio(seed, m, k, m_kind, c_kind):
     # degenerate draws must not warn either: tier-1 turns a RuntimeWarning
     # into an error
     M, C, lam = random_kkt_blocks(seed, m, k, m_kind, c_kind)
-    bound = _kkt_ratio_bound(M[None], len(C))
-    assert bound.shape == (1,) and 0.0 <= bound[0] < 1.0 + 1e-15
-    # the SVD's own rounding of the ratio is about n eps
-    assert bound[0] <= svd_ratio(kkt_matrix(M, C)) + 32 * np.finfo(float).eps
-    if m_kind == "spd" and lam.min() > 1e-10 * lam.max():
-        # definite M and orthonormal C, conditioning well above the slack
-        assert bound[0] > 0.0
+    certified = _certified(M[None], len(C))
+    assert isinstance(certified, bool)
+    if certified:
+        # C C^T is I only to rounding, which the factor of 3 covers
+        assert svd_ratio(kkt_matrix(M, C)) >= CERTIFIED_RATIO / 3
+    t = lam.sum()
+    h = 0.5 * (t + np.hypot(t, 2.0)) if len(C) else t
+    shift = CERTIFIED_RATIO * h + (m + 1) ** 2 * np.finfo(float).eps * t
+    if m_kind == "spd" and lam.min() > 4 * shift:
+        # the certificate is not vacuous: a definite M well above the shift clears
+        assert certified
 
 
-def test_kkt_ratio_bound_is_tight_on_known_spectra():
-    # without constraints the bound is mu- / mu+; with M = I and orthonormal
-    # rows the KKT eigenvalues are 1 and (1 +- sqrt 5) / 2, which the bound
-    # reaches at both ends.  Only the n^2 eps slack separates them.
-    M = np.diag([4.0, 1.0, 0.5])
-    assert _kkt_ratio_bound(M[None], 0)[0] == pytest.approx(0.125, rel=1e-12, abs=0)
-    C = np.linalg.qr(np.random.default_rng(3).normal(size=(18, 7)))[0].T
-    want = svd_ratio(kkt_matrix(np.eye(6), C))
-    assert want == pytest.approx((3 - np.sqrt(5)) / 2, rel=1e-14, abs=0)
-    assert _kkt_ratio_bound(np.eye(6)[None], len(C))[0] == pytest.approx(want, rel=1e-12, abs=0)
+def diagonal_kkt_block(m, k, f):
+    """diag(1, .., 1, mu) (m, m) with mu = f CERTIFIED_RATIO h for its h."""
+    t = m - 1.0  # mu moves t by about 1e-10 relative, far below f's steps
+    h = 0.5 * (t + np.hypot(t, 2.0)) if k else t
+    return np.diag([1.0] * (m - 1) + [f * CERTIFIED_RATIO * h])
+
+
+@pytest.mark.parametrize("m, k", [(3, 0), (6, 0), (3, 4), (6, 7)])
+def test_certificate_is_tight_at_certified_ratio_h(m, k):
+    # mu- just above CERTIFIED_RATIO h clears the stack, just below it does
+    # not: the (m + 1)^2 eps t slack is at most 1e-4 of the shift here
+    C = np.linalg.qr(np.random.default_rng(3).normal(size=(3 * m, k)))[0].T
+    above, below = diagonal_kkt_block(m, k, 1.001), diagonal_kkt_block(m, k, 0.999)
+    assert _certified(above[None], k) and not _certified(below[None], k)
+    assert not _certified(np.stack([above, below]), k)  # one verdict per stack
+    assert svd_ratio(kkt_matrix(above, C)) >= CERTIFIED_RATIO
+
+
+def test_large_M_is_certified_only_without_constraints():
+    # M = 1e6 I factors after any shift, but with constraint rows the KKT
+    # matrix also has eigenvalues near -1 / h, so its ratio is about 1 / h^2
+    M = 1e6 * np.eye(3)
+    C = np.eye(9)[:1]
+    assert _certified(M[None], 0) and not _certified(M[None], 1)
+    assert svd_ratio(kkt_matrix(M, C)) < CERTIFIED_RATIO
 
 
 @pytest.fixture
@@ -1378,7 +1435,7 @@ def test_gram_schmidt_runs_once_per_fit_call(solve_cached, monkeypatch, interior
 def test_every_stack_member_is_orthonormal(
     solve_cached, cylinder_bm, lshape_bm, monkeypatch, name, level, kind, variant
 ):
-    # _kkt_ratio_bound takes C C^T = I for every fitted patch: pin it far
+    # _certified takes C C^T = I for every fitted patch: pin it far
     # tighter than the ||C C^T - I|| <= 1/2 that its certificate needs
     bm = {"cylinder": cylinder_bm, "lshape": lshape_bm}[name]
     mesh, bcs, sol = solve_cached(name, level, kind)
@@ -1396,32 +1453,38 @@ def test_every_stack_member_is_orthonormal(
 
 
 @pytest.mark.parametrize("variant", ["SPR", "SPR-CX"])
-def test_each_fit_patch_call_takes_one_spectrum_of_M(solve_cached, lshape_bm, monkeypatch, variant):
-    # the conditioning certificate reads M's spectrum alone: exactly one
-    # eigvalsh call per fit_patch call, on the (B, m, m) stack of M, and
+def test_each_fit_patch_call_takes_one_cholesky_of_M(solve_cached, lshape_bm, monkeypatch, variant):
+    # the conditioning certificate reads M alone: exactly one cholesky call
+    # per fit_patch call, on the (B, m, m) stack of M, no eigvalsh, and
     # every call gets constraint rows (zero rows for the plain variants)
     import smoothfem.recovery as recovery
 
     mesh, bcs, sol = solve_cached("lshape", 1, "sfem")
-    spectra, real_eigvalsh, fit_patch_ = [], np.linalg.eigvalsh, recovery.fit_patch
+    factored, fit_patch_ = [], recovery.fit_patch
 
-    def eigvalsh(a, *args, **kwargs):
-        spectra.append(np.shape(a))
-        return real_eigvalsh(a, *args, **kwargs)
+    def recording(name):
+        real = getattr(np.linalg, name)
+
+        def wrapped(a, *args, **kwargs):
+            factored.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+
+        return wrapped
 
     def counted_fit_patch(node_ids, positions, stresses, weights, degree, constraints, **kw):
         assert constraints is not None
         C, d = constraints
         assert C.shape[:2] == d.shape and (C.shape[1] > 0) == (variant == "SPR-CX")
-        spectra.clear()
+        factored.clear()
         out = fit_patch_(node_ids, positions, stresses, weights, degree, constraints, **kw)
         m = len(_MONOMIALS[degree])
-        assert spectra == [(len(positions), m, m)]
+        assert factored == [("cholesky", (len(positions), m, m))]
         calls.append(len(positions))
         return out
 
     calls = []
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    for name in ("cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
     monkeypatch.setattr(recovery, "fit_patch", counted_fit_patch)
     build_recovered_field(
         sol, RecoveryConfig(variant=variant), singular_field=lshape_bm.singular_field,
