@@ -110,16 +110,15 @@ def _energy_squares(d: np.ndarray, Dinv: np.ndarray, wdet: np.ndarray) -> np.nda
 
 def element_error_squares(
     solution: DiscreteSolution,
-    recovered_field: RecoveredStressField | None = None,
-    exact_stress=None,
+    recovered_field: RecoveredStressField,
+    exact_stress,
     singular_point=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-element squared energy norms (estimated, exact, recovered-exact).
 
     estimated: ||sigma* - sigma_h||, exact: ||sigma_ex - sigma_h||,
-    recovered: ||sigma* - sigma_ex||.  Entries stay zero when the
-    corresponding field is not supplied.  Elements are integrated in one
-    batch per rule order.
+    recovered: ||sigma* - sigma_ex||.  Elements are integrated in one batch
+    per rule order.
     """
     mesh = solution.mesh
     Dinv = compliance_matrix(solution.material)
@@ -133,19 +132,13 @@ def element_error_squares(
         pts, wdet, phys = mapped_rule(mesh.coords[mesh.elements[ids]], order)
         # the fields are built one at a time and the points dropped once the
         # exact stress has used them, which keeps the peak memory low
-        s_star = s_ex = None
-        if recovered_field is not None:
-            s_star = recovered_field.evaluate_at_parents(ids, pts)
-        if exact_stress is not None:
-            s_ex = np.asarray(exact_stress(phys), float)
+        s_star = recovered_field.evaluate_at_parents(ids, pts)
+        s_ex = np.asarray(exact_stress(phys), float)
         del phys
-        if s_star is not None and s_ex is not None:
-            rec2[ids] = _energy_squares(s_star - s_ex, Dinv, wdet)
+        rec2[ids] = _energy_squares(s_star - s_ex, Dinv, wdet)
         sh = solution.stress_at_parents(ids, pts)
-        if s_star is not None:
-            est2[ids] = _energy_squares(s_star - sh, Dinv, wdet)
-        if s_ex is not None:
-            ex2[ids] = _energy_squares(s_ex - sh, Dinv, wdet)
+        est2[ids] = _energy_squares(s_star - sh, Dinv, wdet)
+        ex2[ids] = _energy_squares(s_ex - sh, Dinv, wdet)
     return est2, ex2, rec2
 
 
@@ -229,10 +222,7 @@ def compute_error_report(
 ) -> ErrorReport:
     """One-pass estimated/exact/recovered norms + effectivity statistics."""
     est2, ex2, rec2 = element_error_squares(
-        solution,
-        recovered_field=recovered_field,
-        exact_stress=exact_stress,
-        singular_point=singular_point,
+        solution, recovered_field, exact_stress, singular_point=singular_point
     )
     est, ex = np.sqrt(est2), np.sqrt(ex2)
     est.setflags(write=False)

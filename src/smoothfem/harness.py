@@ -234,8 +234,9 @@ def run_convergence_study(config: StudyConfig) -> StudyResult:
 def run_studies(configs) -> tuple:
     """Run the studies, solving each discrete problem once per level.
 
-    Configs with the same benchmark, formulation and values of the fields
-    its class declares (the L-shape's grading) pose one discrete problem.
+    Configs with the same benchmark, formulation label (FEM ignores nc) and
+    values of the fields its class declares (the L-shape's grading) pose one
+    discrete problem, solved with the first such config's formulation.
     They share one benchmark object (so the L-shape's notch eigenvalue
     solve runs once), and each level any of them has is meshed, loaded and
     solved once, in increasing order; every config with that level then
@@ -243,13 +244,14 @@ def run_studies(configs) -> tuple:
     and the studies come back in the order of configs.
     """
     configs = tuple(configs)
-    problems = {}  # (class, posed fields, formulation) -> indices into configs
+    problems = {}  # (class, posed fields, formulation label) -> indices into configs
     for i, config in enumerate(configs):
-        key = (*_problem(config), config.formulation_obj())
+        key = (*_problem(config), config.formulation_obj().label())
         problems.setdefault(key, []).append(i)
     cases = [[] for _ in configs]
-    for (_, _, formulation), members in problems.items():
-        benchmark = make_benchmark(configs[members[0]])
+    for members in problems.values():
+        first = configs[members[0]]
+        benchmark, formulation = make_benchmark(first), first.formulation_obj()
         for level in sorted({level for i in members for level in configs[i].levels}):
             mesh = benchmark.mesh(level)
             bcs = benchmark.boundary_conditions(mesh)

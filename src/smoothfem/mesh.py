@@ -73,17 +73,14 @@ class BoundaryArrays:
             raise MeshError(f"malformed boundary arrays (one row per edge): {exc}") from exc
 
 
-def quad_area(corners: np.ndarray):
-    """Shoelace area of straight-sided quadrilateral(s) (positive for CCW).
-
-    corners (..., 4, 2) -> areas (...); a single (4, 2) quad gives a float.
-    """
+def quad_area(corners: np.ndarray) -> np.ndarray:
+    """Shoelace areas (...) of straight-sided quadrilaterals (positive for
+    CCW) with corners (..., 4, 2)."""
     x, y = corners[..., None, :, 0], corners[..., None, :, 1]
     # batched matmul reproduces the 4-term dot products bit for bit
     xy = np.matmul(x, np.roll(y, -1, axis=-1).swapaxes(-1, -2))
     yx = np.matmul(y, np.roll(x, -1, axis=-1).swapaxes(-1, -2))
-    area = 0.5 * (xy - yx)[..., 0, 0]
-    return float(area) if area.ndim == 0 else area
+    return 0.5 * (xy - yx)[..., 0, 0]
 
 
 class Mesh:

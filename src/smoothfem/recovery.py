@@ -29,10 +29,12 @@ and compatibility rows (zero right-hand sides) that every interior patch
 takes, each node on a Neumann edge has its own member with
 its traction collocation rows (built in one pass, one traction call per
 boundary name), and the unconstrained variants get one member of zero
-rows.  One Gram-Schmidt orthonormalizes the stack, and each chunk takes its
-patches' members.  The batched kernels repeat the per-patch arithmetic bit
-for bit: dots and norms are ``np.matmul`` of (B, 1, n) by (B, n, 1) (plus
-``np.sqrt``), ``M`` and ``b`` are batched matmuls and the solve a stacked
+rows.  Every member has the same collocation slots, zero rows (which the
+Gram-Schmidt skips) where a node has no point.  One Gram-Schmidt
+orthonormalizes the stack, and each chunk takes its patches' members.
+The batched kernels repeat the per-patch arithmetic bit for bit: dots and
+norms are ``np.matmul`` of (B, 1, n) by (B, n, 1) (plus ``np.sqrt``),
+``M`` and ``b`` are batched matmuls and the solve a stacked
 ``np.linalg.solve``; a row that one patch drops is masked out with
 ``np.where``, never multiplied by zero.  The conditioning check certifies
 a chunk's KKT systems regular from ``M`` alone, by one Cholesky
@@ -373,7 +375,7 @@ def collocation_rows(
     scale: np.ndarray,
     split: np.ndarray,
     singular_field: SingularField | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Traction collocation rows sigma*(x_c) . n = t(x_c) of K patches.
 
     ``nodes`` (K,) lie on Neumann edges; scale and split (K,) are their
@@ -383,8 +385,9 @@ def collocation_rows(
     called once, on all points of its boundary with one unit normal (n, 2)
     per point.  For split patches the singular traction moves to the
     right-hand side, and a point at the notch vertex, where that traction
-    has no value, is skipped.  Returns (count (K,), rows (R, 3m), rhs (R,)):
-    node i's count[i] rows follow those of nodes 0..i-1.
+    has no value, is skipped.  Returns rows (K, 2(degree+1), 3m) and rhs
+    (K, 2(degree+1)), two per slot: a slot a node does not use holds zero
+    rows with zero right-hand sides.
     """
     m = len(_MONOMIALS[degree])
     on = neumann.on[nodes]  # (K, 2)
@@ -414,7 +417,8 @@ def collocation_rows(
     rows = np.zeros(p.shape[:2] + (2, 3 * m))
     rows[:, :, 0, :m], rows[:, :, 0, 2 * m :] = nx, ny
     rows[:, :, 1, m : 2 * m], rows[:, :, 1, 2 * m :] = ny, nx
-    return 2 * valid.sum(axis=1), rows[valid].reshape(-1, 3 * m), t[valid].reshape(-1)
+    rows[~valid] = 0.0
+    return rows.reshape(len(nodes), -1, 3 * m), t.reshape(len(nodes), -1)
 
 
 def _orthonormalize_constraints(
@@ -423,14 +427,14 @@ def _orthonormalize_constraints(
     """Drop dependent rows (relative pivot < 1e-10) via Gram-Schmidt, per patch.
 
     C (B, k, n) and d (B, k) hold the constraints of B patches, those with
-    fewer rows padded with trailing zero rows (as _constraints stacks a fit
-    pass's patches).  Returns (Q, e, rank, failures): patch i
-    keeps its rank[i] orthonormalized rows as Q[i, :rank[i]] with
-    right-hand sides e[i, :rank[i]]; the rows past its rank are zero.  Rows
-    go one at a time over the whole batch, and a row that a patch drops (a
-    zero row with a zero right-hand side among them) leaves that patch's
-    state untouched (np.where), so every patch sees the same arithmetic as
-    alone.
+    fewer rows holding zero rows with zero right-hand sides anywhere among
+    them (as _constraints stacks a fit pass's patches).  Returns (Q, e,
+    rank, failures): patch i keeps its rank[i] orthonormalized rows as
+    Q[i, :rank[i]] with right-hand sides e[i, :rank[i]]; the rows past its
+    rank are zero.  Rows go one at a time over the whole batch, and a row
+    that a patch drops (a zero row with a zero right-hand side among them)
+    leaves that patch's state untouched (np.where), so every patch sees the
+    same arithmetic as alone.
 
     ``failures`` maps node id -> reason for the patches with inconsistent
     rows — a zero row with a nonzero right-hand side, or a dependent row
@@ -454,7 +458,7 @@ def _orthonormalize_constraints(
             failures.setdefault(
                 node, f"inconsistent constraint (0 = {val[b]:.3e}) in patch {node}"
             )
-        # a zero row (padding, or a row a patch lacks) is never kept: divide it
+        # a zero row (a slot a patch does not use) is never kept: divide it
         # by 1 so that it carries no nan through the projections
         norm = np.where(zero, 1.0, norm0)
         v = row / norm[:, None]
@@ -643,34 +647,29 @@ def _constraints(mesh, neumann, nodes, degree, compliance, scales, split, singul
     A patch's constraints C a = d are, in order: internal equilibrium
     div sigma* = 0 (no body force; one scalar row per monomial of degree-1
     per equation), its traction collocation rows and (degree 2) the
-    compatibility equation.  Member 0 of the stack is the interior rows
-    [equilibrium, compatibility], which every node without collocation rows
-    takes; member i > 0 is the i-th node with collocation rows.  Members
-    are padded with trailing zero rows to the longest, which the
-    Gram-Schmidt skips, so each member's (Q, e, rank) equals its unpadded
-    one.  Inconsistent members get rank -1.
+    compatibility equation.  Member i > 0 of the stack is the i-th node
+    with collocation rows, member 0 the interior rows, which every node
+    without them takes.  Every member is laid out [equilibrium | collocation
+    slots | compatibility] at one width: member 0's slots, and the slots a
+    node does not use, are zero rows with zero right-hand sides, which the
+    Gram-Schmidt skips, so each member's (Q, e, rank) equals that of its
+    nonzero rows alone.  Inconsistent members get rank -1.
     """
     eq, compat = _equilibrium_rows(degree), _compatibility_rows(degree, compliance)
     member = np.zeros(len(nodes), dtype=int)
     on = np.nonzero(neumann.on[nodes, 0] >= 0)[0]
     member[on] = np.arange(1, len(on) + 1)
-    counts = np.zeros(len(on) + 1, dtype=int)
+    R, r = np.zeros((0, 0, eq.shape[1])), np.zeros((0, 0))
     if len(on):
-        counts[1:], R, r = collocation_rows(
+        R, r = collocation_rows(
             mesh, neumann, nodes[on], degree,
             scale=scales[nodes[on]], split=split[nodes[on]], singular_field=singular_field,
         )
-    most = counts.max()
-    C = np.zeros((len(counts), len(eq) + most + len(compat), eq.shape[1]))
+    slots = slice(len(eq), len(eq) + R.shape[1])
+    C = np.zeros((len(on) + 1, slots.stop + len(compat), eq.shape[1]))
     d = np.zeros(C.shape[:2])
-    C[:, : len(eq)] = eq
-    if most:
-        # node after node, as collocation_rows returns them
-        rows = np.arange(most) < counts[:, None]
-        C[:, len(eq) : len(eq) + most][rows] = R
-        d[:, len(eq) : len(eq) + most][rows] = r
-    for j, row in enumerate(compat):
-        C[np.arange(len(counts)), len(eq) + counts + j] = row
+    C[:, : slots.start], C[:, slots.stop :] = eq, compat
+    C[1:, slots], d[1:, slots] = R, r
     # member 0's right-hand sides are zero, so it never fails
     ids = np.concatenate([[-1], nodes[on]])
     Q, e, rank, failures = _orthonormalize_constraints(C, d, ids)

@@ -58,7 +58,8 @@ class SolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class Formulation:
-    """Discretization choice: kind "fem" or "sfem", subcell count for sfem."""
+    """Discretization choice: kind "fem" or "sfem", subcell count for sfem
+    (FEM ignores nc: harness.run_studies keys problems by label())."""
 
     kind: str = SFEM
     nc: int = 4
@@ -71,13 +72,6 @@ class Formulation:
 
     def label(self) -> str:
         return "fem" if self.kind == FEM else f"sfem{self.nc}"
-
-    # FEM has no smoothing cells, so FEM formulations are equal whatever nc
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Formulation) and self.label() == other.label()
-
-    def __hash__(self) -> int:
-        return hash(self.label())
 
 
 @dataclass(frozen=True)

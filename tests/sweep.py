@@ -35,7 +35,7 @@ import warnings
 
 from test_conformance import documented_configs
 
-from smoothfem.harness import StudyConfig, _problem, run_case
+from smoothfem.harness import StudyConfig, _problem, make_benchmark, run_case
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GRADINGS = (1.0, 2.0, 20.0)
@@ -59,6 +59,9 @@ class FallbackCounter(logging.Handler):
 
 
 def run(config: StudyConfig, counter: FallbackCounter) -> dict:
+    # the GSIF mode is read only where there is a singular field, as in
+    # harness.resolve_variant
+    singular = make_benchmark(config).singular_field is not None
     entry = {
         "benchmark": config.benchmark,
         "level": config.levels[0],
@@ -67,7 +70,7 @@ def run(config: StudyConfig, counter: FallbackCounter) -> dict:
         "variant": config.variant,
         "degree": config.interior_degree,
         "grading": dict(_problem(config)[1]).get("grading"),
-        "gsif_mode": config.gsif_mode if config.benchmark == "lshape" else None,
+        "gsif_mode": config.gsif_mode if singular else None,
     }
     counter.count = 0
     try:

@@ -224,8 +224,8 @@ def test_zero_radius_degenerates_to_constrained_variant(solve_cached, lshape_bm)
         fields[variant] = build_recovered_field(
             sol, cfg, singular_field=lshape_bm.singular_field, tractions=bcs.tractions
         )
-    est_c, _, _ = element_error_squares(sol, recovered_field=fields["SPR-C"])
-    est_cx, _, _ = element_error_squares(sol, recovered_field=fields["SPR-CX"])
+    est_c, _, _ = element_error_squares(sol, fields["SPR-C"], lshape_bm.exact_stress)
+    est_cx, _, _ = element_error_squares(sol, fields["SPR-CX"], lshape_bm.exact_stress)
     assert np.array_equal(est_c, est_cx)
 
 
@@ -900,7 +900,7 @@ def test_constrained_fits_satisfy_equilibrium_inside_patch(solve_cached):
 def test_polynomial_reproduction_zeroes_the_estimate():
     bm, mesh, sol = linear_solution()
     field = build_recovered_field(sol, RecoveryConfig(variant="SPR-C"))
-    est2, _, _ = element_error_squares(sol, recovered_field=field)
+    est2, _, _ = element_error_squares(sol, field, bm.exact_stress)
     assert np.sqrt(est2.sum()) < 1e-9
 
 
@@ -1325,6 +1325,13 @@ def test_orthonormalize_masks_each_patch_separately():
         assert np.array_equal(Q[i, : rank[i]], Qi)
         assert np.array_equal(e[i, : rank[i]], ei)
         assert not Q[i, rank[i]:].any() and not e[i, rank[i]:].any()
+    # patch 2's zero row, in the middle of its rows, leaves it as the
+    # Gram-Schmidt of its other rows alone
+    Q2, e2, rank2, _ = _orthonormalize_constraints(
+        np.delete(C[2], 1, axis=0)[None], np.delete(d[2], 1)[None], [7]
+    )
+    assert rank2.tolist() == [rank[2]]
+    assert np.array_equal(Q[2, :3], Q2[0]) and np.array_equal(e[2, :3], e2[0])
 
 
 def record_fit_calls(monkeypatch):
@@ -1535,17 +1542,14 @@ def test_inconsistent_collocation_row_names_its_node(solve_cached, monkeypatch):
     original = recovery.collocation_rows
 
     def with_conflict(mesh, neumann, nodes, degree, **kwargs):
-        count, rows, rhs = original(mesh, neumann, nodes, degree, **kwargs)
-        first = np.cumsum(count) - count
-        R, r = [], []
-        for node, i, c in zip(nodes.tolist(), first, count):
-            R.append(rows[i : i + c])
-            r.append(rhs[i : i + c])
-            if node in bad:
-                R.append(rows[i : i + 2])
-                r.append(rhs[i : i + 2] + 1.0)
-        count = count + 2 * np.isin(nodes, list(bad))
-        return count, np.concatenate(R), np.concatenate(r)
+        # one more slot: the first point's two rows again on the bad nodes,
+        # zero rows with zero right-hand sides on the others
+        rows, rhs = original(mesh, neumann, nodes, degree, **kwargs)
+        hit = np.isin(nodes, list(bad))
+        assert rows[hit, :2].any(axis=-1).all()  # the first point is in use
+        extra = np.where(hit[:, None, None], rows[:, :2], 0.0)
+        extra_rhs = np.where(hit[:, None], rhs[:, :2] + 1.0, 0.0)
+        return np.concatenate([rows, extra], axis=1), np.concatenate([rhs, extra_rhs], axis=1)
 
     monkeypatch.setattr(recovery, "collocation_rows", with_conflict)
     with pytest.raises(RecoveryError, match=rf"inconsistent dependent constraint in patch {min(bad)} ") as exc:
@@ -1573,19 +1577,24 @@ def test_collocation_rows_match_the_per_node_loop_bit_for_bit(solve_cached, lsha
     split = np.zeros(len(nodes), dtype=bool)
     if case == "lshape-split":
         split = np.linalg.norm(mesh.coords[nodes], axis=1) < 0.5
-    count, rows, rhs = collocation_rows(
+    rows, rhs = collocation_rows(
         mesh, neumann, nodes, degree, scale=scale, split=split, singular_field=field
     )
+    assert rows.shape[:2] == rhs.shape == (len(nodes), 2 * (degree + 1))
+    # a row in use is nonzero (a unit normal times the basis, whose constant
+    # monomial is 1); every other row must be zero with a zero right-hand side
+    used = rows.any(axis=-1)
+    count = used.sum(axis=1)
     edges = reference_edges(mesh, bcs.tractions)
-    first = np.cumsum(count) - count
     for i, node in enumerate(nodes.tolist()):
         want = reference_collocation_rows(
             degree, mesh.coords[node], scale[i],
             reference_collocation_points(mesh.coords[node], edges[node], degree),
             field, bool(split[i]),
         )
-        assert np.array_equal(rows[first[i] : first[i] + count[i]], want[0]), node
-        assert np.array_equal(rhs[first[i] : first[i] + count[i]], want[1]), node
+        assert np.array_equal(rows[i, used[i]], want[0]), node
+        assert np.array_equal(rhs[i, used[i]], want[1]), node
+        assert not rhs[i, ~used[i]].any(), node
     if name == "cylinder":
         assert any(len(edges[n]) == 1 for n in nodes.tolist())
     elif degree == 2:
