@@ -114,14 +114,15 @@ def _mode_fields(lam, Q, mode, r, phi, mu, kappa):
     return u, sigma
 
 
-def _dual_fields(solution: SingularSolution, frame: NotchFrame, mode: str, points):
-    """(v, tau) of a mode's dual eigenfield at global points (..., 2).
+def _dual_fields(solution: SingularSolution, frame: NotchFrame, mode: str, polar):
+    """(v, tau) of a mode's dual eigenfield at global points (..., 2), given
+    as their ``polar`` = frame.to_polar(points), mapped once for both modes.
 
     v = r^(-lam) Psi(-lam, Q(-lam)) / (2 mu) and tau = -lam r^(-lam-1) Phi
     in the notch frame, lam the mode's exponent; returned in global
     components, shapes (..., 2) and (..., 3).
     """
-    r, phi = frame.to_polar(points)
+    r, phi = polar
     if np.any(r <= 0.0):
         raise AnalyticError("extraction dual evaluated at the vertex")
     mu, kappa = elastic_constants(solution.material)
@@ -219,8 +220,10 @@ def _domain_terms(
     u_h = solution.displacement_at_parents(ring, pts)
     s_h = solution.stress_at_parents(ring, pts)
 
+    polar = singular_field.frame.to_polar(phys)
+
     def term(mode):  # one mode's fields are freed before the next mode's
-        v, tau = _dual_fields(singular_field.solution, singular_field.frame, mode, phys)
+        v, tau = _dual_fields(singular_field.solution, singular_field.frame, mode, polar)
         F = np.stack(
             [
                 tau[..., 0] * u_h[..., 0] + tau[..., 2] * u_h[..., 1]
@@ -276,8 +279,10 @@ def _boundary_terms(
     stress = solution.stress_at_parents(edges.element_ids[inside][~neumann], par)
     t[~neumann] = stress_traction(stress, normal[~neumann])
 
+    polar = singular_field.frame.to_polar(x)
+
     def term(mode):
-        v, tau = _dual_fields(singular_field.solution, singular_field.frame, mode, x)
+        v, tau = _dual_fields(singular_field.solution, singular_field.frame, mode, polar)
         tau_n = stress_traction(tau, normal)
         integrand = np.einsum("eki,eki->ek", tau_n, u_h) - np.einsum("eki,eki->ek", t, v)
         per_edge = np.sum(gw * jac[:, None] * q * integrand, axis=-1)

@@ -181,10 +181,9 @@ def apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
 
 
 def _problem(config: StudyConfig) -> tuple:
-    """The benchmark class and the config's (name, value) of each field it declares too."""
-    shared = {f.name for f in fields(StudyConfig)}
+    """The benchmark class and the config's (name, value) of each field it declares."""
     cls = BENCHMARKS[config.benchmark]
-    return cls, tuple((f.name, getattr(config, f.name)) for f in fields(cls) if f.name in shared)
+    return cls, tuple((f.name, getattr(config, f.name)) for f in fields(cls))
 
 
 def make_benchmark(config: StudyConfig):

@@ -176,7 +176,7 @@ def _sampling_arrays(solution: DiscreteSolution):
     shape = (len(weight), int(np.prod(weight.shape[1:])))
     return (
         pos.reshape(shape + (2,)),
-        stress.reshape(shape + (3,)).astype(float),
+        stress.reshape(shape + (3,)),  # SFEM: the one copy; FEM: a read-only view
         weight.reshape(shape),
     )
 
@@ -814,15 +814,15 @@ def build_recovered_field(
 def _patch_scales(mesh: Mesh, positions: np.ndarray) -> np.ndarray:
     """Per node, the largest |x - x_I| component over its patch's samples.
 
-    Rounding x - x_I is monotone in x, so each element's lowest and highest
-    sample coordinates, measured from each of its corners, give it exactly;
-    the maximum per node is exact in any order, and at least 1e-30, so a
-    scaled frame always exists.
+    Rounding x - x_I is monotone in x, so each patch element's lowest and
+    highest sample coordinates, measured from the node, give it exactly; the
+    maximum over the node's patch row is exact in any order, and at least
+    1e-30, so a scaled frame always exists.  Every node needs a patch.
     """
     lo, hi = positions.min(axis=1), positions.max(axis=1)  # (n_e, 2)
-    scale = np.zeros(mesh.n_nodes)
-    for k in range(4):
-        corner = mesh.elements[:, k]
-        c = mesh.coords[corner]
-        np.maximum.at(scale, corner, np.maximum(np.abs(hi - c), np.abs(lo - c)).max(axis=1))
-    return np.maximum(scale, 1e-30)
+    elems = mesh.patch_elements
+    c = np.repeat(mesh.coords, np.diff(mesh.patch_offsets), axis=0)  # each pair's node
+    reach = np.maximum.reduceat(
+        np.maximum(np.abs(hi[elems] - c), np.abs(lo[elems] - c)), mesh.patch_offsets[:-1]
+    )  # (n_nodes, 2)
+    return np.maximum(np.maximum(reach[:, 0], reach[:, 1]), 1e-30)

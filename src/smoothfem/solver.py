@@ -217,7 +217,8 @@ def smoothed_strain_matrices(corners: np.ndarray, cells: SubcellGeometry) -> np.
         w = cells.edge_lengths[:, :, k, None] * edge_N[:, edge_ids[:, k]]  # (n, nc, 4)
         bx = bx + cells.edge_normals[:, :, k, 0, None] * w
         by = by + cells.edge_normals[:, :, k, 1, None] * w
-    return _strain_rows(bx, by) / cells.areas[:, :, None, None]
+    area = cells.areas[:, :, None]
+    return _strain_rows(bx / area, by / area)
 
 
 def _stiffness(B: np.ndarray, D: np.ndarray, *factors: np.ndarray) -> np.ndarray:

@@ -38,6 +38,12 @@ BENCHMARKS = {
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
 
 
+def benchmark_variant(cls, **constants):
+    """An instance of a subclass of benchmark ``cls`` whose class constants
+    (load, material, geometry) are ``constants``: a variant of its problem."""
+    return type(cls.__name__, (cls,), constants)()
+
+
 @pytest.hookimpl(trylast=True)
 def pytest_runtest_teardown(item, nextitem):
     """Collect garbage once, after the last test of this directory.

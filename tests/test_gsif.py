@@ -16,11 +16,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import smoothfem.gsif as gsif_mod
-from conftest import interpolate_solution, python_calls
+from conftest import benchmark_variant, interpolate_solution, python_calls
 from smoothfem.analytic import (
     MODE_I,
     MODE_II,
     AnalyticError,
+    NotchFrame,
     angular_displacement_eigenfunction,
     angular_stress_eigenfunction,
     q_constant,
@@ -136,7 +137,8 @@ def test_plateau_rejects_a_non_finite_center_or_outer_radius(kwargs, match):
 
 def dual(mode, points):
     """The benchmark notch's extraction dual (v, tau) of one mode."""
-    return _dual_fields(BM.singular_field.solution, BM.singular_field.frame, mode, points)
+    frame = BM.singular_field.frame
+    return _dual_fields(BM.singular_field.solution, frame, mode, frame.to_polar(points))
 
 
 def test_dual_faces_are_traction_free():
@@ -187,13 +189,21 @@ def _former_dual_fields(solution, frame, mode, points):
 
 def recorded_dual_points(monkeypatch):
     """A list that gets (mode, points) of every later _dual_fields call
-    extraction makes."""
-    calls = []
+    extraction makes; the points are those NotchFrame.to_polar mapped to the
+    polar the call got."""
+    mapped, calls = [], []
+    to_polar = NotchFrame.to_polar
 
-    def recording(solution, frame, mode, points):
-        calls.append((mode, points))
-        return _dual_fields(solution, frame, mode, points)
+    def recording_polar(frame, points):
+        polar = to_polar(frame, points)
+        mapped.append((polar, points))
+        return polar
 
+    def recording(solution, frame, mode, polar):
+        calls.append((mode, next(p for q, p in mapped if q is polar)))
+        return _dual_fields(solution, frame, mode, polar)
+
+    monkeypatch.setattr(NotchFrame, "to_polar", recording_polar)
     monkeypatch.setattr(gsif_mod, "_dual_fields", recording)
     return calls
 
@@ -292,7 +302,7 @@ def test_interpolated_mode_one_recovers_unit_amplitude():
 
 
 def test_interpolated_mode_two_is_orthogonal():
-    bm2 = LShapeBenchmark(K_I=0.0, K_II=1.0)
+    bm2 = benchmark_variant(LShapeBenchmark, K_I=0.0, K_II=1.0)
     sol, bcs = interpolated(bm2)
     est = extract_gsifs(sol, bm2.singular_field, bcs)
     assert abs(est.K_I) < 1e-12
@@ -300,15 +310,15 @@ def test_interpolated_mode_two_is_orthogonal():
 
 
 def test_extraction_is_linear_in_the_solution():
-    sol1, bcs1 = interpolated(LShapeBenchmark(K_I=1.0, K_II=0.0), level=1)
-    sol2, bcs2 = interpolated(LShapeBenchmark(K_I=2.0, K_II=0.0), level=1)
+    sol1, bcs1 = interpolated(benchmark_variant(LShapeBenchmark, K_I=1.0, K_II=0.0), level=1)
+    sol2, bcs2 = interpolated(benchmark_variant(LShapeBenchmark, K_I=2.0, K_II=0.0), level=1)
     e1 = extract_gsifs(sol1, BM.singular_field, bcs1)
     e2 = extract_gsifs(sol2, BM.singular_field, bcs2)
     assert_allclose(e2.K_I, 2.0 * e1.K_I, rtol=1e-12)
 
 
 def test_mixed_mode_amplitudes_separate():
-    bm = LShapeBenchmark(K_I=0.7, K_II=-0.4)
+    bm = benchmark_variant(LShapeBenchmark, K_I=0.7, K_II=-0.4)
     sol, bcs = interpolated(bm, level=1)
     est = extract_gsifs(sol, bm.singular_field, bcs)
     assert abs(est.K_I - 0.7) < 0.02

@@ -172,6 +172,13 @@ def test_make_benchmark_builds_the_class_from_its_declared_fields_only(name, gra
     assert set(posed) == ({"grading"} if name == "lshape" else set())
 
 
+def test_a_benchmarks_fields_are_study_config_keys():
+    # a study config poses the whole problem; every other value is a constant
+    keys = {f.name for f in dataclasses.fields(StudyConfig)}
+    for cls in BENCHMARKS.values():
+        assert {f.name for f in dataclasses.fields(cls)} <= keys, cls.name
+
+
 def test_as_dict_round_trips():
     cfg = StudyConfig(**GOLDEN_KWARGS)
     assert StudyConfig(**dataclasses.asdict(cfg)) == cfg

@@ -14,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import evaluate_at, interpolate_solution, single_element_mesh
+from conftest import benchmark_variant, evaluate_at, interpolate_solution, single_element_mesh
+from test_renumbering import renumbered
 from smoothfem.analytic import NotchFrame, SingularField, make_singular_solution
-from smoothfem.benchmarks import LShapeBenchmark, PatchBenchmark
+from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import Material, PLANE_STRAIN, compliance_matrix
 from smoothfem.error import element_error_squares
 from smoothfem.gsif import extract_gsifs
@@ -92,7 +93,7 @@ def shared_constraints(degree, compliance):
 
 
 def linear_solution(kind="sfem", nc=4, coeffs=(0.1, 0.02, 0.035, -0.04, 0.012, -0.009)):
-    bm = PatchBenchmark(coeffs=tuple(coeffs))
+    bm = benchmark_variant(PatchBenchmark, coeffs=tuple(coeffs))
     mesh = bm.mesh()
     sol = interpolate_solution(mesh, bm.material, Formulation(kind, nc), bm.exact_displacement)
     return bm, mesh, sol
@@ -369,6 +370,23 @@ def test_patch_scales_equal_the_per_sample_maximum(offset):
         corner = mesh.elements[:, k]
         reach = np.abs(positions - mesh.coords[corner][:, None, :]).max(axis=(1, 2))
         np.maximum.at(want, corner, reach)
+    assert np.array_equal(_patch_scales(mesh, positions), np.maximum(want, 1e-30))
+
+
+@pytest.mark.parametrize(
+    "bm, level", [(CylinderBenchmark(), 2), (LShapeBenchmark(), 1)], ids=["cylinder", "lshape"]
+)
+def test_patch_scales_equal_the_maximum_over_each_patch(bm, level):
+    # on a randomly renumbered mesh, each node's scale is the brute-force
+    # maximum over the samples of every element that holds the node
+    rng = np.random.default_rng(11)
+    mesh = bm.mesh(level)
+    mesh = renumbered(mesh, rng.permutation(mesh.n_nodes), rng.permutation(mesh.n_elements))
+    positions = mapped_rule(mesh.coords[mesh.elements], 3)[2]
+    want = [
+        np.abs(positions[np.any(mesh.elements == node, axis=1)] - mesh.coords[node]).max()
+        for node in range(mesh.n_nodes)
+    ]
     assert np.array_equal(_patch_scales(mesh, positions), np.maximum(want, 1e-30))
 
 

@@ -13,6 +13,7 @@ and theta and the local deviations D stay the same.
 import numpy as np
 import pytest
 
+from conftest import benchmark_variant
 from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark
 from smoothfem.error import compute_error_report
 from smoothfem.gsif import extract_gsifs
@@ -52,7 +53,7 @@ def reference():
 
 def test_stiffer_material_divides_the_estimate_by_root_of_the_factor(reference):
     base, _ = reference
-    stiff, _ = estimates(LShapeBenchmark(E=7.0 * LShapeBenchmark.E))
+    stiff, _ = estimates(benchmark_variant(LShapeBenchmark, E=7.0 * LShapeBenchmark.E))
     for variant in VARIANTS:
         (theta, est), (theta_s, est_s) = base[variant], stiff[variant]
         assert abs(theta_s - theta) <= RTOL * theta, variant
@@ -61,7 +62,7 @@ def test_stiffer_material_divides_the_estimate_by_root_of_the_factor(reference):
 
 def test_larger_load_scales_the_extracted_intensity(reference):
     base, K_I = reference
-    loaded, K_I_loaded = estimates(LShapeBenchmark(K_I=3.7))
+    loaded, K_I_loaded = estimates(benchmark_variant(LShapeBenchmark, K_I=3.7))
     for variant in VARIANTS:
         (theta, est), (theta_l, est_l) = base[variant], loaded[variant]
         assert abs(theta_l - theta) <= RTOL * theta, variant
@@ -70,7 +71,7 @@ def test_larger_load_scales_the_extracted_intensity(reference):
 
 
 def cylinder_report(s, formulation):
-    bm = CylinderBenchmark(a=5.0 * s, b=20.0 * s)
+    bm = benchmark_variant(CylinderBenchmark, a=5.0 * s, b=20.0 * s)
     mesh = bm.mesh(2)
     bcs = bm.boundary_conditions(mesh)
     sol = assemble_and_solve(mesh, bm.material, formulation, bcs)

@@ -18,6 +18,7 @@ import smoothfem.mesh as mesh_mod
 import smoothfem.solver as solver_mod
 from conftest import (
     BENCHMARKS,
+    benchmark_variant,
     einsum_jacobian,
     interpolate_solution,
     random_quads,
@@ -521,7 +522,7 @@ def test_patch_test_reproduces_linear_field(patch_bm, kind, nc):
 
 
 def test_fem_and_sfem_agree_on_rectangles_under_constant_strain():
-    bm = PatchBenchmark(n=3, distortion=0.0)
+    bm = benchmark_variant(PatchBenchmark, n=3, distortion=0.0)
     mesh = bm.mesh()
     bcs = bm.boundary_conditions(mesh)
     U = [
