@@ -121,19 +121,19 @@ def invert_map(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     ``points`` (..., 2) lie in quads ``corners`` (..., 4, 2) whose leading
     axes broadcast against the points' without adding any: one (4, 2) quad
-    for all points, one quad per point, or (n, 1, 4, 2) quads for (n, E, 2)
-    points.  The result has the points' shape, so a single (2,) point
-    returns (2,).  The whole block iterates under a done-mask: a point is
-    frozen (np.where) at the iteration where its parent increment norm drops
-    below its quad's tolerance (quadratic convergence means 2-4 iterations
-    in practice), so every point follows the scalar Newton sequence and its
-    result does not depend on the rest of the block.  The tolerance is
-    NEWTON_TOL, or NEWTON_FLOOR eps max|corner| / h (h the shortest edge)
-    where that is larger: the residual rounds to about eps |x|, a parent
-    increment of about eps |x| / h, so a small quad far from the origin
-    could not reach NEWTON_TOL.  Jacobians come from
-    _jacobian_entries; the residual keeps the batched matmul of map_point,
-    with the quads broadcast rather than gathered per point.
+    for all points, one quad per point, or (n, 1, 1, 4, 2) quads for
+    (n, nc, 4, 2) points.  The result has the points' shape, also for a
+    single (2,) point or an empty batch.  All points start from the parent
+    centre, so the first step's map and Jacobian are the quads' own,
+    broadcast.  The block iterates under a done-mask: a point is frozen
+    (np.where) once its parent increment norm drops below its quad's
+    tolerance (2-4 iterations in practice), so every point follows the
+    scalar Newton sequence and its result does not depend on the rest of
+    the block.  The tolerance is NEWTON_TOL, or NEWTON_FLOOR eps
+    max|corner| / h (h the shortest edge) where larger: the residual rounds
+    to about eps |x|, a parent increment of about eps |x| / h, so a small
+    quad far from the origin could not reach NEWTON_TOL.  Jacobians come
+    from _jacobian_entries; the residual keeps map_point's batched matmul.
 
     Raises:
         QuadMapError: before iterating, for shapes that do not pair as
@@ -172,7 +172,7 @@ def invert_map(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
     h, tiny = lengths.min(axis=-1), 1e-30 * lengths.max(axis=-1) ** 2
     floor = NEWTON_FLOOR * np.finfo(float).eps * np.abs(corners).max(axis=(-2, -1))
     tol = np.maximum(NEWTON_TOL, np.divide(floor, h, out=np.zeros_like(h), where=h > 0))
-    xi = np.zeros_like(points)
+    xi = np.zeros(2)  # takes the points' shape at the first step
     done = np.zeros(lead, dtype=bool)
     for _ in range(NEWTON_MAXITER):
         if done.all():
@@ -203,7 +203,7 @@ def invert_map(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
             f"bilinear-map inversion did not converge in {NEWTON_MAXITER} iterations "
             f"for point {points.reshape(-1, 2)[np.argmin(done.ravel())]}"
         )
-    return xi
+    return np.broadcast_to(xi, points.shape).copy()  # an empty batch runs no step
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -168,7 +168,7 @@ def _sampling_arrays(solution: DiscreteSolution):
     stress, k = 4.
     """
     if solution.formulation.kind == SFEM:
-        _, weight, pos = mapped_rule(solution.operators.cells.corners, 2)  # (n_e, nc, 4)
+        _, weight, pos = mapped_rule(solution.cells.corners, 2)  # (n_e, nc, 4)
         stress = np.broadcast_to(solution.cell_stress[:, :, None], weight.shape + (3,))
     else:
         _, weight, pos = mapped_rule(solution.mesh.coords[solution.mesh.elements], 2)
@@ -819,7 +819,8 @@ def _patch_scales(mesh: Mesh, positions: np.ndarray) -> np.ndarray:
     maximum over the node's patch row is exact in any order, and at least
     1e-30, so a scaled frame always exists.  Every node needs a patch.
     """
-    lo, hi = positions.min(axis=1), positions.max(axis=1)  # (n_e, 2)
+    by_sample = np.ascontiguousarray(positions.swapaxes(0, 1))  # (k, n_e, 2): reduce the long axis
+    lo, hi = by_sample.min(axis=0), by_sample.max(axis=0)  # (n_e, 2)
     elems = mesh.patch_elements
     c = np.repeat(mesh.coords, np.diff(mesh.patch_offsets), axis=0)  # each pair's node
     reach = np.maximum.reduceat(

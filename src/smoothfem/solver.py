@@ -11,14 +11,14 @@ Two formulations share all plumbing:
   constant-strain subcell contributions.
 
 Element operators are built for the whole mesh at once: the subcell geometry
-(mesh.subcell_geometry), one batched Newton inversion of every element's
-distinct subcell-edge midpoints for the smoothed B, one batched kernel for the
-compatible B at any set of parent points, and stiffnesses, stresses and the
-sparse scatter as array operations.  Every kernel reproduces the
-per-element arithmetic bit for bit, so an element's operators do not depend
-on the batch it was computed in; a one-element mesh gives the same numbers as
-that element's row of the whole mesh (see the note above the kernels for the
-numpy forms this requires).
+(mesh.subcell_geometry), one batched Newton inversion of every (cell, edge)
+slot's midpoint for the smoothed B, one batched kernel for the compatible B
+at any set of parent points, and stiffnesses, stresses and the sparse
+scatter as array operations.  Every kernel reproduces the per-element
+arithmetic bit for bit, so an element's operators do not depend on the batch
+it was computed in; a one-element mesh gives the same numbers as that
+element's row of the whole mesh (see the note above the kernels for the numpy
+forms this requires).  A DiscreteSolution keeps the stresses, not B.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .mesh import (
     SubcellGeometry,
     subcell_geometry,
     subcell_index_at,
-    subcell_parent_corners,
 )
 from .quadmap import (
     _jacobian_entries,
@@ -184,37 +183,23 @@ def strain_matrix(corners: np.ndarray, xi, eta) -> tuple[np.ndarray, np.ndarray]
     return _strain_rows(dN[..., 0], dN[..., 1]), det
 
 
-def _subcell_edge_ids(nc: int) -> np.ndarray:
-    """Distinct-edge id (nc, 4) of every (cell, CCW edge) slot of the nc subcells.
-
-    Slots share an id exactly when their parent edge midpoints coincide,
-    i.e. the edge lies between two cells.
-    """
-    pc = subcell_parent_corners(nc)
-    mids = 0.5 * (pc + np.roll(pc, -1, axis=1))  # (nc, 4, 2)
-    return np.unique(mids.reshape(-1, 2), axis=0, return_inverse=True)[1].reshape(nc, 4)
-
-
 def smoothed_strain_matrices(corners: np.ndarray, cells: SubcellGeometry) -> np.ndarray:
     """Constant smoothed B (n, nc, 3, 8) of every subcell by boundary integration.
 
     B~_I = (1/A_C) sum_edges N_I(midpoint) [n-structure] l_edge, with the
     shape functions evaluated by Newton inversion of the element's bilinear
-    map (corners (n, 4, 2)) at the physical edge midpoints.  An edge shared
-    by two cells has the same midpoint, bit for bit, in both, so one Newton
-    call inverts the E distinct edge midpoints (E = 4/7/12/22 for nc
-    1/2/4/8) of every element at once, and each distinct edge's N serves
-    every cell on it.  Every cell adds its edges in CCW order k = 0..3.
+    map (corners (n, 4, 2)) at the physical edge midpoints: one call over
+    all 4 nc (cell, edge) slots of every element, from invert_map's shared
+    start.  An edge shared by two cells has the same midpoint, bit for bit,
+    in both slots, so both get the same N.  Every cell adds its edges in CCW
+    order k = 0..3.
     """
-    edge_ids = _subcell_edge_ids(cells.areas.shape[1])
-    # each distinct edge's first (cell, edge) slot
-    first = np.unique(edge_ids.ravel(), return_index=True)[1]
-    xi = invert_map(corners[:, None], cells.edge_midpoints[:, first // 4, first % 4])
-    edge_N = shape_functions(xi[..., 0], xi[..., 1])  # (n, E, 4)
+    xi = invert_map(corners[:, None, None], cells.edge_midpoints)
+    edge_N = shape_functions(xi[..., 0], xi[..., 1])  # (n, nc, 4 edges, 4)
     # sums of n_x N_I l and n_y N_I l over the edges of all (n, nc) cells
     bx = by = 0.0
     for k in range(4):
-        w = cells.edge_lengths[:, :, k, None] * edge_N[:, edge_ids[:, k]]  # (n, nc, 4)
+        w = cells.edge_lengths[:, :, k, None] * edge_N[:, :, k]  # (n, nc, 4)
         bx = bx + cells.edge_normals[:, :, k, 0, None] * w
         by = by + cells.edge_normals[:, :, k, 1, None] * w
     area = cells.areas[:, :, None]
@@ -251,25 +236,12 @@ def _dof_map(conn: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ElementOperators:
-    """Whole-mesh element operators, what a solved case reads; read-only.
-
-    dofs: (n_e, 8) global dof map; B: (n_e, n_s, 3, 8) strain operators at
-    the element's n_s stress points (SFEM: the nc smoothing cells, FEM: the
-    2x2 Gauss points).  SFEM only: cells, the subcell geometry.  The element
-    stiffnesses are not kept: only the assembly reads them.
-    """
-
-    dofs: np.ndarray
-    B: np.ndarray
-    cells: SubcellGeometry | None = None
-
-
 def _element_operators(
     mesh: Mesh, material: Material, formulation: Formulation
-) -> tuple[ElementOperators, np.ndarray]:
-    """Strain operators and the (n_e, 8, 8) element stiffnesses, read-only.
+) -> tuple[np.ndarray, np.ndarray, SubcellGeometry | None]:
+    """Read-only strain operators B (n_e, n_s, 3, 8) at the n_s stress points
+    (SFEM: the nc smoothing cells, FEM: the 2x2 Gauss points), element
+    stiffnesses K (n_e, 8, 8), and the SFEM subcell geometry (FEM: None).
 
     SFEM: K = sum_C B~_C^T D B~_C A_C over each element's smoothing cells.
     FEM: 2x2 Gauss quadrature of B^T D B.
@@ -285,14 +257,14 @@ def _element_operators(
         pts, w = gauss_points_2d(2)
         B, det = strain_matrix(corners[:, None], pts[:, 0], pts[:, 1])
         K = _stiffness(B, D, det, np.broadcast_to(w, det.shape))
-    dofs = _dof_map(mesh.elements)
-    for a in (K, dofs, B):
+    for a in (K, B):
         a.setflags(write=False)
-    return ElementOperators(dofs, B, cells), K
+    return B, K, cells
 
 
-def _scatter(mesh: Mesh, dofs: np.ndarray, K: np.ndarray) -> sp.csr_matrix:
-    """Global stiffness from element stiffnesses K (n_e, 8, 8) on dofs (n_e, 8)."""
+def _scatter(mesh: Mesh, K: np.ndarray) -> sp.csr_matrix:
+    """Global stiffness from the element stiffnesses K (n_e, 8, 8)."""
+    dofs = _dof_map(mesh.elements)
     n_dof = 2 * mesh.n_nodes
     rows = np.repeat(dofs, 8, axis=1).ravel()
     cols = np.tile(dofs, (1, 8)).ravel()
@@ -453,10 +425,10 @@ class DiscreteSolution:
     """A solved discrete displacement field with stresses.
 
     Carries the mesh, nodal vector U, the solve's relative residual, the
-    formulation's element operators (from _element_operators, as the solve
-    built them), and per-cell (SFEM) or per-Gauss-point (FEM) raw stresses:
-    what recovery, the error quadrature and GSIF extraction read.
-    Immutable: U, cell_stress and the operator arrays are read-only.
+    (n_e, 8) dof map, the SFEM cells of _element_operators (FEM: None) and
+    per-cell (SFEM) or per-Gauss-point (FEM) raw stresses D B q, formed from
+    its B, which is not kept: what recovery, the error quadrature and GSIF
+    extraction read.  Immutable: U, dofs, cells and cell_stress are read-only.
     """
 
     def __init__(
@@ -465,7 +437,8 @@ class DiscreteSolution:
         material: Material,
         formulation: Formulation,
         U: np.ndarray,
-        operators: ElementOperators,
+        B: np.ndarray,
+        cells: SubcellGeometry | None,
         residual_rel: float,
     ):
         self.mesh = mesh
@@ -476,9 +449,11 @@ class DiscreteSolution:
         self.residual_rel = residual_rel
         self.D = elasticity_matrix(material)
 
-        self.operators = operators
+        self.dofs = _dof_map(mesh.elements)
+        self.dofs.setflags(write=False)
+        self.cells = cells
         # (n_e, n_s, 3): sigma = D (B q) at every subcell / Gauss point
-        strain = np.matmul(operators.B, self.U[operators.dofs][:, None, :, None])[..., 0]
+        strain = np.matmul(B, self.U[self.dofs][:, None, :, None])[..., 0]
         self.cell_stress = np.matmul(strain, self.D.T)
         self.cell_stress.setflags(write=False)
 
@@ -491,7 +466,7 @@ class DiscreteSolution:
         element.  Raises SolveError as _parent_batch does.
         """
         ids, pts = _parent_batch(element_ids, pts, self.mesh.n_elements)
-        q = self.U[self.operators.dofs[ids]]
+        q = self.U[self.dofs[ids]]
         N = shape_functions(pts[..., 0], pts[..., 1])  # (q, 4) or (n, q, 4)
         return np.matmul(N, q.reshape(-1, 4, 2))
 
@@ -510,7 +485,7 @@ class DiscreteSolution:
             return self.cell_stress[ids[:, None], c]
         n, q = len(ids), pts.shape[-2]
         corners = self.mesh.coords[self.mesh.elements[ids]][:, None]  # (n, 1, 4, 2)
-        u = self.U[self.operators.dofs[ids]][:, None, :, None]  # (n, 1, 8, 1)
+        u = self.U[self.dofs[ids]][:, None, :, None]  # (n, 1, 8, 1)
         out = np.empty((n, q, 3))
         step = max(1, -(-n // max(q, 1)))  # ceil(n / q) elements per block
         for s in range(0, n, step):
@@ -538,8 +513,8 @@ def assemble_and_solve(
     below 1e-10 of the largest ("k zero-energy mode(s) are unrestrained and
     loaded") or else a componentwise backward error above 1e-12.
     """
-    operators, stiffnesses = _element_operators(mesh, material, formulation)
-    K = _scatter(mesh, operators.dofs, stiffnesses)
+    B, stiffnesses, cells = _element_operators(mesh, material, formulation)
+    K = _scatter(mesh, stiffnesses)
     f = _neumann_vector(mesh, loads)
 
     fixed, fixed_values = _dirichlet_values(mesh, loads)
@@ -582,5 +557,5 @@ def assemble_and_solve(
             raise SolveError(f"componentwise backward error {omega:.3e} above 1e-12 "
                              f"(residual {residual_rel:.3e})")
 
-    return DiscreteSolution(mesh, material, formulation, U, operators, residual_rel)
+    return DiscreteSolution(mesh, material, formulation, U, B, cells, residual_rel)
 

@@ -114,8 +114,8 @@ def interpolate_solution(mesh, material, formulation, displacement) -> DiscreteS
     (positions (n, 2) -> (n, 2)); nothing is solved, so residual_rel is 0."""
     u_nodes = np.asarray(displacement(mesh.coords), dtype=float)
     assert u_nodes.shape == (mesh.n_nodes, 2), u_nodes.shape
-    operators = _element_operators(mesh, material, formulation)[0]
-    return DiscreteSolution(mesh, material, formulation, u_nodes.ravel(), operators, 0.0)
+    B, _, cells = _element_operators(mesh, material, formulation)
+    return DiscreteSolution(mesh, material, formulation, u_nodes.ravel(), B, cells, 0.0)
 
 
 def python_calls(*calls):

@@ -282,7 +282,7 @@ def test_criterion_8_invariants_and_determinism(tmp_path, solve_cached, cylinder
     m = single_element_mesh(corners)
     sym_ok = kernel_ok = True
     for form in (Formulation("fem"), Formulation("sfem", 4)):
-        _, stiffnesses = _element_operators(m, cylinder_bm.material, form)
+        _, stiffnesses, _ = _element_operators(m, cylinder_bm.material, form)
         K = stiffnesses[0]
         sym_ok &= np.array_equal(K, K.T)
         w = np.linalg.eigvalsh(K)

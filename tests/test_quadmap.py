@@ -240,6 +240,72 @@ def test_masked_newton_equals_the_active_set_newton(layout):
     assert_allclose(got, parent, atol=1e-9)
 
 
+def _zero_start_newton(corners, points):
+    """invert_map's former start: every point from its own zero iterate
+    (xi = np.zeros_like(points)), so even the first step's map and Jacobian
+    are taken per point.  The oracle the shared start must equal bit for
+    bit."""
+    lead = points.shape[:-1]
+    edges = np.roll(corners, -1, axis=-2) - corners
+    h = np.hypot(edges[..., 0], edges[..., 1]).min(axis=-1)
+    floor = quadmap_mod.NEWTON_FLOOR * np.finfo(float).eps * np.abs(corners).max(axis=(-2, -1))
+    tol = np.maximum(quadmap_mod.NEWTON_TOL, floor / h)
+    xi = np.zeros_like(points)
+    done = np.zeros(lead, dtype=bool)
+    for _ in range(quadmap_mod.NEWTON_MAXITER):
+        if done.all():
+            break
+        N = shape_functions(xi[..., 0], xi[..., 1])
+        res = np.matmul(N[..., None, :], corners)[..., 0, :] - points
+        J00, J01, J10, J11 = _jacobian_entries(corners, xi[..., 0], xi[..., 1])
+        det = np.where(done, 1.0, J00 * J11 - J01 * J10)
+        step = (
+            np.stack(
+                [J11 * res[..., 0] - J01 * res[..., 1], -J10 * res[..., 0] + J00 * res[..., 1]],
+                axis=-1,
+            )
+            / det[..., None]
+        )
+        xi = np.where(done[..., None], xi, xi - step)
+        done |= np.hypot(step[..., 0], step[..., 1]) < tol
+    assert done.all()
+    return xi
+
+
+@pytest.mark.parametrize("nc", [1, 2, 4, 8])
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        LShapeBenchmark(grading=2.0).mesh(2),
+        LShapeBenchmark(grading=20.0).mesh(2),
+        CylinderBenchmark().mesh(3),
+    ],
+    ids=["lshape-2", "lshape-20", "cylinder"],
+)
+def test_shared_start_equals_the_zero_start_newton_on_subcell_edges(mesh, nc):
+    corners = mesh.coords[mesh.elements][:, None, None]
+    mids = subcell_geometry(mesh, nc).edge_midpoints  # (n, nc, 4, 2)
+    assert np.array_equal(invert_map(corners, mids), _zero_start_newton(corners, mids))
+
+
+@pytest.mark.parametrize("layout", ["one-quad", "per-point"])
+def test_shared_start_equals_the_zero_start_newton_on_distorted_quads(layout):
+    rng = np.random.default_rng(41)
+    quads = random_quads(rng, 200)
+    corners = quads[0] if layout == "one-quad" else quads
+    parent = rng.uniform(-1.0, 1.0, size=(200, 2))
+    points = np.matmul(shape_functions(parent[:, 0], parent[:, 1])[:, None], corners)[:, 0]
+    got = invert_map(corners, points)
+    assert np.array_equal(got, _zero_start_newton(corners, points))
+    assert_allclose(got, parent, atol=1e-8)
+
+
+def test_invert_map_keeps_the_shape_of_an_empty_batch():
+    got = invert_map(np.zeros((0, 1, 4, 2)), np.zeros((0, 5, 2)))
+    assert got.shape == (0, 5, 2)
+    assert invert_map(DISTORTED, np.zeros((0, 2))).shape == (0, 2)
+
+
 def test_invert_map_names_a_quad_with_a_non_finite_corner_before_iterating(monkeypatch):
     def no_iteration(*args):
         raise AssertionError("Newton iterated in a non-finite quad")

@@ -977,7 +977,7 @@ def exactify_stresses(solution, exact_stress):
     into a fresh array that takes its place.
     """
     stress = solution.cell_stress.copy()
-    for e, corners in enumerate(solution.operators.cells.corners):
+    for e, corners in enumerate(solution.cells.corners):
         stress[e] = exact_stress(corners.mean(axis=1))
     stress.setflags(write=False)
     solution.cell_stress = stress

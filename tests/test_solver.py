@@ -7,6 +7,7 @@ smoothed stiffness with the standard FEM one, and the strain energy of the
 cylinder against a closed-form oracle integral.
 """
 
+import itertools
 from dataclasses import fields
 
 import numpy as np
@@ -76,8 +77,8 @@ CYLINDER_EXACT_UKU = 1.8605209826259367e-06
 
 def strain_work(sol) -> float:
     """U^T K U of a solution, from its globally assembled stiffness."""
-    _, stiffnesses = _element_operators(sol.mesh, sol.material, sol.formulation)
-    K = _scatter(sol.mesh, sol.operators.dofs, stiffnesses)
+    _, stiffnesses, _ = _element_operators(sol.mesh, sol.material, sol.formulation)
+    K = _scatter(sol.mesh, stiffnesses)
     return float(sol.U @ (K @ sol.U))
 
 
@@ -94,7 +95,7 @@ def smoothed_B(corners, nc) -> np.ndarray:
 
 def element_K(corners, kind, nc=4) -> np.ndarray:
     """8x8 stiffness of a one-element mesh."""
-    _, K = _element_operators(single_element_mesh(corners), MAT, Formulation(kind, nc))
+    _, K, _ = _element_operators(single_element_mesh(corners), MAT, Formulation(kind, nc))
     return K[0]
 
 
@@ -186,8 +187,8 @@ def test_formulation_validation():
 def test_assembled_stiffness_exactly_symmetric(cylinder_bm):
     mesh = cylinder_bm.mesh(1)
     for kind in ("sfem", "fem"):
-        ops, Ke = _element_operators(mesh, cylinder_bm.material, Formulation(kind, 4))
-        K = _scatter(mesh, ops.dofs, Ke)
+        _, Ke, _ = _element_operators(mesh, cylinder_bm.material, Formulation(kind, 4))
+        K = _scatter(mesh, Ke)
         skew = np.abs((K - K.T).toarray()).max()
         assert skew == 0.0
 
@@ -575,7 +576,7 @@ def test_inner_wall_radial_stress_regression(solve_cached, cylinder_bm):
             if be.name != "pressure":
                 continue
             e = be.element_id
-            for c, corners in enumerate(sol.operators.cells.corners[e]):
+            for c, corners in enumerate(sol.cells.corners[e]):
                 centroid = corners.mean(axis=0)
                 r = np.linalg.norm(centroid)
                 n = centroid / r
@@ -615,8 +616,8 @@ def test_one_cell_sfem_lshape_names_its_hourglass_modes(lshape_bm, level):
     with pytest.raises(SolveError, match=r"^3 zero-energy mode\(s\) are unrestrained and loaded"):
         assemble_and_solve(mesh, lshape_bm.material, form, bcs)
     free = np.setdiff1d(np.arange(2 * mesh.n_nodes), _dirichlet_values(mesh, bcs)[0])
-    ops, Ke = _element_operators(mesh, lshape_bm.material, form)
-    K = _scatter(mesh, ops.dofs, Ke)
+    _, Ke, _ = _element_operators(mesh, lshape_bm.material, form)
+    K = _scatter(mesh, Ke)
     ev = np.linalg.eigvalsh(K[free][:, free].toarray())
     assert len(free) == {0: 127, 1: 447}[level]
     assert np.count_nonzero(ev <= 1e-12 * ev[-1]) == 3
@@ -715,8 +716,8 @@ def test_strongly_graded_square_solves_to_a_small_backward_error():
     sol = assemble_and_solve(mesh, MAT, Formulation("sfem", 4), bcs)
     assert sol.residual_rel > 1e-9
     free = np.setdiff1d(np.arange(2 * mesh.n_nodes), _dirichlet_values(mesh, bcs)[0])
-    _, Ke = _element_operators(mesh, MAT, Formulation("sfem", 4))
-    K = _scatter(mesh, sol.operators.dofs, Ke)[free]
+    _, Ke, _ = _element_operators(mesh, MAT, Formulation("sfem", 4))
+    K = _scatter(mesh, Ke)[free]
     f = _neumann_vector(mesh, bcs)[free]
     # the componentwise backward error of Oettli and Prager
     omega = np.abs(K @ sol.U - f) / (abs(K) @ np.abs(sol.U) + np.abs(f))
@@ -860,10 +861,11 @@ def test_solution_stresses_and_operators_are_read_only():
     mesh = build_square_mesh(2, distortion=0.2, seed=3)
     for form in (Formulation("sfem", 4), Formulation("fem")):
         sol = interpolate_solution(mesh, MAT, form, lambda p: 0.01 * p)
-        ops = sol.operators
-        arrays = [sol.cell_stress, ops.B, ops.dofs, _element_operators(mesh, MAT, form)[1]]
+        B, K, cells = _element_operators(mesh, MAT, form)
+        arrays = [sol.cell_stress, sol.dofs, B, K]
+        assert (cells is None) == (sol.cells is None) == (form.kind == "fem")
         if form.kind == "sfem":
-            cells = ops.cells
+            cells = sol.cells
             arrays += [
                 cells.corners, cells.areas,
                 cells.edge_midpoints, cells.edge_normals, cells.edge_lengths,
@@ -947,7 +949,7 @@ def _reference_fem_B(corners, xi, eta):
 )
 def test_kernels_match_the_scalar_reference_bit_for_bit(name, kind, nc):
     mesh = BATCH_MESHES[name]
-    full, full_K = _element_operators(mesh, MAT, Formulation(kind, nc))
+    full_B, full_K, full_cells = _element_operators(mesh, MAT, Formulation(kind, nc))
     pts, wts = gauss_points_2d(2)
     _, wdet, _ = mapped_rule(mesh.coords[mesh.elements], 2)  # FEM recovery weights
     for e in np.random.default_rng(7).permutation(mesh.n_elements)[:12]:
@@ -956,17 +958,17 @@ def test_kernels_match_the_scalar_reference_bit_for_bit(name, kind, nc):
         if kind == "sfem":
             cells = _reference_cells(corners, mesh_mod.subcell_parent_corners(nc))
             for c, (area, mids, normals, lengths) in enumerate(cells):
-                assert area == full.cells.areas[e, c]
-                assert np.array_equal(mids, full.cells.edge_midpoints[e, c])
-                assert np.array_equal(normals, full.cells.edge_normals[e, c])
-                assert np.array_equal(lengths, full.cells.edge_lengths[e, c])
+                assert area == full_cells.areas[e, c]
+                assert np.array_equal(mids, full_cells.edge_midpoints[e, c])
+                assert np.array_equal(normals, full_cells.edge_normals[e, c])
+                assert np.array_equal(lengths, full_cells.edge_lengths[e, c])
                 B = _reference_smoothed_B(corners, mids, normals, lengths, area)
-                assert np.array_equal(B, full.B[e, c])
+                assert np.array_equal(B, full_B[e, c])
                 Ke += B.T @ D @ B * area
         else:
             for g, ((xi, eta), w) in enumerate(zip(pts, wts)):
                 B, det = _reference_fem_B(corners, xi, eta)
-                assert np.array_equal(B, full.B[e, g])
+                assert np.array_equal(B, full_B[e, g])
                 assert det * w == wdet[e, g]
                 Ke += B.T @ D @ B * det * w
         assert np.array_equal(0.5 * (Ke + Ke.T), full_K[e])
@@ -984,31 +986,33 @@ def test_strain_matrix_matches_the_einsum_oracle_on_distorted_quads():
 
 
 @pytest.mark.parametrize("level", [1, 3])
-@pytest.mark.parametrize("nc,distinct", [(1, 4), (2, 7), (4, 12), (8, 22)])
-def test_smoothed_operators_invert_each_distinct_edge_midpoint_once(
-    monkeypatch, level, nc, distinct
-):
-    # one Newton call per operator build, on every element's distinct edge
-    # midpoints (n, E, 2) against its own quad (n, 1, 4, 2), at any level
+@pytest.mark.parametrize("nc", [1, 2, 4, 8])
+def test_smoothed_operators_invert_every_edge_slot_in_one_call(monkeypatch, level, nc):
+    # one Newton call per operator build, on the midpoints of all 4 nc
+    # (cell, edge) slots (n, nc, 4, 2) against each element's own quad
+    # (n, 1, 1, 4, 2), at any level
     mesh = LShapeBenchmark().mesh(level)
     calls = []
 
     def counting_invert_map(corners, points):
-        calls.append((corners.shape, points.shape))
-        return invert_map(corners, points)
+        xi = invert_map(corners, points)
+        calls.append((corners.shape, points.shape, xi))
+        return xi
 
     monkeypatch.setattr(solver_mod, "invert_map", counting_invert_map)
-    ops, _ = _element_operators(mesh, MAT, Formulation("sfem", nc))
+    _, _, cells = _element_operators(mesh, MAT, Formulation("sfem", nc))
     n = mesh.n_elements
-    assert calls == [((n, 1, 4, 2), (n, distinct, 2))]
-    # the premise: the slots of one shared edge hold bit-equal midpoints
-    edge_ids = solver_mod._subcell_edge_ids(nc)
-    mids = ops.cells.edge_midpoints
-    for e in range(distinct):
-        (c0, k0), *shared = np.argwhere(edge_ids == e)
-        assert len(shared) <= 1
-        for c, k in shared:
-            assert np.array_equal(mids[:, c, k], mids[:, c0, k0])
+    assert [c[:2] for c in calls] == [((n, 1, 1, 4, 2), (n, nc, 4, 2))]
+    # the two slots of an edge between cells hold bit-equal midpoints, so
+    # they get equal parent coordinates
+    xi = calls[0][2]
+    pc = mesh_mod.subcell_parent_corners(nc)
+    parent_mids = (0.5 * (pc + np.roll(pc, -1, axis=1))).reshape(-1, 2)
+    for a, b in itertools.combinations(range(4 * nc), 2):
+        if np.array_equal(parent_mids[a], parent_mids[b]):
+            (ca, ka), (cb, kb) = divmod(a, 4), divmod(b, 4)
+            assert np.array_equal(cells.edge_midpoints[:, ca, ka], cells.edge_midpoints[:, cb, kb])
+            assert np.array_equal(xi[:, ca, ka], xi[:, cb, kb])
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_MESHES))
@@ -1017,7 +1021,7 @@ def test_smoothed_operators_invert_each_distinct_edge_midpoint_once(
 )
 def test_kernels_are_batch_invariant(name, kind, nc):
     mesh = BATCH_MESHES[name]
-    full, full_K = _element_operators(mesh, MAT, Formulation(kind, nc))
+    full_B, full_K, full_cells = _element_operators(mesh, MAT, Formulation(kind, nc))
     rng = np.random.default_rng(nc + 10 * len(name))
     subset = rng.permutation(mesh.n_elements)[: mesh.n_elements // 3]
     corners = mesh.coords[mesh.elements[subset]]
@@ -1025,25 +1029,25 @@ def test_kernels_are_batch_invariant(name, kind, nc):
         geometry = subcell_geometry(mesh, nc)
         cells = SubcellGeometry(*(getattr(geometry, f.name)[subset] for f in fields(geometry)))
         for field in ("corners", "areas", "edge_midpoints", "edge_normals", "edge_lengths"):
-            assert np.array_equal(getattr(cells, field), getattr(full.cells, field)[subset])
-        assert np.array_equal(smoothed_strain_matrices(corners, cells), full.B[subset])
+            assert np.array_equal(getattr(cells, field), getattr(full_cells, field)[subset])
+        assert np.array_equal(smoothed_strain_matrices(corners, cells), full_B[subset])
     else:
         pts, w = gauss_points_2d(2)
         B, det = strain_matrix(corners[:, None], pts[:, 0], pts[:, 1])
-        assert np.array_equal(B, full.B[subset])
+        assert np.array_equal(B, full_B[subset])
         _, wdet, _ = mapped_rule(mesh.coords[mesh.elements], 2)
         assert np.array_equal(det * w, wdet[subset])
     # batches of one: one-element meshes, and single points for FEM B
     for e in subset[:8]:
         c = mesh.coords[mesh.elements[e]]
-        one, one_K = _element_operators(single_element_mesh(c), MAT, Formulation(kind, nc))
-        assert np.array_equal(one.B[0], full.B[e])
+        one_B, one_K, _ = _element_operators(single_element_mesh(c), MAT, Formulation(kind, nc))
+        assert np.array_equal(one_B[0], full_B[e])
         assert np.array_equal(one_K[0], full_K[e])
         if kind == "fem":
             for g, (xi, eta) in enumerate(pts):
                 B, _ = strain_matrix(c[None], np.array([xi]), np.array([eta]))
-                assert np.array_equal(B[0], full.B[e, g])
-                assert np.array_equal(strain_matrix(c, xi, eta)[0], full.B[e, g])
+                assert np.array_equal(B[0], full_B[e, g])
+                assert np.array_equal(strain_matrix(c, xi, eta)[0], full_B[e, g])
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_MESHES))
@@ -1078,7 +1082,7 @@ def test_fem_point_stresses_are_batch_invariant():
         batch = sol.stress_at_parents([e], pts)[0]
         order = rng.permutation(len(pts))
         assert np.array_equal(sol.stress_at_parents([e], pts[order])[0], batch[order])
-        q = sol.U[sol.operators.dofs[e]]
+        q = sol.U[sol.dofs[e]]
         for k in order[:3]:
             B, _ = _reference_fem_B(mesh.coords[mesh.elements[e]], *pts[k])
             assert np.array_equal(sol.D @ (B @ q), batch[k])
@@ -1088,7 +1092,7 @@ def _per_point_fem_stress(sol, ids, pts):
     """Reference FEM stress_at_parents: one strain_matrix call per parent
     point over all n elements, so B stays (n, 3, 8)."""
     corners = sol.mesh.coords[sol.mesh.elements[ids]]
-    u = sol.U[sol.operators.dofs[ids]][..., None]
+    u = sol.U[sol.dofs[ids]][..., None]
     out = np.empty((len(ids), len(pts), 3))
     for k, (xi, eta) in enumerate(pts):
         B, _ = strain_matrix(corners, xi, eta)
