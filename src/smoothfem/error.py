@@ -6,14 +6,14 @@ with a 4x4 Gauss rule (16x16 on elements touching a singular vertex, where
 the exact integrand is steep but integrable).  Global norms are the exact
 sums of the element squares by construction — the same quadrature.
 
-The quadrature runs in one batch per rule order.  A batch's points,
-Jacobian determinants and stress fields are (n, q, ...) arrays from
-whole-mesh calls (stress_at_parents, evaluate_at_parents, one exact_stress
-call).  Each point's energy density d^T D^-1 d is an explicit in-order sum
-of its nine terms, equal bit for bit to the per-element einsum
-"ki,ij,kj->k", and each element's square is the sum over its points that a
-single element would use, so it is bit-identical to integrating that
-element alone.
+The quadrature runs per rule order in slices of solver.ELEMENT_SLICE
+elements, which bounds its (n, q, ...) stacks on a large mesh.  A slice's
+points, Jacobian determinants and stress fields come from one call each
+(stress_at_parents, evaluate_at_parents, exact_stress).  Each point's energy
+density d^T D^-1 d is an explicit in-order sum of its nine terms, equal bit
+for bit to the per-element einsum "ki,ij,kj->k", and each element's square
+is the sum over its points that a single element would use, so it is
+bit-identical to integrating that element alone, whatever slice it is in.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .elasticity import compliance_matrix
 from .quadmap import mapped_rule
 from .recovery import RecoveredStressField
-from .solver import DiscreteSolution
+from .solver import ELEMENT_SLICE, DiscreteSolution
 
 log = logging.getLogger(__name__)
 
@@ -117,8 +117,8 @@ def element_error_squares(
     """Per-element squared energy norms (estimated, exact, recovered-exact).
 
     estimated: ||sigma* - sigma_h||, exact: ||sigma_ex - sigma_h||,
-    recovered: ||sigma* - sigma_ex||.  Elements are integrated in one batch
-    per rule order.
+    recovered: ||sigma* - sigma_ex||.  The elements of each rule order are
+    integrated in slices of ELEMENT_SLICE, in element order.
     """
     mesh = solution.mesh
     Dinv = compliance_matrix(solution.material)
@@ -126,19 +126,21 @@ def element_error_squares(
     est2 = np.zeros(mesh.n_elements)
     ex2 = np.zeros(mesh.n_elements)
     rec2 = np.zeros(mesh.n_elements)
-    for ids, order in ((np.nonzero(~singular)[0], 4), (np.nonzero(singular)[0], 16)):
-        if not len(ids):
-            continue
-        pts, wdet, phys = mapped_rule(mesh.coords[mesh.elements[ids]], order)
-        # the fields are built one at a time and the points dropped once the
-        # exact stress has used them, which keeps the peak memory low
-        s_star = recovered_field.evaluate_at_parents(ids, pts)
-        s_ex = np.asarray(exact_stress(phys), float)
-        del phys
-        rec2[ids] = _energy_squares(s_star - s_ex, Dinv, wdet)
-        sh = solution.stress_at_parents(ids, pts)
-        est2[ids] = _energy_squares(s_star - sh, Dinv, wdet)
-        ex2[ids] = _energy_squares(s_ex - sh, Dinv, wdet)
+    for group, order in ((np.nonzero(~singular)[0], 4), (np.nonzero(singular)[0], 16)):
+        for start in range(0, len(group), ELEMENT_SLICE):
+            ids = group[start : start + ELEMENT_SLICE]
+            pts, wdet, phys = mapped_rule(mesh.coords[mesh.elements[ids]], order)
+            # the fields are built one at a time, the points dropped once the
+            # exact stress has used them and the fields before the next slice
+            # is built, which keeps the peak memory low
+            s_star = recovered_field.evaluate_at_parents(ids, pts)
+            s_ex = np.asarray(exact_stress(phys), float)
+            del phys
+            rec2[ids] = _energy_squares(s_star - s_ex, Dinv, wdet)
+            sh = solution.stress_at_parents(ids, pts)
+            est2[ids] = _energy_squares(s_star - sh, Dinv, wdet)
+            ex2[ids] = _energy_squares(s_ex - sh, Dinv, wdet)
+            del s_star, s_ex, sh
     return est2, ex2, rec2
 
 

@@ -83,18 +83,23 @@ def _jacobian_entries(corners: np.ndarray, xi, eta) -> tuple[np.ndarray, ...]:
     corners = np.asarray(corners, dtype=float)
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
+
+    def column(g):
+        """(J[0, j], J[1, j]) of the corner gradients g of parent direction j."""
+        out = []
+        for i in (0, 1):
+            s = corners[..., 0, i] * g[0]
+            for k in (1, 2, 3):
+                s = s + corners[..., k, i] * g[k]
+            out.append(s)
+        return out
+
+    # one direction's gradients at a time, which halves the temporaries
     m, p = 0.25 * (1.0 - eta), 0.25 * (1.0 + eta)
-    dxi = (-m, m, p, -p)
+    J00, J10 = column((-m, m, p, -p))
     m, p = 0.25 * (1.0 - xi), 0.25 * (1.0 + xi)
-    deta = (-m, -p, p, m)
-
-    def entry(i, g):
-        s = corners[..., 0, i] * g[0]
-        for k in (1, 2, 3):
-            s = s + corners[..., k, i] * g[k]
-        return s
-
-    return entry(0, dxi), entry(0, deta), entry(1, dxi), entry(1, deta)
+    J01, J11 = column((-m, -p, p, m))
+    return J00, J01, J10, J11
 
 
 def jacobian_det(corners: np.ndarray, xi, eta) -> np.ndarray:
@@ -179,6 +184,9 @@ def invert_map(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
             break
         N = shape_functions(xi[..., 0], xi[..., 1])
         res = np.matmul(N[..., None, :], corners)[..., 0, :] - points
+        # every step's temporaries go once read: on the SFEM edge slots
+        # (4 nc points per element) this loop is the operator build's peak
+        del N
         J00, J01, J10, J11 = _jacobian_entries(corners, xi[..., 0], xi[..., 1])
         det = J00 * J11 - J01 * J10
         singular = ~done & (np.abs(det) <= tiny)
@@ -196,6 +204,7 @@ def invert_map(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
             )
             / det[..., None]
         )
+        del res, J00, J01, J10, J11, det
         xi = np.where(done[..., None], xi, xi - step)
         done |= np.hypot(step[..., 0], step[..., 1]) < tol
     if not done.all():

@@ -10,20 +10,23 @@ Two formulations share all plumbing:
   trace on straight edges), and the stiffness is the area-weighted sum of the
   constant-strain subcell contributions.
 
-Element operators are built for the whole mesh at once: the subcell geometry
-(mesh.subcell_geometry), one batched Newton inversion of every (cell, edge)
-slot's midpoint for the smoothed B, one batched kernel for the compatible B
-at any set of parent points, and stiffnesses, stresses and the sparse
-scatter as array operations.  Every kernel reproduces the per-element
-arithmetic bit for bit, so an element's operators do not depend on the batch
-it was computed in; a one-element mesh gives the same numbers as that
-element's row of the whole mesh (see the note above the kernels for the numpy
-forms this requires).  A DiscreteSolution keeps the stresses, not B.
+Element operators are built in slices of ELEMENT_SLICE elements: the
+subcell geometry (mesh.subcell_geometry, whole-mesh), one batched Newton
+inversion of every (cell, edge) slot's midpoint of a slice for the smoothed
+B, one batched kernel for the compatible B at any set of parent points, and
+stiffnesses, stresses and the sparse scatter as array operations.  Every
+kernel reproduces the per-element arithmetic bit for bit, so an element's
+operators do not depend on the batch it was computed in; a one-element mesh
+gives the same numbers as that element's row of the whole mesh (see the note
+above the kernels for the numpy forms this requires).  The slices bound the
+kernels' temporaries, which would otherwise grow with the mesh and stay on
+the heap under the factorization.  A DiscreteSolution keeps the stresses,
+not B.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,6 +52,11 @@ from .quadmap import (
 
 FEM = "fem"
 SFEM = "sfem"
+
+# elements per slice of the element operators and of the error quadrature
+# (error.element_error_squares): their temporaries are bounded by a slice,
+# not by the mesh
+ELEMENT_SLICE = 1024
 
 
 class SolveError(RuntimeError):
@@ -150,8 +158,8 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # strain-operator kernels
 # ---------------------------------------------------------------------------
 #
-# Every kernel works on whole batches (all elements of a mesh, or all points
-# of one element).  The numpy forms are chosen so each entry is computed
+# Every kernel works on whole batches (a slice of a mesh's elements, or all
+# points of one element).  The numpy forms are chosen so each entry is computed
 # exactly as by the scalar per-element formulas: batched matmul wherever
 # those used a small matrix product (it issues the same per-item BLAS calls),
 # and the in-order componentwise sums of quadmap._jacobian_entries for
@@ -159,19 +167,24 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # depend on how the mesh is batched.
 
 
-def _strain_rows(bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-    """The (..., 3, 8) strain operator of x and y gradient rows (..., 4)."""
-    B = np.zeros(bx.shape[:-1] + (3, 8))
+def _strain_rows(bx: np.ndarray, by: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The (..., 3, 8) strain operator of x and y gradient rows (..., 4),
+    written into ``out`` when given."""
+    B = np.empty(bx.shape[:-1] + (3, 8)) if out is None else out
+    B.fill(0.0)
     B[..., 0, 0::2] = B[..., 2, 1::2] = bx
     B[..., 1, 1::2] = B[..., 2, 0::2] = by
     return B
 
 
-def strain_matrix(corners: np.ndarray, xi, eta) -> tuple[np.ndarray, np.ndarray]:
+def strain_matrix(
+    corners: np.ndarray, xi, eta, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Compatible B and Jacobian determinant at parent points.
 
     corners (..., 4, 2) broadcast against xi/eta as in _jacobian_entries,
-    say (n, 1, 4, 2) quads with (q,) points; returns B (..., 3, 8), det (...).
+    say (n, 1, 4, 2) quads with (q,) points; returns B (..., 3, 8), written
+    into ``out`` when given, and det (...).
     """
     J00, J01, J10, J11 = _jacobian_entries(corners, xi, eta)
     det = J00 * J11 - J01 * J10
@@ -180,11 +193,14 @@ def strain_matrix(corners: np.ndarray, xi, eta) -> tuple[np.ndarray, np.ndarray]
     invJ = np.stack([J11, -J01, -J10, J00], axis=-1) / det[..., None]
     # physical gradients: dN/dx_i = dN/dxi_j (J^-1)_ji, (..., 4, 2)
     dN = np.matmul(shape_gradients(xi, eta), invJ.reshape(det.shape + (2, 2)))
-    return _strain_rows(dN[..., 0], dN[..., 1]), det
+    return _strain_rows(dN[..., 0], dN[..., 1], out), det
 
 
-def smoothed_strain_matrices(corners: np.ndarray, cells: SubcellGeometry) -> np.ndarray:
-    """Constant smoothed B (n, nc, 3, 8) of every subcell by boundary integration.
+def smoothed_strain_matrices(
+    corners: np.ndarray, cells: SubcellGeometry, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Constant smoothed B (n, nc, 3, 8) of every subcell by boundary integration,
+    written into ``out`` when given.
 
     B~_I = (1/A_C) sum_edges N_I(midpoint) [n-structure] l_edge, with the
     shape functions evaluated by Newton inversion of the element's bilinear
@@ -203,24 +219,27 @@ def smoothed_strain_matrices(corners: np.ndarray, cells: SubcellGeometry) -> np.
         bx = bx + cells.edge_normals[:, :, k, 0, None] * w
         by = by + cells.edge_normals[:, :, k, 1, None] * w
     area = cells.areas[:, :, None]
-    return _strain_rows(bx / area, by / area)
+    return _strain_rows(bx / area, by / area, out)
 
 
-def _stiffness(B: np.ndarray, D: np.ndarray, *factors: np.ndarray) -> np.ndarray:
-    """Element stiffnesses sum_s B_s^T D B_s f1_s f2_s ... ; B (n, n_s, 3, 8).
+def _stiffness(K: np.ndarray, B: np.ndarray, D: np.ndarray, *factors: np.ndarray) -> None:
+    """Element stiffnesses sum_s B_s^T D B_s f1_s f2_s ... into K (n, 8, 8);
+    B (n, n_s, 3, 8).
 
     The factors (n, n_s) multiply in turn, as in B.T @ D @ B * det * w.
     """
-    K = np.zeros((len(B), 8, 8))
+    K.fill(0.0)
     for s in range(B.shape[1]):
         Bs = B[:, s]
         Ks = np.matmul(np.matmul(Bs.swapaxes(-1, -2), D), Bs)
         for f in factors:
-            Ks = Ks * f[:, s, None, None]
+            Ks *= f[:, s, None, None]
         K += Ks
     # B^T D B is symmetric only up to round-off in floating point; force it
     # exactly so the assembled global matrix carries no skew part at all
-    return 0.5 * (K + K.swapaxes(-1, -2))
+    # (numpy buffers the overlapping transpose, so this is 0.5 * (K + K^T))
+    K += K.swapaxes(-1, -2)
+    K *= 0.5
 
 
 def _dof_map(conn: np.ndarray) -> np.ndarray:
@@ -244,27 +263,42 @@ def _element_operators(
     stiffnesses K (n_e, 8, 8), and the SFEM subcell geometry (FEM: None).
 
     SFEM: K = sum_C B~_C^T D B~_C A_C over each element's smoothing cells.
-    FEM: 2x2 Gauss quadrature of B^T D B.
+    FEM: 2x2 Gauss quadrature of B^T D B.  B and K are computed in slices of
+    ELEMENT_SLICE elements, each written into its rows of the outputs.
     """
-    corners = mesh.coords[mesh.elements]
     D = elasticity_matrix(material)
+    n = mesh.n_elements
     cells = None
     if formulation.kind == SFEM:
         cells = subcell_geometry(mesh, formulation.nc)
-        B = smoothed_strain_matrices(corners, cells)
-        K = _stiffness(B, D, cells.areas)
+        n_s = formulation.nc
     else:
         pts, w = gauss_points_2d(2)
-        B, det = strain_matrix(corners[:, None], pts[:, 0], pts[:, 1])
-        K = _stiffness(B, D, det, np.broadcast_to(w, det.shape))
+        n_s = len(w)
+    B = np.empty((n, n_s, 3, 8))
+    K = np.empty((n, 8, 8))
+    for start in range(0, n, ELEMENT_SLICE):
+        s = slice(start, start + ELEMENT_SLICE)
+        corners = mesh.coords[mesh.elements[s]]
+        if cells is not None:
+            part = SubcellGeometry(*(getattr(cells, f.name)[s] for f in fields(cells)))
+            smoothed_strain_matrices(corners, part, out=B[s])
+            _stiffness(K[s], B[s], D, part.areas)
+        else:
+            _, det = strain_matrix(corners[:, None], pts[:, 0], pts[:, 1], out=B[s])
+            _stiffness(K[s], B[s], D, det, np.broadcast_to(w, det.shape))
     for a in (K, B):
         a.setflags(write=False)
     return B, K, cells
 
 
 def _scatter(mesh: Mesh, K: np.ndarray) -> sp.csr_matrix:
-    """Global stiffness from the element stiffnesses K (n_e, 8, 8)."""
-    dofs = _dof_map(mesh.elements)
+    """Global stiffness from the element stiffnesses K (n_e, 8, 8).
+
+    The COO indices are int32, the index type scipy converts them to anyway
+    (it keeps int64 only past 2^31 - 1 dofs, beyond any mesh solved here).
+    """
+    dofs = _dof_map(mesh.elements).astype(np.int32)
     n_dof = 2 * mesh.n_nodes
     rows = np.repeat(dofs, 8, axis=1).ravel()
     cols = np.tile(dofs, (1, 8)).ravel()
@@ -515,6 +549,9 @@ def assemble_and_solve(
     """
     B, stiffnesses, cells = _element_operators(mesh, material, formulation)
     K = _scatter(mesh, stiffnesses)
+    # each whole-mesh array goes once its last reader is done, before the
+    # factorization adds its fill on top of the heap
+    del stiffnesses
     f = _neumann_vector(mesh, loads)
 
     fixed, fixed_values = _dirichlet_values(mesh, loads)
@@ -529,6 +566,7 @@ def assemble_and_solve(
 
     Kff = K[free][:, free].tocsc()
     rhs = f[free] - (K @ U)[free]  # each row's sum as in K[free] @ U
+    del K
 
     try:
         lu = spla.splu(Kff)

@@ -11,6 +11,7 @@ import cProfile
 import gc
 import pathlib
 import pstats
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,21 @@ def python_calls(*calls):
     finally:
         gc.enable()
     return pstats.Stats(profile).total_calls
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes that stdlib tracemalloc traced while it
+    ran: the most memory the call held at once beyond what was allocated
+    before it, its result included.  numpy reports its array buffers to
+    tracemalloc, so they count."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def single_element_mesh(corners) -> Mesh:

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 import smoothfem.error as error_mod
-from conftest import benchmark_variant, interpolate_solution, single_element_mesh
+from conftest import benchmark_variant, interpolate_solution, single_element_mesh, traced_peak
 from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import Material, PLANE_STRAIN, compliance_matrix
 from smoothfem.error import (
@@ -214,11 +214,16 @@ def _per_element_squares(sol, field, exact_stress, singular_point):
 
 
 @pytest.mark.parametrize(
-    "name,level,kind,variant",
-    [("cylinder", 2, "fem", "SPR-C"), ("lshape", 1, "sfem", "SPR-CX")],
+    "name,level,kind,variant,step",
+    [
+        pytest.param("cylinder", 2, "fem", "SPR-C", None, id="cylinder-2-fem-SPR-C"),
+        pytest.param("lshape", 1, "sfem", "SPR-CX", None, id="lshape-1-sfem-SPR-CX"),
+        pytest.param("cylinder", 2, "fem", "SPR-C", 2, id="cylinder-2-fem-SPR-C-sliced"),
+        pytest.param("lshape", 1, "sfem", "SPR-CX", 2, id="lshape-1-sfem-SPR-CX-sliced"),
+    ],
 )
 def test_grouped_quadrature_matches_the_per_element_loop_bit_for_bit(
-    solve_cached, name, level, kind, variant
+    solve_cached, monkeypatch, name, level, kind, variant, step
 ):
     mesh, bcs, sol = solve_cached(name, level, kind, 4)
     bm = {"cylinder": CylinderBenchmark(), "lshape": LShapeBenchmark()}[name]
@@ -227,14 +232,47 @@ def test_grouped_quadrature_matches_the_per_element_loop_bit_for_bit(
         tractions=bcs.tractions,
     )
     vertex = bm.singular_vertex
+    singular = error_mod._singular_elements(sol, vertex)
+    rules = []
+    if step is not None:
+        # slices of two elements: a slice boundary falls inside each rule
+        # group, the 4x4 one and (L-shape) the 16x16 one at the vertex
+        monkeypatch.setattr(error_mod, "ELEMENT_SLICE", step)
+        orig = error_mod.mapped_rule
+
+        def spy(corners, order):
+            rules.append((len(corners), order))
+            return orig(corners, order)
+
+        monkeypatch.setattr(error_mod, "mapped_rule", spy)
     squares = element_error_squares(sol, field, bm.exact_stress, singular_point=vertex)
     reference = _per_element_squares(sol, field, bm.exact_stress, vertex)
     for got, want in zip(squares, reference):
         assert np.array_equal(got, want)
+    if step is not None:
+        want = []
+        for count, order in ((np.sum(~singular), 4), (np.sum(singular), 16)):
+            assert count == 0 or count > step
+            want += [(min(step, count - s), order) for s in range(0, count, step)]
+        assert rules == want
     if vertex is not None:
         # both rule groups and split patches are exercised
-        assert 0 < error_mod._singular_elements(sol, vertex).sum() < mesh.n_elements
+        assert 0 < singular.sum() < mesh.n_elements
         assert field.split_flags.any() and not field.split_flags.all()
+
+
+def test_error_quadrature_working_memory_does_not_grow_with_the_mesh(solve_cached, cylinder_bm):
+    # the traced peak of an error report is a slice's (n, q, 3) stacks:
+    # cylinder L5 (4096 elements, 4 slices) takes about what L4 (1024, one
+    # slice) takes; in one batch per rule order, L5 took 4x L4's
+    def peak(level):
+        _, bcs, sol = solve_cached("cylinder", level, "fem")
+        field = build_recovered_field(
+            sol, RecoveryConfig(variant="SPR-C"), tractions=bcs.tractions
+        )
+        return traced_peak(compute_error_report, sol, field, cylinder_bm.exact_stress)[1]
+
+    assert peak(5) <= 1.5 * peak(4)
 
 
 # ---------------------------------------------------------------------------

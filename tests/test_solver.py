@@ -24,6 +24,7 @@ from conftest import (
     interpolate_solution,
     random_quads,
     single_element_mesh,
+    traced_peak,
 )
 from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchmark
 from smoothfem.elasticity import Material, PLANE_STRAIN, elasticity_matrix
@@ -988,9 +989,10 @@ def test_strain_matrix_matches_the_einsum_oracle_on_distorted_quads():
 @pytest.mark.parametrize("level", [1, 3])
 @pytest.mark.parametrize("nc", [1, 2, 4, 8])
 def test_smoothed_operators_invert_every_edge_slot_in_one_call(monkeypatch, level, nc):
-    # one Newton call per operator build, on the midpoints of all 4 nc
-    # (cell, edge) slots (n, nc, 4, 2) against each element's own quad
-    # (n, 1, 1, 4, 2), at any level
+    # one Newton call per slice of the operator build, on the midpoints of
+    # all 4 nc (cell, edge) slots (m, nc, 4, 2) of the slice's m elements
+    # against each element's own quad (m, 1, 1, 4, 2): one slice at level 1,
+    # three at level 3
     mesh = LShapeBenchmark().mesh(level)
     calls = []
 
@@ -1001,11 +1003,13 @@ def test_smoothed_operators_invert_every_edge_slot_in_one_call(monkeypatch, leve
 
     monkeypatch.setattr(solver_mod, "invert_map", counting_invert_map)
     _, _, cells = _element_operators(mesh, MAT, Formulation("sfem", nc))
-    n = mesh.n_elements
-    assert [c[:2] for c in calls] == [((n, 1, 1, 4, 2), (n, nc, 4, 2))]
+    n, step = mesh.n_elements, solver_mod.ELEMENT_SLICE
+    sizes = [min(step, n - start) for start in range(0, n, step)]
+    assert len(sizes) == (1 if level == 1 else 3)
+    assert [c[:2] for c in calls] == [((m, 1, 1, 4, 2), (m, nc, 4, 2)) for m in sizes]
     # the two slots of an edge between cells hold bit-equal midpoints, so
     # they get equal parent coordinates
-    xi = calls[0][2]
+    xi = np.concatenate([c[2] for c in calls])
     pc = mesh_mod.subcell_parent_corners(nc)
     parent_mids = (0.5 * (pc + np.roll(pc, -1, axis=1))).reshape(-1, 2)
     for a, b in itertools.combinations(range(4 * nc), 2):
@@ -1019,7 +1023,7 @@ def test_smoothed_operators_invert_every_edge_slot_in_one_call(monkeypatch, leve
 @pytest.mark.parametrize(
     "kind,nc", [("sfem", 1), ("sfem", 2), ("sfem", 4), ("sfem", 8), ("fem", 4)]
 )
-def test_kernels_are_batch_invariant(name, kind, nc):
+def test_kernels_are_batch_invariant(monkeypatch, name, kind, nc):
     mesh = BATCH_MESHES[name]
     full_B, full_K, full_cells = _element_operators(mesh, MAT, Formulation(kind, nc))
     rng = np.random.default_rng(nc + 10 * len(name))
@@ -1048,6 +1052,29 @@ def test_kernels_are_batch_invariant(name, kind, nc):
                 B, _ = strain_matrix(c[None], np.array([xi]), np.array([eta]))
                 assert np.array_equal(B[0], full_B[e, g])
                 assert np.array_equal(strain_matrix(c, xi, eta)[0], full_B[e, g])
+    # the mesh fits in one slice; slices of 7 elements, the last one short,
+    # give the same rows
+    assert mesh.n_elements <= solver_mod.ELEMENT_SLICE and mesh.n_elements % 7
+    monkeypatch.setattr(solver_mod, "ELEMENT_SLICE", 7)
+    sliced_B, sliced_K, _ = _element_operators(mesh, MAT, Formulation(kind, nc))
+    assert np.array_equal(sliced_B, full_B)
+    assert np.array_equal(sliced_K, full_K)
+
+
+@pytest.mark.parametrize("kind,nc", [("fem", 4), ("sfem", 8)])
+def test_operator_working_memory_does_not_grow_with_the_mesh(cylinder_bm, kind, nc):
+    # the traced peak beyond the outputs (B, K and the cells) is a slice's
+    # temporaries: cylinder L5 (4096 elements, 4 slices) takes about what L4
+    # (1024, one slice) takes; built whole, L5 took 4x L4's
+    def working_memory(level):
+        (B, K, cells), peak = traced_peak(
+            _element_operators, cylinder_bm.mesh(level), cylinder_bm.material,
+            Formulation(kind, nc),
+        )
+        outputs = [B, K] + ([] if cells is None else [getattr(cells, f.name) for f in fields(cells)])
+        return peak - sum(a.nbytes for a in outputs)
+
+    assert working_memory(5) <= 1.5 * working_memory(4)
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_MESHES))
