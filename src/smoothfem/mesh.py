@@ -98,6 +98,8 @@ class Mesh:
         boundary: BoundaryArrays | tuple[BoundaryEdge, ...] | list[BoundaryEdge],
     ):
         coords = np.array(coords, dtype=float)
+        if not np.array_equal(np.array(elements, dtype=int), elements):
+            raise MeshError("element connectivity must be integers")
         elements = np.array(elements, dtype=int)
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise MeshError("coords must be (n_nodes, 2)")
@@ -257,45 +259,49 @@ def subcell_index_at(nc: int, xi, eta) -> np.ndarray:
     return j * n_xi + i
 
 
+def subcell_corners(corners: np.ndarray, nc: int) -> np.ndarray:
+    """CCW corners (n, nc, 4, 2) of the nc smoothing cells of quads (n, 4, 2):
+    subcell_parent_corners under each quad's bilinear map, which carries the
+    axis-aligned parent rectangles onto straight-sided cells."""
+    pc = subcell_parent_corners(nc)
+    return map_point(corners[:, None], pc[..., 0], pc[..., 1])
+
+
 @dataclass(frozen=True)
 class SubcellGeometry:
-    """The smoothing cells of a batch of elements, as read-only arrays.
+    """The smoothing cells of a batch of quads, as read-only arrays.
 
-    Row i describes the batch's i-th element (element i of the mesh, as
-    subcell_geometry builds it); each element has nc cells in
-    the row-major order of subcell_parent_corners, each cell four CCW edges.
-    Shapes: corners, edge_midpoints, edge_normals (n, nc, 4, 2); areas
-    (n, nc); edge_lengths (n, nc, 4).
+    Row i describes the batch's i-th quad; each has nc cells in the
+    row-major order of subcell_parent_corners, each cell four CCW edges.
+    Shapes: areas (n, nc); edge_midpoints, edge_normals (n, nc, 4, 2);
+    edge_lengths (n, nc, 4).
     """
 
-    corners: np.ndarray
     areas: np.ndarray
     edge_midpoints: np.ndarray
     edge_normals: np.ndarray
     edge_lengths: np.ndarray
 
 
-def subcell_geometry(mesh: Mesh, nc: int) -> SubcellGeometry:
-    """Partition every element into nc straight-sided smoothing cells.
+def subcell_geometry(corners: np.ndarray, nc: int) -> SubcellGeometry:
+    """The nc straight-sided smoothing cells of each of the quads ``corners``
+    (n, 4, 2), from their subcell_corners.
 
-    Subdivision happens in the parent domain and is pushed through the
-    bilinear map; because the parent rectangles are axis-aligned, their
-    images have straight edges and the mapped corners describe them exactly.
+    Raises MeshError naming the first quad, by its corners, with a cell of
+    non-positive area.
     """
-    pc = subcell_parent_corners(nc)
-    corners = mesh.coords[mesh.elements]  # (n, 4, 2)
-    phys = map_point(corners[:, None], pc[..., 0], pc[..., 1])  # (n, nc, 4, 2)
+    phys = subcell_corners(corners, nc)
     areas = quad_area(phys)
     bad = np.nonzero(areas <= 0.0)[0]
     if len(bad):
         raise MeshError(
-            f"non-positive smoothing-cell area in element {bad[0]}"
+            f"non-positive smoothing-cell area in the quad with corners {corners[bad[0]].tolist()}"
         )
     nxt = np.roll(phys, -1, axis=-2)
     tang = nxt - phys
     lengths = np.linalg.norm(tang, axis=-1)
     normals = np.stack([tang[..., 1], -tang[..., 0]], axis=-1) / lengths[..., None]
-    arrays = (phys, areas, 0.5 * (phys + nxt), normals, lengths)
+    arrays = (areas, 0.5 * (phys + nxt), normals, lengths)
     for a in arrays:
         a.setflags(write=False)
     return SubcellGeometry(*arrays)

@@ -58,7 +58,7 @@ import numpy as np
 
 from .analytic import SingularField
 from .elasticity import compliance_matrix
-from .mesh import NEUMANN, Mesh
+from .mesh import NEUMANN, Mesh, subcell_corners
 from .quadmap import mapped_rule, shape_functions
 from .solver import SFEM, DiscreteSolution, _parent_batch, boundary_values, row_dot
 
@@ -167,11 +167,12 @@ def _sampling_arrays(solution: DiscreteSolution):
     cell; FEM: the element's 2x2 Gauss points carry the pointwise compatible
     stress, k = 4.
     """
+    corners = solution.mesh.coords[solution.mesh.elements]
     if solution.formulation.kind == SFEM:
-        _, weight, pos = mapped_rule(solution.cells.corners, 2)  # (n_e, nc, 4)
+        _, weight, pos = mapped_rule(subcell_corners(corners, solution.formulation.nc), 2)
         stress = np.broadcast_to(solution.cell_stress[:, :, None], weight.shape + (3,))
     else:
-        _, weight, pos = mapped_rule(solution.mesh.coords[solution.mesh.elements], 2)
+        _, weight, pos = mapped_rule(corners, 2)
         stress = solution.cell_stress
     shape = (len(weight), int(np.prod(weight.shape[1:])))
     return (

@@ -10,23 +10,23 @@ Two formulations share all plumbing:
   trace on straight edges), and the stiffness is the area-weighted sum of the
   constant-strain subcell contributions.
 
-Element operators are built in slices of ELEMENT_SLICE elements: the
-subcell geometry (mesh.subcell_geometry, whole-mesh), one batched Newton
-inversion of every (cell, edge) slot's midpoint of a slice for the smoothed
-B, one batched kernel for the compatible B at any set of parent points, and
-stiffnesses, stresses and the sparse scatter as array operations.  Every
+Element operators are built in slices of ELEMENT_SLICE elements: per slice,
+the smoothing cells of its elements (mesh.subcell_geometry) and one batched
+Newton inversion of every (cell, edge) slot's midpoint for the smoothed B,
+or one batched kernel for the compatible B at any set of parent points;
+stiffnesses, stresses and the sparse scatter are array operations.  Every
 kernel reproduces the per-element arithmetic bit for bit, so an element's
 operators do not depend on the batch it was computed in; a one-element mesh
 gives the same numbers as that element's row of the whole mesh (see the note
 above the kernels for the numpy forms this requires).  The slices bound the
 kernels' temporaries, which would otherwise grow with the mesh and stay on
-the heap under the factorization.  A DiscreteSolution keeps the stresses,
-not B.
+the heap under the factorization; the smoothing cells live only while
+their slice is built.  A DiscreteSolution keeps the stresses, not B.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +36,7 @@ from .elasticity import Material, elasticity_matrix
 from .mesh import (
     DIRICHLET,
     NEUMANN,
+    _SUBCELL_GRID,
     Mesh,
     SubcellGeometry,
     subcell_geometry,
@@ -74,7 +75,9 @@ class Formulation:
     def __post_init__(self) -> None:
         if self.kind not in (FEM, SFEM):
             raise SolveError(f"unknown formulation kind {self.kind!r}")
-        if self.kind == SFEM and self.nc not in (1, 2, 4, 8):
+        # 4.0 and True hash as 4 and 1: only an integer may key the table
+        integer = isinstance(self.nc, (int, np.integer)) and not isinstance(self.nc, bool)
+        if self.kind == SFEM and not (integer and self.nc in _SUBCELL_GRID):
             raise SolveError(f"subcell count must be 1, 2, 4 or 8, got {self.nc}")
 
     def label(self) -> str:
@@ -167,24 +170,20 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # depend on how the mesh is batched.
 
 
-def _strain_rows(bx: np.ndarray, by: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The (..., 3, 8) strain operator of x and y gradient rows (..., 4),
-    written into ``out`` when given."""
-    B = np.empty(bx.shape[:-1] + (3, 8)) if out is None else out
-    B.fill(0.0)
+def _strain_rows(bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """The (..., 3, 8) strain operator of x and y gradient rows (..., 4)."""
+    B = np.zeros(bx.shape[:-1] + (3, 8))
     B[..., 0, 0::2] = B[..., 2, 1::2] = bx
     B[..., 1, 1::2] = B[..., 2, 0::2] = by
     return B
 
 
-def strain_matrix(
-    corners: np.ndarray, xi, eta, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def strain_matrix(corners: np.ndarray, xi, eta) -> tuple[np.ndarray, np.ndarray]:
     """Compatible B and Jacobian determinant at parent points.
 
     corners (..., 4, 2) broadcast against xi/eta as in _jacobian_entries,
-    say (n, 1, 4, 2) quads with (q,) points; returns B (..., 3, 8), written
-    into ``out`` when given, and det (...).
+    say (n, 1, 4, 2) quads with (q,) points; returns B (..., 3, 8) and det
+    (...).
     """
     J00, J01, J10, J11 = _jacobian_entries(corners, xi, eta)
     det = J00 * J11 - J01 * J10
@@ -193,14 +192,11 @@ def strain_matrix(
     invJ = np.stack([J11, -J01, -J10, J00], axis=-1) / det[..., None]
     # physical gradients: dN/dx_i = dN/dxi_j (J^-1)_ji, (..., 4, 2)
     dN = np.matmul(shape_gradients(xi, eta), invJ.reshape(det.shape + (2, 2)))
-    return _strain_rows(dN[..., 0], dN[..., 1], out), det
+    return _strain_rows(dN[..., 0], dN[..., 1]), det
 
 
-def smoothed_strain_matrices(
-    corners: np.ndarray, cells: SubcellGeometry, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Constant smoothed B (n, nc, 3, 8) of every subcell by boundary integration,
-    written into ``out`` when given.
+def smoothed_strain_matrices(corners: np.ndarray, cells: SubcellGeometry) -> np.ndarray:
+    """Constant smoothed B (n, nc, 3, 8) of every subcell by boundary integration.
 
     B~_I = (1/A_C) sum_edges N_I(midpoint) [n-structure] l_edge, with the
     shape functions evaluated by Newton inversion of the element's bilinear
@@ -219,27 +215,29 @@ def smoothed_strain_matrices(
         bx = bx + cells.edge_normals[:, :, k, 0, None] * w
         by = by + cells.edge_normals[:, :, k, 1, None] * w
     area = cells.areas[:, :, None]
-    return _strain_rows(bx / area, by / area, out)
+    return _strain_rows(bx / area, by / area)
 
 
-def _stiffness(K: np.ndarray, B: np.ndarray, D: np.ndarray, *factors: np.ndarray) -> None:
-    """Element stiffnesses sum_s B_s^T D B_s f1_s f2_s ... into K (n, 8, 8);
+def _stiffness(B: np.ndarray, D: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+    """Element stiffnesses K (n, 8, 8) = sum_s B_s^T D B_s f1_s f2_s ... of
     B (n, n_s, 3, 8).
 
     The factors (n, n_s) multiply in turn, as in B.T @ D @ B * det * w.
     """
-    K.fill(0.0)
+    K = np.zeros((len(B), 8, 8))
     for s in range(B.shape[1]):
         Bs = B[:, s]
         Ks = np.matmul(np.matmul(Bs.swapaxes(-1, -2), D), Bs)
         for f in factors:
             Ks *= f[:, s, None, None]
         K += Ks
+        del Ks  # the next product is not built on top of this one
     # B^T D B is symmetric only up to round-off in floating point; force it
     # exactly so the assembled global matrix carries no skew part at all
     # (numpy buffers the overlapping transpose, so this is 0.5 * (K + K^T))
     K += K.swapaxes(-1, -2)
     K *= 0.5
+    return K
 
 
 def _dof_map(conn: np.ndarray) -> np.ndarray:
@@ -257,39 +255,35 @@ def _dof_map(conn: np.ndarray) -> np.ndarray:
 
 def _element_operators(
     mesh: Mesh, material: Material, formulation: Formulation
-) -> tuple[np.ndarray, np.ndarray, SubcellGeometry | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Read-only strain operators B (n_e, n_s, 3, 8) at the n_s stress points
-    (SFEM: the nc smoothing cells, FEM: the 2x2 Gauss points), element
-    stiffnesses K (n_e, 8, 8), and the SFEM subcell geometry (FEM: None).
+    (SFEM: the nc smoothing cells, FEM: the 2x2 Gauss points) and element
+    stiffnesses K (n_e, 8, 8).
 
     SFEM: K = sum_C B~_C^T D B~_C A_C over each element's smoothing cells.
     FEM: 2x2 Gauss quadrature of B^T D B.  B and K are computed in slices of
-    ELEMENT_SLICE elements, each written into its rows of the outputs.
+    ELEMENT_SLICE elements (SFEM: with the slice's smoothing cells), which
+    this loop writes into their rows of the outputs.
     """
     D = elasticity_matrix(material)
     n = mesh.n_elements
-    cells = None
-    if formulation.kind == SFEM:
-        cells = subcell_geometry(mesh, formulation.nc)
-        n_s = formulation.nc
-    else:
-        pts, w = gauss_points_2d(2)
-        n_s = len(w)
+    pts, w = gauss_points_2d(2)
+    n_s = formulation.nc if formulation.kind == SFEM else len(w)
     B = np.empty((n, n_s, 3, 8))
     K = np.empty((n, 8, 8))
     for start in range(0, n, ELEMENT_SLICE):
         s = slice(start, start + ELEMENT_SLICE)
         corners = mesh.coords[mesh.elements[s]]
-        if cells is not None:
-            part = SubcellGeometry(*(getattr(cells, f.name)[s] for f in fields(cells)))
-            smoothed_strain_matrices(corners, part, out=B[s])
-            _stiffness(K[s], B[s], D, part.areas)
+        if formulation.kind == SFEM:
+            cells = subcell_geometry(corners, n_s)
+            B[s] = smoothed_strain_matrices(corners, cells)
+            K[s] = _stiffness(B[s], D, cells.areas)
         else:
-            _, det = strain_matrix(corners[:, None], pts[:, 0], pts[:, 1], out=B[s])
-            _stiffness(K[s], B[s], D, det, np.broadcast_to(w, det.shape))
+            B[s], det = strain_matrix(corners[:, None], pts[:, 0], pts[:, 1])
+            K[s] = _stiffness(B[s], D, det, np.broadcast_to(w, det.shape))
     for a in (K, B):
         a.setflags(write=False)
-    return B, K, cells
+    return B, K
 
 
 def _scatter(mesh: Mesh, K: np.ndarray) -> sp.csr_matrix:
@@ -459,10 +453,10 @@ class DiscreteSolution:
     """A solved discrete displacement field with stresses.
 
     Carries the mesh, nodal vector U, the solve's relative residual, the
-    (n_e, 8) dof map, the SFEM cells of _element_operators (FEM: None) and
-    per-cell (SFEM) or per-Gauss-point (FEM) raw stresses D B q, formed from
-    its B, which is not kept: what recovery, the error quadrature and GSIF
-    extraction read.  Immutable: U, dofs, cells and cell_stress are read-only.
+    (n_e, 8) dof map and per-cell (SFEM) or per-Gauss-point (FEM) raw
+    stresses D B q, formed from its B: what recovery, the error quadrature
+    and GSIF extraction read.  Neither B nor the smoothing cells are kept.
+    Immutable: U, dofs and cell_stress are read-only.
     """
 
     def __init__(
@@ -472,7 +466,6 @@ class DiscreteSolution:
         formulation: Formulation,
         U: np.ndarray,
         B: np.ndarray,
-        cells: SubcellGeometry | None,
         residual_rel: float,
     ):
         self.mesh = mesh
@@ -485,7 +478,6 @@ class DiscreteSolution:
 
         self.dofs = _dof_map(mesh.elements)
         self.dofs.setflags(write=False)
-        self.cells = cells
         # (n_e, n_s, 3): sigma = D (B q) at every subcell / Gauss point
         strain = np.matmul(B, self.U[self.dofs][:, None, :, None])[..., 0]
         self.cell_stress = np.matmul(strain, self.D.T)
@@ -547,7 +539,7 @@ def assemble_and_solve(
     below 1e-10 of the largest ("k zero-energy mode(s) are unrestrained and
     loaded") or else a componentwise backward error above 1e-12.
     """
-    B, stiffnesses, cells = _element_operators(mesh, material, formulation)
+    B, stiffnesses = _element_operators(mesh, material, formulation)
     K = _scatter(mesh, stiffnesses)
     # each whole-mesh array goes once its last reader is done, before the
     # factorization adds its fill on top of the heap
@@ -595,5 +587,5 @@ def assemble_and_solve(
             raise SolveError(f"componentwise backward error {omega:.3e} above 1e-12 "
                              f"(residual {residual_rel:.3e})")
 
-    return DiscreteSolution(mesh, material, formulation, U, B, cells, residual_rel)
+    return DiscreteSolution(mesh, material, formulation, U, B, residual_rel)
 

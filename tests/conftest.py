@@ -115,8 +115,8 @@ def interpolate_solution(mesh, material, formulation, displacement) -> DiscreteS
     (positions (n, 2) -> (n, 2)); nothing is solved, so residual_rel is 0."""
     u_nodes = np.asarray(displacement(mesh.coords), dtype=float)
     assert u_nodes.shape == (mesh.n_nodes, 2), u_nodes.shape
-    B, _, cells = _element_operators(mesh, material, formulation)
-    return DiscreteSolution(mesh, material, formulation, u_nodes.ravel(), B, cells, 0.0)
+    B, _ = _element_operators(mesh, material, formulation)
+    return DiscreteSolution(mesh, material, formulation, u_nodes.ravel(), B, 0.0)
 
 
 def python_calls(*calls):

@@ -379,16 +379,14 @@ UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 def test_unit_square_single_cell():
-    m = single_element_mesh(UNIT)
-    cells = subcell_geometry(m, 1)
+    cells = subcell_geometry(UNIT[None], 1)
     assert_allclose(cells.areas[0, 0], 1.0, rtol=1e-14)
     normals = sorted(map(tuple, np.round(cells.edge_normals[0, 0], 12)))
     assert normals == [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
 
 
 def test_unit_square_quarters():
-    m = single_element_mesh(UNIT)
-    cells = subcell_geometry(m, 4)
+    cells = subcell_geometry(UNIT[None], 4)
     assert cells.areas.shape == (1, 4)
     assert_allclose(cells.areas[0], 0.25, rtol=1e-14)
 
@@ -397,10 +395,9 @@ def test_subdivision_partitions_area():
     rng = np.random.default_rng(4)
     for _ in range(10):
         corners = UNIT + rng.uniform(-0.2, 0.2, size=(4, 2))
-        m = single_element_mesh(corners)
         exact = quad_area(corners)
         for nc in (1, 2, 4, 8):
-            total = subcell_geometry(m, nc).areas[0].sum()
+            total = subcell_geometry(corners[None], nc).areas[0].sum()
             assert abs(total - exact) <= 1e-12 * exact
 
 
@@ -408,9 +405,8 @@ def test_cell_boundaries_close():
     # sum over edges of length * outward normal = 0 for any closed polygon
     rng = np.random.default_rng(9)
     corners = UNIT + rng.uniform(-0.2, 0.2, size=(4, 2))
-    m = single_element_mesh(corners)
     for nc in (1, 2, 4, 8):
-        cells = subcell_geometry(m, nc)
+        cells = subcell_geometry(corners[None], nc)
         closure = (cells.edge_lengths[..., None] * cells.edge_normals).sum(axis=-2)
         assert np.abs(closure).max() < 1e-12
 
@@ -426,9 +422,8 @@ def test_parent_corners_tile_the_square_in_the_order_subcell_index_at_reads(nc):
 
 
 def test_unsupported_subcell_count():
-    m = single_element_mesh(UNIT)
     with pytest.raises(MeshError):
-        subcell_geometry(m, 3)
+        subcell_geometry(UNIT[None], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +462,14 @@ def test_boundary_arrays_need_one_row_per_edge_and_integer_ids():
     with pytest.raises(MeshError, match="local_edges must be integers"):
         Mesh(UNIT, np.array([[0, 1, 2, 3]]), fractional)
     Mesh(UNIT, np.array([[0, 1, 2, 3]]), boundary)
+
+
+def test_mesh_rejects_fractional_connectivity():
+    # node id 3.7 must not be truncated onto node 3; whole floats are ids
+    boundary = [BoundaryEdge(0, k, (k, (k + 1) % 4), NEUMANN, "a") for k in range(4)]
+    with pytest.raises(MeshError, match="element connectivity must be integers"):
+        Mesh(UNIT, [[0, 1, 2, 3.7]], boundary)
+    assert Mesh(UNIT, [[0.0, 1.0, 2.0, 3.0]], boundary).elements.dtype == int
 
 
 @pytest.mark.parametrize(

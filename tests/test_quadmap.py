@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import smoothfem.quadmap as quadmap_mod
 from conftest import einsum_jacobian, random_quads
 from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark
-from smoothfem.mesh import subcell_geometry
+from smoothfem.mesh import subcell_corners, subcell_geometry
 from smoothfem.quadmap import (
     PARENT_CORNERS,
     QuadMapError,
@@ -283,8 +283,9 @@ def _zero_start_newton(corners, points):
     ids=["lshape-2", "lshape-20", "cylinder"],
 )
 def test_shared_start_equals_the_zero_start_newton_on_subcell_edges(mesh, nc):
-    corners = mesh.coords[mesh.elements][:, None, None]
-    mids = subcell_geometry(mesh, nc).edge_midpoints  # (n, nc, 4, 2)
+    quads = mesh.coords[mesh.elements]
+    corners = quads[:, None, None]
+    mids = subcell_geometry(quads, nc).edge_midpoints  # (n, nc, 4, 2)
     assert np.array_equal(invert_map(corners, mids), _zero_start_newton(corners, mids))
 
 
@@ -350,7 +351,7 @@ def _rule_stacks():
     lshape = LShapeBenchmark().mesh(1)
     stacks = {"cylinder-L2-elements": cylinder.coords[cylinder.elements]}
     for nc in (1, 2, 4, 8):
-        stacks[f"lshape-L1-subcells-nc{nc}"] = subcell_geometry(lshape, nc).corners
+        stacks[f"lshape-L1-subcells-nc{nc}"] = subcell_corners(lshape.coords[lshape.elements], nc)
     return stacks
 
 

@@ -21,7 +21,7 @@ from smoothfem.benchmarks import CylinderBenchmark, LShapeBenchmark, PatchBenchm
 from smoothfem.elasticity import Material, PLANE_STRAIN, compliance_matrix
 from smoothfem.error import element_error_squares
 from smoothfem.gsif import extract_gsifs
-from smoothfem.mesh import Mesh, build_square_mesh
+from smoothfem.mesh import Mesh, build_square_mesh, subcell_corners
 from smoothfem.recovery import (
     CERTIFIED_RATIO,
     CHUNK,
@@ -977,7 +977,8 @@ def exactify_stresses(solution, exact_stress):
     into a fresh array that takes its place.
     """
     stress = solution.cell_stress.copy()
-    for e, corners in enumerate(solution.cells.corners):
+    mesh, nc = solution.mesh, solution.formulation.nc
+    for e, corners in enumerate(subcell_corners(mesh.coords[mesh.elements], nc)):
         stress[e] = exact_stress(corners.mean(axis=1))
     stress.setflags(write=False)
     solution.cell_stress = stress

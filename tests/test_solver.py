@@ -8,7 +8,7 @@ cylinder against a closed-form oracle integral.
 """
 
 import itertools
-from dataclasses import fields
+import re
 
 import numpy as np
 import pytest
@@ -34,8 +34,8 @@ from smoothfem.mesh import (
     BoundaryEdge,
     Mesh,
     NEUMANN,
-    SubcellGeometry,
     build_square_mesh,
+    subcell_corners,
     subcell_geometry,
 )
 from smoothfem.quadmap import (
@@ -78,7 +78,7 @@ CYLINDER_EXACT_UKU = 1.8605209826259367e-06
 
 def strain_work(sol) -> float:
     """U^T K U of a solution, from its globally assembled stiffness."""
-    _, stiffnesses, _ = _element_operators(sol.mesh, sol.material, sol.formulation)
+    _, stiffnesses = _element_operators(sol.mesh, sol.material, sol.formulation)
     K = _scatter(sol.mesh, stiffnesses)
     return float(sol.U @ (K @ sol.U))
 
@@ -89,14 +89,14 @@ def zero_mode_count(K: np.ndarray) -> int:
 
 
 def smoothed_B(corners, nc) -> np.ndarray:
-    """Smoothed B (nc, 3, 8) of the subcells of a one-element mesh."""
-    m = single_element_mesh(corners)
-    return smoothed_strain_matrices(m.coords[m.elements], subcell_geometry(m, nc))[0]
+    """Smoothed B (nc, 3, 8) of the subcells of one quad."""
+    quads = corners[None]
+    return smoothed_strain_matrices(quads, subcell_geometry(quads, nc))[0]
 
 
 def element_K(corners, kind, nc=4) -> np.ndarray:
     """8x8 stiffness of a one-element mesh."""
-    _, K, _ = _element_operators(single_element_mesh(corners), MAT, Formulation(kind, nc))
+    _, K = _element_operators(single_element_mesh(corners), MAT, Formulation(kind, nc))
     return K[0]
 
 
@@ -164,8 +164,7 @@ def test_many_subcells_approach_fem_stiffness(monkeypatch):
     # smoothing over an 8x8 subcell grid nearly restores pointwise
     # integration; entrywise agreement within 1% on a distorted quad
     monkeypatch.setitem(mesh_mod._SUBCELL_GRID, 64, (8, 8))
-    m = single_element_mesh(DISTORTED)
-    cells = subcell_geometry(m, 64)
+    cells = subcell_geometry(DISTORTED[None], 64)
     K_smooth = np.zeros((8, 8))
     for B, area in zip(smoothed_strain_matrices(DISTORTED[None], cells)[0], cells.areas[0]):
         K_smooth += B.T @ D @ B * area
@@ -176,8 +175,12 @@ def test_many_subcells_approach_fem_stiffness(monkeypatch):
 def test_formulation_validation():
     with pytest.raises(SolveError):
         Formulation("xfem")
-    with pytest.raises(SolveError):
-        Formulation("sfem", 3)
+    # 4.0 and True equal the table keys 4 and 1; they would label as
+    # sfem4.0 and sfemTrue and fail inside numpy at the solve
+    for nc in (3, 4.0, True, "4", None):
+        with pytest.raises(SolveError, match=r"^subcell count must be 1, 2, 4 or 8, got "):
+            Formulation("sfem", nc)
+    assert Formulation("sfem", np.int64(8)).label() == "sfem8"
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +191,7 @@ def test_formulation_validation():
 def test_assembled_stiffness_exactly_symmetric(cylinder_bm):
     mesh = cylinder_bm.mesh(1)
     for kind in ("sfem", "fem"):
-        _, Ke, _ = _element_operators(mesh, cylinder_bm.material, Formulation(kind, 4))
+        _, Ke = _element_operators(mesh, cylinder_bm.material, Formulation(kind, 4))
         K = _scatter(mesh, Ke)
         skew = np.abs((K - K.T).toarray()).max()
         assert skew == 0.0
@@ -572,12 +575,13 @@ def test_inner_wall_radial_stress_regression(solve_cached, cylinder_bm):
     devs = {}
     for level, bound in ((2, 0.45), (3, 0.25)):
         mesh, _, sol = solve_cached("cylinder", level, "sfem", 4)
+        cells = subcell_corners(mesh.coords[mesh.elements], 4)
         worst = 0.0
         for be in mesh.boundary:
             if be.name != "pressure":
                 continue
             e = be.element_id
-            for c, corners in enumerate(sol.cells.corners[e]):
+            for c, corners in enumerate(cells[e]):
                 centroid = corners.mean(axis=0)
                 r = np.linalg.norm(centroid)
                 n = centroid / r
@@ -617,7 +621,7 @@ def test_one_cell_sfem_lshape_names_its_hourglass_modes(lshape_bm, level):
     with pytest.raises(SolveError, match=r"^3 zero-energy mode\(s\) are unrestrained and loaded"):
         assemble_and_solve(mesh, lshape_bm.material, form, bcs)
     free = np.setdiff1d(np.arange(2 * mesh.n_nodes), _dirichlet_values(mesh, bcs)[0])
-    _, Ke, _ = _element_operators(mesh, lshape_bm.material, form)
+    _, Ke = _element_operators(mesh, lshape_bm.material, form)
     K = _scatter(mesh, Ke)
     ev = np.linalg.eigvalsh(K[free][:, free].toarray())
     assert len(free) == {0: 127, 1: 447}[level]
@@ -717,7 +721,7 @@ def test_strongly_graded_square_solves_to_a_small_backward_error():
     sol = assemble_and_solve(mesh, MAT, Formulation("sfem", 4), bcs)
     assert sol.residual_rel > 1e-9
     free = np.setdiff1d(np.arange(2 * mesh.n_nodes), _dirichlet_values(mesh, bcs)[0])
-    _, Ke, _ = _element_operators(mesh, MAT, Formulation("sfem", 4))
+    _, Ke = _element_operators(mesh, MAT, Formulation("sfem", 4))
     K = _scatter(mesh, Ke)[free]
     f = _neumann_vector(mesh, bcs)[free]
     # the componentwise backward error of Oettli and Prager
@@ -757,7 +761,7 @@ def test_backward_error_counts_a_row_with_a_zero_denominator_as_zero():
 @pytest.mark.xfail(
     strict=True, raises=mesh_mod.MeshError,
     reason="ROADMAP item 6: the shoelace sum of absolute coordinates cancels "
-    "(non-positive smoothing-cell area in element 119)",
+    "(non-positive smoothing-cell area in the quad with corners of element 119)",
 )
 def test_smoothing_cells_of_tiny_elements_away_from_the_origin():
     # element 119 is 4.6e-9 wide at (0.5, 0.5); the mesh accepts it.  The
@@ -767,8 +771,18 @@ def test_smoothing_cells_of_tiny_elements_away_from_the_origin():
     mesh, _ = graded_square(1e8)
     corners = mesh.coords[mesh.elements]
     width, height = np.ptp(corners[..., 0], axis=1), np.ptp(corners[..., 1], axis=1)
-    cells = subcell_geometry(mesh, 4)
+    cells = subcell_geometry(corners, 4)
     assert_allclose(cells.areas.sum(axis=1), width * height, rtol=1e-6)
+
+
+def test_a_later_slice_names_the_quad_with_a_non_positive_cell_area(monkeypatch):
+    # element 119 lies in the third slice of 50; the message names its
+    # corners, not its place in the slice
+    mesh, _ = graded_square(1e8)
+    monkeypatch.setattr(solver_mod, "ELEMENT_SLICE", 50)
+    corners = re.escape(str(mesh.coords[mesh.elements[119]].tolist()))
+    with pytest.raises(mesh_mod.MeshError, match=f"cell area in the quad with corners {corners}$"):
+        _element_operators(mesh, MAT, Formulation("sfem", 4))
 
 
 def test_rigid_mode_diagnosis_names_the_loose_modes(cylinder_bm):
@@ -862,15 +876,11 @@ def test_solution_stresses_and_operators_are_read_only():
     mesh = build_square_mesh(2, distortion=0.2, seed=3)
     for form in (Formulation("sfem", 4), Formulation("fem")):
         sol = interpolate_solution(mesh, MAT, form, lambda p: 0.01 * p)
-        B, K, cells = _element_operators(mesh, MAT, form)
+        B, K = _element_operators(mesh, MAT, form)
         arrays = [sol.cell_stress, sol.dofs, B, K]
-        assert (cells is None) == (sol.cells is None) == (form.kind == "fem")
         if form.kind == "sfem":
-            cells = sol.cells
-            arrays += [
-                cells.corners, cells.areas,
-                cells.edge_midpoints, cells.edge_normals, cells.edge_lengths,
-            ]
+            cells = subcell_geometry(mesh.coords[mesh.elements], form.nc)
+            arrays += [cells.areas, cells.edge_midpoints, cells.edge_normals, cells.edge_lengths]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1
@@ -950,7 +960,8 @@ def _reference_fem_B(corners, xi, eta):
 )
 def test_kernels_match_the_scalar_reference_bit_for_bit(name, kind, nc):
     mesh = BATCH_MESHES[name]
-    full_B, full_K, full_cells = _element_operators(mesh, MAT, Formulation(kind, nc))
+    full_B, full_K = _element_operators(mesh, MAT, Formulation(kind, nc))
+    full_cells = subcell_geometry(mesh.coords[mesh.elements], nc)
     pts, wts = gauss_points_2d(2)
     _, wdet, _ = mapped_rule(mesh.coords[mesh.elements], 2)  # FEM recovery weights
     for e in np.random.default_rng(7).permutation(mesh.n_elements)[:12]:
@@ -1002,7 +1013,8 @@ def test_smoothed_operators_invert_every_edge_slot_in_one_call(monkeypatch, leve
         return xi
 
     monkeypatch.setattr(solver_mod, "invert_map", counting_invert_map)
-    _, _, cells = _element_operators(mesh, MAT, Formulation("sfem", nc))
+    _element_operators(mesh, MAT, Formulation("sfem", nc))
+    cells = subcell_geometry(mesh.coords[mesh.elements], nc)
     n, step = mesh.n_elements, solver_mod.ELEMENT_SLICE
     sizes = [min(step, n - start) for start in range(0, n, step)]
     assert len(sizes) == (1 if level == 1 else 3)
@@ -1025,14 +1037,15 @@ def test_smoothed_operators_invert_every_edge_slot_in_one_call(monkeypatch, leve
 )
 def test_kernels_are_batch_invariant(monkeypatch, name, kind, nc):
     mesh = BATCH_MESHES[name]
-    full_B, full_K, full_cells = _element_operators(mesh, MAT, Formulation(kind, nc))
+    full_B, full_K = _element_operators(mesh, MAT, Formulation(kind, nc))
     rng = np.random.default_rng(nc + 10 * len(name))
     subset = rng.permutation(mesh.n_elements)[: mesh.n_elements // 3]
     corners = mesh.coords[mesh.elements[subset]]
     if kind == "sfem":
-        geometry = subcell_geometry(mesh, nc)
-        cells = SubcellGeometry(*(getattr(geometry, f.name)[subset] for f in fields(geometry)))
-        for field in ("corners", "areas", "edge_midpoints", "edge_normals", "edge_lengths"):
+        quads = mesh.coords[mesh.elements]
+        assert np.array_equal(subcell_corners(corners, nc), subcell_corners(quads, nc)[subset])
+        cells, full_cells = subcell_geometry(corners, nc), subcell_geometry(quads, nc)
+        for field in ("areas", "edge_midpoints", "edge_normals", "edge_lengths"):
             assert np.array_equal(getattr(cells, field), getattr(full_cells, field)[subset])
         assert np.array_equal(smoothed_strain_matrices(corners, cells), full_B[subset])
     else:
@@ -1044,7 +1057,7 @@ def test_kernels_are_batch_invariant(monkeypatch, name, kind, nc):
     # batches of one: one-element meshes, and single points for FEM B
     for e in subset[:8]:
         c = mesh.coords[mesh.elements[e]]
-        one_B, one_K, _ = _element_operators(single_element_mesh(c), MAT, Formulation(kind, nc))
+        one_B, one_K = _element_operators(single_element_mesh(c), MAT, Formulation(kind, nc))
         assert np.array_equal(one_B[0], full_B[e])
         assert np.array_equal(one_K[0], full_K[e])
         if kind == "fem":
@@ -1056,23 +1069,23 @@ def test_kernels_are_batch_invariant(monkeypatch, name, kind, nc):
     # give the same rows
     assert mesh.n_elements <= solver_mod.ELEMENT_SLICE and mesh.n_elements % 7
     monkeypatch.setattr(solver_mod, "ELEMENT_SLICE", 7)
-    sliced_B, sliced_K, _ = _element_operators(mesh, MAT, Formulation(kind, nc))
+    sliced_B, sliced_K = _element_operators(mesh, MAT, Formulation(kind, nc))
     assert np.array_equal(sliced_B, full_B)
     assert np.array_equal(sliced_K, full_K)
 
 
 @pytest.mark.parametrize("kind,nc", [("fem", 4), ("sfem", 8)])
 def test_operator_working_memory_does_not_grow_with_the_mesh(cylinder_bm, kind, nc):
-    # the traced peak beyond the outputs (B, K and the cells) is a slice's
-    # temporaries: cylinder L5 (4096 elements, 4 slices) takes about what L4
-    # (1024, one slice) takes; built whole, L5 took 4x L4's
+    # the traced peak beyond the outputs B and K is a slice's temporaries,
+    # the smoothing cells included: cylinder L5 (4096 elements, 4 slices)
+    # takes about what L4 (1024, one slice) takes; built whole, L5 took 4x
+    # L4's, and whole-mesh smoothing cells grew with the mesh too
     def working_memory(level):
-        (B, K, cells), peak = traced_peak(
+        (B, K), peak = traced_peak(
             _element_operators, cylinder_bm.mesh(level), cylinder_bm.material,
             Formulation(kind, nc),
         )
-        outputs = [B, K] + ([] if cells is None else [getattr(cells, f.name) for f in fields(cells)])
-        return peak - sum(a.nbytes for a in outputs)
+        return peak - B.nbytes - K.nbytes
 
     assert working_memory(5) <= 1.5 * working_memory(4)
 
